@@ -1,25 +1,22 @@
 //! Throughput of the batched recommendation serving path.
 //!
-//! The headline comparison is three implementations of the same top-N workload on the
-//! private user-based recommender (X-Map-ub), whose serving path used to be quadratic:
+//! Two implementations of the same top-N workload on the private user-based
+//! recommender (X-Map-ub):
 //!
-//! * `per_call_rescan` — the historical defect, kept as the equivalence oracle
-//!   ([`PrivateUserBasedRecommender::recommend_for_profile_rescan`]): every candidate
-//!   prediction rebuilds the neighbour pool with a full matrix scan.
-//! * `per_call_pooled` — the fixed per-profile path: one pool scan per profile, reused
-//!   across every candidate.
+//! * `per_call_pooled` — the per-profile path: one pool scan per profile, reused across
+//!   every candidate.
 //! * `batched_stage` — the [`RecommendStage`] run by the `Dataflow` engine, which adds
 //!   partition-level scratch reuse and (with more workers) parallel partitions.
 //!
-//! All three release bit-identical outputs (asserted before timing), so the measured
-//! gaps are pure serving-path cost. A secondary group benches the item-based batched
+//! Both release bit-identical outputs (asserted before timing), so the measured gap is
+//! pure serving-path cost; the tracked single-call number is the benchmark's
+//! `core.recommend.x_ub.recommend_us`. A secondary group benches the item-based batched
 //! path against its per-call form (dense-scratch reuse across a batch).
 //!
 //! Setting `XMAP_BENCH_SMOKE=1` shrinks the batch and sample counts so CI can execute
 //! the bench as a smoke test in seconds.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::time::Instant;
 use xmap_bench::{amazon_like, Scale};
 use xmap_cf::knn::{profile_from_pairs, Profile};
 use xmap_cf::{DomainId, ItemId, RatingMatrix};
@@ -71,21 +68,11 @@ fn bench_user_based_serving(c: &mut Criterion) {
     )
     .unwrap();
 
-    // All three paths must release the same bits before their speeds mean anything.
+    // Both paths must release the same bits before their speeds mean anything.
     let reference: Vec<Vec<(ItemId, f64)>> = batch
         .iter()
         .map(|p| rec.recommend_for_profile(p, TOP_N))
         .collect();
-    let rescan_sample: Vec<Vec<(ItemId, f64)>> = batch
-        .iter()
-        .take(2)
-        .map(|p| rec.recommend_for_profile_rescan(p, TOP_N))
-        .collect();
-    assert_eq!(
-        &reference[..2],
-        &rescan_sample[..],
-        "rescan oracle diverged"
-    );
     let pool = ScratchPool::new();
     let flow = Dataflow::new(1, 16);
     let batched = flow.run(
@@ -94,36 +81,8 @@ fn bench_user_based_serving(c: &mut Criterion) {
     );
     assert_eq!(batched, reference, "batched stage diverged");
 
-    // Headline number for the PR: wall-clock ratio of the historical quadratic path to
-    // the batched stage over one batch (the criterion groups below give the stable
-    // per-path medians).
-    let start = Instant::now();
-    for p in &batch {
-        criterion::black_box(rec.recommend_for_profile_rescan(p, TOP_N));
-    }
-    let rescan_time = start.elapsed();
-    let start = Instant::now();
-    criterion::black_box(flow.run(
-        &RecommendStage::new(&rec, &pool),
-        ServeBatch::new(&batch, TOP_N),
-    ));
-    let batched_time = start.elapsed();
-    println!(
-        "serve_throughput/ub: per_call_rescan {rescan_time:?} vs batched_stage {batched_time:?} \
-         => {:.1}x",
-        rescan_time.as_secs_f64() / batched_time.as_secs_f64().max(1e-12)
-    );
-
     let mut group = c.benchmark_group("serve_throughput_ub");
     group.sample_size(if smoke() { 2 } else { 10 });
-    group.bench_function("per_call_rescan", |b| {
-        b.iter(|| {
-            batch
-                .iter()
-                .map(|p| rec.recommend_for_profile_rescan(p, TOP_N))
-                .collect::<Vec<_>>()
-        })
-    });
     group.bench_function("per_call_pooled", |b| {
         b.iter(|| {
             batch

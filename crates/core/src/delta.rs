@@ -53,17 +53,13 @@
 //! cluster simulator — identical at any worker count, and scaling with the delta's
 //! co-rating neighbourhood rather than the trace.
 
-use crate::config::XMapMode;
 use crate::generator::AlterEgoGenerator;
-use crate::pipeline::{recommender_from_pools, ModelEpoch, XMapModel};
-use crate::recommend::{
-    PrivateItemBasedRecommender, PrivateUserBasedRecommender, ProfileRecommender,
-    UserBasedRecommender,
-};
+use crate::pipeline::{FittedRecommender, ModelEpoch, XMapModel};
+use crate::recommend;
 use crate::{Result, XMapError};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-use xmap_cf::knn::{CandidateScratch, ItemKnn, ItemKnnConfig, ItemNeighbor, Profile};
+use xmap_cf::knn::{CandidateScratch, ItemKnn, ItemNeighbor, Profile};
 use xmap_cf::mrv::{self, MrvCell, MrvShard};
 use xmap_cf::similarity::item_similarity_stats;
 use xmap_cf::{DomainId, ItemId, Rating, RatingMatrix, SimilarityStats, Timestep, UserId};
@@ -309,13 +305,6 @@ where
 }
 
 /// Everything a delta fit rebuilds, handed back to [`XMapModel::apply_delta`]. Each
-/// A refitted recommender plus, for the item-based modes, its freshly spliced kNN
-/// pools (`None` for the user-based modes, which keep no pools).
-type RecommenderRefit = (
-    Box<dyn ProfileRecommender + Send + Sync>,
-    Option<Vec<Vec<ItemNeighbor>>>,
-);
-
 /// `None` means "bit-identical to the base epoch — share its `Arc`, don't copy".
 struct DeltaParts {
     /// The re-scored graph with its bridges and layer partition; `None` when no pair
@@ -327,7 +316,7 @@ struct DeltaParts {
     replacements: Option<crate::generator::ReplacementTable>,
     /// The refitted recommender and (item-based modes) spliced pools; `None` when the
     /// target-domain training matrix is unchanged by the delta.
-    recommender: Option<RecommenderRefit>,
+    recommender: Option<FittedRecommender>,
     /// `None` when the target matrix (and so its rating count) is unchanged.
     n_target_ratings: Option<usize>,
     accumulators: IngestAccumulators,
@@ -479,10 +468,10 @@ impl Stage<()> for DeltaStage<'_> {
         // --- 4. Recommender: when the delta leaves the target-domain training matrix
         // untouched (no target rating events, no new users or items) the fitted
         // recommender and its pools are bit-equal to a refit's, so both are shared.
-        // Otherwise splice the item-kNN pools (item-based modes) or refit the
-        // stateless user-based recommender on the new target matrix. The ε′ debit is
-        // unconditional for the private modes — shared artifacts are still re-released
-        // under the fresh accountant. ---
+        // Otherwise splice the item-kNN pools (item-based modes) and rebuild the
+        // recommender on the new target matrix. The ε′ debit is unconditional for the
+        // private modes — shared artifacts are still re-released under the fresh
+        // accountant — and, like a refit's, comes before any pool work. ---
         let share_recommender = updated.n_users() == base.full.n_users()
             && updated.n_items() == base.full.n_items()
             && delta
@@ -490,112 +479,62 @@ impl Stage<()> for DeltaStage<'_> {
                 .iter()
                 .all(|r| updated.item_domain(r.item) != base.target_domain);
         let (rebuilt_recommender, n_target_ratings) = if share_recommender {
-            if config.mode.is_private() {
-                // Same ledger entries as the fit paths: ε′/2 for PNSA, ε′/2 for PNCF.
-                PrivateItemBasedRecommender::debit_budget(
-                    config.privacy.epsilon_prime,
-                    &mut self
-                        .budget
-                        .expect("private modes carry a privacy budget") // lint: panic — reviewed invariant
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner),
-                )?;
-            }
+            recommend::debit_stage_budget(&config, self.budget)?;
             (None, None)
         } else {
-            let target_matrix = updated
-                .filter(|r| updated.item_domain(r.item) == base.target_domain)
-                .map_err(|_| XMapError::Data("target domain has no ratings".to_string()))?;
+            let target_matrix = Arc::new(
+                updated
+                    .filter(|r| updated.item_domain(r.item) == base.target_domain)
+                    .map_err(|_| XMapError::Data("target domain has no ratings".to_string()))?,
+            );
             let n_target_ratings = target_matrix.n_ratings();
             if n_target_ratings == 0 {
                 return Err(XMapError::Data("target domain has no ratings".to_string()));
             }
-            let fitted = match config.mode {
-                XMapMode::NxMapItemBased | XMapMode::XMapItemBased => {
-                    if config.mode == XMapMode::XMapItemBased {
-                        // The delta re-releases the recommendation artifacts, so the
-                        // fresh accountant debits ε′ exactly like a refit — before the
-                        // pool work.
-                        PrivateItemBasedRecommender::debit_budget(
-                            config.privacy.epsilon_prime,
-                            &mut self
-                                .budget
-                                .expect("private modes carry a privacy budget") // lint: panic — reviewed invariant
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner),
-                        )?;
-                    }
-                    let pool_k = match config.mode {
-                        XMapMode::XMapItemBased => PrivateItemBasedRecommender::pool_size(config.k),
-                        _ => config.k,
-                    };
-                    let knn_config = ItemKnnConfig {
-                        k: pool_k,
-                        temporal_alpha: config.temporal_alpha,
-                        ..Default::default()
-                    };
-                    let pool_items = affected_pool_items(&target_matrix, &affected_users);
-                    report.n_pool_refits = pool_items.len();
-                    let fresh_pools: Vec<(ItemId, Vec<ItemNeighbor>)> =
-                        cx.map_items_ordered(pool_items, |_ix, part| {
-                            // One epoch-marked seen buffer per partition, reused across
-                            // its items — the same dedup-during-collection discipline as
-                            // `ItemKnn::candidate_sets`.
-                            let mut scratch = CandidateScratch::new();
-                            let mut outs = Vec::with_capacity(part.len());
-                            let mut cost = 0.0f64;
-                            for &(_, item) in part {
-                                let cands = scratch.candidate_set(&target_matrix, item);
-                                let deg_i = target_matrix.item_degree(item) as f64;
-                                cost += 1.0
-                                    + cands
-                                        .iter()
-                                        .map(|&j| deg_i + target_matrix.item_degree(j) as f64)
-                                        .sum::<f64>();
-                                let pool = ItemKnn::neighbors_from_candidates(
-                                    &target_matrix,
-                                    item,
-                                    &cands,
-                                    &knn_config,
-                                );
-                                outs.push((item, pool));
-                            }
-                            (outs, cost)
-                        });
-                    let mut pools = base
-                        .item_pools
-                        .as_ref()
-                        .expect("item-based models retain their kNN pools") // lint: panic — reviewed invariant
-                        .as_ref()
-                        .clone();
-                    pools.resize(target_matrix.n_items(), Vec::new());
-                    for (item, pool) in fresh_pools {
-                        pools[item.index()] = pool;
-                    }
-                    recommender_from_pools(&config, target_matrix, pools)?
+            recommend::debit_stage_budget(&config, self.budget)?;
+            let pools = recommend::item_pool_config(&config).map(|knn_config| {
+                let pool_items = affected_pool_items(&target_matrix, &affected_users);
+                report.n_pool_refits = pool_items.len();
+                let fresh_pools: Vec<(ItemId, Vec<ItemNeighbor>)> =
+                    cx.map_items_ordered(pool_items, |_ix, part| {
+                        // One epoch-marked seen buffer per partition, reused across
+                        // its items — the same dedup-during-collection discipline as
+                        // `ItemKnn::candidate_sets`.
+                        let mut scratch = CandidateScratch::new();
+                        let mut outs = Vec::with_capacity(part.len());
+                        let mut cost = 0.0f64;
+                        for &(_, item) in part {
+                            let cands = scratch.candidate_set(&target_matrix, item);
+                            let deg_i = target_matrix.item_degree(item) as f64;
+                            cost += 1.0
+                                + cands
+                                    .iter()
+                                    .map(|&j| deg_i + target_matrix.item_degree(j) as f64)
+                                    .sum::<f64>();
+                            let pool = ItemKnn::neighbors_from_candidates(
+                                &target_matrix,
+                                item,
+                                &cands,
+                                &knn_config,
+                            );
+                            outs.push((item, pool));
+                        }
+                        (outs, cost)
+                    });
+                let mut pools = base
+                    .item_pools
+                    .as_ref()
+                    .expect("item-based models retain their kNN pools") // lint: panic — reviewed invariant
+                    .as_ref()
+                    .clone();
+                pools.resize(target_matrix.n_items(), Vec::new());
+                for (item, pool) in fresh_pools {
+                    pools[item.index()] = pool;
                 }
-                XMapMode::NxMapUserBased => (
-                    Box::new(UserBasedRecommender::fit(target_matrix, config.k)?)
-                        as Box<dyn ProfileRecommender + Send + Sync>,
-                    None,
-                ),
-                XMapMode::XMapUserBased => (
-                    Box::new(PrivateUserBasedRecommender::fit(
-                        target_matrix,
-                        config.k,
-                        config.privacy.epsilon_prime,
-                        config.privacy.rho,
-                        config.seed,
-                        &mut self
-                            .budget
-                            .expect("private modes carry a privacy budget") // lint: panic — reviewed invariant
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner),
-                    )?) as Box<dyn ProfileRecommender + Send + Sync>,
-                    None,
-                ),
-            };
-            (Some(fitted), Some(n_target_ratings))
+                pools
+            });
+            let recommender = recommend::build(&config, target_matrix, pools.clone())?;
+            (Some((recommender, pools)), Some(n_target_ratings))
         };
 
         Ok(DeltaParts {
@@ -698,10 +637,7 @@ impl XMapModel {
             None => (Arc::clone(&base.graph), Arc::clone(&base.partition)),
         };
         let (recommender, item_pools) = match rebuilt_recommender {
-            Some((rec, pools)) => (
-                Arc::from(rec) as Arc<dyn ProfileRecommender + Send + Sync>,
-                pools.map(Arc::new),
-            ),
+            Some((rec, pools)) => (rec, pools.map(Arc::new)),
             None => (Arc::clone(&base.recommender), base.item_pools.clone()),
         };
         let next = ModelEpoch {
@@ -873,7 +809,7 @@ impl XMapModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::XMapConfig;
+    use crate::config::{XMapConfig, XMapMode};
     use xmap_dataset::synthetic::{CrossDomainConfig, CrossDomainDataset};
 
     fn dataset() -> CrossDomainDataset {

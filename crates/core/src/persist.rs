@@ -26,10 +26,8 @@
 //! functions of those and are recomputed on load, exactly as the fit computes them.
 
 use crate::delta::RatingDelta;
-use crate::pipeline::{recommender_from_pools, ModelEpoch, PipelineStats, XMapModel};
-use crate::recommend::{
-    PrivateUserBasedRecommender, ProfileRecommender, ScratchPool, UserBasedRecommender,
-};
+use crate::pipeline::{ModelEpoch, PipelineStats, XMapModel};
+use crate::recommend::{self, ScratchPool};
 use crate::xsim::XSimTable;
 use crate::{Result, XMapError};
 use std::path::{Path, PathBuf};
@@ -185,42 +183,21 @@ fn model_from_state(state: ModelState) -> Result<XMapModel> {
         None
     };
 
-    type RebuiltRecommender = (
-        Box<dyn ProfileRecommender + Send + Sync>,
-        Option<Arc<Vec<Vec<ItemNeighbor>>>>,
-    );
-    let (recommender, item_pools): RebuiltRecommender = match config.mode {
-        crate::XMapMode::NxMapItemBased | crate::XMapMode::XMapItemBased => {
-            let pools = item_pools.ok_or_else(|| XMapError::Corrupt {
-                offset: 0,
-                detail: "item-based mode snapshot is missing its kNN pools".to_string(),
-            })?;
-            let (recommender, _) =
-                recommender_from_pools(&config, target_matrix, pools.as_ref().clone())?;
-            (recommender, Some(pools))
-        }
-        crate::XMapMode::NxMapUserBased => (
-            Box::new(UserBasedRecommender::fit(target_matrix, config.k)?),
-            None,
-        ),
-        crate::XMapMode::XMapUserBased => {
-            // The fit is deterministic in (matrix, k, ε′, ρ, seed); the scratch
-            // budget only absorbs the re-fit's ε′ debit — the *released* ledger is
-            // the persisted one, which already recorded that expenditure.
-            let mut scratch = PrivacyBudget::new(config.privacy.total());
-            (
-                Box::new(PrivateUserBasedRecommender::fit(
-                    target_matrix,
-                    config.k,
-                    config.privacy.epsilon_prime,
-                    config.privacy.rho,
-                    config.seed,
-                    &mut scratch,
-                )?),
-                None,
-            )
-        }
+    let item_pools = if config.mode.is_item_based() {
+        Some(item_pools.ok_or_else(|| XMapError::Corrupt {
+            offset: 0,
+            detail: "item-based mode snapshot is missing its kNN pools".to_string(),
+        })?)
+    } else {
+        None
     };
+    // Re-wrapping the persisted artifacts releases nothing new: the persisted ledger
+    // already recorded their ε′, so no budget is touched here.
+    let recommender = recommend::build(
+        &config,
+        Arc::new(target_matrix),
+        item_pools.as_deref().cloned(),
+    )?;
 
     // The fit-shape stats are recomputed from the persisted artifacts; the wall-clock
     // durations and per-partition task bags of the original fit are not persisted
@@ -247,7 +224,7 @@ fn model_from_state(state: ModelState) -> Result<XMapModel> {
         partition: Arc::new(partition),
         replacements,
         xsim,
-        recommender: Arc::from(recommender),
+        recommender,
         item_pools,
         budget,
     };

@@ -11,8 +11,9 @@
 //! fit-stage parallelism section of `DESIGN.md`): the released model and the recorded
 //! per-partition task costs are identical at any worker count. Per-stage wall-clock
 //! durations and the `baseliner` / `extender` / `generator` / `recommender` task bags
-//! are captured in [`PipelineStats`] — the scalability experiment (Figure 11) and the
-//! `fit_throughput` bench replay those task costs on the cluster simulator.
+//! are captured in [`PipelineStats`] — the scalability experiment (Figure 11) replays
+//! those task costs on the cluster simulator; measured fit times are the benchmark's
+//! (`benchmark/`, `fit_s` and `core.pipeline.*.fit_ms`).
 //!
 //! ## Serve-while-updating: epoch-published snapshots
 //!
@@ -25,13 +26,10 @@
 //! always sees one self-consistent model version, never a half-updated one, and
 //! ingestion never blocks serving. See the epoch-publication section of `DESIGN.md`.
 
-use crate::config::{XMapConfig, XMapMode};
+use crate::config::XMapConfig;
 use crate::delta::IngestAccumulators;
 use crate::generator::{AlterEgo, AlterEgoGenerator, ReplacementTable};
-use crate::recommend::{
-    ItemBasedRecommender, PrivateItemBasedRecommender, PrivateUserBasedRecommender,
-    ProfileRecommender, ScratchPool, UserBasedRecommender,
-};
+use crate::recommend::{self, ScratchPool, SharedRecommender};
 use crate::serve::{RecommendStage, ServeBatch, RECOMMEND_STAGE_NAME};
 use crate::xsim::XSimTable;
 use crate::{Result, XMapError};
@@ -105,7 +103,7 @@ pub struct ModelEpoch {
     pub(crate) partition: Arc<LayerPartition>,
     pub(crate) replacements: Arc<ReplacementTable>,
     pub(crate) xsim: Arc<XSimTable>,
-    pub(crate) recommender: Arc<dyn ProfileRecommender + Send + Sync>,
+    pub(crate) recommender: SharedRecommender,
     /// The raw item-kNN pools of the item-based modes (pre privacy annotation), kept so
     /// a delta fit can re-score only the affected items' pools. `None` for the
     /// user-based modes, which precompute nothing at fit time. This deliberately
@@ -349,7 +347,7 @@ impl XMapModel {
     /// The whole batch answers from **one** epoch snapshot taken at entry (stamped into
     /// [`XMapModel::served_epoch`]), and the per-partition scratch comes from the
     /// model's shared pool, so dense buffers persist across batches. Output is
-    /// bit-identical to calling [`ProfileRecommender::recommend_for_profile`] once per
+    /// bit-identical to calling [`crate::ProfileRecommender::recommend_for_profile`] once per
     /// profile against that snapshot, at any worker count. The *recommendations* are
     /// safe to compute from any number of threads sharing the model; the cost ledger,
     /// however, holds one slot per stage name, so concurrent batches overwrite each
@@ -627,12 +625,12 @@ impl<'x> Stage<&'x XSimTable> for GeneratorStage {
 
 /// Stage 4 — recommender: fits the target-domain CF model consuming AlterEgos,
 /// partition-parallel for the item-based modes. The private modes debit ε′
-/// (PNSA + PNCF) from the pipeline's privacy budget here.
+/// (PNSA + PNCF) from the pipeline's privacy budget here, before any pool work.
 ///
 /// The item-based kNN fit — the expensive half — is partitioned by item: candidate
 /// sets ([`ItemKnn::candidate_sets`]) are hash-partitioned by item id (their input
 /// position), every partition scores its items' candidates and selects their top-k
-/// as one pool task, and the pools come back in item order before the recommender
+/// as one pool task, and the pools come back in item order before [`recommend::build`]
 /// wraps them — bit-identical to the serial `ItemKnn::fit` at any worker count.
 /// Per-partition costs (`Σ over items (1 + Σ over candidates (deg(i) + deg(j)))`,
 /// the profile-merge work of the similarity scoring) land in the `recommender`
@@ -648,15 +646,9 @@ struct RecommenderStage<'b> {
 /// work as the partition cost.
 fn fit_item_pools(
     matrix: &RatingMatrix,
-    pool_k: usize,
-    temporal_alpha: f64,
+    knn_config: &ItemKnnConfig,
     cx: &mut StageContext<'_>,
 ) -> Vec<Vec<ItemNeighbor>> {
-    let knn_config = ItemKnnConfig {
-        k: pool_k,
-        temporal_alpha,
-        ..Default::default()
-    };
     let sets = ItemKnn::candidate_sets(matrix);
     cx.map_items_ordered(sets, |_ix, part| {
         let outs: Vec<Vec<ItemNeighbor>> = part
@@ -666,7 +658,7 @@ fn fit_item_pools(
                     matrix,
                     ItemId(item_ix as u32),
                     cands,
-                    &knn_config,
+                    knn_config,
                 )
             })
             .collect();
@@ -684,44 +676,12 @@ fn fit_item_pools(
     })
 }
 
-/// What the recommender stage hands back: the fitted recommender plus, for the
-/// item-based modes, the raw kNN pools (pre privacy annotation) the model retains for
-/// delta fits.
-type FittedRecommender = (
-    Box<dyn ProfileRecommender + Send + Sync>,
-    Option<Vec<Vec<ItemNeighbor>>>,
-);
+/// What the recommender stage (and the delta stage's refit) hands back: the
+/// recommender plus, for the item-based modes, the raw kNN pools (pre privacy
+/// annotation) the model retains for delta fits.
+pub(crate) type FittedRecommender = (SharedRecommender, Option<Vec<Vec<ItemNeighbor>>>);
 
-/// Wraps freshly fitted (or delta-spliced) item pools into the mode's recommender —
-/// the single place the pool → recommender construction lives, shared by the fit and
-/// delta stages. The ε′ debit for the private mode must already have happened.
-pub(crate) fn recommender_from_pools(
-    config: &XMapConfig,
-    target_matrix: RatingMatrix,
-    pools: Vec<Vec<ItemNeighbor>>,
-) -> Result<FittedRecommender> {
-    let recommender: Box<dyn ProfileRecommender + Send + Sync> = match config.mode {
-        XMapMode::NxMapItemBased => Box::new(ItemBasedRecommender::from_pools(
-            target_matrix,
-            config.k,
-            config.temporal_alpha,
-            pools.clone(),
-        )?),
-        XMapMode::XMapItemBased => Box::new(PrivateItemBasedRecommender::from_pools(
-            target_matrix,
-            config.k,
-            config.privacy.epsilon_prime,
-            config.privacy.rho,
-            config.temporal_alpha,
-            config.seed,
-            pools.clone(),
-        )?),
-        _ => unreachable!("only the item-based modes carry kNN pools"),
-    };
-    Ok((recommender, Some(pools)))
-}
-
-impl Stage<RatingMatrix> for RecommenderStage<'_> {
+impl Stage<Arc<RatingMatrix>> for RecommenderStage<'_> {
     type Out = Result<FittedRecommender>;
 
     fn name(&self) -> &'static str {
@@ -730,54 +690,17 @@ impl Stage<RatingMatrix> for RecommenderStage<'_> {
 
     fn run(
         &self,
-        target_matrix: RatingMatrix,
+        target_matrix: Arc<RatingMatrix>,
         cx: &mut StageContext<'_>,
     ) -> Result<FittedRecommender> {
         let config = &self.config;
-        let mut budget_guard = self
-            .budget
-            .map(|m| m.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
-        match config.mode {
-            XMapMode::NxMapItemBased => {
-                let pools = fit_item_pools(&target_matrix, config.k, config.temporal_alpha, cx);
-                recommender_from_pools(config, target_matrix, pools)
-            }
-            XMapMode::NxMapUserBased => Ok((
-                Box::new(UserBasedRecommender::fit(target_matrix, config.k)?),
-                None,
-            )),
-            XMapMode::XMapItemBased => {
-                // Debit before the pool fit, mirroring the serial
-                // `PrivateItemBasedRecommender::fit`: an exhausted budget fails the
-                // stage without paying for the kNN fit.
-                PrivateItemBasedRecommender::debit_budget(
-                    config.privacy.epsilon_prime,
-                    budget_guard
-                        .as_deref_mut() // lint: panic — reviewed invariant
-                        .expect("private modes carry a privacy budget"),
-                )?;
-                let pools = fit_item_pools(
-                    &target_matrix,
-                    PrivateItemBasedRecommender::pool_size(config.k),
-                    config.temporal_alpha,
-                    cx,
-                );
-                recommender_from_pools(config, target_matrix, pools)
-            }
-            XMapMode::XMapUserBased => Ok((
-                Box::new(PrivateUserBasedRecommender::fit(
-                    target_matrix,
-                    config.k,
-                    config.privacy.epsilon_prime,
-                    config.privacy.rho,
-                    config.seed,
-                    budget_guard
-                        .as_deref_mut() // lint: panic — reviewed invariant
-                        .expect("private modes carry a privacy budget"),
-                )?),
-                None,
-            )),
-        }
+        // Debit before the pool fit: an exhausted budget fails the stage without
+        // paying for the kNN fit.
+        recommend::debit_stage_budget(config, self.budget)?;
+        let pools = recommend::item_pool_config(config)
+            .map(|knn_config| fit_item_pools(&target_matrix, &knn_config, cx));
+        let recommender = recommend::build(config, target_matrix, pools.clone())?;
+        Ok((recommender, pools))
     }
 }
 
@@ -861,7 +784,7 @@ impl XMapModel {
                 config,
                 budget: budget.as_ref(),
             },
-            target_matrix,
+            Arc::new(target_matrix),
         )?;
 
         // The per-stage task bags of the fit, recorded by the Dataflow runner — the
@@ -889,7 +812,7 @@ impl XMapModel {
             partition: Arc::new(partition),
             replacements: Arc::new(replacements),
             xsim: Arc::new(xsim),
-            recommender: Arc::from(recommender),
+            recommender,
             item_pools: item_pools.map(Arc::new),
             budget: budget.map(|m| {
                 Arc::new(
@@ -918,7 +841,7 @@ impl XMapModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PrivacyConfig;
+    use crate::config::{PrivacyConfig, XMapMode};
     use xmap_dataset::synthetic::{CrossDomainConfig, CrossDomainDataset};
     use xmap_dataset::toy::{items, users, ToyScenario};
 

@@ -1,8 +1,5 @@
-//! The target-domain recommenders consuming AlterEgo profiles (§4.4).
-//!
-//! All four variants share the same interface: given an AlterEgo profile (an artificial
-//! target-domain profile) they predict ratings for target-domain items and rank top-N
-//! recommendations.
+//! The target-domain recommender consuming AlterEgo profiles (§4.4), in its four
+//! variants.
 //!
 //! * [`ItemBasedRecommender`] — NX-Map-ib: item-based CF (Equation 4) over the
 //!   target-domain training data, with optional temporal weighting (Equation 7).
@@ -12,12 +9,24 @@
 //!   neighbour selection and PNCF Laplace noise (Algorithms 4–5).
 //! * [`PrivateUserBasedRecommender`] — X-Map-ub: the user-based variant with the same
 //!   mechanisms adapted to user–user similarities (global sensitivity 2, see DESIGN.md).
+//!
+//! This module is the only code that knows a mode. `build` is the one place a
+//! [`XMapMode`] picks a concrete type — the fit, the delta fit, a reopened snapshot and
+//! every shard replica construct their recommender through it — and every variant
+//! answers a top-N request through the same three phases of [`ProfileRecommender`]:
+//! `plan` (profile-level state), `candidates` (what the rows of an item range add to
+//! the candidate stream) and `score`. A single-node read runs the phases over the
+//! whole catalogue; the sharded router runs the very same methods once per shard, over
+//! the rows each replica holds.
 
 use crate::private::{
     pair_sensitivity, pncf_noisy_similarity, private_neighbor_selection, ScoredCandidate,
 };
+use crate::{XMapConfig, XMapMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 use xmap_cf::knn::{profile_average, ItemNeighbor, Profile};
 use xmap_cf::topk::top_k;
 use xmap_cf::{
@@ -25,50 +34,240 @@ use xmap_cf::{
 };
 use xmap_privacy::PrivacyBudget;
 
+/// A recommender as the model layers hold it: shared, immutable, thread-safe.
+pub(crate) type SharedRecommender = Arc<dyn ProfileRecommender + Send + Sync>;
+
+/// The profile-level state of one top-N request: computed once by
+/// [`ProfileRecommender::plan`] and handed to every `candidates` / `score` call of the
+/// request (a sharded model computes it on the profile's home shard and ships it to
+/// every scoring shard). The item-based variants need none; the user-based ones carry
+/// the selected neighbourhood and the profile average, and X-Map-ub also the pool its
+/// per-item draws select from.
+#[derive(Debug, Default)]
+pub struct ServePlan {
+    pool: Vec<(UserId, f64)>,
+    neighbors: Vec<(UserId, f64)>,
+    avg: f64,
+}
+
+impl ServePlan {
+    /// Size of the planned neighbourhood: the per-shard work of a user-based
+    /// candidate-gathering hop, which the sharded router ledgers.
+    pub(crate) fn n_neighbors(&self) -> usize {
+        self.neighbors.len()
+    }
+}
+
 /// Common interface of the four target-domain recommenders.
+///
+/// Top-N serving is three phases, each a pure function of `&self` and its arguments:
+/// [`plan`](Self::plan), [`candidates`](Self::candidates) over an item range, and
+/// [`score`](Self::score) over a slice of the merged candidate stream. The
+/// `recommend_*` methods are *provided*: they run the phases over the whole catalogue
+/// and rank the stream with the workspace [`top_k`] — so a recommender built over a
+/// fragment of the fitted rows answers with the same code as the full copy.
 pub trait ProfileRecommender {
+    /// Label matching the paper's figure legends.
+    fn label(&self) -> &'static str;
+
+    /// The target-domain training matrix, shared (never copied) with whoever else
+    /// serves the same model version.
+    fn target(&self) -> &Arc<RatingMatrix>;
+
     /// Predicted rating of `item` for the given (AlterEgo) profile.
     fn predict_for_profile(&self, profile: &Profile, item: ItemId) -> f64;
 
-    /// Top-N recommendations for the profile, excluding the profile's own items.
-    fn recommend_for_profile(&self, profile: &Profile, n: usize) -> Vec<(ItemId, f64)>;
-
-    /// Top-N recommendations for a batch of profiles, one result per profile in input
-    /// order. Takes profile references so serving partitions can hand their requests
-    /// over without copying profile contents.
-    ///
-    /// The contract is **bit-identity** with [`ProfileRecommender::recommend_for_profile`]
-    /// called once per profile — overrides exist purely to reuse per-profile scratch
-    /// (dense rating buffers, neighbour pools) across the batch, never to change
-    /// results. The batched serving stage relies on this to stay equivalent to the
-    /// per-profile reference at any worker count.
-    fn recommend_batch(&self, profiles: &[&Profile], n: usize) -> Vec<Vec<(ItemId, f64)>> {
-        profiles
-            .iter()
-            .map(|p| self.recommend_for_profile(p, n))
-            .collect()
+    /// Phase 1: the profile-level state of a top-N request. Nothing for the
+    /// item-based variants.
+    fn plan(&self, _profile: &Profile) -> ServePlan {
+        ServePlan::default()
     }
 
-    /// Like [`ProfileRecommender::recommend_batch`], but folding the batch through a
-    /// caller-owned [`ProfileScratch`] instead of the implicit thread-local one.
+    /// Phase 2: what the rows of `item_range` contribute to the candidate stream, in
+    /// any order and possibly with repeats. Item-based: the pool neighbours of the
+    /// profile's items in the range (this recommender holds those pool rows).
+    /// User-based: the items of the range rated by a planned neighbour.
+    fn candidates(
+        &self,
+        profile: &Profile,
+        plan: &ServePlan,
+        item_range: Range<u32>,
+    ) -> Vec<ItemId>;
+
+    /// Phase 3: `(score, item)` for every item of `items`, in order — exactly
+    /// [`predict_for_profile`](Self::predict_for_profile) per item, with the
+    /// profile-level work hoisted into `plan` and the dense profile lookup into
+    /// `scratch`.
+    fn score(
+        &self,
+        profile: &Profile,
+        plan: &ServePlan,
+        items: &[ItemId],
+        scratch: &mut ProfileScratch,
+    ) -> Vec<(f64, ItemId)>;
+
+    /// Top-N recommendations for the profile, excluding the profile's own items.
+    fn recommend_for_profile(&self, profile: &Profile, n: usize) -> Vec<(ItemId, f64)> {
+        with_thread_scratch(|scratch| phased_top_n(self, profile, n, scratch))
+    }
+
+    /// Top-N recommendations for a batch of profiles, one result per profile in input
+    /// order, **bit-identical** to [`recommend_for_profile`](Self::recommend_for_profile)
+    /// called once per profile. Takes profile references so serving partitions can
+    /// hand their requests over without copying profile contents.
+    fn recommend_batch(&self, profiles: &[&Profile], n: usize) -> Vec<Vec<(ItemId, f64)>> {
+        with_thread_scratch(|scratch| self.recommend_batch_with_scratch(profiles, n, scratch))
+    }
+
+    /// Like [`recommend_batch`](Self::recommend_batch), but folding the batch through a
+    /// caller-owned [`ProfileScratch`] instead of the thread-local one.
     ///
     /// The serving stage checks scratch out of the model's [`ScratchPool`] so the
     /// dense buffers survive *across* batches (worker threads are scoped per batch,
-    /// which kills thread-local scratch with them). Same bit-identity contract as
-    /// `recommend_batch`: epoch invalidation in [`ProfileScratch`] makes buffer reuse
-    /// invisible in the outputs. The default ignores the scratch — recommenders that
-    /// keep no dense per-profile state have nothing to reuse.
+    /// which kills thread-local scratch with them). Epoch invalidation in
+    /// [`ProfileScratch`] makes buffer reuse invisible in the outputs.
     fn recommend_batch_with_scratch(
         &self,
         profiles: &[&Profile],
         n: usize,
-        _scratch: &mut ProfileScratch,
+        scratch: &mut ProfileScratch,
     ) -> Vec<Vec<(ItemId, f64)>> {
-        self.recommend_batch(profiles, n)
+        profiles
+            .iter()
+            .map(|p| phased_top_n(self, p, n, scratch))
+            .collect()
     }
+}
 
-    /// Label matching the paper's figure legends.
-    fn label(&self) -> &'static str;
+/// The one top-N read path: the three phases over the whole catalogue.
+fn phased_top_n<R: ProfileRecommender + ?Sized>(
+    rec: &R,
+    profile: &Profile,
+    n: usize,
+    scratch: &mut ProfileScratch,
+) -> Vec<(ItemId, f64)> {
+    let plan = rec.plan(profile);
+    let catalogue = 0..rec.target().n_items() as u32;
+    let stream = candidate_stream(profile, rec.candidates(profile, &plan, catalogue));
+    let scored = rec.score(profile, &plan, &stream, scratch);
+    top_k(n, scored).into_iter().map(|(s, i)| (i, s)).collect()
+}
+
+/// The candidate stream every top-N path scores, from whatever the `candidates` calls
+/// of a request gathered: ascending item id, deduplicated, the profile's own items
+/// dropped. The order is load-bearing — it is the offer order of the top-N tie-break.
+pub(crate) fn candidate_stream(profile: &Profile, mut gathered: Vec<ItemId>) -> Vec<ItemId> {
+    let owned: Vec<ItemId> = profile.iter().map(|&(i, _, _)| i).collect();
+    gathered.sort_unstable();
+    gathered.dedup();
+    gathered.retain(|i| !owned.contains(i));
+    gathered
+}
+
+/// Builds the recommender of `config.mode` over the target-domain training matrix —
+/// the single place a mode names a concrete recommender type. `pools` are the fitted
+/// item-kNN pools of the item-based modes (`pools[i]` = item `i`'s row, at the width
+/// of [`item_pool_config`]; absent rows read as isolated items) and ignored by the
+/// user-based modes, which precompute nothing.
+///
+/// Building releases nothing and therefore never touches a [`PrivacyBudget`]: whoever
+/// *releases* the recommender (a fit, a delta fit) debits ε′ through
+/// [`debit_stage_budget`] first; a reopened snapshot or a shard replica
+/// re-wraps artifacts whose release the persisted / coordinator ledger already
+/// recorded.
+pub(crate) fn build(
+    config: &XMapConfig,
+    target: Arc<RatingMatrix>,
+    pools: Option<Vec<Vec<ItemNeighbor>>>,
+) -> crate::Result<SharedRecommender> {
+    let privacy = &config.privacy;
+    Ok(match config.mode {
+        XMapMode::NxMapItemBased => Arc::new(ItemBasedRecommender::from_pools(
+            target,
+            config.k,
+            config.temporal_alpha,
+            pools.unwrap_or_default(),
+        )?),
+        XMapMode::NxMapUserBased => Arc::new(UserBasedRecommender::fit(target, config.k)?),
+        XMapMode::XMapItemBased => Arc::new(PrivateItemBasedRecommender::from_pools(
+            target,
+            config.k,
+            privacy.epsilon_prime,
+            privacy.rho,
+            config.temporal_alpha,
+            config.seed,
+            pools.unwrap_or_default(),
+        )?),
+        XMapMode::XMapUserBased => Arc::new(PrivateUserBasedRecommender::new(
+            target,
+            config.k,
+            privacy.epsilon_prime,
+            privacy.rho,
+            config.seed,
+        )?),
+    })
+}
+
+/// The item-kNN configuration a mode's pools are fitted with — width `k` for
+/// NX-Map-ib, the wider PNSA candidate pool for X-Map-ib — or `None` for the
+/// user-based modes (no fit-time pools).
+pub(crate) fn item_pool_config(config: &XMapConfig) -> Option<ItemKnnConfig> {
+    let width = match config.mode {
+        XMapMode::NxMapItemBased => config.k,
+        XMapMode::XMapItemBased => private_pool_width(config.k),
+        XMapMode::NxMapUserBased | XMapMode::XMapUserBased => return None,
+    };
+    Some(item_knn_config(width, config.temporal_alpha))
+}
+
+/// The candidate-pool width PNSA selects from for a given `k`: slightly wider than `k`,
+/// so the exponential mechanism can also pick sub-optimal neighbours (which is where
+/// the selection privacy comes from), but close to it — on small catalogues a very
+/// wide pool makes the ε′-constrained selection close to uniform over the catalogue,
+/// a scale artefact the paper's 400K-item catalogue does not exhibit (see DESIGN.md).
+fn private_pool_width(k: usize) -> usize {
+    (k + k / 4).max(4)
+}
+
+/// The recommendation-phase budget debit: ε′/2 for PNSA and ε′/2 for PNCF (sequential
+/// composition, §4.4), atomically — an exhausted `budget` fails instead of silently
+/// releasing noised answers that no accountant vouches for. The single place the split
+/// and the ledger labels live: both private `fit`s debit through here, and so — via
+/// [`debit_stage_budget`] — do the fit stage and the delta stage, before any pool work.
+fn debit_recommendation_budget(
+    epsilon_prime: f64,
+    budget: &mut PrivacyBudget,
+) -> crate::Result<()> {
+    let half = epsilon_prime / 2.0;
+    budget.spend_all(&[("PNSA", half), ("PNCF", half)])?;
+    Ok(())
+}
+
+/// The ε′ debit of a stage about to release `config.mode`'s recommender, on the
+/// stage's accountant: nothing for the non-private modes.
+pub(crate) fn debit_stage_budget(
+    config: &XMapConfig,
+    budget: Option<&Mutex<PrivacyBudget>>,
+) -> crate::Result<()> {
+    if !config.mode.is_private() {
+        return Ok(());
+    }
+    debit_recommendation_budget(
+        config.privacy.epsilon_prime,
+        &mut budget
+            .expect("private modes carry a privacy budget") // lint: panic — reviewed invariant
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner),
+    )
+}
+
+fn require_k(k: usize) -> crate::Result<()> {
+    if k == 0 {
+        return Err(crate::XMapError::InvalidConfig(
+            "k must be at least 1".into(),
+        ));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -107,7 +306,7 @@ impl ProfileScratch {
     /// (neighbour pools only hold catalogue items), and sizing buffers by a raw,
     /// possibly corrupted id would allocate unboundedly. `now` still considers the full
     /// profile, matching the previous `HashMap` path bit for bit.
-    pub(crate) fn load(&mut self, profile: &Profile, n_items: usize) {
+    fn load(&mut self, profile: &Profile, n_items: usize) {
         self.current = self.current.wrapping_add(1);
         if self.current == 0 {
             // epoch counter wrapped: clear the markers so stale slots cannot alias
@@ -148,14 +347,15 @@ impl ProfileScratch {
 
 thread_local! {
     /// Per-thread scratch backing the single-call entry points, so evaluation loops
-    /// that predict one rating at a time amortise the dense buffers exactly like the
-    /// batched path does. Epoch invalidation makes reuse across unrelated profiles safe.
+    /// that predict one rating at a time — and the sharded router, scoring one shard
+    /// segment at a time — amortise the dense buffers exactly like the batched path
+    /// does. Epoch invalidation makes reuse across unrelated profiles safe.
     static THREAD_SCRATCH: std::cell::RefCell<ProfileScratch> =
         std::cell::RefCell::new(ProfileScratch::new());
 }
 
 /// Runs `f` with the calling thread's reusable [`ProfileScratch`].
-fn with_thread_scratch<R>(f: impl FnOnce(&mut ProfileScratch) -> R) -> R {
+pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut ProfileScratch) -> R) -> R {
     THREAD_SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
@@ -205,12 +405,12 @@ impl ScratchPool {
 }
 
 // ---------------------------------------------------------------------------
-// Non-private item-based (NX-Map-ib)
+// Item-based (NX-Map-ib, X-Map-ib)
 // ---------------------------------------------------------------------------
 
 /// Item-based CF over the target domain, owned (no borrows into the training matrix).
 pub struct ItemBasedRecommender {
-    target: RatingMatrix,
+    target: Arc<RatingMatrix>,
     /// Top-k similar target items per item, indexed by item id — the fitted `ItemKnn`
     /// pools, handed over without copying.
     neighbors: Vec<Vec<ItemNeighbor>>,
@@ -219,17 +419,14 @@ pub struct ItemBasedRecommender {
 
 impl ItemBasedRecommender {
     /// Fits the recommender on the target-domain training matrix.
-    pub fn fit(target: RatingMatrix, k: usize, temporal_alpha: f64) -> crate::Result<Self> {
-        let neighbors = ItemKnn::fit(
-            &target,
-            ItemKnnConfig {
-                k,
-                temporal_alpha,
-                ..Default::default()
-            },
-        )?
-        .into_neighbors();
-        Self::from_pools(target, k, temporal_alpha, neighbors)
+    pub fn fit(
+        target: impl Into<Arc<RatingMatrix>>,
+        k: usize,
+        temporal_alpha: f64,
+    ) -> crate::Result<Self> {
+        let target = target.into();
+        let pools = ItemKnn::fit(&target, item_knn_config(k, temporal_alpha))?.into_neighbors();
+        Self::from_pools(target, k, temporal_alpha, pools)
     }
 
     /// Builds the recommender from externally fitted neighbour pools — pools the
@@ -241,33 +438,21 @@ impl ItemBasedRecommender {
     /// [`ItemKnn::candidate_sets`]: xmap_cf::ItemKnn::candidate_sets
     /// [`ItemKnn::neighbors_from_candidates`]: xmap_cf::ItemKnn::neighbors_from_candidates
     pub fn from_pools(
-        target: RatingMatrix,
+        target: impl Into<Arc<RatingMatrix>>,
         k: usize,
         temporal_alpha: f64,
         pools: Vec<Vec<ItemNeighbor>>,
     ) -> crate::Result<Self> {
+        let target = target.into();
         // `ItemKnn::from_pools` validates the (k, α) configuration and hands the pools
         // back untouched.
-        let neighbors = ItemKnn::from_pools(
-            &target,
-            ItemKnnConfig {
-                k,
-                temporal_alpha,
-                ..Default::default()
-            },
-            pools,
-        )?
-        .into_neighbors();
+        let neighbors = ItemKnn::from_pools(&target, item_knn_config(k, temporal_alpha), pools)?
+            .into_neighbors();
         Ok(ItemBasedRecommender {
             target,
             neighbors,
             temporal_alpha,
         })
-    }
-
-    /// The target-domain training matrix.
-    pub fn target(&self) -> &RatingMatrix {
-        &self.target
     }
 
     /// The precomputed neighbours of an item.
@@ -278,7 +463,7 @@ impl ItemBasedRecommender {
             .unwrap_or(&[])
     }
 
-    pub(crate) fn predict_with_scratch(&self, scratch: &ProfileScratch, item: ItemId) -> f64 {
+    fn predict_loaded(&self, scratch: &ProfileScratch, item: ItemId) -> f64 {
         predict_item_based(
             &self.target,
             self.neighbors(item),
@@ -287,118 +472,55 @@ impl ItemBasedRecommender {
             self.temporal_alpha,
         )
     }
-
-    fn recommend_with_scratch(
-        &self,
-        scratch: &mut ProfileScratch,
-        profile: &Profile,
-        n: usize,
-    ) -> Vec<(ItemId, f64)> {
-        scratch.load(profile, self.target.n_items());
-        recommend_from_neighbors(
-            profile,
-            n,
-            |i| self.neighbors(i),
-            |i| self.predict_with_scratch(scratch, i),
-        )
-    }
 }
 
 impl ProfileRecommender for ItemBasedRecommender {
-    fn predict_for_profile(&self, profile: &Profile, item: ItemId) -> f64 {
-        with_thread_scratch(|scratch| {
-            scratch.load(profile, self.target.n_items());
-            self.predict_with_scratch(scratch, item)
-        })
-    }
-
-    fn recommend_for_profile(&self, profile: &Profile, n: usize) -> Vec<(ItemId, f64)> {
-        with_thread_scratch(|scratch| self.recommend_with_scratch(scratch, profile, n))
-    }
-
-    fn recommend_batch(&self, profiles: &[&Profile], n: usize) -> Vec<Vec<(ItemId, f64)>> {
-        with_thread_scratch(|scratch| self.recommend_batch_with_scratch(profiles, n, scratch))
-    }
-
-    fn recommend_batch_with_scratch(
-        &self,
-        profiles: &[&Profile],
-        n: usize,
-        scratch: &mut ProfileScratch,
-    ) -> Vec<Vec<(ItemId, f64)>> {
-        profiles
-            .iter()
-            .map(|p| self.recommend_with_scratch(scratch, p, n))
-            .collect()
-    }
-
     fn label(&self) -> &'static str {
         "NX-MAP-IB"
     }
-}
 
-// ---------------------------------------------------------------------------
-// Non-private user-based (NX-Map-ub)
-// ---------------------------------------------------------------------------
-
-/// User-based CF over the target domain where the query profile is the AlterEgo.
-pub struct UserBasedRecommender {
-    target: RatingMatrix,
-    k: usize,
-}
-
-impl UserBasedRecommender {
-    /// Creates the recommender over the target-domain training matrix.
-    pub fn fit(target: RatingMatrix, k: usize) -> crate::Result<Self> {
-        if k == 0 {
-            return Err(crate::XMapError::InvalidConfig(
-                "k must be at least 1".into(),
-            ));
-        }
-        Ok(UserBasedRecommender { target, k })
-    }
-
-    /// The target-domain training matrix.
-    pub fn target(&self) -> &RatingMatrix {
+    fn target(&self) -> &Arc<RatingMatrix> {
         &self.target
     }
 
-    pub(crate) fn knn(&self) -> UserKnn<'_> {
-        UserKnn::new(
-            &self.target,
-            UserKnnConfig {
-                k: self.k,
-                min_similarity: 0.0,
-            },
-        )
-        .expect("k validated at construction") // lint: panic — reviewed invariant
-    }
-}
-
-impl ProfileRecommender for UserBasedRecommender {
     fn predict_for_profile(&self, profile: &Profile, item: ItemId) -> f64 {
-        self.knn().predict_for_profile(profile, item)
+        with_thread_scratch(|scratch| {
+            scratch.load(profile, self.target.n_items());
+            self.predict_loaded(scratch, item)
+        })
     }
 
-    fn recommend_for_profile(&self, profile: &Profile, n: usize) -> Vec<(ItemId, f64)> {
-        self.knn().recommend_for_profile(profile, n)
+    fn candidates(&self, profile: &Profile, _: &ServePlan, item_range: Range<u32>) -> Vec<ItemId> {
+        let mut out = Vec::new();
+        for &(i, _, _) in profile {
+            if item_range.contains(&i.0) {
+                out.extend(self.neighbors(i).iter().map(|n| n.item));
+            }
+        }
+        out
     }
 
-    fn label(&self) -> &'static str {
-        "NX-MAP-UB"
+    fn score(
+        &self,
+        profile: &Profile,
+        _: &ServePlan,
+        items: &[ItemId],
+        scratch: &mut ProfileScratch,
+    ) -> Vec<(f64, ItemId)> {
+        scratch.load(profile, self.target.n_items());
+        items
+            .iter()
+            .map(|&i| (self.predict_loaded(scratch, i), i))
+            .collect()
     }
 }
-
-// ---------------------------------------------------------------------------
-// Private item-based (X-Map-ib)
-// ---------------------------------------------------------------------------
 
 /// Item-based CF with PNSA neighbour selection and PNCF Laplace noise.
 pub struct PrivateItemBasedRecommender {
-    target: RatingMatrix,
+    target: Arc<RatingMatrix>,
     /// Candidate neighbours (with sensitivities) per item, larger than k so PNSA has a
     /// meaningful pool to select from.
-    candidates: Vec<Vec<ScoredCandidate>>,
+    pools: Vec<Vec<ScoredCandidate>>,
     k: usize,
     epsilon_prime: f64,
     rho: f64,
@@ -408,19 +530,15 @@ pub struct PrivateItemBasedRecommender {
 
 impl PrivateItemBasedRecommender {
     /// Fits the recommender: the candidate pool per item is the `k + k/4` most similar
-    /// items (so the exponential mechanism can also pick sub-optimal neighbours, which is
-    /// where the selection privacy comes from), each annotated with its similarity-based
-    /// sensitivity — the `pair_sensitivity` table is precomputed here, next to the pools,
-    /// so no prediction ever touches the rating matrix for sensitivities. The pool is
-    /// kept close to `k` because on small catalogues a very wide pool makes the
-    /// ε′-constrained selection close to uniform over the catalogue — a scale artefact
-    /// the paper's 400K-item catalogue does not exhibit (see DESIGN.md).
+    /// items, each annotated with its similarity-based sensitivity — the
+    /// `pair_sensitivity` table is precomputed here, next to the pools, so no
+    /// prediction ever touches the rating matrix for sensitivities.
     ///
-    /// The fit debits the recommendation-phase budget: ε′/2 for PNSA and ε′/2 for PNCF
-    /// (sequential composition, §4.4), atomically — an exhausted `budget` fails the fit
-    /// instead of silently releasing noised answers that no accountant vouches for.
+    /// The fit debits the recommendation-phase budget (ε′, see
+    /// `debit_recommendation_budget`) before the pool work: an exhausted `budget`
+    /// fails the fit without paying for the kNN fit.
     pub fn fit(
-        target: RatingMatrix,
+        target: impl Into<Arc<RatingMatrix>>,
         k: usize,
         epsilon_prime: f64,
         rho: f64,
@@ -428,53 +546,23 @@ impl PrivateItemBasedRecommender {
         seed: u64,
         budget: &mut PrivacyBudget,
     ) -> crate::Result<Self> {
-        Self::debit_budget(epsilon_prime, budget)?;
+        let target = target.into();
+        debit_recommendation_budget(epsilon_prime, budget)?;
         let pools = ItemKnn::fit(
             &target,
-            ItemKnnConfig {
-                k: Self::pool_size(k),
-                temporal_alpha,
-                ..Default::default()
-            },
+            item_knn_config(private_pool_width(k), temporal_alpha),
         )?
         .into_neighbors();
         Self::from_pools(target, k, epsilon_prime, rho, temporal_alpha, seed, pools)
     }
 
-    /// The recommendation-phase budget debit: ε′/2 for PNSA and ε′/2 for PNCF
-    /// (sequential composition, §4.4), atomically. The single place the split and the
-    /// ledger labels live — both [`fit`] and the engine-parallel recommender stage
-    /// debit through here.
-    ///
-    /// [`fit`]: PrivateItemBasedRecommender::fit
-    pub(crate) fn debit_budget(
-        epsilon_prime: f64,
-        budget: &mut PrivacyBudget,
-    ) -> crate::Result<()> {
-        let half = epsilon_prime / 2.0;
-        budget.spend_all(&[("PNSA", half), ("PNCF", half)])?;
-        Ok(())
-    }
-
-    /// The candidate-pool width PNSA selects from for a given `k` (slightly wider than
-    /// `k`, see [`PrivateItemBasedRecommender::fit`]). The engine-parallel recommender
-    /// stage fits its pools at exactly this width before handing them to
-    /// `from_pools`.
-    pub fn pool_size(k: usize) -> usize {
-        (k + k / 4).max(4)
-    }
-
     /// Builds the recommender from externally fitted neighbour pools of width
-    /// [`PrivateItemBasedRecommender::pool_size`], annotating each candidate with its
-    /// similarity-based sensitivity. Crate-private because it performs no budget
-    /// debit itself: the engine-parallel recommender stage debits once through
-    /// [`PrivateItemBasedRecommender::debit_budget`] *before* fanning the pool fit
-    /// out, exactly like [`fit`] — a public no-debit constructor would let callers
-    /// bypass the ε′ accounting.
-    ///
-    /// [`fit`]: PrivateItemBasedRecommender::fit
-    pub(crate) fn from_pools(
-        target: RatingMatrix,
+    /// [`item_pool_config`], annotating each candidate with its similarity-based
+    /// sensitivity. Private because it performs no budget debit itself — a public
+    /// no-debit constructor would let callers bypass the ε′ accounting; only [`build`]
+    /// (whose callers debit first, or release nothing) reaches it.
+    fn from_pools(
+        target: Arc<RatingMatrix>,
         k: usize,
         epsilon_prime: f64,
         rho: f64,
@@ -484,15 +572,11 @@ impl PrivateItemBasedRecommender {
     ) -> crate::Result<Self> {
         let pools = ItemKnn::from_pools(
             &target,
-            ItemKnnConfig {
-                k: Self::pool_size(k),
-                temporal_alpha,
-                ..Default::default()
-            },
+            item_knn_config(private_pool_width(k), temporal_alpha),
             pools,
         )?
         .into_neighbors();
-        let candidates: Vec<Vec<ScoredCandidate>> = pools
+        let pools: Vec<Vec<ScoredCandidate>> = pools
             .into_iter()
             .enumerate()
             .map(|(i, pool)| {
@@ -507,7 +591,7 @@ impl PrivateItemBasedRecommender {
             .collect();
         Ok(PrivateItemBasedRecommender {
             target,
-            candidates,
+            pools,
             k,
             epsilon_prime,
             rho,
@@ -516,20 +600,15 @@ impl PrivateItemBasedRecommender {
         })
     }
 
-    /// The target-domain training matrix.
-    pub fn target(&self) -> &RatingMatrix {
-        &self.target
-    }
-
     /// The candidate pool of an item (before private selection).
-    pub fn candidates(&self, item: ItemId) -> &[ScoredCandidate] {
-        self.candidates
+    fn pool(&self, item: ItemId) -> &[ScoredCandidate] {
+        self.pools
             .get(item.index())
             .map(|v| v.as_slice())
             .unwrap_or(&[])
     }
 
-    pub(crate) fn predict_with_scratch(&self, scratch: &ProfileScratch, item: ItemId) -> f64 {
+    fn predict_loaded(&self, scratch: &ProfileScratch, item: ItemId) -> f64 {
         // Deterministic per (seed, item): repeated queries for the same item release the
         // same randomised output rather than averaging the noise away.
         let mut rng = StdRng::seed_from_u64(
@@ -537,26 +616,26 @@ impl PrivateItemBasedRecommender {
         );
         let selected = private_neighbor_selection(
             &mut rng,
-            self.candidates(item),
+            self.pool(item),
             self.k,
             self.epsilon_prime,
             self.rho,
             self.target.n_items().max(self.k + 1),
         );
-        let neighbor_sims: Vec<(ItemId, f64)> = selected
+        let neighbor_sims: Vec<ItemNeighbor> = selected
             .iter()
-            .map(|c| {
+            .map(|c| ItemNeighbor {
+                item: c.item,
                 // Clamping the noisy similarity back into the metric's public range is
                 // post-processing and therefore privacy-free; it bounds the damage of
                 // large Laplace draws on sparsely supported pairs.
-                let noisy = pncf_noisy_similarity(
+                similarity: pncf_noisy_similarity(
                     &mut rng,
                     c.similarity,
                     c.sensitivity,
                     self.epsilon_prime,
                 )
-                .clamp(-1.0, 1.0);
-                (c.item, noisy)
+                .clamp(-1.0, 1.0),
             })
             .collect();
         predict_item_based(
@@ -567,61 +646,168 @@ impl PrivateItemBasedRecommender {
             self.temporal_alpha,
         )
     }
-
-    fn recommend_with_scratch(
-        &self,
-        scratch: &mut ProfileScratch,
-        profile: &Profile,
-        n: usize,
-    ) -> Vec<(ItemId, f64)> {
-        scratch.load(profile, self.target.n_items());
-        // candidate pools drive the candidate generation; private selection happens
-        // inside the prediction of each candidate item
-        recommend_from_neighbors(
-            profile,
-            n,
-            |i| self.candidates(i),
-            |i| self.predict_with_scratch(scratch, i),
-        )
-    }
 }
 
 impl ProfileRecommender for PrivateItemBasedRecommender {
-    fn predict_for_profile(&self, profile: &Profile, item: ItemId) -> f64 {
-        with_thread_scratch(|scratch| {
-            scratch.load(profile, self.target.n_items());
-            self.predict_with_scratch(scratch, item)
-        })
-    }
-
-    fn recommend_for_profile(&self, profile: &Profile, n: usize) -> Vec<(ItemId, f64)> {
-        with_thread_scratch(|scratch| self.recommend_with_scratch(scratch, profile, n))
-    }
-
-    fn recommend_batch(&self, profiles: &[&Profile], n: usize) -> Vec<Vec<(ItemId, f64)>> {
-        with_thread_scratch(|scratch| self.recommend_batch_with_scratch(profiles, n, scratch))
-    }
-
-    fn recommend_batch_with_scratch(
-        &self,
-        profiles: &[&Profile],
-        n: usize,
-        scratch: &mut ProfileScratch,
-    ) -> Vec<Vec<(ItemId, f64)>> {
-        profiles
-            .iter()
-            .map(|p| self.recommend_with_scratch(scratch, p, n))
-            .collect()
-    }
-
     fn label(&self) -> &'static str {
         "X-MAP-IB"
     }
+
+    fn target(&self) -> &Arc<RatingMatrix> {
+        &self.target
+    }
+
+    fn predict_for_profile(&self, profile: &Profile, item: ItemId) -> f64 {
+        with_thread_scratch(|scratch| {
+            scratch.load(profile, self.target.n_items());
+            self.predict_loaded(scratch, item)
+        })
+    }
+
+    // candidate pools drive the candidate generation; private selection happens
+    // inside the prediction of each candidate item
+    fn candidates(&self, profile: &Profile, _: &ServePlan, item_range: Range<u32>) -> Vec<ItemId> {
+        let mut out = Vec::new();
+        for &(i, _, _) in profile {
+            if item_range.contains(&i.0) {
+                out.extend(self.pool(i).iter().map(|c| c.item));
+            }
+        }
+        out
+    }
+
+    fn score(
+        &self,
+        profile: &Profile,
+        _: &ServePlan,
+        items: &[ItemId],
+        scratch: &mut ProfileScratch,
+    ) -> Vec<(f64, ItemId)> {
+        scratch.load(profile, self.target.n_items());
+        items
+            .iter()
+            .map(|&i| (self.predict_loaded(scratch, i), i))
+            .collect()
+    }
+}
+
+fn item_knn_config(k: usize, temporal_alpha: f64) -> ItemKnnConfig {
+    ItemKnnConfig {
+        k,
+        temporal_alpha,
+        ..Default::default()
+    }
+}
+
+/// Equation 4 / 7 prediction shared by the item-based recommenders: given the neighbours
+/// of `item`, combine the loaded profile's ratings of those neighbours. The profile is
+/// consulted through a pre-loaded [`ProfileScratch`] so batched serving pays the profile
+/// indexing once per profile, not once per prediction.
+fn predict_item_based(
+    target: &RatingMatrix,
+    neighbors: &[ItemNeighbor],
+    scratch: &ProfileScratch,
+    item: ItemId,
+    temporal_alpha: f64,
+) -> f64 {
+    let item_avg = target.item_average(item);
+    let now = scratch.now;
+    let mut num = 0.0;
+    let mut den = 0.0;
+    for &ItemNeighbor {
+        item: j,
+        similarity: sim,
+    } in neighbors
+    {
+        if let Some((r, t)) = scratch.get(j) {
+            let weight = if temporal_alpha > 0.0 {
+                (-temporal_alpha * now.elapsed_since(t) as f64).exp()
+            } else {
+                1.0
+            };
+            num += sim * (r - target.item_average(j)) * weight;
+            den += sim.abs() * weight;
+        }
+    }
+    let raw = if den < 1e-12 {
+        item_avg
+    } else {
+        item_avg + num / den
+    };
+    target.scale().clamp(raw)
 }
 
 // ---------------------------------------------------------------------------
-// Private user-based (X-Map-ub)
+// User-based (NX-Map-ub, X-Map-ub)
 // ---------------------------------------------------------------------------
+
+/// User-based CF over the target domain where the query profile is the AlterEgo.
+pub struct UserBasedRecommender {
+    target: Arc<RatingMatrix>,
+    k: usize,
+}
+
+impl UserBasedRecommender {
+    /// Creates the recommender over the target-domain training matrix.
+    pub fn fit(target: impl Into<Arc<RatingMatrix>>, k: usize) -> crate::Result<Self> {
+        require_k(k)?;
+        Ok(UserBasedRecommender {
+            target: target.into(),
+            k,
+        })
+    }
+
+    fn knn(&self) -> UserKnn<'_> {
+        UserKnn::new(
+            &self.target,
+            UserKnnConfig {
+                k: self.k,
+                min_similarity: 0.0,
+            },
+        )
+        .expect("k validated at construction") // lint: panic — reviewed invariant
+    }
+}
+
+impl ProfileRecommender for UserBasedRecommender {
+    fn label(&self) -> &'static str {
+        "NX-MAP-UB"
+    }
+
+    fn target(&self) -> &Arc<RatingMatrix> {
+        &self.target
+    }
+
+    fn predict_for_profile(&self, profile: &Profile, item: ItemId) -> f64 {
+        self.knn().predict_for_profile(profile, item)
+    }
+
+    fn plan(&self, profile: &Profile) -> ServePlan {
+        ServePlan {
+            pool: Vec::new(),
+            neighbors: self.knn().neighbors_of_profile(profile),
+            avg: profile_avg(&self.target, profile),
+        }
+    }
+
+    fn candidates(&self, _: &Profile, plan: &ServePlan, item_range: Range<u32>) -> Vec<ItemId> {
+        neighbor_rated_items(&self.target, &plan.neighbors, &item_range)
+    }
+
+    fn score(
+        &self,
+        _: &Profile,
+        plan: &ServePlan,
+        items: &[ItemId],
+        _: &mut ProfileScratch,
+    ) -> Vec<(f64, ItemId)> {
+        let knn = self.knn();
+        items
+            .iter()
+            .map(|&i| (knn.predict_with_neighbors(plan.avg, &plan.neighbors, i), i))
+            .collect()
+    }
+}
 
 /// User-based CF with private neighbour selection and noisy similarities.
 ///
@@ -629,10 +815,10 @@ impl ProfileRecommender for PrivateItemBasedRecommender {
 /// same mechanisms to user–user similarities with the metric's global sensitivity
 /// (range `[-1, 1]`, so `GS = 2`) — see the substitution notes in DESIGN.md.
 pub struct PrivateUserBasedRecommender {
-    target: RatingMatrix,
-    /// Neighbour-pool configuration, fixed at fit time: the pool is slightly larger than
-    /// `k` so the exponential mechanism has room without collapsing to a uniform choice
-    /// over the whole user base.
+    target: Arc<RatingMatrix>,
+    /// Neighbour-pool configuration, fixed at construction: the pool is slightly larger
+    /// than `k` so the exponential mechanism has room without collapsing to a uniform
+    /// choice over the whole user base.
     pool_config: UserKnnConfig,
     k: usize,
     epsilon_prime: f64,
@@ -640,31 +826,41 @@ pub struct PrivateUserBasedRecommender {
     seed: u64,
 }
 
+/// RNG salt of the request-level PNSA/PNCF draw that selects the neighbourhood whose
+/// rated items become the candidates (the per-item draws salt with the item id).
+const PLAN_SALT: u64 = 0xfeed_beef;
+
 impl PrivateUserBasedRecommender {
-    /// Creates the recommender, fixing the neighbour-pool configuration once.
-    ///
-    /// The fit debits the recommendation-phase budget: ε′/2 for PNSA and ε′/2 for PNCF
-    /// (sequential composition, §4.4), atomically — an exhausted `budget` fails the fit
-    /// instead of silently releasing noised answers that no accountant vouches for.
+    /// Creates the recommender, fixing the neighbour-pool configuration once, and
+    /// debits the recommendation-phase budget (ε′, see
+    /// `debit_recommendation_budget`): an exhausted `budget` fails the fit.
     pub fn fit(
-        target: RatingMatrix,
+        target: impl Into<Arc<RatingMatrix>>,
         k: usize,
         epsilon_prime: f64,
         rho: f64,
         seed: u64,
         budget: &mut PrivacyBudget,
     ) -> crate::Result<Self> {
-        if k == 0 {
-            return Err(crate::XMapError::InvalidConfig(
-                "k must be at least 1".into(),
-            ));
-        }
-        let half = epsilon_prime / 2.0;
-        budget.spend_all(&[("PNSA", half), ("PNCF", half)])?;
+        let rec = Self::new(target.into(), k, epsilon_prime, rho, seed)?;
+        debit_recommendation_budget(epsilon_prime, budget)?;
+        Ok(rec)
+    }
+
+    /// [`fit`](Self::fit) without the debit — private for the same reason as
+    /// [`PrivateItemBasedRecommender::from_pools`].
+    fn new(
+        target: Arc<RatingMatrix>,
+        k: usize,
+        epsilon_prime: f64,
+        rho: f64,
+        seed: u64,
+    ) -> crate::Result<Self> {
+        require_k(k)?;
         Ok(PrivateUserBasedRecommender {
             target,
             pool_config: UserKnnConfig {
-                k: (k + k / 4).max(4),
+                k: private_pool_width(k),
                 min_similarity: 0.0,
             },
             k,
@@ -674,32 +870,19 @@ impl PrivateUserBasedRecommender {
         })
     }
 
-    /// The target-domain training matrix.
-    pub fn target(&self) -> &RatingMatrix {
-        &self.target
-    }
-
-    pub(crate) fn knn(&self) -> UserKnn<'_> {
-        // lint: panic — reviewed invariant
-        UserKnn::new(&self.target, self.pool_config).expect("pool k validated at construction")
-    }
-
     /// The (non-private) candidate neighbour pool of a profile: one full scan of the
-    /// training matrix. This is the expensive step that used to run once *per
-    /// prediction*; it depends only on the profile, so the serving paths compute it once
-    /// per profile and reuse it across every candidate item.
-    pub(crate) fn neighbor_pool(&self, profile: &Profile) -> Vec<(UserId, f64)> {
-        self.knn().neighbors_of_profile(profile)
+    /// training matrix. It depends only on the profile, so a top-N request computes it
+    /// once (in `plan`) and reuses it across every candidate item.
+    fn neighbor_pool(&self, profile: &Profile) -> Vec<(UserId, f64)> {
+        UserKnn::new(&self.target, self.pool_config)
+            .expect("pool k validated at construction") // lint: panic — reviewed invariant
+            .neighbors_of_profile(profile)
     }
 
     /// PNSA selection + PNCF noise over a precomputed pool. The RNG is seeded from
     /// `(seed, salt)` only, so for a fixed profile the released neighbourhood of a given
     /// salt is identical whether the pool was rebuilt or reused.
-    pub(crate) fn private_neighbors_from_pool(
-        &self,
-        pool: &[(UserId, f64)],
-        salt: u64,
-    ) -> Vec<(UserId, f64)> {
+    fn private_neighbors(&self, pool: &[(UserId, f64)], salt: u64) -> Vec<(UserId, f64)> {
         const USER_SIM_GLOBAL_SENSITIVITY: f64 = 2.0;
         let candidates: Vec<ScoredCandidate> = pool
             .iter()
@@ -733,13 +916,8 @@ impl PrivateUserBasedRecommender {
     }
 
     /// Equation 2 over a privately selected neighbourhood of the given pool.
-    pub(crate) fn predict_from_pool(
-        &self,
-        pool: &[(UserId, f64)],
-        profile_avg: f64,
-        item: ItemId,
-    ) -> f64 {
-        let neighbors = self.private_neighbors_from_pool(pool, 0x9e37_79b9u64 ^ u64::from(item.0));
+    fn predict_from_pool(&self, pool: &[(UserId, f64)], profile_avg: f64, item: ItemId) -> f64 {
+        let neighbors = self.private_neighbors(pool, 0x9e37_79b9u64 ^ u64::from(item.0));
         let mut num = 0.0;
         let mut den = 0.0;
         for &(b, sim) in &neighbors {
@@ -755,183 +933,74 @@ impl PrivateUserBasedRecommender {
         };
         self.target.scale().clamp(raw)
     }
-
-    pub(crate) fn profile_avg(&self, profile: &Profile) -> f64 {
-        profile_average(profile).unwrap_or_else(|| self.target.global_average())
-    }
-
-    /// Candidate items of a recommendation request: everything rated by the (private)
-    /// neighbourhood, minus the profile's own items. Shared by the pooled path and the
-    /// rescan oracle so the two can only diverge in *how* candidates are scored.
-    pub(crate) fn candidate_items(
-        &self,
-        profile: &Profile,
-        neighbors: &[(UserId, f64)],
-    ) -> Vec<ItemId> {
-        let owned: Vec<ItemId> = profile.iter().map(|&(i, _, _)| i).collect();
-        let mut candidates: Vec<ItemId> = Vec::new();
-        for &(u, _) in neighbors {
-            for e in self.target.user_profile(u) {
-                candidates.push(e.item);
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        candidates.retain(|i| !owned.contains(i));
-        candidates
-    }
-
-    /// The historical per-call path, kept as the equivalence oracle and throughput-bench
-    /// baseline: every prediction rebuilds the neighbour pool with a full matrix scan,
-    /// making top-N serving quadratic in the candidate count. Release outputs are
-    /// bit-identical to [`ProfileRecommender::recommend_for_profile`], just slower.
-    #[doc(hidden)]
-    pub fn recommend_for_profile_rescan(&self, profile: &Profile, n: usize) -> Vec<(ItemId, f64)> {
-        let neighbors =
-            self.private_neighbors_from_pool(&self.neighbor_pool(profile), 0xfeed_beefu64);
-        let scored = self
-            .candidate_items(profile, &neighbors)
-            .into_iter()
-            // the quadratic defect: a fresh `neighbor_pool` scan for every candidate
-            .map(|i| {
-                (
-                    self.predict_from_pool(
-                        &self.neighbor_pool(profile),
-                        self.profile_avg(profile),
-                        i,
-                    ),
-                    i,
-                )
-            });
-        top_k(n, scored).into_iter().map(|(s, i)| (i, s)).collect()
-    }
 }
 
 impl ProfileRecommender for PrivateUserBasedRecommender {
+    fn label(&self) -> &'static str {
+        "X-MAP-UB"
+    }
+
+    fn target(&self) -> &Arc<RatingMatrix> {
+        &self.target
+    }
+
     fn predict_for_profile(&self, profile: &Profile, item: ItemId) -> f64 {
         // a single prediction needs the pool exactly once — nothing to reuse here
         self.predict_from_pool(
             &self.neighbor_pool(profile),
-            self.profile_avg(profile),
+            profile_avg(&self.target, profile),
             item,
         )
     }
 
-    fn recommend_for_profile(&self, profile: &Profile, n: usize) -> Vec<(ItemId, f64)> {
-        // The pool depends only on the profile: compute it once and reuse it for the
-        // candidate generation *and* every candidate prediction (the per-item PNSA/PNCF
-        // draws stay per-item-seeded, so outputs match the rescan path bit for bit).
+    fn plan(&self, profile: &Profile) -> ServePlan {
         let pool = self.neighbor_pool(profile);
-        let profile_avg = self.profile_avg(profile);
-        let neighbors = self.private_neighbors_from_pool(&pool, 0xfeed_beefu64);
-        let scored = self
-            .candidate_items(profile, &neighbors)
-            .into_iter()
-            .map(|i| (self.predict_from_pool(&pool, profile_avg, i), i));
-        top_k(n, scored).into_iter().map(|(s, i)| (i, s)).collect()
+        ServePlan {
+            neighbors: self.private_neighbors(&pool, PLAN_SALT),
+            pool,
+            avg: profile_avg(&self.target, profile),
+        }
     }
 
-    fn label(&self) -> &'static str {
-        "X-MAP-UB"
+    fn candidates(&self, _: &Profile, plan: &ServePlan, item_range: Range<u32>) -> Vec<ItemId> {
+        neighbor_rated_items(&self.target, &plan.neighbors, &item_range)
+    }
+
+    // The per-item PNSA/PNCF draws stay per-item-seeded, so scoring from the planned
+    // pool matches a fresh pool scan per item bit for bit.
+    fn score(
+        &self,
+        _: &Profile,
+        plan: &ServePlan,
+        items: &[ItemId],
+        _: &mut ProfileScratch,
+    ) -> Vec<(f64, ItemId)> {
+        items
+            .iter()
+            .map(|&i| (self.predict_from_pool(&plan.pool, plan.avg, i), i))
+            .collect()
     }
 }
 
-// ---------------------------------------------------------------------------
-// Shared prediction helpers
-// ---------------------------------------------------------------------------
+/// The average a user-based prediction centres on: the profile's, or the global
+/// average for an empty profile.
+fn profile_avg(target: &RatingMatrix, profile: &Profile) -> f64 {
+    profile_average(profile).unwrap_or_else(|| target.global_average())
+}
 
-/// Equation 4 / 7 prediction shared by the item-based recommenders: given neighbour
-/// `(item, similarity)` pairs of `item`, combine the loaded profile's ratings of those
-/// neighbours. The profile is consulted through a pre-loaded [`ProfileScratch`] so
-/// batched serving pays the profile indexing once per profile, not once per prediction.
-fn predict_item_based<N: NeighborLike>(
+/// User-based candidate contribution of the rows in `item_range`: every item there
+/// rated by at least one planned neighbour.
+fn neighbor_rated_items(
     target: &RatingMatrix,
-    neighbor_sims: &[N],
-    scratch: &ProfileScratch,
-    item: ItemId,
-    temporal_alpha: f64,
-) -> f64 {
-    let item_avg = target.item_average(item);
-    let now = scratch.now;
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for neighbor in neighbor_sims {
-        let (j, sim) = (neighbor.item_id(), neighbor.similarity());
-        if let Some((r, t)) = scratch.get(j) {
-            let weight = if temporal_alpha > 0.0 {
-                (-temporal_alpha * now.elapsed_since(t) as f64).exp()
-            } else {
-                1.0
-            };
-            num += sim * (r - target.item_average(j)) * weight;
-            den += sim.abs() * weight;
-        }
+    neighbors: &[(UserId, f64)],
+    item_range: &Range<u32>,
+) -> Vec<ItemId> {
+    let mut out = Vec::new();
+    for &(u, _) in neighbors {
+        let rated = target.user_profile(u).iter().map(|e| e.item);
+        out.extend(rated.filter(|i| item_range.contains(&i.0)));
     }
-    let raw = if den < 1e-12 {
-        item_avg
-    } else {
-        item_avg + num / den
-    };
-    target.scale().clamp(raw)
-}
-
-/// Shared top-N ranking: candidates are the neighbours of the profile's items.
-fn recommend_from_neighbors<'a, C: 'a + NeighborLike>(
-    profile: &Profile,
-    n: usize,
-    neighbors_of: impl Fn(ItemId) -> &'a [C],
-    predict: impl Fn(ItemId) -> f64,
-) -> Vec<(ItemId, f64)> {
-    let owned: Vec<ItemId> = profile.iter().map(|&(i, _, _)| i).collect();
-    let mut candidates: Vec<ItemId> = Vec::new();
-    for &(i, _, _) in profile {
-        for c in neighbors_of(i) {
-            candidates.push(c.item_id());
-        }
-    }
-    candidates.sort_unstable();
-    candidates.dedup();
-    let scored = candidates
-        .into_iter()
-        .filter(|i| !owned.contains(i))
-        .map(|i| (predict(i), i));
-    top_k(n, scored).into_iter().map(|(s, i)| (i, s)).collect()
-}
-
-/// Anything that names a neighbouring item with a similarity.
-trait NeighborLike {
-    fn item_id(&self) -> ItemId;
-    fn similarity(&self) -> f64;
-}
-
-impl NeighborLike for (ItemId, f64) {
-    fn item_id(&self) -> ItemId {
-        self.0
-    }
-
-    fn similarity(&self) -> f64 {
-        self.1
-    }
-}
-
-impl NeighborLike for ItemNeighbor {
-    fn item_id(&self) -> ItemId {
-        self.item
-    }
-
-    fn similarity(&self) -> f64 {
-        self.similarity
-    }
-}
-
-impl NeighborLike for ScoredCandidate {
-    fn item_id(&self) -> ItemId {
-        self.item
-    }
-
-    fn similarity(&self) -> f64 {
-        self.similarity
-    }
+    out
 }
 
 #[cfg(test)]
@@ -1021,7 +1090,7 @@ mod tests {
         // with a generous ε′ the ordering should survive the noise
         assert!(liked > disliked, "{liked} vs {disliked}");
         assert_eq!(rec.label(), "X-MAP-IB");
-        assert!(!rec.candidates(ItemId(0)).is_empty());
+        assert!(!rec.pool(ItemId(0)).is_empty());
         assert_eq!(rec.target().n_users(), 8);
         let recs = rec.recommend_for_profile(&p, 3);
         assert!(!recs.is_empty());
@@ -1145,6 +1214,33 @@ mod tests {
         .is_err());
     }
 
+    /// The historical X-Map-ub per-call path, kept as the equivalence oracle: candidates
+    /// come from a request-level draw over a fresh pool, and every prediction rebuilds
+    /// the neighbour pool with a full matrix scan (top-N quadratic in the candidate
+    /// count). Release outputs must equal the phased path's bit for bit.
+    fn recommend_for_profile_rescan(
+        rec: &PrivateUserBasedRecommender,
+        profile: &Profile,
+        n: usize,
+    ) -> Vec<(ItemId, f64)> {
+        let neighbors = rec.private_neighbors(&rec.neighbor_pool(profile), PLAN_SALT);
+        let owned: Vec<ItemId> = profile.iter().map(|&(i, _, _)| i).collect();
+        let mut candidates: Vec<ItemId> = Vec::new();
+        for &(u, _) in &neighbors {
+            for e in rec.target.user_profile(u) {
+                candidates.push(e.item);
+            }
+        }
+        candidates.sort_unstable();
+        candidates.dedup();
+        candidates.retain(|i| !owned.contains(i));
+        // the quadratic defect: a fresh `neighbor_pool` scan for every candidate
+        let scored = candidates
+            .into_iter()
+            .map(|i| (rec.predict_for_profile(profile, i), i));
+        top_k(n, scored).into_iter().map(|(s, i)| (i, s)).collect()
+    }
+
     #[test]
     fn private_user_based_pooled_recommendations_match_the_rescan_reference() {
         // Regression for the quadratic serving path: hoisting the neighbour-pool scan
@@ -1166,22 +1262,15 @@ mod tests {
         ] {
             assert_eq!(
                 rec.recommend_for_profile(&profile, 4),
-                rec.recommend_for_profile_rescan(&profile, 4),
+                recommend_for_profile_rescan(&rec, &profile, 4),
                 "pooled and rescan paths diverged for {profile:?}"
             );
         }
     }
 
-    #[test]
-    fn recommend_batch_is_bit_identical_to_per_profile_calls() {
-        let profiles: Vec<Profile> = vec![
-            cluster_profile(),
-            profile_from_pairs([(ItemId(3), 5.0), (ItemId(4), 4.0)]),
-            profile_from_pairs([(ItemId(0), 1.0), (ItemId(5), 5.0)]),
-            Vec::new(),
-            profile_from_pairs([(ItemId(2), 3.0)]),
-        ];
-        let recommenders: Vec<Box<dyn ProfileRecommender>> = vec![
+    /// One recommender per mode (NX-Map-ib with and without temporal decay).
+    fn all_modes() -> Vec<Box<dyn ProfileRecommender>> {
+        vec![
             Box::new(ItemBasedRecommender::fit(target_matrix(), 5, 0.0).unwrap()),
             Box::new(ItemBasedRecommender::fit(target_matrix(), 5, 0.3).unwrap()),
             Box::new(UserBasedRecommender::fit(target_matrix(), 3).unwrap()),
@@ -1208,9 +1297,82 @@ mod tests {
                 )
                 .unwrap(),
             ),
+        ]
+    }
+
+    #[test]
+    fn phases_equal_per_item_predict_in_all_four_modes() {
+        // The provided top-N is nothing but the three phases: ranking the candidate
+        // stream by the *single-item* prediction must reproduce it bit for bit, and
+        // gathering candidates range by range (what a sharded router does) must yield
+        // the stream of the undivided catalogue.
+        let mut foreign = cluster_profile();
+        foreign.push((ItemId(u32::MAX), 5.0, Timestep(0)));
+        let profiles = [cluster_profile(), Vec::new(), foreign];
+        for rec in all_modes() {
+            for profile in &profiles {
+                let plan = rec.plan(profile);
+                let n_items = rec.target().n_items() as u32;
+                let mut stream = rec.candidates(profile, &plan, 0..n_items);
+                stream.sort_unstable();
+                stream.dedup();
+                stream.retain(|i| profile.iter().all(|&(owned, _, _)| owned != *i));
+
+                let mut by_range = rec.candidates(profile, &plan, 0..2);
+                by_range.extend(rec.candidates(profile, &plan, 2..n_items));
+                assert_eq!(
+                    candidate_stream(profile, by_range),
+                    stream,
+                    "{}: ranges do not compose for {profile:?}",
+                    rec.label()
+                );
+
+                for n in [0, 1, 3, stream.len() + 2] {
+                    let scored = stream
+                        .iter()
+                        .map(|&i| (rec.predict_for_profile(profile, i), i));
+                    let reference: Vec<(ItemId, f64)> =
+                        top_k(n, scored).into_iter().map(|(s, i)| (i, s)).collect();
+                    assert_eq!(
+                        rec.recommend_for_profile(profile, n),
+                        reference,
+                        "{}: top-{n} diverged from per-item predict for {profile:?}",
+                        rec.label()
+                    );
+                }
+            }
+        }
+        // The X-Map-ub stream is also the independently derived one of the oracle.
+        let rec = PrivateUserBasedRecommender::fit(
+            target_matrix(),
+            3,
+            2.0,
+            0.05,
+            11,
+            &mut budget_for(2.0),
+        )
+        .unwrap();
+        for profile in &profiles {
+            for n in [0, 2, 9] {
+                assert_eq!(
+                    rec.recommend_for_profile(profile, n),
+                    recommend_for_profile_rescan(&rec, profile, n)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn recommend_batch_is_bit_identical_to_per_profile_calls() {
+        let profiles: Vec<Profile> = vec![
+            cluster_profile(),
+            profile_from_pairs([(ItemId(3), 5.0), (ItemId(4), 4.0)]),
+            profile_from_pairs([(ItemId(0), 1.0), (ItemId(5), 5.0)]),
+            Vec::new(),
+            profile_from_pairs([(ItemId(2), 3.0)]),
         ];
         let profile_refs: Vec<&Profile> = profiles.iter().collect();
-        for rec in &recommenders {
+        for rec in all_modes() {
             let batched = rec.recommend_batch(&profile_refs, 4);
             let reference: Vec<Vec<(ItemId, f64)>> = profiles
                 .iter()

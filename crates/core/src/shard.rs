@@ -15,8 +15,10 @@
 //!   authoritative fit/ingest plane: adjusted-cosine similarities, X-Sim walks and
 //!   replacement draws all read *cross-shard* state, so the global recompute stays
 //!   in one place) and a set of simulated nodes, each holding epoch-published
-//!   slices of the shards it hosts plus a per-shard serving wrapper built from the
-//!   slice's own rows. Reads route to a live replica of the owning shard;
+//!   slices of the shards it hosts plus, per shard, the mode's recommender built
+//!   (`recommend::build`) from the slice's own rows — a replica answers with the
+//!   single-node code, over the rows it holds. Reads route to a live replica of the
+//!   owning shard;
 //!   top-N requests fan out across shards and merge partial top-N lists with the
 //!   workspace [`TopK`] tie-break (descending `total_cmp`, first-offered wins) —
 //!   provably bit-identical to the single-node stream because per-shard candidate
@@ -38,22 +40,19 @@
 //! data-derived costs, so `xmap_engine::ShardedCluster` can replay a serving
 //! trace on a simulated cluster exactly like the fit ledgers.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::delta::{DeltaReport, RatingDelta};
 use crate::generator::{AlterEgo, ReplacementTable};
 use crate::pipeline::{ModelEpoch, XMapModel};
-use crate::recommend::{
-    ItemBasedRecommender, PrivateItemBasedRecommender, PrivateUserBasedRecommender,
-    ProfileRecommender, ProfileScratch, UserBasedRecommender,
-};
+use crate::recommend::{self, candidate_stream, ServePlan, SharedRecommender};
 use crate::xsim::XSimEntry;
-use crate::{Result, XMapConfig, XMapError, XMapMode};
-use xmap_cf::knn::{profile_average, ItemNeighbor, Profile};
+use crate::{Result, XMapError};
+use xmap_cf::knn::{ItemNeighbor, Profile};
 use xmap_cf::topk::{top_k, TopK};
-use xmap_cf::{ItemId, RatingMatrix, SimilarityStats, UserId};
+use xmap_cf::{ItemId, SimilarityStats, UserId};
 use xmap_engine::{EpochHandle, RoutedTask};
 use xmap_privacy::PrivacyBudget;
 use xmap_store::{Journal, Snapshot};
@@ -305,18 +304,17 @@ impl ShardSlice {
     }
 
     /// Re-assembles catalogue-length kNN pools from the slice's rows, padding
-    /// every out-of-shard (or empty) slot with an empty pool. The padded shape is
-    /// what the recommender constructors index by raw item id.
-    pub(crate) fn padded_pools(&self, n_items: usize) -> Vec<Vec<ItemNeighbor>> {
+    /// every out-of-shard (or empty) slot with an empty pool — the shape the
+    /// recommender indexes by raw item id. `None` for the user-based modes.
+    fn padded_pools(&self, n_items: usize) -> Option<Vec<Vec<ItemNeighbor>>> {
+        let rows = self.pool_rows.as_ref()?;
         let mut pools = vec![Vec::new(); n_items];
-        if let Some(rows) = &self.pool_rows {
-            for (item, row) in rows {
-                if let Some(slot) = pools.get_mut(item.index()) {
-                    *slot = row.clone();
-                }
+        for (item, row) in rows {
+            if let Some(slot) = pools.get_mut(item.index()) {
+                *slot = row.clone();
             }
         }
-        pools
+        Some(pools)
     }
 
     /// The row changes taking `self` to `new`, plus the shard's sub-delta —
@@ -490,194 +488,6 @@ impl xmap_store::Codec for SliceDelta {
 }
 
 // ---------------------------------------------------------------------------
-// Per-shard serving
-// ---------------------------------------------------------------------------
-
-/// The serving wrapper a node builds for one hosted shard: the mode's concrete
-/// recommender constructed from the slice's *own* pool rows (padded with empty
-/// pools outside the shard) over the epoch's target-domain matrix. The matrix is
-/// the replicated data plane every node carries (user-based prediction reads all
-/// raters' averages); the pools are the genuinely partitioned fitted state.
-#[allow(clippy::enum_variant_names)] // variants mirror the XMapMode names
-enum SliceServe {
-    ItemBased(ItemBasedRecommender),
-    PrivateItemBased(PrivateItemBasedRecommender),
-    UserBased(UserBasedRecommender),
-    PrivateUserBased(PrivateUserBasedRecommender),
-}
-
-/// The profile-level phase-1 state of a routed top-N request, computed once on
-/// the profile's home shard and shipped to every scoring shard. Item-based modes
-/// need none; the user-based modes carry the (possibly privately selected)
-/// neighbourhood and the profile average, exactly the values the single-node
-/// recommender hoists out of its per-candidate loop.
-#[allow(clippy::enum_variant_names)] // variants mirror the XMapMode names
-enum ServePlan {
-    ItemBased,
-    UserBased {
-        neighbors: Vec<(UserId, f64)>,
-        avg: f64,
-    },
-    PrivateUserBased {
-        pool: Vec<(UserId, f64)>,
-        neighbors: Vec<(UserId, f64)>,
-        avg: f64,
-    },
-}
-
-impl SliceServe {
-    fn build(config: &XMapConfig, target: RatingMatrix, slice: &ShardSlice) -> Result<SliceServe> {
-        let n_items = target.n_items();
-        Ok(match config.mode {
-            XMapMode::NxMapItemBased => SliceServe::ItemBased(ItemBasedRecommender::from_pools(
-                target,
-                config.k,
-                config.temporal_alpha,
-                slice.padded_pools(n_items),
-            )?),
-            XMapMode::XMapItemBased => {
-                SliceServe::PrivateItemBased(PrivateItemBasedRecommender::from_pools(
-                    target,
-                    config.k,
-                    config.privacy.epsilon_prime,
-                    config.privacy.rho,
-                    config.temporal_alpha,
-                    config.seed,
-                    slice.padded_pools(n_items),
-                )?)
-            }
-            XMapMode::NxMapUserBased => {
-                SliceServe::UserBased(UserBasedRecommender::fit(target, config.k)?)
-            }
-            XMapMode::XMapUserBased => {
-                // The fit is deterministic in (matrix, k, ε′, ρ, seed); the scratch
-                // budget absorbs the per-replica re-fit debit — the released ledger
-                // is the coordinator's, which recorded the expenditure once.
-                let mut scratch = PrivacyBudget::new(config.privacy.total());
-                SliceServe::PrivateUserBased(PrivateUserBasedRecommender::fit(
-                    target,
-                    config.k,
-                    config.privacy.epsilon_prime,
-                    config.privacy.rho,
-                    config.seed,
-                    &mut scratch,
-                )?)
-            }
-        })
-    }
-
-    /// Single-item prediction — same trait entry point as single-node serving,
-    /// answered from this shard's replica.
-    fn predict(&self, profile: &Profile, item: ItemId) -> f64 {
-        match self {
-            SliceServe::ItemBased(r) => r.predict_for_profile(profile, item),
-            SliceServe::PrivateItemBased(r) => r.predict_for_profile(profile, item),
-            SliceServe::UserBased(r) => r.predict_for_profile(profile, item),
-            SliceServe::PrivateUserBased(r) => r.predict_for_profile(profile, item),
-        }
-    }
-
-    /// Phase 1 of a top-N request, run on the profile's home shard. The values
-    /// (and for the private mode, the RNG salts) match the single-node
-    /// `recommend_for_profile` hoisting exactly.
-    fn plan(&self, profile: &Profile) -> ServePlan {
-        match self {
-            SliceServe::ItemBased(_) | SliceServe::PrivateItemBased(_) => ServePlan::ItemBased,
-            SliceServe::UserBased(r) => {
-                let neighbors = r.knn().neighbors_of_profile(profile);
-                let avg = profile_average(profile).unwrap_or_else(|| r.target().global_average());
-                ServePlan::UserBased { neighbors, avg }
-            }
-            SliceServe::PrivateUserBased(r) => {
-                let pool = r.neighbor_pool(profile);
-                let neighbors = r.private_neighbors_from_pool(&pool, 0xfeed_beefu64);
-                let avg = r.profile_avg(profile);
-                ServePlan::PrivateUserBased {
-                    pool,
-                    neighbors,
-                    avg,
-                }
-            }
-        }
-    }
-
-    /// Item-based candidate contribution: the pool neighbours of the given
-    /// shard-owned profile items (this shard holds exactly those pool rows).
-    fn pool_candidates(&self, items: &[ItemId]) -> Vec<ItemId> {
-        let mut out = Vec::new();
-        for &i in items {
-            match self {
-                SliceServe::ItemBased(r) => out.extend(r.neighbors(i).iter().map(|n| n.item)),
-                SliceServe::PrivateItemBased(r) => {
-                    out.extend(r.candidates(i).iter().map(|c| c.item));
-                }
-                SliceServe::UserBased(_) | SliceServe::PrivateUserBased(_) => {}
-            }
-        }
-        out
-    }
-
-    /// User-based candidate contribution: every item in `[start, end)` rated by
-    /// at least one planned neighbour.
-    fn range_candidates(
-        &self,
-        profile: &Profile,
-        plan: &ServePlan,
-        start: u32,
-        end: u32,
-    ) -> Vec<ItemId> {
-        let mut items = match (self, plan) {
-            (SliceServe::UserBased(r), ServePlan::UserBased { neighbors, .. }) => {
-                r.knn().candidate_items(neighbors)
-            }
-            (SliceServe::PrivateUserBased(r), ServePlan::PrivateUserBased { neighbors, .. }) => {
-                r.candidate_items(profile, neighbors)
-            }
-            _ => Vec::new(),
-        };
-        items.retain(|i| (start..end).contains(&i.0));
-        items
-    }
-
-    /// Scores one contiguous ascending candidate segment, exactly as the
-    /// single-node scoring stream would score those positions.
-    fn score(&self, profile: &Profile, plan: &ServePlan, items: &[ItemId]) -> Vec<(f64, ItemId)> {
-        match (self, plan) {
-            (SliceServe::ItemBased(r), ServePlan::ItemBased) => {
-                let mut scratch = ProfileScratch::new();
-                scratch.load(profile, r.target().n_items());
-                items
-                    .iter()
-                    .map(|&i| (r.predict_with_scratch(&scratch, i), i))
-                    .collect()
-            }
-            (SliceServe::PrivateItemBased(r), ServePlan::ItemBased) => {
-                let mut scratch = ProfileScratch::new();
-                scratch.load(profile, r.target().n_items());
-                items
-                    .iter()
-                    .map(|&i| (r.predict_with_scratch(&scratch, i), i))
-                    .collect()
-            }
-            (SliceServe::UserBased(r), ServePlan::UserBased { neighbors, avg }) => {
-                let knn = r.knn();
-                items
-                    .iter()
-                    .map(|&i| (knn.predict_with_neighbors(*avg, neighbors, i), i))
-                    .collect()
-            }
-            (SliceServe::PrivateUserBased(r), ServePlan::PrivateUserBased { pool, avg, .. }) => {
-                items
-                    .iter()
-                    .map(|&i| (r.predict_from_pool(pool, *avg, i), i))
-                    .collect()
-            }
-            _ => Vec::new(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Nodes and the sharded model
 // ---------------------------------------------------------------------------
 
@@ -687,11 +497,15 @@ struct ShardStore {
     journal: Journal,
 }
 
-/// One hosted shard on one node: the epoch-published slice, the serving wrapper
-/// built from it, and the shard's durable store when persisted.
+/// One hosted shard on one node: the epoch-published slice, the mode's
+/// recommender built from the slice's *own* pool rows (empty pools outside the
+/// shard) over the epoch's target-domain matrix, and the shard's durable store
+/// when persisted. The matrix is the replicated data plane every node reads
+/// (user-based prediction needs all raters' averages) and is shared, not copied;
+/// the pools are the genuinely partitioned fitted state.
 struct NodeShard {
     handle: EpochHandle<ShardSlice>,
-    serve: SliceServe,
+    serve: SharedRecommender,
     store: Option<ShardStore>,
 }
 
@@ -700,6 +514,43 @@ struct NodeShard {
 struct ShardNode {
     alive: bool,
     shards: BTreeMap<u32, NodeShard>,
+}
+
+impl ShardNode {
+    fn new() -> ShardNode {
+        ShardNode {
+            alive: true,
+            shards: BTreeMap::new(),
+        }
+    }
+
+    /// Installs `slice` — cut from (or replayed up to) `epoch` — as this node's
+    /// replica of its shard: publishes it (opening the handle at `epoch_no` on a
+    /// first install) and rebuilds the replica's recommender. A replica releases
+    /// nothing the coordinator's ledger has not recorded, so no ε is spent.
+    fn install(
+        &mut self,
+        epoch_no: u64,
+        epoch: &ModelEpoch,
+        slice: Arc<ShardSlice>,
+    ) -> Result<&mut NodeShard> {
+        let target = Arc::clone(epoch.recommender.target());
+        let pools = slice.padded_pools(target.n_items());
+        let serve = recommend::build(epoch.config(), target, pools)?;
+        Ok(match self.shards.entry(slice.shard) {
+            Entry::Occupied(hosted) => {
+                let ns = hosted.into_mut();
+                ns.handle.publish(slice);
+                ns.serve = serve;
+                ns
+            }
+            Entry::Vacant(slot) => slot.insert(NodeShard {
+                handle: EpochHandle::new(slice, epoch_no),
+                serve,
+                store: None,
+            }),
+        })
+    }
 }
 
 /// The three routed-work ledgers plus the read-routing rotation counter.
@@ -727,15 +578,6 @@ pub struct ShardedModel {
     ledgers: Mutex<ShardLedgers>,
 }
 
-/// The target-domain training matrix of an epoch — the replicated data plane
-/// every node-shard recommender is built over. Same filter as the fit.
-fn target_matrix_of(epoch: &ModelEpoch) -> Result<RatingMatrix> {
-    let full = epoch.matrix();
-    let target = epoch.target_domain();
-    full.filter(|r| full.item_domain(r.item) == target)
-        .map_err(|_| XMapError::Data("model epoch has no target-domain ratings".to_string()))
-}
-
 fn lock_ledgers(ledgers: &Mutex<ShardLedgers>) -> std::sync::MutexGuard<'_, ShardLedgers> {
     ledgers.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -760,17 +602,11 @@ impl ShardedModel {
         n_nodes: usize,
         factor: u32,
     ) -> Result<ShardedModel> {
-        let (map, n_nodes) = {
-            let (_, epoch) = model.snapshot();
-            let full = epoch.matrix();
-            let n_items = full.n_items() as u32;
-            let mut map = ShardMap::uniform(n_items, n_nodes)?;
-            let popularity: Vec<usize> =
-                (0..n_items).map(|i| full.item_degree(ItemId(i))).collect();
-            let head = (n_items as usize / 10).max(1);
-            map.replicate_hot(&popularity, head, factor);
-            (map, n_nodes)
-        };
+        let full = model.matrix();
+        let n_items = full.n_items() as u32;
+        let mut map = ShardMap::uniform(n_items, n_nodes)?;
+        let popularity: Vec<usize> = (0..n_items).map(|i| full.item_degree(ItemId(i))).collect();
+        map.replicate_hot(&popularity, (n_items as usize / 10).max(1), factor);
         Self::build(model, map, n_nodes)
     }
 
@@ -781,25 +617,11 @@ impl ShardedModel {
             ));
         }
         let (epoch_no, epoch) = model.snapshot();
-        let target = target_matrix_of(&epoch)?;
-        let mut nodes: Vec<ShardNode> = (0..n_nodes)
-            .map(|_| ShardNode {
-                alive: true,
-                shards: BTreeMap::new(),
-            })
-            .collect();
+        let mut nodes: Vec<ShardNode> = (0..n_nodes).map(|_| ShardNode::new()).collect();
         for shard in 0..map.n_shards() as u32 {
-            let slice = ShardSlice::cut(&epoch, &map, shard);
+            let slice = Arc::new(ShardSlice::cut(&epoch, &map, shard));
             for host in map.hosts(shard, n_nodes) {
-                let serve = SliceServe::build(epoch.config(), target.clone(), &slice)?;
-                nodes[host].shards.insert(
-                    shard,
-                    NodeShard {
-                        handle: EpochHandle::new(Arc::new(slice.clone()), epoch_no),
-                        serve,
-                        store: None,
-                    },
-                );
+                nodes[host].install(epoch_no, &epoch, Arc::clone(&slice))?;
             }
         }
         drop(epoch);
@@ -948,11 +770,10 @@ impl ShardedModel {
     /// Routed single-item prediction for an explicit profile: served by a live
     /// replica of the item's owning shard.
     pub fn predict_for_profile(&self, profile: &Profile, item: ItemId) -> Result<f64> {
-        let shard = self.map.shard_of(item);
-        let host = self.read_host(shard)?;
-        let out = self.node_shard(host, shard)?.serve.predict(profile, item);
-        self.push_serve(host, 1.0 + profile.len() as f64);
-        Ok(out)
+        self.on_replica(self.map.shard_of(item), |replica| {
+            let out = replica.serve.predict_for_profile(profile, item);
+            (out, 1.0 + profile.len() as f64)
+        })
     }
 
     /// Routed top-N recommendations for a user (AlterEgo gathered first).
@@ -961,14 +782,39 @@ impl ShardedModel {
         self.recommend_for_profile(&alter.profile, n)
     }
 
-    /// Routed top-N recommendations for an explicit profile: phase 1 on the home
-    /// shard, candidate gathering and scoring fanned across the shards, partial
-    /// top-N lists merged in shard order under the workspace tie-break — bit-
-    /// identical to the single-node recommender (see the [module docs](self)).
+    /// Routed top-N recommendations for an explicit profile: the recommender's
+    /// three phases, each run on the replicas of the shards it concerns — `plan`
+    /// on the profile's home shard, `candidates` and `score` fanned across the
+    /// shards — with the partial top-N lists merged in shard order under the
+    /// workspace tie-break. Bit-identical to the single-node recommender (see the
+    /// [module docs](self)).
     pub fn recommend_for_profile(&self, profile: &Profile, n: usize) -> Result<Vec<(ItemId, f64)>> {
-        let plan = self.routed_plan(profile)?;
-        let candidates = self.routed_candidates(profile, &plan)?;
-        self.routed_scores(profile, &plan, &candidates, n)
+        // Routing policy, the one thing the router knows about a mode: an
+        // item-based request has no profile-level phase and gathers from the shards
+        // owning its profile's items (cost 1 + those items); a user-based one plans
+        // on its home shard, then gathers from every shard (cost 1 + neighbours).
+        let mut hops: BTreeMap<u32, f64> = BTreeMap::new();
+        let plan = if self.model.config().mode.is_item_based() {
+            for &(i, _, _) in profile {
+                *hops.entry(self.map.shard_of(i)).or_insert(1.0) += 1.0;
+            }
+            ServePlan::default()
+        } else {
+            let plan = self.on_replica(self.home_shard(profile), |replica| {
+                (replica.serve.plan(profile), 1.0 + profile.len() as f64)
+            })?;
+            let cost = 1.0 + plan.n_neighbors() as f64;
+            hops.extend((0..self.map.n_shards() as u32).map(|shard| (shard, cost)));
+            plan
+        };
+        let mut gathered: Vec<ItemId> = Vec::new();
+        for (&shard, &cost) in &hops {
+            gathered.extend(self.on_replica(shard, |replica| {
+                let (start, end) = replica.handle.load().1.item_range();
+                (replica.serve.candidates(profile, &plan, start..end), cost)
+            })?);
+        }
+        self.routed_scores(profile, &plan, &candidate_stream(profile, gathered), n)
     }
 
     /// Routed batch serving, one result per profile in input order.
@@ -983,52 +829,13 @@ impl ShardedModel {
             .collect()
     }
 
-    fn routed_plan(&self, profile: &Profile) -> Result<ServePlan> {
-        if self.model.config().mode.is_item_based() {
-            return Ok(ServePlan::ItemBased);
-        }
-        let shard = self.home_shard(profile);
+    /// Runs one shard-local phase of a routed request on a live replica of
+    /// `shard`; `f` returns its output with the phase's serve-ledger cost.
+    fn on_replica<T>(&self, shard: u32, f: impl FnOnce(&NodeShard) -> (T, f64)) -> Result<T> {
         let host = self.read_host(shard)?;
-        let plan = self.node_shard(host, shard)?.serve.plan(profile);
-        self.push_serve(host, 1.0 + profile.len() as f64);
-        Ok(plan)
-    }
-
-    /// Gathers the candidate set across shards: item-based shards contribute the
-    /// pool neighbours of the profile items they own, user-based shards the
-    /// neighbour-rated items of their range. Merged ascending, deduplicated,
-    /// owned items removed — the exact candidate stream of the single-node path.
-    fn routed_candidates(&self, profile: &Profile, plan: &ServePlan) -> Result<Vec<ItemId>> {
-        let owned: Vec<ItemId> = profile.iter().map(|&(i, _, _)| i).collect();
-        let mut candidates: Vec<ItemId> = Vec::new();
-        match plan {
-            ServePlan::ItemBased => {
-                let mut by_shard: BTreeMap<u32, Vec<ItemId>> = BTreeMap::new();
-                for &(i, _, _) in profile {
-                    by_shard.entry(self.map.shard_of(i)).or_default().push(i);
-                }
-                for (shard, items) in &by_shard {
-                    let host = self.read_host(*shard)?;
-                    candidates.extend(self.node_shard(host, *shard)?.serve.pool_candidates(items));
-                    self.push_serve(host, 1.0 + items.len() as f64);
-                }
-            }
-            ServePlan::UserBased { neighbors, .. }
-            | ServePlan::PrivateUserBased { neighbors, .. } => {
-                for shard in 0..self.map.n_shards() as u32 {
-                    let host = self.read_host(shard)?;
-                    let ns = self.node_shard(host, shard)?;
-                    let (_, slice) = ns.handle.load();
-                    let (start, end) = slice.item_range();
-                    candidates.extend(ns.serve.range_candidates(profile, plan, start, end));
-                    self.push_serve(host, 1.0 + neighbors.len() as f64);
-                }
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        candidates.retain(|i| !owned.contains(i));
-        Ok(candidates)
+        let (out, cost) = f(self.node_shard(host, shard)?);
+        self.push_serve(host, cost);
+        Ok(out)
     }
 
     /// Scores the candidate stream shard by shard and merges the partial top-N
@@ -1054,12 +861,12 @@ impl ShardedModel {
                 end += 1;
             }
             let segment = &candidates[ix..end];
-            let host = self.read_host(shard)?;
-            let scored = self
-                .node_shard(host, shard)?
-                .serve
-                .score(profile, plan, segment);
-            self.push_serve(host, 1.0 + segment.len() as f64);
+            let scored = self.on_replica(shard, |replica| {
+                let scored = recommend::with_thread_scratch(|scratch| {
+                    replica.serve.score(profile, plan, segment, scratch)
+                });
+                (scored, 1.0 + segment.len() as f64)
+            })?;
             let mut local = top_k(n, scored);
             local.sort_by_key(|&(_, i)| i);
             for (score, item) in local {
@@ -1084,25 +891,25 @@ impl ShardedModel {
         let subs = self.map.split_delta(delta);
         let report = self.model.apply_delta(delta)?;
         let (epoch_no, epoch) = self.model.snapshot();
-        let target = target_matrix_of(&epoch)?;
         for shard in 0..self.map.n_shards() as u32 {
-            let new_slice = ShardSlice::cut(&epoch, &self.map, shard);
+            let new_slice = Arc::new(ShardSlice::cut(&epoch, &self.map, shard));
             let sub = &subs[shard as usize];
             let cost = 1.0 + sub.len() as f64;
             for host in self.map.hosts(shard, self.n_nodes) {
-                if !self.nodes[host].alive {
+                let node = &mut self.nodes[host];
+                if !node.alive {
                     continue;
                 }
-                let Some(ns) = self.nodes[host].shards.get_mut(&shard) else {
+                let Some(ns) = node.shards.get_mut(&shard) else {
                     continue;
                 };
-                let (_, old) = ns.handle.load();
-                let slice_delta = old.diff(&new_slice, sub.clone());
                 if let Some(store) = ns.store.as_mut() {
-                    store.journal.append(epoch_no, &slice_delta)?;
+                    let (_, old) = ns.handle.load();
+                    store
+                        .journal
+                        .append(epoch_no, &old.diff(&new_slice, sub.clone()))?;
                 }
-                ns.handle.publish(Arc::new(new_slice.clone()));
-                ns.serve = SliceServe::build(epoch.config(), target.clone(), &new_slice)?;
+                node.install(epoch_no, &epoch, Arc::clone(&new_slice))?;
                 lock_ledgers(&self.ledgers)
                     .ingest
                     .push(RoutedTask { node: host, cost });
@@ -1171,9 +978,8 @@ impl ShardedModel {
             XMapError::Data("no durable store attached; call persist() first".to_string())
         })?;
         let (epoch_no, epoch) = self.model.snapshot();
-        let target = target_matrix_of(&epoch)?;
         let node_dir = dir.join(format!("node{node}"));
-        let mut rebuilt = BTreeMap::new();
+        let mut rebuilt = ShardNode::new();
         for shard in 0..self.map.n_shards() as u32 {
             if !self.map.hosts(shard, self.n_nodes).contains(&node) {
                 continue;
@@ -1205,18 +1011,10 @@ impl ShardedModel {
                 )?;
                 journal.reset(epoch_no)?;
             }
-            let serve = SliceServe::build(epoch.config(), target.clone(), &slice)?;
-            rebuilt.insert(
-                shard,
-                NodeShard {
-                    handle: EpochHandle::new(Arc::new(slice), epoch_no),
-                    serve,
-                    store: Some(ShardStore { journal }),
-                },
-            );
+            rebuilt.install(epoch_no, &epoch, Arc::new(slice))?.store =
+                Some(ShardStore { journal });
         }
-        self.nodes[node].shards = rebuilt;
-        self.nodes[node].alive = true;
+        self.nodes[node] = rebuilt;
         Ok(())
     }
 

@@ -47,6 +47,28 @@ fn assert_same_recs(a: &[(ItemId, f64)], b: &[(ItemId, f64)], what: &str) {
     }
 }
 
+/// The routed model's privacy accountant must be the single-node reference's, bit
+/// for bit — every ledger entry, `spent` and `remaining`: building replicas,
+/// routed ingests and node recovery re-wrap released artifacts and spend no ε.
+fn assert_same_ledger(sharded: &ShardedModel, reference: &XMapModel, what: &str) {
+    match (sharded.privacy_budget(), reference.privacy_budget()) {
+        (Some(s), Some(r)) => {
+            assert_eq!(s.ledger(), r.ledger(), "{what}: ledger entries diverged");
+            for (a, b) in s.ledger().iter().zip(r.ledger()) {
+                assert_eq!(a.epsilon.to_bits(), b.epsilon.to_bits(), "{what}: ε bits");
+            }
+            assert_eq!(s.spent().to_bits(), r.spent().to_bits(), "{what}: spent ε");
+            assert_eq!(
+                s.remaining().to_bits(),
+                r.remaining().to_bits(),
+                "{what}: remaining ε"
+            );
+        }
+        (None, None) => {}
+        _ => panic!("{what}: privacy accountant presence diverged"),
+    }
+}
+
 /// Routed predictions and top-N answers vs the single-node model, over every
 /// mode and 1/2/8 nodes. Fitting is deterministic, so a fresh fit per node
 /// count is the same reference model.
@@ -74,22 +96,7 @@ fn routed_serving_matches_single_node_in_all_modes_at_1_2_8_nodes() {
                 );
             }
             // Sharding spends no additional privacy budget.
-            match (sharded.privacy_budget(), reference.privacy_budget()) {
-                (Some(s), Some(r)) => {
-                    assert_eq!(
-                        s.ledger().len(),
-                        r.ledger().len(),
-                        "{mode:?}: ledger length"
-                    );
-                    assert_eq!(
-                        s.spent().to_bits(),
-                        r.spent().to_bits(),
-                        "{mode:?}: spent ε diverged"
-                    );
-                }
-                (None, None) => {}
-                _ => panic!("{mode:?}: privacy accountant presence diverged"),
-            }
+            assert_same_ledger(&sharded, &reference, &format!("{mode:?}/{n_nodes} nodes"));
             assert!(
                 !sharded.route_ledger().is_empty(),
                 "{mode:?}: routed reads must be ledgered"
@@ -338,6 +345,36 @@ fn killed_node_fails_over_and_recovers_from_its_journal() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sharding, routed ingest and node recovery spend no ε: in both private modes
+/// the routed model's accountant equals the single-node reference's after the
+/// build, after a routed ingest, and after `kill_node` → `recover_node`.
+#[test]
+fn sharding_ingest_and_recovery_spend_no_epsilon() {
+    let ds = dataset();
+    let delta = probe_delta(&ds);
+    for mode in [XMapMode::XMapItemBased, XMapMode::XMapUserBased] {
+        let reference = fit(&ds, mode);
+        let mut sharded = ShardedModel::with_hot_replication(fit(&ds, mode), 4, 2).unwrap();
+        assert_same_ledger(&sharded, &reference, &format!("{mode:?} after build"));
+        let dir = temp_store(&format!("ledger-{mode:?}"));
+        sharded.persist(&dir).unwrap();
+
+        reference.apply_delta(&delta).unwrap();
+        sharded.ingest(&delta).unwrap();
+        assert_same_ledger(&sharded, &reference, &format!("{mode:?} after ingest"));
+
+        sharded.kill_node(1).unwrap();
+        sharded.recover_node(1).unwrap();
+        assert_same_ledger(&sharded, &reference, &format!("{mode:?} after recovery"));
+        assert_same_recs(
+            &sharded.recommend(ds.overlap_users[0], 5).unwrap(),
+            &reference.recommend(ds.overlap_users[0], 5),
+            &format!("{mode:?}: post-recovery top-5"),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Kill a node *before* an ingest: its journal never sees the new epoch, so

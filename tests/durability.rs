@@ -70,6 +70,8 @@ struct ReleasedBits {
     prediction_bits: Vec<u64>,
     recommendations: Vec<Vec<(ItemId, u64)>>,
     privacy_ledger: Vec<(String, u64)>,
+    /// `(spent, remaining)` bits of the privacy accountant (private modes only).
+    privacy_totals: Option<(u64, u64)>,
 }
 
 fn released_bits(model: &XMapModel, users: &[UserId], items: &[ItemId]) -> ReleasedBits {
@@ -102,6 +104,9 @@ fn released_bits(model: &XMapModel, users: &[UserId], items: &[ItemId]) -> Relea
                     .collect()
             })
             .unwrap_or_default(),
+        privacy_totals: model
+            .privacy_budget()
+            .map(|b| (b.spent().to_bits(), b.remaining().to_bits())),
     }
 }
 
@@ -188,6 +193,39 @@ fn recovery_is_bit_identical_in_all_four_modes_at_1_2_and_8_workers() {
             );
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+}
+
+/// Reopening a snapshot re-wraps released artifacts; it releases nothing, so the
+/// reopened accountant is the persisted one — same entries, same `spent` and
+/// `remaining` bits — with no journal replay (and its fresh ledger) in between.
+#[test]
+fn reopening_a_private_snapshot_spends_no_epsilon() {
+    let ds = dataset();
+    let (probe_users, probe_items) = probes(&ds);
+    for mode in [XMapMode::XMapItemBased, XMapMode::XMapUserBased] {
+        let dir = scratch_dir(&format!("reopen_{mode:?}"));
+        let model = XMapModel::fit(
+            &ds.matrix,
+            DomainId::SOURCE,
+            DomainId::TARGET,
+            config(mode, 2),
+        )
+        .unwrap();
+        model.persist(&dir).unwrap();
+        let reopened = XMapModel::open(&dir).unwrap();
+        let bits = released_bits(&reopened, &probe_users, &probe_items);
+        assert_eq!(
+            bits.privacy_ledger.len(),
+            3,
+            "{mode:?}: PRS, PNSA, PNCF — once"
+        );
+        assert_eq!(
+            bits,
+            released_bits(&model, &probe_users, &probe_items),
+            "{mode:?}: reopened model diverged from the one that persisted it"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
