@@ -695,10 +695,13 @@ fn sweep_command(args: &[String]) -> ExitCode {
         eprintln!("usage: experiments sweep <k|epsilon|epsilon_prime|alpha|overlap> [quick|full]");
         return ExitCode::from(2);
     };
-    let scale = args
-        .get(1)
-        .and_then(|s| Scale::parse(s))
-        .unwrap_or(Scale::Quick);
+    let scale = match Scale::from_arg(args.get(1).map(String::as_str)) {
+        Ok(scale) => scale,
+        Err(message) => {
+            eprintln!("{message}");
+            return ExitCode::from(2);
+        }
+    };
     let (mode, values): (XMapMode, Vec<f64>) = match param {
         SweepParam::K => (
             XMapMode::NxMapItemBased,

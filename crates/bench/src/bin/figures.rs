@@ -7,7 +7,8 @@
 //! ```
 //!
 //! Experiment ids: `fig1b`, `fig5`, `fig6`, `fig7`, `fig8`, `fig9`, `fig10`, `fig11`,
-//! `table2`, `table3`, `all`.
+//! `table2`, `table3`, `replay` (simulated makespans of the recorded ledgers — not a
+//! paper figure), `all`.
 
 use std::time::Instant;
 use xmap_bench::experiments::{self, PrivacySurface};
@@ -17,13 +18,14 @@ use xmap_eval::{render_series_table, render_table};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let experiment = args.first().map(String::as_str).unwrap_or("all");
-    let scale = args
-        .get(1)
-        .and_then(|s| Scale::parse(s))
-        .unwrap_or(Scale::Quick);
+    let scale = Scale::from_arg(args.get(1).map(String::as_str)).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    });
 
     let known = [
         "fig1b", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "table2", "table3",
+        "replay",
     ];
     let selected: Vec<&str> = if experiment == "all" {
         known.to_vec()
@@ -135,6 +137,49 @@ fn run(id: &str, scale: Scale) {
                 .map(|(name, mae)| vec![name, format!("{mae:.4}")])
                 .collect();
             print!("{}", render_table(&["system", "MAE"], &rows));
+        }
+        "replay" => {
+            println!("## Ledger replay — recorded task bags under LPT placement");
+            let table = experiments::replay(scale);
+            let rows: Vec<Vec<String>> = table
+                .bags
+                .iter()
+                .map(|b| {
+                    vec![
+                        b.bag.to_string(),
+                        b.n_tasks.to_string(),
+                        format!("{:.0}", b.total_work),
+                        format!("{:.2}", b.speedup[0]),
+                        format!("{:.2}", b.speedup[1]),
+                    ]
+                })
+                .collect();
+            let header = ["bag", "tasks", "total work", "speedup @4", "speedup @8"];
+            print!("{}", render_table(&header, &rows));
+            println!("### routed ledgers under pinned placement");
+            let rows: Vec<Vec<String>> = table
+                .routed
+                .iter()
+                .map(|r| {
+                    vec![
+                        r.ledger.to_string(),
+                        r.n_nodes.to_string(),
+                        r.hot_replicated.to_string(),
+                        r.n_tasks.to_string(),
+                        format!("{:.2}", r.makespan),
+                        format!("{:.2}", r.imbalance),
+                    ]
+                })
+                .collect();
+            let header = [
+                "ledger",
+                "nodes",
+                "hot replicated",
+                "tasks",
+                "makespan",
+                "imbalance",
+            ];
+            print!("{}", render_table(&header, &rows));
         }
         other => unreachable!("unknown experiment {other}"),
     }

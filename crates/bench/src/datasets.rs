@@ -19,12 +19,16 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses a scale from a command-line argument.
-    pub fn parse(s: &str) -> Option<Scale> {
-        match s {
-            "quick" => Some(Scale::Quick),
-            "full" => Some(Scale::Full),
-            _ => None,
+    /// Resolves the optional scale argument of the harness binaries: absent means
+    /// [`Scale::Quick`]; anything but `quick` / `full` is an error naming both, so a
+    /// typo cannot silently run the wrong workload.
+    pub fn from_arg(arg: Option<&str>) -> Result<Scale, String> {
+        match arg {
+            None | Some("quick") => Ok(Scale::Quick),
+            Some("full") => Ok(Scale::Full),
+            Some(other) => Err(format!(
+                "unknown scale `{other}`; expected `quick` or `full`"
+            )),
         }
     }
 }
@@ -134,9 +138,11 @@ mod tests {
 
     #[test]
     fn scales_parse() {
-        assert_eq!(Scale::parse("quick"), Some(Scale::Quick));
-        assert_eq!(Scale::parse("full"), Some(Scale::Full));
-        assert_eq!(Scale::parse("huge"), None);
+        assert_eq!(Scale::from_arg(None), Ok(Scale::Quick));
+        assert_eq!(Scale::from_arg(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::from_arg(Some("full")), Ok(Scale::Full));
+        let typo = Scale::from_arg(Some("ful")).expect_err("a typo must not fall back to quick");
+        assert!(typo.contains("`ful`") && typo.contains("`quick` or `full`"));
     }
 
     #[test]

@@ -20,10 +20,12 @@ pub struct SweepRunner {
     dataset: CrossDomainDataset,
     direction: Direction,
     base: XMapConfig,
-    split: SplitConfig,
-    top_n: usize,
-    relevance_threshold: f64,
 }
+
+/// Ranking-list length N of every sweep's ranking cases.
+const TOP_N: usize = 5;
+/// Hidden ratings at or above this value count as relevant in ranking cases.
+const RELEVANCE_THRESHOLD: f64 = 4.0;
 
 impl SweepRunner {
     /// Creates a runner with the default split protocol (§6.1 cold-start, seed 99),
@@ -33,29 +35,7 @@ impl SweepRunner {
             dataset,
             direction,
             base,
-            split: SplitConfig::default(),
-            top_n: 5,
-            relevance_threshold: 4.0,
         }
-    }
-
-    /// Replaces the split configuration.
-    pub fn with_split(mut self, split: SplitConfig) -> Self {
-        self.split = split;
-        self
-    }
-
-    /// Replaces the ranking-list length N.
-    pub fn with_top_n(mut self, top_n: usize) -> Self {
-        self.top_n = top_n;
-        self
-    }
-
-    /// Replaces the relevance threshold used to derive ranking cases from hidden
-    /// ratings.
-    pub fn with_relevance_threshold(mut self, threshold: f64) -> Self {
-        self.relevance_threshold = threshold;
-        self
     }
 
     /// The base configuration sweeps start from.
@@ -81,23 +61,20 @@ impl SweepRunner {
     /// Builds the runner's split (optionally overriding the overlap fraction).
     pub fn split(&self, overlap_fraction: Option<f64>) -> CrossDomainSplit {
         let (_, target) = self.domains();
-        let config = match overlap_fraction {
-            Some(fraction) => SplitConfig {
-                overlap_fraction: fraction,
-                ..self.split
-            },
-            None => self.split,
-        };
+        let mut config = SplitConfig::default();
+        if let Some(fraction) = overlap_fraction {
+            config.overlap_fraction = fraction;
+        }
         CrossDomainSplit::build(&self.dataset, target, config)
     }
 
     /// The evaluation batch of a split: its hidden triples plus the ranking cases
     /// derived from them.
     pub fn eval_batch(&self, split: &CrossDomainSplit) -> EvalBatch {
-        let ranking = ranking_cases_from_test(&split.test, self.relevance_threshold);
+        let ranking = ranking_cases_from_test(&split.test, RELEVANCE_THRESHOLD);
         EvalBatch::predictions(split.test.clone()).with_ranking(
             ranking,
-            self.top_n,
+            TOP_N,
             self.catalogue_size(),
         )
     }

@@ -49,9 +49,9 @@
 //!
 //! All partitioned work runs as one [`DeltaStage`] on the model's own dataflow, so the
 //! per-partition data-derived costs land in a `"delta"` ledger
-//! ([`XMapModel::delta_task_costs`]) the `update_throughput` bench replays on the
-//! cluster simulator — identical at any worker count, and scaling with the delta's
-//! co-rating neighbourhood rather than the trace.
+//! ([`XMapModel::delta_task_costs`]) that `figures -- replay` replays on the cluster
+//! simulator — identical at any worker count, and scaling with the delta's co-rating
+//! neighbourhood rather than the trace (`tests/incremental_equivalence.rs`).
 
 use crate::generator::AlterEgoGenerator;
 use crate::pipeline::{FittedRecommender, ModelEpoch, XMapModel};
@@ -65,7 +65,6 @@ use xmap_cf::similarity::item_similarity_stats;
 use xmap_cf::{DomainId, ItemId, Rating, RatingMatrix, SimilarityStats, Timestep, UserId};
 use xmap_engine::{
     ConcurrentIngest, ConcurrentRead, ConcurrentReport, ConcurrentStage, Stage, StageContext,
-    CONCURRENT_INGEST_STAGE, CONCURRENT_READ_STAGE,
 };
 use xmap_graph::{BridgeIndex, LayerPartition, SimilarityGraph};
 use xmap_privacy::PrivacyBudget;
@@ -160,7 +159,7 @@ impl xmap_store::Codec for RatingDelta {
 }
 
 /// What a delta fit recomputed — the shape of the incremental work, for reporting and
-/// for the `update_throughput` bench's cost-scaling assertions.
+/// for the cost-scaling contract in `tests/incremental_equivalence.rs`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaReport {
     /// The epoch this delta published (monotonic; the fit itself is epoch 1).
@@ -722,20 +721,6 @@ impl XMapModel {
         self.flow.stage_costs(DELTA_STAGE_NAME)
     }
 
-    /// Per-read data-derived costs of the most recent
-    /// [`XMapModel::serve_concurrent`] (the `concurrent-read` ledger), for replaying
-    /// the serving side of an interleaved schedule on the cluster simulator.
-    pub fn concurrent_read_task_costs(&self) -> Option<Vec<f64>> {
-        self.flow.stage_costs(CONCURRENT_READ_STAGE)
-    }
-
-    /// Per-delta data-derived costs of the most recent
-    /// [`XMapModel::serve_concurrent`]'s ingest worker (the `concurrent-ingest`
-    /// ledger). `None` when the last run carried no deltas.
-    pub fn concurrent_ingest_task_costs(&self) -> Option<Vec<f64>> {
-        self.flow.stage_costs(CONCURRENT_INGEST_STAGE)
-    }
-
     /// Serves `profiles` from a pool of `readers` snapshot readers **while** applying
     /// `deltas` one after another from an ingest worker — the serve-while-updating
     /// driver ([`ConcurrentStage`]).
@@ -743,10 +728,10 @@ impl XMapModel {
     /// Every read takes a wait-free epoch snapshot, answers entirely from it, and
     /// reports which epoch it observed ([`ServedRead::epoch`]); the report records
     /// per-read and per-ingest latencies plus the epoch sequence. The contract (gated
-    /// by `tests/concurrent_serve.rs` and the `concurrent_serve` bench): each read is
-    /// **bit-identical** to serving the same profile against the serialized schedule at
-    /// its observed epoch boundary — interleaving changes *which* epoch a read sees,
-    /// never the bits an epoch answers with.
+    /// by `tests/concurrent_serve.rs`): each read is **bit-identical** to serving the
+    /// same profile against the serialized schedule at its observed epoch boundary —
+    /// interleaving changes *which* epoch a read sees, never the bits an epoch answers
+    /// with.
     ///
     /// Read/ingest cost bags land in the `concurrent-read` / `concurrent-ingest`
     /// ledgers of the model's dataflow. The first ingest error aborts with that error

@@ -37,8 +37,8 @@
 //!
 //! Routing, per-shard serving and per-shard ingest work are recorded as
 //! [`RoutedTask`] ledgers (`route` / `shard-serve` / `shard-ingest`) with
-//! data-derived costs, so `xmap_engine::ShardedCluster` can replay a serving
-//! trace on a simulated cluster exactly like the fit ledgers.
+//! data-derived costs, so `xmap_engine::ClusterSim::replay_pinned` can replay a
+//! serving trace on a simulated cluster exactly like the fit ledgers.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::path::{Path, PathBuf};
@@ -1020,7 +1020,7 @@ impl ShardedModel {
 
     /// The routing ledger: one unit-cost task per routed request→shard
     /// interaction, attributed to the serving node. Replayable by
-    /// `xmap_engine::ShardedCluster`.
+    /// `xmap_engine::ClusterSim::replay_pinned`.
     pub fn route_ledger(&self) -> Vec<RoutedTask> {
         lock_ledgers(&self.ledgers).route.clone()
     }

@@ -17,10 +17,10 @@
 //!
 //! Two computation paths produce identical tables:
 //!
-//! * [`XSimTable::compute`] — the reference per-pair path: meta-paths are materialised
+//! * `XSimTable::compute` — the reference per-pair path: meta-paths are materialised
 //!   by `xmap-graph` and every hop's statistics are re-resolved through
-//!   [`SimilarityGraph::edge_between`]. This is the historical implementation, kept as
-//!   the equivalence oracle and microbench baseline.
+//!   [`SimilarityGraph::edge_between`]. This is the historical implementation, kept in
+//!   this module's tests as the equivalence oracle.
 //! * [`XSimTable::compute_batched`] — the production path: source items are processed in
 //!   dataflow partitions, each partition walking a **frontier expansion** directly over
 //!   the CSR arena. The walk carries the running path-similarity numerator/denominator
@@ -29,12 +29,10 @@
 //!   per-hop edge re-resolution.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use xmap_cf::{DomainId, ItemId};
-use xmap_engine::{StageContext, WorkerPool};
-use xmap_graph::{
-    enumerate_cross_domain_paths, LayerPartition, MetaPath, MetaPathConfig, SimilarityGraph,
-};
+use xmap_engine::StageContext;
+use xmap_graph::{LayerPartition, MetaPath, MetaPathConfig, SimilarityGraph};
 
 /// One heterogeneous similarity entry: a target-domain item with its X-Sim value.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -248,41 +246,6 @@ fn frontier_dfs(
 }
 
 impl XSimTable {
-    /// Computes the table for every item of `source_domain` through the reference
-    /// per-pair path: meta-paths are materialised and re-aggregated per destination.
-    /// The per-item work is independent, so it is distributed over `pool`.
-    ///
-    /// [`XSimTable::compute_batched`] produces the identical table via frontier
-    /// expansion and is what the pipeline's extender stage runs; this entry point is
-    /// the equivalence oracle and the microbench baseline.
-    pub fn compute(
-        graph: &SimilarityGraph,
-        partition: &LayerPartition,
-        source_domain: DomainId,
-        metapath: MetaPathConfig,
-        pool: &WorkerPool,
-    ) -> Self {
-        let source_items: Vec<ItemId> = graph
-            .items()
-            .filter(|&i| graph.item_domain(i) == source_domain)
-            .collect();
-
-        let per_item: Vec<(ItemId, Vec<XSimEntry>)> = pool.parallel_map(&source_items, |&item| {
-            (
-                item,
-                Self::entries_for_item(graph, partition, item, source_domain, metapath),
-            )
-        });
-
-        XSimTable {
-            entries: per_item
-                .into_iter()
-                .filter(|(_, v)| !v.is_empty())
-                .collect(),
-            source_domain: Some(source_domain),
-        }
-    }
-
     /// Computes the table through partition-batched frontier expansion over the CSR
     /// arena — the production extender.
     ///
@@ -401,7 +364,7 @@ impl XSimTable {
     }
 
     /// One source item of the batched path: frontier expansion into `scratch`, then
-    /// entry emission. Produces exactly the entries of [`XSimTable::entries_for_item`].
+    /// entry emission. Produces exactly the entries of the test oracle's `entries_for_item`.
     fn batched_entries_for_item(
         graph: &SimilarityGraph,
         partition: &LayerPartition,
@@ -449,65 +412,6 @@ impl XSimTable {
                     similarity: (scratch.acc_num[ix] / scratch.acc_den[ix]).clamp(-1.0, 1.0),
                     certainty: scratch.acc_certainty[ix].min(1.0),
                     n_paths: scratch.acc_paths[ix] as usize,
-                });
-            }
-        }
-        entries.sort_by(|a, b| {
-            b.weighted_similarity()
-                .partial_cmp(&a.weighted_similarity())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.item.cmp(&b.item))
-        });
-        entries
-    }
-
-    fn entries_for_item(
-        graph: &SimilarityGraph,
-        partition: &LayerPartition,
-        item: ItemId,
-        source_domain: DomainId,
-        metapath: MetaPathConfig,
-    ) -> Vec<XSimEntry> {
-        // Direct heterogeneous edges keep their baseline similarity, with the edge's
-        // normalised weighted significance as the certainty.
-        let mut direct: BTreeMap<ItemId, (f64, f64)> = BTreeMap::new();
-        for e in graph.neighbors(item).iter() {
-            if graph.item_domain(e.to) != source_domain {
-                direct.insert(e.to, (e.stats.similarity, e.normalized_significance()));
-            }
-        }
-
-        // Meta-paths fill in the pairs that are not directly connected.
-        let paths = enumerate_cross_domain_paths(graph, partition, item, source_domain, metapath);
-        let mut by_destination: BTreeMap<ItemId, Vec<&MetaPath>> = BTreeMap::new();
-        for p in &paths {
-            by_destination.entry(p.destination()).or_default().push(p);
-        }
-
-        let mut entries: Vec<XSimEntry> = Vec::new();
-        for (&dest, &(sim, certainty)) in &direct {
-            entries.push(XSimEntry {
-                item: dest,
-                similarity: sim,
-                certainty,
-                n_paths: 1,
-            });
-        }
-        for (dest, dest_paths) in by_destination {
-            if direct.contains_key(&dest) {
-                continue;
-            }
-            if let Some(similarity) = aggregate_paths(graph, &dest_paths) {
-                let certainty = dest_paths
-                    .iter()
-                    .map(|p| path_certainty(graph, p))
-                    .sum::<f64>()
-                    .min(1.0);
-                entries.push(XSimEntry {
-                    item: dest,
-                    similarity,
-                    certainty,
-                    n_paths: dest_paths.len(),
                 });
             }
         }
@@ -609,8 +513,108 @@ impl xmap_store::Codec for XSimTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use xmap_dataset::toy::{items, ToyScenario};
-    use xmap_graph::GraphConfig;
+    use xmap_engine::WorkerPool;
+    use xmap_graph::{enumerate_cross_domain_paths, GraphConfig};
+
+    impl XSimTable {
+        /// Computes the table for every item of `source_domain` through the reference
+        /// per-pair path: meta-paths are materialised and re-aggregated per destination.
+        /// The per-item work is independent, so it is distributed over `pool`.
+        ///
+        /// [`XSimTable::compute_batched`] produces the identical table via frontier
+        /// expansion and is what the pipeline's extender stage runs; this is the
+        /// equivalence oracle, compiled for tests only.
+        pub(crate) fn compute(
+            graph: &SimilarityGraph,
+            partition: &LayerPartition,
+            source_domain: DomainId,
+            metapath: MetaPathConfig,
+            pool: &WorkerPool,
+        ) -> Self {
+            let source_items: Vec<ItemId> = graph
+                .items()
+                .filter(|&i| graph.item_domain(i) == source_domain)
+                .collect();
+
+            let per_item: Vec<(ItemId, Vec<XSimEntry>)> =
+                pool.parallel_map(&source_items, |&item| {
+                    (
+                        item,
+                        Self::entries_for_item(graph, partition, item, source_domain, metapath),
+                    )
+                });
+
+            XSimTable {
+                entries: per_item
+                    .into_iter()
+                    .filter(|(_, v)| !v.is_empty())
+                    .collect(),
+                source_domain: Some(source_domain),
+            }
+        }
+
+        fn entries_for_item(
+            graph: &SimilarityGraph,
+            partition: &LayerPartition,
+            item: ItemId,
+            source_domain: DomainId,
+            metapath: MetaPathConfig,
+        ) -> Vec<XSimEntry> {
+            // Direct heterogeneous edges keep their baseline similarity, with the edge's
+            // normalised weighted significance as the certainty.
+            let mut direct: BTreeMap<ItemId, (f64, f64)> = BTreeMap::new();
+            for e in graph.neighbors(item).iter() {
+                if graph.item_domain(e.to) != source_domain {
+                    direct.insert(e.to, (e.stats.similarity, e.normalized_significance()));
+                }
+            }
+
+            // Meta-paths fill in the pairs that are not directly connected.
+            let paths =
+                enumerate_cross_domain_paths(graph, partition, item, source_domain, metapath);
+            let mut by_destination: BTreeMap<ItemId, Vec<&MetaPath>> = BTreeMap::new();
+            for p in &paths {
+                by_destination.entry(p.destination()).or_default().push(p);
+            }
+
+            let mut entries: Vec<XSimEntry> = Vec::new();
+            for (&dest, &(sim, certainty)) in &direct {
+                entries.push(XSimEntry {
+                    item: dest,
+                    similarity: sim,
+                    certainty,
+                    n_paths: 1,
+                });
+            }
+            for (dest, dest_paths) in by_destination {
+                if direct.contains_key(&dest) {
+                    continue;
+                }
+                if let Some(similarity) = aggregate_paths(graph, &dest_paths) {
+                    let certainty = dest_paths
+                        .iter()
+                        .map(|p| path_certainty(graph, p))
+                        .sum::<f64>()
+                        .min(1.0);
+                    entries.push(XSimEntry {
+                        item: dest,
+                        similarity,
+                        certainty,
+                        n_paths: dest_paths.len(),
+                    });
+                }
+            }
+            entries.sort_by(|a, b| {
+                b.weighted_similarity()
+                    .partial_cmp(&a.weighted_similarity())
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.item.cmp(&b.item))
+            });
+            entries
+        }
+    }
 
     fn toy_graph() -> (SimilarityGraph, LayerPartition) {
         let toy = ToyScenario::build();

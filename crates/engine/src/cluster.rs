@@ -57,6 +57,21 @@ impl ClusterCostModel {
             shuffle_stages: 10,
         }
     }
+
+    /// Completion time of a placement: the busiest machine of `loads` plus the serial,
+    /// per-machine and shuffle terms — the one formula both placement policies
+    /// ([`ClusterSim::makespan`], [`ClusterSim::replay_pinned`]) finish through.
+    fn finish(&self, loads: &[f64], total_work: f64) -> f64 {
+        let busiest = loads.iter().cloned().fold(0.0, f64::max);
+        let m = loads.len() as f64;
+        // The shuffle term models the fraction of records that must leave their machine
+        // in an all-to-all exchange: (m-1)/m of the data per stage. The aggregate network
+        // does not speed up as machines are added, so this term grows (slowly) with m —
+        // which is what bends shuffle-heavy jobs (ALS) away from linear speedup.
+        let shuffle = self.shuffle_cost * total_work * ((m - 1.0) / m) * self.shuffle_stages as f64;
+        let overhead = self.per_machine_overhead * m;
+        self.serial_cost + busiest + shuffle + overhead
+    }
 }
 
 /// One point of a speedup curve.
@@ -70,7 +85,9 @@ pub struct SpeedupPoint {
     pub speedup: f64,
 }
 
-/// The cluster simulator: task costs plus a cost model.
+/// The cluster simulator: a cost model plus either an anonymous task bag placed by LPT
+/// ([`ClusterSim::makespan`]) or a routed ledger whose placement is already pinned
+/// ([`ClusterSim::replay_pinned`]).
 #[derive(Clone, Debug)]
 pub struct ClusterSim {
     task_costs: Vec<f64>,
@@ -117,18 +134,44 @@ impl ClusterSim {
                 .expect("at least one machine"); // lint: panic — reviewed invariant
             loads[idx] += cost;
         }
-        let parallel_part = loads.iter().cloned().fold(0.0, f64::max);
-        let m = machines as f64;
-        // The shuffle term models the fraction of records that must leave their machine
-        // in an all-to-all exchange: (m-1)/m of the data per stage. The aggregate network
-        // does not speed up as machines are added, so this term grows (slowly) with m —
-        // which is what bends shuffle-heavy jobs (ALS) away from linear speedup.
-        let shuffle = self.model.shuffle_cost
-            * self.total_work()
-            * ((m - 1.0) / m)
-            * self.model.shuffle_stages as f64;
-        let overhead = self.model.per_machine_overhead * m;
-        self.model.serial_cost + parallel_part + shuffle + overhead
+        self.model.finish(&loads, self.total_work())
+    }
+
+    /// Replays a routed ledger on `n_nodes` machines under the second placement
+    /// policy: *pinned* — each task runs on the node the router sent it to instead of
+    /// being re-balanced by LPT, so a skewed shard map shows up as load imbalance. The
+    /// makespan finishes through the same serial / per-machine / shuffle terms as
+    /// [`ClusterSim::makespan`], so routed and LPT replays of the same work are
+    /// directly comparable.
+    ///
+    /// Tasks must name an existing node and carry finite, non-negative costs.
+    pub fn replay_pinned(
+        tasks: &[RoutedTask],
+        n_nodes: usize,
+        model: ClusterCostModel,
+    ) -> RoutedReport {
+        assert!(n_nodes > 0, "a cluster needs at least one node");
+        let mut node_loads = vec![0.0f64; n_nodes];
+        let mut total_work = 0.0;
+        for task in tasks {
+            assert!(
+                task.node < n_nodes,
+                "routed task names node {} of a {n_nodes}-node cluster",
+                task.node
+            );
+            assert!(
+                task.cost.is_finite() && task.cost >= 0.0,
+                "task costs must be finite and non-negative"
+            );
+            node_loads[task.node] += task.cost;
+            total_work += task.cost;
+        }
+        RoutedReport {
+            makespan: model.finish(&node_loads, total_work),
+            node_loads,
+            n_tasks: tasks.len(),
+            total_work,
+        }
     }
 
     /// Speedup of `machines` machines relative to `baseline_machines`
@@ -172,7 +215,7 @@ pub struct RoutedTask {
     pub cost: f64,
 }
 
-/// Aggregated outcome of replaying a routed ledger on a sharded cluster.
+/// Aggregated outcome of [`ClusterSim::replay_pinned`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct RoutedReport {
     /// Total busy time per node, indexed by node id.
@@ -199,82 +242,6 @@ impl RoutedReport {
             1.0
         } else {
             max / mean
-        }
-    }
-}
-
-/// A cluster whose nodes hold model shards and execute routed requests.
-///
-/// Where [`ClusterSim`] answers "how fast could this bag of tasks run if a scheduler
-/// placed them perfectly?", `ShardedCluster` answers "how fast did the *routed* trace
-/// run given where the shards actually live?" — placement is the router's, so skewed
-/// shard maps show up as load imbalance instead of being silently re-balanced.
-#[derive(Clone, Debug)]
-pub struct ShardedCluster {
-    /// `assignment[node]` = shard ids hosted by that node (primaries and replicas).
-    assignment: Vec<Vec<u64>>,
-    model: ClusterCostModel,
-}
-
-impl ShardedCluster {
-    /// Creates a cluster from its node → hosted-shards assignment. Every node may
-    /// host any number of shards (replicas repeat a shard id on several nodes); an
-    /// empty node is allowed (it simply never receives routed work).
-    pub fn new(assignment: Vec<Vec<u64>>, model: ClusterCostModel) -> Self {
-        assert!(!assignment.is_empty(), "a cluster needs at least one node");
-        ShardedCluster { assignment, model }
-    }
-
-    /// Number of nodes.
-    pub fn n_nodes(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// The nodes hosting `shard` (primary first, in assignment order).
-    pub fn hosts(&self, shard: u64) -> Vec<usize> {
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(|(_, shards)| shards.contains(&shard))
-            .map(|(node, _)| node)
-            .collect()
-    }
-
-    /// Replays a routed ledger: each task runs on the node the router pinned it to.
-    /// The makespan is the busiest node's finish time plus the same serial /
-    /// per-node / shuffle terms [`ClusterSim::makespan`] charges, so routed and
-    /// LPT replays of the same work are directly comparable.
-    ///
-    /// Tasks must name an existing node and carry finite, non-negative costs.
-    pub fn replay(&self, tasks: &[RoutedTask]) -> RoutedReport {
-        let mut node_loads = vec![0.0f64; self.assignment.len()];
-        let mut total_work = 0.0;
-        for task in tasks {
-            assert!(
-                task.node < node_loads.len(),
-                "routed task names node {} of a {}-node cluster",
-                task.node,
-                node_loads.len()
-            );
-            assert!(
-                task.cost.is_finite() && task.cost >= 0.0,
-                "task costs must be finite and non-negative"
-            );
-            node_loads[task.node] += task.cost;
-            total_work += task.cost;
-        }
-        let busiest = node_loads.iter().cloned().fold(0.0, f64::max);
-        let m = node_loads.len() as f64;
-        let shuffle = self.model.shuffle_cost
-            * total_work
-            * ((m - 1.0) / m)
-            * self.model.shuffle_stages as f64;
-        let overhead = self.model.per_machine_overhead * m;
-        RoutedReport {
-            makespan: self.model.serial_cost + busiest + shuffle + overhead,
-            node_loads,
-            n_tasks: tasks.len(),
-            total_work,
         }
     }
 }
@@ -369,18 +336,15 @@ mod tests {
 
     #[test]
     fn routed_replay_pins_tasks_to_their_nodes() {
-        let cluster = ShardedCluster::new(
-            vec![vec![0], vec![1], vec![2], vec![3]],
-            ClusterCostModel {
-                serial_cost: 0.0,
-                per_machine_overhead: 0.0,
-                shuffle_cost: 0.0,
-                shuffle_stages: 0,
-            },
-        );
+        let free = ClusterCostModel {
+            serial_cost: 0.0,
+            per_machine_overhead: 0.0,
+            shuffle_cost: 0.0,
+            shuffle_stages: 0,
+        };
         // Everything routed to node 2: no LPT rebalancing may hide the hotspot.
         let tasks: Vec<RoutedTask> = (0..10).map(|_| RoutedTask { node: 2, cost: 1.0 }).collect();
-        let report = cluster.replay(&tasks);
+        let report = ClusterSim::replay_pinned(&tasks, 4, free);
         assert_eq!(report.n_tasks, 10);
         assert!((report.makespan - 10.0).abs() < 1e-12);
         assert!((report.node_loads[2] - 10.0).abs() < 1e-12);
@@ -393,12 +357,11 @@ mod tests {
     #[test]
     fn routed_replay_balanced_matches_lpt_parallel_part() {
         let model = ClusterCostModel::xmap_like();
-        let cluster = ShardedCluster::new(vec![vec![0], vec![1]], model);
         let tasks = vec![
             RoutedTask { node: 0, cost: 2.0 },
             RoutedTask { node: 1, cost: 2.0 },
         ];
-        let routed = cluster.replay(&tasks);
+        let routed = ClusterSim::replay_pinned(&tasks, 2, model);
         let lpt = ClusterSim::new(vec![2.0, 2.0], model);
         assert!(
             (routed.makespan - lpt.makespan(2)).abs() < 1e-12,
@@ -408,29 +371,16 @@ mod tests {
     }
 
     #[test]
-    fn hosts_reports_replica_placement() {
-        let cluster = ShardedCluster::new(
-            vec![vec![0, 1], vec![1], vec![2]],
-            ClusterCostModel::xmap_like(),
-        );
-        assert_eq!(cluster.n_nodes(), 3);
-        assert_eq!(cluster.hosts(1), vec![0, 1]);
-        assert_eq!(cluster.hosts(2), vec![2]);
-        assert!(cluster.hosts(9).is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "names node")]
     fn routed_task_beyond_cluster_is_rejected() {
-        let cluster = ShardedCluster::new(vec![vec![0]], ClusterCostModel::xmap_like());
-        let _ = cluster.replay(&[RoutedTask { node: 1, cost: 1.0 }]);
+        let task = RoutedTask { node: 1, cost: 1.0 };
+        let _ = ClusterSim::replay_pinned(&[task], 1, ClusterCostModel::xmap_like());
     }
 
     #[test]
     fn empty_routed_ledger_costs_only_overheads() {
         let model = ClusterCostModel::xmap_like();
-        let cluster = ShardedCluster::new(vec![vec![0], vec![1]], model);
-        let report = cluster.replay(&[]);
+        let report = ClusterSim::replay_pinned(&[], 2, model);
         assert_eq!(report.n_tasks, 0);
         assert!(
             (report.makespan - (model.serial_cost + model.per_machine_overhead * 2.0)).abs()

@@ -19,9 +19,8 @@
 //! stage. That is what lets the [`ClusterSim`](crate::cluster::ClusterSim) replay the
 //! exact same task bag on a simulated cluster (Figure 11) while the real pool executes
 //! it on local threads: both consume the same per-partition costs via
-//! [`Dataflow::stage_costs`] / [`Dataflow::cluster_sim`].
+//! [`Dataflow::stage_costs`].
 
-use crate::cluster::{ClusterCostModel, ClusterSim};
 use crate::partition::Partitioner;
 use crate::pool::WorkerPool;
 use crate::stage::{StageReport, StageTimer};
@@ -237,8 +236,8 @@ impl Dataflow {
     /// pool and ingest worker interleave on their own threads. The measured duration
     /// and per-task cost bag enter the timer and cost ledger with the same
     /// replace-latest semantics as [`Dataflow::run`], so external stages surface
-    /// through [`Dataflow::reports`], [`Dataflow::stage_costs`] and
-    /// [`Dataflow::cluster_sim`] exactly like pool-executed ones.
+    /// through [`Dataflow::reports`] and [`Dataflow::stage_costs`] exactly like
+    /// pool-executed ones.
     pub fn record_external(&self, name: &str, duration: std::time::Duration, costs: Vec<f64>) {
         self.timer.record_latest(name, duration);
         self.replace_costs(name, costs);
@@ -279,13 +278,6 @@ impl Dataflow {
             .iter()
             .find(|(name, _)| name == stage)
             .map(|(_, costs)| costs.clone())
-    }
-
-    /// Builds a cluster simulator over the named stage's task bag — the simulated
-    /// cluster replays exactly the work units the real pool executed.
-    pub fn cluster_sim(&self, stage: &str, model: ClusterCostModel) -> Option<ClusterSim> {
-        self.stage_costs(stage)
-            .map(|costs| ClusterSim::new(costs, model))
     }
 }
 
@@ -331,18 +323,6 @@ mod tests {
         assert_eq!(costs.iter().sum::<f64>(), 100.0, "costs cover every item");
         assert_eq!(flow.reports().len(), 1);
         assert_eq!(flow.reports()[0].name, "square");
-    }
-
-    #[test]
-    fn cluster_sim_consumes_stage_costs() {
-        let flow = Dataflow::new(2, 16);
-        let _ = flow.run(&SquareStage, (0..500).collect());
-        let sim = flow
-            .cluster_sim("square", ClusterCostModel::xmap_like())
-            .expect("stage ran");
-        assert_eq!(sim.n_tasks(), 16);
-        assert!((sim.total_work() - 500.0).abs() < 1e-9);
-        assert!(sim.speedup(10, 5) >= 1.0);
     }
 
     #[test]
@@ -392,9 +372,6 @@ mod tests {
     fn unknown_stage_has_no_costs() {
         let flow = Dataflow::new(1, 4);
         assert!(flow.stage_costs("nope").is_none());
-        assert!(flow
-            .cluster_sim("nope", ClusterCostModel::xmap_like())
-            .is_none());
     }
 
     struct OrderedDoubleStage;

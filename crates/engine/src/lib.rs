@@ -49,9 +49,7 @@ pub mod stage;
 pub mod sync;
 
 pub use clock::Stopwatch;
-pub use cluster::{
-    ClusterCostModel, ClusterSim, RoutedReport, RoutedTask, ShardedCluster, SpeedupPoint,
-};
+pub use cluster::{ClusterCostModel, ClusterSim, RoutedReport, RoutedTask, SpeedupPoint};
 pub use concurrent::{
     ConcurrentIngest, ConcurrentRead, ConcurrentReport, ConcurrentStage, IngestRecord, ReadRecord,
     CONCURRENT_INGEST_STAGE, CONCURRENT_READ_STAGE,

@@ -13,31 +13,59 @@
 //!   it: snapshots taken before a delta keep answering their own epoch's bits
 //!   undisturbed, and the epoch's memory is released once the last snapshot drops.
 //!
-//! The wall-clock side of the contract (reader p99 during ingestion vs idle) is gated
-//! in `crates/bench/benches/concurrent_serve.rs`.
+//! The wall-clock side of the contract — readers never wait for a delta, so reader p99
+//! during ingestion stays within 2x of idle serving — is the `#[ignore]`d test at the
+//! bottom (CI: `concurrent-smoke`, `cargo test --release --test concurrent_serve --
+//! --ignored`); a wall-clock assertion does not belong in tier-1.
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use std::time::Duration;
+use xmap_suite::cf::knn::Profile;
 use xmap_suite::prelude::*;
 
 const READER_COUNTS: [usize; 3] = [1, 2, 8];
 const TOP_N: usize = 3;
+const ALL_MODES: [XMapMode; 4] = [
+    XMapMode::NxMapItemBased,
+    XMapMode::NxMapUserBased,
+    XMapMode::XMapItemBased,
+    XMapMode::XMapUserBased,
+];
 
 fn dataset() -> CrossDomainDataset {
     CrossDomainDataset::generate(CrossDomainConfig::small())
 }
 
-fn config() -> XMapConfig {
-    XMapConfig {
-        mode: XMapMode::NxMapItemBased,
-        k: 8,
-        ..Default::default()
-    }
+/// The trace of the fixed-schedule cases below: large enough that three deltas each
+/// leave most of the model untouched.
+fn schedule_dataset() -> CrossDomainDataset {
+    CrossDomainDataset::generate(CrossDomainConfig {
+        n_source_items: 60,
+        n_target_items: 60,
+        n_source_only_users: 50,
+        n_target_only_users: 50,
+        n_overlap_users: 30,
+        ratings_per_user: 8,
+        latent_dim: 3,
+        noise: 0.3,
+        seed: 11,
+        popularity_skew: 0.0,
+    })
 }
 
-fn fit(ds: &CrossDomainDataset) -> XMapModel {
-    XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, config())
-        .expect("the small trace contains both domains")
+fn fit(ds: &CrossDomainDataset, mode: XMapMode) -> XMapModel {
+    let config = XMapConfig {
+        mode,
+        k: 8,
+        privacy: match mode {
+            XMapMode::XMapUserBased => PrivacyConfig::user_based_default(),
+            _ => PrivacyConfig::default(),
+        },
+        ..Default::default()
+    };
+    XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, config)
+        .expect("the trace contains both domains")
 }
 
 type AnswerBits = Vec<(ItemId, u64)>;
@@ -50,10 +78,11 @@ fn bits(answer: &[(ItemId, f64)]) -> AnswerBits {
 /// schedule — fresh fit (epoch 1), then one `apply_delta` per batch.
 fn serialized_reference(
     ds: &CrossDomainDataset,
+    mode: XMapMode,
     updates: &[RatingDelta],
-    requests: &[xmap_suite::cf::knn::Profile],
+    requests: &[Profile],
 ) -> Vec<Vec<AnswerBits>> {
-    let model = fit(ds);
+    let model = fit(ds, mode);
     let answers = |m: &XMapModel| -> Vec<AnswerBits> {
         let (_, snap) = m.snapshot();
         requests
@@ -99,7 +128,8 @@ proptest! {
             );
         }
 
-        let probe = fit(&ds);
+        let mode = XMapMode::NxMapItemBased;
+        let probe = fit(&ds, mode);
         let requests: Vec<_> = ds
             .overlap_users
             .iter()
@@ -109,10 +139,10 @@ proptest! {
             .cycle()
             .take(24)
             .collect();
-        let tables = serialized_reference(&ds, &updates, &requests);
+        let tables = serialized_reference(&ds, mode, &updates, &requests);
 
         for readers in READER_COUNTS {
-            let model = fit(&ds);
+            let model = fit(&ds, mode);
             let (reads, report) = model
                 .serve_concurrent(&requests, TOP_N, readers, &updates)
                 .expect("randomized deltas apply cleanly");
@@ -142,7 +172,7 @@ proptest! {
 #[test]
 fn snapshots_survive_publication_and_epochs_retire_with_their_last_reader() {
     let ds = dataset();
-    let model = fit(&ds);
+    let model = fit(&ds, XMapMode::NxMapItemBased);
     let (first_epoch, snap) = model.snapshot();
     assert_eq!(first_epoch, 1);
     let user = ds.overlap_users[0];
@@ -189,7 +219,7 @@ fn snapshots_survive_publication_and_epochs_retire_with_their_last_reader() {
 #[test]
 fn concurrent_serve_with_no_deltas_equals_plain_batch_serving() {
     let ds = dataset();
-    let model = fit(&ds);
+    let model = fit(&ds, XMapMode::NxMapItemBased);
     let requests: Vec<_> = ds
         .overlap_users
         .iter()
@@ -205,5 +235,120 @@ fn concurrent_serve_with_no_deltas_equals_plain_batch_serving() {
             bits(&read.recommendations),
             bits(&snap.recommend_for_profile(profile, TOP_N))
         );
+    }
+}
+
+/// Three fixed ingest batches over existing overlap users and target items — each
+/// publishes one epoch during an interleaved run.
+fn fixed_schedule(ds: &CrossDomainDataset) -> Vec<RatingDelta> {
+    let items = ds.target_items();
+    (0..3usize)
+        .map(|batch| {
+            let mut delta = RatingDelta::new();
+            for ix in batch * 4..batch * 4 + 4 {
+                let u = ds.overlap_users[ix % ds.overlap_users.len()];
+                let i = items[(ix * 5) % items.len()];
+                delta.push_timed(u.0, i.0, ((ix % 5) + 1) as f64, 2000 + ix as u32);
+            }
+            delta
+        })
+        .collect()
+}
+
+/// Eight source-side AlterEgo profiles; the fixed-schedule cases tile them to 1500
+/// requests so the reader pool stays busy across every ingest.
+fn seed_profiles(model: &XMapModel, ds: &CrossDomainDataset) -> Vec<Profile> {
+    ds.overlap_users
+        .iter()
+        .chain(ds.source_only_users.iter())
+        .take(8)
+        .map(|&u| model.alterego(u).profile)
+        .collect()
+}
+
+fn tiled(seeds: &[Profile]) -> Vec<Profile> {
+    seeds.iter().cycle().take(1500).cloned().collect()
+}
+
+#[test]
+fn fixed_schedule_reads_match_the_serialized_schedule_in_all_four_modes() {
+    let ds = schedule_dataset();
+    let updates = fixed_schedule(&ds);
+    let last_epoch = 1 + updates.len() as u64;
+    for mode in ALL_MODES {
+        let seeds = seed_profiles(&fit(&ds, mode), &ds);
+        let requests = tiled(&seeds);
+        let tables = serialized_reference(&ds, mode, &updates, &seeds);
+        for readers in READER_COUNTS {
+            let model = fit(&ds, mode);
+            let (reads, report) = model
+                .serve_concurrent(&requests, TOP_N, readers, &updates)
+                .expect("the fixed schedule applies cleanly");
+            assert_eq!(
+                reads.len(),
+                requests.len(),
+                "{mode:?}/{readers}r: lost reads"
+            );
+            assert_eq!(model.epoch(), last_epoch, "{mode:?}/{readers}r");
+            for (q, read) in reads.iter().enumerate() {
+                assert!(
+                    (1..=last_epoch).contains(&read.epoch),
+                    "{mode:?}/{readers}r: read {q} observed unpublished epoch {}",
+                    read.epoch
+                );
+                assert_eq!(
+                    bits(&read.recommendations),
+                    tables[(read.epoch - 1) as usize][q % seeds.len()],
+                    "{mode:?}/{readers}r: read {q} tore away from its epoch {}",
+                    read.epoch
+                );
+            }
+            let published: Vec<u64> = report.ingests.iter().map(|i| i.epoch).collect();
+            assert_eq!(
+                published,
+                (2..=last_epoch).collect::<Vec<_>>(),
+                "{mode:?}/{readers}r: published epochs out of sequence"
+            );
+        }
+    }
+}
+
+/// Readers never wait for a delta, only for a core: p99 during ingestion stays within
+/// 2x of idle serving at the same reader count. Best-of-5 trials keep scheduler stalls
+/// out of the gate, the 1500 reads keep a descheduled straggler below the 1% a p99
+/// discards, and latencies under the 200 µs floor count as instant instead of being
+/// gated on their exact ratio.
+#[test]
+#[ignore = "wall-clock gate: run with --release -- --ignored (CI: concurrent-smoke)"]
+fn reader_p99_during_ingest_stays_within_2x_of_idle() {
+    const P99_FLOOR: Duration = Duration::from_micros(200);
+    let ds = schedule_dataset();
+    let updates = fixed_schedule(&ds);
+    println!("cores: {:?}", std::thread::available_parallelism());
+    for mode in ALL_MODES {
+        let model = fit(&ds, mode);
+        let requests = tiled(&seed_profiles(&model, &ds));
+        for readers in READER_COUNTS {
+            // The same model is reused: re-applying an identical delta is idempotent on
+            // the matrix and still exercises the full publish path.
+            let p99 = |updates: &[RatingDelta]| {
+                (0..5)
+                    .map(|_| {
+                        let (_, report) = model
+                            .serve_concurrent(&requests, TOP_N, readers, updates)
+                            .expect("the fixed schedule applies cleanly");
+                        report.read_p99()
+                    })
+                    .min()
+                    .expect("five trials ran")
+            };
+            let idle = p99(&[]);
+            let during = p99(&updates);
+            println!("{mode:?}/{readers}r: idle p99 {idle:?}, during-ingest p99 {during:?}");
+            assert!(
+                during <= idle.max(P99_FLOOR) * 2,
+                "{mode:?}/{readers}r: ingestion stalled readers: p99 {during:?} vs idle {idle:?}"
+            );
+        }
     }
 }

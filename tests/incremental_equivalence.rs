@@ -220,3 +220,78 @@ fn sequential_deltas_compose_to_the_same_model_as_one_refit() {
         released_bits(&refit, &probe_users, &probe_items)
     );
 }
+
+/// The data-derived cost contract of the delta path, on a deliberately **sparse**
+/// trace (few ratings per user over a wide catalogue, like the paper's — on a tiny
+/// dense trace every delta's co-rating neighbourhood is the whole graph): the `"delta"`
+/// ledger's total never shrinks as the delta grows, stays strictly below the refit's
+/// combined fit bag, and a fixed 8-rating delta claims a smaller share of the refit on
+/// a trace with three times the users.
+#[test]
+fn delta_cost_tracks_the_delta_not_the_trace() {
+    let sparse = CrossDomainConfig {
+        n_source_items: 80,
+        n_target_items: 80,
+        n_source_only_users: 60,
+        n_target_only_users: 60,
+        n_overlap_users: 40,
+        ratings_per_user: 6,
+        latent_dim: 2,
+        noise: 0.3,
+        seed: 7,
+        popularity_skew: 0.0,
+    };
+    let fit = |matrix: &RatingMatrix| {
+        let config = config(XMapMode::NxMapItemBased, 1);
+        XMapModel::fit(matrix, DomainId::SOURCE, DomainId::TARGET, config).unwrap()
+    };
+    // (delta cost, refit cost) of `size` round-robin ratings over existing overlap
+    // users and target items.
+    let costs = |ds: &CrossDomainDataset, size: usize| -> (f64, f64) {
+        let items = ds.target_items();
+        let mut delta = RatingDelta::new();
+        for ix in 0..size {
+            let u = ds.overlap_users[ix % ds.overlap_users.len()];
+            let i = items[(ix * 7) % items.len()];
+            delta.push_timed(u.0, i.0, ((ix % 5) + 1) as f64, 1000 + ix as u32);
+        }
+        let model = fit(&ds.matrix);
+        model.apply_delta(&delta).unwrap();
+        let delta_cost: f64 = model.delta_task_costs().unwrap().iter().sum();
+        let updated = ds
+            .matrix
+            .apply_delta(delta.ratings(), delta.item_domains())
+            .unwrap();
+        (delta_cost, fit(&updated).fit_task_costs().iter().sum())
+    };
+
+    let ds = CrossDomainDataset::generate(sparse);
+    let sizes = [1usize, 8, 32];
+    let by_size = sizes.map(|size| costs(&ds, size));
+    for (ix, &(delta_cost, refit_cost)) in by_size.iter().enumerate() {
+        assert!(
+            ix == 0 || delta_cost >= by_size[ix - 1].0,
+            "delta cost shrank as the delta grew to {} ratings: {by_size:?}",
+            sizes[ix]
+        );
+        assert!(
+            delta_cost < refit_cost,
+            "{} ratings: incremental work {delta_cost} not below the refit bag {refit_cost}",
+            sizes[ix]
+        );
+    }
+
+    let tripled = CrossDomainDataset::generate(CrossDomainConfig {
+        n_source_only_users: sparse.n_source_only_users * 3,
+        n_target_only_users: sparse.n_target_only_users * 3,
+        n_overlap_users: sparse.n_overlap_users * 3,
+        ..sparse
+    });
+    let (small_delta, small_refit) = by_size[1];
+    let (big_delta, big_refit) = costs(&tripled, 8);
+    assert!(
+        big_delta / big_refit < small_delta / small_refit,
+        "the 8-rating delta's share of the refit must shrink on the 3x trace: \
+         {big_delta}/{big_refit} vs {small_delta}/{small_refit}"
+    );
+}
