@@ -10,7 +10,19 @@
 //! that is not stored in the training matrix. This is exactly how X-Map consumes them:
 //! the AlterEgo profile of a user is an artificial profile in the target domain that is
 //! combined with the target-domain training data (§4.4).
+//!
+//! The user-based scheme precomputes nothing, so both of its phases run per request,
+//! and both are *item-major gathers* over a [`UserKnnScratch`] rather than probes:
+//! Phase 1 ([`UserKnn::neighbors_of_profile`]) walks the item rows of the profile's
+//! items and accumulates Equation 1 per touched user — a user who co-rates nothing is
+//! never visited — and Phase 2 for a candidate list ([`UserKnn::score_with_neighbors`])
+//! scatters each neighbour's row once into a per-item accumulator instead of
+//! binary-searching every neighbour row for every candidate. Both are bit-identical to
+//! the definitions they replace (the full scan, kept as a test oracle, and
+//! [`UserKnn::predict_with_neighbors`] per item): every floating-point sum receives the
+//! same addends in the same order.
 
+use crate::epoch::EpochBuffer;
 use crate::error::{CfError, Result};
 use crate::ids::{ItemId, UserId};
 use crate::matrix::RatingMatrix;
@@ -101,12 +113,80 @@ impl<'a> UserKnn<'a> {
     }
 
     /// Phase 1 for an external profile: the k most similar training users to the profile.
-    pub fn neighbors_of_profile(&self, profile: &Profile) -> Vec<(UserId, f64)> {
+    ///
+    /// An inverted-index gather: for each of the profile's items, in ascending id (of
+    /// duplicates the last wins; an out-of-catalogue id has an empty row), walk the
+    /// item's row and add its term of Equation 1 to the sums of every rater. A user's
+    /// terms therefore arrive in ascending item id — the order a walk of the user's own
+    /// row would produce them — so each similarity is the same float as that of a scan
+    /// over every stored user, and users the profile shares no item with (similarity
+    /// exactly 0, never a neighbour) are not visited at all. Ties in the top-k break
+    /// towards the lower user id, independent of the order users were first touched in.
+    pub fn neighbors_of_profile(
+        &self,
+        profile: &Profile,
+        scratch: &mut UserKnnScratch,
+    ) -> Vec<(UserId, f64)> {
+        let UserKnnScratch {
+            profile: items,
+            sums,
+            touched,
+            ..
+        } = scratch;
+        items.clear();
+        items.extend(profile.iter().map(|&(i, v, _)| (i, v)));
+        // stable: among duplicates of an item the last offered stays last
+        items.sort_by_key(|&(i, _)| i);
+        sums.begin(self.matrix.n_users());
+        touched.clear();
+        for (pos, &(item, ra)) in items.iter().enumerate() {
+            if items.get(pos + 1).is_some_and(|&(next, _)| next == item) {
+                continue;
+            }
+            let i_avg = self.matrix.item_average(item);
+            let da = ra - i_avg;
+            for e in self.matrix.item_profile(item) {
+                let Some((fresh, [num, den_a, den_b])) = sums.entry(e.user.index()) else {
+                    continue;
+                };
+                if fresh {
+                    touched.push(e.user);
+                }
+                let db = e.value - i_avg;
+                *num += da * db;
+                *den_a += da * da;
+                *den_b += db * db;
+            }
+        }
+        let mut collector = TopK::new(self.config.k);
+        for &user in touched.iter() {
+            let [num, den_a, den_b] = sums.get(user.index()).unwrap_or_default();
+            let den = (den_a * den_b).sqrt();
+            if den < 1e-12 {
+                continue;
+            }
+            let sim = (num / den).clamp(-1.0, 1.0);
+            // lint: float-eq — exact zero is the "no overlap" sentinel, as in neighbors().
+            if sim.abs() > self.config.min_similarity && sim != 0.0 {
+                collector.push_keyed(sim, u64::from(user.0), user);
+            }
+        }
+        collector
+            .into_sorted_vec()
+            .into_iter()
+            .map(|(s, u)| (u, s))
+            .collect()
+    }
+
+    /// The definition [`neighbors_of_profile`](Self::neighbors_of_profile) is gated
+    /// against: Equation 1 between the profile and *every* stored user, offered to the
+    /// top-k in ascending user id.
+    #[cfg(test)]
+    fn neighbors_of_profile_scan(&self, profile: &Profile) -> Vec<(UserId, f64)> {
         let profile_map: HashMap<ItemId, f64> = profile.iter().map(|&(i, v, _)| (i, v)).collect();
         let mut collector = TopK::new(self.config.k);
         for other in self.matrix.users() {
             let sim = self.profile_user_similarity(&profile_map, other);
-            // lint: float-eq — exact zero is the "no overlap" sentinel, as in nearest().
             if sim.abs() > self.config.min_similarity && sim != 0.0 {
                 collector.push(sim, other);
             }
@@ -119,6 +199,7 @@ impl<'a> UserKnn<'a> {
     }
 
     /// Equation 1 between an external profile and a stored user (centred by item average).
+    #[cfg(test)]
     fn profile_user_similarity(&self, profile_map: &HashMap<ItemId, f64>, other: UserId) -> f64 {
         let mut num = 0.0;
         let mut den_a = 0.0;
@@ -157,6 +238,45 @@ impl<'a> UserKnn<'a> {
                 den += sim.abs();
             }
         }
+        self.prediction_from_sums(user_average, num, den)
+    }
+
+    /// Phase 2 for a whole candidate list: `(prediction, item)` for every item of
+    /// `items`, in order — exactly [`predict_with_neighbors`](Self::predict_with_neighbors)
+    /// per item, bit for bit. Each neighbour's row is scattered once, in neighbour
+    /// order, into a dense per-item `(num, den)` accumulator, so every item's sums take
+    /// the same addends in the same order as the per-item loop — without a binary
+    /// search per (candidate, neighbour) pair. Ids outside the catalogue read as "no
+    /// neighbour rated it".
+    pub fn score_with_neighbors(
+        &self,
+        user_average: f64,
+        neighbors: &[(UserId, f64)],
+        items: &[ItemId],
+        scratch: &mut UserKnnScratch,
+    ) -> Vec<(f64, ItemId)> {
+        let sums = &mut scratch.item_sums;
+        sums.begin(self.matrix.n_items());
+        for &(b, sim) in neighbors {
+            let b_avg = self.matrix.user_average(b);
+            for e in self.matrix.user_profile(b) {
+                if let Some((_, (num, den))) = sums.entry(e.item.index()) {
+                    *num += sim * (e.value - b_avg);
+                    *den += sim.abs();
+                }
+            }
+        }
+        items
+            .iter()
+            .map(|&i| {
+                let (num, den) = sums.get(i.index()).unwrap_or_default();
+                (self.prediction_from_sums(user_average, num, den), i)
+            })
+            .collect()
+    }
+
+    /// Equation 2 from its two sums, clamped to the rating scale.
+    fn prediction_from_sums(&self, user_average: f64, num: f64, den: f64) -> f64 {
         let raw = if den < 1e-12 {
             user_average
         } else {
@@ -172,8 +292,13 @@ impl<'a> UserKnn<'a> {
     }
 
     /// Predicted rating of `item` for an external profile.
-    pub fn predict_for_profile(&self, profile: &Profile, item: ItemId) -> f64 {
-        let neighbors = self.neighbors_of_profile(profile);
+    pub fn predict_for_profile(
+        &self,
+        profile: &Profile,
+        item: ItemId,
+        scratch: &mut UserKnnScratch,
+    ) -> f64 {
+        let neighbors = self.neighbors_of_profile(profile, scratch);
         let avg = profile_average(profile).unwrap_or_else(|| self.matrix.global_average());
         self.predict_with_neighbors(avg, &neighbors, item)
     }
@@ -192,18 +317,21 @@ impl<'a> UserKnn<'a> {
     }
 
     /// Top-N recommendations for an external profile, excluding the profile's own items.
-    pub fn recommend_for_profile(&self, profile: &Profile, n: usize) -> Vec<(ItemId, f64)> {
-        let neighbors = self.neighbors_of_profile(profile);
+    pub fn recommend_for_profile(
+        &self,
+        profile: &Profile,
+        n: usize,
+        scratch: &mut UserKnnScratch,
+    ) -> Vec<(ItemId, f64)> {
+        let neighbors = self.neighbors_of_profile(profile, scratch);
         let avg = profile_average(profile).unwrap_or_else(|| self.matrix.global_average());
         let rated: Vec<ItemId> = profile.iter().map(|&(i, _, _)| i).collect();
         self.rank_candidates(avg, &neighbors, &rated, n)
     }
 
     /// The deduplicated, ascending-id candidate items for a neighbour set: every
-    /// item rated by at least one neighbour. This is exactly the stream
-    /// `rank_candidates` scores, exposed so a sharded router can split it into
-    /// contiguous per-shard segments and still reproduce the same top-N.
-    pub fn candidate_items(&self, neighbors: &[(UserId, f64)]) -> Vec<ItemId> {
+    /// item rated by at least one neighbour — the stream `rank_candidates` scores.
+    fn candidate_items(&self, neighbors: &[(UserId, f64)]) -> Vec<ItemId> {
         // Only items rated by at least one neighbour can receive a personalised score.
         let mut candidates: Vec<ItemId> = Vec::new();
         for &(b, _) in neighbors {
@@ -229,6 +357,29 @@ impl<'a> UserKnn<'a> {
             .filter(|i| !exclude.contains(i))
             .map(|i| (self.predict_with_neighbors(user_average, neighbors, i), i));
         top_k(n, scored).into_iter().map(|(s, i)| (i, s)).collect()
+    }
+}
+
+/// Reusable buffers of the user-based serve path, one per serving thread: both phases
+/// of a request run over dense, epoch-invalidated accumulators instead of allocating
+/// (or hashing) per call. Every buffer is re-sized to the matrix at each use, so a
+/// warmed scratch follows a matrix that gains users or items between two reads.
+#[derive(Debug, Default)]
+pub struct UserKnnScratch {
+    /// The profile's `(item, rating)` pairs, ascending by item id.
+    profile: Vec<(ItemId, f64)>,
+    /// Equation 1's `[num, den_a, den_b]` per user touched by the current profile.
+    sums: EpochBuffer<[f64; 3]>,
+    /// The users with live `sums`, in first-touch order.
+    touched: Vec<UserId>,
+    /// Equation 2's `(num, den)` per item rated by a neighbour.
+    item_sums: EpochBuffer<(f64, f64)>,
+}
+
+impl UserKnnScratch {
+    /// An empty scratch; buffers take the matrix's size on first use.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -273,8 +424,7 @@ pub struct ItemNeighbor {
 /// catalogue; the delta-fit pool splice reuses it across a partition's items).
 #[derive(Debug, Default)]
 pub struct CandidateScratch {
-    seen: Vec<u32>,
-    epoch: u32,
+    seen: EpochBuffer<()>,
 }
 
 impl CandidateScratch {
@@ -287,21 +437,11 @@ impl CandidateScratch {
     /// rater with it, sorted ascending — exactly one row of
     /// [`ItemKnn::candidate_sets`].
     pub fn candidate_set(&mut self, matrix: &RatingMatrix, item: ItemId) -> Vec<ItemId> {
-        if self.seen.len() < matrix.n_items() {
-            self.seen.resize(matrix.n_items(), 0);
-        }
-        if self.epoch == u32::MAX {
-            self.seen.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        let epoch = self.epoch;
+        self.seen.begin(matrix.n_items());
         let mut cands: Vec<ItemId> = Vec::new();
         for rater in matrix.item_profile(item) {
             for e in matrix.user_profile(rater.user) {
-                let ix = e.item.index();
-                if e.item != item && self.seen[ix] != epoch {
-                    self.seen[ix] = epoch;
+                if e.item != item && matches!(self.seen.entry(e.item.index()), Some((true, _))) {
                     cands.push(e.item);
                 }
             }
@@ -537,6 +677,7 @@ pub fn profile_average(profile: &Profile) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::matrix::RatingMatrixBuilder;
+    use proptest::prelude::*;
 
     /// Two clear taste clusters: users 0-2 love items 0-2 and hate 3-5; users 3-5 the
     /// opposite. User 6 is a partial member of the first cluster used for predictions.
@@ -620,13 +761,14 @@ mod tests {
         let m = clustered();
         let knn = UserKnn::new(&m, UserKnnConfig::default()).unwrap();
         let profile = profile_from_pairs([(ItemId(0), 5.0), (ItemId(1), 4.0)]);
+        let mut scratch = UserKnnScratch::new();
         let stored = knn.predict(UserId(6), ItemId(2));
-        let external = knn.predict_for_profile(&profile, ItemId(2));
+        let external = knn.predict_for_profile(&profile, ItemId(2), &mut scratch);
         assert!(
             (stored - external).abs() < 0.75,
             "external profile should predict similarly: {stored} vs {external}"
         );
-        let recs = knn.recommend_for_profile(&profile, 2);
+        let recs = knn.recommend_for_profile(&profile, 2, &mut scratch);
         assert_eq!(recs[0].0, ItemId(2));
     }
 
@@ -899,6 +1041,147 @@ mod tests {
                     (1.0..=5.0).contains(&pi),
                     "item-based prediction out of scale: {pi}"
                 );
+            }
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // The indexed user-based phases against their definitions, on matrices the toy
+    // clusters above cannot stand in for.
+    // -----------------------------------------------------------------------
+
+    /// An item id skewed towards the head of the catalogue: a handful of items are
+    /// rated by most users, the tail by almost nobody.
+    fn skewed_item(rng: &mut TestRng, n_items: u32) -> u32 {
+        let x = rng.next_f64();
+        (x * x * x * f64::from(n_items)) as u32
+    }
+
+    /// A random matrix with skewed item popularity and integer ratings, so users with
+    /// exactly tied similarities (±1 from a single co-rated item, above all) abound.
+    fn skewed_matrix(rng: &mut TestRng, n_users: u32, n_items: u32) -> RatingMatrix {
+        let mut b = RatingMatrixBuilder::new().with_dimensions(n_users as usize, n_items as usize);
+        for u in 0..n_users {
+            // some users rate nothing at all
+            for _ in 0..rng.next_u64() % 12 {
+                let value = (1 + rng.next_u64() % 5) as f64;
+                b.push_parts(u, skewed_item(rng, n_items), value).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// A random profile: possibly empty, with duplicate items (different values),
+    /// out-of-catalogue ids, and ratings that sit exactly on the item average (zero
+    /// variance on the profile's side of Equation 1).
+    fn random_profile(rng: &mut TestRng, m: &RatingMatrix) -> Profile {
+        let n_items = m.n_items() as u32;
+        let mut profile: Profile = Vec::new();
+        for _ in 0..rng.next_u64() % 14 {
+            let item = match rng.next_u64() % 10 {
+                0 => ItemId(n_items + (rng.next_u64() % 3) as u32),
+                1 => ItemId(u32::MAX),
+                2 if !profile.is_empty() => profile[rng.next_u64() as usize % profile.len()].0,
+                _ => ItemId(skewed_item(rng, n_items)),
+            };
+            let value = if rng.next_u64().is_multiple_of(4) {
+                m.item_average(item)
+            } else {
+                (1 + rng.next_u64() % 5) as f64
+            };
+            profile.push((item, value, Timestep(0)));
+        }
+        profile
+    }
+
+    fn bits(neighbors: &[(UserId, f64)]) -> Vec<(UserId, u64)> {
+        neighbors.iter().map(|&(u, s)| (u, s.to_bits())).collect()
+    }
+
+    #[test]
+    fn zero_variance_overlap_yields_no_neighbour_on_either_path() {
+        // Item 0 has one rater, so its average *is* that rating: a profile repeating it
+        // overlaps user 0 with da = db = 0 and `den < 1e-12`. Users 1 and 2 overlap on
+        // item 1 only, where the profile sits on the average (da = 0) but they do not.
+        let mut b = RatingMatrixBuilder::new();
+        b.push_parts(0, 0, 4.0).unwrap();
+        b.push_parts(1, 1, 2.0).unwrap();
+        b.push_parts(2, 1, 4.0).unwrap();
+        let m = b.build().unwrap();
+        let knn = UserKnn::new(&m, UserKnnConfig::default()).unwrap();
+        let profile = profile_from_pairs([(ItemId(0), 4.0), (ItemId(1), 3.0)]);
+        assert!(knn.neighbors_of_profile_scan(&profile).is_empty());
+        assert!(knn
+            .neighbors_of_profile(&profile, &mut UserKnnScratch::new())
+            .is_empty());
+    }
+
+    proptest! {
+        /// Indexed Phase 1 ≡ the scan over every stored user, bit for bit — across
+        /// profiles and matrices of different sizes served by one warmed scratch.
+        #[test]
+        fn indexed_neighbour_search_equals_the_scan_oracle(
+            seed in any::<u64>(),
+            n_users in 1u32..300,
+            n_items in 1u32..60,
+            k in 1usize..40,
+            min_similarity_pick in 0usize..4,
+        ) {
+            let mut rng = TestRng::from_name(&seed.to_string());
+            let min_similarity = [0.0, 0.0, 0.5, 1.0 - 1e-9][min_similarity_pick];
+            // k reaches past the candidate count on the small matrix
+            let small = skewed_matrix(&mut rng, 1 + n_users / 8, n_items);
+            let large = skewed_matrix(&mut rng, n_users, n_items + 7);
+            let mut scratch = UserKnnScratch::new();
+            for round in 0..6 {
+                let m = if round % 2 == 0 { &large } else { &small };
+                let knn = UserKnn::new(m, UserKnnConfig { k, min_similarity }).unwrap();
+                let profile = random_profile(&mut rng, m);
+                let expect = knn.neighbors_of_profile_scan(&profile);
+                let got = knn.neighbors_of_profile(&profile, &mut scratch);
+                prop_assert_eq!(bits(&got), bits(&expect), "profile {:?}", profile);
+            }
+        }
+
+        /// Scattered Phase 2 ≡ `predict_with_neighbors` per item, bit for bit, over
+        /// arbitrary sub-slices of the candidate stream (the router scores it one shard
+        /// segment at a time), with negative similarities, repeated and unknown
+        /// neighbours, and candidate ids outside the catalogue.
+        #[test]
+        fn scattered_scoring_equals_per_item_prediction(
+            seed in any::<u64>(),
+            n_users in 1u32..200,
+            n_items in 1u32..60,
+            k in 1usize..30,
+        ) {
+            let mut rng = TestRng::from_name(&seed.to_string());
+            let m = skewed_matrix(&mut rng, n_users, n_items);
+            let knn = UserKnn::new(&m, UserKnnConfig { k, min_similarity: 0.0 }).unwrap();
+            let mut scratch = UserKnnScratch::new();
+            let profile = random_profile(&mut rng, &m);
+            let mut neighbors = knn.neighbors_of_profile(&profile, &mut scratch);
+            for _ in 0..rng.next_u64() % 6 {
+                let user = UserId((rng.next_u64() % (u64::from(n_users) + 2)) as u32);
+                neighbors.push((user, rng.next_f64() * 2.0 - 1.0));
+            }
+            let mut stream: Vec<ItemId> = (0..n_items + 2).map(ItemId).collect();
+            stream.push(ItemId(u32::MAX));
+            stream.push(ItemId(0));
+            let avg = profile_average(&profile).unwrap_or_else(|| m.global_average());
+            for _ in 0..5 {
+                let a = rng.next_u64() as usize % (stream.len() + 1);
+                let b = rng.next_u64() as usize % (stream.len() + 1);
+                let segment = &stream[a.min(b)..a.max(b)];
+                let got: Vec<(ItemId, u64)> = knn
+                    .score_with_neighbors(avg, &neighbors, segment, &mut scratch)
+                    .into_iter()
+                    .map(|(s, i)| (i, s.to_bits()))
+                    .collect();
+                let expect: Vec<(ItemId, u64)> = segment
+                    .iter()
+                    .map(|&i| (i, knn.predict_with_neighbors(avg, &neighbors, i).to_bits()))
+                    .collect();
+                prop_assert_eq!(got, expect);
             }
         }
     }

@@ -23,6 +23,7 @@
 pub mod als;
 pub mod baselines;
 pub mod codec;
+pub mod epoch;
 pub mod error;
 pub mod ids;
 pub mod knn;
@@ -35,7 +36,7 @@ pub mod topk;
 
 pub use error::{CfError, Result};
 pub use ids::{DomainId, ItemId, UserId};
-pub use knn::{CandidateScratch, ItemKnn, ItemKnnConfig, UserKnn, UserKnnConfig};
+pub use knn::{CandidateScratch, ItemKnn, ItemKnnConfig, UserKnn, UserKnnConfig, UserKnnScratch};
 pub use matrix::{RatingMatrix, RatingMatrixBuilder};
 pub use mrv::{MrvCell, MrvCounterSplit, MrvShard, MrvSplit};
 pub use rating::{Rating, Timestep};

@@ -4,22 +4,24 @@
 //! "top-N recommendations") boils down to keeping the k largest-scored candidates.
 //! [`TopK`] is a small bounded min-heap keyed by an `f64` score that tolerates NaN-free
 //! floating point scores and returns its content sorted by descending score. All score
-//! comparisons use the total order ([`f64::total_cmp`]) with the insertion sequence as
-//! the tie-break, so the retained set and its output order are pure functions of the
-//! offered `(score, payload)` sequence — never of heap internals or of a NaN comparing
-//! `Equal` to everything.
+//! comparisons use the total order ([`f64::total_cmp`]) with an explicit `u64` key as
+//! the tie-break (lower key wins), so the retained set and its output order are pure
+//! functions of the offered `(score, key, payload)` *set* — never of heap internals, of
+//! a NaN comparing `Equal` to everything, or of the order the offers arrived in.
+//! [`TopK::push`] keys each offer by its insertion sequence number, which makes
+//! "first offered wins ties" the special case of offers arriving in key order.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// An entry in the bounded heap: ordered so the heap root is the current eviction
-/// candidate — the lowest score, ties resolved towards the *latest* insertion so that
-/// earlier offers survive deterministically.
+/// candidate — the lowest score, ties resolved towards the *highest* key so that
+/// lower-keyed offers survive deterministically.
 #[derive(Clone, Copy, Debug)]
 struct HeapEntry<T> {
     score: f64,
-    /// Insertion sequence number: the stable tie-break for equal scores.
-    seq: u64,
+    /// The tie-break for equal scores: the lower key ranks first.
+    key: u64,
     payload: T,
 }
 
@@ -37,12 +39,12 @@ impl<T> PartialOrd for HeapEntry<T> {
 impl<T> Ord for HeapEntry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse on the score: BinaryHeap is a max-heap, we want the minimum score at
-        // the root. Equal scores rank the later insertion closer to the root, so ties
-        // evict last-in first and the first k equal-scored offers are retained.
+        // the root. Equal scores rank the higher key closer to the root, so ties evict
+        // the highest key first and the k lowest-keyed equal-scored offers are retained.
         other
             .score
             .total_cmp(&self.score)
-            .then(self.seq.cmp(&other.seq))
+            .then(self.key.cmp(&other.key))
     }
 }
 
@@ -65,27 +67,34 @@ impl<T> TopK<T> {
     }
 
     /// Offers a candidate. Non-finite scores are ignored. A candidate scoring equal to
-    /// the current k-th entry does not displace it (first-offered wins ties).
+    /// the current k-th entry does not displace it (first-offered wins ties): this is
+    /// [`push_keyed`](Self::push_keyed) with the running sequence number as the key.
     pub fn push(&mut self, score: f64, payload: T) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.push_keyed(score, seq, payload);
+    }
+
+    /// Offers a candidate with an explicit tie-break key: of equal scores the lower key
+    /// ranks first. With keys that are unique per offer (a user id, an item id) the
+    /// result is the same whatever order the offers arrive in. Non-finite scores are
+    /// ignored. A collector is fed through this method or through
+    /// [`push`](Self::push), not both — their keys would not be comparable.
+    pub fn push_keyed(&mut self, score: f64, key: u64, payload: T) {
         if self.k == 0 || !score.is_finite() {
             return;
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let entry = HeapEntry {
+            score,
+            key,
+            payload,
+        };
         if self.heap.len() < self.k {
-            self.heap.push(HeapEntry {
-                score,
-                seq,
-                payload,
-            });
-        } else if let Some(min) = self.heap.peek() {
-            if score.total_cmp(&min.score) == Ordering::Greater {
-                self.heap.pop();
-                self.heap.push(HeapEntry {
-                    score,
-                    seq,
-                    payload,
-                });
+            self.heap.push(entry);
+        } else if let Some(mut min) = self.heap.peek_mut() {
+            // `Less` in heap order = further from the root = ranks above the weakest
+            if entry < *min {
+                *min = entry;
             }
         }
     }
@@ -110,14 +119,14 @@ impl<T> TopK<T> {
     }
 
     /// Consumes the collector and returns `(score, payload)` pairs sorted by descending
-    /// score (ties keep their offer order), using the total order on scores — the output
-    /// never depends on the heap's internal layout or on the order equal-scored
-    /// candidates happened to be stored in.
+    /// score (ties in ascending key — offer order under [`push`](Self::push)), using the
+    /// total order on scores — the output never depends on the heap's internal layout or
+    /// on the order equal-scored candidates happened to be stored in.
     pub fn into_sorted_vec(self) -> Vec<(f64, T)> {
         let mut v: Vec<(f64, u64, T)> = self
             .heap
             .into_iter()
-            .map(|e| (e.score, e.seq, e.payload))
+            .map(|e| (e.score, e.key, e.payload))
             .collect();
         v.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         v.into_iter().map(|(score, _, p)| (score, p)).collect()
@@ -223,7 +232,58 @@ mod tests {
         assert_eq!(got[1].1, "c");
     }
 
+    /// Offers drawn from a handful of distinct scores, so ties are the common case; the
+    /// payload is the offer's position, which doubles as its unique key.
+    fn tied_offers(raw: &[u32]) -> Vec<(f64, u64)> {
+        raw.iter()
+            .enumerate()
+            .map(|(pos, &r)| (f64::from(r % 5) - 2.0, pos as u64))
+            .collect()
+    }
+
     proptest! {
+        /// A keyed collector's output is a function of the offered *set*: any permutation
+        /// of the offers returns the same vector.
+        #[test]
+        fn keyed_push_is_independent_of_offer_order(
+            k in 0usize..12,
+            raw in proptest::collection::vec(0u32..1000, 0..60),
+            shuffle_seed in any::<u64>(),
+        ) {
+            let offers = tied_offers(&raw);
+            let collect = |offers: &[(f64, u64)]| {
+                let mut c = TopK::new(k);
+                for &(score, key) in offers {
+                    c.push_keyed(score, key, key);
+                }
+                c.into_sorted_vec()
+            };
+            let mut shuffled = offers.clone();
+            let mut rng = TestRng::from_name(&shuffle_seed.to_string());
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+            }
+            let mut reversed = offers.clone();
+            reversed.reverse();
+            let expect = collect(&offers);
+            prop_assert_eq!(collect(&shuffled), expect.clone());
+            prop_assert_eq!(collect(&reversed), expect);
+        }
+
+        /// `push` is the keyed push with the offer position as key.
+        #[test]
+        fn ascending_keys_reproduce_push(
+            k in 0usize..12,
+            raw in proptest::collection::vec(0u32..1000, 0..60),
+        ) {
+            let offers = tied_offers(&raw);
+            let mut keyed = TopK::new(k);
+            for &(score, key) in &offers {
+                keyed.push_keyed(score, key, key);
+            }
+            prop_assert_eq!(keyed.into_sorted_vec(), top_k(k, offers));
+        }
+
         /// The collector returns exactly the k largest values of the input (as a multiset).
         #[test]
         fn matches_full_sort(k in 0usize..20, values in proptest::collection::vec(-100.0f64..100.0, 0..200)) {

@@ -27,10 +27,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
+use xmap_cf::epoch::EpochBuffer;
 use xmap_cf::knn::{profile_average, ItemNeighbor, Profile};
 use xmap_cf::topk::top_k;
 use xmap_cf::{
     ItemId, ItemKnn, ItemKnnConfig, RatingMatrix, Timestep, UserId, UserKnn, UserKnnConfig,
+    UserKnnScratch,
 };
 use xmap_privacy::PrivacyBudget;
 
@@ -78,8 +80,9 @@ pub trait ProfileRecommender {
     fn predict_for_profile(&self, profile: &Profile, item: ItemId) -> f64;
 
     /// Phase 1: the profile-level state of a top-N request. Nothing for the
-    /// item-based variants.
-    fn plan(&self, _profile: &Profile) -> ServePlan {
+    /// item-based variants; the user-based ones run their neighbour search over the
+    /// dense accumulators of `scratch`.
+    fn plan(&self, _profile: &Profile, _scratch: &mut ProfileScratch) -> ServePlan {
         ServePlan::default()
     }
 
@@ -96,7 +99,8 @@ pub trait ProfileRecommender {
 
     /// Phase 3: `(score, item)` for every item of `items`, in order — exactly
     /// [`predict_for_profile`](Self::predict_for_profile) per item, with the
-    /// profile-level work hoisted into `plan` and the dense profile lookup into
+    /// profile-level work hoisted into `plan` and the dense per-item state (the
+    /// profile lookup of the item-based variants, NX-Map-ub's Equation 2 sums) into
     /// `scratch`.
     fn score(
         &self,
@@ -146,7 +150,7 @@ fn phased_top_n<R: ProfileRecommender + ?Sized>(
     n: usize,
     scratch: &mut ProfileScratch,
 ) -> Vec<(ItemId, f64)> {
-    let plan = rec.plan(profile);
+    let plan = rec.plan(profile, scratch);
     let catalogue = 0..rec.target().n_items() as u32;
     let stream = candidate_stream(profile, rec.candidates(profile, &plan, catalogue));
     let scored = rec.score(profile, &plan, &stream, scratch);
@@ -274,26 +278,28 @@ fn require_k(k: usize) -> crate::Result<()> {
 // Dense profile scratch
 // ---------------------------------------------------------------------------
 
-/// Reusable dense profile lookup, replacing the per-prediction `HashMap` of the
-/// item-based hot path.
+/// The reusable per-thread state of the read path: the dense profile lookup of the
+/// item-based variants (replacing a per-prediction `HashMap`) and the neighbour-search
+/// and scoring accumulators of the user-based ones.
 ///
-/// Entries are keyed by item *index* and invalidated wholesale by bumping an epoch
-/// counter, so loading a profile is `O(|profile|)` regardless of how many profiles the
-/// buffer served before. One scratch is reused across all candidate predictions of a
-/// profile, and — in the batched serving path — across all profiles of a partition.
+/// Every buffer is keyed by a dense index and invalidated wholesale by an epoch bump
+/// ([`EpochBuffer`]), so a use costs `O(what it touches)` regardless of how many
+/// profiles the scratch served before, and re-sized to the recommender's matrix at
+/// every use, so a warmed scratch survives an ingest that adds users or items. One
+/// scratch is reused across all phases of a request, and — in the batched serving
+/// path — across all profiles of a partition.
 #[derive(Debug, Default)]
 pub struct ProfileScratch {
-    /// Epoch marker per item slot; a slot is live iff its marker equals `current`.
-    epoch: Vec<u32>,
-    value: Vec<f64>,
-    time: Vec<Timestep>,
-    current: u32,
+    /// The loaded profile's `(rating, timestep)` per item.
+    ratings: EpochBuffer<(f64, Timestep)>,
     /// The loaded profile's most recent timestep (the temporal "now" of Equation 7).
     now: Timestep,
+    /// The user-based variants' Equation 1 / Equation 2 accumulators.
+    knn: UserKnnScratch,
 }
 
 impl ProfileScratch {
-    /// An empty scratch; buffers grow on first load.
+    /// An empty scratch; buffers take their size on first use.
     pub fn new() -> Self {
         Self::default()
     }
@@ -301,47 +307,28 @@ impl ProfileScratch {
     /// Loads a profile, invalidating whatever was loaded before. Later duplicate items
     /// overwrite earlier ones, matching `HashMap::from_iter` semantics.
     ///
-    /// `n_items` bounds the dense buffers to the recommender's catalogue: profile
+    /// `n_items` bounds the dense buffer to the recommender's catalogue: profile
     /// entries with out-of-catalogue ids are skipped — they can never match a neighbour
     /// (neighbour pools only hold catalogue items), and sizing buffers by a raw,
     /// possibly corrupted id would allocate unboundedly. `now` still considers the full
     /// profile, matching the previous `HashMap` path bit for bit.
     fn load(&mut self, profile: &Profile, n_items: usize) {
-        self.current = self.current.wrapping_add(1);
-        if self.current == 0 {
-            // epoch counter wrapped: clear the markers so stale slots cannot alias
-            self.epoch.iter_mut().for_each(|e| *e = 0);
-            self.current = 1;
-        }
+        self.ratings.begin(n_items);
         self.now = profile
             .iter()
             .map(|&(_, _, t)| t)
             .max()
             .unwrap_or(Timestep(0));
         for &(i, v, t) in profile {
-            let ix = i.index();
-            if ix >= n_items {
-                continue;
+            if let Some((_, slot)) = self.ratings.entry(i.index()) {
+                *slot = (v, t);
             }
-            if ix >= self.epoch.len() {
-                self.epoch.resize(ix + 1, 0);
-                self.value.resize(ix + 1, 0.0);
-                self.time.resize(ix + 1, Timestep(0));
-            }
-            self.epoch[ix] = self.current;
-            self.value[ix] = v;
-            self.time[ix] = t;
         }
     }
 
     /// The loaded profile's rating of `item`, if any.
     fn get(&self, item: ItemId) -> Option<(f64, Timestep)> {
-        let ix = item.index();
-        if ix < self.epoch.len() && self.epoch[ix] == self.current {
-            Some((self.value[ix], self.time[ix]))
-        } else {
-            None
-        }
+        self.ratings.get(item.index())
     }
 }
 
@@ -354,7 +341,8 @@ thread_local! {
         std::cell::RefCell::new(ProfileScratch::new());
 }
 
-/// Runs `f` with the calling thread's reusable [`ProfileScratch`].
+/// Runs `f` with the calling thread's reusable [`ProfileScratch`]. Not re-entrant: the
+/// phases take the scratch as a parameter precisely so nothing under `f` asks again.
 pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut ProfileScratch) -> R) -> R {
     THREAD_SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
@@ -365,8 +353,8 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut ProfileScratch) -> R) -
 /// when a batch completes; this pool keeps the warmed dense buffers alive *across*
 /// batches instead. Serving partitions check a scratch out, fold their profiles
 /// through it ([`ProfileRecommender::recommend_batch_with_scratch`]) and hand it
-/// back. Reuse is bit-invisible: [`ProfileScratch`] invalidates by epoch bump on
-/// every load, so a recycled buffer answers exactly like a fresh one.
+/// back. Reuse is bit-invisible: every buffer of a [`ProfileScratch`] is invalidated
+/// by an epoch bump at each use, so a recycled scratch answers exactly like a fresh one.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     pool: std::sync::Mutex<Vec<ProfileScratch>>,
@@ -779,13 +767,16 @@ impl ProfileRecommender for UserBasedRecommender {
     }
 
     fn predict_for_profile(&self, profile: &Profile, item: ItemId) -> f64 {
-        self.knn().predict_for_profile(profile, item)
+        with_thread_scratch(|scratch| {
+            self.knn()
+                .predict_for_profile(profile, item, &mut scratch.knn)
+        })
     }
 
-    fn plan(&self, profile: &Profile) -> ServePlan {
+    fn plan(&self, profile: &Profile, scratch: &mut ProfileScratch) -> ServePlan {
         ServePlan {
             pool: Vec::new(),
-            neighbors: self.knn().neighbors_of_profile(profile),
+            neighbors: self.knn().neighbors_of_profile(profile, &mut scratch.knn),
             avg: profile_avg(&self.target, profile),
         }
     }
@@ -799,13 +790,10 @@ impl ProfileRecommender for UserBasedRecommender {
         _: &Profile,
         plan: &ServePlan,
         items: &[ItemId],
-        _: &mut ProfileScratch,
+        scratch: &mut ProfileScratch,
     ) -> Vec<(f64, ItemId)> {
-        let knn = self.knn();
-        items
-            .iter()
-            .map(|&i| (knn.predict_with_neighbors(plan.avg, &plan.neighbors, i), i))
-            .collect()
+        self.knn()
+            .score_with_neighbors(plan.avg, &plan.neighbors, items, &mut scratch.knn)
     }
 }
 
@@ -870,13 +858,16 @@ impl PrivateUserBasedRecommender {
         })
     }
 
-    /// The (non-private) candidate neighbour pool of a profile: one full scan of the
-    /// training matrix. It depends only on the profile, so a top-N request computes it
-    /// once (in `plan`) and reuses it across every candidate item.
-    fn neighbor_pool(&self, profile: &Profile) -> Vec<(UserId, f64)> {
-        UserKnn::new(&self.target, self.pool_config)
-            .expect("pool k validated at construction") // lint: panic — reviewed invariant
-            .neighbors_of_profile(profile)
+    fn knn(&self) -> UserKnn<'_> {
+        let knn = UserKnn::new(&self.target, self.pool_config);
+        knn.expect("pool k validated at construction") // lint: panic — reviewed invariant
+    }
+
+    /// The (non-private) candidate neighbour pool of a profile: one neighbour search
+    /// over the training matrix. It depends only on the profile, so a top-N request
+    /// computes it once (in `plan`) and reuses it across every candidate item.
+    fn neighbor_pool(&self, profile: &Profile, scratch: &mut ProfileScratch) -> Vec<(UserId, f64)> {
+        self.knn().neighbors_of_profile(profile, &mut scratch.knn)
     }
 
     /// PNSA selection + PNCF noise over a precomputed pool. The RNG is seeded from
@@ -918,20 +909,8 @@ impl PrivateUserBasedRecommender {
     /// Equation 2 over a privately selected neighbourhood of the given pool.
     fn predict_from_pool(&self, pool: &[(UserId, f64)], profile_avg: f64, item: ItemId) -> f64 {
         let neighbors = self.private_neighbors(pool, 0x9e37_79b9u64 ^ u64::from(item.0));
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for &(b, sim) in &neighbors {
-            if let Some(r) = self.target.rating(b, item) {
-                num += sim * (r - self.target.user_average(b));
-                den += sim.abs();
-            }
-        }
-        let raw = if den < 1e-12 {
-            profile_avg
-        } else {
-            profile_avg + num / den
-        };
-        self.target.scale().clamp(raw)
+        self.knn()
+            .predict_with_neighbors(profile_avg, &neighbors, item)
     }
 }
 
@@ -946,15 +925,12 @@ impl ProfileRecommender for PrivateUserBasedRecommender {
 
     fn predict_for_profile(&self, profile: &Profile, item: ItemId) -> f64 {
         // a single prediction needs the pool exactly once — nothing to reuse here
-        self.predict_from_pool(
-            &self.neighbor_pool(profile),
-            profile_avg(&self.target, profile),
-            item,
-        )
+        let pool = with_thread_scratch(|scratch| self.neighbor_pool(profile, scratch));
+        self.predict_from_pool(&pool, profile_avg(&self.target, profile), item)
     }
 
-    fn plan(&self, profile: &Profile) -> ServePlan {
-        let pool = self.neighbor_pool(profile);
+    fn plan(&self, profile: &Profile, scratch: &mut ProfileScratch) -> ServePlan {
+        let pool = self.neighbor_pool(profile, scratch);
         ServePlan {
             neighbors: self.private_neighbors(&pool, PLAN_SALT),
             pool,
@@ -1004,14 +980,14 @@ fn neighbor_rated_items(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use xmap_cf::knn::profile_from_pairs;
     use xmap_cf::{DomainId, RatingMatrixBuilder};
 
     /// Target-domain matrix with two item clusters (0-2 liked together, 3-5 liked
     /// together by the other half of the users).
-    fn target_matrix() -> RatingMatrix {
+    pub(crate) fn target_matrix() -> RatingMatrix {
         let mut b = RatingMatrixBuilder::new();
         for u in 0..4u32 {
             for i in 0..3u32 {
@@ -1223,7 +1199,8 @@ mod tests {
         profile: &Profile,
         n: usize,
     ) -> Vec<(ItemId, f64)> {
-        let neighbors = rec.private_neighbors(&rec.neighbor_pool(profile), PLAN_SALT);
+        let pool = rec.neighbor_pool(profile, &mut ProfileScratch::new());
+        let neighbors = rec.private_neighbors(&pool, PLAN_SALT);
         let owned: Vec<ItemId> = profile.iter().map(|&(i, _, _)| i).collect();
         let mut candidates: Vec<ItemId> = Vec::new();
         for &(u, _) in &neighbors {
@@ -1269,7 +1246,7 @@ mod tests {
     }
 
     /// One recommender per mode (NX-Map-ib with and without temporal decay).
-    fn all_modes() -> Vec<Box<dyn ProfileRecommender>> {
+    pub(crate) fn all_modes() -> Vec<Box<dyn ProfileRecommender + Send + Sync>> {
         vec![
             Box::new(ItemBasedRecommender::fit(target_matrix(), 5, 0.0).unwrap()),
             Box::new(ItemBasedRecommender::fit(target_matrix(), 5, 0.3).unwrap()),
@@ -1311,7 +1288,7 @@ mod tests {
         let profiles = [cluster_profile(), Vec::new(), foreign];
         for rec in all_modes() {
             for profile in &profiles {
-                let plan = rec.plan(profile);
+                let plan = rec.plan(profile, &mut ProfileScratch::new());
                 let n_items = rec.target().n_items() as u32;
                 let mut stream = rec.candidates(profile, &plan, 0..n_items);
                 stream.sort_unstable();

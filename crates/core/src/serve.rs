@@ -4,7 +4,8 @@
 //! modes, Algorithms 4–5) applied to a *batch* of AlterEgo profiles. [`RecommendStage`]
 //! runs one [`ServeBatch`] through the same partition-and-replay discipline the extender
 //! uses: request positions are hash-partitioned, every partition is one pool task whose
-//! per-profile scratch (dense rating buffers, neighbour pools) is checked out of the
+//! scratch (the dense profile lookup of the item-based modes; the per-user Equation 1
+//! and per-item Equation 2 accumulators of the user-based ones) is checked out of the
 //! model's shared [`ScratchPool`] — so the warmed buffers are reused not just across a
 //! partition's profiles but across *batches* — and one *data-derived* task cost per
 //! partition is recorded in the dataflow ledger so the cluster simulator can replay the
@@ -19,7 +20,8 @@
 //! item)`), so the stage's output is **bit-identical** to calling
 //! [`ProfileRecommender::recommend_for_profile`] once per profile, at any worker count
 //! and regardless of how scratch buffers were warmed by earlier batches
-//! ([`crate::recommend::ProfileScratch`] invalidates by epoch bump on every load).
+//! (every buffer of a [`crate::recommend::ProfileScratch`] is invalidated by an epoch
+//! bump, and re-sized to the matrix, at each use).
 
 use crate::recommend::{ProfileRecommender, ScratchPool};
 use xmap_cf::knn::Profile;
@@ -115,34 +117,10 @@ impl<'p> Stage<ServeBatch<'p>> for RecommendStage<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recommend::tests::{all_modes, target_matrix};
     use crate::recommend::ItemBasedRecommender;
     use xmap_cf::knn::profile_from_pairs;
-    use xmap_cf::{DomainId, RatingMatrix, RatingMatrixBuilder};
     use xmap_engine::Dataflow;
-
-    fn target_matrix() -> RatingMatrix {
-        let mut b = RatingMatrixBuilder::new();
-        for u in 0..4u32 {
-            for i in 0..3u32 {
-                b.push_parts(u, i, 5.0).unwrap();
-            }
-            for i in 3..6u32 {
-                b.push_parts(u, i, 1.0).unwrap();
-            }
-        }
-        for u in 4..8u32 {
-            for i in 0..3u32 {
-                b.push_parts(u, i, 1.0).unwrap();
-            }
-            for i in 3..6u32 {
-                b.push_parts(u, i, 5.0).unwrap();
-            }
-        }
-        for i in 0..6u32 {
-            b.set_item_domain(ItemId(i), DomainId::TARGET);
-        }
-        b.build().unwrap()
-    }
 
     fn profiles() -> Vec<Profile> {
         (0..20u32)
@@ -157,29 +135,52 @@ mod tests {
 
     #[test]
     fn serve_batch_matches_per_profile_reference_at_any_worker_count() {
-        let rec = ItemBasedRecommender::fit(target_matrix(), 5, 0.0).unwrap();
-        let pool = ScratchPool::new();
-        let reference: Vec<Vec<(ItemId, f64)>> = profiles()
-            .iter()
-            .map(|p| rec.recommend_for_profile(p, 3))
+        // Every mode, through scratches a *different* batch warmed first: the
+        // user-based accumulators live in the pooled scratch too, and a slot left
+        // over from another profile would show exactly here.
+        let warm_up: Vec<Profile> = (0..24u32)
+            .map(|s| {
+                profile_from_pairs((0..1 + s % 6).map(|j| {
+                    let rating = 1.0 + f64::from((s + 2 * j) % 5);
+                    (ItemId((s + 5 * j) % 6), rating)
+                }))
+            })
             .collect();
         let requests = profiles();
-        let mut reference_costs = None;
-        for workers in [1usize, 2, 8] {
-            let flow = Dataflow::new(workers, 8);
-            let out = flow.run(
-                &RecommendStage::new(&rec, &pool),
-                ServeBatch::new(&requests, 3),
+        for rec in all_modes() {
+            let rec = rec.as_ref();
+            let pool = ScratchPool::new();
+            Dataflow::new(8, 8).run(
+                &RecommendStage::new(rec, &pool),
+                ServeBatch::new(&warm_up, 5),
             );
-            assert_eq!(out, reference, "{workers} workers changed served output");
-            let costs = flow
-                .stage_costs(RECOMMEND_STAGE_NAME)
-                .expect("serving records task costs");
-            assert_eq!(costs.len(), 8, "one task cost per partition");
-            match &reference_costs {
-                None => reference_costs = Some(costs),
-                Some(expected) => {
-                    assert_eq!(&costs, expected, "{workers} workers changed task costs")
+            assert!(pool.available() > 0, "the warm-up parks its scratches");
+            let reference: Vec<Vec<(ItemId, f64)>> = requests
+                .iter()
+                .map(|p| rec.recommend_for_profile(p, 3))
+                .collect();
+            let mut reference_costs = None;
+            for workers in [1usize, 2, 8] {
+                let flow = Dataflow::new(workers, 8);
+                let out = flow.run(
+                    &RecommendStage::new(rec, &pool),
+                    ServeBatch::new(&requests, 3),
+                );
+                assert_eq!(
+                    out,
+                    reference,
+                    "{}: {workers} workers changed served output",
+                    rec.label()
+                );
+                let costs = flow
+                    .stage_costs(RECOMMEND_STAGE_NAME)
+                    .expect("serving records task costs");
+                assert_eq!(costs.len(), 8, "one task cost per partition");
+                match &reference_costs {
+                    None => reference_costs = Some(costs),
+                    Some(expected) => {
+                        assert_eq!(&costs, expected, "{workers} workers changed task costs")
+                    }
                 }
             }
         }

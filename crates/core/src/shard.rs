@@ -801,7 +801,9 @@ impl ShardedModel {
             ServePlan::default()
         } else {
             let plan = self.on_replica(self.home_shard(profile), |replica| {
-                (replica.serve.plan(profile), 1.0 + profile.len() as f64)
+                let plan =
+                    recommend::with_thread_scratch(|scratch| replica.serve.plan(profile, scratch));
+                (plan, 1.0 + profile.len() as f64)
             })?;
             let cost = 1.0 + plan.n_neighbors() as f64;
             hops.extend((0..self.map.n_shards() as u32).map(|shard| (shard, cost)));

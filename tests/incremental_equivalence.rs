@@ -12,6 +12,7 @@
 //! `SimilarityGraph::apply_updates_serial` vs `build` (xmap-graph property test), and
 //! the delta edge-case tests in `xmap_core::delta`.
 
+use xmap_suite::core::ShardedModel;
 use xmap_suite::prelude::*;
 
 const GATE_WORKERS: [usize; 3] = [1, 2, 8];
@@ -219,6 +220,111 @@ fn sequential_deltas_compose_to_the_same_model_as_one_refit() {
         released_bits(&model, &probe_users, &probe_items),
         released_bits(&refit, &probe_users, &probe_items)
     );
+}
+
+/// A top-N wide enough to return every candidate of the small catalogue.
+const FULL_RANKING: usize = 1_000;
+
+/// What a user-based read path answers for `users`: the full ranking (every candidate,
+/// not a top-5 that could hide a mis-scored tail) and one single-item prediction.
+fn read_bits(
+    users: &[UserId],
+    recommend: impl Fn(UserId) -> Vec<(ItemId, f64)>,
+    predict: impl Fn(UserId) -> f64,
+) -> Vec<(Vec<(ItemId, u64)>, u64)> {
+    users
+        .iter()
+        .map(|&u| {
+            let recs = recommend(u).into_iter().map(|(i, s)| (i, s.to_bits()));
+            (recs.collect(), predict(u).to_bits())
+        })
+        .collect()
+}
+
+/// The user-based modes keep per-user and per-item accumulators in the serving
+/// thread's scratch, sized to the matrix. A read warms them; a delta then adds a user
+/// id and an item id past the old bounds; the next read *on the same thread* must see
+/// both — single-node and routed — exactly as a model freshly fitted on the updated
+/// matrix does. `k` covers every user, so the new user is a neighbour and the new item
+/// a candidate whenever their ratings say so, not only if a tie-break lets them in.
+#[test]
+fn a_warmed_user_based_scratch_follows_a_matrix_that_grows_between_two_reads() {
+    let ds = dataset();
+    let delta = gate_delta(&ds);
+    let updated = ds
+        .matrix
+        .apply_delta(delta.ratings(), delta.item_domains())
+        .unwrap();
+    let new_user = UserId(ds.matrix.n_users() as u32);
+    let new_item = ItemId(ds.matrix.n_items() as u32);
+    let users: Vec<UserId> = ds
+        .overlap_users
+        .iter()
+        .copied()
+        .take(6)
+        .chain(ds.source_only_users.iter().copied().take(2))
+        .chain([new_user])
+        .collect();
+    for mode in [XMapMode::NxMapUserBased, XMapMode::XMapUserBased] {
+        let config = XMapConfig {
+            k: updated.n_users(),
+            ..config(mode, 2)
+        };
+        let fit = |matrix: &RatingMatrix| {
+            XMapModel::fit(matrix, DomainId::SOURCE, DomainId::TARGET, config).unwrap()
+        };
+        // The reference is read on a thread of its own: this thread's scratch must meet
+        // the small matrix first and the grown one second.
+        let expected = std::thread::scope(|scope| {
+            let reference = scope.spawn(|| {
+                let refit = fit(&updated);
+                read_bits(
+                    &users,
+                    |u| refit.recommend(u, FULL_RANKING),
+                    |u| refit.predict(u, new_item),
+                )
+            });
+            reference.join().expect("the reference reads do not panic")
+        });
+        assert!(
+            expected
+                .iter()
+                .any(|(recs, _)| recs.iter().any(|&(i, _)| i == new_item)),
+            "{mode:?}: the gate needs the new item among the candidates"
+        );
+
+        let single = fit(&ds.matrix);
+        let read_single = || {
+            read_bits(
+                &users,
+                |u| single.recommend(u, FULL_RANKING),
+                |u| single.predict(u, new_item),
+            )
+        };
+        let before = read_single();
+        single.apply_delta(&delta).unwrap();
+        assert_ne!(
+            before, expected,
+            "{mode:?}: the delta must move the answers"
+        );
+        assert_eq!(read_single(), expected, "{mode:?}: single-node read");
+
+        let mut sharded = ShardedModel::from_model(fit(&ds.matrix), 4).unwrap();
+        let read_routed = |sharded: &ShardedModel| {
+            read_bits(
+                &users,
+                |u| sharded.recommend(u, FULL_RANKING).unwrap(),
+                |u| sharded.predict(u, new_item).unwrap(),
+            )
+        };
+        assert_eq!(
+            read_routed(&sharded),
+            before,
+            "{mode:?}: routed warm-up read"
+        );
+        sharded.ingest(&delta).unwrap();
+        assert_eq!(read_routed(&sharded), expected, "{mode:?}: routed read");
+    }
 }
 
 /// The data-derived cost contract of the delta path, on a deliberately **sparse**
