@@ -54,15 +54,14 @@
 //! neighbourhood rather than the trace (`tests/incremental_equivalence.rs`).
 
 use crate::generator::AlterEgoGenerator;
-use crate::pipeline::{FittedRecommender, ModelEpoch, XMapModel};
+use crate::pipeline::{fit_item_pools, score_pairs, FittedRecommender, ModelEpoch, XMapModel};
 use crate::recommend;
 use crate::{Result, XMapError};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-use xmap_cf::knn::{CandidateScratch, ItemKnn, ItemNeighbor, Profile};
+use xmap_cf::knn::Profile;
 use xmap_cf::mrv::{self, MrvCell, MrvShard};
-use xmap_cf::similarity::item_similarity_stats;
-use xmap_cf::{DomainId, ItemId, Rating, RatingMatrix, SimilarityStats, Timestep, UserId};
+use xmap_cf::{DomainId, ItemId, Rating, RatingMatrix, Timestep, UserId};
 use xmap_engine::{
     ConcurrentIngest, ConcurrentRead, ConcurrentReport, ConcurrentStage, Stage, StageContext,
 };
@@ -380,25 +379,7 @@ impl Stage<()> for DeltaStage<'_> {
         let rebuilt_graph: Option<(SimilarityGraph, BridgeIndex, LayerPartition)> = if share_graph {
             None
         } else {
-            let graph_config = base.graph.config();
-            let positions: Vec<usize> = (0..keys.len()).collect();
-            let fresh: Vec<SimilarityStats> = cx.map_items_ordered(positions, |_ix, part| {
-                let outs: Vec<SimilarityStats> = part
-                    .iter()
-                    .map(|&(_, key_ix)| {
-                        let (lo, hi) = SimilarityGraph::pair_of_key(keys[key_ix]);
-                        item_similarity_stats(updated, lo, hi, graph_config.metric)
-                    })
-                    .collect();
-                let cost: f64 = part
-                    .iter()
-                    .map(|&(_, key_ix)| {
-                        let (lo, hi) = SimilarityGraph::pair_of_key(keys[key_ix]);
-                        1.0 + (updated.item_degree(lo) + updated.item_degree(hi)) as f64
-                    })
-                    .sum();
-                (outs, cost)
-            });
+            let fresh = score_pairs(updated, base.graph.config().metric, &keys, cx);
             let graph = base.graph.apply_updates(updated, &keys, fresh);
             // Bridges and layers: cheap linear recomputes over the new arena; the old
             // partition is retained on the epoch, so rank changes are a comparison,
@@ -494,32 +475,7 @@ impl Stage<()> for DeltaStage<'_> {
             let pools = recommend::item_pool_config(&config).map(|knn_config| {
                 let pool_items = affected_pool_items(&target_matrix, &affected_users);
                 report.n_pool_refits = pool_items.len();
-                let fresh_pools: Vec<(ItemId, Vec<ItemNeighbor>)> =
-                    cx.map_items_ordered(pool_items, |_ix, part| {
-                        // One epoch-marked seen buffer per partition, reused across
-                        // its items — the same dedup-during-collection discipline as
-                        // `ItemKnn::candidate_sets`.
-                        let mut scratch = CandidateScratch::new();
-                        let mut outs = Vec::with_capacity(part.len());
-                        let mut cost = 0.0f64;
-                        for &(_, item) in part {
-                            let cands = scratch.candidate_set(&target_matrix, item);
-                            let deg_i = target_matrix.item_degree(item) as f64;
-                            cost += 1.0
-                                + cands
-                                    .iter()
-                                    .map(|&j| deg_i + target_matrix.item_degree(j) as f64)
-                                    .sum::<f64>();
-                            let pool = ItemKnn::neighbors_from_candidates(
-                                &target_matrix,
-                                item,
-                                &cands,
-                                &knn_config,
-                            );
-                            outs.push((item, pool));
-                        }
-                        (outs, cost)
-                    });
+                let fresh_pools = fit_item_pools(&target_matrix, &knn_config, pool_items, cx);
                 let mut pools = base
                     .item_pools
                     .as_ref()
@@ -530,9 +486,10 @@ impl Stage<()> for DeltaStage<'_> {
                 for (item, pool) in fresh_pools {
                     pools[item.index()] = pool;
                 }
-                pools
+                Arc::new(pools)
             });
-            let recommender = recommend::build(&config, target_matrix, pools.clone())?;
+            let recommender =
+                recommend::build(&config, target_matrix, pools.as_ref().map(Arc::clone))?;
             (Some((recommender, pools)), Some(n_target_ratings))
         };
 
@@ -636,7 +593,7 @@ impl XMapModel {
             None => (Arc::clone(&base.graph), Arc::clone(&base.partition)),
         };
         let (recommender, item_pools) = match rebuilt_recommender {
-            Some((rec, pools)) => (rec, pools.map(Arc::new)),
+            Some(fitted) => fitted,
             None => (Arc::clone(&base.recommender), base.item_pools.clone()),
         };
         let next = ModelEpoch {
@@ -1167,6 +1124,50 @@ mod tests {
             .collect();
         assert_eq!(mechanisms, vec!["PRS", "PNSA", "PNCF"]);
         assert!((budget.spent() - cfg.privacy.total()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_epoch_and_its_recommender_hold_one_pool_table() {
+        // The recommender sits behind `dyn`, so its `Arc` is counted rather than
+        // compared: the epoch's table has exactly two owners — the epoch and the
+        // recommender built over it (`recommend::tests` holds the constructor to
+        // `Arc::ptr_eq`). A copy on the way into `recommend::build` would leave one.
+        fn assert_shared(model: &XMapModel, when: &str) {
+            let (_, epoch) = model.snapshot();
+            let pools = epoch
+                .item_pools
+                .as_ref()
+                .expect("item-based modes keep pools");
+            assert_eq!(
+                Arc::strong_count(pools),
+                2,
+                "{when}: the pool table was copied"
+            );
+        }
+        let ds = dataset();
+        for mode in [XMapMode::NxMapItemBased, XMapMode::XMapItemBased] {
+            let model =
+                XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, config(mode))
+                    .unwrap();
+            assert_shared(&model, "after fit");
+            let mut delta = RatingDelta::new();
+            delta.push_timed(ds.overlap_users[0].0, ds.target_items()[0].0, 5.0, 77);
+            let report = model.apply_delta(&delta).unwrap();
+            assert!(
+                report.n_pool_refits > 0,
+                "the delta must touch the target domain"
+            );
+            assert_shared(&model, "after apply_delta");
+            let dir = std::env::temp_dir().join(format!(
+                "xmap_pool_sharing_{}_{}",
+                std::process::id(),
+                mode.label()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            model.persist(&dir).unwrap();
+            assert_shared(&XMapModel::open(&dir).unwrap(), "after persist → open");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

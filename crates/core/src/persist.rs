@@ -21,9 +21,10 @@
 //! What is persisted vs recomputed: the snapshot carries every artifact whose
 //! reconstruction is either expensive or non-derivable — the aggregated matrix, the
 //! similarity graph (including its scored-pair delta cache), the X-Sim table, the
-//! replacement table, the raw item-kNN pools and the privacy ledger. The bridge
-//! index, layer partition and the recommender wrapper are cheap deterministic
-//! functions of those and are recomputed on load, exactly as the fit computes them.
+//! replacement table, the fitted item-kNN pools and the privacy ledger. The bridge
+//! index, layer partition and the recommender (X-Map-ib's seeded release included)
+//! are cheap deterministic functions of those and are recomputed on load, exactly as
+//! the fit computes them.
 
 use crate::delta::RatingDelta;
 use crate::pipeline::{ModelEpoch, PipelineStats, XMapModel};
@@ -191,12 +192,12 @@ fn model_from_state(state: ModelState) -> Result<XMapModel> {
     } else {
         None
     };
-    // Re-wrapping the persisted artifacts releases nothing new: the persisted ledger
-    // already recorded their ε′, so no budget is touched here.
+    // Rebuilding over the persisted artifacts releases nothing new: the persisted
+    // ledger already recorded their ε′, so no budget is touched here.
     let recommender = recommend::build(
         &config,
         Arc::new(target_matrix),
-        item_pools.as_deref().cloned(),
+        item_pools.as_ref().map(Arc::clone),
     )?;
 
     // The fit-shape stats are recomputed from the persisted artifacts; the wall-clock

@@ -34,9 +34,12 @@ use crate::serve::{RecommendStage, ServeBatch, RECOMMEND_STAGE_NAME};
 use crate::xsim::XSimTable;
 use crate::{Result, XMapError};
 use std::sync::{Arc, Mutex};
-use xmap_cf::knn::{ItemNeighbor, Profile};
+use xmap_cf::knn::{CandidateScratch, ItemNeighbor, Profile};
 use xmap_cf::similarity::item_similarity_stats;
-use xmap_cf::{DomainId, ItemId, ItemKnn, ItemKnnConfig, RatingMatrix, SimilarityStats, UserId};
+use xmap_cf::{
+    DomainId, ItemId, ItemKnn, ItemKnnConfig, RatingMatrix, SimilarityMetric, SimilarityStats,
+    UserId,
+};
 use xmap_engine::sync::{AtomicU64, Ordering};
 use xmap_engine::{Dataflow, EpochHandle, Stage, StageContext, StageReport};
 use xmap_eval::EVAL_STAGE_NAME;
@@ -104,12 +107,10 @@ pub struct ModelEpoch {
     pub(crate) replacements: Arc<ReplacementTable>,
     pub(crate) xsim: Arc<XSimTable>,
     pub(crate) recommender: SharedRecommender,
-    /// The raw item-kNN pools of the item-based modes (pre privacy annotation), kept so
-    /// a delta fit can re-score only the affected items' pools. `None` for the
-    /// user-based modes, which precompute nothing at fit time. This deliberately
-    /// duplicates the recommender's internal copy (the private mode transforms its
-    /// pools into annotated candidates and cannot hand the raw ones back): one
-    /// `O(n_items · k)` buffer, small next to the graph's scored-pair cache.
+    /// The fitted item-kNN pools of the item-based modes, kept so a delta fit can
+    /// re-score only the affected items' pools — the same allocation `recommender`
+    /// reads, not a second copy. `None` for the user-based modes, which precompute
+    /// nothing at fit time.
     pub(crate) item_pools: Option<Arc<Vec<Vec<ItemNeighbor>>>>,
     /// The privacy accountant of this epoch (private modes only): PRS plus PNSA/PNCF.
     pub(crate) budget: Option<Arc<PrivacyBudget>>,
@@ -517,7 +518,7 @@ impl EvalTarget for XMapModel {
 ///
 /// The canonical co-rated pair keys ([`SimilarityGraph::co_rated_pair_keys`]) are
 /// hash-partitioned by input position; every partition scores its pairs
-/// (`item_similarity_stats`) as one pool task, and the per-key statistics come back in
+/// (`score_pairs`) as one pool task, and the per-key statistics come back in
 /// key order, so the CSR arena assembled by [`SimilarityGraph::from_scored_pairs`] is
 /// **bit-identical** to [`SimilarityGraph::build_serial`] at any worker count. One
 /// data-derived cost per partition — `Σ (1 + deg(lo) + deg(hi))`, the profile-merge
@@ -546,29 +547,41 @@ impl Stage<()> for BaselinerStage<'_> {
 
     fn run(&self, _input: (), cx: &mut StageContext<'_>) -> SimilarityGraph {
         let keys = SimilarityGraph::co_rated_pair_keys(self.matrix);
-        // Map over key *positions* (partitioned identically to the keys themselves,
-        // since both hash the input position) so the key vector — the largest transient
-        // buffer of the fit — is borrowed, not duplicated.
-        let positions: Vec<usize> = (0..keys.len()).collect();
-        let stats: Vec<SimilarityStats> = cx.map_items_ordered(positions, |_ix, part| {
-            let outs: Vec<SimilarityStats> = part
-                .iter()
-                .map(|&(_, key_ix)| {
-                    let (lo, hi) = SimilarityGraph::pair_of_key(keys[key_ix]);
-                    item_similarity_stats(self.matrix, lo, hi, self.graph_config.metric)
-                })
-                .collect();
-            let cost: f64 = part
-                .iter()
-                .map(|&(_, key_ix)| {
-                    let (lo, hi) = SimilarityGraph::pair_of_key(keys[key_ix]);
-                    1.0 + (self.matrix.item_degree(lo) + self.matrix.item_degree(hi)) as f64
-                })
-                .sum();
-            (outs, cost)
-        });
+        let stats = score_pairs(self.matrix, self.graph_config.metric, &keys, cx);
         SimilarityGraph::from_scored_pairs(self.matrix, self.graph_config, &keys, stats)
     }
+}
+
+/// The partition-parallel pair scoring the baseliner and the delta stage share: the
+/// statistics of every pair of `keys`, in key order, with the profile-merge work
+/// `Σ (1 + deg(lo) + deg(hi))` as the partition cost.
+pub(crate) fn score_pairs(
+    matrix: &RatingMatrix,
+    metric: SimilarityMetric,
+    keys: &[u64],
+    cx: &mut StageContext<'_>,
+) -> Vec<SimilarityStats> {
+    // Map over key *positions* (partitioned identically to the keys themselves,
+    // since both hash the input position) so the key vector — the largest transient
+    // buffer of the fit — is borrowed, not duplicated.
+    let positions: Vec<usize> = (0..keys.len()).collect();
+    cx.map_items_ordered(positions, |_ix, part| {
+        let outs: Vec<SimilarityStats> = part
+            .iter()
+            .map(|&(_, key_ix)| {
+                let (lo, hi) = SimilarityGraph::pair_of_key(keys[key_ix]);
+                item_similarity_stats(matrix, lo, hi, metric)
+            })
+            .collect();
+        let cost: f64 = part
+            .iter()
+            .map(|&(_, key_ix)| {
+                let (lo, hi) = SimilarityGraph::pair_of_key(keys[key_ix]);
+                1.0 + (matrix.item_degree(lo) + matrix.item_degree(hi)) as f64
+            })
+            .sum();
+        (outs, cost)
+    })
 }
 
 /// Stage 2 — extender: bridge detection, layer partition and the partition-batched
@@ -627,59 +640,50 @@ impl<'x> Stage<&'x XSimTable> for GeneratorStage {
 /// partition-parallel for the item-based modes. The private modes debit ε′
 /// (PNSA + PNCF) from the pipeline's privacy budget here, before any pool work.
 ///
-/// The item-based kNN fit — the expensive half — is partitioned by item: candidate
-/// sets ([`ItemKnn::candidate_sets`]) are hash-partitioned by item id (their input
-/// position), every partition scores its items' candidates and selects their top-k
-/// as one pool task, and the pools come back in item order before [`recommend::build`]
-/// wraps them — bit-identical to the serial `ItemKnn::fit` at any worker count.
-/// Per-partition costs (`Σ over items (1 + Σ over candidates (deg(i) + deg(j)))`,
-/// the profile-merge work of the similarity scoring) land in the `recommender`
-/// ledger. The user-based modes precompute nothing at fit time, so they record no
-/// recommender task bag.
+/// The item-based kNN fit — the expensive half — is partitioned by item id
+/// ([`fit_item_pools`] over the whole catalogue): every partition collects its items'
+/// candidate sets, scores them and selects their top-k as one pool task, and the pools
+/// come back in item order before [`recommend::build`] takes them — bit-identical to
+/// the serial `ItemKnn::fit` at any worker count. Per-partition costs (`Σ over items
+/// (1 + Σ over candidates (deg(i) + deg(j)))`, the profile-merge work of the
+/// similarity scoring) land in the `recommender` ledger. The user-based modes
+/// precompute nothing at fit time, so they record no recommender task bag.
 struct RecommenderStage<'b> {
     config: XMapConfig,
     budget: Option<&'b Mutex<PrivacyBudget>>,
 }
 
-/// The partition-parallel item-kNN pool fit shared by the item-based modes: one
-/// ordered map over the per-item candidate sets, recording the similarity-scoring
-/// work as the partition cost.
-fn fit_item_pools(
+/// The partition-parallel item-kNN pool fit the recommender stage (every item) and the
+/// delta stage (the affected items) share: one ordered map over `items`, each
+/// partition collecting its items' candidate sets through one reused seen buffer
+/// (row by row what `ItemKnn::candidate_sets` builds) and recording the
+/// similarity-scoring work as its cost.
+pub(crate) fn fit_item_pools(
     matrix: &RatingMatrix,
     knn_config: &ItemKnnConfig,
+    items: Vec<ItemId>,
     cx: &mut StageContext<'_>,
-) -> Vec<Vec<ItemNeighbor>> {
-    let sets = ItemKnn::candidate_sets(matrix);
-    cx.map_items_ordered(sets, |_ix, part| {
-        let outs: Vec<Vec<ItemNeighbor>> = part
-            .iter()
-            .map(|&(item_ix, ref cands)| {
-                ItemKnn::neighbors_from_candidates(
-                    matrix,
-                    ItemId(item_ix as u32),
-                    cands,
-                    knn_config,
-                )
-            })
-            .collect();
-        let cost: f64 = part
-            .iter()
-            .map(|&(item_ix, ref cands)| {
-                let deg_i = matrix.item_degree(ItemId(item_ix as u32)) as f64;
-                1.0 + cands
-                    .iter()
-                    .map(|&j| deg_i + matrix.item_degree(j) as f64)
-                    .sum::<f64>()
-            })
-            .sum();
+) -> Vec<(ItemId, Vec<ItemNeighbor>)> {
+    cx.map_items_ordered(items, |_ix, part| {
+        let mut scratch = CandidateScratch::new();
+        let mut outs = Vec::with_capacity(part.len());
+        let mut cost = 0.0f64;
+        for &(_, item) in part {
+            let cands = scratch.candidate_set(matrix, item);
+            let deg_i = matrix.item_degree(item) as f64;
+            let merges = cands.iter().map(|&j| deg_i + matrix.item_degree(j) as f64);
+            cost += 1.0 + merges.sum::<f64>();
+            let pool = ItemKnn::neighbors_from_candidates(matrix, item, &cands, knn_config);
+            outs.push((item, pool));
+        }
         (outs, cost)
     })
 }
 
 /// What the recommender stage (and the delta stage's refit) hands back: the
-/// recommender plus, for the item-based modes, the raw kNN pools (pre privacy
-/// annotation) the model retains for delta fits.
-pub(crate) type FittedRecommender = (SharedRecommender, Option<Vec<Vec<ItemNeighbor>>>);
+/// recommender plus, for the item-based modes, the fitted kNN pools it reads — the
+/// one allocation the epoch retains for delta fits, slice cuts and snapshots.
+pub(crate) type FittedRecommender = (SharedRecommender, Option<Arc<Vec<Vec<ItemNeighbor>>>>);
 
 impl Stage<Arc<RatingMatrix>> for RecommenderStage<'_> {
     type Out = Result<FittedRecommender>;
@@ -697,9 +701,12 @@ impl Stage<Arc<RatingMatrix>> for RecommenderStage<'_> {
         // Debit before the pool fit: an exhausted budget fails the stage without
         // paying for the kNN fit.
         recommend::debit_stage_budget(config, self.budget)?;
-        let pools = recommend::item_pool_config(config)
-            .map(|knn_config| fit_item_pools(&target_matrix, &knn_config, cx));
-        let recommender = recommend::build(config, target_matrix, pools.clone())?;
+        let pools = recommend::item_pool_config(config).map(|knn_config| {
+            let items = (0..target_matrix.n_items() as u32).map(ItemId).collect();
+            let fitted = fit_item_pools(&target_matrix, &knn_config, items, cx);
+            Arc::new(fitted.into_iter().map(|(_, pool)| pool).collect())
+        });
+        let recommender = recommend::build(config, target_matrix, pools.as_ref().map(Arc::clone))?;
         Ok((recommender, pools))
     }
 }
@@ -813,7 +820,7 @@ impl XMapModel {
             replacements: Arc::new(replacements),
             xsim: Arc::new(xsim),
             recommender,
-            item_pools: item_pools.map(Arc::new),
+            item_pools,
             budget: budget.map(|m| {
                 Arc::new(
                     m.into_inner()

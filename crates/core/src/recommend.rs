@@ -1,18 +1,18 @@
 //! The target-domain recommender consuming AlterEgo profiles (§4.4), in its four
-//! variants.
+//! variants over three types.
 //!
 //! * [`ItemBasedRecommender`] — NX-Map-ib: item-based CF (Equation 4) over the
-//!   target-domain training data, with optional temporal weighting (Equation 7).
+//!   target-domain training data, with optional temporal weighting (Equation 7) — and
+//!   X-Map-ib: the same loop over neighbour lists that PNSA selected and PNCF noised
+//!   (Algorithms 4–5) once, when the recommender was built.
 //! * [`UserBasedRecommender`] — NX-Map-ub: user-based CF (Equations 1–2) where the
 //!   AlterEgo plays the role of Alice's profile.
-//! * [`PrivateItemBasedRecommender`] — X-Map-ib: the item-based variant with PNSA
-//!   neighbour selection and PNCF Laplace noise (Algorithms 4–5).
 //! * [`PrivateUserBasedRecommender`] — X-Map-ub: the user-based variant with the same
 //!   mechanisms adapted to user–user similarities (global sensitivity 2, see DESIGN.md).
 //!
 //! This module is the only code that knows a mode. `build` is the one place a
 //! [`XMapMode`] picks a concrete type — the fit, the delta fit, a reopened snapshot and
-//! every shard replica construct their recommender through it — and every variant
+//! every shard construct their recommender through it — and every variant
 //! answers a top-N request through the same three phases of [`ProfileRecommender`]:
 //! `plan` (profile-level state), `candidates` (what the rows of an item range add to
 //! the candidate stream) and `score`. A single-node read runs the phases over the
@@ -171,37 +171,26 @@ pub(crate) fn candidate_stream(profile: &Profile, mut gathered: Vec<ItemId>) -> 
 /// Builds the recommender of `config.mode` over the target-domain training matrix —
 /// the single place a mode names a concrete recommender type. `pools` are the fitted
 /// item-kNN pools of the item-based modes (`pools[i]` = item `i`'s row, at the width
-/// of [`item_pool_config`]; absent rows read as isolated items) and ignored by the
-/// user-based modes, which precompute nothing.
+/// of [`item_pool_config`]; absent rows read as isolated items), held as the very
+/// allocation the caller keeps, and ignored by the user-based modes, which precompute
+/// nothing.
 ///
-/// Building releases nothing and therefore never touches a [`PrivacyBudget`]: whoever
-/// *releases* the recommender (a fit, a delta fit) debits ε′ through
-/// [`debit_stage_budget`] first; a reopened snapshot or a shard replica
-/// re-wraps artifacts whose release the persisted / coordinator ledger already
-/// recorded.
+/// Building never touches a [`PrivacyBudget`]: whoever *releases* the recommender (a
+/// fit, a delta fit) debits ε′ through [`debit_stage_budget`] first; a reopened
+/// snapshot or a shard re-derives, from the same seed, a release the persisted /
+/// coordinator ledger already recorded.
 pub(crate) fn build(
     config: &XMapConfig,
     target: Arc<RatingMatrix>,
-    pools: Option<Vec<Vec<ItemNeighbor>>>,
+    pools: Option<Arc<Vec<Vec<ItemNeighbor>>>>,
 ) -> crate::Result<SharedRecommender> {
+    config.validate().map_err(crate::XMapError::InvalidConfig)?;
     let privacy = &config.privacy;
     Ok(match config.mode {
-        XMapMode::NxMapItemBased => Arc::new(ItemBasedRecommender::from_pools(
-            target,
-            config.k,
-            config.temporal_alpha,
-            pools.unwrap_or_default(),
-        )?),
+        XMapMode::NxMapItemBased | XMapMode::XMapItemBased => Arc::new(
+            ItemBasedRecommender::from_pools(target, config, pools.unwrap_or_default()),
+        ),
         XMapMode::NxMapUserBased => Arc::new(UserBasedRecommender::fit(target, config.k)?),
-        XMapMode::XMapItemBased => Arc::new(PrivateItemBasedRecommender::from_pools(
-            target,
-            config.k,
-            privacy.epsilon_prime,
-            privacy.rho,
-            config.temporal_alpha,
-            config.seed,
-            pools.unwrap_or_default(),
-        )?),
         XMapMode::XMapUserBased => Arc::new(PrivateUserBasedRecommender::new(
             target,
             config.k,
@@ -233,22 +222,12 @@ fn private_pool_width(k: usize) -> usize {
     (k + k / 4).max(4)
 }
 
-/// The recommendation-phase budget debit: ε′/2 for PNSA and ε′/2 for PNCF (sequential
-/// composition, §4.4), atomically — an exhausted `budget` fails instead of silently
-/// releasing noised answers that no accountant vouches for. The single place the split
-/// and the ledger labels live: both private `fit`s debit through here, and so — via
-/// [`debit_stage_budget`] — do the fit stage and the delta stage, before any pool work.
-fn debit_recommendation_budget(
-    epsilon_prime: f64,
-    budget: &mut PrivacyBudget,
-) -> crate::Result<()> {
-    let half = epsilon_prime / 2.0;
-    budget.spend_all(&[("PNSA", half), ("PNCF", half)])?;
-    Ok(())
-}
-
 /// The ε′ debit of a stage about to release `config.mode`'s recommender, on the
-/// stage's accountant: nothing for the non-private modes.
+/// stage's accountant: nothing for the non-private modes, ε′/2 for PNSA and ε′/2 for
+/// PNCF (sequential composition, §4.4) for the private ones, atomically — an exhausted
+/// budget fails instead of silently releasing noised answers that no accountant
+/// vouches for. The single place the split and the ledger labels live: the fit stage
+/// and both branches of the delta stage debit through here, before any pool work.
 pub(crate) fn debit_stage_budget(
     config: &XMapConfig,
     budget: Option<&Mutex<PrivacyBudget>>,
@@ -256,13 +235,13 @@ pub(crate) fn debit_stage_budget(
     if !config.mode.is_private() {
         return Ok(());
     }
-    debit_recommendation_budget(
-        config.privacy.epsilon_prime,
-        &mut budget
-            .expect("private modes carry a privacy budget") // lint: panic — reviewed invariant
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner),
-    )
+    let half = config.privacy.epsilon_prime / 2.0;
+    budget
+        .expect("private modes carry a privacy budget") // lint: panic — reviewed invariant
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .spend_all(&[("PNSA", half), ("PNCF", half)])?;
+    Ok(())
 }
 
 fn require_k(k: usize) -> crate::Result<()> {
@@ -396,17 +375,23 @@ impl ScratchPool {
 // Item-based (NX-Map-ib, X-Map-ib)
 // ---------------------------------------------------------------------------
 
-/// Item-based CF over the target domain, owned (no borrows into the training matrix).
+/// Item-based CF over the target domain in both modes, owned (no borrows into the
+/// training matrix): one scoring loop over one of two per-item tables.
 pub struct ItemBasedRecommender {
     target: Arc<RatingMatrix>,
-    /// Top-k similar target items per item, indexed by item id — the fitted `ItemKnn`
-    /// pools, handed over without copying.
-    neighbors: Vec<Vec<ItemNeighbor>>,
+    /// The fitted `ItemKnn` pools, indexed by item id — the allocation the epoch (or a
+    /// shard's padded slice rows) owns, never a copy. `candidates` reads them in both
+    /// modes; NX-Map-ib also scores from them.
+    pools: Arc<Vec<Vec<ItemNeighbor>>>,
+    /// X-Map-ib only: the released neighbour list of every item, which `score` reads in
+    /// place of `pools`.
+    released: Option<Vec<Vec<ItemNeighbor>>>,
     temporal_alpha: f64,
 }
 
 impl ItemBasedRecommender {
-    /// Fits the recommender on the target-domain training matrix.
+    /// Fits NX-Map-ib on the target-domain training matrix with the serial
+    /// [`ItemKnn::fit`] — the reference the partition-parallel pool fit is held to.
     pub fn fit(
         target: impl Into<Arc<RatingMatrix>>,
         k: usize,
@@ -414,47 +399,58 @@ impl ItemBasedRecommender {
     ) -> crate::Result<Self> {
         let target = target.into();
         let pools = ItemKnn::fit(&target, item_knn_config(k, temporal_alpha))?.into_neighbors();
-        Self::from_pools(target, k, temporal_alpha, pools)
-    }
-
-    /// Builds the recommender from externally fitted neighbour pools — pools the
-    /// engine-parallel recommender stage computed partition-parallel via
-    /// [`ItemKnn::candidate_sets`] + [`ItemKnn::neighbors_from_candidates`]. Equivalent
-    /// to [`ItemBasedRecommender::fit`] when the pools are `ItemKnn::fit`'s (which the
-    /// parallel build guarantees bit for bit).
-    ///
-    /// [`ItemKnn::candidate_sets`]: xmap_cf::ItemKnn::candidate_sets
-    /// [`ItemKnn::neighbors_from_candidates`]: xmap_cf::ItemKnn::neighbors_from_candidates
-    pub fn from_pools(
-        target: impl Into<Arc<RatingMatrix>>,
-        k: usize,
-        temporal_alpha: f64,
-        pools: Vec<Vec<ItemNeighbor>>,
-    ) -> crate::Result<Self> {
-        let target = target.into();
-        // `ItemKnn::from_pools` validates the (k, α) configuration and hands the pools
-        // back untouched.
-        let neighbors = ItemKnn::from_pools(&target, item_knn_config(k, temporal_alpha), pools)?
-            .into_neighbors();
         Ok(ItemBasedRecommender {
             target,
-            neighbors,
+            pools: Arc::new(pools),
+            released: None,
             temporal_alpha,
         })
     }
 
-    /// The precomputed neighbours of an item.
-    pub fn neighbors(&self, item: ItemId) -> &[ItemNeighbor] {
-        self.neighbors
-            .get(item.index())
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+    /// The recommender of an item-based `config.mode` over externally fitted pools of
+    /// width [`item_pool_config`]. For X-Map-ib this draws the release, once: per item,
+    /// [`released_neighbors`] of its pool. Every build redraws every item — `n_items`
+    /// enters PNSA's truncation width, so a delta that declares one item changes every
+    /// list. Crate-private because it debits nothing itself: only [`build`] (whose
+    /// callers debit first, or re-derive a recorded release) reaches it.
+    pub(crate) fn from_pools(
+        target: Arc<RatingMatrix>,
+        config: &XMapConfig,
+        pools: Arc<Vec<Vec<ItemNeighbor>>>,
+    ) -> Self {
+        let released = config.mode.is_private().then(|| {
+            (0u32..)
+                .zip(pools.iter())
+                .map(|(i, pool)| released_neighbors(&target, config, ItemId(i), pool))
+                .collect()
+        });
+        ItemBasedRecommender {
+            target,
+            pools,
+            released,
+            temporal_alpha: config.temporal_alpha,
+        }
     }
 
-    fn predict_loaded(&self, scratch: &ProfileScratch, item: ItemId) -> f64 {
+    /// The fitted pool of an item (before private selection, in X-Map-ib).
+    pub fn neighbors(&self, item: ItemId) -> &[ItemNeighbor] {
+        row(&self.pools, item)
+    }
+
+    /// The table predictions read: the release for X-Map-ib, the pools for NX-Map-ib.
+    fn scored(&self) -> &[Vec<ItemNeighbor>] {
+        self.released.as_deref().unwrap_or(&self.pools)
+    }
+
+    fn predict_loaded(
+        &self,
+        table: &[Vec<ItemNeighbor>],
+        scratch: &ProfileScratch,
+        item: ItemId,
+    ) -> f64 {
         predict_item_based(
             &self.target,
-            self.neighbors(item),
+            row(table, item),
             scratch,
             item,
             self.temporal_alpha,
@@ -462,9 +458,62 @@ impl ItemBasedRecommender {
     }
 }
 
+/// Row `item` of a per-item table; an id past its end reads as an isolated item.
+fn row(table: &[Vec<ItemNeighbor>], item: ItemId) -> &[ItemNeighbor] {
+    table.get(item.index()).map_or(&[], Vec::as_slice)
+}
+
+/// X-Map-ib's release of one item (Algorithms 4–5): PNSA selects `k` of the pool's
+/// candidates, each annotated with its similarity-based sensitivity, and PNCF noises
+/// every kept similarity, in selection order. The stream is seeded by `(seed, item)`
+/// and reads only that item's pool, so rebuilding over the same pools and matrix —
+/// a reopened snapshot, a shard — re-derives the same list: privacy-free
+/// post-processing of a release the ledger recorded once.
+fn released_neighbors(
+    target: &RatingMatrix,
+    config: &XMapConfig,
+    item: ItemId,
+    pool: &[ItemNeighbor],
+) -> Vec<ItemNeighbor> {
+    let epsilon_prime = config.privacy.epsilon_prime;
+    let candidates: Vec<ScoredCandidate> = pool
+        .iter()
+        .map(|n| ScoredCandidate {
+            item: n.item,
+            similarity: n.similarity,
+            sensitivity: pair_sensitivity(target, item, n.item),
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(
+        config.seed ^ (0x5851_f42d_4c95_7f2du64.wrapping_mul(u64::from(item.0) + 1)),
+    );
+    let selected = private_neighbor_selection(
+        &mut rng,
+        &candidates,
+        config.k,
+        epsilon_prime,
+        config.privacy.rho,
+        target.n_items().max(config.k + 1),
+    );
+    selected
+        .iter()
+        .map(|c| ItemNeighbor {
+            item: c.item,
+            // Clamping the noisy similarity back into the metric's public range is
+            // post-processing and therefore privacy-free; it bounds the damage of
+            // large Laplace draws on sparsely supported pairs.
+            similarity: pncf_noisy_similarity(&mut rng, c.similarity, c.sensitivity, epsilon_prime)
+                .clamp(-1.0, 1.0),
+        })
+        .collect()
+}
+
 impl ProfileRecommender for ItemBasedRecommender {
     fn label(&self) -> &'static str {
-        "NX-MAP-IB"
+        match self.released {
+            Some(_) => "X-MAP-IB",
+            None => "NX-MAP-IB",
+        }
     }
 
     fn target(&self) -> &Arc<RatingMatrix> {
@@ -474,10 +523,12 @@ impl ProfileRecommender for ItemBasedRecommender {
     fn predict_for_profile(&self, profile: &Profile, item: ItemId) -> f64 {
         with_thread_scratch(|scratch| {
             scratch.load(profile, self.target.n_items());
-            self.predict_loaded(scratch, item)
+            self.predict_loaded(self.scored(), scratch, item)
         })
     }
 
+    // The pools drive candidate generation in both modes: X-Map-ib's private selection
+    // decides what a candidate is scored from, not whether it is one.
     fn candidates(&self, profile: &Profile, _: &ServePlan, item_range: Range<u32>) -> Vec<ItemId> {
         let mut out = Vec::new();
         for &(i, _, _) in profile {
@@ -496,185 +547,10 @@ impl ProfileRecommender for ItemBasedRecommender {
         scratch: &mut ProfileScratch,
     ) -> Vec<(f64, ItemId)> {
         scratch.load(profile, self.target.n_items());
+        let table = self.scored();
         items
             .iter()
-            .map(|&i| (self.predict_loaded(scratch, i), i))
-            .collect()
-    }
-}
-
-/// Item-based CF with PNSA neighbour selection and PNCF Laplace noise.
-pub struct PrivateItemBasedRecommender {
-    target: Arc<RatingMatrix>,
-    /// Candidate neighbours (with sensitivities) per item, larger than k so PNSA has a
-    /// meaningful pool to select from.
-    pools: Vec<Vec<ScoredCandidate>>,
-    k: usize,
-    epsilon_prime: f64,
-    rho: f64,
-    temporal_alpha: f64,
-    seed: u64,
-}
-
-impl PrivateItemBasedRecommender {
-    /// Fits the recommender: the candidate pool per item is the `k + k/4` most similar
-    /// items, each annotated with its similarity-based sensitivity — the
-    /// `pair_sensitivity` table is precomputed here, next to the pools, so no
-    /// prediction ever touches the rating matrix for sensitivities.
-    ///
-    /// The fit debits the recommendation-phase budget (ε′, see
-    /// `debit_recommendation_budget`) before the pool work: an exhausted `budget`
-    /// fails the fit without paying for the kNN fit.
-    pub fn fit(
-        target: impl Into<Arc<RatingMatrix>>,
-        k: usize,
-        epsilon_prime: f64,
-        rho: f64,
-        temporal_alpha: f64,
-        seed: u64,
-        budget: &mut PrivacyBudget,
-    ) -> crate::Result<Self> {
-        let target = target.into();
-        debit_recommendation_budget(epsilon_prime, budget)?;
-        let pools = ItemKnn::fit(
-            &target,
-            item_knn_config(private_pool_width(k), temporal_alpha),
-        )?
-        .into_neighbors();
-        Self::from_pools(target, k, epsilon_prime, rho, temporal_alpha, seed, pools)
-    }
-
-    /// Builds the recommender from externally fitted neighbour pools of width
-    /// [`item_pool_config`], annotating each candidate with its similarity-based
-    /// sensitivity. Private because it performs no budget debit itself — a public
-    /// no-debit constructor would let callers bypass the ε′ accounting; only [`build`]
-    /// (whose callers debit first, or release nothing) reaches it.
-    fn from_pools(
-        target: Arc<RatingMatrix>,
-        k: usize,
-        epsilon_prime: f64,
-        rho: f64,
-        temporal_alpha: f64,
-        seed: u64,
-        pools: Vec<Vec<ItemNeighbor>>,
-    ) -> crate::Result<Self> {
-        let pools = ItemKnn::from_pools(
-            &target,
-            item_knn_config(private_pool_width(k), temporal_alpha),
-            pools,
-        )?
-        .into_neighbors();
-        let pools: Vec<Vec<ScoredCandidate>> = pools
-            .into_iter()
-            .enumerate()
-            .map(|(i, pool)| {
-                pool.into_iter()
-                    .map(|n| ScoredCandidate {
-                        item: n.item,
-                        similarity: n.similarity,
-                        sensitivity: pair_sensitivity(&target, ItemId(i as u32), n.item),
-                    })
-                    .collect()
-            })
-            .collect();
-        Ok(PrivateItemBasedRecommender {
-            target,
-            pools,
-            k,
-            epsilon_prime,
-            rho,
-            temporal_alpha,
-            seed,
-        })
-    }
-
-    /// The candidate pool of an item (before private selection).
-    fn pool(&self, item: ItemId) -> &[ScoredCandidate] {
-        self.pools
-            .get(item.index())
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-    }
-
-    fn predict_loaded(&self, scratch: &ProfileScratch, item: ItemId) -> f64 {
-        // Deterministic per (seed, item): repeated queries for the same item release the
-        // same randomised output rather than averaging the noise away.
-        let mut rng = StdRng::seed_from_u64(
-            self.seed ^ (0x5851_f42d_4c95_7f2du64.wrapping_mul(u64::from(item.0) + 1)),
-        );
-        let selected = private_neighbor_selection(
-            &mut rng,
-            self.pool(item),
-            self.k,
-            self.epsilon_prime,
-            self.rho,
-            self.target.n_items().max(self.k + 1),
-        );
-        let neighbor_sims: Vec<ItemNeighbor> = selected
-            .iter()
-            .map(|c| ItemNeighbor {
-                item: c.item,
-                // Clamping the noisy similarity back into the metric's public range is
-                // post-processing and therefore privacy-free; it bounds the damage of
-                // large Laplace draws on sparsely supported pairs.
-                similarity: pncf_noisy_similarity(
-                    &mut rng,
-                    c.similarity,
-                    c.sensitivity,
-                    self.epsilon_prime,
-                )
-                .clamp(-1.0, 1.0),
-            })
-            .collect();
-        predict_item_based(
-            &self.target,
-            &neighbor_sims,
-            scratch,
-            item,
-            self.temporal_alpha,
-        )
-    }
-}
-
-impl ProfileRecommender for PrivateItemBasedRecommender {
-    fn label(&self) -> &'static str {
-        "X-MAP-IB"
-    }
-
-    fn target(&self) -> &Arc<RatingMatrix> {
-        &self.target
-    }
-
-    fn predict_for_profile(&self, profile: &Profile, item: ItemId) -> f64 {
-        with_thread_scratch(|scratch| {
-            scratch.load(profile, self.target.n_items());
-            self.predict_loaded(scratch, item)
-        })
-    }
-
-    // candidate pools drive the candidate generation; private selection happens
-    // inside the prediction of each candidate item
-    fn candidates(&self, profile: &Profile, _: &ServePlan, item_range: Range<u32>) -> Vec<ItemId> {
-        let mut out = Vec::new();
-        for &(i, _, _) in profile {
-            if item_range.contains(&i.0) {
-                out.extend(self.pool(i).iter().map(|c| c.item));
-            }
-        }
-        out
-    }
-
-    fn score(
-        &self,
-        profile: &Profile,
-        _: &ServePlan,
-        items: &[ItemId],
-        scratch: &mut ProfileScratch,
-    ) -> Vec<(f64, ItemId)> {
-        scratch.load(profile, self.target.n_items());
-        items
-            .iter()
-            .map(|&i| (self.predict_loaded(scratch, i), i))
+            .map(|&i| (self.predict_loaded(table, scratch, i), i))
             .collect()
     }
 }
@@ -819,24 +695,10 @@ pub struct PrivateUserBasedRecommender {
 const PLAN_SALT: u64 = 0xfeed_beef;
 
 impl PrivateUserBasedRecommender {
-    /// Creates the recommender, fixing the neighbour-pool configuration once, and
-    /// debits the recommendation-phase budget (ε′, see
-    /// `debit_recommendation_budget`): an exhausted `budget` fails the fit.
-    pub fn fit(
-        target: impl Into<Arc<RatingMatrix>>,
-        k: usize,
-        epsilon_prime: f64,
-        rho: f64,
-        seed: u64,
-        budget: &mut PrivacyBudget,
-    ) -> crate::Result<Self> {
-        let rec = Self::new(target.into(), k, epsilon_prime, rho, seed)?;
-        debit_recommendation_budget(epsilon_prime, budget)?;
-        Ok(rec)
-    }
-
-    /// [`fit`](Self::fit) without the debit — private for the same reason as
-    /// [`PrivateItemBasedRecommender::from_pools`].
+    /// Creates the recommender, fixing the neighbour-pool configuration once. Private
+    /// because it debits nothing itself — a public no-debit constructor would let
+    /// callers bypass the ε′ accounting; only [`build`] (whose callers debit first, or
+    /// release nothing) reaches it.
     fn new(
         target: Arc<RatingMatrix>,
         k: usize,
@@ -982,6 +844,8 @@ fn neighbor_rated_items(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::PrivacyConfig;
+    use proptest::prelude::*;
     use xmap_cf::knn::profile_from_pairs;
     use xmap_cf::{DomainId, RatingMatrixBuilder};
 
@@ -1015,6 +879,52 @@ pub(crate) mod tests {
         profile_from_pairs([(ItemId(0), 5.0), (ItemId(1), 4.0)])
     }
 
+    /// A configuration of `mode` with the given `k`, ε′ (ρ = 0.05) and seed.
+    fn config(mode: XMapMode, k: usize, epsilon_prime: f64, seed: u64) -> XMapConfig {
+        XMapConfig {
+            mode,
+            k,
+            privacy: PrivacyConfig {
+                epsilon_prime,
+                rho: 0.05,
+                ..Default::default()
+            },
+            seed,
+            ..Default::default()
+        }
+    }
+
+    /// [`build`] over `target` as the fit stage reaches it, with the pools of the
+    /// serial `ItemKnn::fit` — the oracle of the partition-parallel pool fit.
+    fn fitted_on(
+        target: Arc<RatingMatrix>,
+        config: &XMapConfig,
+    ) -> crate::Result<SharedRecommender> {
+        let pools = item_pool_config(config)
+            .map(|knn| Arc::new(ItemKnn::fit(&target, knn).unwrap().into_neighbors()));
+        build(config, target, pools)
+    }
+
+    fn fitted(config: &XMapConfig) -> SharedRecommender {
+        fitted_on(Arc::new(target_matrix()), config).unwrap()
+    }
+
+    /// What a releasing stage does: debit ε′ on its accountant, then build.
+    fn released(
+        config: &XMapConfig,
+        budget: &Mutex<PrivacyBudget>,
+    ) -> crate::Result<SharedRecommender> {
+        debit_stage_budget(config, Some(budget))?;
+        Ok(fitted(config))
+    }
+
+    /// X-Map-ub by the constructor [`build`] calls, for the tests that reach into the
+    /// concrete type.
+    fn private_user_based(k: usize, epsilon_prime: f64, seed: u64) -> PrivateUserBasedRecommender {
+        let target = Arc::new(target_matrix());
+        PrivateUserBasedRecommender::new(target, k, epsilon_prime, 0.05, seed).unwrap()
+    }
+
     #[test]
     fn item_based_follows_the_profile_cluster() {
         let rec = ItemBasedRecommender::fit(target_matrix(), 5, 0.0).unwrap();
@@ -1043,30 +953,20 @@ pub(crate) mod tests {
         assert!(UserBasedRecommender::fit(target_matrix(), 0).is_err());
     }
 
-    /// A recommendation-phase budget that exactly covers one ε′ expenditure.
-    fn budget_for(epsilon_prime: f64) -> PrivacyBudget {
-        PrivacyBudget::new(epsilon_prime)
-    }
-
     #[test]
     fn private_item_based_is_noisier_but_still_directionally_correct() {
-        let rec = PrivateItemBasedRecommender::fit(
-            target_matrix(),
-            3,
-            5.0,
-            0.05,
-            0.0,
-            7,
-            &mut budget_for(5.0),
-        )
-        .unwrap();
+        let rec = fitted(&config(XMapMode::XMapItemBased, 3, 5.0, 7));
         let p = cluster_profile();
         let liked = rec.predict_for_profile(&p, ItemId(2));
         let disliked = rec.predict_for_profile(&p, ItemId(4));
         // with a generous ε′ the ordering should survive the noise
         assert!(liked > disliked, "{liked} vs {disliked}");
         assert_eq!(rec.label(), "X-MAP-IB");
-        assert!(!rec.pool(ItemId(0)).is_empty());
+        // item 0's candidate pool is not empty
+        let of_item_0 = profile_from_pairs([(ItemId(0), 5.0)]);
+        assert!(!rec
+            .candidates(&of_item_0, &ServePlan::default(), 0..6)
+            .is_empty());
         assert_eq!(rec.target().n_users(), 8);
         let recs = rec.recommend_for_profile(&p, 3);
         assert!(!recs.is_empty());
@@ -1078,40 +978,13 @@ pub(crate) mod tests {
     #[test]
     fn private_predictions_are_deterministic_per_seed_and_vary_across_seeds() {
         let p = cluster_profile();
-        let a = PrivateItemBasedRecommender::fit(
-            target_matrix(),
-            3,
-            0.5,
-            0.05,
-            0.0,
-            7,
-            &mut budget_for(0.5),
-        )
-        .unwrap();
-        let b = PrivateItemBasedRecommender::fit(
-            target_matrix(),
-            3,
-            0.5,
-            0.05,
-            0.0,
-            7,
-            &mut budget_for(0.5),
-        )
-        .unwrap();
+        let a = fitted(&config(XMapMode::XMapItemBased, 3, 0.5, 7));
+        let b = fitted(&config(XMapMode::XMapItemBased, 3, 0.5, 7));
         assert_eq!(
             a.predict_for_profile(&p, ItemId(2)),
             b.predict_for_profile(&p, ItemId(2))
         );
-        let c = PrivateItemBasedRecommender::fit(
-            target_matrix(),
-            3,
-            0.5,
-            0.05,
-            0.0,
-            1234,
-            &mut budget_for(0.5),
-        )
-        .unwrap();
+        let c = fitted(&config(XMapMode::XMapItemBased, 3, 0.5, 1234));
         // different seeds usually give different noise; check over several items
         let differs = (0..6u32)
             .any(|i| a.predict_for_profile(&p, ItemId(i)) != c.predict_for_profile(&p, ItemId(i)));
@@ -1123,21 +996,13 @@ pub(crate) mod tests {
 
     #[test]
     fn stronger_privacy_degrades_item_based_accuracy_on_average() {
-        let target = target_matrix();
+        let target = Arc::new(target_matrix());
         let p = cluster_profile();
         // ground truth: item 2 should be ~5, item 4 should be ~1
         let truth = [(ItemId(2), 5.0), (ItemId(4), 1.0)];
         let error_for = |eps: f64, seed: u64| {
-            let rec = PrivateItemBasedRecommender::fit(
-                target.clone(),
-                3,
-                eps,
-                0.05,
-                0.0,
-                seed,
-                &mut budget_for(eps),
-            )
-            .unwrap();
+            let config = config(XMapMode::XMapItemBased, 3, eps, seed);
+            let rec = fitted_on(Arc::clone(&target), &config).unwrap();
             truth
                 .iter()
                 .map(|&(i, t)| (rec.predict_for_profile(&p, i) - t).abs())
@@ -1158,15 +1023,7 @@ pub(crate) mod tests {
 
     #[test]
     fn private_user_based_runs_and_respects_scale() {
-        let rec = PrivateUserBasedRecommender::fit(
-            target_matrix(),
-            3,
-            2.0,
-            0.05,
-            11,
-            &mut budget_for(2.0),
-        )
-        .unwrap();
+        let rec = fitted(&config(XMapMode::XMapUserBased, 3, 2.0, 11));
         let p = cluster_profile();
         for i in 0..6u32 {
             let v = rec.predict_for_profile(&p, ItemId(i));
@@ -1179,15 +1036,8 @@ pub(crate) mod tests {
         }
         assert_eq!(rec.label(), "X-MAP-UB");
         assert_eq!(rec.target().n_users(), 8);
-        assert!(PrivateUserBasedRecommender::fit(
-            target_matrix(),
-            0,
-            2.0,
-            0.05,
-            1,
-            &mut budget_for(2.0)
-        )
-        .is_err());
+        let no_neighbours = config(XMapMode::XMapUserBased, 0, 2.0, 1);
+        assert!(fitted_on(Arc::new(target_matrix()), &no_neighbours).is_err());
     }
 
     /// The historical X-Map-ub per-call path, kept as the equivalence oracle: candidates
@@ -1222,15 +1072,7 @@ pub(crate) mod tests {
     fn private_user_based_pooled_recommendations_match_the_rescan_reference() {
         // Regression for the quadratic serving path: hoisting the neighbour-pool scan
         // out of the per-candidate loop must not change a single released value.
-        let rec = PrivateUserBasedRecommender::fit(
-            target_matrix(),
-            3,
-            2.0,
-            0.05,
-            11,
-            &mut budget_for(2.0),
-        )
-        .unwrap();
+        let rec = private_user_based(3, 2.0, 11);
         for profile in [
             cluster_profile(),
             profile_from_pairs([(ItemId(3), 5.0), (ItemId(4), 4.0)]),
@@ -1245,35 +1087,21 @@ pub(crate) mod tests {
         }
     }
 
-    /// One recommender per mode (NX-Map-ib with and without temporal decay).
-    pub(crate) fn all_modes() -> Vec<Box<dyn ProfileRecommender + Send + Sync>> {
+    /// One recommender per mode (both item-based ones with and without temporal decay).
+    pub(crate) fn all_modes() -> Vec<SharedRecommender> {
+        let decayed = |config: XMapConfig| XMapConfig {
+            temporal_alpha: 0.3,
+            ..config
+        };
+        let nx_ib = config(XMapMode::NxMapItemBased, 5, 0.8, 42);
+        let x_ib = config(XMapMode::XMapItemBased, 3, 5.0, 7);
         vec![
-            Box::new(ItemBasedRecommender::fit(target_matrix(), 5, 0.0).unwrap()),
-            Box::new(ItemBasedRecommender::fit(target_matrix(), 5, 0.3).unwrap()),
-            Box::new(UserBasedRecommender::fit(target_matrix(), 3).unwrap()),
-            Box::new(
-                PrivateItemBasedRecommender::fit(
-                    target_matrix(),
-                    3,
-                    5.0,
-                    0.05,
-                    0.0,
-                    7,
-                    &mut budget_for(5.0),
-                )
-                .unwrap(),
-            ),
-            Box::new(
-                PrivateUserBasedRecommender::fit(
-                    target_matrix(),
-                    3,
-                    2.0,
-                    0.05,
-                    11,
-                    &mut budget_for(2.0),
-                )
-                .unwrap(),
-            ),
+            fitted(&nx_ib),
+            fitted(&decayed(nx_ib)),
+            fitted(&config(XMapMode::NxMapUserBased, 3, 0.8, 42)),
+            fitted(&x_ib),
+            fitted(&decayed(x_ib)),
+            fitted(&config(XMapMode::XMapUserBased, 3, 2.0, 11)),
         ]
     }
 
@@ -1285,7 +1113,12 @@ pub(crate) mod tests {
         // the stream of the undivided catalogue.
         let mut foreign = cluster_profile();
         foreign.push((ItemId(u32::MAX), 5.0, Timestep(0)));
-        let profiles = [cluster_profile(), Vec::new(), foreign];
+        // ratings far apart in time, so that a temporal α weighs them differently
+        let timed = vec![
+            (ItemId(0), 5.0, Timestep(0)),
+            (ItemId(4), 2.0, Timestep(50)),
+        ];
+        let profiles = [cluster_profile(), Vec::new(), foreign, timed];
         for rec in all_modes() {
             for profile in &profiles {
                 let plan = rec.plan(profile, &mut ProfileScratch::new());
@@ -1320,15 +1153,7 @@ pub(crate) mod tests {
             }
         }
         // The X-Map-ub stream is also the independently derived one of the oracle.
-        let rec = PrivateUserBasedRecommender::fit(
-            target_matrix(),
-            3,
-            2.0,
-            0.05,
-            11,
-            &mut budget_for(2.0),
-        )
-        .unwrap();
+        let rec = private_user_based(3, 2.0, 11);
         for profile in &profiles {
             for n in [0, 2, 9] {
                 assert_eq!(
@@ -1361,9 +1186,9 @@ pub(crate) mod tests {
 
     #[test]
     fn private_fits_record_pnsa_and_pncf_in_the_ledger() {
-        let mut budget = PrivacyBudget::new(1.0);
-        PrivateItemBasedRecommender::fit(target_matrix(), 3, 0.8, 0.05, 0.0, 7, &mut budget)
-            .unwrap();
+        let budget = Mutex::new(PrivacyBudget::new(1.0));
+        released(&config(XMapMode::XMapItemBased, 3, 0.8, 7), &budget).unwrap();
+        let budget = budget.into_inner().unwrap();
         let mechanisms: Vec<&str> = budget
             .ledger()
             .iter()
@@ -1378,30 +1203,16 @@ pub(crate) mod tests {
     fn exhausted_budget_fails_the_private_fits() {
         let mut drained = PrivacyBudget::new(0.8);
         drained.spend("PRS", 0.7).unwrap();
-        let err = match PrivateItemBasedRecommender::fit(
-            target_matrix(),
-            3,
-            0.8,
-            0.05,
-            0.0,
-            7,
-            &mut drained,
-        ) {
+        let drained = Mutex::new(drained);
+        let err = match released(&config(XMapMode::XMapItemBased, 3, 0.8, 7), &drained) {
             Err(e) => e,
             Ok(_) => panic!("fit must fail on an exhausted budget"),
         };
         assert!(matches!(err, crate::XMapError::Privacy(_)), "{err}");
         // the failed fit must not have recorded anything
-        assert_eq!(drained.ledger().len(), 1);
+        assert_eq!(drained.lock().unwrap().ledger().len(), 1);
 
-        let err = match PrivateUserBasedRecommender::fit(
-            target_matrix(),
-            3,
-            0.8,
-            0.05,
-            7,
-            &mut drained,
-        ) {
+        let err = match released(&config(XMapMode::XMapUserBased, 3, 0.8, 7), &drained) {
             Err(e) => e,
             Ok(_) => panic!("fit must fail on an exhausted budget"),
         };
@@ -1462,5 +1273,172 @@ pub(crate) mod tests {
         // the foreign id is still excluded from its own recommendations like any owned item
         let recs = rec.recommend_for_profile(&poisoned, 3);
         assert_eq!(recs, rec.recommend_for_profile(&clean, 3));
+    }
+
+    // -----------------------------------------------------------------------
+    // X-Map-ib's build-time release against the per-read draw it replaced.
+    // -----------------------------------------------------------------------
+
+    /// The per-read PNSA/PNCF draw X-Map-ib predicted with before its lists were
+    /// released at build, kept as the oracle of the release: every single prediction
+    /// re-seeds the `(seed, item)` stream, re-runs the selection over the
+    /// sensitivity-annotated pool of `item` and redraws the noise.
+    fn predict_per_read(
+        target: &RatingMatrix,
+        config: &XMapConfig,
+        pools: &[Vec<ItemNeighbor>],
+        profile: &Profile,
+        item: ItemId,
+    ) -> f64 {
+        let pool: Vec<ScoredCandidate> = pools
+            .get(item.index())
+            .into_iter()
+            .flatten()
+            .map(|n| ScoredCandidate {
+                item: n.item,
+                similarity: n.similarity,
+                sensitivity: pair_sensitivity(target, item, n.item),
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(
+            config.seed ^ (0x5851_f42d_4c95_7f2du64.wrapping_mul(u64::from(item.0) + 1)),
+        );
+        let epsilon_prime = config.privacy.epsilon_prime;
+        let selected = private_neighbor_selection(
+            &mut rng,
+            &pool,
+            config.k,
+            epsilon_prime,
+            config.privacy.rho,
+            target.n_items().max(config.k + 1),
+        );
+        let neighbor_sims: Vec<ItemNeighbor> = selected
+            .iter()
+            .map(|c| {
+                let noisy =
+                    pncf_noisy_similarity(&mut rng, c.similarity, c.sensitivity, epsilon_prime);
+                ItemNeighbor {
+                    item: c.item,
+                    similarity: noisy.clamp(-1.0, 1.0),
+                }
+            })
+            .collect();
+        let mut scratch = ProfileScratch::new();
+        scratch.load(profile, target.n_items());
+        predict_item_based(
+            target,
+            &neighbor_sims,
+            &scratch,
+            item,
+            config.temporal_alpha,
+        )
+    }
+
+    /// An item id skewed towards the head of the catalogue.
+    fn skewed_item(rng: &mut TestRng, n_items: u32) -> u32 {
+        let x = rng.next_f64();
+        (x * x * x * f64::from(n_items)) as u32
+    }
+
+    /// A random matrix with skewed item popularity over items `0..n_items`, plus three
+    /// fixed ones: item `n_items` is rated by nobody (an empty pool) and items
+    /// `n_items + 1` and `n_items + 2` by one extra user only, who disagrees with
+    /// themself about them (one-candidate pools, `|pool| ≤ k` for every `k`).
+    fn skewed_matrix(rng: &mut TestRng, n_users: u32, n_items: u32) -> RatingMatrix {
+        let mut b =
+            RatingMatrixBuilder::new().with_dimensions(n_users as usize + 1, n_items as usize + 3);
+        for u in 0..n_users {
+            for _ in 0..rng.next_u64() % 12 {
+                let value = (1 + rng.next_u64() % 5) as f64;
+                b.push_parts(u, skewed_item(rng, n_items), value).unwrap();
+            }
+        }
+        b.push_parts(n_users, n_items + 1, 5.0).unwrap();
+        b.push_parts(n_users, n_items + 2, 2.0).unwrap();
+        b.build().unwrap()
+    }
+
+    /// A random profile over a catalogue of `n_items`: possibly empty, with duplicate
+    /// items, ids past the catalogue, and ratings spread over time.
+    fn random_profile(rng: &mut TestRng, n_items: u32) -> Profile {
+        let mut profile: Profile = Vec::new();
+        for _ in 0..rng.next_u64() % 10 {
+            let item = match rng.next_u64() % 8 {
+                0 => ItemId(n_items + (rng.next_u64() % 3) as u32),
+                1 => ItemId(u32::MAX),
+                2 if !profile.is_empty() => profile[rng.next_u64() as usize % profile.len()].0,
+                _ => ItemId(skewed_item(rng, n_items)),
+            };
+            let value = (1 + rng.next_u64() % 5) as f64;
+            profile.push((item, value, Timestep((rng.next_u64() % 60) as u32)));
+        }
+        profile
+    }
+
+    proptest! {
+        /// The lists released once at build serve the bits of the per-read draw: every
+        /// item id — one past the catalogue, one with an empty pool and one with
+        /// `|pool| ≤ k` among them — predicts what the oracle predicts, and top-N is
+        /// the ranking of the oracle's predictions over the candidate stream.
+        #[test]
+        fn released_lists_serve_the_bits_of_the_per_read_draw(
+            seed in any::<u64>(),
+            n_users in 1u32..80,
+            n_items in 2u32..40,
+            picks in (0usize..3, 0usize..3, 0usize..2),
+            rho in 0.01f64..0.5,
+        ) {
+            let mut rng = TestRng::from_name(&seed.to_string());
+            let config = XMapConfig {
+                temporal_alpha: [0.0, 0.3][picks.2],
+                privacy: PrivacyConfig {
+                    epsilon_prime: [0.05, 0.8, 10.0][picks.1],
+                    rho,
+                    ..Default::default()
+                },
+                ..config(XMapMode::XMapItemBased, [1, 3, 8][picks.0], 0.8, seed)
+            };
+            let target = Arc::new(skewed_matrix(&mut rng, n_users, n_items));
+            let catalogue = target.n_items() as u32;
+            let knn = item_pool_config(&config).unwrap();
+            let pools = Arc::new(ItemKnn::fit(&target, knn).unwrap().into_neighbors());
+            prop_assert!(pools[n_items as usize].is_empty());
+            prop_assert_eq!(pools[n_items as usize + 1].len(), 1);
+            let rec = build(&config, Arc::clone(&target), Some(Arc::clone(&pools))).unwrap();
+            for _ in 0..4 {
+                let profile = random_profile(&mut rng, catalogue);
+                let oracle: Vec<f64> = (0..=catalogue)
+                    .map(|i| predict_per_read(&target, &config, &pools, &profile, ItemId(i)))
+                    .collect();
+                for (i, expect) in oracle.iter().enumerate() {
+                    let got = rec.predict_for_profile(&profile, ItemId(i as u32));
+                    prop_assert_eq!(got.to_bits(), expect.to_bits(), "item {} of {:?}", i, profile);
+                }
+                let gathered = rec.candidates(&profile, &ServePlan::default(), 0..catalogue);
+                let stream = candidate_stream(&profile, gathered);
+                for n in [1, 5, stream.len() + 1] {
+                    let ranked: Vec<(ItemId, f64)> =
+                        top_k(n, stream.iter().map(|&i| (oracle[i.index()], i)))
+                            .into_iter()
+                            .map(|(s, i)| (i, s))
+                            .collect();
+                    prop_assert_eq!(rec.recommend_for_profile(&profile, n), ranked);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_item_based_recommender_holds_the_pools_it_is_handed_not_a_copy() {
+        let target = Arc::new(target_matrix());
+        for mode in [XMapMode::NxMapItemBased, XMapMode::XMapItemBased] {
+            let config = config(mode, 3, 0.8, 7);
+            let knn = item_pool_config(&config).unwrap();
+            let pools = Arc::new(ItemKnn::fit(&target, knn).unwrap().into_neighbors());
+            let rec =
+                ItemBasedRecommender::from_pools(Arc::clone(&target), &config, Arc::clone(&pools));
+            assert!(Arc::ptr_eq(&rec.pools, &pools), "{mode:?} copied its pools");
+            assert_eq!(rec.released.is_some(), mode.is_private());
+        }
     }
 }

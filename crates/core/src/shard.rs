@@ -16,9 +16,10 @@
 //!   replacement draws all read *cross-shard* state, so the global recompute stays
 //!   in one place) and a set of simulated nodes, each holding epoch-published
 //!   slices of the shards it hosts plus, per shard, the mode's recommender built
-//!   (`recommend::build`) from the slice's own rows — a replica answers with the
-//!   single-node code, over the rows it holds. Reads route to a live replica of the
-//!   owning shard;
+//!   (`recommend::build`) from the slice's own rows — once per shard, its hosts
+//!   sharing it exactly as they share the slice, replicas of a fragment being copies
+//!   of one state — so a replica answers with the single-node code, over the rows it
+//!   holds. Reads route to a live replica of the owning shard;
 //!   top-N requests fan out across shards and merge partial top-N lists with the
 //!   workspace [`TopK`] tie-break (descending `total_cmp`, first-offered wins) —
 //!   provably bit-identical to the single-node stream because per-shard candidate
@@ -303,18 +304,24 @@ impl ShardSlice {
             .map(|ix| self.replacement_pairs[ix].1)
     }
 
-    /// Re-assembles catalogue-length kNN pools from the slice's rows, padding
-    /// every out-of-shard (or empty) slot with an empty pool — the shape the
-    /// recommender indexes by raw item id. `None` for the user-based modes.
-    fn padded_pools(&self, n_items: usize) -> Option<Vec<Vec<ItemNeighbor>>> {
-        let rows = self.pool_rows.as_ref()?;
-        let mut pools = vec![Vec::new(); n_items];
-        for (item, row) in rows {
-            if let Some(slot) = pools.get_mut(item.index()) {
-                *slot = row.clone();
+    /// The mode's recommender over this slice's own pool rows and `epoch`'s
+    /// target-domain matrix: the rows re-assembled into a catalogue-length table —
+    /// every out-of-shard (or empty) slot an empty pool, the shape the recommender
+    /// indexes by raw item id — which the recommender then owns. Built once per
+    /// shard and shared by its hosts. It releases nothing the coordinator's ledger
+    /// has not recorded, so no ε is spent.
+    fn recommender(&self, epoch: &ModelEpoch) -> Result<SharedRecommender> {
+        let target = Arc::clone(epoch.recommender.target());
+        let pools = self.pool_rows.as_ref().map(|rows| {
+            let mut pools = vec![Vec::new(); target.n_items()];
+            for (item, row) in rows {
+                if let Some(slot) = pools.get_mut(item.index()) {
+                    *slot = row.clone();
+                }
             }
-        }
-        Some(pools)
+            Arc::new(pools)
+        });
+        recommend::build(epoch.config(), target, pools)
     }
 
     /// The row changes taking `self` to `new`, plus the shard's sub-delta —
@@ -500,7 +507,9 @@ struct ShardStore {
 /// One hosted shard on one node: the epoch-published slice, the mode's
 /// recommender built from the slice's *own* pool rows (empty pools outside the
 /// shard) over the epoch's target-domain matrix, and the shard's durable store
-/// when persisted. The matrix is the replicated data plane every node reads
+/// when persisted. Slice and recommender are the shard's, not the node's — every
+/// host holds a clone of the same two `Arc`s; only a node recovered from its own
+/// files rebuilds them. The matrix is the replicated data plane every node reads
 /// (user-based prediction needs all raters' averages) and is shared, not copied;
 /// the pools are the genuinely partitioned fitted state.
 struct NodeShard {
@@ -524,20 +533,16 @@ impl ShardNode {
         }
     }
 
-    /// Installs `slice` — cut from (or replayed up to) `epoch` — as this node's
-    /// replica of its shard: publishes it (opening the handle at `epoch_no` on a
-    /// first install) and rebuilds the replica's recommender. A replica releases
-    /// nothing the coordinator's ledger has not recorded, so no ε is spent.
+    /// Installs `slice` and the recommender built from it as this node's replica of
+    /// its shard: publishes the slice (opening the handle at `epoch_no` on a first
+    /// install) and swaps the recommender in.
     fn install(
         &mut self,
         epoch_no: u64,
-        epoch: &ModelEpoch,
         slice: Arc<ShardSlice>,
-    ) -> Result<&mut NodeShard> {
-        let target = Arc::clone(epoch.recommender.target());
-        let pools = slice.padded_pools(target.n_items());
-        let serve = recommend::build(epoch.config(), target, pools)?;
-        Ok(match self.shards.entry(slice.shard) {
+        serve: SharedRecommender,
+    ) -> &mut NodeShard {
+        match self.shards.entry(slice.shard) {
             Entry::Occupied(hosted) => {
                 let ns = hosted.into_mut();
                 ns.handle.publish(slice);
@@ -549,7 +554,7 @@ impl ShardNode {
                 serve,
                 store: None,
             }),
-        })
+        }
     }
 }
 
@@ -620,8 +625,9 @@ impl ShardedModel {
         let mut nodes: Vec<ShardNode> = (0..n_nodes).map(|_| ShardNode::new()).collect();
         for shard in 0..map.n_shards() as u32 {
             let slice = Arc::new(ShardSlice::cut(&epoch, &map, shard));
+            let serve = slice.recommender(&epoch)?;
             for host in map.hosts(shard, n_nodes) {
-                nodes[host].install(epoch_no, &epoch, Arc::clone(&slice))?;
+                nodes[host].install(epoch_no, Arc::clone(&slice), Arc::clone(&serve));
             }
         }
         drop(epoch);
@@ -895,6 +901,7 @@ impl ShardedModel {
         let (epoch_no, epoch) = self.model.snapshot();
         for shard in 0..self.map.n_shards() as u32 {
             let new_slice = Arc::new(ShardSlice::cut(&epoch, &self.map, shard));
+            let serve = new_slice.recommender(&epoch)?;
             let sub = &subs[shard as usize];
             let cost = 1.0 + sub.len() as f64;
             for host in self.map.hosts(shard, self.n_nodes) {
@@ -911,7 +918,7 @@ impl ShardedModel {
                         .journal
                         .append(epoch_no, &old.diff(&new_slice, sub.clone()))?;
                 }
-                node.install(epoch_no, &epoch, Arc::clone(&new_slice))?;
+                node.install(epoch_no, Arc::clone(&new_slice), Arc::clone(&serve));
                 lock_ledgers(&self.ledgers)
                     .ingest
                     .push(RoutedTask { node: host, cost });
@@ -1013,8 +1020,8 @@ impl ShardedModel {
                 )?;
                 journal.reset(epoch_no)?;
             }
-            rebuilt.install(epoch_no, &epoch, Arc::new(slice))?.store =
-                Some(ShardStore { journal });
+            let serve = slice.recommender(&epoch)?;
+            rebuilt.install(epoch_no, Arc::new(slice), serve).store = Some(ShardStore { journal });
         }
         self.nodes[node] = rebuilt;
         Ok(())
@@ -1205,6 +1212,75 @@ mod tests {
         let bytes = encode_to_vec(&delta);
         let back: SliceDelta = decode_exact(&bytes, 0).unwrap();
         assert_eq!(back, delta);
+    }
+
+    #[test]
+    fn the_hosts_of_a_shard_share_one_recommender_and_a_recovered_node_serves_its_bits() {
+        use crate::{XMapConfig, XMapMode};
+        use xmap_cf::DomainId;
+        use xmap_dataset::synthetic::{CrossDomainConfig, CrossDomainDataset};
+
+        let ds = CrossDomainDataset::generate(CrossDomainConfig::small());
+        let config = XMapConfig {
+            mode: XMapMode::XMapItemBased,
+            k: 8,
+            ..Default::default()
+        };
+        let model = XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, config).unwrap();
+        let mut sharded = ShardedModel::with_hot_replication(model, 2, 2).unwrap();
+        let replicated: Vec<u32> = (0..sharded.map.n_shards() as u32)
+            .filter(|&shard| sharded.map.hosts(shard, 2).len() == 2)
+            .collect();
+        assert!(!replicated.is_empty(), "the hot head replicates some shard");
+        let assert_shared = |sharded: &ShardedModel, when: &str| {
+            for shard in &replicated {
+                let [a, b] = [0, 1].map(|node| &sharded.nodes[node].shards[shard]);
+                assert!(
+                    Arc::ptr_eq(&a.serve, &b.serve)
+                        && Arc::ptr_eq(&a.handle.load().1, &b.handle.load().1),
+                    "{when}: the hosts of shard {shard} hold separate copies"
+                );
+            }
+        };
+        assert_shared(&sharded, "after with_hot_replication");
+
+        let dir = std::env::temp_dir().join(format!("xmap_shard_sharing_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        sharded.persist(&dir).unwrap();
+        let mut delta = RatingDelta::new();
+        delta.push_timed(ds.overlap_users[0].0, ds.target_items()[0].0, 5.0, 77);
+        sharded.ingest(&delta).unwrap();
+        assert_shared(&sharded, "after ingest");
+
+        // A node recovered from its own files rebuilds its recommenders — and they
+        // answer with the bits of the ones its siblings share.
+        sharded.kill_node(1).unwrap();
+        sharded.recover_node(1).unwrap();
+        let profiles: Vec<Profile> = ds.overlap_users[..4]
+            .iter()
+            .map(|&user| sharded.alterego(user).unwrap().profile)
+            .collect();
+        for shard in &replicated {
+            let [live, recovered] = [0, 1].map(|node| &sharded.nodes[node].shards[shard]);
+            assert!(!Arc::ptr_eq(&live.serve, &recovered.serve));
+            let (start, end) = recovered.handle.load().1.item_range();
+            let items: Vec<ItemId> = (start..end).map(ItemId).collect();
+            for profile in &profiles {
+                let plan = ServePlan::default();
+                let answers = [live, recovered].map(|replica| {
+                    let scored = recommend::with_thread_scratch(|scratch| {
+                        replica.serve.score(profile, &plan, &items, scratch)
+                    });
+                    let bits: Vec<u64> = scored.iter().map(|&(s, _)| s.to_bits()).collect();
+                    (bits, replica.serve.candidates(profile, &plan, start..end))
+                });
+                assert_eq!(
+                    answers[0], answers[1],
+                    "shard {shard} diverged after recovery"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
