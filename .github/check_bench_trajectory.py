@@ -2,19 +2,21 @@
 """Checks the committed benchmark trajectory against the benchmark's registry.
 
 The root-level BENCH_<workload>.json files are appended by hand, one parent row and
-one change row per PR. This fails unless, for every workload registered in
+one change row per PR and seed. This fails unless, for every workload registered in
 BENCHMARK.json, every row carries each registered end-to-end metric and a
-`failed_share` of 0, the two rows of a PR were measured on the same inputs with
+`failed_share` of 0, the two rows of a pair were measured on the same inputs with
 the same answers — equal `seed`, `seconds`, `stream_hash` and `probe_hash` — and no
 change row is worse than its parent row by more than the metric's registered `bound`
-in its registered `better` direction.
+in its registered `better` direction. A pair may carry `"claim": "<metric>"` on both
+rows — the gain the PR was merged for: the metric must be a registered end-to-end one
+and the change row strictly better than its parent in the registered direction.
 """
 
 import json
 import sys
 from pathlib import Path
 
-SHARED_BY_A_PR = ("seed", "seconds", "stream_hash", "probe_hash")
+SHARED_BY_A_PAIR = ("seed", "seconds", "stream_hash", "probe_hash", "claim")
 
 
 def check(root: Path) -> list[str]:
@@ -28,22 +30,26 @@ def check(root: Path) -> list[str]:
         except (OSError, ValueError) as err:
             errors.append(f"{name}: {err}")
             continue
-        by_pr = {}
+        pairs = {}
         for number, row in enumerate(rows, 1):
             for metric in metrics:
                 if not isinstance(row.get(metric), (int, float)):
                     errors.append(f"{name} row {number}: no numeric `{metric}`")
             if row.get("failed_share") != 0:
                 errors.append(f"{name} row {number}: failed_share is {row.get('failed_share')!r}, not 0")
-            by_pr.setdefault(row.get("pr"), []).append(row)
-        for pr, group in by_pr.items():
+            pairs.setdefault((row.get("pr"), row.get("seed")), []).append(row)
+        for (pr, seed), group in pairs.items():
+            pair = f"{name} PR {pr} seed {seed}"
             sides = sorted(str(row.get("side")) for row in group)
             if sides != ["change", "parent"]:
-                errors.append(f"{name} PR {pr}: sides {sides}, want one parent and one change row")
-            for key in SHARED_BY_A_PR:
+                errors.append(f"{pair}: sides {sides}, want one parent and one change row")
+            for key in SHARED_BY_A_PAIR:
                 values = {json.dumps(row.get(key)) for row in group}
-                if len(values) != 1 or values == {"null"}:
-                    errors.append(f"{name} PR {pr}: parent and change differ in `{key}`: {sorted(values)}")
+                if len(values) != 1 or (values == {"null"} and key != "claim"):
+                    errors.append(f"{pair}: parent and change differ in `{key}`: {sorted(values)}")
+            claim = group[0].get("claim")
+            if claim is not None and claim not in metrics:
+                errors.append(f"{pair}: claims `{claim}`, not a registered end-to-end metric")
             if sides == ["change", "parent"]:
                 side = {row["side"]: row for row in group}
                 for metric, spec in metrics.items():
@@ -53,8 +59,13 @@ def check(root: Path) -> list[str]:
                     worse = (change - parent if spec["better"] == "lower" else parent - change) / parent
                     if worse > spec["bound"]:
                         errors.append(
-                            f"{name} PR {pr}: `{metric}` is {worse:.1%} worse than its parent "
+                            f"{pair}: `{metric}` is {worse:.1%} worse than its parent "
                             f"({parent} -> {change}), bound {spec['bound']:.0%}"
+                        )
+                    if metric == claim and worse >= 0:
+                        errors.append(
+                            f"{pair}: claims `{metric}` but the change row is not better "
+                            f"than its parent ({parent} -> {change})"
                         )
     return errors
 

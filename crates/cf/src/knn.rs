@@ -27,7 +27,10 @@ use crate::error::{CfError, Result};
 use crate::ids::{ItemId, UserId};
 use crate::matrix::RatingMatrix;
 use crate::rating::Timestep;
-use crate::similarity::{item_similarity_stats, user_similarity, SimilarityMetric};
+use crate::similarity::{
+    item_similarity_stats, user_similarity, ItemRowKernel, RowScratch, SimilarityMetric,
+    SimilarityStats,
+};
 use crate::topk::{top_k, TopK};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -420,8 +423,9 @@ pub struct ItemNeighbor {
 /// Reusable scratch for collecting per-item co-rating candidate sets: the epoch-marked
 /// dense seen buffer that deduplicates candidates *during* collection, so a pair
 /// co-rated by many users is stored once, not once per co-rating user. One instance
-/// serves any number of items ([`ItemKnn::candidate_sets`] uses it across the whole
-/// catalogue; the delta-fit pool splice reuses it across a partition's items).
+/// serves any number of items. Candidate sets are the first half of the per-candidate
+/// **reference** fit ([`ItemKnn::neighbors_from_candidates`] is the second); the fit
+/// itself reads an [`ItemRowKernel`] row, which is its own candidate set.
 #[derive(Debug, Default)]
 pub struct CandidateScratch {
     seen: EpochBuffer<()>,
@@ -490,12 +494,13 @@ impl<'a> ItemKnn<'a> {
             .collect()
     }
 
-    /// Phase 1 for one item: scores every candidate and keeps the top `config.k`, sorted
-    /// by descending similarity (ties keep candidate order — ascending item id when the
-    /// candidates come from [`ItemKnn::candidate_sets`]).
+    /// Phase 1 for one item, by definition: scores every candidate with one profile
+    /// merge each and keeps the top `config.k`, sorted by descending similarity (ties
+    /// keep candidate order — ascending item id when the candidates come from
+    /// [`ItemKnn::candidate_sets`]).
     ///
-    /// This is the per-item unit of work the engine-parallel recommender stage
-    /// partitions; [`ItemKnn::fit`] is exactly this over every item's candidate set.
+    /// This is the per-candidate **reference** [`ItemKnn::neighbors_from_row`] is held
+    /// to; no fit path calls it.
     pub fn neighbors_from_candidates(
         matrix: &RatingMatrix,
         item: ItemId,
@@ -520,10 +525,34 @@ impl<'a> ItemKnn<'a> {
             .collect()
     }
 
+    /// Phase 1 for one item from its [`ItemRowKernel`] row: offers the row to the top-k
+    /// in ascending item id — the candidate order, so ties at the k-th place break as
+    /// in [`ItemKnn::neighbors_from_candidates`] — and keeps the top `k`, sorted by
+    /// descending similarity.
+    ///
+    /// This is the per-item unit of work the engine-parallel recommender stage
+    /// partitions; [`ItemKnn::fit`] is exactly this over every item's row.
+    pub fn neighbors_from_row(row: &[(ItemId, SimilarityStats)], k: usize) -> Vec<ItemNeighbor> {
+        let mut collector = TopK::new(k);
+        for &(j, stats) in row {
+            // lint: float-eq — exact zero is the "no co-rater" sentinel from the stats.
+            if stats.similarity != 0.0 {
+                collector.push(stats.similarity, j);
+            }
+        }
+        collector
+            .into_sorted_vec()
+            .into_iter()
+            .map(|(s, j)| ItemNeighbor {
+                item: j,
+                similarity: s,
+            })
+            .collect()
+    }
+
     /// Wraps externally computed neighbour pools (e.g. pools produced partition-parallel
-    /// from [`ItemKnn::candidate_sets`] + [`ItemKnn::neighbors_from_candidates`]) after
-    /// validating the configuration. `neighbors[i]` must be item `i`'s pool; missing
-    /// trailing items read as isolated.
+    /// from [`ItemKnn::neighbors_from_row`]) after validating the configuration.
+    /// `neighbors[i]` must be item `i`'s pool; missing trailing items read as isolated.
     pub fn from_pools(
         matrix: &'a RatingMatrix,
         config: ItemKnnConfig,
@@ -539,18 +568,17 @@ impl<'a> ItemKnn<'a> {
 
     /// Phase 1: precomputes the k most similar items for every item.
     ///
-    /// Candidate pairs are generated through co-rating users (two items that share no
-    /// user have zero similarity under every supported metric and are skipped), so the
-    /// cost is proportional to the sum over users of the squared profile length rather
-    /// than `O(m^2)`.
+    /// Each item is scored against everything it shares a rater with in one
+    /// [`ItemRowKernel`] gather (two items that share no user have zero similarity
+    /// under every supported metric and are never visited), so the cost is the sum
+    /// over items of their raters' profile lengths rather than `O(m^2)` merges.
     pub fn fit(matrix: &'a RatingMatrix, config: ItemKnnConfig) -> Result<Self> {
         Self::validate(&config)?;
-        let neighbors = Self::candidate_sets(matrix)
-            .iter()
-            .enumerate()
-            .map(|(i, cands)| {
-                Self::neighbors_from_candidates(matrix, ItemId(i as u32), cands, &config)
-            })
+        let kernel = ItemRowKernel::new(matrix, config.metric);
+        let mut scratch = RowScratch::new();
+        let neighbors = matrix
+            .items()
+            .map(|i| Self::neighbors_from_row(kernel.row(i, &mut scratch).0, config.k))
             .collect();
         Ok(ItemKnn {
             matrix,
@@ -674,7 +702,7 @@ pub fn profile_average(profile: &Profile) -> Option<f64> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::matrix::RatingMatrixBuilder;
     use proptest::prelude::*;
@@ -1059,7 +1087,7 @@ mod tests {
 
     /// A random matrix with skewed item popularity and integer ratings, so users with
     /// exactly tied similarities (±1 from a single co-rated item, above all) abound.
-    fn skewed_matrix(rng: &mut TestRng, n_users: u32, n_items: u32) -> RatingMatrix {
+    pub(crate) fn skewed_matrix(rng: &mut TestRng, n_users: u32, n_items: u32) -> RatingMatrix {
         let mut b = RatingMatrixBuilder::new().with_dimensions(n_users as usize, n_items as usize);
         for u in 0..n_users {
             // some users rate nothing at all

@@ -13,9 +13,20 @@
 //! On top of the raw similarity the X-Sim metric needs the *weighted significance*
 //! `S_{i,j}` (Definition 2: users who mutually like or mutually dislike the pair) and its
 //! normalised form `Ŝ_{i,j} = S_{i,j} / |Y_i ∪ Y_j|` (Definition 4). Both are returned in
-//! a single [`SimilarityStats`] record so that one merge pass over the two item profiles
-//! yields everything the graph layer needs.
+//! a single [`SimilarityStats`] record, which has one definition and one production
+//! scorer:
+//!
+//! * [`item_similarity_stats`] is the **definition**: one pair, one linear merge over
+//!   the two item profiles. Nothing on a fit or delta path calls it — it is the oracle
+//!   the serial references and the bit-identity gates score with.
+//! * [`ItemRowKernel`] is the **scorer**: one item against *every* item it is co-rated
+//!   with, in one gather over its raters' profiles. Each pair's addends reach their
+//!   accumulator in ascending user id — the order the merge meets them in — the
+//!   products commute, and the per-item denominators are computed once with the
+//!   merge's own expression, so every record is the merge's record bit for bit
+//!   (property-tested below) at a fraction of the profile entries walked.
 
+use crate::epoch::EpochBuffer;
 use crate::ids::{ItemId, UserId};
 use crate::matrix::RatingMatrix;
 use serde::{Deserialize, Serialize};
@@ -202,6 +213,208 @@ pub fn item_similarity_stats(
     }
 }
 
+/// What one row of [`ItemRowKernel`] accumulates per co-rated item `j`.
+#[derive(Clone, Copy, Debug, Default)]
+struct PairSums {
+    co_raters: u32,
+    significance: u32,
+    /// Adjusted cosine: Equation 6's numerator; cosine: the dot product; Pearson: the
+    /// sum of the row item's co-ratings, then (between the two passes) their mean.
+    a: f64,
+    /// Pearson only: the sum, then the mean, of `j`'s co-ratings.
+    b: f64,
+}
+
+/// Reusable buffers of [`ItemRowKernel::row`], one per worker: dense per-item
+/// accumulators forgotten in `O(1)` between rows, re-sized to the matrix at each use
+/// so one warmed scratch serves matrices of different sizes in turn.
+#[derive(Debug, Default)]
+pub struct RowScratch {
+    sums: EpochBuffer<PairSums>,
+    /// Pearson's centred `[num, d_row, d_j]` of the second pass.
+    centred: EpochBuffer<[f64; 3]>,
+    /// The items with live `sums`: first-touch order while gathering, then ascending.
+    touched: Vec<ItemId>,
+    row: Vec<(ItemId, SimilarityStats)>,
+}
+
+impl RowScratch {
+    /// An empty scratch; buffers take the matrix's size on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// Scores an item against everything it is co-rated with in one gather — the
+/// production form of [`item_similarity_stats`], built once per stage over
+/// `(matrix, metric)`.
+///
+/// [`row`](Self::row) walks the item's raters in ascending user id and each rater's
+/// profile once, adding that rater's term of every pair `(item, j)` to a dense
+/// accumulator slot of `j`. A pair's terms therefore arrive in ascending user id —
+/// the order the two-profile merge produces them in — so `co_raters`, `significance`
+/// and every floating-point sum are the merge's (the products of Equations 3 and 6
+/// commute, so the orientation of the pair does not matter either). What the merge
+/// recomputes per pair and the gather must not — each item's denominator over *all*
+/// its raters — is computed once here, by the merge's own expression in the merge's
+/// own rater order.
+pub struct ItemRowKernel<'a> {
+    matrix: &'a RatingMatrix,
+    metric: SimilarityMetric,
+    /// Per-item denominator of the adjusted-cosine / cosine formula (Pearson's runs
+    /// over the co-raters only and has none).
+    norms: Vec<f64>,
+}
+
+impl<'a> ItemRowKernel<'a> {
+    /// Prepares the kernel: one pass over every item profile for the denominators.
+    pub fn new(matrix: &'a RatingMatrix, metric: SimilarityMetric) -> Self {
+        // The two denominators are `item_similarity_stats`' expressions verbatim: the
+        // same addends summed in the same (ascending user id) order.
+        let norms = match metric {
+            SimilarityMetric::AdjustedCosine => matrix
+                .items()
+                .map(|i| {
+                    matrix
+                        .item_profile(i)
+                        .iter()
+                        .map(|e| {
+                            let d = e.value - matrix.user_average(e.user);
+                            d * d
+                        })
+                        .sum::<f64>()
+                        .sqrt()
+                })
+                .collect(),
+            SimilarityMetric::Cosine => matrix
+                .items()
+                .map(|i| {
+                    let yi = matrix.item_profile(i);
+                    yi.iter().map(|e| e.value * e.value).sum::<f64>().sqrt()
+                })
+                .collect(),
+            SimilarityMetric::Pearson => Vec::new(),
+        };
+        ItemRowKernel {
+            matrix,
+            metric,
+            norms,
+        }
+    }
+
+    /// The statistics of `item` against every item sharing a rater with it, ascending
+    /// by item id (`item` itself excluded), each bit-identical to
+    /// [`item_similarity_stats`] of the pair in either orientation — plus the row's
+    /// data-derived cost, the profile entries the gather walks:
+    /// `1 + Σ_{u ∈ raters(item)} |profile(u)|`. An unrated item, or an id outside the
+    /// catalogue, has an empty row of cost 1.
+    pub fn row<'s>(
+        &self,
+        item: ItemId,
+        scratch: &'s mut RowScratch,
+    ) -> (&'s [(ItemId, SimilarityStats)], f64) {
+        let RowScratch {
+            sums,
+            centred,
+            touched,
+            row,
+        } = scratch;
+        let matrix = self.matrix;
+        let yi = matrix.item_profile(item);
+        let i_avg = matrix.item_average(item);
+        sums.begin(matrix.n_items());
+        touched.clear();
+        row.clear();
+        let mut walked = 0usize;
+        for rater in yi {
+            let profile = matrix.user_profile(rater.user);
+            walked += profile.len();
+            let ri = rater.value;
+            let likes_i = ri >= i_avg;
+            let u_avg = matrix.user_average(rater.user);
+            for e in profile {
+                if e.item == item {
+                    continue;
+                }
+                let Some((fresh, s)) = sums.entry(e.item.index()) else {
+                    continue;
+                };
+                if fresh {
+                    touched.push(e.item);
+                }
+                s.co_raters += 1;
+                // Definition 2: mutual like (both >= item average) or mutual dislike.
+                if likes_i == (e.value >= matrix.item_average(e.item)) {
+                    s.significance += 1;
+                }
+                match self.metric {
+                    SimilarityMetric::AdjustedCosine => s.a += (ri - u_avg) * (e.value - u_avg),
+                    SimilarityMetric::Cosine => s.a += ri * e.value,
+                    SimilarityMetric::Pearson => {
+                        s.a += ri;
+                        s.b += e.value;
+                    }
+                }
+            }
+        }
+        touched.sort_unstable();
+
+        if self.metric == SimilarityMetric::Pearson {
+            // Pearson centres by the means over the co-rating set, known only after
+            // the first pass: turn the sums into means, then gather the centred sums
+            // over the same rows in the same order.
+            for &j in touched.iter() {
+                if let Some((_, s)) = sums.entry(j.index()) {
+                    let n = f64::from(s.co_raters);
+                    s.a /= n;
+                    s.b /= n;
+                }
+            }
+            centred.begin(matrix.n_items());
+            for rater in yi {
+                for e in matrix.user_profile(rater.user) {
+                    if e.item == item {
+                        continue;
+                    }
+                    let (Some(s), Some((_, [num, di, dj]))) =
+                        (sums.get(e.item.index()), centred.entry(e.item.index()))
+                    else {
+                        continue;
+                    };
+                    let a = rater.value - s.a;
+                    let b = e.value - s.b;
+                    *num += a * b;
+                    *di += a * a;
+                    *dj += b * b;
+                }
+            }
+        }
+
+        for &j in touched.iter() {
+            let s = sums.get(j.index()).unwrap_or_default();
+            let similarity = match self.metric {
+                SimilarityMetric::AdjustedCosine | SimilarityMetric::Cosine => {
+                    safe_ratio(s.a, self.norms[item.index()] * self.norms[j.index()])
+                }
+                SimilarityMetric::Pearson => {
+                    let [num, di, dj] = centred.get(j.index()).unwrap_or_default();
+                    safe_ratio(num, (di * dj).sqrt())
+                }
+            };
+            row.push((
+                j,
+                SimilarityStats {
+                    similarity: clamp_similarity(similarity),
+                    co_raters: s.co_raters,
+                    significance: s.significance,
+                    union_size: (yi.len() + matrix.item_degree(j)) as u32 - s.co_raters,
+                },
+            ));
+        }
+        (row, 1.0 + walked as f64)
+    }
+}
+
 /// Item–item similarity only (convenience wrapper around [`item_similarity_stats`]).
 pub fn item_similarity(
     matrix: &RatingMatrix,
@@ -286,6 +499,7 @@ fn clamp_similarity(s: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knn::tests::skewed_matrix;
     use crate::matrix::RatingMatrixBuilder;
     use proptest::prelude::*;
 
@@ -452,7 +666,104 @@ mod tests {
         );
     }
 
+    const METRICS: [SimilarityMetric; 3] = [
+        SimilarityMetric::AdjustedCosine,
+        SimilarityMetric::Cosine,
+        SimilarityMetric::Pearson,
+    ];
+
+    fn bits(s: SimilarityStats) -> (u64, u32, u32, u32) {
+        (
+            s.similarity.to_bits(),
+            s.co_raters,
+            s.significance,
+            s.union_size,
+        )
+    }
+
+    /// Every row of the kernel over `m` against the per-pair merge: the row holds
+    /// exactly the co-rated items, ascending, each record the merge's record in both
+    /// orientations, and the cost is the entries walked. Ids run past the catalogue.
+    fn assert_rows_equal_the_merge(
+        m: &RatingMatrix,
+        metric: SimilarityMetric,
+        scratch: &mut RowScratch,
+    ) {
+        let kernel = ItemRowKernel::new(m, metric);
+        let past = m.n_items() as u32 + 2;
+        for i in (0..past).chain([u32::MAX]).map(ItemId) {
+            let (row, cost) = kernel.row(i, scratch);
+            let walked: usize = m
+                .item_profile(i)
+                .iter()
+                .map(|e| m.user_profile(e.user).len())
+                .sum();
+            assert_eq!(cost, 1.0 + walked as f64, "{metric:?}: cost of row {i}");
+            assert!(
+                row.windows(2).all(|w| w[0].0 < w[1].0),
+                "{metric:?}: row {i} must ascend strictly"
+            );
+            let mut found = 0;
+            for j in (0..past).map(ItemId).filter(|&j| j != i) {
+                let forward = item_similarity_stats(m, i, j, metric);
+                let reverse = item_similarity_stats(m, j, i, metric);
+                match row.binary_search_by_key(&j, |&(j, _)| j) {
+                    Ok(ix) => {
+                        found += 1;
+                        assert_eq!(bits(row[ix].1), bits(forward), "{metric:?}: ({i}, {j})");
+                        assert_eq!(bits(row[ix].1), bits(reverse), "{metric:?}: ({j}, {i})");
+                    }
+                    Err(_) => assert_eq!(
+                        forward.co_raters, 0,
+                        "{metric:?}: row {i} lost its co-rated item {j}"
+                    ),
+                }
+            }
+            assert_eq!(found, row.len(), "{metric:?}: row {i} holds a stranger");
+        }
+    }
+
+    #[test]
+    fn rows_of_unrated_and_out_of_catalogue_items_are_empty() {
+        let mut b = RatingMatrixBuilder::new().with_dimensions(2, 4);
+        b.push_parts(0, 0, 4.0).unwrap();
+        b.push_parts(0, 2, 2.0).unwrap();
+        let m = b.build().unwrap();
+        let mut scratch = RowScratch::new();
+        for metric in METRICS {
+            let kernel = ItemRowKernel::new(&m, metric);
+            assert_eq!(kernel.row(ItemId(0), &mut scratch).0.len(), 1);
+            for absent in [ItemId(1), ItemId(3), ItemId(4), ItemId(u32::MAX)] {
+                let (row, cost) = kernel.row(absent, &mut scratch);
+                assert!(row.is_empty(), "{metric:?}: {absent} has no raters");
+                assert_eq!(cost, 1.0);
+            }
+        }
+    }
+
     proptest! {
+        /// The row gather ≡ the per-pair merge, field for field and bit for bit, for
+        /// all three metrics and both orientations — over skewed matrices with integer
+        /// ratings (like/dislike ties on the item average, single-rating users whose
+        /// items have a zero denominator, unrated tail items), with one warmed scratch
+        /// serving matrices of two sizes in turn.
+        #[test]
+        fn row_kernel_equals_the_per_pair_merge(
+            seed in any::<u64>(),
+            n_users in 1u32..120,
+            n_items in 1u32..40,
+        ) {
+            let mut rng = TestRng::from_name(&seed.to_string());
+            let small = skewed_matrix(&mut rng, 1 + n_users / 6, n_items);
+            let large = skewed_matrix(&mut rng, n_users, n_items + 9);
+            let mut scratch = RowScratch::new();
+            for m in [&large, &small, &large] {
+                for metric in METRICS {
+                    assert_rows_equal_the_merge(m, metric, &mut scratch);
+                }
+            }
+        }
+
         /// Similarities are symmetric and bounded for every metric on random matrices.
         #[test]
         fn similarity_symmetric_and_bounded(

@@ -14,8 +14,9 @@
 //!    (`RatingMatrix::apply_delta` — row merges and copied averages, no re-sort);
 //! 2. the similarity graph re-*scores* exactly the affected co-rated pairs (every pair
 //!    touching an item a delta user rated — adjusted cosine reads all raters' user
-//!    averages) and merges them with the cached statistics of every other pair
-//!    (`SimilarityGraph::apply_updates`);
+//!    averages) by gathering the dirty items' whole rows (`pipeline::gather_pairs`,
+//!    the baseliner's kernel) and merges them with the cached statistics of every
+//!    other pair (`SimilarityGraph::apply_updates`);
 //! 3. the X-Sim table recomputes only the source rows whose meta-path neighbourhood
 //!    (≤ 5 hops) touches a changed graph row or layer rank;
 //! 4. the generator re-draws replacements only for those rows (per-item RNG streams
@@ -54,7 +55,7 @@
 //! neighbourhood rather than the trace (`tests/incremental_equivalence.rs`).
 
 use crate::generator::AlterEgoGenerator;
-use crate::pipeline::{fit_item_pools, score_pairs, FittedRecommender, ModelEpoch, XMapModel};
+use crate::pipeline::{fit_item_pools, gather_pairs, FittedRecommender, ModelEpoch, XMapModel};
 use crate::recommend;
 use crate::{Result, XMapError};
 use std::collections::VecDeque;
@@ -268,20 +269,30 @@ fn affected_xsim_rows(
 }
 
 /// Target items whose kNN pool must be re-scored: the endpoints of every affected
-/// co-rated pair *within the target-domain matrix*. An item with no affected pair
-/// keeps its pool bit for bit (candidate set, candidate statistics and its raters'
-/// averages are all untouched).
+/// co-rated pair *within the target-domain matrix*, ascending — each dirty item that
+/// shares a rater with anything, plus whatever its raters' profiles touch, marked
+/// straight into one seen buffer (no pair key is materialised). An item with no
+/// affected pair keeps its pool bit for bit (candidate set, candidate statistics and
+/// its raters' averages are all untouched).
 fn affected_pool_items(target_matrix: &RatingMatrix, affected_users: &[UserId]) -> Vec<ItemId> {
-    let dirty = SimilarityGraph::dirty_items(target_matrix, affected_users);
-    let keys = SimilarityGraph::affected_pair_keys(target_matrix, &dirty);
-    let mut items: Vec<ItemId> = Vec::with_capacity(keys.len() * 2);
-    for &key in &keys {
-        let (lo, hi) = SimilarityGraph::pair_of_key(key);
-        items.push(lo);
-        items.push(hi);
+    let mut seen = vec![false; target_matrix.n_items()];
+    let mut items: Vec<ItemId> = Vec::new();
+    let mut mark = |item: ItemId| {
+        if !std::mem::replace(&mut seen[item.index()], true) {
+            items.push(item);
+        }
+    };
+    for dirty in SimilarityGraph::dirty_items(target_matrix, affected_users) {
+        for rater in target_matrix.item_profile(dirty) {
+            for e in target_matrix.user_profile(rater.user) {
+                if e.item != dirty {
+                    mark(e.item);
+                    mark(dirty);
+                }
+            }
+        }
     }
     items.sort_unstable();
-    items.dedup();
     items
 }
 
@@ -366,20 +377,30 @@ impl Stage<()> for DeltaStage<'_> {
             item_touches: item_stats.iter().map(|&(i, s)| (i, s.count)).collect(),
         };
 
-        // --- 1. Similarity graph: re-score exactly the affected pair keys,
-        // partition-parallel (the baseliner's partitioning and cost model), then merge
-        // with the cached statistics of every unaffected stored pair. If nothing is
-        // affected and no item was added, the whole arena is shared with the base
+        // --- 1. Similarity graph: re-score exactly the affected pairs by gathering the
+        // dirty items' whole rows, partition-parallel (the baseliner's kernel and cost
+        // model; a pair of two dirty items is kept from its lower endpoint only), then
+        // merge with the cached statistics of every unaffected stored pair. If nothing
+        // is affected and no item was added, the whole arena is shared with the base
         // epoch instead of copied. ---
         let dirty = SimilarityGraph::dirty_items(updated, &affected_users);
-        let keys = SimilarityGraph::affected_pair_keys(updated, &dirty);
         report.n_dirty_items = dirty.len();
+        let mut is_dirty = vec![false; updated.n_items()];
+        for &item in &dirty {
+            is_dirty[item.index()] = true;
+        }
+        let (keys, fresh) = gather_pairs(
+            updated,
+            base.graph.config().metric,
+            dirty,
+            |item, other| other > item || !is_dirty[other.index()],
+            cx,
+        );
         report.n_rescored_pairs = keys.len();
         let share_graph = keys.is_empty() && updated.n_items() == base.full.n_items();
         let rebuilt_graph: Option<(SimilarityGraph, BridgeIndex, LayerPartition)> = if share_graph {
             None
         } else {
-            let fresh = score_pairs(updated, base.graph.config().metric, &keys, cx);
             let graph = base.graph.apply_updates(updated, &keys, fresh);
             // Bridges and layers: cheap linear recomputes over the new arena; the old
             // partition is retained on the epoch, so rank changes are a comparison,

@@ -9,11 +9,16 @@
 //!
 //! All four fit stages run partition-parallel with a bit-identity contract (see the
 //! fit-stage parallelism section of `DESIGN.md`): the released model and the recorded
-//! per-partition task costs are identical at any worker count. Per-stage wall-clock
-//! durations and the `baseliner` / `extender` / `generator` / `recommender` task bags
-//! are captured in [`PipelineStats`] — the scalability experiment (Figure 11) replays
-//! those task costs on the cluster simulator; measured fit times are the benchmark's
-//! (`benchmark/`, `fit_s` and `core.pipeline.*.fit_ms`).
+//! per-partition task costs are identical at any worker count. The two stages that
+//! score item pairs — the baseliner ([`gather_pairs`], shared with the delta stage) and
+//! the item-kNN pool fit ([`fit_item_pools`]) — partition *items* and score each
+//! item's whole row in one `xmap_cf::similarity::ItemRowKernel` gather; the per-pair
+//! profile merge survives only as the oracle of the serial references.
+//!
+//! Per-stage wall-clock durations and the `baseliner` / `extender` / `generator` /
+//! `recommender` task bags are captured in [`PipelineStats`] — the scalability
+//! experiment (Figure 11) replays those task costs on the cluster simulator; measured
+//! fit times are the benchmark's (`benchmark/`, `fit_s` and `core.pipeline.*.fit_ms`).
 //!
 //! ## Serve-while-updating: epoch-published snapshots
 //!
@@ -34,8 +39,8 @@ use crate::serve::{RecommendStage, ServeBatch, RECOMMEND_STAGE_NAME};
 use crate::xsim::XSimTable;
 use crate::{Result, XMapError};
 use std::sync::{Arc, Mutex};
-use xmap_cf::knn::{CandidateScratch, ItemNeighbor, Profile};
-use xmap_cf::similarity::item_similarity_stats;
+use xmap_cf::knn::{ItemNeighbor, Profile};
+use xmap_cf::similarity::{ItemRowKernel, RowScratch};
 use xmap_cf::{
     DomainId, ItemId, ItemKnn, ItemKnnConfig, RatingMatrix, SimilarityMetric, SimilarityStats,
     UserId,
@@ -64,9 +69,10 @@ pub struct PipelineStats {
     pub layer_counts: Vec<(DomainId, Layer, usize)>,
     /// Wall-clock duration of each pipeline stage.
     pub stage_durations: Vec<StageReport>,
-    /// Per-partition work estimates of the baseliner stage (pair-scoring work,
-    /// `Σ (1 + deg(lo) + deg(hi))` per partition), recorded by the `Dataflow` runner.
-    /// Data-derived, so identical for any worker count.
+    /// Per-partition work estimates of the baseliner stage (the profile entries its row
+    /// gathers walk, `Σ over items (1 + Σ over raters |profile|)` per partition),
+    /// recorded by the `Dataflow` runner. Data-derived, so identical for any worker
+    /// count.
     pub baseliner_task_costs: Vec<f64>,
     /// Per-partition work estimates of the extension stage, recorded by the `Dataflow`
     /// runner (one task per dataflow partition; data-derived, so identical for any
@@ -75,8 +81,8 @@ pub struct PipelineStats {
     /// Per-partition work estimates of the generator stage (`Σ (1 + |candidates|)` per
     /// partition of replacement draws). Data-derived, so identical for any worker count.
     pub generator_task_costs: Vec<f64>,
-    /// Per-partition work estimates of the recommender stage's item-kNN fit
-    /// (similarity-scoring work per partition of items). Empty for the user-based
+    /// Per-partition work estimates of the recommender stage's item-kNN fit (the
+    /// entries its row gathers walk, per partition of items). Empty for the user-based
     /// modes, which precompute nothing at fit time.
     pub recommender_task_costs: Vec<f64>,
     /// Number of ratings in the target-domain training matrix.
@@ -516,13 +522,13 @@ impl EvalTarget for XMapModel {
 /// Stage 1 — baseliner: builds the baseline similarity graph over the aggregated
 /// domains, partition-parallel.
 ///
-/// The canonical co-rated pair keys ([`SimilarityGraph::co_rated_pair_keys`]) are
-/// hash-partitioned by input position; every partition scores its pairs
-/// (`score_pairs`) as one pool task, and the per-key statistics come back in
-/// key order, so the CSR arena assembled by [`SimilarityGraph::from_scored_pairs`] is
-/// **bit-identical** to [`SimilarityGraph::build_serial`] at any worker count. One
-/// data-derived cost per partition — `Σ (1 + deg(lo) + deg(hi))`, the profile-merge
-/// work of scoring a pair — lands in the `baseliner` ledger.
+/// The *items* are hash-partitioned; every partition gathers its items' rows
+/// ([`gather_pairs`]) as one pool task and keeps each row's `hi > lo` half, so every
+/// unordered co-rated pair is scored exactly once and the key-sorted pairs are those of
+/// [`SimilarityGraph::co_rated_pair_keys`] — the CSR arena assembled by
+/// [`SimilarityGraph::from_scored_pairs`] is **bit-identical** to
+/// [`SimilarityGraph::build_serial`] at any worker count. One data-derived cost per
+/// partition — the profile entries its gathers walk — lands in the `baseliner` ledger.
 pub struct BaselinerStage<'m> {
     matrix: &'m RatingMatrix,
     graph_config: GraphConfig,
@@ -546,42 +552,59 @@ impl Stage<()> for BaselinerStage<'_> {
     }
 
     fn run(&self, _input: (), cx: &mut StageContext<'_>) -> SimilarityGraph {
-        let keys = SimilarityGraph::co_rated_pair_keys(self.matrix);
-        let stats = score_pairs(self.matrix, self.graph_config.metric, &keys, cx);
+        let items = self.matrix.items().collect();
+        let (keys, stats) = gather_pairs(
+            self.matrix,
+            self.graph_config.metric,
+            items,
+            |lo, hi| hi > lo,
+            cx,
+        );
         SimilarityGraph::from_scored_pairs(self.matrix, self.graph_config, &keys, stats)
     }
 }
 
-/// The partition-parallel pair scoring the baseliner and the delta stage share: the
-/// statistics of every pair of `keys`, in key order, with the profile-merge work
-/// `Σ (1 + deg(lo) + deg(hi))` as the partition cost.
-pub(crate) fn score_pairs(
+/// The partition-parallel pair scoring the baseliner (every item) and the delta stage
+/// (the dirty items) share: the kernel row of each of `items`, of which the pairs
+/// `(item, other)` with `keep(item, other)` survive, as ascending canonical keys with
+/// their statistics. `keep` must let every wanted unordered pair through from exactly
+/// one of its endpoints. Each partition hands back one flat `(key, stats)` run — never
+/// a `Vec` per row — and records the entries its gathers walked as its cost; the runs
+/// are merged by one stable sort (ascending items make a run mostly sorted already).
+pub(crate) fn gather_pairs(
     matrix: &RatingMatrix,
     metric: SimilarityMetric,
-    keys: &[u64],
+    items: Vec<ItemId>,
+    keep: impl Fn(ItemId, ItemId) -> bool + Sync,
     cx: &mut StageContext<'_>,
-) -> Vec<SimilarityStats> {
-    // Map over key *positions* (partitioned identically to the keys themselves,
-    // since both hash the input position) so the key vector — the largest transient
-    // buffer of the fit — is borrowed, not duplicated.
-    let positions: Vec<usize> = (0..keys.len()).collect();
-    cx.map_items_ordered(positions, |_ix, part| {
-        let outs: Vec<SimilarityStats> = part
-            .iter()
-            .map(|&(_, key_ix)| {
-                let (lo, hi) = SimilarityGraph::pair_of_key(keys[key_ix]);
-                item_similarity_stats(matrix, lo, hi, metric)
-            })
-            .collect();
-        let cost: f64 = part
-            .iter()
-            .map(|&(_, key_ix)| {
-                let (lo, hi) = SimilarityGraph::pair_of_key(keys[key_ix]);
-                1.0 + (matrix.item_degree(lo) + matrix.item_degree(hi)) as f64
-            })
-            .sum();
-        (outs, cost)
-    })
+) -> (Vec<u64>, Vec<SimilarityStats>) {
+    let kernel = ItemRowKernel::new(matrix, metric);
+    let runs = cx.map_partitions(
+        items,
+        |&item| item,
+        |_ix, part| {
+            let mut scratch = RowScratch::new();
+            let mut run: Vec<(u64, SimilarityStats)> = Vec::new();
+            let mut cost = 0.0f64;
+            for &item in part {
+                let (row, walked) = kernel.row(item, &mut scratch);
+                cost += walked;
+                run.extend(
+                    row.iter()
+                        .filter(|&&(other, _)| keep(item, other))
+                        .map(|&(other, stats)| (SimilarityGraph::pair_key(item, other), stats)),
+                );
+            }
+            (run, cost)
+        },
+    );
+    let mut pairs: Vec<(u64, SimilarityStats)> =
+        Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    for run in runs {
+        pairs.extend(run);
+    }
+    pairs.sort_by_key(|&(key, _)| key);
+    pairs.into_iter().unzip()
 }
 
 /// Stage 2 — extender: bridge detection, layer partition and the partition-batched
@@ -641,13 +664,12 @@ impl<'x> Stage<&'x XSimTable> for GeneratorStage {
 /// (PNSA + PNCF) from the pipeline's privacy budget here, before any pool work.
 ///
 /// The item-based kNN fit — the expensive half — is partitioned by item id
-/// ([`fit_item_pools`] over the whole catalogue): every partition collects its items'
-/// candidate sets, scores them and selects their top-k as one pool task, and the pools
-/// come back in item order before [`recommend::build`] takes them — bit-identical to
-/// the serial `ItemKnn::fit` at any worker count. Per-partition costs (`Σ over items
-/// (1 + Σ over candidates (deg(i) + deg(j)))`, the profile-merge work of the
-/// similarity scoring) land in the `recommender` ledger. The user-based modes
-/// precompute nothing at fit time, so they record no recommender task bag.
+/// ([`fit_item_pools`] over the whole catalogue): every partition gathers its items'
+/// rows and selects their top-k as one pool task, and the pools come back in item
+/// order before [`recommend::build`] takes them — bit-identical to the serial
+/// `ItemKnn::fit` at any worker count. Per-partition costs (the profile entries the
+/// gathers walk) land in the `recommender` ledger. The user-based modes precompute
+/// nothing at fit time, so they record no recommender task bag.
 struct RecommenderStage<'b> {
     config: XMapConfig,
     budget: Option<&'b Mutex<PrivacyBudget>>,
@@ -655,26 +677,24 @@ struct RecommenderStage<'b> {
 
 /// The partition-parallel item-kNN pool fit the recommender stage (every item) and the
 /// delta stage (the affected items) share: one ordered map over `items`, each
-/// partition collecting its items' candidate sets through one reused seen buffer
-/// (row by row what `ItemKnn::candidate_sets` builds) and recording the
-/// similarity-scoring work as its cost.
+/// partition gathering its items' kernel rows through one reused scratch — a row is the
+/// item's candidate set *and* the candidates' similarities, in candidate order — and
+/// recording the entries walked as its cost.
 pub(crate) fn fit_item_pools(
     matrix: &RatingMatrix,
     knn_config: &ItemKnnConfig,
     items: Vec<ItemId>,
     cx: &mut StageContext<'_>,
 ) -> Vec<(ItemId, Vec<ItemNeighbor>)> {
+    let kernel = ItemRowKernel::new(matrix, knn_config.metric);
     cx.map_items_ordered(items, |_ix, part| {
-        let mut scratch = CandidateScratch::new();
+        let mut scratch = RowScratch::new();
         let mut outs = Vec::with_capacity(part.len());
         let mut cost = 0.0f64;
         for &(_, item) in part {
-            let cands = scratch.candidate_set(matrix, item);
-            let deg_i = matrix.item_degree(item) as f64;
-            let merges = cands.iter().map(|&j| deg_i + matrix.item_degree(j) as f64);
-            cost += 1.0 + merges.sum::<f64>();
-            let pool = ItemKnn::neighbors_from_candidates(matrix, item, &cands, knn_config);
-            outs.push((item, pool));
+            let (row, walked) = kernel.row(item, &mut scratch);
+            cost += walked;
+            outs.push((item, ItemKnn::neighbors_from_row(row, knn_config.k)));
         }
         (outs, cost)
     })
@@ -1014,6 +1034,75 @@ mod tests {
                 Some(expected) => {
                     assert_eq!(&costs, expected, "{workers} workers changed costs")
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn pool_fit_equals_the_per_candidate_reference_with_ties_at_the_kth_place() {
+        use xmap_cf::knn::CandidateScratch;
+        use xmap_cf::RatingMatrixBuilder;
+        use xmap_engine::{fn_stage, Dataflow};
+        // Item 0 meets each of items 1..=6 through one user of its own, all six users
+        // rating alike: six candidates of *exactly* equal similarity, of which a k = 3
+        // pool keeps one behind the stronger items 7 and 8 — which one is decided by
+        // the tie-break alone, i.e. by offer order. Users 10..14 add untied structure
+        // among the items past 6.
+        let mut b = RatingMatrixBuilder::new();
+        for j in 1..=6u32 {
+            b.push_parts(j, 0, 5.0).unwrap();
+            b.push_parts(j, j, 1.0).unwrap();
+        }
+        b.push_parts(7, 0, 5.0).unwrap();
+        b.push_parts(7, 7, 4.0).unwrap();
+        b.push_parts(7, 8, 1.0).unwrap();
+        for u in 10..14u32 {
+            for x in 0..4u32 {
+                let value = ((u * 3 + x * 2) % 5 + 1) as f64;
+                b.push_parts(u, 7 + (u + x * 2) % 8, value).unwrap();
+            }
+        }
+        let m = b.build().unwrap();
+        for metric in [
+            SimilarityMetric::AdjustedCosine,
+            SimilarityMetric::Cosine,
+            SimilarityMetric::Pearson,
+        ] {
+            let knn_config = ItemKnnConfig {
+                k: 3,
+                metric,
+                ..Default::default()
+            };
+            let mut scratch = CandidateScratch::new();
+            let reference: Vec<(ItemId, Vec<ItemNeighbor>)> = m
+                .items()
+                .map(|i| {
+                    let cands = scratch.candidate_set(&m, i);
+                    let pool = ItemKnn::neighbors_from_candidates(&m, i, &cands, &knn_config);
+                    (i, pool)
+                })
+                .collect();
+            if metric == SimilarityMetric::AdjustedCosine {
+                let pool = &reference[0].1;
+                let kept: Vec<ItemId> = pool.iter().map(|n| n.item).collect();
+                assert_eq!(kept, vec![ItemId(7), ItemId(8), ItemId(1)]);
+                let dropped =
+                    xmap_cf::similarity::item_similarity(&m, ItemId(0), ItemId(6), metric);
+                assert_eq!(
+                    pool[2].similarity.to_bits(),
+                    dropped.to_bits(),
+                    "the fixture must tie at the k-th place"
+                );
+            }
+            for workers in [1usize, 2] {
+                let flow = Dataflow::new(workers, 4);
+                let fitted = flow.run(
+                    &fn_stage("pools", |(), cx: &mut StageContext<'_>| {
+                        fit_item_pools(&m, &knn_config, m.items().collect(), cx)
+                    }),
+                    (),
+                );
+                assert_eq!(fitted, reference, "{metric:?}/{workers}w: pools diverged");
             }
         }
     }

@@ -152,17 +152,19 @@ impl CrossDomainDataset {
             .map(ItemId)
             .collect();
 
+        // One Zipf table per pool, built once: every draw starts from a copy of it.
+        let source_zipf = zipf_weights(source_items.len(), config.popularity_skew);
+        let target_zipf = zipf_weights(target_items.len(), config.popularity_skew);
+        let source_pool = (source_items.as_slice(), source_zipf.as_deref());
+        let target_pool = (target_items.as_slice(), target_zipf.as_deref());
+
         let emit = |builder: &mut RatingMatrixBuilder,
                     rng: &mut StdRng,
                     user: UserId,
-                    items: &[ItemId],
+                    (items, weights): (&[ItemId], Option<&[f64]>),
                     timestep_base: u32| {
-            let mut chosen = sample_without_replacement(
-                rng,
-                items,
-                config.ratings_per_user,
-                config.popularity_skew,
-            );
+            let mut chosen =
+                sample_without_replacement(rng, items, config.ratings_per_user, weights);
             chosen.sort_unstable();
             for (ord, item) in chosen.into_iter().enumerate() {
                 let affinity = dot(&user_factors[user.index()], &item_factors[item.index()]);
@@ -181,20 +183,20 @@ impl CrossDomainDataset {
         };
 
         for &u in &source_only_users {
-            emit(&mut builder, &mut rng, u, &source_items, 0);
+            emit(&mut builder, &mut rng, u, source_pool, 0);
         }
         for &u in &target_only_users {
-            emit(&mut builder, &mut rng, u, &target_items, 0);
+            emit(&mut builder, &mut rng, u, target_pool, 0);
         }
         for &u in &overlap_users {
             // straddlers first rate the source domain, later the target domain, giving
             // them a meaningful temporal ordering across domains
-            emit(&mut builder, &mut rng, u, &source_items, 0);
+            emit(&mut builder, &mut rng, u, source_pool, 0);
             emit(
                 &mut builder,
                 &mut rng,
                 u,
-                &target_items,
+                target_pool,
                 config.ratings_per_user as u32,
             );
         }
@@ -255,17 +257,32 @@ fn gaussian(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-fn sample_without_replacement(
-    rng: &mut StdRng,
-    pool: &[ItemId],
-    count: usize,
-    skew: f64,
-) -> Vec<ItemId> {
-    let count = count.min(pool.len());
+/// The Zipf-like selection weights of a pool of `len` items, `1 / (rank + 1)^skew` by
+/// pool position (ascending item id) — or `None` for the uniform path.
+fn zipf_weights(len: usize, skew: f64) -> Option<Vec<f64>> {
     // Exact zero selects the historical uniform path, which must keep consuming
     // the RNG stream identically so pre-knob traces reproduce bit-for-bit.
     // lint: float-eq — 0.0 is the sentinel for "knob unset", not a computed value.
     if skew == 0.0 {
+        return None;
+    }
+    Some(
+        (0..len)
+            .map(|rank| 1.0 / ((rank + 1) as f64).powf(skew))
+            .collect(),
+    )
+}
+
+/// Draws `count` distinct items of `pool`: uniformly without `weights`, else by
+/// cumulative-weight inversion over a copy of the pool's [`zipf_weights`] table.
+fn sample_without_replacement(
+    rng: &mut StdRng,
+    pool: &[ItemId],
+    count: usize,
+    weights: Option<&[f64]>,
+) -> Vec<ItemId> {
+    let count = count.min(pool.len());
+    let Some(weights) = weights else {
         let mut indices: Vec<usize> = (0..pool.len()).collect();
         // partial Fisher–Yates
         for i in 0..count {
@@ -273,12 +290,10 @@ fn sample_without_replacement(
             indices.swap(i, j);
         }
         return indices[..count].iter().map(|&i| pool[i]).collect();
-    }
-    // Zipf-like weighted sampling without replacement: weight 1/(rank+1)^skew by
-    // pool position (ascending item id), drawn by cumulative-weight inversion.
-    let mut weights: Vec<f64> = (0..pool.len())
-        .map(|rank| 1.0 / ((rank + 1) as f64).powf(skew))
-        .collect();
+    };
+    // Weighted sampling without replacement: a chosen item leaves the table, and the
+    // total is re-summed per draw (the draws' bits depend on that exact sum).
+    let mut weights = weights.to_vec();
     let mut indices: Vec<usize> = (0..pool.len()).collect();
     let mut chosen = Vec::with_capacity(count);
     for _ in 0..count {
@@ -455,6 +470,45 @@ mod tests {
             ..CrossDomainConfig::small()
         });
         assert_eq!(implicit.matrix, explicit.matrix);
+    }
+
+    /// FNV-1a over every stored rating of a generated trace, in matrix order.
+    fn trace_hash(config: CrossDomainConfig) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let ds = CrossDomainDataset::generate(config);
+        for r in ds.matrix.iter() {
+            for word in [
+                u64::from(r.user.0),
+                u64::from(r.item.0),
+                r.value.to_bits(),
+                u64::from(r.timestep.0),
+            ] {
+                for byte in word.to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x1000_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn generated_traces_are_pinned_bit_for_bit() {
+        // The generator feeds every fixed-seed gate and the benchmark's `xmap48k`
+        // trace: a change to how it draws must reproduce the historical traces, on the
+        // uniform path and on the Zipf path alike.
+        assert_eq!(
+            trace_hash(CrossDomainConfig::small()),
+            0x82fb38f21a7fe166,
+            "the unskewed trace moved"
+        );
+        assert_eq!(
+            trace_hash(CrossDomainConfig {
+                popularity_skew: 1.1,
+                ..CrossDomainConfig::small()
+            }),
+            0x1cd81b247efdfc88,
+            "the skewed trace moved"
+        );
     }
 
     proptest! {

@@ -6,6 +6,16 @@
 //! (similarity, co-rater count, weighted significance, union size) so that X-Sim's path
 //! similarity and path certainty can be computed without going back to the rating matrix.
 //!
+//! ## Scoring: rows in production, pairs in the reference
+//!
+//! [`SimilarityGraph::build`] (and the engine-parallel baseliner and delta stages of
+//! `xmap-core`) score an item's whole row in one [`ItemRowKernel`] gather and keep the
+//! `hi > lo` half, so the ascending pair-key list falls out of the rows.
+//! [`SimilarityGraph::build_serial`] and [`SimilarityGraph::apply_updates_serial`] stay
+//! on the definition — enumerate the co-rated pair keys, one
+//! [`item_similarity_stats`] merge per key — and are the oracle every bit-identity gate
+//! compares against; both feed the one [`SimilarityGraph::from_scored_pairs`] back half.
+//!
 //! ## Storage layout
 //!
 //! The graph is a compressed-sparse-row (CSR) arena rather than per-item `Vec`s:
@@ -34,7 +44,7 @@
 //! (§3.1 discusses exactly this O(m²) blow-up).
 
 use serde::{Deserialize, Serialize};
-use xmap_cf::similarity::{item_similarity_stats, SimilarityStats};
+use xmap_cf::similarity::{item_similarity_stats, ItemRowKernel, RowScratch, SimilarityStats};
 use xmap_cf::{DomainId, ItemId, RatingMatrix, SimilarityMetric, UserId};
 
 /// Configuration for building the baseline similarity graph.
@@ -405,9 +415,9 @@ impl SimilarityGraph {
     /// [`SimilarityGraph::co_rated_pair_keys`] produces them).
     ///
     /// This is the shared back half of every build path: the weak-edge filter, the
-    /// union top-k pruning and the arena assembly. The engine-parallel baseliner scores
-    /// the keys partition-parallel and feeds the reassembled in-key-order stats here,
-    /// which is what makes it bit-identical to [`SimilarityGraph::build_serial`].
+    /// union top-k pruning and the arena assembly. The engine-parallel baseliner gathers
+    /// rows partition-parallel and feeds the key-sorted pairs here, which is what makes
+    /// it bit-identical to [`SimilarityGraph::build_serial`].
     ///
     /// # Panics
     /// Panics if `keys` and `stats` have different lengths.
@@ -545,9 +555,10 @@ impl SimilarityGraph {
         }
     }
 
-    /// Builds the graph single-threaded: scores every co-rated pair key in ascending
-    /// key order and assembles the arena. This is the reference the engine-parallel
-    /// baseliner stage must match bit for bit at any worker count.
+    /// Builds the graph by definition: scores every co-rated pair key in ascending
+    /// key order with one profile merge each and assembles the arena. This is the
+    /// reference [`SimilarityGraph::build`] and the engine-parallel baseliner stage
+    /// must match bit for bit at any worker count.
     ///
     /// Candidate item pairs are generated through co-rating users, so items with no
     /// common rater never pay a similarity computation, and each unordered pair pays it
@@ -564,10 +575,26 @@ impl SimilarityGraph {
         Self::from_scored_pairs(matrix, config, &keys, stats)
     }
 
-    /// Builds the graph from a rating matrix containing the aggregated domains
-    /// (the serial path; see [`SimilarityGraph::build_serial`]).
+    /// Builds the graph from a rating matrix containing the aggregated domains,
+    /// single-threaded: one [`ItemRowKernel`] row per item in ascending id, each row's
+    /// `hi > lo` half appended — the pair keys ascend by construction and every
+    /// unordered pair is kept exactly once — then the shared
+    /// [`SimilarityGraph::from_scored_pairs`] back half. Bit-identical to
+    /// [`SimilarityGraph::build_serial`] (property-tested below).
     pub fn build(matrix: &RatingMatrix, config: GraphConfig) -> Self {
-        Self::build_serial(matrix, config)
+        let kernel = ItemRowKernel::new(matrix, config.metric);
+        let mut scratch = RowScratch::new();
+        let mut keys: Vec<u64> = Vec::new();
+        let mut stats: Vec<SimilarityStats> = Vec::new();
+        for lo in matrix.items() {
+            for &(hi, pair) in kernel.row(lo, &mut scratch).0 {
+                if hi > lo {
+                    keys.push(Self::pair_key(lo, hi));
+                    stats.push(pair);
+                }
+            }
+        }
+        Self::from_scored_pairs(matrix, config, &keys, stats)
     }
 
     /// The configuration the graph was built with.
@@ -1268,6 +1295,33 @@ mod tests {
                 let incremental = g.apply_updates_serial(&updated, &affected);
                 let full = SimilarityGraph::build(&updated, config);
                 prop_assert_eq!(incremental, full, "delta rebuild diverged (top_k {:?})", top_k);
+            }
+        }
+
+        /// The row-gathering `build` ≡ the per-pair `build_serial`, on the whole arena
+        /// (`PartialEq` covers the scored-pair cache too), for every metric, with and
+        /// without `top_k` / `min_similarity`.
+        #[test]
+        fn build_is_bit_identical_to_build_serial(
+            ratings in proptest::collection::vec((0u32..14, 0u32..18, 1u32..=5), 1..220),
+            k in 1usize..6,
+            metric_ix in 0usize..3,
+        ) {
+            let m = random_matrix(&ratings, 2);
+            let metric = [
+                SimilarityMetric::AdjustedCosine,
+                SimilarityMetric::Cosine,
+                SimilarityMetric::Pearson,
+            ][metric_ix];
+            for top_k in [None, Some(k)] {
+                for min_similarity in [0.0, 0.4] {
+                    let config = GraphConfig { metric, top_k, min_similarity };
+                    prop_assert_eq!(
+                        SimilarityGraph::build(&m, config),
+                        SimilarityGraph::build_serial(&m, config),
+                        "build diverged from build_serial under {:?}", config
+                    );
+                }
             }
         }
 

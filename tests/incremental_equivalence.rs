@@ -13,6 +13,7 @@
 //! the delta edge-case tests in `xmap_core::delta`.
 
 use xmap_suite::core::ShardedModel;
+use xmap_suite::graph::SimilarityGraph;
 use xmap_suite::prelude::*;
 
 const GATE_WORKERS: [usize; 3] = [1, 2, 8];
@@ -222,6 +223,101 @@ fn sequential_deltas_compose_to_the_same_model_as_one_refit() {
     );
 }
 
+/// The sparse trace of the cost contract below (few ratings per user over a wide
+/// catalogue, like the paper's).
+fn sparse_config() -> CrossDomainConfig {
+    CrossDomainConfig {
+        n_source_items: 80,
+        n_target_items: 80,
+        n_source_only_users: 60,
+        n_target_only_users: 60,
+        n_overlap_users: 40,
+        ratings_per_user: 6,
+        latent_dim: 2,
+        noise: 0.3,
+        seed: 7,
+        popularity_skew: 0.0,
+    }
+}
+
+/// `size` round-robin ratings over existing overlap users and target items.
+fn round_robin_delta(ds: &CrossDomainDataset, size: usize) -> RatingDelta {
+    let items = ds.target_items();
+    let mut delta = RatingDelta::new();
+    for ix in 0..size {
+        let u = ds.overlap_users[ix % ds.overlap_users.len()];
+        let i = items[(ix * 7) % items.len()];
+        delta.push_timed(u.0, i.0, ((ix % 5) + 1) as f64, 1000 + ix as u32);
+    }
+    delta
+}
+
+/// `DeltaReport`'s three work counters by their definitions, from materialised pair
+/// keys: the dirty items, the affected co-rated pair keys of the aggregated matrix,
+/// and the distinct endpoints of the affected pair keys of the target-domain matrix.
+fn counts_by_definition(updated: &RatingMatrix, delta: &RatingDelta) -> (usize, usize, usize) {
+    let users = delta.affected_users();
+    let dirty = SimilarityGraph::dirty_items(updated, &users);
+    let keys = SimilarityGraph::affected_pair_keys(updated, &dirty);
+    let target = updated
+        .filter(|r| updated.item_domain(r.item) == DomainId::TARGET)
+        .unwrap();
+    let target_dirty = SimilarityGraph::dirty_items(&target, &users);
+    let mut endpoints: Vec<ItemId> = SimilarityGraph::affected_pair_keys(&target, &target_dirty)
+        .into_iter()
+        .flat_map(|key| {
+            let (lo, hi) = SimilarityGraph::pair_of_key(key);
+            [lo, hi]
+        })
+        .collect();
+    endpoints.sort_unstable();
+    endpoints.dedup();
+    (dirty.len(), keys.len(), endpoints.len())
+}
+
+/// The delta stage gathers rows and marks pool endpoints without ever building a pair
+/// key; what it *reports* must still be the key-based definitions, to the digit — on
+/// the gate delta (new user, new item), a follow-up delta on the grown model, and the
+/// sparse trace's 1/8/32-rating deltas, all of which touch the target domain.
+#[test]
+fn delta_report_counts_equal_their_pair_key_definitions() {
+    let check = |model: &XMapModel, delta: &RatingDelta, what: &str| {
+        let report = model.apply_delta(delta).unwrap();
+        let (n_dirty, n_pairs, n_endpoints) = counts_by_definition(&model.matrix(), delta);
+        assert_eq!(report.n_dirty_items, n_dirty, "{what}: dirty items");
+        assert_eq!(report.n_rescored_pairs, n_pairs, "{what}: rescored pairs");
+        let item_based = model.config().mode == XMapMode::NxMapItemBased;
+        assert_eq!(
+            report.n_pool_refits,
+            if item_based { n_endpoints } else { 0 },
+            "{what}: pool refits"
+        );
+        assert!(
+            n_pairs > 0 && n_endpoints > 0,
+            "{what}: the delta is trivial"
+        );
+    };
+    for mode in [XMapMode::NxMapItemBased, XMapMode::NxMapUserBased] {
+        let ds = dataset();
+        let fit = |matrix: &RatingMatrix| {
+            XMapModel::fit(matrix, DomainId::SOURCE, DomainId::TARGET, config(mode, 2)).unwrap()
+        };
+        let model = fit(&ds.matrix);
+        check(&model, &gate_delta(&ds), "gate delta");
+        let mut second = RatingDelta::new();
+        second
+            .push_timed(ds.overlap_users[2].0, ds.target_items()[1].0, 4.0, 300)
+            .push_timed(ds.overlap_users[0].0, ds.target_items()[0].0, 5.0, 301);
+        check(&model, &second, "second delta");
+
+        let sparse = CrossDomainDataset::generate(sparse_config());
+        for size in [1usize, 8, 32] {
+            let delta = round_robin_delta(&sparse, size);
+            check(&fit(&sparse.matrix), &delta, &format!("sparse/{size}"));
+        }
+    }
+}
+
 /// A top-N wide enough to return every candidate of the small catalogue.
 const FULL_RANKING: usize = 1_000;
 
@@ -335,18 +431,7 @@ fn a_warmed_user_based_scratch_follows_a_matrix_that_grows_between_two_reads() {
 /// a trace with three times the users.
 #[test]
 fn delta_cost_tracks_the_delta_not_the_trace() {
-    let sparse = CrossDomainConfig {
-        n_source_items: 80,
-        n_target_items: 80,
-        n_source_only_users: 60,
-        n_target_only_users: 60,
-        n_overlap_users: 40,
-        ratings_per_user: 6,
-        latent_dim: 2,
-        noise: 0.3,
-        seed: 7,
-        popularity_skew: 0.0,
-    };
+    let sparse = sparse_config();
     let fit = |matrix: &RatingMatrix| {
         let config = config(XMapMode::NxMapItemBased, 1);
         XMapModel::fit(matrix, DomainId::SOURCE, DomainId::TARGET, config).unwrap()
@@ -354,13 +439,7 @@ fn delta_cost_tracks_the_delta_not_the_trace() {
     // (delta cost, refit cost) of `size` round-robin ratings over existing overlap
     // users and target items.
     let costs = |ds: &CrossDomainDataset, size: usize| -> (f64, f64) {
-        let items = ds.target_items();
-        let mut delta = RatingDelta::new();
-        for ix in 0..size {
-            let u = ds.overlap_users[ix % ds.overlap_users.len()];
-            let i = items[(ix * 7) % items.len()];
-            delta.push_timed(u.0, i.0, ((ix % 5) + 1) as f64, 1000 + ix as u32);
-        }
+        let delta = round_robin_delta(ds, size);
         let model = fit(&ds.matrix);
         model.apply_delta(&delta).unwrap();
         let delta_cost: f64 = model.delta_task_costs().unwrap().iter().sum();
