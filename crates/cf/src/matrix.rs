@@ -1027,6 +1027,57 @@ mod tests {
                     rebuilt.global_average().to_bits()
                 );
             }
+
+            /// The winner rule composes: 1–6 deltas applied one by one, their
+            /// concatenation applied once, and the builder over the concatenated trace
+            /// all give the same matrix (`PartialEq`: both views, averages, domains).
+            /// The small id and timestep ranges make duplicate cells, descending and
+            /// equal timesteps, new users and new items the common case; every delta
+            /// declares the items it introduces and re-declares some existing items'
+            /// current domain.
+            #[test]
+            fn deltas_applied_one_by_one_equal_their_concatenation_applied_once(
+                base in proptest::collection::vec((0u32..8, 0u32..10, 1u32..=5, 0u32..6), 1..120),
+                deltas in proptest::collection::vec(
+                    (
+                        proptest::collection::vec((0u32..12, 0u32..14, 1u32..=5, 0u32..8), 0..12),
+                        proptest::collection::vec(0u32..14, 0..4),
+                    ),
+                    1..=6,
+                ),
+            ) {
+                let base = matrix_from(&base).unwrap();
+                let mut one_by_one = base.clone();
+                let mut all_ratings: Vec<Rating> = Vec::new();
+                let mut all_domains: Vec<(ItemId, DomainId)> = Vec::new();
+                for (events, redeclared) in deltas {
+                    let ratings: Vec<Rating> = events
+                        .into_iter()
+                        .map(|(u, i, v, t)| Rating::at(UserId(u), ItemId(i), v as f64, Timestep(t)))
+                        .collect();
+                    let n_items = one_by_one.n_items();
+                    let introduced = ratings
+                        .iter()
+                        .map(|r| r.item)
+                        .filter(|i| i.index() >= n_items)
+                        .map(|i| (i, DomainId((i.0 % 2) as u16)));
+                    let restated = redeclared
+                        .into_iter()
+                        .map(ItemId)
+                        .filter(|i| i.index() < n_items)
+                        .map(|i| (i, one_by_one.item_domain(i)));
+                    let domains: Vec<(ItemId, DomainId)> = introduced.chain(restated).collect();
+                    one_by_one = one_by_one.apply_delta(&ratings, &domains).unwrap();
+                    all_ratings.extend(ratings);
+                    all_domains.extend(domains);
+                }
+                let at_once = base.apply_delta(&all_ratings, &all_domains).unwrap();
+                prop_assert_eq!(&one_by_one, &at_once);
+                prop_assert_eq!(
+                    &at_once,
+                    &rebuild_with_delta(&base, &all_ratings, &all_domains)
+                );
+            }
         }
     }
 }

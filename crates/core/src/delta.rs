@@ -3,38 +3,39 @@
 //!
 //! A deployed X-Map model keeps absorbing new ratings; refitting on the full trace for
 //! every batch would make update cost scale with history rather than with the update.
-//! [`XMapModel::apply_delta`] instead re-derives **only the state a delta actually
-//! affects**, and proves the shortcut exact: the resulting model is **bit-identical to
-//! a full refit on the updated matrix** (enforced by `tests/incremental_equivalence.rs`
-//! in all four modes at 1/2/8 workers).
+//! [`XMapModel::apply_delta`] instead runs the model's one build
+//! (`pipeline::build_epoch`, the build a fit runs over *everything*) with each step's
+//! affected set narrowed to **the state the delta can reach**, and proves the narrowing
+//! exact: the resulting model is **bit-identical to a full refit on the updated
+//! matrix** (enforced by `tests/incremental_equivalence.rs` in all four modes at 1/2/8
+//! workers).
 //!
 //! The recompute-not-accumulate rule (see DESIGN.md) governs every layer:
 //!
 //! 1. the [`RatingMatrix`] absorbs the delta through the incremental builder path
 //!    (`RatingMatrix::apply_delta` — row merges and copied averages, no re-sort);
-//! 2. the similarity graph re-*scores* exactly the affected co-rated pairs (every pair
-//!    touching an item a delta user rated — adjusted cosine reads all raters' user
-//!    averages) by gathering the dirty items' whole rows (`pipeline::gather_pairs`,
-//!    the baseliner's kernel) and merges them with the cached statistics of every
+//! 2. the similarity graph re-*scores* exactly the affected co-rated pairs — every pair
+//!    touching a *dirty* item, one a delta user rated (adjusted cosine reads all
+//!    raters' user averages) — and merges them with the cached statistics of every
 //!    other pair (`SimilarityGraph::apply_updates`);
 //! 3. the X-Sim table recomputes only the source rows whose meta-path neighbourhood
-//!    (≤ 5 hops) touches a changed graph row or layer rank;
+//!    (≤ 5 hops) touches a changed graph row or layer rank (`affected_xsim_rows`);
 //! 4. the generator re-draws replacements only for those rows (per-item RNG streams
 //!    make the unchanged draws bit-equal by construction), and
 //! 5. the item-based kNN pools are re-scored only for target items with an affected
-//!    target-domain pair.
+//!    target-domain pair (`affected_pool_items`).
 //!
 //! ## Build aside, swap, drain, retire
 //!
 //! `apply_delta` is `&self`: it never mutates the served model in place. It takes an
-//! epoch snapshot as its base, constructs every updated piece *aside*, wraps them into
-//! the next [`ModelEpoch`] — pieces the delta did not touch are **shared** with the
-//! base epoch through their `Arc`s (the whole graph arena when no pair was re-scored,
-//! the X-Sim/replacement tables when no row was within meta-path reach, the recommender
-//! when the target-domain training matrix is unchanged) — and publishes the epoch with
-//! one pointer swap on the model's `EpochHandle`. Readers serving from the previous
-//! epoch finish undisturbed; the old epoch is retired once its last snapshot drops.
-//! Writers serialize on the model's ingest lock.
+//! epoch snapshot as its base, the build constructs every updated piece *aside* and
+//! assembles the next [`crate::ModelEpoch`] — pieces the delta did not touch are **shared**
+//! with the base epoch through their `Arc`s (the whole graph arena when no pair was
+//! re-scored, the X-Sim/replacement tables when no row was within meta-path reach, the
+//! recommender when the target-domain training matrix is unchanged) — and the epoch is
+//! published with one pointer swap on the model's `EpochHandle`. Readers serving from
+//! the previous epoch finish undisturbed; the old epoch is retired once its last
+//! snapshot drops. Writers serialize on the model's ingest lock.
 //!
 //! ## MRV-split ingest accumulators
 //!
@@ -48,15 +49,13 @@
 //! the delta's affected-user set, and the merged statistics are published as
 //! [`IngestAccumulators`].
 //!
-//! All partitioned work runs as one [`DeltaStage`] on the model's own dataflow, so the
-//! per-partition data-derived costs land in a `"delta"` ledger
-//! ([`XMapModel::delta_task_costs`]) that `figures -- replay` replays on the cluster
-//! simulator — identical at any worker count, and scaling with the delta's co-rating
-//! neighbourhood rather than the trace (`tests/incremental_equivalence.rs`).
+//! The accumulators and the build's four steps run as one `"delta"` stage on the
+//! model's own dataflow, so the per-partition data-derived costs land in a `"delta"`
+//! ledger ([`XMapModel::delta_task_costs`]) that `figures -- replay` replays on the
+//! cluster simulator — identical at any worker count, and scaling with the delta's
+//! co-rating neighbourhood rather than the trace (`tests/incremental_equivalence.rs`).
 
-use crate::generator::AlterEgoGenerator;
-use crate::pipeline::{fit_item_pools, gather_pairs, FittedRecommender, ModelEpoch, XMapModel};
-use crate::recommend;
+use crate::pipeline::{build_epoch, DeltaBase, Ledgers, XMapModel};
 use crate::{Result, XMapError};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -64,10 +63,9 @@ use xmap_cf::knn::Profile;
 use xmap_cf::mrv::{self, MrvCell, MrvShard};
 use xmap_cf::{DomainId, ItemId, Rating, RatingMatrix, Timestep, UserId};
 use xmap_engine::{
-    ConcurrentIngest, ConcurrentRead, ConcurrentReport, ConcurrentStage, Stage, StageContext,
+    fn_stage, ConcurrentIngest, ConcurrentRead, ConcurrentReport, ConcurrentStage, StageContext,
 };
-use xmap_graph::{BridgeIndex, LayerPartition, SimilarityGraph};
-use xmap_privacy::PrivacyBudget;
+use xmap_graph::{LayerPartition, SimilarityGraph};
 
 /// Ledger key of the delta stage.
 pub const DELTA_STAGE_NAME: &str = "delta";
@@ -218,7 +216,7 @@ pub struct ServedRead {
 /// the *union* of the old and new adjacencies (a delta can remove paths as well as add
 /// them). Conservative supersets are fine — recomputation is exact — but anything
 /// smaller than the true dependency set would break bit-identity with a full refit.
-fn affected_xsim_rows(
+pub(crate) fn affected_xsim_rows(
     old_graph: &SimilarityGraph,
     old_partition: &LayerPartition,
     new_graph: &SimilarityGraph,
@@ -232,8 +230,7 @@ fn affected_xsim_rows(
         let item = ItemId(ix as u32);
         let old_row = old_graph.neighbors(item);
         let new_row = new_graph.neighbors(item);
-        let row_changed = old_row.len() != new_row.len()
-            || old_row.ids() != new_row.ids()
+        let row_changed = old_row.ids() != new_row.ids()
             || (0..old_row.len()).any(|s| old_row.get(s).stats != new_row.get(s).stats);
         let rank_changed = old_partition.path_rank(item, source)
             != new_partition.path_rank(item, source)
@@ -274,7 +271,10 @@ fn affected_xsim_rows(
 /// straight into one seen buffer (no pair key is materialised). An item with no
 /// affected pair keeps its pool bit for bit (candidate set, candidate statistics and
 /// its raters' averages are all untouched).
-fn affected_pool_items(target_matrix: &RatingMatrix, affected_users: &[UserId]) -> Vec<ItemId> {
+pub(crate) fn affected_pool_items(
+    target_matrix: &RatingMatrix,
+    affected_users: &[UserId],
+) -> Vec<ItemId> {
     let mut seen = vec![false; target_matrix.n_items()];
     let mut items: Vec<ItemId> = Vec::new();
     let mut mark = |item: ItemId| {
@@ -313,223 +313,67 @@ where
     mrv::merge_cells(folded)
 }
 
-/// Everything a delta fit rebuilds, handed back to [`XMapModel::apply_delta`]. Each
-/// `None` means "bit-identical to the base epoch — share its `Arc`, don't copy".
-struct DeltaParts {
-    /// The re-scored graph with its bridges and layer partition; `None` when no pair
-    /// was re-scored and no item was added.
-    graph: Option<(SimilarityGraph, BridgeIndex, LayerPartition)>,
-    /// `None` when no source row was within meta-path reach of a change.
-    xsim: Option<crate::xsim::XSimTable>,
-    /// `None` exactly when `xsim` is (replacements re-draw per recomputed row).
-    replacements: Option<crate::generator::ReplacementTable>,
-    /// The refitted recommender and (item-based modes) spliced pools; `None` when the
-    /// target-domain training matrix is unchanged by the delta.
-    recommender: Option<FittedRecommender>,
-    /// `None` when the target matrix (and so its rating count) is unchanged.
-    n_target_ratings: Option<usize>,
-    accumulators: IngestAccumulators,
-    report: DeltaReport,
+/// Step 0 of a delta, ahead of the build's four: routes the delta's rating events to
+/// `(key, shard)` cells by per-key occurrence position, folds the cells
+/// partition-parallel and merges them in `(key, shard)` order. The merged user keys are
+/// the affected-user set every later step consumes.
+fn ingest_accumulators(delta: &RatingDelta, cx: &mut StageContext<'_>) -> IngestAccumulators {
+    let user_cells = mrv::route_events(
+        delta.ratings().iter().map(|r| (r.user, r.value)),
+        INGEST_MRV_SHARDS,
+    );
+    let item_cells = mrv::route_events(
+        delta.ratings().iter().map(|r| (r.item, 1.0)),
+        INGEST_MRV_SHARDS,
+    );
+    let user_stats = fold_routed_cells(user_cells, cx);
+    let item_stats = fold_routed_cells(item_cells, cx);
+    IngestAccumulators {
+        n_shards: INGEST_MRV_SHARDS,
+        user_stats,
+        item_touches: item_stats.iter().map(|&(i, s)| (i, s.count)).collect(),
+    }
 }
 
-/// The delta stage: all affected-item work of an incremental fit, run as one stage so
-/// every partitioned map's data-derived costs accumulate in the `"delta"` ledger.
-struct DeltaStage<'a> {
-    base: &'a ModelEpoch,
-    updated: &'a RatingMatrix,
-    delta: &'a RatingDelta,
-    budget: Option<&'a Mutex<PrivacyBudget>>,
-}
-
-impl Stage<()> for DeltaStage<'_> {
-    type Out = Result<DeltaParts>;
-
-    fn name(&self) -> &'static str {
-        DELTA_STAGE_NAME
-    }
-
-    fn run(&self, _input: (), cx: &mut StageContext<'_>) -> Result<DeltaParts> {
-        let base = self.base;
-        let updated = self.updated;
-        let delta = self.delta;
-        let config = base.config;
-        let mut report = DeltaReport::default();
-
-        // --- 0. MRV ingest accumulators: route the delta's rating events to
-        // (key, shard) cells by per-key occurrence position, fold the cells
-        // partition-parallel, merge in (key, shard) order. The merged user keys are
-        // the affected-user set every later step consumes. ---
-        let user_cells = mrv::route_events(
-            delta.ratings().iter().map(|r| (r.user, r.value)),
-            INGEST_MRV_SHARDS,
-        );
-        let item_cells = mrv::route_events(
-            delta.ratings().iter().map(|r| (r.item, 1.0)),
-            INGEST_MRV_SHARDS,
-        );
-        let user_stats = fold_routed_cells(user_cells, cx);
-        let item_stats = fold_routed_cells(item_cells, cx);
-        let affected_users: Vec<UserId> = user_stats.iter().map(|&(u, _)| u).collect();
-        report.n_affected_users = affected_users.len();
-        let accumulators = IngestAccumulators {
-            n_shards: INGEST_MRV_SHARDS,
-            user_stats,
-            item_touches: item_stats.iter().map(|&(i, s)| (i, s.count)).collect(),
-        };
-
-        // --- 1. Similarity graph: re-score exactly the affected pairs by gathering the
-        // dirty items' whole rows, partition-parallel (the baseliner's kernel and cost
-        // model; a pair of two dirty items is kept from its lower endpoint only), then
-        // merge with the cached statistics of every unaffected stored pair. If nothing
-        // is affected and no item was added, the whole arena is shared with the base
-        // epoch instead of copied. ---
-        let dirty = SimilarityGraph::dirty_items(updated, &affected_users);
-        report.n_dirty_items = dirty.len();
-        let mut is_dirty = vec![false; updated.n_items()];
-        for &item in &dirty {
-            is_dirty[item.index()] = true;
+/// The validation prelude of [`XMapModel::apply_delta`], ahead of the build, the
+/// journal append and the publish. Domain migration is not an incremental operation,
+/// and ids must stay dense: every id a delta introduces is named by one of its own
+/// events or declarations, so the model may grow by at most the delta's size — an id
+/// past that would size the matrix, the graph arena and every dense buffer by the id
+/// instead of by the data.
+fn check_delta(delta: &RatingDelta, full: &RatingMatrix) -> Result<()> {
+    for &(item, domain) in delta.item_domains() {
+        if item.index() < full.n_items() && full.item_domain(item) != domain {
+            return Err(XMapError::Data(format!(
+                "delta redeclares item {item} from {:?} to {domain:?}; domain migration \
+                 requires a full refit",
+                full.item_domain(item)
+            )));
         }
-        let (keys, fresh) = gather_pairs(
-            updated,
-            base.graph.config().metric,
-            dirty,
-            |item, other| other > item || !is_dirty[other.index()],
-            cx,
-        );
-        report.n_rescored_pairs = keys.len();
-        let share_graph = keys.is_empty() && updated.n_items() == base.full.n_items();
-        let rebuilt_graph: Option<(SimilarityGraph, BridgeIndex, LayerPartition)> = if share_graph {
-            None
-        } else {
-            let graph = base.graph.apply_updates(updated, &keys, fresh);
-            // Bridges and layers: cheap linear recomputes over the new arena; the old
-            // partition is retained on the epoch, so rank changes are a comparison,
-            // not a rebuild.
-            let bridges = BridgeIndex::from_graph(&graph);
-            let partition = LayerPartition::compute(&graph, &bridges);
-            Some((graph, bridges, partition))
-        };
-        let (new_graph, new_partition): (&SimilarityGraph, &LayerPartition) = match &rebuilt_graph {
-            Some((g, _, p)) => (g, p),
-            None => (&base.graph, &base.partition),
-        };
-
-        // --- 2. X-Sim: recompute only the source rows within meta-path reach of a
-        // change, partition-parallel with the extender's scratch reuse and cost model.
-        // An untouched graph reaches nothing, so the table is shared outright. ---
-        let rows = if share_graph {
-            Vec::new()
-        } else {
-            affected_xsim_rows(
-                &base.graph,
-                &base.partition,
-                new_graph,
-                new_partition,
-                base.source_domain,
-            )
-        };
-        report.n_xsim_rows = rows.len();
-        let rebuilt_xsim = if rows.is_empty() {
-            None
-        } else {
-            Some(base.xsim.with_recomputed_rows(
-                new_graph,
-                new_partition,
-                base.source_domain,
-                config.metapath,
-                rows.clone(),
-                cx,
-            ))
-        };
-        let new_xsim = rebuilt_xsim.as_ref().unwrap_or(&base.xsim);
-
-        // --- 3. Generator: PRS debit, then re-draw replacements for the recomputed
-        // rows only (per-item RNG streams keep unchanged rows bit-equal — with no
-        // recomputed row the old table already *is* the refit table, so it is shared).
-        // The ε debit is unconditional: the delta re-releases the table either way. ---
-        if let Some(b) = self.budget {
-            b.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .spend("PRS", config.privacy.epsilon)
-                .map_err(XMapError::Privacy)?;
-        }
-        report.n_replacement_draws = rows.len();
-        let rebuilt_replacements = if rows.is_empty() {
-            None
-        } else {
-            Some(AlterEgoGenerator::recompute_replacements_batched(
-                new_xsim,
-                &config,
-                rows,
-                &base.replacements,
-                cx,
-            ))
-        };
-
-        // --- 4. Recommender: when the delta leaves the target-domain training matrix
-        // untouched (no target rating events, no new users or items) the fitted
-        // recommender and its pools are bit-equal to a refit's, so both are shared.
-        // Otherwise splice the item-kNN pools (item-based modes) and rebuild the
-        // recommender on the new target matrix. The ε′ debit is unconditional for the
-        // private modes — shared artifacts are still re-released under the fresh
-        // accountant — and, like a refit's, comes before any pool work. ---
-        let share_recommender = updated.n_users() == base.full.n_users()
-            && updated.n_items() == base.full.n_items()
-            && delta
-                .ratings()
-                .iter()
-                .all(|r| updated.item_domain(r.item) != base.target_domain);
-        let (rebuilt_recommender, n_target_ratings) = if share_recommender {
-            recommend::debit_stage_budget(&config, self.budget)?;
-            (None, None)
-        } else {
-            let target_matrix = Arc::new(
-                updated
-                    .filter(|r| updated.item_domain(r.item) == base.target_domain)
-                    .map_err(|_| XMapError::Data("target domain has no ratings".to_string()))?,
-            );
-            let n_target_ratings = target_matrix.n_ratings();
-            if n_target_ratings == 0 {
-                return Err(XMapError::Data("target domain has no ratings".to_string()));
-            }
-            recommend::debit_stage_budget(&config, self.budget)?;
-            let pools = recommend::item_pool_config(&config).map(|knn_config| {
-                let pool_items = affected_pool_items(&target_matrix, &affected_users);
-                report.n_pool_refits = pool_items.len();
-                let fresh_pools = fit_item_pools(&target_matrix, &knn_config, pool_items, cx);
-                let mut pools = base
-                    .item_pools
-                    .as_ref()
-                    .expect("item-based models retain their kNN pools") // lint: panic — reviewed invariant
-                    .as_ref()
-                    .clone();
-                pools.resize(target_matrix.n_items(), Vec::new());
-                for (item, pool) in fresh_pools {
-                    pools[item.index()] = pool;
-                }
-                Arc::new(pools)
-            });
-            let recommender =
-                recommend::build(&config, target_matrix, pools.as_ref().map(Arc::clone))?;
-            (Some((recommender, pools)), Some(n_target_ratings))
-        };
-
-        Ok(DeltaParts {
-            graph: rebuilt_graph,
-            xsim: rebuilt_xsim,
-            replacements: rebuilt_replacements,
-            recommender: rebuilt_recommender,
-            n_target_ratings,
-            accumulators,
-            report,
-        })
     }
+    let user_bound = full.n_users() + delta.len();
+    let item_bound = full.n_items() + delta.len() + delta.item_domains().len();
+    let declared = delta.item_domains().iter().map(|&(item, _)| item);
+    let max_user = delta.ratings().iter().map(|r| r.user).max();
+    let max_item = delta.ratings().iter().map(|r| r.item).chain(declared).max();
+    if max_user.is_some_and(|u| u.index() >= user_bound)
+        || max_item.is_some_and(|i| i.index() >= item_bound)
+    {
+        return Err(XMapError::Data(format!(
+            "delta names ids up to user {max_user:?} and item {max_item:?}, but its {} events \
+             and {} declarations can grow the model to at most {user_bound} users and \
+             {item_bound} items",
+            delta.len(),
+            delta.item_domains().len()
+        )));
+    }
+    Ok(())
 }
 
 impl XMapModel {
     /// Absorbs a batch of new/updated ratings into the fitted model **incrementally**
     /// and **without blocking readers**: only the state the delta affects is recomputed
-    /// (see the module docs for the layers), the next [`ModelEpoch`] is built aside —
+    /// (see the module docs for the layers), the next [`crate::ModelEpoch`] is built aside —
     /// sharing every untouched piece with the base epoch — and published with a single
     /// pointer swap. The resulting model — graph bits, replacement table, kNN pools,
     /// predictions, privacy ledger — is **bit-identical to a full
@@ -547,105 +391,54 @@ impl XMapModel {
     /// artifact, so a **fresh** privacy accountant is charged exactly like a refit
     /// (ε for PRS, ε′ for PNSA + PNCF) and replaces the previous ledger.
     ///
-    /// Errors leave the model untouched (no epoch is published): domain redeclarations
-    /// of existing items are rejected (`XMapError::Data`), non-finite ratings propagate
-    /// from the matrix layer, and an exhausted privacy budget aborts before anything is
-    /// released.
+    /// Errors leave the model untouched (no epoch is published, nothing is journalled):
+    /// domain redeclarations of existing items and ids past what the delta's own size
+    /// can grow the model to are rejected (`XMapError::Data`), non-finite ratings
+    /// propagate from the matrix layer, and an exhausted privacy budget aborts before
+    /// anything is released.
     pub fn apply_delta(&self, delta: &RatingDelta) -> Result<DeltaReport> {
         let _ingest = self
             .ingest_lock
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let (_, base) = self.handle.load();
-        for &(item, domain) in delta.item_domains() {
-            if item.index() < base.full.n_items() && base.full.item_domain(item) != domain {
-                return Err(XMapError::Data(format!(
-                    "delta redeclares item {item} from {:?} to {domain:?}; domain migration \
-                     requires a full refit",
-                    base.full.item_domain(item)
-                )));
-            }
-        }
+        check_delta(delta, &base.full)?;
         let updated = Arc::new(
             base.full
                 .apply_delta(delta.ratings(), delta.item_domains())?,
         );
 
-        // A fresh accountant for the re-released artifacts, sized exactly like a refit.
-        let budget = self
-            .config
-            .mode
-            .is_private()
-            .then(|| Mutex::new(PrivacyBudget::new(self.config.privacy.total())));
-
-        let parts = self.flow.run(
-            &DeltaStage {
-                base: &base,
-                updated: &updated,
-                delta,
-                budget: budget.as_ref(),
-            },
+        let (next, accumulators, mut report) = self.flow.run(
+            &fn_stage(DELTA_STAGE_NAME, |(), cx: &mut StageContext<'_>| {
+                let accumulators = ingest_accumulators(delta, cx);
+                let affected_users: Vec<UserId> =
+                    accumulators.user_stats.iter().map(|&(u, _)| u).collect();
+                let from = DeltaBase {
+                    epoch: &base,
+                    delta,
+                    affected_users: &affected_users,
+                };
+                let (next, mut report) = build_epoch(
+                    self.config,
+                    self.source_domain,
+                    self.target_domain,
+                    &updated,
+                    Some(&from),
+                    Ledgers::Running(cx),
+                    || Arc::clone(&updated),
+                )?;
+                report.n_delta_ratings = delta.len();
+                report.n_affected_users = affected_users.len();
+                Ok::<_, XMapError>((next, accumulators, report))
+            }),
             (),
         )?;
-        let DeltaParts {
-            graph: rebuilt_graph,
-            xsim: rebuilt_xsim,
-            replacements: rebuilt_replacements,
-            recommender: rebuilt_recommender,
-            n_target_ratings,
-            accumulators,
-            report: stage_report,
-        } = parts;
-        let mut report = stage_report;
-        report.n_delta_ratings = delta.len();
-
-        // Model-shape statistics of the rebuilt pieces, captured before the pieces move
-        // into the next epoch (shared pieces leave the stats untouched — they are the
-        // base epoch's, unchanged by construction).
-        let graph_shape = rebuilt_graph
-            .as_ref()
-            .map(|(g, b, p)| (g.n_heterogeneous_pairs(), b.n_bridges(), p.cell_counts()));
-        let xsim_pairs = rebuilt_xsim.as_ref().map(|x| x.n_heterogeneous_pairs());
-
-        // --- Build the next epoch aside: every piece the delta rebuilt gets a fresh
-        // Arc; every untouched piece shares the base epoch's. ---
-        let (graph, partition) = match rebuilt_graph {
-            Some((g, _bridges, p)) => (Arc::new(g), Arc::new(p)),
-            None => (Arc::clone(&base.graph), Arc::clone(&base.partition)),
-        };
-        let (recommender, item_pools) = match rebuilt_recommender {
-            Some(fitted) => fitted,
-            None => (Arc::clone(&base.recommender), base.item_pools.clone()),
-        };
-        let next = ModelEpoch {
-            config: self.config,
-            source_domain: self.source_domain,
-            target_domain: self.target_domain,
-            full: Arc::clone(&updated),
-            graph,
-            partition,
-            replacements: rebuilt_replacements
-                .map(Arc::new)
-                .unwrap_or_else(|| Arc::clone(&base.replacements)),
-            xsim: rebuilt_xsim
-                .map(Arc::new)
-                .unwrap_or_else(|| Arc::clone(&base.xsim)),
-            recommender,
-            item_pools,
-            budget: budget.map(|m| {
-                Arc::new(
-                    m.into_inner()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner),
-                )
-            }),
-        };
 
         // --- Write-ahead journal: with a store attached, the delta record must be
         // durable (appended + fsynced) *before* the epoch it produces becomes
         // visible. An append failure aborts with nothing published, so the model —
         // in memory and on disk — is left exactly as it was. Still under the ingest
         // lock, so journal order is publish order. ---
-        let mut journal_offset = None;
         {
             let mut store = self
                 .store
@@ -653,36 +446,13 @@ impl XMapModel {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             if let Some(store) = store.as_mut() {
                 let next_epoch = self.handle.epoch() + 1;
-                journal_offset = Some(store.append(next_epoch, delta)?);
+                report.journal_offset = Some(store.append(next_epoch, delta)?);
             }
         }
 
         // --- Publish: one pointer swap; readers on the base epoch drain and the base
         // retires with its last snapshot. ---
         report.epoch = self.handle.publish(Arc::new(next));
-        report.journal_offset = journal_offset;
-
-        // Refresh the mutable-side bookkeeping (still under the ingest lock). The
-        // fit-stage task bags keep describing the original fit — the delta's own bag
-        // lives in the `delta` ledger.
-        {
-            let mut stats = self
-                .stats
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some((n_standard, n_bridges, layer_counts)) = graph_shape {
-                stats.n_standard_hetero_pairs = n_standard;
-                stats.n_bridge_items = n_bridges;
-                stats.layer_counts = layer_counts;
-            }
-            if let Some(n_pairs) = xsim_pairs {
-                stats.n_xsim_hetero_pairs = n_pairs;
-            }
-            if let Some(n) = n_target_ratings {
-                stats.n_target_ratings = n;
-            }
-            stats.stage_durations = self.flow.reports();
-        }
         *self
             .ingest_stats
             .lock()
@@ -1065,6 +835,80 @@ mod tests {
         // Item touch counts partition the event count.
         let touches: u64 = acc.item_touches.iter().map(|&(_, c)| c).sum();
         assert_eq!(touches, delta.len() as u64);
+    }
+
+    #[test]
+    fn ids_past_what_a_delta_can_grow_the_model_to_are_refused_without_side_effects() {
+        let ds = dataset();
+        let cfg = config(XMapMode::NxMapItemBased);
+        let model = XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, cfg).unwrap();
+        let dir = std::env::temp_dir().join(format!("xmap_id_bound_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        model.persist(&dir).unwrap();
+        let (n_users, n_items) = (ds.matrix.n_users() as u32, ds.matrix.n_items() as u32);
+
+        // At the bound: two events and one declaration may name user `n_users + 1` and
+        // item `n_items + 2`, leaving an unrated user and two unrated items behind them.
+        let mut at_bound = RatingDelta::new();
+        at_bound
+            .declare_item(ItemId(n_items + 2), DomainId::TARGET)
+            .push_timed(n_users + 1, n_items + 2, 4.0, 90)
+            .push_timed(ds.overlap_users[0].0, n_items + 2, 5.0, 91);
+        assert_eq!(model.apply_delta(&at_bound).unwrap().epoch, 2);
+        let updated = ds
+            .matrix
+            .apply_delta(at_bound.ratings(), at_bound.item_domains())
+            .unwrap();
+        assert_eq!(
+            (updated.n_users() as u32, updated.n_items() as u32),
+            (n_users + 2, n_items + 3)
+        );
+        let refit = XMapModel::fit(&updated, DomainId::SOURCE, DomainId::TARGET, cfg).unwrap();
+        assert_matches_refit(&model, &refit, &ds);
+
+        // One past the bound, and `u32::MAX` as a user, a rated item and a declaration.
+        let (n_users, n_items) = (n_users + 2, n_items + 3);
+        let rating = |user: u32, item: u32| {
+            let mut delta = RatingDelta::new();
+            delta.push_timed(user, item, 3.0, 99);
+            delta
+        };
+        let declaration = |item: u32| {
+            let mut delta = RatingDelta::new();
+            delta.declare_item(ItemId(item), DomainId::TARGET);
+            delta
+        };
+        let hostile = [
+            rating(n_users + 1, 0),
+            rating(0, n_items + 1),
+            declaration(n_items + 1),
+            rating(u32::MAX, 0),
+            rating(0, u32::MAX),
+            declaration(u32::MAX),
+        ];
+        let (_, before) = model.snapshot();
+        let journal_before = model.journal_len_bytes();
+        let check_untouched = |model: &XMapModel| {
+            assert_eq!(model.epoch(), 2, "no epoch may publish on error");
+            assert!(Arc::ptr_eq(&model.snapshot().1, &before));
+            assert_eq!(model.journal_len_bytes(), journal_before);
+        };
+        for delta in &hostile {
+            let err = model.apply_delta(delta).unwrap_err();
+            assert!(matches!(err, XMapError::Data(_)), "{err}");
+            assert!(err.to_string().contains("can grow the model"), "{err}");
+            check_untouched(&model);
+        }
+        // The routed ingest refuses on the coordinator, ahead of any shard journal.
+        let mut sharded = crate::ShardedModel::from_model(model, 2).unwrap();
+        for delta in &hostile {
+            assert!(matches!(sharded.ingest(delta), Err(XMapError::Data(_))));
+            check_untouched(sharded.coordinator());
+        }
+        // ... and the ids just inside the bound still go through.
+        sharded.ingest(&rating(n_users, n_items)).unwrap();
+        assert_eq!(sharded.epoch(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

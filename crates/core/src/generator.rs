@@ -268,55 +268,21 @@ impl<'a> AlterEgoGenerator<'a> {
         ReplacementTable { replacements }
     }
 
-    /// Materialises the replacement table partition-parallel on the dataflow engine.
-    ///
-    /// Source items are sorted (the X-Sim table iterates in hash order, which must not
-    /// leak into partition contents), split into the dataflow's partitions by item id,
-    /// and every partition draws its items' replacements as one pool task. Because each
-    /// draw's RNG stream is derived from `(seed, item)` alone, the assembled table is
-    /// **bit-equal** to [`AlterEgoGenerator::compute_replacements_serial`] at any worker
-    /// count. One data-derived cost per partition — `Σ (1 + |candidates|)` — is
-    /// recorded on the context and lands in the running stage's ledger.
-    pub fn compute_replacements_batched(
-        xsim: &XSimTable,
-        config: &XMapConfig,
-        cx: &mut StageContext<'_>,
-    ) -> ReplacementTable {
-        let mut items: Vec<ItemId> = xsim.iter().map(|(item, _)| item).collect();
-        items.sort_unstable();
-        let per_partition: Vec<Vec<(ItemId, ItemId)>> = cx.map_partitions(
-            items,
-            |item| item.0,
-            |_ix, part| {
-                let mut out: Vec<(ItemId, ItemId)> = Vec::new();
-                let mut cost = 0.0f64;
-                for &item in part {
-                    let all_candidates = xsim.candidates(item);
-                    cost += 1.0 + all_candidates.len() as f64;
-                    if let Some(replacement) = Self::replacement_for(item, all_candidates, config) {
-                        out.push((item, replacement));
-                    }
-                }
-                (out, cost)
-            },
-        );
-        ReplacementTable {
-            replacements: per_partition.into_iter().flatten().collect(),
-        }
-    }
-
     /// Recomputes the replacement draws of `items` against an (updated) X-Sim table
-    /// and splices them into a copy of `previous` — the delta-fit path of the
-    /// generator. Items whose fresh candidate list yields no eligible replacement are
-    /// *removed* (a full generation never stores them).
+    /// and splices them into a copy of `previous` — the generator, partition-parallel:
+    /// the sorted X-Sim row keys over the empty table for a fit, the recomputed rows
+    /// over the base epoch's table for a delta. Items whose fresh candidate list yields
+    /// no eligible replacement are *removed*: the table never stores them.
     ///
-    /// Because every draw's RNG stream derives from `(config.seed, item)` alone, a
-    /// recomputed draw over an unchanged candidate list reproduces the previous
-    /// replacement bit for bit — so when `items` covers every source item whose X-Sim
-    /// row the delta touched, the spliced table equals
-    /// [`AlterEgoGenerator::compute_replacements_serial`] over the whole updated
-    /// table. Per-partition costs (`Σ (1 + |candidates|)`, the generator's cost model)
-    /// land on the running stage's ledger.
+    /// `items` are split into the dataflow's partitions by item id (callers pass them
+    /// sorted — the X-Sim table iterates in hash order, which must not leak into
+    /// partition contents) and every partition draws as one pool task. Because every
+    /// draw's RNG stream derives from `(config.seed, item)` alone, the draws are
+    /// independent of order and of each other: when `items` covers every source item
+    /// whose X-Sim row changed, the spliced table is **bit-equal** to
+    /// [`AlterEgoGenerator::compute_replacements_serial`] over the whole updated table
+    /// at any worker count. One data-derived cost per partition — `Σ (1 +
+    /// |candidates|)` — lands on the running stage's ledger.
     pub fn recompute_replacements_batched(
         xsim: &XSimTable,
         config: &XMapConfig,
@@ -377,7 +343,7 @@ impl<'a> AlterEgoGenerator<'a> {
     }
 
     /// Wraps an externally materialised replacement table (e.g. one computed
-    /// partition-parallel by [`AlterEgoGenerator::compute_replacements_batched`]).
+    /// partition-parallel by [`AlterEgoGenerator::recompute_replacements_batched`]).
     pub fn with_replacements(
         matrix: &'a RatingMatrix,
         xsim: &'a XSimTable,
@@ -729,7 +695,15 @@ mod tests {
                     &fn_stage(
                         "generator",
                         |xsim: &XSimTable, cx: &mut StageContext<'_>| {
-                            AlterEgoGenerator::compute_replacements_batched(xsim, &config, cx)
+                            // "Everything" as the row set: the sorted X-Sim row keys,
+                            // over the empty table.
+                            AlterEgoGenerator::recompute_replacements_batched(
+                                xsim,
+                                &config,
+                                xsim.iter().map(|(item, _)| item).collect(),
+                                &ReplacementTable::default(),
+                                cx,
+                            )
                         },
                     ),
                     &table,

@@ -58,7 +58,7 @@ pub use delta::{
 };
 pub use generator::{AlterEgo, AlterEgoGenerator, RatingTransfer, ReplacementTable};
 pub use persist::{JOURNAL_FILE, SNAPSHOT_FILE};
-pub use pipeline::{BaselinerStage, ModelEpoch, PipelineStats, XMapModel};
+pub use pipeline::{ModelEpoch, PipelineStats, XMapModel};
 pub use recommend::{ProfileRecommender, ProfileScratch, ScratchPool};
 pub use serve::{RecommendStage, ServeBatch};
 pub use shard::{ShardId, ShardMap, ShardSlice, ShardedModel};

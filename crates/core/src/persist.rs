@@ -27,16 +27,15 @@
 //! the fit computes them.
 
 use crate::delta::RatingDelta;
-use crate::pipeline::{ModelEpoch, PipelineStats, XMapModel};
-use crate::recommend::{self, ScratchPool};
+use crate::pipeline::{ModelEpoch, XMapModel};
+use crate::recommend;
 use crate::xsim::XSimTable;
 use crate::{Result, XMapError};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use xmap_cf::knn::ItemNeighbor;
 use xmap_cf::{DomainId, RatingMatrix};
-use xmap_engine::sync::AtomicU64;
-use xmap_engine::{Dataflow, EpochHandle};
+use xmap_engine::Dataflow;
 use xmap_graph::{LayerPartition, SimilarityGraph};
 use xmap_privacy::PrivacyBudget;
 use xmap_store::{Journal, Snapshot};
@@ -135,10 +134,10 @@ impl xmap_store::Codec for ModelState {
     }
 }
 
-/// Rebuilds a live [`XMapModel`] from a decoded snapshot image: recomputes the
-/// bridge index, layer partition, fit stats and the mode's recommender (all
-/// deterministic functions of the persisted artifacts), and seeds the epoch handle
-/// at the snapshot epoch so replayed deltas publish the exact journal stamps.
+/// Rebuilds a live [`XMapModel`] from a decoded snapshot image: recomputes the layer
+/// partition and the mode's recommender (deterministic functions of the persisted
+/// artifacts), and seeds the epoch handle at the snapshot epoch so replayed deltas
+/// publish the exact journal stamps.
 fn model_from_state(state: ModelState) -> Result<XMapModel> {
     let ModelState {
         epoch: epoch_no,
@@ -163,9 +162,9 @@ fn model_from_state(state: ModelState) -> Result<XMapModel> {
         });
     }
 
-    // Same calls as the fit and delta paths — the recomputed pieces are
-    // bit-identical to what the persisting process held in memory.
-    let (bridges, partition) = LayerPartition::from_graph(&graph);
+    // Same calls as the build — the recomputed pieces are bit-identical to what the
+    // persisting process held in memory.
+    let (_, partition) = LayerPartition::from_graph(&graph);
 
     let target_matrix = full
         .filter(|r| full.item_domain(r.item) == target)
@@ -173,7 +172,6 @@ fn model_from_state(state: ModelState) -> Result<XMapModel> {
             offset: 0,
             detail: "persisted matrix has no target-domain ratings".to_string(),
         })?;
-    let n_target_ratings = target_matrix.n_ratings();
 
     let budget = if config.mode.is_private() {
         Some(budget.ok_or_else(|| XMapError::Corrupt {
@@ -200,22 +198,6 @@ fn model_from_state(state: ModelState) -> Result<XMapModel> {
         item_pools.as_ref().map(Arc::clone),
     )?;
 
-    // The fit-shape stats are recomputed from the persisted artifacts; the wall-clock
-    // durations and per-partition task bags of the original fit are not persisted
-    // (they describe a past process, not the model) and come back empty.
-    let stats = PipelineStats {
-        n_standard_hetero_pairs: graph.n_heterogeneous_pairs(),
-        n_xsim_hetero_pairs: xsim.n_heterogeneous_pairs(),
-        n_bridge_items: bridges.n_bridges(),
-        layer_counts: partition.cell_counts(),
-        stage_durations: Vec::new(),
-        baseliner_task_costs: Vec::new(),
-        extension_task_costs: Vec::new(),
-        generator_task_costs: Vec::new(),
-        recommender_task_costs: Vec::new(),
-        n_target_ratings,
-    };
-
     let epoch = ModelEpoch {
         config,
         source_domain: source,
@@ -229,20 +211,10 @@ fn model_from_state(state: ModelState) -> Result<XMapModel> {
         item_pools,
         budget,
     };
-
-    Ok(XMapModel {
-        config,
-        source_domain: source,
-        target_domain: target,
-        handle: EpochHandle::new(Arc::new(epoch), epoch_no),
-        stats: Mutex::new(stats),
-        flow: Dataflow::new(config.workers, config.partitions),
-        scratch: ScratchPool::new(),
-        ingest_lock: Mutex::new(()),
-        serve_epoch: AtomicU64::new(0),
-        ingest_stats: Mutex::new(None),
-        store: Mutex::new(None),
-    })
+    // A fresh dataflow: the durations and task bags of the original fit are not
+    // persisted, so the reopened model's stats report its shape and empty ledgers.
+    let flow = Dataflow::new(config.workers, config.partitions);
+    Ok(XMapModel::from_epoch(epoch, epoch_no, flow))
 }
 
 impl XMapModel {

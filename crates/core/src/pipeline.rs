@@ -1,43 +1,50 @@
 //! The end-to-end X-Map pipeline (Figure 4): baseliner → extender → generator →
 //! recommender.
 //!
-//! Each component is a [`Stage`] executed by the `xmap-engine` [`Dataflow`] runner,
-//! which owns partitioning, pool execution and per-stage accounting (see `DESIGN.md`).
-//! [`XMapModel::fit`] chains the four stages over an aggregated two-domain rating
-//! matrix and produces an [`XMapModel`] that can answer online queries: the AlterEgo of
-//! a user, predicted ratings for target-domain items, and top-N recommendations.
+//! The four components are the four steps of **one** build (`build_epoch`), executed
+//! on the `xmap-engine` [`Dataflow`] runner, which owns partitioning, pool execution and
+//! per-stage accounting (see `DESIGN.md`). A build starts from a base epoch and an
+//! affected set per step: [`XMapModel::fit`] is the build with no base — every item
+//! dirty, every X-Sim row recomputed, every replacement drawn, every pool fitted, each
+//! spliced into the empty piece — and `XMapModel::apply_delta` (`crate::delta`) is the
+//! same build over the served epoch with each set narrowed to what the delta can
+//! reach. A fit records each step under its own ledger name (`baseliner` / `extender` /
+//! `generator` / `recommender`), a delta all of them under `delta`.
 //!
-//! All four fit stages run partition-parallel with a bit-identity contract (see the
-//! fit-stage parallelism section of `DESIGN.md`): the released model and the recorded
-//! per-partition task costs are identical at any worker count. The two stages that
-//! score item pairs — the baseliner ([`gather_pairs`], shared with the delta stage) and
-//! the item-kNN pool fit ([`fit_item_pools`]) — partition *items* and score each
-//! item's whole row in one `xmap_cf::similarity::ItemRowKernel` gather; the per-pair
-//! profile merge survives only as the oracle of the serial references.
+//! Every step runs partition-parallel with a bit-identity contract (see the build
+//! section of `DESIGN.md`): the released model and the recorded per-partition task
+//! costs are identical at any worker count. The two steps that score item pairs — the
+//! baseliner (`gather_pairs`) and the item-kNN pool fit (`fit_item_pools`) —
+//! partition *items* and score each item's whole row in one
+//! `xmap_cf::similarity::ItemRowKernel` gather; the per-pair profile merge survives only
+//! as the oracle of the serial references.
 //!
-//! Per-stage wall-clock durations and the `baseliner` / `extender` / `generator` /
-//! `recommender` task bags are captured in [`PipelineStats`] — the scalability
-//! experiment (Figure 11) replays those task costs on the cluster simulator; measured
-//! fit times are the benchmark's (`benchmark/`, `fit_s` and `core.pipeline.*.fit_ms`).
+//! Per-stage wall-clock durations and the four task bags of the fit are reported as
+//! [`PipelineStats`] — the scalability experiment (Figure 11) replays those task costs
+//! on the cluster simulator; measured fit times are the benchmark's (`benchmark/`,
+//! `fit_s` and `core.pipeline.*.fit_ms`).
 //!
 //! ## Serve-while-updating: epoch-published snapshots
 //!
-//! The released artifacts of a fit live in an immutable [`ModelEpoch`] behind an
+//! The released artifacts of a build live in an immutable [`ModelEpoch`] behind an
 //! atomically swappable [`EpochHandle`]. Readers ([`XMapModel::recommend`],
 //! [`XMapModel::serve_profiles`], …) take a wait-free reference-counted snapshot and
-//! answer entirely from it; the delta-fit subsystem (`crate::delta`) builds the next
-//! epoch *aside* — sharing every unchanged piece with the previous epoch through its
-//! per-piece `Arc`s — and publishes it with a single pointer swap. A reader therefore
-//! always sees one self-consistent model version, never a half-updated one, and
-//! ingestion never blocks serving. See the epoch-publication section of `DESIGN.md`.
+//! answer entirely from it; a delta builds the next epoch *aside* — sharing every
+//! unchanged piece with the previous epoch through its per-piece `Arc`s — and publishes
+//! it with a single pointer swap. A reader therefore always sees one self-consistent
+//! model version, never a half-updated one, and ingestion never blocks serving. See the
+//! epoch-publication section of `DESIGN.md`.
 
 use crate::config::XMapConfig;
-use crate::delta::IngestAccumulators;
+use crate::delta::{
+    affected_pool_items, affected_xsim_rows, DeltaReport, IngestAccumulators, RatingDelta,
+};
 use crate::generator::{AlterEgo, AlterEgoGenerator, ReplacementTable};
 use crate::recommend::{self, ScratchPool, SharedRecommender};
 use crate::serve::{RecommendStage, ServeBatch, RECOMMEND_STAGE_NAME};
 use crate::xsim::XSimTable;
 use crate::{Result, XMapError};
+use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 use xmap_cf::knn::{ItemNeighbor, Profile};
 use xmap_cf::similarity::{ItemRowKernel, RowScratch};
@@ -46,12 +53,10 @@ use xmap_cf::{
     UserId,
 };
 use xmap_engine::sync::{AtomicU64, Ordering};
-use xmap_engine::{Dataflow, EpochHandle, Stage, StageContext, StageReport};
+use xmap_engine::{fn_stage, Dataflow, EpochHandle, StageContext, StageReport};
 use xmap_eval::EVAL_STAGE_NAME;
 use xmap_eval::{EvalBatch, EvalReport, EvalStage, EvalTarget, SweepParam, SweepSeries, SweepSpec};
-use xmap_graph::{
-    BridgeIndex, GraphConfig, Layer, LayerPartition, MetaPathConfig, SimilarityGraph,
-};
+use xmap_graph::{GraphConfig, Layer, LayerPartition, SimilarityGraph};
 use xmap_privacy::PrivacyBudget;
 
 /// Summary statistics of a fitted pipeline.
@@ -87,6 +92,34 @@ pub struct PipelineStats {
     pub recommender_task_costs: Vec<f64>,
     /// Number of ratings in the target-domain training matrix.
     pub n_target_ratings: usize,
+}
+
+impl PipelineStats {
+    /// The stats of a model serving `epoch` on `flow`. The shape half is a function of
+    /// the epoch's own pieces (a bridge item is a BB-layer item); the durations and the
+    /// four fit task bags are the dataflow's ledger entries — the fit's for the life of
+    /// the model (a delta records under `delta`), empty on a model reopened from a
+    /// snapshot: they describe a past process, not the model.
+    fn capture(epoch: &ModelEpoch, flow: &Dataflow) -> Self {
+        let layer_counts = epoch.partition.cell_counts();
+        let bag = |stage: &str| flow.stage_costs(stage).unwrap_or_default();
+        PipelineStats {
+            n_standard_hetero_pairs: epoch.graph.n_heterogeneous_pairs(),
+            n_xsim_hetero_pairs: epoch.xsim.n_heterogeneous_pairs(),
+            n_bridge_items: layer_counts
+                .iter()
+                .filter(|(_, layer, _)| *layer == Layer::BridgeBridge)
+                .map(|&(_, _, count)| count)
+                .sum(),
+            layer_counts,
+            stage_durations: flow.reports(),
+            baseliner_task_costs: bag("baseliner"),
+            extension_task_costs: bag("extender"),
+            generator_task_costs: bag("generator"),
+            recommender_task_costs: bag("recommender"),
+            n_target_ratings: epoch.recommender.target().n_ratings(),
+        }
+    }
 }
 
 /// One immutable, self-consistent version of a fitted X-Map model.
@@ -218,7 +251,7 @@ impl EvalTarget for ModelEpoch {
 
 /// A fitted X-Map model: an epoch-published immutable snapshot ([`ModelEpoch`]) behind
 /// an atomically swappable handle, plus the mutable ingest side (the dataflow runner,
-/// the serving scratch pool, the stats and the ingest accumulators).
+/// the serving scratch pool and the ingest accumulators).
 ///
 /// All query methods are `&self` and answer from a wait-free snapshot of the current
 /// epoch; [`crate::delta`]'s `apply_delta` is *also* `&self` — it builds the next epoch
@@ -231,10 +264,8 @@ pub struct XMapModel {
     pub(crate) target_domain: DomainId,
     /// The epoch-publication handle: readers snapshot, the delta fit publishes.
     pub(crate) handle: EpochHandle<ModelEpoch>,
-    /// Stats of the most recent fit or delta fit, refreshed under the ingest lock.
-    pub(crate) stats: Mutex<PipelineStats>,
-    /// The dataflow runner the model was fitted on, kept for batched serving so that
-    /// serving task costs land in the same ledger as the fit stages.
+    /// The dataflow runner the model was fitted on, kept for deltas and batched serving
+    /// so that their task costs land in the same ledger as the fit stages.
     pub(crate) flow: Dataflow,
     /// Warm per-partition serving scratch, reused across batches (and across epochs —
     /// scratch invalidates itself on every load).
@@ -253,6 +284,24 @@ pub struct XMapModel {
 }
 
 impl XMapModel {
+    /// The one constructor: a model serving `epoch` as epoch number `epoch_no`, with the
+    /// dataflow that built it (a fit) or a fresh one (a reopened snapshot) and no store
+    /// attached.
+    pub(crate) fn from_epoch(epoch: ModelEpoch, epoch_no: u64, flow: Dataflow) -> XMapModel {
+        XMapModel {
+            config: epoch.config,
+            source_domain: epoch.source_domain,
+            target_domain: epoch.target_domain,
+            handle: EpochHandle::new(Arc::new(epoch), epoch_no),
+            flow,
+            scratch: ScratchPool::new(),
+            ingest_lock: Mutex::new(()),
+            serve_epoch: AtomicU64::new(0),
+            ingest_stats: Mutex::new(None),
+            store: Mutex::new(None),
+        }
+    }
+
     /// The configuration the model was fitted with.
     pub fn config(&self) -> &XMapConfig {
         &self.config
@@ -309,14 +358,11 @@ impl XMapModel {
         self.snap().full.clone()
     }
 
-    /// Pipeline statistics (stage timings, pair counts, layer sizes) of the most recent
-    /// fit or delta fit, as an owned copy — the live stats refresh under the ingest
-    /// lock when a delta publishes.
+    /// Pipeline statistics of the current epoch: pair counts and layer sizes derived
+    /// from its pieces, the dataflow's latest stage timings, and the task bags of the
+    /// fit.
     pub fn stats(&self) -> PipelineStats {
-        self.stats
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        PipelineStats::capture(&self.snap(), &self.flow)
     }
 
     /// Display label of the active recommender variant.
@@ -432,21 +478,10 @@ impl XMapModel {
     /// (baseliner, extender, generator, recommender — in pipeline order), for cluster
     /// replay of the whole model fit. Data-derived, so identical at any worker count.
     pub fn fit_task_costs(&self) -> Vec<f64> {
-        let s = self
-            .stats
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut bag = Vec::with_capacity(
-            s.baseliner_task_costs.len()
-                + s.extension_task_costs.len()
-                + s.generator_task_costs.len()
-                + s.recommender_task_costs.len(),
-        );
-        bag.extend_from_slice(&s.baseliner_task_costs);
-        bag.extend_from_slice(&s.extension_task_costs);
-        bag.extend_from_slice(&s.generator_task_costs);
-        bag.extend_from_slice(&s.recommender_task_costs);
-        bag
+        ["baseliner", "extender", "generator", "recommender"]
+            .iter()
+            .flat_map(|stage| self.flow.stage_costs(stage).unwrap_or_default())
+            .collect()
     }
 
     /// Evaluates the model over an [`EvalBatch`] on the dataflow engine: test triples
@@ -519,68 +554,26 @@ impl EvalTarget for XMapModel {
     }
 }
 
-/// Stage 1 — baseliner: builds the baseline similarity graph over the aggregated
-/// domains, partition-parallel.
-///
-/// The *items* are hash-partitioned; every partition gathers its items' rows
-/// ([`gather_pairs`]) as one pool task and keeps each row's `hi > lo` half, so every
-/// unordered co-rated pair is scored exactly once and the key-sorted pairs are those of
-/// [`SimilarityGraph::co_rated_pair_keys`] — the CSR arena assembled by
-/// [`SimilarityGraph::from_scored_pairs`] is **bit-identical** to
-/// [`SimilarityGraph::build_serial`] at any worker count. One data-derived cost per
-/// partition — the profile entries its gathers walk — lands in the `baseliner` ledger.
-pub struct BaselinerStage<'m> {
-    matrix: &'m RatingMatrix,
-    graph_config: GraphConfig,
-}
-
-impl<'m> BaselinerStage<'m> {
-    /// Creates the stage over the aggregated rating matrix.
-    pub fn new(matrix: &'m RatingMatrix, graph_config: GraphConfig) -> Self {
-        BaselinerStage {
-            matrix,
-            graph_config,
-        }
-    }
-}
-
-impl Stage<()> for BaselinerStage<'_> {
-    type Out = SimilarityGraph;
-
-    fn name(&self) -> &'static str {
-        "baseliner"
-    }
-
-    fn run(&self, _input: (), cx: &mut StageContext<'_>) -> SimilarityGraph {
-        let items = self.matrix.items().collect();
-        let (keys, stats) = gather_pairs(
-            self.matrix,
-            self.graph_config.metric,
-            items,
-            |lo, hi| hi > lo,
-            cx,
-        );
-        SimilarityGraph::from_scored_pairs(self.matrix, self.graph_config, &keys, stats)
-    }
-}
-
-/// The partition-parallel pair scoring the baseliner (every item) and the delta stage
-/// (the dirty items) share: the kernel row of each of `items`, of which the pairs
-/// `(item, other)` with `keep(item, other)` survive, as ascending canonical keys with
-/// their statistics. `keep` must let every wanted unordered pair through from exactly
-/// one of its endpoints. Each partition hands back one flat `(key, stats)` run — never
-/// a `Vec` per row — and records the entries its gathers walked as its cost; the runs
-/// are merged by one stable sort (ascending items make a run mostly sorted already).
-pub(crate) fn gather_pairs(
+/// The partition-parallel pair scoring of the baseliner step: the kernel row of each of
+/// the `dirty` items, as ascending canonical keys with their statistics. Every
+/// unordered pair with a dirty endpoint comes back exactly once — a pair of two dirty
+/// items is kept from its lower endpoint only. Each partition hands back one flat
+/// `(key, stats)` run — never a `Vec` per row — and records the entries its gathers
+/// walked as its cost; the runs are merged by one stable sort (ascending items make a
+/// run mostly sorted already).
+fn gather_pairs(
     matrix: &RatingMatrix,
     metric: SimilarityMetric,
-    items: Vec<ItemId>,
-    keep: impl Fn(ItemId, ItemId) -> bool + Sync,
+    dirty: Vec<ItemId>,
     cx: &mut StageContext<'_>,
 ) -> (Vec<u64>, Vec<SimilarityStats>) {
+    let mut is_dirty = vec![false; matrix.n_items()];
+    for &item in &dirty {
+        is_dirty[item.index()] = true;
+    }
     let kernel = ItemRowKernel::new(matrix, metric);
     let runs = cx.map_partitions(
-        items,
+        dirty,
         |&item| item,
         |_ix, part| {
             let mut scratch = RowScratch::new();
@@ -591,7 +584,7 @@ pub(crate) fn gather_pairs(
                 cost += walked;
                 run.extend(
                     row.iter()
-                        .filter(|&&(other, _)| keep(item, other))
+                        .filter(|&&(other, _)| other > item || !is_dirty[other.index()])
                         .map(|&(other, stats)| (SimilarityGraph::pair_key(item, other), stats)),
                 );
             }
@@ -607,80 +600,11 @@ pub(crate) fn gather_pairs(
     pairs.into_iter().unzip()
 }
 
-/// Stage 2 — extender: bridge detection, layer partition and the partition-batched
-/// cross-domain X-Sim table. This is the stage whose per-partition task costs drive the
-/// Figure 11 scalability simulation.
-struct ExtenderStage {
-    source: DomainId,
-    metapath: MetaPathConfig,
-}
-
-impl<'g> Stage<&'g SimilarityGraph> for ExtenderStage {
-    type Out = (BridgeIndex, LayerPartition, XSimTable);
-
-    fn name(&self) -> &'static str {
-        "extender"
-    }
-
-    fn run(
-        &self,
-        graph: &'g SimilarityGraph,
-        cx: &mut StageContext<'_>,
-    ) -> (BridgeIndex, LayerPartition, XSimTable) {
-        let bridges = BridgeIndex::from_graph(graph);
-        let partition = LayerPartition::compute(graph, &bridges);
-        let xsim = XSimTable::compute_batched(graph, &partition, self.source, self.metapath, cx);
-        (bridges, partition, xsim)
-    }
-}
-
-/// Stage 3 — generator: item replacements (PRS for the private modes),
-/// partition-parallel.
-///
-/// Replacement construction is partitioned by item
-/// ([`AlterEgoGenerator::compute_replacements_batched`]): once the pipeline has debited
-/// ε, every item's PRS draw is independent, and the private draws derive their RNG
-/// stream from `(seed, item)` alone — so the assembled table is bit-equal to the serial
-/// generator at any worker count. Per-partition costs (`Σ (1 + |candidates|)`) land in
-/// the `generator` ledger.
-struct GeneratorStage {
-    config: XMapConfig,
-}
-
-impl<'x> Stage<&'x XSimTable> for GeneratorStage {
-    type Out = ReplacementTable;
-
-    fn name(&self) -> &'static str {
-        "generator"
-    }
-
-    fn run(&self, xsim: &'x XSimTable, cx: &mut StageContext<'_>) -> ReplacementTable {
-        AlterEgoGenerator::compute_replacements_batched(xsim, &self.config, cx)
-    }
-}
-
-/// Stage 4 — recommender: fits the target-domain CF model consuming AlterEgos,
-/// partition-parallel for the item-based modes. The private modes debit ε′
-/// (PNSA + PNCF) from the pipeline's privacy budget here, before any pool work.
-///
-/// The item-based kNN fit — the expensive half — is partitioned by item id
-/// ([`fit_item_pools`] over the whole catalogue): every partition gathers its items'
-/// rows and selects their top-k as one pool task, and the pools come back in item
-/// order before [`recommend::build`] takes them — bit-identical to the serial
-/// `ItemKnn::fit` at any worker count. Per-partition costs (the profile entries the
-/// gathers walk) land in the `recommender` ledger. The user-based modes precompute
-/// nothing at fit time, so they record no recommender task bag.
-struct RecommenderStage<'b> {
-    config: XMapConfig,
-    budget: Option<&'b Mutex<PrivacyBudget>>,
-}
-
-/// The partition-parallel item-kNN pool fit the recommender stage (every item) and the
-/// delta stage (the affected items) share: one ordered map over `items`, each
-/// partition gathering its items' kernel rows through one reused scratch — a row is the
-/// item's candidate set *and* the candidates' similarities, in candidate order — and
-/// recording the entries walked as its cost.
-pub(crate) fn fit_item_pools(
+/// The partition-parallel item-kNN pool fit of the recommender step: one ordered map
+/// over `items`, each partition gathering its items' kernel rows through one reused
+/// scratch — a row is the item's candidate set *and* the candidates' similarities, in
+/// candidate order — and recording the entries walked as its cost.
+fn fit_item_pools(
     matrix: &RatingMatrix,
     knn_config: &ItemKnnConfig,
     items: Vec<ItemId>,
@@ -700,35 +624,225 @@ pub(crate) fn fit_item_pools(
     })
 }
 
-/// What the recommender stage (and the delta stage's refit) hands back: the
-/// recommender plus, for the item-based modes, the fitted kNN pools it reads — the
-/// one allocation the epoch retains for delta fits, slice cuts and snapshots.
-pub(crate) type FittedRecommender = (SharedRecommender, Option<Arc<Vec<Vec<ItemNeighbor>>>>);
+/// What a delta's build starts from. A fit starts from nothing (`None`): each of its
+/// row sets is everything and each base piece the empty one.
+pub(crate) struct DeltaBase<'a> {
+    /// The epoch the delta was applied to.
+    pub(crate) epoch: &'a ModelEpoch,
+    pub(crate) delta: &'a RatingDelta,
+    /// The users the delta touched, ascending (the merged MRV accumulator keys).
+    pub(crate) affected_users: &'a [UserId],
+}
 
-impl Stage<Arc<RatingMatrix>> for RecommenderStage<'_> {
-    type Out = Result<FittedRecommender>;
+/// Where the steps of a build record their data-derived task costs.
+pub(crate) enum Ledgers<'a, 'cx> {
+    /// A fit: each step runs as a named stage of its own on the dataflow.
+    Named(&'a Dataflow),
+    /// A delta: the steps append to the one stage that is already running.
+    Running(&'a mut StageContext<'cx>),
+}
 
-    fn name(&self) -> &'static str {
-        "recommender"
+impl Ledgers<'_, '_> {
+    fn step<R>(&mut self, name: &'static str, mut f: impl FnMut(&mut StageContext<'_>) -> R) -> R {
+        match self {
+            Ledgers::Named(flow) => {
+                // A stage is `Fn`; a step may write its captures (the report, the budget).
+                let f = RefCell::new(f);
+                let stage = fn_stage(name, |(), cx: &mut StageContext<'_>| (f.borrow_mut())(cx));
+                flow.run(&stage, ())
+            }
+            Ledgers::Running(cx) => f(cx),
+        }
     }
+}
 
-    fn run(
-        &self,
-        target_matrix: Arc<RatingMatrix>,
-        cx: &mut StageContext<'_>,
-    ) -> Result<FittedRecommender> {
-        let config = &self.config;
-        // Debit before the pool fit: an exhausted budget fails the stage without
-        // paying for the kNN fit.
-        recommend::debit_stage_budget(config, self.budget)?;
-        let pools = recommend::item_pool_config(config).map(|knn_config| {
-            let items = (0..target_matrix.n_items() as u32).map(ItemId).collect();
-            let fitted = fit_item_pools(&target_matrix, &knn_config, items, cx);
-            Arc::new(fitted.into_iter().map(|(_, pool)| pool).collect())
+/// The one build: the four steps of Figure 4 over `updated`, each recomputing its
+/// affected set — everything without a `base`, what the delta can reach with one — and
+/// splicing it into the base's piece, then the epoch assembly, which shares with the
+/// base every piece no step rebuilt. The result is bit-identical to the serial
+/// references on `updated` whichever way it was reached (see `DESIGN.md`).
+///
+/// Privacy: a fresh accountant per build, sized to exactly ε (PRS) + ε′ (PNSA + PNCF)
+/// by sequential composition — a delta re-releases every artifact, shared or not — and
+/// every mechanism debits it before releasing anything; an exhausted budget fails the
+/// build. `full` supplies the epoch's matrix and is called after the last step, so a
+/// fit's copy of the caller's matrix never stacks on the steps' peak memory.
+pub(crate) fn build_epoch(
+    config: XMapConfig,
+    source: DomainId,
+    target: DomainId,
+    updated: &RatingMatrix,
+    base: Option<&DeltaBase<'_>>,
+    mut ledgers: Ledgers<'_, '_>,
+    full: impl FnOnce() -> Arc<RatingMatrix>,
+) -> Result<(ModelEpoch, DeltaReport)> {
+    let mut budget = config
+        .mode
+        .is_private()
+        .then(|| PrivacyBudget::new(config.privacy.total()));
+    let mut report = DeltaReport::default();
+    // What the steps splice into: the base epoch's pieces, empty ones in a fit.
+    let (old_graph, old_xsim, old_replacements) = match base {
+        Some(b) => (
+            Arc::clone(&b.epoch.graph),
+            Arc::clone(&b.epoch.xsim),
+            Arc::clone(&b.epoch.replacements),
+        ),
+        None => {
+            let graph_config = GraphConfig {
+                metric: config.metric,
+                top_k: Some(config.k),
+                min_similarity: 0.0,
+            };
+            let graph = Arc::new(SimilarityGraph::empty(graph_config));
+            (graph, Arc::default(), Arc::default())
+        }
+    };
+
+    // --- 1. Baseliner: gather the dirty items' whole rows and merge them over the old
+    // graph's scored-pair cache. Nothing re-scored and no item added: the old arena
+    // *is* the refit's, so it is shared instead of copied. ---
+    let (graph, partition) = ledgers.step("baseliner", |cx| {
+        let dirty: Vec<ItemId> = match base {
+            None => updated.items().collect(),
+            Some(b) => SimilarityGraph::dirty_items(updated, b.affected_users),
+        };
+        report.n_dirty_items = dirty.len();
+        let (keys, fresh) = gather_pairs(updated, config.metric, dirty, cx);
+        report.n_rescored_pairs = keys.len();
+        let unchanged = keys.is_empty() && updated.n_items() == old_graph.n_items();
+        if let Some(b) = base.filter(|_| unchanged) {
+            return (Arc::clone(&old_graph), Arc::clone(&b.epoch.partition));
+        }
+        let graph = old_graph.apply_updates(updated, &keys, fresh);
+        // Bridges and layers: cheap linear passes over the new arena.
+        let (_, partition) = LayerPartition::from_graph(&graph);
+        (Arc::new(graph), Arc::new(partition))
+    });
+
+    // --- 2. Extender: recompute the source rows within meta-path reach of a change
+    // (an untouched graph reaches nothing, so the table is shared outright). ---
+    let (xsim, rows) = ledgers.step("extender", |cx| {
+        let rows: Vec<ItemId> = match base {
+            None => graph
+                .items()
+                .filter(|&i| graph.item_domain(i) == source)
+                .collect(),
+            Some(_) if Arc::ptr_eq(&graph, &old_graph) => Vec::new(),
+            Some(b) => {
+                affected_xsim_rows(&old_graph, &b.epoch.partition, &graph, &partition, source)
+            }
+        };
+        report.n_xsim_rows = rows.len();
+        let xsim = if rows.is_empty() {
+            Arc::clone(&old_xsim)
+        } else {
+            Arc::new(old_xsim.with_recomputed_rows(
+                &graph,
+                &partition,
+                source,
+                config.metapath,
+                rows.clone(),
+                cx,
+            ))
+        };
+        (xsim, rows)
+    });
+
+    // --- 3. Generator: PRS (one exponential-mechanism draw per item, reused for every
+    // user) spends the generation-phase ε before the draws run, then the recomputed
+    // rows are re-drawn — every row the table holds, in a fit. Per-item RNG streams
+    // keep an unchanged row's draw bit-equal, so with nothing recomputed the old table
+    // already *is* the refit's and is shared. ---
+    let replacements = ledgers.step("generator", |cx| -> Result<_> {
+        if let Some(budget) = &mut budget {
+            budget.spend("PRS", config.privacy.epsilon)?;
+        }
+        let draws: Vec<ItemId> = match base {
+            None => xsim.iter().map(|(item, _)| item).collect(),
+            Some(_) => rows.clone(),
+        };
+        report.n_replacement_draws = draws.len();
+        Ok(if draws.is_empty() {
+            Arc::clone(&old_replacements)
+        } else {
+            Arc::new(AlterEgoGenerator::recompute_replacements_batched(
+                &xsim,
+                &config,
+                draws,
+                &old_replacements,
+                cx,
+            ))
+        })
+    })?;
+
+    // --- 4. Recommender: when the delta leaves the target-domain training matrix
+    // untouched (no target rating events, no new users or items) the recommender and
+    // its pools are bit-equal to a refit's and are shared. Otherwise the item-kNN
+    // pools (item-based modes) of the items with an affected target-domain pair are
+    // re-fitted into a copy of the base table and every mode rebuilds through
+    // `recommend::build`. Either way ε′ (PNSA + PNCF) is debited first: an exhausted
+    // budget fails the step without paying for the pool fit. ---
+    let (recommender, item_pools) = ledgers.step("recommender", |cx| -> Result<_> {
+        let untouched = |b: &&DeltaBase<'_>| {
+            updated.n_users() == b.epoch.full.n_users()
+                && updated.n_items() == b.epoch.full.n_items()
+                && b.delta
+                    .ratings()
+                    .iter()
+                    .all(|r| updated.item_domain(r.item) != target)
+        };
+        if let Some(b) = base.filter(untouched) {
+            recommend::debit_stage_budget(&config, budget.as_mut())?;
+            return Ok((Arc::clone(&b.epoch.recommender), b.epoch.item_pools.clone()));
+        }
+        let no_ratings = || XMapError::Data("target domain has no ratings".to_string());
+        let target_matrix = Arc::new(
+            updated
+                .filter(|r| updated.item_domain(r.item) == target)
+                .map_err(|_| no_ratings())?,
+        );
+        if target_matrix.n_ratings() == 0 {
+            return Err(no_ratings());
+        }
+        recommend::debit_stage_budget(&config, budget.as_mut())?;
+        let pools = recommend::item_pool_config(&config).map(|knn_config| {
+            let items: Vec<ItemId> = match base {
+                None => target_matrix.items().collect(),
+                Some(b) => affected_pool_items(&target_matrix, b.affected_users),
+            };
+            report.n_pool_refits = items.len();
+            let mut pools: Vec<Vec<ItemNeighbor>> = base.map_or_else(Vec::new, |b| {
+                b.epoch
+                    .item_pools
+                    .as_deref()
+                    .expect("item-based models retain their kNN pools") // lint: panic — reviewed invariant
+                    .clone()
+            });
+            pools.resize(target_matrix.n_items(), Vec::new());
+            for (item, pool) in fit_item_pools(&target_matrix, &knn_config, items, cx) {
+                pools[item.index()] = pool;
+            }
+            Arc::new(pools)
         });
-        let recommender = recommend::build(config, target_matrix, pools.as_ref().map(Arc::clone))?;
+        let recommender = recommend::build(&config, target_matrix, pools.clone())?;
         Ok((recommender, pools))
-    }
+    })?;
+
+    let epoch = ModelEpoch {
+        config,
+        source_domain: source,
+        target_domain: target,
+        full: full(),
+        graph,
+        partition,
+        replacements,
+        xsim,
+        recommender,
+        item_pools,
+        budget: budget.map(Arc::new),
+    };
+    Ok((epoch, report))
 }
 
 impl XMapModel {
@@ -757,111 +871,11 @@ impl XMapModel {
                 "matrix does not contain both requested domains (has {domains:?})"
             )));
         }
-
         let flow = Dataflow::new(config.workers, config.partitions);
-
-        // The privacy accountant of this fit: the paper's total guarantee is
-        // ε (PRS, AlterEgo generation) + ε′ (PNSA + PNCF, recommendation) by sequential
-        // composition, so the budget is sized to exactly that and every mechanism must
-        // debit it before releasing anything.
-        let budget = config
-            .mode
-            .is_private()
-            .then(|| Mutex::new(PrivacyBudget::new(config.privacy.total())));
-
-        let graph = flow.run(
-            &BaselinerStage::new(
-                matrix,
-                GraphConfig {
-                    metric: config.metric,
-                    top_k: Some(config.k),
-                    min_similarity: 0.0,
-                },
-            ),
-            (),
-        );
-
-        let (bridges, partition, xsim) = flow.run(
-            &ExtenderStage {
-                source,
-                metapath: config.metapath,
-            },
-            &graph,
-        );
-
-        // The generator's PRS mechanism (one exponential-mechanism draw per item, reused
-        // for every user) spends the generation-phase ε; debit it before the draws run.
-        if let Some(b) = &budget {
-            b.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .spend("PRS", config.privacy.epsilon)
-                .map_err(XMapError::Privacy)?;
-        }
-        let replacements = flow.run(&GeneratorStage { config }, &xsim);
-
-        let target_matrix = matrix
-            .filter(|r| matrix.item_domain(r.item) == target)
-            .map_err(|_| XMapError::Data("target domain has no ratings".to_string()))?;
-        let n_target_ratings = target_matrix.n_ratings();
-        if n_target_ratings == 0 {
-            return Err(XMapError::Data("target domain has no ratings".to_string()));
-        }
-        let (recommender, item_pools) = flow.run(
-            &RecommenderStage {
-                config,
-                budget: budget.as_ref(),
-            },
-            Arc::new(target_matrix),
-        )?;
-
-        // The per-stage task bags of the fit, recorded by the Dataflow runner — the
-        // scalability simulation replays exactly these tasks. The recommender ledger is
-        // empty for the user-based modes (no fit-time precomputation to partition).
-        let stats = PipelineStats {
-            n_standard_hetero_pairs: graph.n_heterogeneous_pairs(),
-            n_xsim_hetero_pairs: xsim.n_heterogeneous_pairs(),
-            n_bridge_items: bridges.n_bridges(),
-            layer_counts: partition.cell_counts(),
-            stage_durations: flow.reports(),
-            baseliner_task_costs: flow.stage_costs("baseliner").unwrap_or_default(),
-            extension_task_costs: flow.stage_costs("extender").unwrap_or_default(),
-            generator_task_costs: flow.stage_costs("generator").unwrap_or_default(),
-            recommender_task_costs: flow.stage_costs("recommender").unwrap_or_default(),
-            n_target_ratings,
-        };
-
-        let epoch = ModelEpoch {
-            config,
-            source_domain: source,
-            target_domain: target,
-            full: Arc::new(matrix.clone()),
-            graph: Arc::new(graph),
-            partition: Arc::new(partition),
-            replacements: Arc::new(replacements),
-            xsim: Arc::new(xsim),
-            recommender,
-            item_pools,
-            budget: budget.map(|m| {
-                Arc::new(
-                    m.into_inner()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner),
-                )
-            }),
-        };
-
-        Ok(XMapModel {
-            config,
-            source_domain: source,
-            target_domain: target,
-            handle: EpochHandle::new(Arc::new(epoch), 1),
-            stats: Mutex::new(stats),
-            flow,
-            scratch: ScratchPool::new(),
-            ingest_lock: Mutex::new(()),
-            serve_epoch: AtomicU64::new(0),
-            ingest_stats: Mutex::new(None),
-            store: Mutex::new(None),
-        })
+        let ledgers = Ledgers::Named(&flow);
+        let copy = || Arc::new(matrix.clone());
+        let (epoch, _) = build_epoch(config, source, target, matrix, None, ledgers, copy)?;
+        Ok(XMapModel::from_epoch(epoch, 1, flow))
     }
 }
 
@@ -1009,8 +1023,6 @@ mod tests {
 
     #[test]
     fn staged_baseliner_is_bit_identical_to_build_serial_at_1_2_and_8_workers() {
-        use xmap_engine::Dataflow;
-        use xmap_graph::SimilarityGraph;
         let ds = CrossDomainDataset::generate(CrossDomainConfig::small());
         let graph_config = GraphConfig {
             top_k: Some(8),
@@ -1019,13 +1031,22 @@ mod tests {
         let reference = SimilarityGraph::build_serial(&ds.matrix, graph_config);
         let mut reference_costs: Option<Vec<f64>> = None;
         for workers in [1usize, 2, 8] {
-            let flow = Dataflow::new(workers, 16);
-            let staged = flow.run(&BaselinerStage::new(&ds.matrix, graph_config), ());
+            // The baseliner step with "everything" as its dirty set: a fit.
+            let config = XMapConfig {
+                k: 8,
+                workers,
+                partitions: 16,
+                ..Default::default()
+            };
+            let model =
+                XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, config).unwrap();
             assert_eq!(
-                staged, reference,
+                *model.graph(),
+                reference,
                 "{workers} workers: staged baseliner diverged from build_serial"
             );
-            let costs = flow
+            let costs = model
+                .flow
                 .stage_costs("baseliner")
                 .expect("baseliner records task costs");
             assert_eq!(costs.len(), 16, "one task cost per partition");
@@ -1038,11 +1059,74 @@ mod tests {
         }
     }
 
+    /// The build with "everything" as every step's affected set against the serial
+    /// reference of each step, piece by piece, in all four modes. (Checked to fail when
+    /// any one step's everything set drops a row: the last item of `dirty`, of the
+    /// extender's `rows`, of the generator's `draws`, of the pool `items`.)
+    #[test]
+    fn a_fitted_epoch_equals_the_serial_reference_of_every_step_in_all_four_modes() {
+        use xmap_engine::WorkerPool;
+        let ds = CrossDomainDataset::generate(CrossDomainConfig::small());
+        for mode in [
+            XMapMode::NxMapItemBased,
+            XMapMode::NxMapUserBased,
+            XMapMode::XMapItemBased,
+            XMapMode::XMapUserBased,
+        ] {
+            let config = XMapConfig {
+                mode,
+                k: 8,
+                ..Default::default()
+            };
+            let model =
+                XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, config).unwrap();
+            let (_, epoch) = model.snapshot();
+            let graph = SimilarityGraph::build_serial(
+                &ds.matrix,
+                GraphConfig {
+                    metric: config.metric,
+                    top_k: Some(config.k),
+                    min_similarity: 0.0,
+                },
+            );
+            assert_eq!(*epoch.graph, graph, "{mode:?}: graph");
+            let (_, partition) = LayerPartition::from_graph(&graph);
+            let xsim = XSimTable::compute(
+                &graph,
+                &partition,
+                DomainId::SOURCE,
+                config.metapath,
+                &WorkerPool::new(1),
+            );
+            assert_eq!(*epoch.xsim, xsim, "{mode:?}: X-Sim table");
+            assert_eq!(
+                *epoch.replacements,
+                AlterEgoGenerator::compute_replacements_serial(&xsim, &config),
+                "{mode:?}: replacements"
+            );
+            let target = ds
+                .matrix
+                .filter(|r| ds.matrix.item_domain(r.item) == DomainId::TARGET)
+                .unwrap();
+            let pools = recommend::item_pool_config(&config)
+                .map(|knn_config| ItemKnn::fit(&target, knn_config).unwrap().into_neighbors());
+            assert_eq!(
+                epoch.item_pools.as_deref(),
+                pools.as_ref(),
+                "{mode:?}: pools"
+            );
+            assert_eq!(
+                **epoch.recommender.target(),
+                target,
+                "{mode:?}: target matrix"
+            );
+        }
+    }
+
     #[test]
     fn pool_fit_equals_the_per_candidate_reference_with_ties_at_the_kth_place() {
         use xmap_cf::knn::CandidateScratch;
         use xmap_cf::RatingMatrixBuilder;
-        use xmap_engine::{fn_stage, Dataflow};
         // Item 0 meets each of items 1..=6 through one user of its own, all six users
         // rating alike: six candidates of *exactly* equal similarity, of which a k = 3
         // pool keeps one behind the stronger items 7 and 8 — which one is decided by

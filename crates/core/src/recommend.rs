@@ -26,7 +26,7 @@ use crate::{XMapConfig, XMapMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use xmap_cf::epoch::EpochBuffer;
 use xmap_cf::knn::{profile_average, ItemNeighbor, Profile};
 use xmap_cf::topk::top_k;
@@ -226,11 +226,12 @@ fn private_pool_width(k: usize) -> usize {
 /// stage's accountant: nothing for the non-private modes, ε′/2 for PNSA and ε′/2 for
 /// PNCF (sequential composition, §4.4) for the private ones, atomically — an exhausted
 /// budget fails instead of silently releasing noised answers that no accountant
-/// vouches for. The single place the split and the ledger labels live: the fit stage
-/// and both branches of the delta stage debit through here, before any pool work.
+/// vouches for. The single place the split and the ledger labels live: the build's
+/// recommender step debits through here whether it shares or rebuilds, before any pool
+/// work.
 pub(crate) fn debit_stage_budget(
     config: &XMapConfig,
-    budget: Option<&Mutex<PrivacyBudget>>,
+    budget: Option<&mut PrivacyBudget>,
 ) -> crate::Result<()> {
     if !config.mode.is_private() {
         return Ok(());
@@ -238,8 +239,6 @@ pub(crate) fn debit_stage_budget(
     let half = config.privacy.epsilon_prime / 2.0;
     budget
         .expect("private modes carry a privacy budget") // lint: panic — reviewed invariant
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
         .spend_all(&[("PNSA", half), ("PNCF", half)])?;
     Ok(())
 }
@@ -912,7 +911,7 @@ pub(crate) mod tests {
     /// What a releasing stage does: debit ε′ on its accountant, then build.
     fn released(
         config: &XMapConfig,
-        budget: &Mutex<PrivacyBudget>,
+        budget: &mut PrivacyBudget,
     ) -> crate::Result<SharedRecommender> {
         debit_stage_budget(config, Some(budget))?;
         Ok(fitted(config))
@@ -1186,9 +1185,8 @@ pub(crate) mod tests {
 
     #[test]
     fn private_fits_record_pnsa_and_pncf_in_the_ledger() {
-        let budget = Mutex::new(PrivacyBudget::new(1.0));
-        released(&config(XMapMode::XMapItemBased, 3, 0.8, 7), &budget).unwrap();
-        let budget = budget.into_inner().unwrap();
+        let mut budget = PrivacyBudget::new(1.0);
+        released(&config(XMapMode::XMapItemBased, 3, 0.8, 7), &mut budget).unwrap();
         let mechanisms: Vec<&str> = budget
             .ledger()
             .iter()
@@ -1203,16 +1201,15 @@ pub(crate) mod tests {
     fn exhausted_budget_fails_the_private_fits() {
         let mut drained = PrivacyBudget::new(0.8);
         drained.spend("PRS", 0.7).unwrap();
-        let drained = Mutex::new(drained);
-        let err = match released(&config(XMapMode::XMapItemBased, 3, 0.8, 7), &drained) {
+        let err = match released(&config(XMapMode::XMapItemBased, 3, 0.8, 7), &mut drained) {
             Err(e) => e,
             Ok(_) => panic!("fit must fail on an exhausted budget"),
         };
         assert!(matches!(err, crate::XMapError::Privacy(_)), "{err}");
         // the failed fit must not have recorded anything
-        assert_eq!(drained.lock().unwrap().ledger().len(), 1);
+        assert_eq!(drained.ledger().len(), 1);
 
-        let err = match released(&config(XMapMode::XMapUserBased, 3, 0.8, 7), &drained) {
+        let err = match released(&config(XMapMode::XMapUserBased, 3, 0.8, 7), &mut drained) {
             Err(e) => e,
             Ok(_) => panic!("fit must fail on an exhausted budget"),
         };

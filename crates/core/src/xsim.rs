@@ -15,18 +15,19 @@
 //! The [`XSimTable`] holds, for every source-domain item, its reachable target-domain
 //! items with X-Sim values — exactly what the extender hands to the generator (§5.2).
 //!
-//! Two computation paths produce identical tables:
+//! Two computation paths produce identical rows:
 //!
 //! * `XSimTable::compute` — the reference per-pair path: meta-paths are materialised
 //!   by `xmap-graph` and every hop's statistics are re-resolved through
 //!   [`SimilarityGraph::edge_between`]. This is the historical implementation, kept in
 //!   this module's tests as the equivalence oracle.
-//! * [`XSimTable::compute_batched`] — the production path: source items are processed in
-//!   dataflow partitions, each partition walking a **frontier expansion** directly over
-//!   the CSR arena. The walk carries the running path-similarity numerator/denominator
-//!   and certainty product along the DFS, accumulating per-destination sums in scratch
-//!   buffers reused across the partition's source items — no path materialisation and no
-//!   per-hop edge re-resolution.
+//! * [`XSimTable::with_recomputed_rows`] — the production path, for a fit (every source
+//!   item, spliced into the empty table) and a delta (the affected rows) alike: the rows
+//!   are processed in dataflow partitions, each partition walking a **frontier
+//!   expansion** directly over the CSR arena. The walk carries the running
+//!   path-similarity numerator/denominator and certainty product along the DFS,
+//!   accumulating per-destination sums in scratch buffers reused across the partition's
+//!   source items — no path materialisation and no per-hop edge re-resolution.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -246,73 +247,18 @@ fn frontier_dfs(
 }
 
 impl XSimTable {
-    /// Computes the table through partition-batched frontier expansion over the CSR
-    /// arena — the production extender.
-    ///
-    /// Source items are split into the dataflow's partitions; each partition is one
-    /// pool task that reuses a [`FrontierScratch`] across its items. The recorded
-    /// per-partition task cost is the same work estimate the historical pipeline
-    /// attributed to each source item (`1 + degree + candidates`), summed over the
-    /// partition, so the cluster simulator replays exactly this stage's task bag.
-    pub fn compute_batched(
-        graph: &SimilarityGraph,
-        partition: &LayerPartition,
-        source_domain: DomainId,
-        metapath: MetaPathConfig,
-        cx: &mut StageContext<'_>,
-    ) -> Self {
-        let source_items: Vec<ItemId> = graph
-            .items()
-            .filter(|&i| graph.item_domain(i) == source_domain)
-            .collect();
-
-        let per_partition = cx.map_partitions(
-            source_items,
-            |item| item.0,
-            |_ix, items| {
-                // Partitions can outnumber source items; empty ones must not pay the
-                // O(n_items) scratch initialisation.
-                if items.is_empty() {
-                    return (Vec::new(), 0.0);
-                }
-                let mut scratch = FrontierScratch::new(graph.n_items());
-                let mut out: Vec<(ItemId, Vec<XSimEntry>)> = Vec::new();
-                let mut cost = 0.0f64;
-                for &item in items {
-                    let entries = Self::batched_entries_for_item(
-                        graph,
-                        partition,
-                        item,
-                        source_domain,
-                        metapath,
-                        &mut scratch,
-                    );
-                    cost += 1.0 + graph.degree(item) as f64 + entries.len() as f64;
-                    if !entries.is_empty() {
-                        out.push((item, entries));
-                    }
-                }
-                (out, cost)
-            },
-        );
-
-        XSimTable {
-            entries: per_partition.into_iter().flatten().collect(),
-            source_domain: Some(source_domain),
-        }
-    }
-
     /// Recomputes the given source-item `rows` on the (updated) graph and partition and
     /// splices them into a copy of this table; every other row is carried over
-    /// untouched — the delta-fit path of the extender.
+    /// untouched — the extender, with every source item over the empty table for a fit
+    /// and the affected rows over the base epoch's table for a delta.
     ///
-    /// Each recomputed row runs the exact frontier expansion of
-    /// [`XSimTable::compute_batched`] (partition-parallel, scratch reused per
-    /// partition, same per-item cost recorded on the running stage's ledger), so when
-    /// `rows` covers every source item whose meta-path neighbourhood the delta touched,
-    /// the result is **bit-identical** to recomputing the whole table on the updated
-    /// graph. Rows that come back empty are *removed* (a full computation never stores
-    /// empty rows).
+    /// `rows` are split into the dataflow's partitions; each partition is one pool task
+    /// that reuses a `FrontierScratch` across its items and records the work estimate
+    /// `Σ (1 + degree + candidates)` on the running stage's ledger, so the cluster
+    /// simulator replays exactly this step's task bag. When `rows` covers every source
+    /// item whose meta-path neighbourhood changed, the result is **bit-identical** to
+    /// recomputing the whole table on the updated graph. Rows that come back empty are
+    /// *removed*: the table never stores empty rows.
     pub fn with_recomputed_rows(
         &self,
         graph: &SimilarityGraph,
@@ -523,9 +469,9 @@ mod tests {
         /// per-pair path: meta-paths are materialised and re-aggregated per destination.
         /// The per-item work is independent, so it is distributed over `pool`.
         ///
-        /// [`XSimTable::compute_batched`] produces the identical table via frontier
-        /// expansion and is what the pipeline's extender stage runs; this is the
-        /// equivalence oracle, compiled for tests only.
+        /// [`XSimTable::with_recomputed_rows`] over every source item produces the
+        /// identical table via frontier expansion and is what the pipeline's extender
+        /// step runs; this is the equivalence oracle, compiled for tests only.
         pub(crate) fn compute(
             graph: &SimilarityGraph,
             partition: &LayerPartition,
@@ -823,7 +769,19 @@ mod tests {
             &xmap_engine::fn_stage(
                 "extender",
                 |g: &SimilarityGraph, cx: &mut StageContext<'_>| {
-                    XSimTable::compute_batched(g, partition, DomainId::SOURCE, metapath, cx)
+                    // "Everything" as the row set: every source item, over the empty table.
+                    let rows = g
+                        .items()
+                        .filter(|&i| g.item_domain(i) == DomainId::SOURCE)
+                        .collect();
+                    XSimTable::default().with_recomputed_rows(
+                        g,
+                        partition,
+                        DomainId::SOURCE,
+                        metapath,
+                        rows,
+                        cx,
+                    )
                 },
             ),
             graph,

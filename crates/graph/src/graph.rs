@@ -8,13 +8,13 @@
 //!
 //! ## Scoring: rows in production, pairs in the reference
 //!
-//! [`SimilarityGraph::build`] (and the engine-parallel baseliner and delta stages of
-//! `xmap-core`) score an item's whole row in one [`ItemRowKernel`] gather and keep the
+//! [`SimilarityGraph::build`] (and the engine-parallel graph step of `xmap-core`, fit
+//! and delta alike) score an item's whole row in one [`ItemRowKernel`] gather and keep the
 //! `hi > lo` half, so the ascending pair-key list falls out of the rows.
 //! [`SimilarityGraph::build_serial`] and [`SimilarityGraph::apply_updates_serial`] stay
 //! on the definition — enumerate the co-rated pair keys, one
 //! [`item_similarity_stats`] merge per key — and are the oracle every bit-identity gate
-//! compares against; both feed the one [`SimilarityGraph::from_scored_pairs`] back half.
+//! compares against; both feed the one `from_scored_pairs` back half.
 //!
 //! ## Storage layout
 //!
@@ -303,12 +303,28 @@ impl SimilarityGraph {
         merged
     }
 
+    /// The graph of no items under `config`: what a first build's
+    /// [`SimilarityGraph::apply_updates`] starts from — every pair is then "affected".
+    pub fn empty(config: GraphConfig) -> Self {
+        SimilarityGraph {
+            offsets: vec![0],
+            neighbors: Vec::new(),
+            edge_ix: Vec::new(),
+            sim_rank: Vec::new(),
+            edge_stats: Vec::new(),
+            scored_keys: Vec::new(),
+            scored_stats: Vec::new(),
+            item_domain: Vec::new(),
+            config,
+        }
+    }
+
     /// Rebuilds the graph after a rating delta: the `affected_keys` (sorted canonical
     /// keys, with `fresh_stats[ix]` the **freshly recomputed** statistics of
     /// `affected_keys[ix]` on the updated matrix) replace or extend this graph's
     /// scored-pair cache; every other scored pair keeps its cached statistics. The
     /// merged key/stat sequence then runs through the shared
-    /// [`SimilarityGraph::from_scored_pairs`] back half (filter → union top-k pruning →
+    /// `from_scored_pairs` back half (filter → union top-k pruning →
     /// arena assembly).
     ///
     /// The merge runs over the **pre-pruning** scored-pair cache, not the stored
@@ -343,6 +359,11 @@ impl SimilarityGraph {
             affected_keys.windows(2).all(|w| w[0] < w[1]),
             "affected keys must be strictly ascending"
         );
+        // Nothing cached (a first build over `SimilarityGraph::empty`): the fresh pairs
+        // are the whole sequence already, so hand them over instead of copying them.
+        if self.scored_keys.is_empty() {
+            return Self::from_scored_pairs(updated, self.config, affected_keys, fresh_stats);
+        }
 
         let mut keys: Vec<u64> = Vec::with_capacity(self.scored_keys.len() + affected_keys.len());
         let mut stats: Vec<SimilarityStats> = Vec::with_capacity(keys.capacity());
@@ -415,13 +436,14 @@ impl SimilarityGraph {
     /// [`SimilarityGraph::co_rated_pair_keys`] produces them).
     ///
     /// This is the shared back half of every build path: the weak-edge filter, the
-    /// union top-k pruning and the arena assembly. The engine-parallel baseliner gathers
-    /// rows partition-parallel and feeds the key-sorted pairs here, which is what makes
-    /// it bit-identical to [`SimilarityGraph::build_serial`].
+    /// union top-k pruning and the arena assembly. `xmap-core` gathers rows
+    /// partition-parallel and feeds the key-sorted pairs here through
+    /// [`SimilarityGraph::apply_updates`], which is what makes its graphs bit-identical
+    /// to [`SimilarityGraph::build_serial`].
     ///
     /// # Panics
     /// Panics if `keys` and `stats` have different lengths.
-    pub fn from_scored_pairs(
+    fn from_scored_pairs(
         matrix: &RatingMatrix,
         config: GraphConfig,
         keys: &[u64],
@@ -579,7 +601,7 @@ impl SimilarityGraph {
     /// single-threaded: one [`ItemRowKernel`] row per item in ascending id, each row's
     /// `hi > lo` half appended — the pair keys ascend by construction and every
     /// unordered pair is kept exactly once — then the shared
-    /// [`SimilarityGraph::from_scored_pairs`] back half. Bit-identical to
+    /// `from_scored_pairs` back half. Bit-identical to
     /// [`SimilarityGraph::build_serial`] (property-tested below).
     pub fn build(matrix: &RatingMatrix, config: GraphConfig) -> Self {
         let kernel = ItemRowKernel::new(matrix, config.metric);
@@ -1039,6 +1061,35 @@ mod tests {
             let g = SimilarityGraph::build(&m, config);
             assert_eq!(g.apply_updates(&m, &[], Vec::new()), g);
             assert_eq!(g.apply_updates_serial(&m, &[]), g);
+        }
+    }
+
+    #[test]
+    fn apply_updates_on_an_empty_cache_equals_from_scored_pairs() {
+        let m = fixture();
+        for top_k in [None, Some(2)] {
+            let config = GraphConfig {
+                top_k,
+                ..Default::default()
+            };
+            let keys = SimilarityGraph::co_rated_pair_keys(&m);
+            let stats: Vec<SimilarityStats> = keys
+                .iter()
+                .map(|&key| {
+                    let (lo, hi) = SimilarityGraph::pair_of_key(key);
+                    item_similarity_stats(&m, lo, hi, config.metric)
+                })
+                .collect();
+            // `PartialEq` covers the arena and the scored-pair cache alike.
+            let direct = SimilarityGraph::from_scored_pairs(&m, config, &keys, stats.clone());
+            assert_eq!(direct, SimilarityGraph::build_serial(&m, config));
+            let empty = SimilarityGraph::empty(config);
+            assert_eq!((empty.n_items(), empty.n_scored_pairs()), (0, 0));
+            assert_eq!(empty.apply_updates(&m, &keys, stats.clone()), direct);
+            // Items but no scored pair: the same pass-through, decided by the cache.
+            let isolated = SimilarityGraph::from_scored_pairs(&m, config, &[], Vec::new());
+            assert_eq!(isolated.n_items(), m.n_items());
+            assert_eq!(isolated.apply_updates(&m, &keys, stats), direct);
         }
     }
 

@@ -7,10 +7,12 @@
 //! stages partition by data-derived keys and the private RNG streams derive from
 //! `(seed, item)`, so the worker count must never leak into a released model.
 //!
-//! Graph bits are covered twice: arena-level (`BaselinerStage` vs
+//! Graph bits are covered twice: arena-level (a fitted epoch's graph vs
 //! `SimilarityGraph::build_serial`, asserted with ledgers in
-//! `xmap_core::pipeline::tests::staged_baseliner_is_bit_identical_to_build_serial_at_1_2_and_8_workers`)
-//! and model-level here, through the released predictions and replacement table that
+//! `xmap_core::pipeline::tests::staged_baseliner_is_bit_identical_to_build_serial_at_1_2_and_8_workers`;
+//! `a_fitted_epoch_equals_the_serial_reference_of_every_step_in_all_four_modes` beside
+//! it does the same for the X-Sim table, the replacements and the pools) and
+//! model-level here, through the released predictions and replacement table that
 //! depend on every edge of the graph.
 
 use xmap_suite::prelude::*;
