@@ -139,7 +139,7 @@ fn run_determinism_gate(runner: &SweepRunner) -> (EvalReport, FitLedgers, u64) {
             );
         }
         let report = model.evaluate_batch(batch.clone());
-        let serial = evaluate_batch_serial(&model, &batch);
+        let serial = evaluate_batch_serial(&*model.snapshot().1, &batch);
         assert!(
             report.bits_eq(&serial),
             "{workers} workers: EvalStage diverged from the serial reference\n  stage:  {report:?}\n  serial: {serial:?}"

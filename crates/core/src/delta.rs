@@ -419,9 +419,9 @@ impl XMapModel {
                     affected_users: &affected_users,
                 };
                 let (next, mut report) = build_epoch(
-                    self.config,
-                    self.source_domain,
-                    self.target_domain,
+                    base.config,
+                    base.source_domain,
+                    base.target_domain,
                     &updated,
                     Some(&from),
                     Ledgers::Running(cx),

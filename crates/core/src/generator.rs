@@ -12,7 +12,7 @@
 //!    AlterEgos retain temporal behaviour across domains). If the user already has
 //!    ratings in the target domain they are appended, per footnote 6 of the paper.
 
-use crate::config::{XMapConfig, XMapMode};
+use crate::config::XMapConfig;
 use crate::xsim::XSimTable;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,7 +62,7 @@ impl AlterEgo {
 /// The item-to-item replacement table produced by the mapping step.
 ///
 /// `PartialEq` compares the full mapping — it is what the delta-fit equivalence gate
-/// holds a spliced table ([`AlterEgoGenerator::recompute_replacements_batched`])
+/// holds a spliced table ([`ReplacementTable::recompute_replacements_batched`])
 /// against a freshly generated one.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ReplacementTable {
@@ -70,18 +70,6 @@ pub struct ReplacementTable {
 }
 
 impl ReplacementTable {
-    /// Builds a table from explicit `(source, replacement)` pairs. Used by the
-    /// sharded router to gather the sub-table owned by each shard back into one
-    /// lookup structure; `map_profile_with` only ever consults the profile's own
-    /// source items, so a gathered table reproduces the full table's AlterEgos.
-    pub(crate) fn from_pairs(
-        pairs: impl IntoIterator<Item = (ItemId, ItemId)>,
-    ) -> ReplacementTable {
-        ReplacementTable {
-            replacements: pairs.into_iter().collect(),
-        }
-    }
-
     /// The replacement of a source item, if it has one.
     pub fn replacement(&self, item: ItemId) -> Option<ItemId> {
         self.replacements.get(&item).copied()
@@ -105,107 +93,6 @@ impl ReplacementTable {
         pairs.into_iter()
     }
 
-    /// Maps a user's source-domain profile into an AlterEgo in the target domain
-    /// (the "mapped user profiles" step of §5.3), carrying rating values over verbatim
-    /// exactly as the paper describes.
-    ///
-    /// Rating values and timesteps are carried over; when several source items map to
-    /// the same replacement the most recent rating wins; the user's genuine target-domain
-    /// ratings are appended and override mapped entries for the same item.
-    pub fn map_profile(
-        &self,
-        matrix: &RatingMatrix,
-        user: UserId,
-        source_domain: DomainId,
-        target_domain: DomainId,
-    ) -> AlterEgo {
-        self.map_profile_with(
-            matrix,
-            user,
-            source_domain,
-            target_domain,
-            RatingTransfer::Raw,
-        )
-    }
-
-    /// Like [`ReplacementTable::map_profile`] but with an explicit rating-transfer rule.
-    pub fn map_profile_with(
-        &self,
-        matrix: &RatingMatrix,
-        user: UserId,
-        source_domain: DomainId,
-        target_domain: DomainId,
-        transfer: RatingTransfer,
-    ) -> AlterEgo {
-        let mut mapped: HashMap<ItemId, (f64, xmap_cf::Timestep)> = HashMap::new();
-        let mut order: Vec<ItemId> = Vec::new();
-        let mut own_target: Profile = Vec::new();
-
-        for entry in matrix.user_profile(user) {
-            let domain = matrix.item_domain(entry.item);
-            if domain == source_domain {
-                if let Some(replacement) = self.replacement(entry.item) {
-                    let value = match transfer {
-                        RatingTransfer::Raw => entry.value,
-                        RatingTransfer::MeanAdjusted => {
-                            // transfer the user's *deviation* from the source item's mean
-                            // onto the replacement item's mean, so items with different
-                            // popularity levels do not distort the AlterEgo
-                            let deviation = entry.value - matrix.item_average(entry.item);
-                            matrix
-                                .scale()
-                                .clamp(matrix.item_average(replacement) + deviation)
-                        }
-                    };
-                    match mapped.get(&replacement) {
-                        Some(&(_, t)) if t >= entry.timestep => {}
-                        _ => {
-                            if !mapped.contains_key(&replacement) {
-                                order.push(replacement);
-                            }
-                            mapped.insert(replacement, (value, entry.timestep));
-                        }
-                    }
-                }
-            } else if domain == target_domain {
-                own_target.push((entry.item, entry.value, entry.timestep));
-            }
-        }
-
-        let mut profile: Profile = order
-            .into_iter()
-            .map(|item| {
-                let (value, t) = mapped[&item];
-                (item, value, t)
-            })
-            .collect();
-        let n_mapped = profile.len();
-        // Do not duplicate items the user has genuinely rated in the target domain: the
-        // real rating overrides the mapped one.
-        let own_items: Vec<ItemId> = own_target.iter().map(|&(i, _, _)| i).collect();
-        profile.retain(|(i, _, _)| !own_items.contains(i));
-        let n_mapped = n_mapped.min(profile.len());
-        profile.extend(own_target);
-
-        AlterEgo {
-            user,
-            profile,
-            n_mapped,
-        }
-    }
-}
-
-/// Generates AlterEgo profiles from an [`XSimTable`].
-pub struct AlterEgoGenerator<'a> {
-    matrix: &'a RatingMatrix,
-    xsim: &'a XSimTable,
-    source_domain: DomainId,
-    target_domain: DomainId,
-    config: XMapConfig,
-    replacements: ReplacementTable,
-}
-
-impl<'a> AlterEgoGenerator<'a> {
     /// The replacement draw for one item given its X-Sim candidate list.
     ///
     /// Replacing an item with a *dissimilar* (negatively correlated) heterogeneous
@@ -256,7 +143,7 @@ impl<'a> AlterEgoGenerator<'a> {
     }
 
     /// Materialises the replacement table single-threaded: one
-    /// [`AlterEgoGenerator::replacement_for`] draw per X-Sim source item. This is the
+    /// [`ReplacementTable::replacement_for`] draw per X-Sim source item. This is the
     /// reference the engine-parallel generator stage must match exactly.
     pub fn compute_replacements_serial(xsim: &XSimTable, config: &XMapConfig) -> ReplacementTable {
         let mut replacements = HashMap::new();
@@ -280,7 +167,7 @@ impl<'a> AlterEgoGenerator<'a> {
     /// draw's RNG stream derives from `(config.seed, item)` alone, the draws are
     /// independent of order and of each other: when `items` covers every source item
     /// whose X-Sim row changed, the spliced table is **bit-equal** to
-    /// [`AlterEgoGenerator::compute_replacements_serial`] over the whole updated table
+    /// [`ReplacementTable::compute_replacements_serial`] over the whole updated table
     /// at any worker count. One data-derived cost per partition — `Σ (1 +
     /// |candidates|)` — lands on the running stage's ledger.
     pub fn recompute_replacements_batched(
@@ -317,93 +204,78 @@ impl<'a> AlterEgoGenerator<'a> {
         }
         ReplacementTable { replacements }
     }
+}
 
-    /// Builds the generator and materialises the replacement table.
-    ///
-    /// For the private modes every item's replacement is drawn once with the PRS
-    /// mechanism and then reused for every user — the replacement table is part of the
-    /// released model, so drawing it once per item (rather than per user) spends the ε
-    /// budget once, exactly as Algorithm 3 is invoked by the Generator component.
-    pub fn new(
-        matrix: &'a RatingMatrix,
-        xsim: &'a XSimTable,
-        source_domain: DomainId,
-        target_domain: DomainId,
-        config: XMapConfig,
-    ) -> Self {
-        let replacements = Self::compute_replacements_serial(xsim, &config);
-        Self::with_replacements(
-            matrix,
-            xsim,
-            source_domain,
-            target_domain,
-            config,
-            replacements,
-        )
-    }
+/// Maps a user's source-domain profile into an AlterEgo in the target domain (the
+/// "mapped user profiles" step of §5.3) — the one mapping, on both planes: `replacement`
+/// is the epoch's table lookup on a single node and a closure over the pairs the router
+/// gathered from the profile's shards, which are all the mapping ever consults.
+///
+/// Rating values (under `transfer`) and timesteps are carried over; when several source
+/// items map to the same replacement the most recent rating wins; the user's genuine
+/// target-domain ratings are appended and override mapped entries for the same item.
+pub(crate) fn map_profile(
+    replacement: impl Fn(ItemId) -> Option<ItemId>,
+    matrix: &RatingMatrix,
+    user: UserId,
+    source_domain: DomainId,
+    target_domain: DomainId,
+    transfer: RatingTransfer,
+) -> AlterEgo {
+    let mut mapped: HashMap<ItemId, (f64, xmap_cf::Timestep)> = HashMap::new();
+    let mut order: Vec<ItemId> = Vec::new();
+    let mut own_target: Profile = Vec::new();
 
-    /// Wraps an externally materialised replacement table (e.g. one computed
-    /// partition-parallel by [`AlterEgoGenerator::recompute_replacements_batched`]).
-    pub fn with_replacements(
-        matrix: &'a RatingMatrix,
-        xsim: &'a XSimTable,
-        source_domain: DomainId,
-        target_domain: DomainId,
-        config: XMapConfig,
-        replacements: ReplacementTable,
-    ) -> Self {
-        AlterEgoGenerator {
-            matrix,
-            xsim,
-            source_domain,
-            target_domain,
-            config,
-            replacements,
+    for entry in matrix.user_profile(user) {
+        let domain = matrix.item_domain(entry.item);
+        if domain == source_domain {
+            if let Some(replacement) = replacement(entry.item) {
+                let value = match transfer {
+                    RatingTransfer::Raw => entry.value,
+                    RatingTransfer::MeanAdjusted => {
+                        // transfer the user's *deviation* from the source item's mean
+                        // onto the replacement item's mean, so items with different
+                        // popularity levels do not distort the AlterEgo
+                        let deviation = entry.value - matrix.item_average(entry.item);
+                        matrix
+                            .scale()
+                            .clamp(matrix.item_average(replacement) + deviation)
+                    }
+                };
+                match mapped.get(&replacement) {
+                    Some(&(_, t)) if t >= entry.timestep => {}
+                    _ => {
+                        if !mapped.contains_key(&replacement) {
+                            order.push(replacement);
+                        }
+                        mapped.insert(replacement, (value, entry.timestep));
+                    }
+                }
+            }
+        } else if domain == target_domain {
+            own_target.push((entry.item, entry.value, entry.timestep));
         }
     }
 
-    /// The materialised replacement table.
-    pub fn replacements(&self) -> &ReplacementTable {
-        &self.replacements
-    }
+    let mut profile: Profile = order
+        .into_iter()
+        .map(|item| {
+            let (value, t) = mapped[&item];
+            (item, value, t)
+        })
+        .collect();
+    let n_mapped = profile.len();
+    // Do not duplicate items the user has genuinely rated in the target domain: the
+    // real rating overrides the mapped one.
+    let own_items: Vec<ItemId> = own_target.iter().map(|&(i, _, _)| i).collect();
+    profile.retain(|(i, _, _)| !own_items.contains(i));
+    let n_mapped = n_mapped.min(profile.len());
+    profile.extend(own_target);
 
-    /// The X-Sim table the generator was built from.
-    pub fn xsim(&self) -> &XSimTable {
-        self.xsim
-    }
-
-    /// Generates the AlterEgo profile of one user.
-    ///
-    /// Every source-domain rating whose item has a replacement contributes one mapped
-    /// entry; if several source items map to the same target item, the entry rated most
-    /// recently wins (matching the "latest rating wins" semantics of the rating matrix).
-    /// The user's genuine target-domain ratings are appended afterwards.
-    pub fn generate(&self, user: UserId) -> AlterEgo {
-        self.replacements.map_profile_with(
-            self.matrix,
-            user,
-            self.source_domain,
-            self.target_domain,
-            self.config.transfer,
-        )
-    }
-
-    /// Generates AlterEgos for a batch of users.
-    pub fn generate_batch(&self, users: &[UserId]) -> Vec<AlterEgo> {
-        users.iter().map(|&u| self.generate(u)).collect()
-    }
-
-    /// The configuration the generator runs under.
-    pub fn config(&self) -> &XMapConfig {
-        &self.config
-    }
-
-    /// Whether the generator applies the private replacement selection.
-    pub fn is_private(&self) -> bool {
-        matches!(
-            self.config.mode,
-            XMapMode::XMapItemBased | XMapMode::XMapUserBased
-        )
+    AlterEgo {
+        user,
+        profile,
+        n_mapped,
     }
 }
 
@@ -453,7 +325,7 @@ impl xmap_store::Codec for ReplacementTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PrivacyConfig;
+    use crate::config::{PrivacyConfig, XMapMode};
     use xmap_dataset::toy::{items, users, ToyScenario};
     use xmap_engine::WorkerPool;
     use xmap_graph::{GraphConfig, LayerPartition, MetaPathConfig, SimilarityGraph};
@@ -487,34 +359,40 @@ mod tests {
         (toy, table, config)
     }
 
-    #[test]
-    fn non_private_replacement_is_the_best_xsim_match() {
-        let (toy, table, config) = setup(XMapMode::NxMapItemBased, 0.3);
-        let gen = AlterEgoGenerator::new(
+    /// The AlterEgo of `user` over a materialised table: the one mapping, as
+    /// `ModelEpoch::alterego` calls it.
+    fn generate(
+        toy: &ToyScenario,
+        replacements: &ReplacementTable,
+        config: &XMapConfig,
+        user: UserId,
+    ) -> AlterEgo {
+        map_profile(
+            |item| replacements.replacement(item),
             &toy.matrix,
-            &table,
+            user,
             DomainId::SOURCE,
             DomainId::TARGET,
-            config,
-        );
-        assert!(!gen.is_private());
-        for (item, replacement) in gen.replacements().iter() {
+            config.transfer,
+        )
+    }
+
+    #[test]
+    fn non_private_replacement_is_the_best_xsim_match() {
+        let (_, table, config) = setup(XMapMode::NxMapItemBased, 0.3);
+        let gen = ReplacementTable::compute_replacements_serial(&table, &config);
+        assert!(!config.mode.is_private());
+        for (item, replacement) in gen.iter() {
             assert_eq!(Some(replacement), table.best_match(item).map(|e| e.item));
         }
-        assert!(!gen.replacements().is_empty());
+        assert!(!gen.is_empty());
     }
 
     #[test]
     fn alice_gets_a_book_alterego_despite_never_rating_books() {
         let (toy, table, config) = setup(XMapMode::NxMapItemBased, 0.3);
-        let gen = AlterEgoGenerator::new(
-            &toy.matrix,
-            &table,
-            DomainId::SOURCE,
-            DomainId::TARGET,
-            config,
-        );
-        let alter = gen.generate(users::ALICE);
+        let gen = ReplacementTable::compute_replacements_serial(&table, &config);
+        let alter = generate(&toy, &gen, &config, users::ALICE);
         assert!(
             !alter.is_empty(),
             "Alice's AlterEgo must contain mapped book ratings"
@@ -529,16 +407,10 @@ mod tests {
     #[test]
     fn mapped_profile_preserves_rating_values_and_timesteps() {
         let (toy, table, config) = setup(XMapMode::NxMapItemBased, 0.3);
-        let gen = AlterEgoGenerator::new(
-            &toy.matrix,
-            &table,
-            DomainId::SOURCE,
-            DomainId::TARGET,
-            config,
-        );
-        let alter = gen.generate(users::ALICE);
+        let gen = ReplacementTable::compute_replacements_serial(&table, &config);
+        let alter = generate(&toy, &gen, &config, users::ALICE);
         // Alice rated Interstellar 5.0 at t=0; its replacement entry must carry 5.0.
-        let interstellar_replacement = gen.replacements().replacement(items::INTERSTELLAR);
+        let interstellar_replacement = gen.replacement(items::INTERSTELLAR);
         if let Some(rep) = interstellar_replacement {
             if let Some(&(_, value, t)) = alter.profile.iter().find(|&&(i, _, _)| i == rep) {
                 // the replacement may also receive The Martian's rating if both map to the
@@ -552,16 +424,10 @@ mod tests {
     #[test]
     fn own_target_ratings_are_appended_and_override_mapped_ones() {
         let (toy, table, config) = setup(XMapMode::NxMapItemBased, 0.3);
-        let gen = AlterEgoGenerator::new(
-            &toy.matrix,
-            &table,
-            DomainId::SOURCE,
-            DomainId::TARGET,
-            config,
-        );
+        let gen = ReplacementTable::compute_replacements_serial(&table, &config);
         // Cecilia has genuinely rated The Forever War (5.0) and Dune (4.0): those real
         // ratings must appear exactly once each, overriding any mapped entry.
-        let alter = gen.generate(users::CECILIA);
+        let alter = generate(&toy, &gen, &config, users::CECILIA);
         let forever_war: Vec<_> = alter
             .profile
             .iter()
@@ -582,15 +448,9 @@ mod tests {
     #[test]
     fn user_with_no_source_profile_gets_only_their_target_ratings() {
         let (toy, table, config) = setup(XMapMode::NxMapItemBased, 0.3);
-        let gen = AlterEgoGenerator::new(
-            &toy.matrix,
-            &table,
-            DomainId::SOURCE,
-            DomainId::TARGET,
-            config,
-        );
+        let gen = ReplacementTable::compute_replacements_serial(&table, &config);
         // Eve rated only books.
-        let alter = gen.generate(users::EVE);
+        let alter = generate(&toy, &gen, &config, users::EVE);
         assert_eq!(alter.n_mapped, 0);
         assert_eq!(alter.profile.len(), 3);
         assert!(alter
@@ -601,16 +461,10 @@ mod tests {
 
     #[test]
     fn private_replacements_stay_within_candidate_sets() {
-        let (toy, table, config) = setup(XMapMode::XMapItemBased, 0.3);
-        let gen = AlterEgoGenerator::new(
-            &toy.matrix,
-            &table,
-            DomainId::SOURCE,
-            DomainId::TARGET,
-            config,
-        );
-        assert!(gen.is_private());
-        for (item, replacement) in gen.replacements().iter() {
+        let (_, table, config) = setup(XMapMode::XMapItemBased, 0.3);
+        let gen = ReplacementTable::compute_replacements_serial(&table, &config);
+        assert!(config.mode.is_private());
+        for (item, replacement) in gen.iter() {
             assert!(
                 table.candidates(item).iter().any(|c| c.item == replacement),
                 "private replacement must come from the candidate set"
@@ -620,23 +474,11 @@ mod tests {
 
     #[test]
     fn private_generation_is_deterministic_per_seed() {
-        let (toy, table, config) = setup(XMapMode::XMapItemBased, 0.5);
-        let a = AlterEgoGenerator::new(
-            &toy.matrix,
-            &table,
-            DomainId::SOURCE,
-            DomainId::TARGET,
-            config,
-        );
-        let b = AlterEgoGenerator::new(
-            &toy.matrix,
-            &table,
-            DomainId::SOURCE,
-            DomainId::TARGET,
-            config,
-        );
-        let pa: Vec<_> = a.replacements().iter().collect();
-        let pb: Vec<_> = b.replacements().iter().collect();
+        let (_, table, config) = setup(XMapMode::XMapItemBased, 0.5);
+        let a = ReplacementTable::compute_replacements_serial(&table, &config);
+        let b = ReplacementTable::compute_replacements_serial(&table, &config);
+        let pa: Vec<_> = a.iter().collect();
+        let pb: Vec<_> = b.iter().collect();
         let mut pa = pa;
         let mut pb = pb;
         pa.sort();
@@ -649,27 +491,15 @@ mod tests {
         // With a very weak privacy requirement the exponential mechanism almost always
         // picks the best candidate, so PRS degrades gracefully to the NX-Map mapping
         // (the paper notes X-Map "inherently transforms to NX-Map" as ε grows, §6.3).
-        let (toy, table, cfg_private) = setup(XMapMode::XMapItemBased, 100.0);
+        let (_, table, cfg_private) = setup(XMapMode::XMapItemBased, 100.0);
         let (_, _, cfg_plain) = setup(XMapMode::NxMapItemBased, 0.3);
-        let private = AlterEgoGenerator::new(
-            &toy.matrix,
-            &table,
-            DomainId::SOURCE,
-            DomainId::TARGET,
-            cfg_private,
-        );
-        let plain = AlterEgoGenerator::new(
-            &toy.matrix,
-            &table,
-            DomainId::SOURCE,
-            DomainId::TARGET,
-            cfg_plain,
-        );
+        let private = ReplacementTable::compute_replacements_serial(&table, &cfg_private);
+        let plain = ReplacementTable::compute_replacements_serial(&table, &cfg_plain);
         let mut agree = 0;
         let mut total = 0;
-        for (item, rep) in plain.replacements().iter() {
+        for (item, rep) in plain.iter() {
             total += 1;
-            if private.replacements().replacement(item) == Some(rep) {
+            if private.replacement(item) == Some(rep) {
                 agree += 1;
             }
         }
@@ -687,7 +517,7 @@ mod tests {
         // private path must replay identical per-item RNG streams from any partition.
         for mode in [XMapMode::NxMapItemBased, XMapMode::XMapItemBased] {
             let (_, table, config) = setup(mode, 0.5);
-            let serial = AlterEgoGenerator::compute_replacements_serial(&table, &config);
+            let serial = ReplacementTable::compute_replacements_serial(&table, &config);
             let mut reference_costs: Option<Vec<f64>> = None;
             for workers in [1usize, 2, 8] {
                 let flow = Dataflow::new(workers, 4);
@@ -697,7 +527,7 @@ mod tests {
                         |xsim: &XSimTable, cx: &mut StageContext<'_>| {
                             // "Everything" as the row set: the sorted X-Sim row keys,
                             // over the empty table.
-                            AlterEgoGenerator::recompute_replacements_batched(
+                            ReplacementTable::recompute_replacements_batched(
                                 xsim,
                                 &config,
                                 xsim.iter().map(|(item, _)| item).collect(),
@@ -728,23 +558,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn batch_generation_matches_individual_generation() {
-        let (toy, table, config) = setup(XMapMode::NxMapItemBased, 0.3);
-        let gen = AlterEgoGenerator::new(
-            &toy.matrix,
-            &table,
-            DomainId::SOURCE,
-            DomainId::TARGET,
-            config,
-        );
-        let batch = gen.generate_batch(&[users::ALICE, users::BOB]);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0], gen.generate(users::ALICE));
-        assert_eq!(batch[1], gen.generate(users::BOB));
-        assert_eq!(gen.config().k, 2);
-        assert_eq!(gen.xsim().source_domain(), Some(DomainId::SOURCE));
     }
 }

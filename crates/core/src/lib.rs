@@ -48,7 +48,6 @@ pub mod persist;
 pub mod pipeline;
 pub mod private;
 pub mod recommend;
-pub mod serve;
 pub mod shard;
 pub mod xsim;
 
@@ -56,12 +55,11 @@ pub use config::{PrivacyConfig, XMapConfig, XMapMode};
 pub use delta::{
     DeltaReport, IngestAccumulators, RatingDelta, ServedRead, DELTA_STAGE_NAME, INGEST_MRV_SHARDS,
 };
-pub use generator::{AlterEgo, AlterEgoGenerator, RatingTransfer, ReplacementTable};
+pub use generator::{AlterEgo, RatingTransfer, ReplacementTable};
 pub use persist::{JOURNAL_FILE, SNAPSHOT_FILE};
 pub use pipeline::{ModelEpoch, PipelineStats, XMapModel};
-pub use recommend::{ProfileRecommender, ProfileScratch, ScratchPool};
-pub use serve::{RecommendStage, ServeBatch};
-pub use shard::{ShardId, ShardMap, ShardSlice, ShardedModel};
+pub use recommend::{ProfileRecommender, ProfileScratch};
+pub use shard::{ShardMap, ShardSlice, ShardedModel};
 pub use xsim::{XSimEntry, XSimTable};
 
 /// Errors produced by the X-Map pipeline.
@@ -145,3 +143,8 @@ impl From<xmap_store::StoreError> for XMapError {
 
 /// Convenient result alias for this crate.
 pub type Result<T> = std::result::Result<T, XMapError>;
+
+/// The gates of batched serving (`XMapModel::serve_profiles`).
+#[cfg(test)]
+#[path = "serve_tests.rs"]
+mod serve;

@@ -34,14 +34,18 @@
 //! it with a single pointer swap. A reader therefore always sees one self-consistent
 //! model version, never a half-updated one, and ingestion never blocks serving. See the
 //! epoch-publication section of `DESIGN.md`.
+//!
+//! The read side is [`ModelEpoch`] and nothing else: `alterego` → the recommender's
+//! `predict_for_profile` / `recommend_for_profile`. [`XMapModel`] stores nothing its
+//! epoch stores and delegates every read to a snapshot in one line; a served batch
+//! (`serve_on`) is the same per-profile read run as one `recommend` stage.
 
 use crate::config::XMapConfig;
 use crate::delta::{
     affected_pool_items, affected_xsim_rows, DeltaReport, IngestAccumulators, RatingDelta,
 };
-use crate::generator::{AlterEgo, AlterEgoGenerator, ReplacementTable};
-use crate::recommend::{self, ScratchPool, SharedRecommender};
-use crate::serve::{RecommendStage, ServeBatch, RECOMMEND_STAGE_NAME};
+use crate::generator::{self, AlterEgo, ReplacementTable};
+use crate::recommend::{self, ProfileRecommender, SharedRecommender};
 use crate::xsim::XSimTable;
 use crate::{Result, XMapError};
 use std::cell::RefCell;
@@ -52,7 +56,6 @@ use xmap_cf::{
     DomainId, ItemId, ItemKnn, ItemKnnConfig, RatingMatrix, SimilarityMetric, SimilarityStats,
     UserId,
 };
-use xmap_engine::sync::{AtomicU64, Ordering};
 use xmap_engine::{fn_stage, Dataflow, EpochHandle, StageContext, StageReport};
 use xmap_eval::EVAL_STAGE_NAME;
 use xmap_eval::{EvalBatch, EvalReport, EvalStage, EvalTarget, SweepParam, SweepSeries, SweepSpec};
@@ -203,7 +206,8 @@ impl ModelEpoch {
 
     /// The AlterEgo profile of a user in the target domain.
     pub fn alterego(&self, user: UserId) -> AlterEgo {
-        self.replacements.map_profile_with(
+        generator::map_profile(
+            |item| self.replacements.replacement(item),
             &self.full,
             user,
             self.source_domain,
@@ -251,7 +255,8 @@ impl EvalTarget for ModelEpoch {
 
 /// A fitted X-Map model: an epoch-published immutable snapshot ([`ModelEpoch`]) behind
 /// an atomically swappable handle, plus the mutable ingest side (the dataflow runner,
-/// the serving scratch pool and the ingest accumulators).
+/// the ingest accumulators and the attached store). It stores nothing its epoch stores:
+/// configuration and domains are read from the snapshot.
 ///
 /// All query methods are `&self` and answer from a wait-free snapshot of the current
 /// epoch; [`crate::delta`]'s `apply_delta` is *also* `&self` — it builds the next epoch
@@ -259,21 +264,13 @@ impl EvalTarget for ModelEpoch {
 /// epoch) while an update is in flight. Concurrent `apply_delta` calls serialize on an
 /// internal ingest lock.
 pub struct XMapModel {
-    pub(crate) config: XMapConfig,
-    pub(crate) source_domain: DomainId,
-    pub(crate) target_domain: DomainId,
     /// The epoch-publication handle: readers snapshot, the delta fit publishes.
     pub(crate) handle: EpochHandle<ModelEpoch>,
     /// The dataflow runner the model was fitted on, kept for deltas and batched serving
     /// so that their task costs land in the same ledger as the fit stages.
     pub(crate) flow: Dataflow,
-    /// Warm per-partition serving scratch, reused across batches (and across epochs —
-    /// scratch invalidates itself on every load).
-    pub(crate) scratch: ScratchPool,
     /// Serializes writers: `apply_delta` holds this for its whole build-aside phase.
     pub(crate) ingest_lock: Mutex<()>,
-    /// Epoch stamp of the most recent serving batch (0 = nothing served yet).
-    pub(crate) serve_epoch: AtomicU64,
     /// MRV-merged per-user/per-item accumulators of the most recent delta ingest.
     pub(crate) ingest_stats: Mutex<Option<IngestAccumulators>>,
     /// The attached durable store (snapshot path + open journal), `None` for a
@@ -289,32 +286,27 @@ impl XMapModel {
     /// attached.
     pub(crate) fn from_epoch(epoch: ModelEpoch, epoch_no: u64, flow: Dataflow) -> XMapModel {
         XMapModel {
-            config: epoch.config,
-            source_domain: epoch.source_domain,
-            target_domain: epoch.target_domain,
             handle: EpochHandle::new(Arc::new(epoch), epoch_no),
             flow,
-            scratch: ScratchPool::new(),
             ingest_lock: Mutex::new(()),
-            serve_epoch: AtomicU64::new(0),
             ingest_stats: Mutex::new(None),
             store: Mutex::new(None),
         }
     }
 
     /// The configuration the model was fitted with.
-    pub fn config(&self) -> &XMapConfig {
-        &self.config
+    pub fn config(&self) -> XMapConfig {
+        self.snap().config
     }
 
     /// The source domain (where users are assumed to have history).
     pub fn source_domain(&self) -> DomainId {
-        self.source_domain
+        self.snap().source_domain
     }
 
     /// The target domain (where recommendations are produced).
     pub fn target_domain(&self) -> DomainId {
-        self.target_domain
+        self.snap().target_domain
     }
 
     /// The current model epoch: 1 after a fresh fit, bumped by one on every published
@@ -393,45 +385,16 @@ impl XMapModel {
         self.snap().predict_for_profile(profile, item)
     }
 
-    /// Serves a batch of explicit profiles through the batched [`RecommendStage`]:
-    /// top-N per profile, in request order, with per-partition task costs recorded in
-    /// the dataflow ledger (see [`XMapModel::serving_task_costs`]).
-    ///
-    /// The whole batch answers from **one** epoch snapshot taken at entry (stamped into
-    /// [`XMapModel::served_epoch`]), and the per-partition scratch comes from the
-    /// model's shared pool, so dense buffers persist across batches. Output is
-    /// bit-identical to calling [`crate::ProfileRecommender::recommend_for_profile`] once per
-    /// profile against that snapshot, at any worker count. The *recommendations* are
-    /// safe to compute from any number of threads sharing the model; the cost ledger,
-    /// however, holds one slot per stage name, so concurrent batches overwrite each
-    /// other's `recommend` entry (last writer wins — see
-    /// [`XMapModel::serving_task_costs`]).
+    /// Serves a batch of explicit profiles: top-N per profile, in request order, all
+    /// from **one** epoch snapshot taken at entry, as one `recommend` stage on the
+    /// model's dataflow (see [`serve_on`]). Output is bit-identical to calling
+    /// [`ModelEpoch::recommend_for_profile`] once per profile against that snapshot, at
+    /// any worker count. The *recommendations* are safe to compute from any number of
+    /// threads sharing the model; the cost ledger, however, holds one slot per stage
+    /// name, so concurrent batches overwrite each other's `recommend` entry (last
+    /// writer wins — see [`XMapModel::serving_task_costs`]).
     pub fn serve_profiles(&self, profiles: &[Profile], n: usize) -> Vec<Vec<(ItemId, f64)>> {
-        let (epoch, snap) = self.handle.load();
-        let out = self.flow.run(
-            &RecommendStage::new(snap.recommender.as_ref(), &self.scratch),
-            ServeBatch::new(profiles, n),
-        );
-        // Observability stamp only; the snapshot itself came from the epoch
-        // handle's acquire load, nothing synchronizes through this cell.
-        // lint: ordering
-        self.serve_epoch.store(epoch, Ordering::Relaxed);
-        out
-    }
-
-    /// Top-N recommendations for a batch of users, one result per user in input order:
-    /// AlterEgo generation followed by batched serving on the dataflow engine, all
-    /// against one epoch snapshot.
-    pub fn recommend_batch(&self, users: &[UserId], n: usize) -> Vec<Vec<(ItemId, f64)>> {
-        let (epoch, snap) = self.handle.load();
-        let profiles: Vec<Profile> = users.iter().map(|&u| snap.alterego(u).profile).collect();
-        let out = self.flow.run(
-            &RecommendStage::new(snap.recommender.as_ref(), &self.scratch),
-            ServeBatch::new(&profiles, n),
-        );
-        // lint: ordering — same observability-only stamp as in serve_profiles.
-        self.serve_epoch.store(epoch, Ordering::Relaxed);
-        out
+        serve_on(&self.flow, self.snap().recommender.as_ref(), profiles, n)
     }
 
     /// Per-partition task costs of the most recent serving batch (the `recommend`
@@ -444,17 +407,6 @@ impl XMapModel {
     /// single thread and read this immediately after [`XMapModel::serve_profiles`].
     pub fn serving_task_costs(&self) -> Option<Vec<f64>> {
         self.flow.stage_costs(RECOMMEND_STAGE_NAME)
-    }
-
-    /// The epoch the most recent serving batch answered from, or `None` if nothing has
-    /// been served yet — the epoch stamp of the `recommend` cost ledger, with the same
-    /// last-writer-wins caveat as [`XMapModel::serving_task_costs`].
-    pub fn served_epoch(&self) -> Option<u64> {
-        // lint: ordering — reads the observability stamp; last-writer-wins by design.
-        match self.serve_epoch.load(Ordering::Relaxed) {
-            0 => None,
-            e => Some(e),
-        }
     }
 
     /// The privacy accountant of the current epoch: `Some` for the private modes (with
@@ -517,9 +469,9 @@ impl XMapModel {
     /// on a non-private mode refits identical models and yields a flat series.
     pub fn sweep(&self, spec: &SweepSpec, batch: &EvalBatch) -> Result<SweepSeries> {
         let snap = self.snap();
-        let mut series = SweepSeries::new(format!("{} / {}", self.label(), spec.param.label()));
+        let mut series = SweepSeries::new(format!("{} / {}", snap.label(), spec.param.label()));
         for &value in &spec.values {
-            let mut config = self.config;
+            let mut config = snap.config;
             match spec.param {
                 SweepParam::K => config.k = value.round() as usize,
                 SweepParam::Epsilon => config.privacy.epsilon = value,
@@ -533,7 +485,7 @@ impl XMapModel {
                     ))
                 }
             }
-            let model = XMapModel::fit(&snap.full, self.source_domain, self.target_domain, config)?;
+            let model = XMapModel::fit(&snap.full, snap.source_domain, snap.target_domain, config)?;
             let report = model.evaluate_batch(batch.clone());
             series.push(value, report.metric(spec.metric));
         }
@@ -541,17 +493,32 @@ impl XMapModel {
     }
 }
 
-impl EvalTarget for XMapModel {
-    fn predict(&self, user: UserId, item: ItemId) -> f64 {
-        XMapModel::predict(self, user, item)
-    }
+/// Stage name under which serving costs appear in the dataflow ledger.
+pub(crate) const RECOMMEND_STAGE_NAME: &str = "recommend";
 
-    fn recommend(&self, user: UserId, n: usize) -> Vec<ItemId> {
-        XMapModel::recommend(self, user, n)
-            .into_iter()
-            .map(|(item, _)| item)
-            .collect()
-    }
+/// A served batch: one `recommend` stage on `flow`. Request *positions* are
+/// hash-partitioned (the profiles stay borrowed in place), every partition is one pool
+/// task answering each of its profiles with the single read, `recommend_for_profile` —
+/// on its worker thread's scratch, like any other read — and recording `Σ (1 +
+/// |profile|)`: serving work scales with profile size, and the "+1" keeps an empty
+/// profile from being free on the simulated cluster. Partition contents depend on the
+/// position alone and profiles are independent, so output and ledger are the same at
+/// any worker count.
+pub(crate) fn serve_on(
+    flow: &Dataflow,
+    recommender: &(dyn ProfileRecommender + Send + Sync),
+    profiles: &[Profile],
+    n: usize,
+) -> Vec<Vec<(ItemId, f64)>> {
+    let serve = |(), cx: &mut StageContext<'_>| {
+        cx.map_items_ordered((0..profiles.len()).collect(), |_ix, part| {
+            let served = part.iter().map(|&(_, pos)| &profiles[pos]);
+            let cost: f64 = served.clone().map(|p| 1.0 + p.len() as f64).sum();
+            let outs = served.map(|p| recommender.recommend_for_profile(p, n));
+            (outs.collect(), cost)
+        })
+    };
+    flow.run(&fn_stage(RECOMMEND_STAGE_NAME, serve), ())
 }
 
 /// The partition-parallel pair scoring of the baseliner step: the kernel row of each of
@@ -766,7 +733,7 @@ pub(crate) fn build_epoch(
         Ok(if draws.is_empty() {
             Arc::clone(&old_replacements)
         } else {
-            Arc::new(AlterEgoGenerator::recompute_replacements_batched(
+            Arc::new(ReplacementTable::recompute_replacements_batched(
                 &xsim,
                 &config,
                 draws,
@@ -936,7 +903,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(model.epoch(), 1, "fresh fits publish epoch 1");
-        assert_eq!(model.served_epoch(), None, "nothing served yet");
         let (epoch, snap) = model.snapshot();
         assert_eq!(epoch, 1);
         // The snapshot answers exactly like the model (both read epoch 1).
@@ -944,9 +910,6 @@ mod tests {
         let via_snap = snap.recommend(users::ALICE, 2);
         assert_eq!(via_model, via_snap);
         assert_eq!(snap.label(), model.label());
-        // Serving stamps the epoch it answered from.
-        let _ = model.serve_profiles(&[model.alterego(users::ALICE).profile], 2);
-        assert_eq!(model.served_epoch(), Some(1));
     }
 
     #[test]
@@ -1101,7 +1064,7 @@ mod tests {
             assert_eq!(*epoch.xsim, xsim, "{mode:?}: X-Sim table");
             assert_eq!(
                 *epoch.replacements,
-                AlterEgoGenerator::compute_replacements_serial(&xsim, &config),
+                ReplacementTable::compute_replacements_serial(&xsim, &config),
                 "{mode:?}: replacements"
             );
             let target = ds
@@ -1338,7 +1301,8 @@ mod tests {
             .unwrap();
             let per_user: Vec<Vec<(ItemId, f64)>> =
                 users.iter().map(|&u| model.recommend(u, 5)).collect();
-            let batched = model.recommend_batch(&users, 5);
+            let profiles: Vec<Profile> = users.iter().map(|&u| model.alterego(u).profile).collect();
+            let batched = model.serve_profiles(&profiles, 5);
             assert_eq!(batched, per_user, "{workers} workers: batch diverged");
             let costs = model
                 .serving_task_costs()
@@ -1452,7 +1416,7 @@ mod tests {
             assert!(model.eval_task_costs().is_none(), "no evaluation ran yet");
             let report = model.evaluate_batch(batch.clone());
             // the engine-parallel report equals the fully serial protocol, bit for bit
-            let serial = xmap_eval::evaluate_batch_serial(&model, &batch);
+            let serial = xmap_eval::evaluate_batch_serial(&*model.snapshot().1, &batch);
             assert!(
                 report.bits_eq(&serial),
                 "{workers} workers diverged from serial"

@@ -16,8 +16,10 @@
 //! answers a top-N request through the same three phases of [`ProfileRecommender`]:
 //! `plan` (profile-level state), `candidates` (what the rows of an item range add to
 //! the candidate stream) and `score`. A single-node read runs the phases over the
-//! whole catalogue; the sharded router runs the very same methods once per shard, over
-//! the rows each replica holds.
+//! whole catalogue (the provided `recommend_for_profile`; a served batch is that call
+//! per profile); the sharded router runs the very same methods once per shard, over
+//! the rows each replica holds. Either way the dense per-request state lives in the
+//! calling thread's one [`ProfileScratch`].
 
 use crate::private::{
     pair_sensitivity, pncf_noisy_similarity, private_neighbor_selection, ScoredCandidate,
@@ -64,10 +66,11 @@ impl ServePlan {
 ///
 /// Top-N serving is three phases, each a pure function of `&self` and its arguments:
 /// [`plan`](Self::plan), [`candidates`](Self::candidates) over an item range, and
-/// [`score`](Self::score) over a slice of the merged candidate stream. The
-/// `recommend_*` methods are *provided*: they run the phases over the whole catalogue
-/// and rank the stream with the workspace [`top_k`] — so a recommender built over a
-/// fragment of the fitted rows answers with the same code as the full copy.
+/// [`score`](Self::score) over a slice of the merged candidate stream.
+/// [`recommend_for_profile`](Self::recommend_for_profile) is *provided*: it runs the
+/// phases over the whole catalogue and ranks the stream with the workspace [`top_k`] —
+/// so a recommender built over a fragment of the fitted rows answers with the same code
+/// as the full copy.
 pub trait ProfileRecommender {
     /// Label matching the paper's figure legends.
     fn label(&self) -> &'static str;
@@ -113,33 +116,6 @@ pub trait ProfileRecommender {
     /// Top-N recommendations for the profile, excluding the profile's own items.
     fn recommend_for_profile(&self, profile: &Profile, n: usize) -> Vec<(ItemId, f64)> {
         with_thread_scratch(|scratch| phased_top_n(self, profile, n, scratch))
-    }
-
-    /// Top-N recommendations for a batch of profiles, one result per profile in input
-    /// order, **bit-identical** to [`recommend_for_profile`](Self::recommend_for_profile)
-    /// called once per profile. Takes profile references so serving partitions can
-    /// hand their requests over without copying profile contents.
-    fn recommend_batch(&self, profiles: &[&Profile], n: usize) -> Vec<Vec<(ItemId, f64)>> {
-        with_thread_scratch(|scratch| self.recommend_batch_with_scratch(profiles, n, scratch))
-    }
-
-    /// Like [`recommend_batch`](Self::recommend_batch), but folding the batch through a
-    /// caller-owned [`ProfileScratch`] instead of the thread-local one.
-    ///
-    /// The serving stage checks scratch out of the model's [`ScratchPool`] so the
-    /// dense buffers survive *across* batches (worker threads are scoped per batch,
-    /// which kills thread-local scratch with them). Epoch invalidation in
-    /// [`ProfileScratch`] makes buffer reuse invisible in the outputs.
-    fn recommend_batch_with_scratch(
-        &self,
-        profiles: &[&Profile],
-        n: usize,
-        scratch: &mut ProfileScratch,
-    ) -> Vec<Vec<(ItemId, f64)>> {
-        profiles
-            .iter()
-            .map(|p| phased_top_n(self, p, n, scratch))
-            .collect()
     }
 }
 
@@ -263,9 +239,9 @@ fn require_k(k: usize) -> crate::Result<()> {
 /// Every buffer is keyed by a dense index and invalidated wholesale by an epoch bump
 /// ([`EpochBuffer`]), so a use costs `O(what it touches)` regardless of how many
 /// profiles the scratch served before, and re-sized to the recommender's matrix at
-/// every use, so a warmed scratch survives an ingest that adds users or items. One
-/// scratch is reused across all phases of a request, and — in the batched serving
-/// path — across all profiles of a partition.
+/// every use, so a warmed scratch survives an ingest that adds users or items — and a
+/// thread that served a larger or a smaller model before. One scratch per thread
+/// ([`with_thread_scratch`]) serves all phases of a request and every request after it.
 #[derive(Debug, Default)]
 pub struct ProfileScratch {
     /// The loaded profile's `(rating, timestep)` per item.
@@ -311,10 +287,10 @@ impl ProfileScratch {
 }
 
 thread_local! {
-    /// Per-thread scratch backing the single-call entry points, so evaluation loops
-    /// that predict one rating at a time — and the sharded router, scoring one shard
-    /// segment at a time — amortise the dense buffers exactly like the batched path
-    /// does. Epoch invalidation makes reuse across unrelated profiles safe.
+    /// The one scratch mechanism: every read — a single call, a partition of a served
+    /// batch, one hop of a routed request — borrows its thread's scratch, so loops on
+    /// one thread amortise the dense buffers. Epoch invalidation makes reuse across
+    /// unrelated profiles (and recommenders) safe.
     static THREAD_SCRATCH: std::cell::RefCell<ProfileScratch> =
         std::cell::RefCell::new(ProfileScratch::new());
 }
@@ -323,51 +299,6 @@ thread_local! {
 /// phases take the scratch as a parameter precisely so nothing under `f` asks again.
 pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut ProfileScratch) -> R) -> R {
     THREAD_SCRATCH.with(|s| f(&mut s.borrow_mut()))
-}
-
-/// A model-owned pool of [`ProfileScratch`] buffers for batched serving.
-///
-/// The worker pool scopes its threads to each batch, so thread-local scratch dies
-/// when a batch completes; this pool keeps the warmed dense buffers alive *across*
-/// batches instead. Serving partitions check a scratch out, fold their profiles
-/// through it ([`ProfileRecommender::recommend_batch_with_scratch`]) and hand it
-/// back. Reuse is bit-invisible: every buffer of a [`ProfileScratch`] is invalidated
-/// by an epoch bump at each use, so a recycled scratch answers exactly like a fresh one.
-#[derive(Debug, Default)]
-pub struct ScratchPool {
-    pool: std::sync::Mutex<Vec<ProfileScratch>>,
-}
-
-impl ScratchPool {
-    /// An empty pool; scratches are created on demand and retained on give-back.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes a scratch out of the pool, creating a fresh one if none is available.
-    pub fn checkout(&self) -> ProfileScratch {
-        self.pool
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Returns a scratch to the pool for the next batch to reuse.
-    pub fn give_back(&self, scratch: ProfileScratch) {
-        self.pool
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(scratch);
-    }
-
-    /// How many warmed scratches are currently parked in the pool.
-    pub fn available(&self) -> usize {
-        self.pool
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -564,8 +495,8 @@ fn item_knn_config(k: usize, temporal_alpha: f64) -> ItemKnnConfig {
 
 /// Equation 4 / 7 prediction shared by the item-based recommenders: given the neighbours
 /// of `item`, combine the loaded profile's ratings of those neighbours. The profile is
-/// consulted through a pre-loaded [`ProfileScratch`] so batched serving pays the profile
-/// indexing once per profile, not once per prediction.
+/// consulted through a pre-loaded [`ProfileScratch`] so a top-N request pays the profile
+/// indexing once, not once per prediction.
 fn predict_item_based(
     target: &RatingMatrix,
     neighbors: &[ItemNeighbor],
@@ -1088,20 +1019,29 @@ pub(crate) mod tests {
 
     /// One recommender per mode (both item-based ones with and without temporal decay).
     pub(crate) fn all_modes() -> Vec<SharedRecommender> {
+        all_modes_on(target_matrix())
+    }
+
+    /// [`all_modes`] over any target-domain matrix.
+    pub(crate) fn all_modes_on(target: RatingMatrix) -> Vec<SharedRecommender> {
+        let target = Arc::new(target);
         let decayed = |config: XMapConfig| XMapConfig {
             temporal_alpha: 0.3,
             ..config
         };
         let nx_ib = config(XMapMode::NxMapItemBased, 5, 0.8, 42);
         let x_ib = config(XMapMode::XMapItemBased, 3, 5.0, 7);
-        vec![
-            fitted(&nx_ib),
-            fitted(&decayed(nx_ib)),
-            fitted(&config(XMapMode::NxMapUserBased, 3, 0.8, 42)),
-            fitted(&x_ib),
-            fitted(&decayed(x_ib)),
-            fitted(&config(XMapMode::XMapUserBased, 3, 2.0, 11)),
+        [
+            nx_ib,
+            decayed(nx_ib),
+            config(XMapMode::NxMapUserBased, 3, 0.8, 42),
+            x_ib,
+            decayed(x_ib),
+            config(XMapMode::XMapUserBased, 3, 2.0, 11),
         ]
+        .iter()
+        .map(|config| fitted_on(Arc::clone(&target), config).unwrap())
+        .collect()
     }
 
     #[test]
@@ -1160,26 +1100,6 @@ pub(crate) mod tests {
                     recommend_for_profile_rescan(&rec, profile, n)
                 );
             }
-        }
-    }
-
-    #[test]
-    fn recommend_batch_is_bit_identical_to_per_profile_calls() {
-        let profiles: Vec<Profile> = vec![
-            cluster_profile(),
-            profile_from_pairs([(ItemId(3), 5.0), (ItemId(4), 4.0)]),
-            profile_from_pairs([(ItemId(0), 1.0), (ItemId(5), 5.0)]),
-            Vec::new(),
-            profile_from_pairs([(ItemId(2), 3.0)]),
-        ];
-        let profile_refs: Vec<&Profile> = profiles.iter().collect();
-        for rec in all_modes() {
-            let batched = rec.recommend_batch(&profile_refs, 4);
-            let reference: Vec<Vec<(ItemId, f64)>> = profiles
-                .iter()
-                .map(|p| rec.recommend_for_profile(p, 4))
-                .collect();
-            assert_eq!(batched, reference, "{} batch diverged", rec.label());
         }
     }
 

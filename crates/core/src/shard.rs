@@ -46,7 +46,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::delta::{DeltaReport, RatingDelta};
-use crate::generator::{AlterEgo, ReplacementTable};
+use crate::generator::{self, AlterEgo};
 use crate::pipeline::{ModelEpoch, XMapModel};
 use crate::recommend::{self, candidate_stream, ServePlan, SharedRecommender};
 use crate::xsim::XSimEntry;
@@ -61,10 +61,6 @@ use xmap_store::{Journal, Snapshot};
 // ---------------------------------------------------------------------------
 // Shard map
 // ---------------------------------------------------------------------------
-
-/// Identifier of one contiguous item-range shard.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ShardId(pub u32);
 
 /// A deterministic partition of the item catalogue into contiguous id ranges,
 /// with a per-shard replica count.
@@ -217,37 +213,10 @@ pub struct ShardSlice {
 }
 
 impl ShardSlice {
-    /// The shard this slice belongs to.
-    pub fn shard(&self) -> ShardId {
-        ShardId(self.shard)
-    }
-
     /// The `[start, end)` item-id range the slice covers (the last shard's range
     /// stretches over catalogue growth, see [`ShardMap::shard_of`]).
     pub fn item_range(&self) -> (u32, u32) {
         (self.start, self.end)
-    }
-
-    /// The shard's similarity-graph rows: `(item, [(neighbour, stats)])`,
-    /// ascending by item id, ascending neighbour id within a row.
-    pub fn graph_rows(&self) -> &[(ItemId, Vec<(ItemId, SimilarityStats)>)] {
-        &self.graph_rows
-    }
-
-    /// The shard's X-Sim rows: `(item, candidates)` ascending by item id.
-    pub fn xsim_rows(&self) -> &[(ItemId, Vec<XSimEntry>)] {
-        &self.xsim_rows
-    }
-
-    /// The shard's `(source item, replacement)` pairs, ascending by source id.
-    pub fn replacement_pairs(&self) -> &[(ItemId, ItemId)] {
-        &self.replacement_pairs
-    }
-
-    /// The shard's raw item-kNN pool rows (`None` for the user-based modes,
-    /// which precompute nothing at fit time).
-    pub fn pool_rows(&self) -> Option<&[(ItemId, Vec<ItemNeighbor>)]> {
-        self.pool_rows.as_deref()
     }
 
     /// Cuts the slice of `shard` out of a published epoch.
@@ -298,10 +267,7 @@ impl ShardSlice {
 
     /// The replacement of a source item owned by this shard, if any.
     pub(crate) fn replacement_of(&self, item: ItemId) -> Option<ItemId> {
-        self.replacement_pairs
-            .binary_search_by_key(&item, |&(source, _)| source)
-            .ok()
-            .map(|ix| self.replacement_pairs[ix].1)
+        replacement_in(&self.replacement_pairs, item)
     }
 
     /// The mode's recommender over this slice's own pool rows and `epoch`'s
@@ -363,6 +329,12 @@ impl ShardSlice {
             },
         }
     }
+}
+
+/// The replacement of `item` among `(source, replacement)` pairs ascending by source.
+fn replacement_in(pairs: &[(ItemId, ItemId)], item: ItemId) -> Option<ItemId> {
+    let at = pairs.binary_search_by_key(&item, |&(source, _)| source);
+    at.ok().map(|ix| pairs[ix].1)
 }
 
 /// Row upserts between two sorted row lists: `(id, new_row)` for added or changed
@@ -577,7 +549,6 @@ struct ShardLedgers {
 pub struct ShardedModel {
     model: XMapModel,
     map: ShardMap,
-    n_nodes: usize,
     nodes: Vec<ShardNode>,
     store_dir: Option<PathBuf>,
     ledgers: Mutex<ShardLedgers>,
@@ -634,16 +605,10 @@ impl ShardedModel {
         Ok(ShardedModel {
             model,
             map,
-            n_nodes,
             nodes,
             store_dir: None,
             ledgers: Mutex::new(ShardLedgers::default()),
         })
-    }
-
-    /// Number of simulated nodes.
-    pub fn n_nodes(&self) -> usize {
-        self.n_nodes
     }
 
     /// The item-range shard map the model was built with.
@@ -687,7 +652,7 @@ impl ShardedModel {
     fn read_host(&self, shard: u32) -> Result<usize> {
         let live: Vec<usize> = self
             .map
-            .hosts(shard, self.n_nodes)
+            .hosts(shard, self.nodes.len())
             .into_iter()
             .filter(|&h| self.nodes[h].alive && self.nodes[h].shards.contains_key(&shard))
             .collect();
@@ -757,7 +722,9 @@ impl ShardedModel {
             }
             self.push_serve(host, 1.0 + items.len() as f64);
         }
-        Ok(ReplacementTable::from_pairs(pairs).map_profile_with(
+        // `pairs` ascend by source item: the profile does, and shards are ascending ranges.
+        Ok(generator::map_profile(
+            |item| replacement_in(&pairs, item),
             full,
             user,
             source,
@@ -823,18 +790,6 @@ impl ShardedModel {
             })?);
         }
         self.routed_scores(profile, &plan, &candidate_stream(profile, gathered), n)
-    }
-
-    /// Routed batch serving, one result per profile in input order.
-    pub fn serve_profiles(
-        &self,
-        profiles: &[Profile],
-        n: usize,
-    ) -> Result<Vec<Vec<(ItemId, f64)>>> {
-        profiles
-            .iter()
-            .map(|p| self.recommend_for_profile(p, n))
-            .collect()
     }
 
     /// Runs one shard-local phase of a routed request on a live replica of
@@ -904,7 +859,7 @@ impl ShardedModel {
             let serve = new_slice.recommender(&epoch)?;
             let sub = &subs[shard as usize];
             let cost = 1.0 + sub.len() as f64;
-            for host in self.map.hosts(shard, self.n_nodes) {
+            for host in self.map.hosts(shard, self.nodes.len()) {
                 let node = &mut self.nodes[host];
                 if !node.alive {
                     continue;
@@ -990,7 +945,7 @@ impl ShardedModel {
         let node_dir = dir.join(format!("node{node}"));
         let mut rebuilt = ShardNode::new();
         for shard in 0..self.map.n_shards() as u32 {
-            if !self.map.hosts(shard, self.n_nodes).contains(&node) {
+            if !self.map.hosts(shard, self.nodes.len()).contains(&node) {
                 continue;
             }
             let snap_path = node_dir.join(format!("shard{shard}.snap"));

@@ -6,6 +6,7 @@
 //! node killed mid-stream recovers from its per-shard snapshot + journal (or by
 //! re-replication when its journal missed ingests) to the very same bits.
 
+use xmap_cf::knn::Profile;
 use xmap_cf::{DomainId, ItemId, Timestep, UserId};
 use xmap_core::{RatingDelta, ShardedModel, XMapConfig, XMapMode, XMapModel};
 use xmap_dataset::synthetic::{CrossDomainConfig, CrossDomainDataset};
@@ -420,4 +421,94 @@ fn node_dead_across_an_ingest_recovers_by_rereplication() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A hostile caller on the read side, in every mode on a replicated 4-node cut:
+/// users and items one past the model and at `u32::MAX`, `n` of 0, 1 and far past
+/// the catalogue, and hand-made profiles that are empty, repeat an item, name ids
+/// past the catalogue, or hold the whole catalogue. Every routed answer is the
+/// epoch's, bit for bit, and a served batch is the per-profile read; nothing
+/// panics, and nothing sizes a buffer by an id (a `u32::MAX` would not return).
+#[test]
+fn hostile_reads_answer_with_the_epochs_bits_in_all_modes() {
+    let ds = dataset();
+    let n_users = ds.matrix.n_users() as u32;
+    let n_items = ds.matrix.n_items() as u32;
+    let target = ds.target_items();
+    let entry = |item: u32, value: f64, t: u32| (ItemId(item), value, Timestep(t));
+    let profiles: Vec<Profile> = vec![
+        Vec::new(),
+        vec![
+            entry(target[0].0, 5.0, 1),
+            entry(target[1].0, 2.0, 2),
+            entry(target[0].0, 1.0, 3),
+            entry(target[0].0, 4.0, 0),
+        ],
+        vec![
+            entry(target[2].0, 4.0, 1),
+            entry(n_items, 5.0, 2),
+            entry(u32::MAX, 1.0, 3),
+        ],
+        vec![entry(u32::MAX, 3.0, 0)],
+        (0..n_items)
+            .map(|i| entry(i, f64::from(1 + i % 5), i % 7))
+            .collect(),
+    ];
+    let users = [ds.overlap_users[0], UserId(n_users), UserId(u32::MAX)];
+    let items = [target[0], ItemId(n_items), ItemId(u32::MAX)];
+    for mode in ALL_MODES {
+        let sharded = ShardedModel::with_hot_replication(fit(&ds, mode), 4, 2).unwrap();
+        let (_, epoch) = sharded.coordinator().snapshot();
+        for user in users {
+            assert_eq!(
+                sharded.alterego(user).unwrap(),
+                epoch.alterego(user),
+                "{mode:?}: AlterEgo of {user}"
+            );
+            for item in items {
+                assert_eq!(
+                    sharded.predict(user, item).unwrap().to_bits(),
+                    epoch.predict(user, item).to_bits(),
+                    "{mode:?}: predict({user}, {item})"
+                );
+            }
+            for n in [0usize, 1, 1000] {
+                assert_same_recs(
+                    &sharded.recommend(user, n).unwrap(),
+                    &epoch.recommend(user, n),
+                    &format!("{mode:?}: top-{n} for {user}"),
+                );
+            }
+        }
+        for (ix, profile) in profiles.iter().enumerate() {
+            for item in items {
+                assert_eq!(
+                    sharded
+                        .predict_for_profile(profile, item)
+                        .unwrap()
+                        .to_bits(),
+                    epoch.predict_for_profile(profile, item).to_bits(),
+                    "{mode:?}: predict_for_profile(#{ix}, {item})"
+                );
+            }
+        }
+        for n in [0usize, 1, 1000] {
+            let per_profile: Vec<Vec<(ItemId, f64)>> = profiles
+                .iter()
+                .map(|p| epoch.recommend_for_profile(p, n))
+                .collect();
+            for (ix, (profile, expected)) in profiles.iter().zip(&per_profile).enumerate() {
+                assert_same_recs(
+                    &sharded.recommend_for_profile(profile, n).unwrap(),
+                    expected,
+                    &format!("{mode:?}: top-{n} of profile #{ix}"),
+                );
+            }
+            assert_eq!(
+                sharded.coordinator().serve_profiles(&profiles, n),
+                per_profile,
+                "{mode:?}: serve_profiles at n = {n}"
+            );
+        }
+    }
 }

@@ -12,6 +12,9 @@
 //! bit-identical to the live model by composition — this file checks the composition
 //! end to end, through real files.
 
+mod common;
+
+use common::ReleasedBits;
 use std::path::{Path, PathBuf};
 use xmap_suite::core::XMapError;
 use xmap_suite::prelude::*;
@@ -62,52 +65,10 @@ fn second_delta(ds: &CrossDomainDataset) -> RatingDelta {
     delta
 }
 
-/// Everything the gate compares between the writing and the recovered model.
-#[derive(Clone, Debug, PartialEq)]
-struct ReleasedBits {
-    epoch: u64,
-    replacements: Vec<(ItemId, ItemId)>,
-    prediction_bits: Vec<u64>,
-    recommendations: Vec<Vec<(ItemId, u64)>>,
-    privacy_ledger: Vec<(String, u64)>,
-    /// `(spent, remaining)` bits of the privacy accountant (private modes only).
-    privacy_totals: Option<(u64, u64)>,
-}
-
-fn released_bits(model: &XMapModel, users: &[UserId], items: &[ItemId]) -> ReleasedBits {
-    let mut replacements: Vec<(ItemId, ItemId)> = model.replacements().iter().collect();
-    replacements.sort();
-    ReleasedBits {
-        epoch: model.epoch(),
-        replacements,
-        prediction_bits: users
-            .iter()
-            .flat_map(|&u| items.iter().map(move |&i| (u, i)).collect::<Vec<_>>())
-            .map(|(u, i)| model.predict(u, i).to_bits())
-            .collect(),
-        recommendations: users
-            .iter()
-            .map(|&u| {
-                model
-                    .recommend(u, 5)
-                    .into_iter()
-                    .map(|(i, s)| (i, s.to_bits()))
-                    .collect()
-            })
-            .collect(),
-        privacy_ledger: model
-            .privacy_budget()
-            .map(|b| {
-                b.ledger()
-                    .iter()
-                    .map(|e| (e.mechanism.clone(), e.epsilon.to_bits()))
-                    .collect()
-            })
-            .unwrap_or_default(),
-        privacy_totals: model
-            .privacy_budget()
-            .map(|b| (b.spent().to_bits(), b.remaining().to_bits())),
-    }
+/// What the gate compares between the writing and the recovered model: the epoch it
+/// serves and everything it released.
+fn released_bits(model: &XMapModel, users: &[UserId], items: &[ItemId]) -> (u64, ReleasedBits) {
+    (model.epoch(), common::released_bits(model, users, items))
 }
 
 fn probes(ds: &CrossDomainDataset) -> (Vec<UserId>, Vec<ItemId>) {
@@ -157,21 +118,7 @@ fn recovery_is_bit_identical_in_all_four_modes_at_1_2_and_8_workers() {
             );
 
             let recovered = XMapModel::open(&dir).unwrap();
-            assert_eq!(
-                recovered.graph().as_ref(),
-                model.graph().as_ref(),
-                "{mode:?}/{workers}w: graph arenas diverged after recovery"
-            );
-            assert_eq!(
-                recovered.xsim().as_ref(),
-                model.xsim().as_ref(),
-                "{mode:?}/{workers}w: X-Sim tables diverged after recovery"
-            );
-            assert_eq!(
-                recovered.matrix().as_ref(),
-                model.matrix().as_ref(),
-                "{mode:?}/{workers}w: matrices diverged after recovery"
-            );
+            // epoch, matrix, graph arena, X-Sim table and the released surface
             assert_eq!(
                 released_bits(&recovered, &probe_users, &probe_items),
                 released_bits(&model, &probe_users, &probe_items),
@@ -216,7 +163,7 @@ fn reopening_a_private_snapshot_spends_no_epsilon() {
         let reopened = XMapModel::open(&dir).unwrap();
         let bits = released_bits(&reopened, &probe_users, &probe_items);
         assert_eq!(
-            bits.privacy_ledger.len(),
+            bits.1.privacy_ledger.len(),
             3,
             "{mode:?}: PRS, PNSA, PNCF — once"
         );
@@ -311,7 +258,7 @@ fn compaction_without_a_store_is_a_data_error_and_a_lost_journal_reopens_at_the_
 /// the released bits of every legal journal prefix (epoch 1, 2 and 3).
 struct CorruptionFixture {
     dir: PathBuf,
-    prefix_bits: Vec<ReleasedBits>,
+    prefix_bits: Vec<(u64, ReleasedBits)>,
     probe_users: Vec<UserId>,
     probe_items: Vec<ItemId>,
 }

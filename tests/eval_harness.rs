@@ -52,7 +52,7 @@ fn eval_stage_is_bit_identical_to_the_serial_protocol_at_1_2_and_8_workers() {
         let report = model.evaluate_batch(batch.clone());
 
         // bit-identical to the fully serial protocol over the same fitted model
-        let serial = evaluate_batch_serial(&model, &batch);
+        let serial = evaluate_batch_serial(&*model.snapshot().1, &batch);
         assert!(
             report.bits_eq(&serial),
             "{workers} workers: stage diverged from serial\n  {report:?}\n  {serial:?}"
@@ -93,7 +93,8 @@ fn eval_stage_runs_on_a_standalone_dataflow_and_replaces_its_ledger() {
 
     // Any Dataflow can host the stage — evaluation is not tied to the model's runner.
     let flow = Dataflow::new(2, 8);
-    let report = flow.run(&EvalStage::new(&model), batch.clone());
+    let (_, epoch) = model.snapshot();
+    let report = flow.run(&EvalStage::new(&*epoch), batch.clone());
     assert!(report.bits_eq(&model.evaluate_batch(batch.clone())));
     let costs = flow.stage_costs(EVAL_STAGE_NAME).unwrap();
     assert_eq!(
@@ -111,7 +112,7 @@ fn eval_stage_runs_on_a_standalone_dataflow_and_replaces_its_ledger() {
 
     // Repeated runs replace the ledger entry instead of growing it (sweep-point reuse).
     let smaller = EvalBatch::predictions(batch.test[..4].to_vec());
-    let _ = flow.run(&EvalStage::new(&model), smaller);
+    let _ = flow.run(&EvalStage::new(&*epoch), smaller);
     let costs = flow.stage_costs(EVAL_STAGE_NAME).unwrap();
     assert_eq!(costs.len(), 8, "prediction-only rerun holds one cost bag");
     assert!((costs.iter().sum::<f64>() - 4.0).abs() < 1e-9);

@@ -15,6 +15,9 @@
 //! model-level here, through the released predictions and replacement table that
 //! depend on every edge of the graph.
 
+mod common;
+
+use common::{released_bits, ReleasedBits};
 use xmap_suite::prelude::*;
 
 fn dataset() -> CrossDomainDataset {
@@ -23,12 +26,11 @@ fn dataset() -> CrossDomainDataset {
 
 const GATE_WORKERS: [usize; 3] = [1, 2, 8];
 
-/// Everything a fitted model releases, reduced to comparable bits.
+/// What the gate compares across worker counts: everything the model released plus
+/// the four task bags of the fit.
 #[derive(Debug, PartialEq)]
 struct ModelFingerprint {
-    replacements: Vec<(ItemId, ItemId)>,
-    prediction_bits: Vec<u64>,
-    recommendations: Vec<Vec<(ItemId, u64)>>,
+    released: ReleasedBits,
     baseliner_costs: Vec<f64>,
     generator_costs: Vec<f64>,
     recommender_costs: Vec<f64>,
@@ -40,32 +42,13 @@ fn fingerprint(
     probe_users: &[UserId],
     probe_items: &[ItemId],
 ) -> ModelFingerprint {
-    let mut replacements: Vec<(ItemId, ItemId)> = model.replacements().iter().collect();
-    replacements.sort();
-    let prediction_bits = probe_users
-        .iter()
-        .flat_map(|&u| probe_items.iter().map(move |&i| (u, i)).collect::<Vec<_>>())
-        .map(|(u, i)| model.predict(u, i).to_bits())
-        .collect();
-    let recommendations = probe_users
-        .iter()
-        .map(|&u| {
-            model
-                .recommend(u, 5)
-                .into_iter()
-                .map(|(i, s)| (i, s.to_bits()))
-                .collect()
-        })
-        .collect();
     let stats = model.stats();
     ModelFingerprint {
-        replacements,
-        prediction_bits,
-        recommendations,
-        baseliner_costs: stats.baseliner_task_costs.clone(),
-        generator_costs: stats.generator_task_costs.clone(),
-        recommender_costs: stats.recommender_task_costs.clone(),
-        extension_costs: stats.extension_task_costs.clone(),
+        released: released_bits(model, probe_users, probe_items),
+        baseliner_costs: stats.baseliner_task_costs,
+        generator_costs: stats.generator_task_costs,
+        recommender_costs: stats.recommender_task_costs,
+        extension_costs: stats.extension_task_costs,
     }
 }
 
@@ -102,7 +85,7 @@ fn fit_is_bit_identical_at_1_2_and_8_workers_in_all_four_modes() {
             .unwrap();
             let fp = fingerprint(&model, &probe_users, &probe_items);
             assert!(
-                !fp.replacements.is_empty(),
+                !fp.released.replacements.is_empty(),
                 "{mode:?}: the fit must map at least one item"
             );
             assert!(
