@@ -9,7 +9,9 @@ the same answers — equal `seed`, `seconds`, `stream_hash` and `probe_hash` —
 change row is worse than its parent row by more than the metric's registered `bound`
 in its registered `better` direction. A pair may carry `"claim": "<metric>"` on both
 rows — the gain the PR was merged for: the metric must be a registered end-to-end one
-and the change row strictly better than its parent in the registered direction.
+and the change row strictly better than its parent in the registered direction. The
+per-layer fields a row may also carry (`PER_LAYER`) explain a pair's end-to-end move,
+so a pair carries each on both rows or on neither, as a positive number.
 """
 
 import json
@@ -17,6 +19,7 @@ import sys
 from pathlib import Path
 
 SHARED_BY_A_PAIR = ("seed", "seconds", "stream_hash", "probe_hash", "claim")
+PER_LAYER = ("fit_s", "cut_ms", "ingest_p50_ms", "recover_replay_s")
 
 
 def check(root: Path) -> list[str]:
@@ -47,6 +50,13 @@ def check(root: Path) -> list[str]:
                 values = {json.dumps(row.get(key)) for row in group}
                 if len(values) != 1 or (values == {"null"} and key != "claim"):
                     errors.append(f"{pair}: parent and change differ in `{key}`: {sorted(values)}")
+            for field in PER_LAYER:
+                values = [row[field] for row in group if field in row]
+                if values and len(values) != len(group):
+                    errors.append(f"{pair}: `{field}` is on one row of the pair only")
+                for value in values:
+                    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+                        errors.append(f"{pair}: `{field}` is {value!r}, not a positive number")
             claim = group[0].get("claim")
             if claim is not None and claim not in metrics:
                 errors.append(f"{pair}: claims `{claim}`, not a registered end-to-end metric")

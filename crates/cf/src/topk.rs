@@ -118,6 +118,12 @@ impl<T> TopK<T> {
         }
     }
 
+    /// The tie-break keys of the retained candidates, in no particular order — for a
+    /// caller that needs the retained *set* and keyed its offers by what it wants back.
+    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.heap.iter().map(|e| e.key)
+    }
+
     /// Consumes the collector and returns `(score, payload)` pairs sorted by descending
     /// score (ties in ascending key — offer order under [`push`](Self::push)), using the
     /// total order on scores — the output never depends on the heap's internal layout or

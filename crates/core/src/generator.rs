@@ -142,19 +142,6 @@ impl ReplacementTable {
         })
     }
 
-    /// Materialises the replacement table single-threaded: one
-    /// [`ReplacementTable::replacement_for`] draw per X-Sim source item. This is the
-    /// reference the engine-parallel generator stage must match exactly.
-    pub fn compute_replacements_serial(xsim: &XSimTable, config: &XMapConfig) -> ReplacementTable {
-        let mut replacements = HashMap::new();
-        for (item, all_candidates) in xsim.iter() {
-            if let Some(replacement) = Self::replacement_for(item, all_candidates, config) {
-                replacements.insert(item, replacement);
-            }
-        }
-        ReplacementTable { replacements }
-    }
-
     /// Recomputes the replacement draws of `items` against an (updated) X-Sim table
     /// and splices them into a copy of `previous` — the generator, partition-parallel:
     /// the sorted X-Sim row keys over the empty table for a fit, the recomputed rows
@@ -329,6 +316,25 @@ mod tests {
     use xmap_dataset::toy::{items, users, ToyScenario};
     use xmap_engine::WorkerPool;
     use xmap_graph::{GraphConfig, LayerPartition, MetaPathConfig, SimilarityGraph};
+
+    impl ReplacementTable {
+        /// Materialises the replacement table single-threaded: one
+        /// [`ReplacementTable::replacement_for`] draw per X-Sim source item. This is the
+        /// reference the engine-parallel generator stage must match exactly, compiled
+        /// for tests only.
+        pub(crate) fn compute_replacements_serial(
+            xsim: &XSimTable,
+            config: &XMapConfig,
+        ) -> ReplacementTable {
+            let mut replacements = HashMap::new();
+            for (item, all_candidates) in xsim.iter() {
+                if let Some(replacement) = Self::replacement_for(item, all_candidates, config) {
+                    replacements.insert(item, replacement);
+                }
+            }
+            ReplacementTable { replacements }
+        }
+    }
 
     fn setup(mode: XMapMode, epsilon: f64) -> (ToyScenario, XSimTable, XMapConfig) {
         let toy = ToyScenario::build();

@@ -190,12 +190,16 @@ fn model_from_state(state: ModelState) -> Result<XMapModel> {
     } else {
         None
     };
+    // A fresh dataflow: the durations and task bags of the original fit are not
+    // persisted, so the reopened model's stats report its shape and empty ledgers.
+    let flow = Dataflow::new(config.workers, config.partitions);
     // Rebuilding over the persisted artifacts releases nothing new: the persisted
     // ledger already recorded their ε′, so no budget is touched here.
     let recommender = recommend::build(
         &config,
         Arc::new(target_matrix),
         item_pools.as_ref().map(Arc::clone),
+        flow.pool(),
     )?;
 
     let epoch = ModelEpoch {
@@ -211,9 +215,6 @@ fn model_from_state(state: ModelState) -> Result<XMapModel> {
         item_pools,
         budget,
     };
-    // A fresh dataflow: the durations and task bags of the original fit are not
-    // persisted, so the reopened model's stats report its shape and empty ledgers.
-    let flow = Dataflow::new(config.workers, config.partitions);
     Ok(XMapModel::from_epoch(epoch, epoch_no, flow))
 }
 

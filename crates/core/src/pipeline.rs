@@ -681,7 +681,7 @@ pub(crate) fn build_epoch(
         if let Some(b) = base.filter(|_| unchanged) {
             return (Arc::clone(&old_graph), Arc::clone(&b.epoch.partition));
         }
-        let graph = old_graph.apply_updates(updated, &keys, fresh);
+        let graph = old_graph.apply_updates(updated, keys, fresh);
         // Bridges and layers: cheap linear passes over the new arena.
         let (_, partition) = LayerPartition::from_graph(&graph);
         (Arc::new(graph), Arc::new(partition))
@@ -792,7 +792,7 @@ pub(crate) fn build_epoch(
             }
             Arc::new(pools)
         });
-        let recommender = recommend::build(&config, target_matrix, pools.clone())?;
+        let recommender = recommend::build(&config, target_matrix, pools.clone(), cx.pool())?;
         Ok((recommender, pools))
     })?;
 

@@ -27,38 +27,44 @@ pub struct ScoredCandidate {
     pub sensitivity: f64,
 }
 
-/// Computes the similarity-based sensitivity `SS(i, j)` for an item pair directly from
-/// the rating matrix (mean-centred co-rating vectors and full adjusted-cosine norms).
-pub fn pair_sensitivity(matrix: &RatingMatrix, i: ItemId, j: ItemId) -> f64 {
-    let yi = matrix.item_profile(i);
-    let yj = matrix.item_profile(j);
-    let mut co_i = Vec::new();
-    let mut co_j = Vec::new();
+/// Every item's full mean-centred L2 norm (the adjusted-cosine denominator of
+/// Equation 6, over all the item's raters), indexed by item id: the half of `SS(i, j)`
+/// that is a property of one item, computed once per release draw.
+pub(crate) fn centred_norms(matrix: &RatingMatrix) -> Vec<f64> {
+    let norm = |item| {
+        let raters = matrix.item_profile(item).iter();
+        let centred = raters.map(|e| e.value - matrix.user_average(e.user));
+        centred.map(|d| d * d).sum::<f64>().sqrt()
+    };
+    matrix.items().map(norm).collect()
+}
+
+/// The similarity-based sensitivity `SS(i, j)` of an item pair: the two items'
+/// [`centred_norms`] entries (an item outside the table has no raters: norm 0) plus
+/// one merge of their profiles into the mean-centred co-rating vectors, which land in
+/// the caller's reused `co` buffers.
+pub(crate) fn pair_sensitivity_from(
+    matrix: &RatingMatrix,
+    norms: &[f64],
+    (i, j): (ItemId, ItemId),
+    (co_i, co_j): &mut (Vec<f64>, Vec<f64>),
+) -> f64 {
+    let (yi, yj) = (matrix.item_profile(i), matrix.item_profile(j));
+    co_i.clear();
+    co_j.clear();
     let (mut a, mut b) = (0usize, 0usize);
     while a < yi.len() && b < yj.len() {
-        match yi[a].user.cmp(&yj[b].user) {
-            std::cmp::Ordering::Less => a += 1,
-            std::cmp::Ordering::Greater => b += 1,
-            std::cmp::Ordering::Equal => {
-                let avg = matrix.user_average(yi[a].user);
-                co_i.push(yi[a].value - avg);
-                co_j.push(yj[b].value - avg);
-                a += 1;
-                b += 1;
-            }
+        let order = yi[a].user.cmp(&yj[b].user);
+        if order.is_eq() {
+            let avg = matrix.user_average(yi[a].user);
+            co_i.push(yi[a].value - avg);
+            co_j.push(yj[b].value - avg);
         }
+        a += usize::from(order.is_le());
+        b += usize::from(order.is_ge());
     }
-    let norm = |profile: &[xmap_cf::matrix::ItemEntry]| {
-        profile
-            .iter()
-            .map(|e| {
-                let d = e.value - matrix.user_average(e.user);
-                d * d
-            })
-            .sum::<f64>()
-            .sqrt()
-    };
-    similarity_sensitivity(&co_i, &co_j, norm(yi), norm(yj))
+    let norm = |item: ItemId| norms.get(item.index()).copied().unwrap_or(0.0);
+    similarity_sensitivity(co_i, co_j, norm(i), norm(j))
 }
 
 /// The PNSA mechanism: privately selects `k` neighbours from `candidates`.
@@ -182,6 +188,42 @@ pub fn pncf_noisy_similarity<R: Rng + ?Sized>(
 ) -> f64 {
     let scale = sensitivity.max(0.0) / (epsilon_prime / 2.0);
     similarity + laplace_noise(rng, scale)
+}
+
+/// `SS(i, j)` by definition, straight from the rating matrix (mean-centred co-rating
+/// vectors, both full adjusted-cosine norms re-summed per pair): the oracle
+/// [`pair_sensitivity_from`] must match bit for bit.
+#[cfg(test)]
+pub(crate) fn pair_sensitivity(matrix: &RatingMatrix, i: ItemId, j: ItemId) -> f64 {
+    let yi = matrix.item_profile(i);
+    let yj = matrix.item_profile(j);
+    let mut co_i = Vec::new();
+    let mut co_j = Vec::new();
+    let (mut a, mut b) = (0usize, 0usize);
+    while a < yi.len() && b < yj.len() {
+        match yi[a].user.cmp(&yj[b].user) {
+            std::cmp::Ordering::Less => a += 1,
+            std::cmp::Ordering::Greater => b += 1,
+            std::cmp::Ordering::Equal => {
+                let avg = matrix.user_average(yi[a].user);
+                co_i.push(yi[a].value - avg);
+                co_j.push(yj[b].value - avg);
+                a += 1;
+                b += 1;
+            }
+        }
+    }
+    let norm = |profile: &[xmap_cf::matrix::ItemEntry]| {
+        profile
+            .iter()
+            .map(|e| {
+                let d = e.value - matrix.user_average(e.user);
+                d * d
+            })
+            .sum::<f64>()
+            .sqrt()
+    };
+    similarity_sensitivity(&co_i, &co_j, norm(yi), norm(yj))
 }
 
 #[cfg(test)]
@@ -402,5 +444,42 @@ mod tests {
         let pa = private_neighbor_selection(&mut a, &cands, 4, 0.8, 0.05, 60);
         let pb = private_neighbor_selection(&mut b, &cands, 4, 0.8, 0.05, 60);
         assert_eq!(pa, pb);
+    }
+
+    proptest::proptest! {
+        /// The norm-table sensitivity is the per-pair definition's float, for every
+        /// ordered pair of a small random matrix — single-rater items, pairs with no
+        /// co-rater and zero-norm items (a lone rater sits exactly on their average)
+        /// take the `FLOOR` branches — through one reused pair of buffers, and `SS` is
+        /// symmetric to the bit.
+        #[test]
+        fn table_sensitivity_is_the_per_pair_definition_bit_for_bit(
+            ratings in proptest::collection::vec((0u32..9, 0u32..10, 1u32..=5), 1..60),
+        ) {
+            let mut b = RatingMatrixBuilder::new();
+            for &(u, i, v) in &ratings {
+                b.push_parts(u, i, f64::from(v)).unwrap();
+            }
+            // Item 10: one rater whose only rating it is — a zero norm. Item 11: one
+            // rater with other ratings. Item 12 is past the catalogue: no raters, no entry.
+            b.push_parts(20, 10, 4.0).unwrap();
+            b.push_parts(0, 11, 5.0).unwrap();
+            let m = b.build().unwrap();
+            let norms = centred_norms(&m);
+            proptest::prop_assert_eq!(norms.len(), m.n_items());
+            proptest::prop_assert_eq!(norms[10].to_bits(), 0.0f64.to_bits());
+            let mut co = Default::default();
+            for i in (0..13).map(ItemId) {
+                for j in (0..13).map(ItemId) {
+                    let got = pair_sensitivity_from(&m, &norms, (i, j), &mut co);
+                    let want = pair_sensitivity(&m, i, j);
+                    proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "SS({}, {})", i.0, j.0);
+                    let mirrored = pair_sensitivity_from(&m, &norms, (j, i), &mut co);
+                    proptest::prop_assert_eq!(got.to_bits(), mirrored.to_bits(), "SS({}, {})", j.0, i.0);
+                }
+            }
+            let floor = pair_sensitivity(&m, ItemId(10), ItemId(11));
+            proptest::prop_assert_eq!(floor.to_bits(), 1e-6f64.to_bits());
+        }
     }
 }

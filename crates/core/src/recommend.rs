@@ -22,7 +22,8 @@
 //! calling thread's one [`ProfileScratch`].
 
 use crate::private::{
-    pair_sensitivity, pncf_noisy_similarity, private_neighbor_selection, ScoredCandidate,
+    centred_norms, pair_sensitivity_from, pncf_noisy_similarity, private_neighbor_selection,
+    ScoredCandidate,
 };
 use crate::{XMapConfig, XMapMode};
 use rand::rngs::StdRng;
@@ -36,6 +37,7 @@ use xmap_cf::{
     ItemId, ItemKnn, ItemKnnConfig, RatingMatrix, Timestep, UserId, UserKnn, UserKnnConfig,
     UserKnnScratch,
 };
+use xmap_engine::WorkerPool;
 use xmap_privacy::PrivacyBudget;
 
 /// A recommender as the model layers hold it: shared, immutable, thread-safe.
@@ -149,7 +151,7 @@ pub(crate) fn candidate_stream(profile: &Profile, mut gathered: Vec<ItemId>) -> 
 /// item-kNN pools of the item-based modes (`pools[i]` = item `i`'s row, at the width
 /// of [`item_pool_config`]; absent rows read as isolated items), held as the very
 /// allocation the caller keeps, and ignored by the user-based modes, which precompute
-/// nothing.
+/// nothing. X-Map-ib's release draw runs on `workers` and records no task cost.
 ///
 /// Building never touches a [`PrivacyBudget`]: whoever *releases* the recommender (a
 /// fit, a delta fit) debits ε′ through [`debit_stage_budget`] first; a reopened
@@ -159,13 +161,16 @@ pub(crate) fn build(
     config: &XMapConfig,
     target: Arc<RatingMatrix>,
     pools: Option<Arc<Vec<Vec<ItemNeighbor>>>>,
+    workers: &WorkerPool,
 ) -> crate::Result<SharedRecommender> {
     config.validate().map_err(crate::XMapError::InvalidConfig)?;
     let privacy = &config.privacy;
     Ok(match config.mode {
-        XMapMode::NxMapItemBased | XMapMode::XMapItemBased => Arc::new(
-            ItemBasedRecommender::from_pools(target, config, pools.unwrap_or_default()),
-        ),
+        XMapMode::NxMapItemBased | XMapMode::XMapItemBased => {
+            let pools = pools.unwrap_or_default();
+            let rec = ItemBasedRecommender::from_pools(target, config, pools, workers);
+            Arc::new(rec)
+        }
         XMapMode::NxMapUserBased => Arc::new(UserBasedRecommender::fit(target, config.k)?),
         XMapMode::XMapUserBased => Arc::new(PrivateUserBasedRecommender::new(
             target,
@@ -339,20 +344,23 @@ impl ItemBasedRecommender {
 
     /// The recommender of an item-based `config.mode` over externally fitted pools of
     /// width [`item_pool_config`]. For X-Map-ib this draws the release, once: per item,
-    /// [`released_neighbors`] of its pool. Every build redraws every item — `n_items`
-    /// enters PNSA's truncation width, so a delta that declares one item changes every
-    /// list. Crate-private because it debits nothing itself: only [`build`] (whose
-    /// callers debit first, or re-derive a recorded release) reaches it.
+    /// [`released_neighbors`] of its pool — the `(seed, item)` streams are independent,
+    /// so the items are the tasks of `workers` and the lists come back in item order,
+    /// the same at any worker count. Every build redraws every item — `n_items` enters
+    /// PNSA's truncation width, so a delta that declares one item changes every list.
+    /// Crate-private because it debits nothing itself: only [`build`] (whose callers
+    /// debit first, or re-derive a recorded release) reaches it.
     pub(crate) fn from_pools(
         target: Arc<RatingMatrix>,
         config: &XMapConfig,
         pools: Arc<Vec<Vec<ItemNeighbor>>>,
+        workers: &WorkerPool,
     ) -> Self {
         let released = config.mode.is_private().then(|| {
-            (0u32..)
-                .zip(pools.iter())
-                .map(|(i, pool)| released_neighbors(&target, config, ItemId(i), pool))
-                .collect()
+            let norms = centred_norms(&target);
+            workers.parallel_map_indexed(&pools, |i, pool| {
+                released_neighbors(&target, &norms, config, ItemId(i as u32), pool)
+            })
         });
         ItemBasedRecommender {
             target,
@@ -394,24 +402,28 @@ fn row(table: &[Vec<ItemNeighbor>], item: ItemId) -> &[ItemNeighbor] {
 }
 
 /// X-Map-ib's release of one item (Algorithms 4–5): PNSA selects `k` of the pool's
-/// candidates, each annotated with its similarity-based sensitivity, and PNCF noises
+/// candidates, each annotated with its similarity-based sensitivity (read off the
+/// build's `norms` table, the pool's profile merges sharing one pair of buffers), and
+/// PNCF noises
 /// every kept similarity, in selection order. The stream is seeded by `(seed, item)`
 /// and reads only that item's pool, so rebuilding over the same pools and matrix —
 /// a reopened snapshot, a shard — re-derives the same list: privacy-free
 /// post-processing of a release the ledger recorded once.
 fn released_neighbors(
     target: &RatingMatrix,
+    norms: &[f64],
     config: &XMapConfig,
     item: ItemId,
     pool: &[ItemNeighbor],
 ) -> Vec<ItemNeighbor> {
     let epsilon_prime = config.privacy.epsilon_prime;
+    let mut co = Default::default();
     let candidates: Vec<ScoredCandidate> = pool
         .iter()
         .map(|n| ScoredCandidate {
             item: n.item,
             similarity: n.similarity,
-            sensitivity: pair_sensitivity(target, item, n.item),
+            sensitivity: pair_sensitivity_from(target, norms, (item, n.item), &mut co),
         })
         .collect();
     let mut rng = StdRng::seed_from_u64(
@@ -774,6 +786,7 @@ fn neighbor_rated_items(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::private::pair_sensitivity;
     use crate::PrivacyConfig;
     use proptest::prelude::*;
     use xmap_cf::knn::profile_from_pairs;
@@ -832,7 +845,7 @@ pub(crate) mod tests {
     ) -> crate::Result<SharedRecommender> {
         let pools = item_pool_config(config)
             .map(|knn| Arc::new(ItemKnn::fit(&target, knn).unwrap().into_neighbors()));
-        build(config, target, pools)
+        build(config, target, pools, &WorkerPool::new(1))
     }
 
     fn fitted(config: &XMapConfig) -> SharedRecommender {
@@ -1321,7 +1334,8 @@ pub(crate) mod tests {
             let pools = Arc::new(ItemKnn::fit(&target, knn).unwrap().into_neighbors());
             prop_assert!(pools[n_items as usize].is_empty());
             prop_assert_eq!(pools[n_items as usize + 1].len(), 1);
-            let rec = build(&config, Arc::clone(&target), Some(Arc::clone(&pools))).unwrap();
+            let workers = WorkerPool::new(2);
+            let rec = build(&config, Arc::clone(&target), Some(Arc::clone(&pools)), &workers).unwrap();
             for _ in 0..4 {
                 let profile = random_profile(&mut rng, catalogue);
                 let oracle: Vec<f64> = (0..=catalogue)
@@ -1352,8 +1366,12 @@ pub(crate) mod tests {
             let config = config(mode, 3, 0.8, 7);
             let knn = item_pool_config(&config).unwrap();
             let pools = Arc::new(ItemKnn::fit(&target, knn).unwrap().into_neighbors());
-            let rec =
-                ItemBasedRecommender::from_pools(Arc::clone(&target), &config, Arc::clone(&pools));
+            let rec = ItemBasedRecommender::from_pools(
+                Arc::clone(&target),
+                &config,
+                Arc::clone(&pools),
+                &WorkerPool::new(1),
+            );
             assert!(Arc::ptr_eq(&rec.pools, &pools), "{mode:?} copied its pools");
             assert_eq!(rec.released.is_some(), mode.is_private());
         }

@@ -54,7 +54,7 @@ use crate::{Result, XMapError};
 use xmap_cf::knn::{ItemNeighbor, Profile};
 use xmap_cf::topk::{top_k, TopK};
 use xmap_cf::{ItemId, SimilarityStats, UserId};
-use xmap_engine::{EpochHandle, RoutedTask};
+use xmap_engine::{EpochHandle, RoutedTask, WorkerPool};
 use xmap_privacy::PrivacyBudget;
 use xmap_store::{Journal, Snapshot};
 
@@ -274,20 +274,19 @@ impl ShardSlice {
     /// target-domain matrix: the rows re-assembled into a catalogue-length table —
     /// every out-of-shard (or empty) slot an empty pool, the shape the recommender
     /// indexes by raw item id — which the recommender then owns. Built once per
-    /// shard and shared by its hosts. It releases nothing the coordinator's ledger
-    /// has not recorded, so no ε is spent.
-    fn recommender(&self, epoch: &ModelEpoch) -> Result<SharedRecommender> {
+    /// shard and shared by its hosts, on the coordinator's `workers`. It re-derives
+    /// a release the coordinator's ledger has recorded, so no ε is spent.
+    fn recommender(&self, epoch: &ModelEpoch, workers: &WorkerPool) -> Result<SharedRecommender> {
         let target = Arc::clone(epoch.recommender.target());
         let pools = self.pool_rows.as_ref().map(|rows| {
             let mut pools = vec![Vec::new(); target.n_items()];
-            for (item, row) in rows {
-                if let Some(slot) = pools.get_mut(item.index()) {
-                    *slot = row.clone();
-                }
-            }
+            let in_table = rows
+                .iter()
+                .filter(|(item, _)| item.index() < target.n_items());
+            in_table.for_each(|(item, row)| pools[item.index()].clone_from(row));
             Arc::new(pools)
         });
-        recommend::build(epoch.config(), target, pools)
+        recommend::build(epoch.config(), target, pools, workers)
     }
 
     /// The row changes taking `self` to `new`, plus the shard's sub-delta —
@@ -596,7 +595,7 @@ impl ShardedModel {
         let mut nodes: Vec<ShardNode> = (0..n_nodes).map(|_| ShardNode::new()).collect();
         for shard in 0..map.n_shards() as u32 {
             let slice = Arc::new(ShardSlice::cut(&epoch, &map, shard));
-            let serve = slice.recommender(&epoch)?;
+            let serve = slice.recommender(&epoch, model.flow.pool())?;
             for host in map.hosts(shard, n_nodes) {
                 nodes[host].install(epoch_no, Arc::clone(&slice), Arc::clone(&serve));
             }
@@ -856,7 +855,7 @@ impl ShardedModel {
         let (epoch_no, epoch) = self.model.snapshot();
         for shard in 0..self.map.n_shards() as u32 {
             let new_slice = Arc::new(ShardSlice::cut(&epoch, &self.map, shard));
-            let serve = new_slice.recommender(&epoch)?;
+            let serve = new_slice.recommender(&epoch, self.model.flow.pool())?;
             let sub = &subs[shard as usize];
             let cost = 1.0 + sub.len() as f64;
             for host in self.map.hosts(shard, self.nodes.len()) {
@@ -975,7 +974,7 @@ impl ShardedModel {
                 )?;
                 journal.reset(epoch_no)?;
             }
-            let serve = slice.recommender(&epoch)?;
+            let serve = slice.recommender(&epoch, self.model.flow.pool())?;
             rebuilt.install(epoch_no, Arc::new(slice), serve).store = Some(ShardStore { journal });
         }
         self.nodes[node] = rebuilt;

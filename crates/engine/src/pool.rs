@@ -72,7 +72,7 @@ impl WorkerPool {
         let results_ptr = SendPtr(results.as_mut_ptr());
 
         std::thread::scope(|scope| {
-            for _ in 0..self.workers.min(n) {
+            let spawn_worker = |_| {
                 let cursor = &cursor;
                 let f = &f;
                 scope.spawn(move || loop {
@@ -90,7 +90,17 @@ impl WorkerPool {
                     unsafe {
                         *results_ptr.slot(idx) = Some(value);
                     }
-                });
+                })
+            };
+            // Joined by handle, not left to the scope, which waits for the workers'
+            // closures only: a worker still exiting when the next map spawns its
+            // threads holds on to its allocator arena, the new threads open fresh
+            // ones, and resident memory grows with every back-to-back pair of maps.
+            let workers: Vec<_> = (0..self.workers.min(n)).map(spawn_worker).collect();
+            for worker in workers {
+                if let Err(panic) = worker.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
 

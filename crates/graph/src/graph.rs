@@ -32,7 +32,9 @@
 //!   is what meta-path enumeration's per-layer top-k pruning walks.
 //!
 //! Pruning keeps an undirected edge when it ranks within the `top_k` strongest edges of
-//! *either* endpoint (union semantics). This is a deliberate change from the historical
+//! *either* endpoint (union semantics), an item's edges ranked by similarity descending
+//! and, among equals, by ascending position in the key-sorted pair list — one bounded
+//! heap per item (`union_top_k`). This is a deliberate change from the historical
 //! per-item lists, which traversed only edges surviving the *from* side's pruning and
 //! consulted the reverse orientation solely when scoring already-enumerated paths: with
 //! undirected storage the traversable and scorable edge sets are necessarily the same,
@@ -45,6 +47,7 @@
 
 use serde::{Deserialize, Serialize};
 use xmap_cf::similarity::{item_similarity_stats, ItemRowKernel, RowScratch, SimilarityStats};
+use xmap_cf::topk::TopK;
 use xmap_cf::{DomainId, ItemId, RatingMatrix, SimilarityMetric, UserId};
 
 /// Configuration for building the baseline similarity graph.
@@ -214,6 +217,65 @@ fn merge_pair_chunk(merged: &mut Vec<u64>, pending: &mut Vec<u64>) {
     pending.clear();
 }
 
+/// Union top-k pruning: `keep[ix]` says whether pair `ix` ranks within the `k` strongest
+/// pairs of at least one of its endpoints, under the order *similarity descending, pair
+/// index ascending*. One bounded heap per item, sized to the item's incident pairs when
+/// those are fewer than `k`, filled in one pass over the pairs; the kept set is the
+/// union of what the heaps retain. Similarities are filter survivors — never zero or
+/// NaN, and finite because every metric is bounded.
+fn union_top_k(n_items: usize, keys: &[u64], stats: &[SimilarityStats], k: usize) -> Vec<bool> {
+    let endpoints = |key: u64| {
+        let (lo, hi) = SimilarityGraph::pair_of_key(key);
+        [lo.index(), hi.index()]
+    };
+    let mut incident = vec![0usize; n_items];
+    for &key in keys {
+        for item in endpoints(key) {
+            incident[item] += 1;
+        }
+    }
+    let mut heaps: Vec<TopK<()>> = incident.iter().map(|&d| TopK::new(k.min(d))).collect();
+    for (ix, (&key, stats)) in keys.iter().zip(stats).enumerate() {
+        for item in endpoints(key) {
+            heaps[item].push_keyed(stats.similarity, ix as u64, ());
+        }
+    }
+    let mut keep = vec![false; keys.len()];
+    for ix in heaps.iter().flat_map(TopK::keys) {
+        keep[ix as usize] = true;
+    }
+    keep
+}
+
+/// The pruning rule by definition — rank every item's incident pairs with a full sort
+/// and keep each item's first `k` — which [`union_top_k`] must reproduce.
+#[cfg(test)]
+fn union_top_k_by_sorting(
+    n_items: usize,
+    keys: &[u64],
+    stats: &[SimilarityStats],
+    k: usize,
+) -> Vec<bool> {
+    let mut ranked: Vec<Vec<(f64, usize)>> = vec![Vec::new(); n_items];
+    for (ix, (&key, stats)) in keys.iter().zip(stats).enumerate() {
+        let (lo, hi) = SimilarityGraph::pair_of_key(key);
+        ranked[lo.index()].push((stats.similarity, ix));
+        ranked[hi.index()].push((stats.similarity, ix));
+    }
+    let mut keep = vec![false; keys.len()];
+    for list in &mut ranked {
+        list.sort_by(|a, b| {
+            b.0.partial_cmp(&a.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.1.cmp(&b.1))
+        });
+        for &(_, ix) in list.iter().take(k) {
+            keep[ix] = true;
+        }
+    }
+    keep
+}
+
 impl SimilarityGraph {
     /// The canonical key of an unordered item pair: `(min << 32) | max`.
     pub fn pair_key(i: ItemId, j: ItemId) -> u64 {
@@ -347,7 +409,7 @@ impl SimilarityGraph {
     pub fn apply_updates(
         &self,
         updated: &RatingMatrix,
-        affected_keys: &[u64],
+        affected_keys: Vec<u64>,
         fresh_stats: Vec<SimilarityStats>,
     ) -> SimilarityGraph {
         assert_eq!(
@@ -399,7 +461,7 @@ impl SimilarityGraph {
             af += 1;
         }
 
-        Self::from_scored_pairs(updated, self.config, &keys, stats)
+        Self::from_scored_pairs(updated, self.config, keys, stats)
     }
 
     /// Number of entries in the scored-pair cache (filter-surviving pairs before
@@ -428,7 +490,7 @@ impl SimilarityGraph {
                 item_similarity_stats(updated, lo, hi, self.config.metric)
             })
             .collect();
-        self.apply_updates(updated, &keys, stats)
+        self.apply_updates(updated, keys, stats)
     }
 
     /// Assembles the CSR arena from every candidate pair key and its similarity
@@ -446,8 +508,20 @@ impl SimilarityGraph {
     fn from_scored_pairs(
         matrix: &RatingMatrix,
         config: GraphConfig,
-        keys: &[u64],
+        keys: Vec<u64>,
         stats: Vec<SimilarityStats>,
+    ) -> Self {
+        Self::assemble(matrix, config, keys, stats, union_top_k)
+    }
+
+    /// [`SimilarityGraph::from_scored_pairs`] with the pruning rule as a parameter, so
+    /// the tests can assemble the same arena over the sort-everything oracle.
+    fn assemble(
+        matrix: &RatingMatrix,
+        config: GraphConfig,
+        keys: Vec<u64>,
+        stats: Vec<SimilarityStats>,
+        prune: fn(usize, &[u64], &[SimilarityStats], usize) -> Vec<bool>,
     ) -> Self {
         assert_eq!(
             keys.len(),
@@ -456,59 +530,35 @@ impl SimilarityGraph {
         );
         let n_items = matrix.n_items();
 
-        // --- 2. Weak-edge filter over the scored pairs. ---
-        let mut pairs: Vec<(ItemId, ItemId, SimilarityStats)> = keys
-            .iter()
-            .zip(stats)
-            .filter_map(|(&key, stats)| {
-                let (lo, hi) = Self::pair_of_key(key);
-                // lint: float-eq — exact zero is the "no co-rater" sentinel from the stats.
-                if stats.similarity != 0.0 && stats.similarity.abs() >= config.min_similarity {
-                    Some((lo, hi, stats))
-                } else {
-                    None
-                }
-            })
-            .collect();
-
-        // The filter-surviving scored pairs are the delta-fit cache (see the field
-        // docs): captured before pruning, in ascending key order.
-        let scored_keys: Vec<u64> = pairs
-            .iter()
-            .map(|&(lo, hi, _)| Self::pair_key(lo, hi))
-            .collect();
-        let scored_stats: Vec<SimilarityStats> = pairs.iter().map(|&(_, _, s)| s).collect();
+        // --- 2. Weak-edge filter over the scored pairs, in place: the survivors are
+        // the delta-fit cache (see the field docs) — captured before pruning, in
+        // ascending key order, in the vectors the caller handed over. ---
+        let passes = |s: &SimilarityStats| {
+            // lint: float-eq — exact zero is the "no co-rater" sentinel from the stats.
+            s.similarity != 0.0 && s.similarity.abs() >= config.min_similarity
+        };
+        let (mut scored_keys, mut scored_stats) = (keys, stats);
+        let mut survives = scored_stats.iter().map(passes);
+        // lint: panic — the two lengths were asserted equal above
+        scored_keys.retain(|_| survives.next().expect("one record per key"));
+        scored_stats.retain(passes);
 
         // --- 3. Union top-k pruning: keep a pair ranked top-k by either endpoint. ---
-        if let Some(k) = config.top_k {
-            let mut ranked: Vec<Vec<(f64, usize)>> = vec![Vec::new(); n_items];
-            for (ix, &(lo, hi, ref stats)) in pairs.iter().enumerate() {
-                ranked[lo.index()].push((stats.similarity, ix));
-                ranked[hi.index()].push((stats.similarity, ix));
+        let keep = config
+            .top_k
+            .map(|k| prune(n_items, &scored_keys, &scored_stats, k));
+        let mut edges: Vec<(ItemId, ItemId)> = Vec::new();
+        let mut edge_stats: Vec<SimilarityStats> = Vec::new();
+        for (ix, (&key, &stats)) in scored_keys.iter().zip(&scored_stats).enumerate() {
+            if keep.as_ref().is_none_or(|keep| keep[ix]) {
+                edges.push(Self::pair_of_key(key));
+                edge_stats.push(stats);
             }
-            let mut keep = vec![false; pairs.len()];
-            for list in &mut ranked {
-                list.sort_by(|a, b| {
-                    b.0.partial_cmp(&a.0)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.1.cmp(&b.1))
-                });
-                for &(_, ix) in list.iter().take(k) {
-                    keep[ix] = true;
-                }
-            }
-            let mut kept = Vec::with_capacity(pairs.len());
-            for (ix, pair) in pairs.into_iter().enumerate() {
-                if keep[ix] {
-                    kept.push(pair);
-                }
-            }
-            pairs = kept;
         }
 
         // --- 4. CSR assembly: degrees → offsets → slot fill → per-item ordering. ---
         let mut degree = vec![0u32; n_items];
-        for &(lo, hi, _) in &pairs {
+        for &(lo, hi) in &edges {
             degree[lo.index()] += 1;
             degree[hi.index()] += 1;
         }
@@ -522,9 +572,7 @@ impl SimilarityGraph {
         let mut neighbors = vec![ItemId(0); total_slots];
         let mut edge_ix = vec![0u32; total_slots];
         let mut cursor: Vec<u32> = offsets[..n_items].to_vec();
-        let mut edge_stats = Vec::with_capacity(pairs.len());
-        for (pair_ix, &(lo, hi, stats)) in pairs.iter().enumerate() {
-            edge_stats.push(stats);
+        for (pair_ix, &(lo, hi)) in edges.iter().enumerate() {
             for (from, to) in [(lo, hi), (hi, lo)] {
                 let slot = cursor[from.index()] as usize;
                 neighbors[slot] = to;
@@ -594,7 +642,7 @@ impl SimilarityGraph {
                 item_similarity_stats(matrix, lo, hi, config.metric)
             })
             .collect();
-        Self::from_scored_pairs(matrix, config, &keys, stats)
+        Self::from_scored_pairs(matrix, config, keys, stats)
     }
 
     /// Builds the graph from a rating matrix containing the aggregated domains,
@@ -616,7 +664,7 @@ impl SimilarityGraph {
                 }
             }
         }
-        Self::from_scored_pairs(matrix, config, &keys, stats)
+        Self::from_scored_pairs(matrix, config, keys, stats)
     }
 
     /// The configuration the graph was built with.
@@ -1059,7 +1107,7 @@ mod tests {
                 ..Default::default()
             };
             let g = SimilarityGraph::build(&m, config);
-            assert_eq!(g.apply_updates(&m, &[], Vec::new()), g);
+            assert_eq!(g.apply_updates(&m, Vec::new(), Vec::new()), g);
             assert_eq!(g.apply_updates_serial(&m, &[]), g);
         }
     }
@@ -1081,15 +1129,16 @@ mod tests {
                 })
                 .collect();
             // `PartialEq` covers the arena and the scored-pair cache alike.
-            let direct = SimilarityGraph::from_scored_pairs(&m, config, &keys, stats.clone());
+            let direct =
+                SimilarityGraph::from_scored_pairs(&m, config, keys.clone(), stats.clone());
             assert_eq!(direct, SimilarityGraph::build_serial(&m, config));
             let empty = SimilarityGraph::empty(config);
             assert_eq!((empty.n_items(), empty.n_scored_pairs()), (0, 0));
-            assert_eq!(empty.apply_updates(&m, &keys, stats.clone()), direct);
+            assert_eq!(empty.apply_updates(&m, keys.clone(), stats.clone()), direct);
             // Items but no scored pair: the same pass-through, decided by the cache.
-            let isolated = SimilarityGraph::from_scored_pairs(&m, config, &[], Vec::new());
+            let isolated = SimilarityGraph::from_scored_pairs(&m, config, Vec::new(), Vec::new());
             assert_eq!(isolated.n_items(), m.n_items());
-            assert_eq!(isolated.apply_updates(&m, &keys, stats), direct);
+            assert_eq!(isolated.apply_updates(&m, keys, stats), direct);
         }
     }
 
@@ -1176,7 +1225,7 @@ mod tests {
             SimilarityGraph::pair_key(ItemId(0), ItemId(1)),
         ];
         let stats = vec![SimilarityStats::NONE; 2];
-        let _ = g.apply_updates(&m, &keys, stats);
+        let _ = g.apply_updates(&m, keys, stats);
     }
 
     /// Reference adjacency built the naive way: all unordered co-rated pairs into a
@@ -1213,6 +1262,65 @@ mod tests {
             b.set_item_domain(ItemId(i), DomainId((i % u32::from(n_domains)) as u16));
         }
         b.build().unwrap()
+    }
+
+    /// A matrix of `n_items` items (one user rates them all) and the graphs
+    /// `from_scored_pairs` and the sort-everything oracle assemble from `pairs` —
+    /// `(item, item, index into the tied palette)`, self-pairs and repeats dropped.
+    fn pruned_both_ways(
+        n_items: u32,
+        pairs: &[(u32, u32, usize)],
+        config: GraphConfig,
+    ) -> (SimilarityGraph, SimilarityGraph) {
+        const PALETTE: [f64; 4] = [0.8, -0.5, 0.5, 0.2];
+        let mut b = RatingMatrixBuilder::new();
+        for i in 0..n_items {
+            b.push_parts(0, i, 3.0).unwrap();
+        }
+        let m = b.build().unwrap();
+        let mut scored: Vec<(u64, SimilarityStats)> = pairs
+            .iter()
+            .filter(|&&(a, b, _)| a % n_items != b % n_items)
+            .map(|&(a, b, tie)| {
+                let stats = SimilarityStats {
+                    similarity: PALETTE[tie % PALETTE.len()],
+                    co_raters: 1,
+                    ..SimilarityStats::NONE
+                };
+                let key = SimilarityGraph::pair_key(ItemId(a % n_items), ItemId(b % n_items));
+                (key, stats)
+            })
+            .collect();
+        scored.sort_by_key(|&(key, _)| key);
+        scored.dedup_by_key(|&mut (key, _)| key);
+        let (keys, stats): (Vec<u64>, Vec<SimilarityStats>) = scored.into_iter().unzip();
+        let heaps = SimilarityGraph::from_scored_pairs(&m, config, keys.clone(), stats.clone());
+        let sorted = SimilarityGraph::assemble(&m, config, keys, stats, union_top_k_by_sorting);
+        (heaps, sorted)
+    }
+
+    #[test]
+    fn heap_pruning_agrees_with_the_sort_oracle_at_exactly_k_and_k_plus_one_pairs() {
+        // All tied. Item 0 has exactly k = 3 incident pairs and keeps them all; item 4
+        // has k + 1 = 4, so its heap evicts the highest-indexed one, (4, 8) — which
+        // item 8 still ranks first, being its only pair, so the union keeps it.
+        let config = GraphConfig {
+            top_k: Some(3),
+            ..Default::default()
+        };
+        let mut pairs = vec![(0, 1, 2), (0, 2, 2), (0, 3, 2)];
+        pairs.extend([(4, 5, 2), (4, 6, 2), (4, 7, 2), (4, 8, 2)]);
+        let (heaps, sorted) = pruned_both_ways(12, &pairs, config);
+        assert_eq!(heaps, sorted);
+        assert_eq!(heaps.degree(ItemId(0)), 3);
+        assert_eq!(heaps.degree(ItemId(4)), 4);
+        // Three stronger pairs fill item 8's own top-k: now nobody ranks (4, 8).
+        pairs.extend([(8, 9, 0), (8, 10, 0), (8, 11, 0)]);
+        let (heaps, sorted) = pruned_both_ways(12, &pairs, config);
+        assert_eq!(heaps, sorted);
+        assert!(heaps.edge_between(ItemId(4), ItemId(8)).is_none());
+        assert_eq!(heaps.degree(ItemId(4)), 3);
+        assert_eq!(heaps.n_scored_pairs(), pairs.len(), "pruned, not forgotten");
     }
 
     proptest! {
@@ -1372,6 +1480,24 @@ mod tests {
                         SimilarityGraph::build_serial(&m, config),
                         "build diverged from build_serial under {:?}", config
                     );
+                }
+            }
+        }
+
+        /// The bounded-heap pruning ≡ the sort-everything oracle on the whole graph
+        /// (`PartialEq` covers the arena, `sim_rank` and the scored-pair cache), over
+        /// pair sets whose similarities are drawn from four values — ties everywhere,
+        /// negatives included — with and without a filter that drops some.
+        #[test]
+        fn heap_pruning_is_bit_identical_to_the_sort_oracle(
+            n_items in 2u32..=40,
+            pairs in proptest::collection::vec((0u32..40, 0u32..40, 0usize..4), 0..300),
+        ) {
+            for top_k in [Some(1), Some(2), Some(5), None] {
+                for min_similarity in [0.0, 0.3] {
+                    let config = GraphConfig { top_k, min_similarity, ..Default::default() };
+                    let (heaps, sorted) = pruned_both_ways(n_items, &pairs, config);
+                    prop_assert_eq!(heaps, sorted, "pruning diverged under {:?}", config);
                 }
             }
         }

@@ -107,3 +107,63 @@ fn fit_is_bit_identical_at_1_2_and_8_workers_in_all_four_modes() {
         }
     }
 }
+
+/// X-Map-ib's release draw runs on a worker pool in three places — the fit's
+/// recommender step, every shard cut, and a reopened snapshot — and the worker count
+/// must not reach a released list in any of them: the fits at 1, 2 and 8 workers
+/// release equal bits over the whole target catalogue, `with_hot_replication(_, 4, 3)`
+/// over each holds `==` slices and routes to the single-node answers, and each model
+/// reopened from its own snapshot (so on its own worker count) releases what the
+/// 1-worker fit did.
+#[test]
+fn private_item_based_release_is_the_same_on_any_pool_at_fit_cut_and_open() {
+    use xmap_suite::core::{ShardSlice, ShardedModel};
+    let ds = dataset();
+    let users: Vec<UserId> = ds.overlap_users.iter().copied().take(8).collect();
+    let items = ds.target_items();
+    let mut reference: Option<(ReleasedBits, Vec<std::sync::Arc<ShardSlice>>)> = None;
+    for workers in GATE_WORKERS {
+        let config = XMapConfig {
+            mode: XMapMode::XMapItemBased,
+            k: 8,
+            workers,
+            ..Default::default()
+        };
+        let model = XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, config).unwrap();
+        let fitted = released_bits(&model, &users, &items);
+
+        let dir = std::env::temp_dir().join(format!(
+            "xmap_fit_determinism_{}_{workers}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        model.persist(&dir).unwrap();
+        let reopened = XMapModel::open(&dir).unwrap();
+        assert_eq!(reopened.config().workers, workers);
+        let reopened = released_bits(&reopened, &users, &items);
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let sharded = ShardedModel::with_hot_replication(model, 4, 3).unwrap();
+        let slices: Vec<_> = (0..4)
+            .map(|s| sharded.slice(s, s as u32).expect("owner hosts its shard").1)
+            .collect();
+        for (&u, single_node) in users.iter().zip(&fitted.recommendations) {
+            let routed = sharded.recommend(u, 5).unwrap().into_iter();
+            let routed: Vec<(ItemId, u64)> = routed.map(|(i, s)| (i, s.to_bits())).collect();
+            assert_eq!(
+                &routed, single_node,
+                "{workers} workers: routed top-5 of {u:?}"
+            );
+        }
+
+        match &reference {
+            None => reference = Some((fitted.clone(), slices)),
+            Some((bits, cut)) => {
+                assert_eq!(&fitted, bits, "fit at {workers} workers");
+                assert_eq!(&slices, cut, "shard cut at {workers} workers");
+            }
+        }
+        let (bits, _) = reference.as_ref().unwrap();
+        assert_eq!(&reopened, bits, "reopened at {workers} workers");
+    }
+}
