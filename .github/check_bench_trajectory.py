@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 SHARED_BY_A_PAIR = ("seed", "seconds", "stream_hash", "probe_hash", "claim")
-PER_LAYER = ("fit_s", "cut_ms", "ingest_p50_ms", "recover_replay_s")
+PER_LAYER = ("generate_ms", "fit_s", "cut_ms", "ingest_p50_ms", "recover_replay_s")
 
 
 def check(root: Path) -> list[str]:

@@ -30,6 +30,19 @@ pub enum CfError {
     },
     /// Model training failed to make progress (e.g. ALS produced non-finite factors).
     TrainingDiverged(String),
+    /// A delta names an id past what its own size can grow the matrix to (the rule of
+    /// `RatingMatrix::check_delta_growth`).
+    IdPastGrowthBound {
+        /// The largest user id the delta rates with, if any.
+        max_user: Option<u32>,
+        /// The largest item id the delta rates or declares, if any.
+        max_item: Option<u32>,
+        /// User ids must stay below this: the matrix's users plus the delta's events.
+        user_bound: usize,
+        /// Item ids must stay below this: the matrix's items plus the delta's events
+        /// and declarations.
+        item_bound: usize,
+    },
 }
 
 impl fmt::Display for CfError {
@@ -45,6 +58,17 @@ impl fmt::Display for CfError {
                 write!(f, "invalid parameter `{name}`: {message}")
             }
             CfError::TrainingDiverged(msg) => write!(f, "training diverged: {msg}"),
+            CfError::IdPastGrowthBound {
+                max_user,
+                max_item,
+                user_bound,
+                item_bound,
+            } => write!(
+                f,
+                "delta names ids up to user {max_user:?} and item {max_item:?}, but its events \
+                 and declarations can grow the matrix to at most {user_bound} users and \
+                 {item_bound} items"
+            ),
         }
     }
 }

@@ -461,6 +461,34 @@ impl RatingMatrix {
         b.build()
     }
 
+    /// The growth rule of a delta: its ratings may name users below
+    /// `n_users + delta.len()`, and its ratings and declarations items below
+    /// `n_items + delta.len() + new_domains.len()`. A delta grows the matrix by at most
+    /// its own size, so no allocation is sized by an id; anything past that is
+    /// [`CfError::IdPastGrowthBound`].
+    pub fn check_delta_growth(
+        &self,
+        delta: &[Rating],
+        new_domains: &[(ItemId, DomainId)],
+    ) -> Result<()> {
+        let user_bound = self.n_users + delta.len();
+        let item_bound = self.n_items + delta.len() + new_domains.len();
+        let declared = new_domains.iter().map(|&(item, _)| item);
+        let max_user = delta.iter().map(|r| r.user).max();
+        let max_item = delta.iter().map(|r| r.item).chain(declared).max();
+        if max_user.is_some_and(|u| u.index() >= user_bound)
+            || max_item.is_some_and(|i| i.index() >= item_bound)
+        {
+            return Err(CfError::IdPastGrowthBound {
+                max_user: max_user.map(|u| u.0),
+                max_item: max_item.map(|i| i.0),
+                user_bound,
+                item_bound,
+            });
+        }
+        Ok(())
+    }
+
     /// Applies a batch of new/updated ratings (plus item-domain declarations for new
     /// items) through an incremental merge — the builder path of the delta-fit
     /// subsystem.
@@ -476,7 +504,8 @@ impl RatingMatrix {
     ///
     /// Domain declarations follow builder semantics (last declaration wins), which lets
     /// new items be declared; redeclaring an existing item to a *different* domain is
-    /// the caller's responsibility to reject (the model-level delta path does).
+    /// the caller's responsibility to reject (the model-level delta path does). Ids
+    /// past [`RatingMatrix::check_delta_growth`] are refused before anything is sized.
     pub fn apply_delta(
         &self,
         delta: &[Rating],
@@ -490,6 +519,7 @@ impl RatingMatrix {
                 });
             }
         }
+        self.check_delta_growth(delta, new_domains)?;
 
         let mut n_users = self.n_users;
         let mut n_items = self.n_items;
@@ -888,20 +918,21 @@ mod tests {
     fn apply_delta_matches_full_rebuild_on_update_insert_and_growth() {
         let base = small();
         // an update of an existing rating (newer timestep), a brand-new (user, item)
-        // cell, a new user and a new item in one batch
+        // cell, a new user and a new item in one batch — both at the growth bound
+        // (3 + 4 users, 3 + 4 + 1 items), unrated ids left behind them
         let delta = vec![
             Rating::at(UserId(0), ItemId(0), 2.0, Timestep(5)),
             Rating::at(UserId(2), ItemId(0), 4.0, Timestep(1)),
-            Rating::at(UserId(7), ItemId(1), 5.0, Timestep(2)),
-            Rating::at(UserId(1), ItemId(9), 3.0, Timestep(3)),
+            Rating::at(UserId(6), ItemId(1), 5.0, Timestep(2)),
+            Rating::at(UserId(1), ItemId(7), 3.0, Timestep(3)),
         ];
-        let domains = vec![(ItemId(9), DomainId::TARGET)];
+        let domains = vec![(ItemId(7), DomainId::TARGET)];
         let updated = base.apply_delta(&delta, &domains).unwrap();
         assert_eq!(updated, rebuild_with_delta(&base, &delta, &domains));
-        assert_eq!(updated.n_users(), 8);
-        assert_eq!(updated.n_items(), 10);
+        assert_eq!(updated.n_users(), 7);
+        assert_eq!(updated.n_items(), 8);
         assert_eq!(updated.rating(UserId(0), ItemId(0)), Some(2.0));
-        assert_eq!(updated.item_domain(ItemId(9)), DomainId::TARGET);
+        assert_eq!(updated.item_domain(ItemId(7)), DomainId::TARGET);
         // untouched cells keep their exact bits
         assert_eq!(
             updated.rating(UserId(0), ItemId(1)).map(f64::to_bits),
@@ -956,6 +987,69 @@ mod tests {
         assert!(matches!(err, CfError::InvalidRating { .. }));
     }
 
+    /// One rating event by `user` for `item`.
+    fn event(user: u32, item: u32) -> [Rating; 1] {
+        [Rating::at(UserId(user), ItemId(item), 3.0, Timestep(9))]
+    }
+
+    #[test]
+    fn apply_delta_grows_users_by_at_most_its_events() {
+        let base = small();
+        let n_users = base.n_users() as u32;
+        let grown = base.apply_delta(&event(n_users, 0), &[]).unwrap();
+        assert_eq!(grown.n_users() as u32, n_users + 1);
+        let err = base.apply_delta(&event(n_users + 1, 0), &[]).unwrap_err();
+        assert_eq!(
+            err,
+            CfError::IdPastGrowthBound {
+                max_user: Some(n_users + 1),
+                max_item: Some(0),
+                user_bound: base.n_users() + 1,
+                item_bound: base.n_items() + 1,
+            }
+        );
+        assert!(err.to_string().contains("can grow the matrix"), "{err}");
+        assert!(base.apply_delta(&event(u32::MAX, 0), &[]).is_err());
+    }
+
+    #[test]
+    fn apply_delta_grows_items_by_at_most_its_events() {
+        let base = small();
+        let n_items = base.n_items() as u32;
+        let grown = base.apply_delta(&event(0, n_items), &[]).unwrap();
+        assert_eq!(grown.n_items() as u32, n_items + 1);
+        for past in [n_items + 1, u32::MAX] {
+            let err = base.apply_delta(&event(0, past), &[]).unwrap_err();
+            assert!(
+                matches!(err, CfError::IdPastGrowthBound { max_item: Some(i), .. } if i == past),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn apply_delta_declarations_widen_the_item_bound_by_one_each() {
+        let base = small();
+        let n_items = base.n_items() as u32;
+        let declare = |item: u32| [(ItemId(item), DomainId::TARGET)];
+        // alone, a declaration may name item `n_items`; beside an event, `n_items + 1`
+        let grown = base.apply_delta(&[], &declare(n_items)).unwrap();
+        assert_eq!(grown.n_items() as u32, n_items + 1);
+        let grown = base
+            .apply_delta(&event(0, n_items + 1), &declare(n_items + 1))
+            .unwrap();
+        assert_eq!(grown.n_items() as u32, n_items + 2);
+        assert_eq!(grown.item_domain(ItemId(n_items + 1)), DomainId::TARGET);
+        for (events, declared) in [
+            (&[][..], declare(n_items + 1)),
+            (&event(0, 0)[..], declare(n_items + 2)),
+            (&[][..], declare(u32::MAX)),
+        ] {
+            let err = base.apply_delta(events, &declared).unwrap_err();
+            assert!(matches!(err, CfError::IdPastGrowthBound { .. }), "{err}");
+        }
+    }
+
     #[test]
     fn iter_round_trips_through_from_ratings() {
         let m = small();
@@ -985,20 +1079,35 @@ mod tests {
             Some(b.build().unwrap())
         }
 
+        /// Rating events with every id folded inside `base`'s growth bound for a delta
+        /// of this many events (`check_delta_growth`), which stays inside the bound of
+        /// any concatenation of such deltas.
+        fn inside_growth_bound(
+            base: &RatingMatrix,
+            events: Vec<(u32, u32, u32, u32)>,
+        ) -> Vec<Rating> {
+            let users = (base.n_users() + events.len()) as u32;
+            let items = (base.n_items() + events.len()) as u32;
+            events
+                .into_iter()
+                .map(|(u, i, v, t)| {
+                    Rating::at(UserId(u % users), ItemId(i % items), v as f64, Timestep(t))
+                })
+                .collect()
+        }
+
         proptest! {
             /// The incremental merge is bit-identical to the full rebuild for random
             /// bases and random deltas (updates, inserts, duplicate delta keys, new
-            /// users and new items all drawn from overlapping id ranges).
+            /// users and new items all drawn from overlapping id ranges, folded inside
+            /// the growth bound).
             #[test]
             fn apply_delta_is_bit_identical_to_full_rebuild(
                 base in proptest::collection::vec((0u32..8, 0u32..10, 1u32..=5, 0u32..6), 1..120),
                 delta in proptest::collection::vec((0u32..12, 0u32..14, 1u32..=5, 0u32..8), 0..40),
             ) {
                 let base = matrix_from(&base).unwrap();
-                let delta: Vec<Rating> = delta
-                    .into_iter()
-                    .map(|(u, i, v, t)| Rating::at(UserId(u), ItemId(i), v as f64, Timestep(t)))
-                    .collect();
+                let delta = inside_growth_bound(&base, delta);
                 // declare a domain for every genuinely new item, like a real delta would
                 let new_domains: Vec<(ItemId, DomainId)> = delta
                     .iter()
@@ -1031,8 +1140,9 @@ mod tests {
             /// The winner rule composes: 1–6 deltas applied one by one, their
             /// concatenation applied once, and the builder over the concatenated trace
             /// all give the same matrix (`PartialEq`: both views, averages, domains).
-            /// The small id and timestep ranges make duplicate cells, descending and
-            /// equal timesteps, new users and new items the common case; every delta
+            /// The small id and timestep ranges (ids folded inside each delta's growth
+            /// bound) make duplicate cells, descending and equal timesteps, new users
+            /// and new items the common case; every delta
             /// declares the items it introduces and re-declares some existing items'
             /// current domain.
             #[test]
@@ -1051,10 +1161,7 @@ mod tests {
                 let mut all_ratings: Vec<Rating> = Vec::new();
                 let mut all_domains: Vec<(ItemId, DomainId)> = Vec::new();
                 for (events, redeclared) in deltas {
-                    let ratings: Vec<Rating> = events
-                        .into_iter()
-                        .map(|(u, i, v, t)| Rating::at(UserId(u), ItemId(i), v as f64, Timestep(t)))
-                        .collect();
+                    let ratings = inside_growth_bound(&one_by_one, events);
                     let n_items = one_by_one.n_items();
                     let introduced = ratings
                         .iter()

@@ -337,10 +337,10 @@ fn ingest_accumulators(delta: &RatingDelta, cx: &mut StageContext<'_>) -> Ingest
 
 /// The validation prelude of [`XMapModel::apply_delta`], ahead of the build, the
 /// journal append and the publish. Domain migration is not an incremental operation,
-/// and ids must stay dense: every id a delta introduces is named by one of its own
-/// events or declarations, so the model may grow by at most the delta's size — an id
-/// past that would size the matrix, the graph arena and every dense buffer by the id
-/// instead of by the data.
+/// and ids must stay dense: the matrix's growth rule
+/// ([`RatingMatrix::check_delta_growth`]) is refused here as `XMapError::Data`, before
+/// the journal append — an id past it would size the matrix, the graph arena and every
+/// dense buffer by the id instead of by the data.
 fn check_delta(delta: &RatingDelta, full: &RatingMatrix) -> Result<()> {
     for &(item, domain) in delta.item_domains() {
         if item.index() < full.n_items() && full.item_domain(item) != domain {
@@ -351,23 +351,8 @@ fn check_delta(delta: &RatingDelta, full: &RatingMatrix) -> Result<()> {
             )));
         }
     }
-    let user_bound = full.n_users() + delta.len();
-    let item_bound = full.n_items() + delta.len() + delta.item_domains().len();
-    let declared = delta.item_domains().iter().map(|&(item, _)| item);
-    let max_user = delta.ratings().iter().map(|r| r.user).max();
-    let max_item = delta.ratings().iter().map(|r| r.item).chain(declared).max();
-    if max_user.is_some_and(|u| u.index() >= user_bound)
-        || max_item.is_some_and(|i| i.index() >= item_bound)
-    {
-        return Err(XMapError::Data(format!(
-            "delta names ids up to user {max_user:?} and item {max_item:?}, but its {} events \
-             and {} declarations can grow the model to at most {user_bound} users and \
-             {item_bound} items",
-            delta.len(),
-            delta.item_domains().len()
-        )));
-    }
-    Ok(())
+    full.check_delta_growth(delta.ratings(), delta.item_domains())
+        .map_err(|e| XMapError::Data(e.to_string()))
 }
 
 impl XMapModel {
@@ -896,7 +881,7 @@ mod tests {
         for delta in &hostile {
             let err = model.apply_delta(delta).unwrap_err();
             assert!(matches!(err, XMapError::Data(_)), "{err}");
-            assert!(err.to_string().contains("can grow the model"), "{err}");
+            assert!(err.to_string().contains("can grow the matrix"), "{err}");
             check_untouched(&model);
         }
         // The routed ingest refuses on the coordinator, ahead of any shard journal.

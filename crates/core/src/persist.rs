@@ -357,3 +357,55 @@ impl XMapModel {
             .map(ModelStore::journal_len_bytes)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::shard::{ShardMap, ShardSlice, SliceState};
+    use crate::{XMapConfig, XMapMode};
+    use xmap_dataset::synthetic::{CrossDomainConfig, CrossDomainDataset};
+    use xmap_store::{crc32, encode_to_vec, FORMAT_VERSION, SNAPSHOT_MAGIC};
+
+    /// The file `Snapshot::write` wrote before it encoded in place: the payload
+    /// encoded on its own, then copied behind the header.
+    fn framed_by_copy<T: xmap_store::Codec>(value: &T) -> Vec<u8> {
+        let payload = encode_to_vec(value);
+        let mut body = SNAPSHOT_MAGIC.to_vec();
+        body.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        body.extend_from_slice(&payload);
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        body
+    }
+
+    #[test]
+    fn snapshots_of_a_model_and_a_slice_keep_the_copying_writes_bytes() {
+        let ds = CrossDomainDataset::generate(CrossDomainConfig::small());
+        let config = XMapConfig {
+            mode: XMapMode::XMapItemBased,
+            k: 8,
+            ..Default::default()
+        };
+        let model = XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, config).unwrap();
+        let dir = std::env::temp_dir().join(format!("xmap_snapshot_bytes_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let epoch_no = model.persist(&dir).unwrap();
+        let (_, epoch) = model.snapshot();
+        assert_eq!(
+            std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(),
+            framed_by_copy(&ModelState::from_epoch(epoch_no, &epoch))
+        );
+        let map = ShardMap::uniform(ds.matrix.n_items() as u32, 3).unwrap();
+        for shard in 0..3 {
+            let state = SliceState {
+                epoch: epoch_no,
+                slice: Arc::new(ShardSlice::cut(&epoch, &map, shard)),
+            };
+            let path = dir.join(format!("shard{shard}.snap"));
+            Snapshot::write(&path, &state).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), framed_by_copy(&state));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

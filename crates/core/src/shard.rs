@@ -377,10 +377,11 @@ fn apply_rows<T: Clone>(
     merged.into_iter().collect()
 }
 
-/// Snapshot payload of one hosted shard: the publication epoch and the slice.
+/// Snapshot payload of one hosted shard: the publication epoch and the slice,
+/// shared with the node that serves it (a snapshot write encodes it in place).
 pub(crate) struct SliceState {
     pub(crate) epoch: u64,
-    pub(crate) slice: ShardSlice,
+    pub(crate) slice: Arc<ShardSlice>,
 }
 
 /// Journal record payload of one hosted shard's ingest: the shard's sub-delta
@@ -901,7 +902,7 @@ impl ShardedModel {
                     &node_dir.join(format!("shard{shard}.snap")),
                     &SliceState {
                         epoch: epoch_no,
-                        slice: (*slice).clone(),
+                        slice,
                     },
                 )?;
                 let journal =
@@ -957,25 +958,25 @@ impl ShardedModel {
                 if rec.epoch <= at {
                     continue; // already folded into the snapshot
                 }
-                slice = slice.apply(&rec.value);
+                slice = Arc::new(slice.apply(&rec.value));
                 at = rec.epoch;
             }
             if at < epoch_no {
                 // The journal never saw the ingests that happened while the node
                 // was dead (they are only journaled on live replicas) — catch up
                 // by re-replicating from the coordinator and making it durable.
-                slice = ShardSlice::cut(&epoch, &self.map, shard);
+                slice = Arc::new(ShardSlice::cut(&epoch, &self.map, shard));
                 Snapshot::write(
                     &snap_path,
                     &SliceState {
                         epoch: epoch_no,
-                        slice: slice.clone(),
+                        slice: Arc::clone(&slice),
                     },
                 )?;
                 journal.reset(epoch_no)?;
             }
             let serve = slice.recommender(&epoch, self.model.flow.pool())?;
-            rebuilt.install(epoch_no, Arc::new(slice), serve).store = Some(ShardStore { journal });
+            rebuilt.install(epoch_no, slice, serve).store = Some(ShardStore { journal });
         }
         self.nodes[node] = rebuilt;
         Ok(())
@@ -1128,12 +1129,12 @@ mod tests {
         let slice = sample_slice();
         let state = SliceState {
             epoch: 3,
-            slice: slice.clone(),
+            slice: Arc::new(slice.clone()),
         };
         let bytes = encode_to_vec(&state);
         let back: SliceState = decode_exact(&bytes, 0).unwrap();
         assert_eq!(back.epoch, 3);
-        assert_eq!(back.slice, slice);
+        assert_eq!(*back.slice, slice);
     }
 
     #[test]

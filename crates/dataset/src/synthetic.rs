@@ -152,19 +152,20 @@ impl CrossDomainDataset {
             .map(ItemId)
             .collect();
 
-        // One Zipf table per pool, built once: every draw starts from a copy of it.
-        let source_zipf = zipf_weights(source_items.len(), config.popularity_skew);
-        let target_zipf = zipf_weights(target_items.len(), config.popularity_skew);
-        let source_pool = (source_items.as_slice(), source_zipf.as_deref());
-        let target_pool = (target_items.as_slice(), target_zipf.as_deref());
+        // One Zipf table per pool, built once with its prefix sums: every draw searches it.
+        let source_zipf =
+            zipf_weights(source_items.len(), config.popularity_skew).map(ZipfTable::new);
+        let target_zipf =
+            zipf_weights(target_items.len(), config.popularity_skew).map(ZipfTable::new);
+        let source_pool = (source_items.as_slice(), source_zipf.as_ref());
+        let target_pool = (target_items.as_slice(), target_zipf.as_ref());
 
         let emit = |builder: &mut RatingMatrixBuilder,
                     rng: &mut StdRng,
                     user: UserId,
-                    (items, weights): (&[ItemId], Option<&[f64]>),
+                    (items, zipf): (&[ItemId], Option<&ZipfTable>),
                     timestep_base: u32| {
-            let mut chosen =
-                sample_without_replacement(rng, items, config.ratings_per_user, weights);
+            let mut chosen = sample_without_replacement(rng, items, config.ratings_per_user, zipf);
             chosen.sort_unstable();
             for (ord, item) in chosen.into_iter().enumerate() {
                 let affinity = dot(&user_factors[user.index()], &item_factors[item.index()]);
@@ -258,7 +259,8 @@ fn gaussian(rng: &mut StdRng) -> f64 {
 }
 
 /// The Zipf-like selection weights of a pool of `len` items, `1 / (rank + 1)^skew` by
-/// pool position (ascending item id) — or `None` for the uniform path.
+/// pool position (ascending item id) — or `None` for the uniform path. [`ZipfTable`]
+/// adds their prefix sums; the weights' bits are part of every skewed trace's bits.
 fn zipf_weights(len: usize, skew: f64) -> Option<Vec<f64>> {
     // Exact zero selects the historical uniform path, which must keep consuming
     // the RNG stream identically so pre-knob traces reproduce bit-for-bit.
@@ -273,16 +275,124 @@ fn zipf_weights(len: usize, skew: f64) -> Option<Vec<f64>> {
     )
 }
 
-/// Draws `count` distinct items of `pool`: uniformly without `weights`, else by
-/// cumulative-weight inversion over a copy of the pool's [`zipf_weights`] table.
+/// A pool's [`zipf_weights`] and their sequential prefix sums, built once per pool.
+struct ZipfTable {
+    weights: Vec<f64>,
+    /// `prefix[p]` is `((w[0] + w[1]) + …) + w[p - 1]`, summed in order; `prefix[len]`
+    /// is the table total.
+    prefix: Vec<f64>,
+}
+
+impl ZipfTable {
+    fn new(weights: Vec<f64>) -> Self {
+        let mut total = 0.0;
+        let prefix = std::iter::once(0.0)
+            .chain(weights.iter().map(|&w| {
+                total += w;
+                total
+            }))
+            .collect();
+        ZipfTable { weights, prefix }
+    }
+
+    /// What `count` picks may cost in rounding: the running total, the prefix table
+    /// and the re-summing loop's `draw -= w` chain each stray from exact arithmetic
+    /// by at most `(len + count)·u·S` (`S` the table total, `u` half an epsilon). The
+    /// margin covers the three with room to spare.
+    fn margin(&self, count: usize) -> f64 {
+        let len = self.weights.len();
+        8.0 * (len + count) as f64 * f64::EPSILON * self.prefix[len]
+    }
+
+    /// `count` distinct pool positions in draw order — the picks of the re-summing
+    /// loop (`resum_picks`, the test oracle) and its RNG position: one `u64` per pick.
+    /// A pick is a binary search that [`ZipfTable::certified_pick`] checks against
+    /// `margin`, or, when the check fails, the loop's own re-sum and scan. A chosen
+    /// position leaves the table by joining `chosen`, so the table is never copied.
+    fn picks(&self, rng: &mut StdRng, count: usize, margin: f64) -> Vec<usize> {
+        // Chosen positions ascending; `taken[j]` sums the weights of the first `j`.
+        let mut chosen: Vec<usize> = Vec::with_capacity(count);
+        let mut taken = Vec::with_capacity(count + 1);
+        taken.push(0.0);
+        let mut picks = Vec::with_capacity(count);
+        for _ in 0..count {
+            // The loop drew `gen_range(0.0..total)`, which the stand-in computes as
+            // `0.0 + next_f64()·(total − 0.0)`: this is that `next_f64()`.
+            let v: f64 = rng.gen_range(0.0..1.0);
+            let pick = self
+                .certified_pick(v, &chosen, &taken, margin)
+                .unwrap_or_else(|| self.rescan_pick(v, &chosen));
+            let at = chosen.partition_point(|&q| q < pick);
+            chosen.insert(at, pick);
+            taken.truncate(at + 1);
+            for &q in &chosen[at..] {
+                taken.push(taken[taken.len() - 1] + self.weights[q]);
+            }
+            picks.push(pick);
+        }
+        picks
+    }
+
+    /// The loop's pick for draw fraction `v`, when a search can certify it. The
+    /// loop's draw lies in `[v·(T̃ − m), v·(T̃ + m)]`, `T̃` the table total less the
+    /// chosen weights; its pick is monotone in the draw (`fl(x − w)` is monotone in
+    /// `x`), so a bracket at least `m` inside one remaining item's span of the
+    /// remaining-weight prefix sums names the loop's pick.
+    fn certified_pick(&self, v: f64, chosen: &[usize], taken: &[f64], m: f64) -> Option<usize> {
+        let len = self.weights.len();
+        // The remaining weight ahead of position `p`: the table's prefix less the
+        // chosen weights below `p`.
+        let ahead = |p: usize| self.prefix[p] - taken[chosen.partition_point(|&q| q < p)];
+        let left = self.prefix[len] - taken[chosen.len()];
+        let (lo, hi) = (v * (left - m), v * (left + m));
+        // The last position whose remaining prefix is at most `lo`.
+        let (mut p, mut end) = (0, len);
+        while end - p > 1 {
+            let mid = (p + end) / 2;
+            if ahead(mid) <= lo {
+                p = mid;
+            } else {
+                end = mid;
+            }
+        }
+        let below = chosen.partition_point(|&q| q < p);
+        let remaining = chosen.get(below) != Some(&p);
+        // The loop takes its last remaining item once the draw passes the others.
+        let last = chosen.len() - below == len - 1 - p;
+        let start = self.prefix[p] - taken[below];
+        let end = self.prefix[p + 1] - taken[below];
+        (remaining && lo >= start + m && (last || hi < end - m)).then_some(p)
+    }
+
+    /// The exact fallback: the re-summing loop itself over the positions not chosen.
+    fn rescan_pick(&self, v: f64, chosen: &[usize]) -> usize {
+        let left = || (0..self.weights.len()).filter(|p| chosen.binary_search(p).is_err());
+        let total: f64 = left().map(|p| self.weights[p]).sum();
+        let mut draw = v * total;
+        let mut pick = 0;
+        for p in left() {
+            pick = p;
+            if draw < self.weights[p] {
+                break;
+            }
+            draw -= self.weights[p];
+        }
+        pick
+    }
+}
+
+/// Draws `count` distinct items of `pool`: uniformly without a Zipf table, else by
+/// cumulative-weight inversion over the weights not yet drawn. The weighted picks are
+/// those of the loop that re-sums the remaining table per draw (`resum_picks`, kept
+/// as the test oracle), each found in O(log n) through [`ZipfTable::picks`].
 fn sample_without_replacement(
     rng: &mut StdRng,
     pool: &[ItemId],
     count: usize,
-    weights: Option<&[f64]>,
+    zipf: Option<&ZipfTable>,
 ) -> Vec<ItemId> {
     let count = count.min(pool.len());
-    let Some(weights) = weights else {
+    let Some(zipf) = zipf else {
         let mut indices: Vec<usize> = (0..pool.len()).collect();
         // partial Fisher–Yates
         for i in 0..count {
@@ -291,10 +401,16 @@ fn sample_without_replacement(
         }
         return indices[..count].iter().map(|&i| pool[i]).collect();
     };
-    // Weighted sampling without replacement: a chosen item leaves the table, and the
-    // total is re-summed per draw (the draws' bits depend on that exact sum).
+    let picks = zipf.picks(rng, count, zipf.margin(count));
+    picks.into_iter().map(|p| pool[p]).collect()
+}
+
+/// The weighted draw before [`ZipfTable`]: a chosen item leaves the table, and the
+/// total is re-summed per draw. Returns pool positions in draw order.
+#[cfg(test)]
+fn resum_picks(rng: &mut StdRng, weights: &[f64], count: usize) -> Vec<usize> {
     let mut weights = weights.to_vec();
-    let mut indices: Vec<usize> = (0..pool.len()).collect();
+    let mut indices: Vec<usize> = (0..weights.len()).collect();
     let mut chosen = Vec::with_capacity(count);
     for _ in 0..count {
         let total: f64 = weights.iter().sum();
@@ -307,7 +423,7 @@ fn sample_without_replacement(
             }
             draw -= w;
         }
-        chosen.push(pool[indices[pick]]);
+        chosen.push(indices[pick]);
         indices.remove(pick);
         weights.remove(pick);
     }
@@ -322,6 +438,7 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::RngCore;
 
     #[test]
     fn generated_shape_matches_config() {
@@ -509,6 +626,83 @@ mod tests {
             0x1cd81b247efdfc88,
             "the skewed trace moved"
         );
+        // The benchmark's `xmap48k` shape: 1000-item pools, 48 000 Zipf draws.
+        for (seed, pinned) in [(19, 0x6c75_c650_3df7_45c5u64), (23, 0xb7c2_8e20_ddc9_2c28)] {
+            let xmap48k = CrossDomainConfig {
+                n_source_items: 1000,
+                n_target_items: 1000,
+                n_source_only_users: 1200,
+                n_target_only_users: 1200,
+                n_overlap_users: 800,
+                ratings_per_user: 12,
+                latent_dim: 3,
+                noise: 0.25,
+                seed,
+                popularity_skew: 1.1,
+            };
+            assert_eq!(
+                trace_hash(xmap48k),
+                pinned,
+                "the xmap48k trace at seed {seed} moved"
+            );
+        }
+    }
+
+    /// Draws `count` of a `len`-item table of `skew` at `margin` (`None`: the table's
+    /// own) and through the re-summing oracle from the same seed; asserts equal picks
+    /// and an equal RNG position afterwards.
+    fn assert_picks_match_the_oracle(
+        seed: u64,
+        len: usize,
+        skew: f64,
+        count: usize,
+        margin: Option<f64>,
+    ) {
+        let table = ZipfTable::new(zipf_weights(len, skew).unwrap());
+        let margin = margin.unwrap_or_else(|| table.margin(count));
+        let (mut fast, mut oracle) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        assert_eq!(
+            table.picks(&mut fast, count, margin),
+            resum_picks(&mut oracle, &table.weights, count),
+            "seed {seed}, {count} of {len} at skew {skew}"
+        );
+        assert_eq!(
+            fast.next_u64(),
+            oracle.next_u64(),
+            "seed {seed}: RNG position"
+        );
+    }
+
+    /// One test shape per seed: a pool of 1..=`max_len` items, skew 0.3, 1.1 or 2.0,
+    /// and a count up to the whole pool — the whole pool on every fourth seed.
+    fn oracle_shape(seed: u64, max_len: usize) -> (usize, f64, usize) {
+        let mut shape = StdRng::seed_from_u64(seed ^ 0x5EED_CAFE);
+        let len = shape.gen_range(1..=max_len);
+        let skew = [0.3, 1.1, 2.0][(seed % 3) as usize];
+        let count = if seed.is_multiple_of(4) {
+            len
+        } else {
+            shape.gen_range(0..=len)
+        };
+        (len, skew, count)
+    }
+
+    #[test]
+    fn prefix_search_picks_what_the_resumming_loop_picks() {
+        for seed in 0..240 {
+            let (len, skew, count) = oracle_shape(seed, 3000);
+            assert_picks_match_the_oracle(seed, len, skew, count, None);
+        }
+    }
+
+    #[test]
+    fn the_exact_fallback_alone_picks_what_the_resumming_loop_picks() {
+        // A margin as large as the table total certifies nothing: every pick re-sums.
+        for seed in 0..60 {
+            let (len, skew, count) = oracle_shape(seed, 400);
+            let total = ZipfTable::new(zipf_weights(len, skew).unwrap()).prefix[len];
+            assert_picks_match_the_oracle(seed, len, skew, count, Some(total));
+        }
     }
 
     proptest! {

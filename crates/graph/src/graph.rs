@@ -1426,13 +1426,16 @@ mod tests {
             k in 1usize..6,
         ) {
             let m = random_matrix(&base, 2);
+            // ids folded inside the delta's growth bound (`check_delta_growth`)
+            let users = (m.n_users() + delta.len()) as u32;
+            let items = (m.n_items() + delta.len()) as u32;
             let delta_ratings: Vec<xmap_cf::Rating> = delta
                 .iter()
                 .enumerate()
                 .map(|(ix, &(u, i, v))| {
                     xmap_cf::Rating::at(
-                        UserId(u),
-                        ItemId(i),
+                        UserId(u % users),
+                        ItemId(i % items),
                         v as f64,
                         xmap_cf::Timestep(10 + ix as u32),
                     )

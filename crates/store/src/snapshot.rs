@@ -17,7 +17,7 @@
 //! [`StoreError::Corrupt`]; a version stamp newer than [`FORMAT_VERSION`] is refused
 //! rather than misread.
 
-use crate::codec::{Codec, Decoder};
+use crate::codec::{Codec, Decoder, Encoder};
 use crate::crc::crc32;
 use crate::{StoreError, FORMAT_VERSION};
 use std::fs::{self, File, OpenOptions};
@@ -35,14 +35,17 @@ pub struct Snapshot;
 
 impl Snapshot {
     /// Serializes `value` and atomically replaces whatever is at `path`
-    /// (write-temp → fsync → rename → fsync dir).
+    /// (write-temp → fsync → rename → fsync dir). The payload is encoded straight
+    /// into the framed buffer; its length field is back-patched.
     pub fn write<T: Codec>(path: &Path, value: &T) -> Result<(), StoreError> {
-        let mut body = Vec::with_capacity(HEADER_LEN + 64);
-        body.extend_from_slice(&SNAPSHOT_MAGIC);
-        body.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        let payload = crate::codec::encode_to_vec(value);
-        body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        body.extend_from_slice(&payload);
+        let mut e = Encoder::new();
+        e.put_raw(&SNAPSHOT_MAGIC);
+        e.put_u16(FORMAT_VERSION);
+        e.put_u64(0); // payload length, patched once the payload is in
+        value.enc(&mut e);
+        let mut body = e.into_bytes();
+        let payload_len = (body.len() - HEADER_LEN) as u64;
+        body[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
         let crc = crc32(&body);
         body.extend_from_slice(&crc.to_le_bytes());
 
