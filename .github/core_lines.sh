@@ -8,8 +8,8 @@
 # to its own results.
 set -euo pipefail
 
-ceiling=3280
-pub_ceiling=164
+ceiling=3111
+pub_ceiling=159
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 awk -v ceiling="$ceiling" -v pub_ceiling="$pub_ceiling" '

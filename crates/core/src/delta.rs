@@ -1,79 +1,53 @@
 //! Incremental model maintenance (delta fit) on the Dataflow engine, with
 //! build-aside-then-publish epoch semantics.
 //!
-//! A deployed X-Map model keeps absorbing new ratings; refitting on the full trace for
-//! every batch would make update cost scale with history rather than with the update.
-//! [`XMapModel::apply_delta`] instead runs the model's one build
-//! (`pipeline::build_epoch`, the build a fit runs over *everything*) with each step's
-//! affected set narrowed to **the state the delta can reach**, and proves the narrowing
-//! exact: the resulting model is **bit-identical to a full refit on the updated
-//! matrix** (enforced by `tests/incremental_equivalence.rs` in all four modes at 1/2/8
-//! workers).
-//!
-//! The recompute-not-accumulate rule (see DESIGN.md) governs every layer:
+//! A deployed X-Map model keeps absorbing new ratings. [`XMapModel::apply_delta`]
+//! absorbs a batch by running the model's one build (`pipeline::build_epoch`, the
+//! build a fit runs over *everything*) over the served epoch, and the resulting model
+//! is **bit-identical to a full refit on the updated matrix** (enforced by
+//! `tests/incremental_equivalence.rs` in all four modes at 1/2/8 workers). Two layers
+//! absorb the delta incrementally, under the recompute-not-accumulate rule (see
+//! DESIGN.md):
 //!
 //! 1. the [`RatingMatrix`] absorbs the delta through the incremental builder path
 //!    (`RatingMatrix::apply_delta` — row merges and copied averages, no re-sort);
 //! 2. the similarity graph re-*scores* exactly the affected co-rated pairs — every pair
 //!    touching a *dirty* item, one a delta user rated (adjusted cosine reads all
 //!    raters' user averages) — and merges them with the cached statistics of every
-//!    other pair (`SimilarityGraph::apply_updates`);
-//! 3. the X-Sim table recomputes only the source rows whose meta-path neighbourhood
-//!    (≤ 5 hops) touches a changed graph row or layer rank (`affected_xsim_rows`);
-//! 4. the generator re-draws replacements only for those rows (per-item RNG streams
-//!    make the unchanged draws bit-equal by construction), and
-//! 5. the item-based kNN pools are re-scored only for target items with an affected
-//!    target-domain pair (`affected_pool_items`).
+//!    other pair (`SimilarityGraph::apply_updates`).
+//!
+//! Every later piece — the X-Sim table, the replacement table, the recommender and its
+//! kNN pools — is either **shared** with the base epoch, when its input is unchanged,
+//! or rebuilt whole, exactly as a fit builds it.
 //!
 //! ## Build aside, swap, drain, retire
 //!
 //! `apply_delta` is `&self`: it never mutates the served model in place. It takes an
 //! epoch snapshot as its base, the build constructs every updated piece *aside* and
 //! assembles the next [`crate::ModelEpoch`] — pieces the delta did not touch are **shared**
-//! with the base epoch through their `Arc`s (the whole graph arena when no pair was
-//! re-scored, the X-Sim/replacement tables when no row was within meta-path reach, the
-//! recommender when the target-domain training matrix is unchanged) — and the epoch is
-//! published with one pointer swap on the model's `EpochHandle`. Readers serving from
-//! the previous epoch finish undisturbed; the old epoch is retired once its last
-//! snapshot drops. Writers serialize on the model's ingest lock.
+//! with the base epoch through their `Arc`s (the graph arena, X-Sim and replacement
+//! tables when no pair was re-scored, the recommender when the target-domain training
+//! matrix is unchanged) — and the epoch is published with one pointer swap on the
+//! model's `EpochHandle`. Readers serving from the previous epoch finish undisturbed;
+//! the old epoch is retired once its last snapshot drops. Writers serialize on the
+//! model's ingest lock.
 //!
-//! ## MRV-split ingest accumulators
-//!
-//! The write-side hotspot accumulators of an ingest — per-user rating sums (a prolific
-//! user's average) and per-item touch counts (a head-of-power-law item absorbing most
-//! co-rating updates) — are maintained MRV-style (`xmap_cf::mrv`): each hot key's
-//! updates are routed to [`INGEST_MRV_SHARDS`] position-routed shards, the `(key,
-//! shard)` cells fold partition-parallel on the dataflow, and the partials merge in
-//! `(key, shard)` order — so commutative updates don't serialize on one cell, yet the
-//! published bits equal the serial routed fold exactly. The merged per-user keys *are*
-//! the delta's affected-user set, and the merged statistics are published as
-//! [`IngestAccumulators`].
-//!
-//! The accumulators and the build's four steps run as one `"delta"` stage on the
-//! model's own dataflow, so the per-partition data-derived costs land in a `"delta"`
-//! ledger ([`XMapModel::delta_task_costs`]) that `figures -- replay` replays on the
-//! cluster simulator — identical at any worker count, and scaling with the delta's
-//! co-rating neighbourhood rather than the trace (`tests/incremental_equivalence.rs`).
+//! The build's four steps run as one `"delta"` stage on the model's own dataflow, so
+//! the per-partition data-derived costs land in a `"delta"` ledger
+//! ([`XMapModel::delta_task_costs`]) that `figures -- replay` replays on the cluster
+//! simulator — identical at any worker count (`tests/incremental_equivalence.rs`).
 
 use crate::pipeline::{build_epoch, DeltaBase, Ledgers, XMapModel};
 use crate::{Result, XMapError};
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use xmap_cf::knn::Profile;
-use xmap_cf::mrv::{self, MrvCell, MrvShard};
 use xmap_cf::{DomainId, ItemId, Rating, RatingMatrix, Timestep, UserId};
 use xmap_engine::{
     fn_stage, ConcurrentIngest, ConcurrentRead, ConcurrentReport, ConcurrentStage, StageContext,
 };
-use xmap_graph::{LayerPartition, SimilarityGraph};
 
 /// Ledger key of the delta stage.
 pub const DELTA_STAGE_NAME: &str = "delta";
-
-/// Shard fan-out of the ingest-side MRV accumulators: each hot key's updates are split
-/// across this many position-routed shards (see `xmap_cf::mrv`). The fan-out is part of
-/// the routing function, so it must stay fixed for the accumulators to be reproducible.
-pub const INGEST_MRV_SHARDS: usize = 8;
 
 /// A batch of rating-trace updates: new or updated ratings (possibly introducing new
 /// users) plus domain declarations for new items.
@@ -170,33 +144,20 @@ pub struct DeltaReport {
     pub n_dirty_items: usize,
     /// Co-rated pairs re-scored for the similarity graph.
     pub n_rescored_pairs: usize,
-    /// X-Sim source rows recomputed.
+    /// X-Sim source rows computed: every source-domain item of the updated matrix, or
+    /// 0 when the table was shared with the base epoch.
     pub n_xsim_rows: usize,
-    /// Replacement draws re-run.
+    /// Replacement draws run: every row of the new X-Sim table, or 0 when the
+    /// replacement table was shared with the base epoch.
     pub n_replacement_draws: usize,
-    /// Item-kNN pools re-fitted (0 for the user-based modes).
+    /// Item-kNN pools fitted: every item of the updated matrix, or 0 when the
+    /// recommender was shared with the base epoch (and always 0 for the user-based
+    /// modes).
     pub n_pool_refits: usize,
     /// Byte offset of this delta's record in the attached journal, or `None` when
     /// the model has no store attached. Written *before* the epoch was published
     /// (write-ahead), so a crash after `apply_delta` returns can always replay it.
     pub journal_offset: Option<u64>,
-}
-
-/// The MRV-merged write-side accumulators of one delta ingest, published alongside the
-/// epoch (see [`XMapModel::ingest_accumulators`]).
-///
-/// Both vectors come out of the deterministic `(key, shard)` merge of `xmap_cf::mrv`,
-/// so they are bit-equal to `mrv::serial_keyed_reference` over the delta's event stream
-/// at any worker count.
-#[derive(Clone, Debug, PartialEq)]
-pub struct IngestAccumulators {
-    /// How many position-routed shards each hot key's updates were split across.
-    pub n_shards: usize,
-    /// Per-user `(sum, count)` of the delta's rating values, sorted by user. The keys
-    /// of this vector are the delta's affected-user set.
-    pub user_stats: Vec<(UserId, MrvShard)>,
-    /// Per-item update counts of the delta, sorted by item.
-    pub item_touches: Vec<(ItemId, u64)>,
 }
 
 /// One read answered by [`XMapModel::serve_concurrent`]: the recommendations plus the
@@ -208,131 +169,6 @@ pub struct ServedRead {
     pub epoch: u64,
     /// The top-N recommendations served from that epoch.
     pub recommendations: Vec<(ItemId, f64)>,
-}
-
-/// Source-domain items whose X-Sim row could differ between the old and updated graph:
-/// every source item within 5 hops (the maximum meta-path length — layer ranks run
-/// 0..=5) of an item whose adjacency row, layer rank or domain changed, measured over
-/// the *union* of the old and new adjacencies (a delta can remove paths as well as add
-/// them). Conservative supersets are fine — recomputation is exact — but anything
-/// smaller than the true dependency set would break bit-identity with a full refit.
-pub(crate) fn affected_xsim_rows(
-    old_graph: &SimilarityGraph,
-    old_partition: &LayerPartition,
-    new_graph: &SimilarityGraph,
-    new_partition: &LayerPartition,
-    source: DomainId,
-) -> Vec<ItemId> {
-    let n_items = old_graph.n_items().max(new_graph.n_items());
-    let mut distance = vec![u8::MAX; n_items];
-    let mut queue: VecDeque<ItemId> = VecDeque::new();
-    for (ix, slot) in distance.iter_mut().enumerate() {
-        let item = ItemId(ix as u32);
-        let old_row = old_graph.neighbors(item);
-        let new_row = new_graph.neighbors(item);
-        let row_changed = old_row.ids() != new_row.ids()
-            || (0..old_row.len()).any(|s| old_row.get(s).stats != new_row.get(s).stats);
-        let rank_changed = old_partition.path_rank(item, source)
-            != new_partition.path_rank(item, source)
-            || old_partition.domain(item) != new_partition.domain(item);
-        if row_changed || rank_changed {
-            *slot = 0;
-            queue.push_back(item);
-        }
-    }
-    const MAX_HOPS: u8 = 5;
-    while let Some(item) = queue.pop_front() {
-        let d = distance[item.index()];
-        if d == MAX_HOPS {
-            continue;
-        }
-        for &to in old_graph
-            .neighbors(item)
-            .ids()
-            .iter()
-            .chain(new_graph.neighbors(item).ids())
-        {
-            if distance[to.index()] > d + 1 {
-                distance[to.index()] = d + 1;
-                queue.push_back(to);
-            }
-        }
-    }
-    (0..n_items)
-        .filter(|&ix| distance[ix] <= MAX_HOPS)
-        .map(|ix| ItemId(ix as u32))
-        .filter(|&i| new_graph.item_domain(i) == source)
-        .collect()
-}
-
-/// Target items whose kNN pool must be re-scored: the endpoints of every affected
-/// co-rated pair *within the target-domain matrix*, ascending — each dirty item that
-/// shares a rater with anything, plus whatever its raters' profiles touch, marked
-/// straight into one seen buffer (no pair key is materialised). An item with no
-/// affected pair keeps its pool bit for bit (candidate set, candidate statistics and
-/// its raters' averages are all untouched).
-pub(crate) fn affected_pool_items(
-    target_matrix: &RatingMatrix,
-    affected_users: &[UserId],
-) -> Vec<ItemId> {
-    let mut seen = vec![false; target_matrix.n_items()];
-    let mut items: Vec<ItemId> = Vec::new();
-    let mut mark = |item: ItemId| {
-        if !std::mem::replace(&mut seen[item.index()], true) {
-            items.push(item);
-        }
-    };
-    for dirty in SimilarityGraph::dirty_items(target_matrix, affected_users) {
-        for rater in target_matrix.item_profile(dirty) {
-            for e in target_matrix.user_profile(rater.user) {
-                if e.item != dirty {
-                    mark(e.item);
-                    mark(dirty);
-                }
-            }
-        }
-    }
-    items.sort_unstable();
-    items
-}
-
-/// Folds the routed `(key, shard)` cells of one MRV accumulation partition-parallel
-/// (one data-derived cost per partition: `Σ |values|` — a fold's work is the values it
-/// folds) and merges the partials in the deterministic `(key, shard)` order. Bit-equal
-/// to `mrv::serial_keyed_reference` at any worker count because the outputs come back
-/// in routing order.
-fn fold_routed_cells<K>(cells: Vec<MrvCell<K>>, cx: &mut StageContext<'_>) -> Vec<(K, MrvShard)>
-where
-    K: Copy + Ord + Send + Sync,
-{
-    let folded: Vec<(K, MrvShard)> = cx.map_items_ordered(cells, |_ix, part| {
-        let outs: Vec<(K, MrvShard)> = part.iter().map(|(_, c)| (c.key, c.fold())).collect();
-        let cost: f64 = part.iter().map(|(_, c)| c.values.len() as f64).sum();
-        (outs, cost)
-    });
-    mrv::merge_cells(folded)
-}
-
-/// Step 0 of a delta, ahead of the build's four: routes the delta's rating events to
-/// `(key, shard)` cells by per-key occurrence position, folds the cells
-/// partition-parallel and merges them in `(key, shard)` order. The merged user keys are
-/// the affected-user set every later step consumes.
-fn ingest_accumulators(delta: &RatingDelta, cx: &mut StageContext<'_>) -> IngestAccumulators {
-    let user_cells = mrv::route_events(
-        delta.ratings().iter().map(|r| (r.user, r.value)),
-        INGEST_MRV_SHARDS,
-    );
-    let item_cells = mrv::route_events(
-        delta.ratings().iter().map(|r| (r.item, 1.0)),
-        INGEST_MRV_SHARDS,
-    );
-    let user_stats = fold_routed_cells(user_cells, cx);
-    let item_stats = fold_routed_cells(item_cells, cx);
-    IngestAccumulators {
-        n_shards: INGEST_MRV_SHARDS,
-        user_stats,
-        item_touches: item_stats.iter().map(|&(i, s)| (i, s.count)).collect(),
-    }
 }
 
 /// The validation prelude of [`XMapModel::apply_delta`], ahead of the build, the
@@ -357,7 +193,7 @@ fn check_delta(delta: &RatingDelta, full: &RatingMatrix) -> Result<()> {
 
 impl XMapModel {
     /// Absorbs a batch of new/updated ratings into the fitted model **incrementally**
-    /// and **without blocking readers**: only the state the delta affects is recomputed
+    /// and **without blocking readers**: only the pairs the delta affects are re-scored
     /// (see the module docs for the layers), the next [`crate::ModelEpoch`] is built aside —
     /// sharing every untouched piece with the base epoch — and published with a single
     /// pointer swap. The resulting model — graph bits, replacement table, kNN pools,
@@ -369,10 +205,9 @@ impl XMapModel {
     /// epoch is retired once its last snapshot drops. Concurrent `apply_delta` calls
     /// serialize on the model's ingest lock.
     ///
-    /// The affected-item work runs as one `"delta"` stage on the model's own dataflow;
-    /// its per-partition data-derived task costs ([`XMapModel::delta_task_costs`]) are
-    /// identical at any worker count and scale with the delta's co-rating
-    /// neighbourhood, not the trace. For the private modes the delta re-releases every
+    /// The build runs as one `"delta"` stage on the model's own dataflow; its
+    /// per-partition data-derived task costs ([`XMapModel::delta_task_costs`]) are
+    /// identical at any worker count. For the private modes the delta re-releases every
     /// artifact, so a **fresh** privacy accountant is charged exactly like a refit
     /// (ε for PRS, ε′ for PNSA + PNCF) and replaces the previous ledger.
     ///
@@ -393,17 +228,13 @@ impl XMapModel {
                 .apply_delta(delta.ratings(), delta.item_domains())?,
         );
 
-        let (next, accumulators, mut report) = self.flow.run(
+        let (next, mut report) = self.flow.run(
             &fn_stage(DELTA_STAGE_NAME, |(), cx: &mut StageContext<'_>| {
-                let accumulators = ingest_accumulators(delta, cx);
-                let affected_users: Vec<UserId> =
-                    accumulators.user_stats.iter().map(|&(u, _)| u).collect();
                 let from = DeltaBase {
                     epoch: &base,
                     delta,
-                    affected_users: &affected_users,
                 };
-                let (next, mut report) = build_epoch(
+                build_epoch(
                     base.config,
                     base.source_domain,
                     base.target_domain,
@@ -411,13 +242,11 @@ impl XMapModel {
                     Some(&from),
                     Ledgers::Running(cx),
                     || Arc::clone(&updated),
-                )?;
-                report.n_delta_ratings = delta.len();
-                report.n_affected_users = affected_users.len();
-                Ok::<_, XMapError>((next, accumulators, report))
+                )
             }),
             (),
         )?;
+        report.n_delta_ratings = delta.len();
 
         // --- Write-ahead journal: with a store attached, the delta record must be
         // durable (appended + fsynced) *before* the epoch it produces becomes
@@ -438,18 +267,13 @@ impl XMapModel {
         // --- Publish: one pointer swap; readers on the base epoch drain and the base
         // retires with its last snapshot. ---
         report.epoch = self.handle.publish(Arc::new(next));
-        *self
-            .ingest_stats
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(accumulators);
         Ok(report)
     }
 
     /// Per-partition task costs of the most recent [`XMapModel::apply_delta`] (the
     /// `delta` stage's ledger entry) — the incremental-fit analogue of
     /// [`XMapModel::fit_task_costs`], for the cluster simulator. Data-derived, so
-    /// identical at any worker count; grows with the delta's affected neighbourhood,
-    /// not the trace.
+    /// identical at any worker count.
     pub fn delta_task_costs(&self) -> Option<Vec<f64>> {
         self.flow.stage_costs(DELTA_STAGE_NAME)
     }
@@ -762,64 +586,6 @@ mod tests {
         )
         .unwrap();
         assert_matches_refit(&model, &refit, &ds);
-    }
-
-    #[test]
-    fn ingest_accumulators_match_the_serial_mrv_reference() {
-        let ds = dataset();
-        let model = XMapModel::fit(
-            &ds.matrix,
-            DomainId::SOURCE,
-            DomainId::TARGET,
-            config(XMapMode::NxMapItemBased),
-        )
-        .unwrap();
-        assert!(model.ingest_accumulators().is_none(), "no ingest ran yet");
-        let hot_user = ds.overlap_users[0];
-        let other_user = ds.overlap_users[1];
-        let hot_item = ds.target_items()[0];
-        let mut delta = RatingDelta::new();
-        // A hot user and a hot item absorbing several updates each, to exercise the
-        // multi-shard path.
-        for step in 0..12u32 {
-            delta.push_timed(
-                hot_user.0,
-                ds.target_items()[(step % 3) as usize].0,
-                1.0 + (step % 5) as f64,
-                200 + step,
-            );
-            delta.push_timed(
-                other_user.0,
-                hot_item.0,
-                5.0 - (step % 4) as f64,
-                200 + step,
-            );
-        }
-        model.apply_delta(&delta).unwrap();
-        let acc = model
-            .ingest_accumulators()
-            .expect("delta publishes accumulators");
-        assert_eq!(acc.n_shards, INGEST_MRV_SHARDS);
-        let user_reference = mrv::serial_keyed_reference(
-            delta.ratings().iter().map(|r| (r.user, r.value)),
-            INGEST_MRV_SHARDS,
-        );
-        assert_eq!(acc.user_stats.len(), user_reference.len());
-        for ((user, stat), (ref_user, ref_stat)) in acc.user_stats.iter().zip(&user_reference) {
-            assert_eq!(user, ref_user);
-            assert_eq!(stat.count, ref_stat.count);
-            assert_eq!(
-                stat.sum.to_bits(),
-                ref_stat.sum.to_bits(),
-                "user {user} accumulator diverged from the serial MRV reference"
-            );
-        }
-        // The accumulator keys are the affected-user set.
-        let users: Vec<UserId> = acc.user_stats.iter().map(|&(u, _)| u).collect();
-        assert_eq!(users, delta.affected_users());
-        // Item touch counts partition the event count.
-        let touches: u64 = acc.item_touches.iter().map(|&(_, c)| c).sum();
-        assert_eq!(touches, delta.len() as u64);
     }
 
     #[test]

@@ -62,9 +62,8 @@ impl AlterEgo {
 /// The item-to-item replacement table produced by the mapping step.
 ///
 /// `PartialEq` compares the full mapping — it is what the delta-fit equivalence gate
-/// holds a spliced table ([`ReplacementTable::recompute_replacements_batched`])
-/// against a freshly generated one.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// holds a delta's table against a refit's.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ReplacementTable {
     replacements: HashMap<ItemId, ItemId>,
 }
@@ -142,54 +141,42 @@ impl ReplacementTable {
         })
     }
 
-    /// Recomputes the replacement draws of `items` against an (updated) X-Sim table
-    /// and splices them into a copy of `previous` — the generator, partition-parallel:
-    /// the sorted X-Sim row keys over the empty table for a fit, the recomputed rows
-    /// over the base epoch's table for a delta. Items whose fresh candidate list yields
-    /// no eligible replacement are *removed*: the table never stores them.
+    /// Draws the replacement of every row of `xsim` — the generator, partition-parallel.
+    /// Items whose candidate list yields no eligible replacement are not stored.
     ///
-    /// `items` are split into the dataflow's partitions by item id (callers pass them
-    /// sorted — the X-Sim table iterates in hash order, which must not leak into
-    /// partition contents) and every partition draws as one pool task. Because every
+    /// The row keys are split into the dataflow's partitions by item id, in ascending
+    /// order (the X-Sim table iterates its map in hash order, which must not leak into
+    /// partition contents), and every partition draws as one pool task. Because every
     /// draw's RNG stream derives from `(config.seed, item)` alone, the draws are
-    /// independent of order and of each other: when `items` covers every source item
-    /// whose X-Sim row changed, the spliced table is **bit-equal** to
-    /// [`ReplacementTable::compute_replacements_serial`] over the whole updated table
-    /// at any worker count. One data-derived cost per partition — `Σ (1 +
-    /// |candidates|)` — lands on the running stage's ledger.
-    pub fn recompute_replacements_batched(
+    /// independent of order and of each other, so the table is **bit-equal** to
+    /// [`ReplacementTable::compute_replacements_serial`] at any worker count. One
+    /// data-derived cost per partition — `Σ (1 + |candidates|)` — lands on the running
+    /// stage's ledger.
+    pub(crate) fn build(
         xsim: &XSimTable,
         config: &XMapConfig,
-        items: Vec<ItemId>,
-        previous: &ReplacementTable,
         cx: &mut StageContext<'_>,
     ) -> ReplacementTable {
-        let per_partition: Vec<Vec<(ItemId, Option<ItemId>)>> = cx.map_partitions(
+        let items: Vec<ItemId> = xsim.iter().map(|(item, _)| item).collect();
+        let per_partition: Vec<Vec<(ItemId, ItemId)>> = cx.map_partitions(
             items,
             |item| item.0,
             |_ix, part| {
-                let mut out: Vec<(ItemId, Option<ItemId>)> = Vec::new();
+                let mut out: Vec<(ItemId, ItemId)> = Vec::new();
                 let mut cost = 0.0f64;
                 for &item in part {
                     let all_candidates = xsim.candidates(item);
                     cost += 1.0 + all_candidates.len() as f64;
-                    out.push((item, Self::replacement_for(item, all_candidates, config)));
+                    if let Some(r) = Self::replacement_for(item, all_candidates, config) {
+                        out.push((item, r));
+                    }
                 }
                 (out, cost)
             },
         );
-        let mut replacements = previous.replacements.clone();
-        for (item, replacement) in per_partition.into_iter().flatten() {
-            match replacement {
-                Some(r) => {
-                    replacements.insert(item, r);
-                }
-                None => {
-                    replacements.remove(&item);
-                }
-            }
+        ReplacementTable {
+            replacements: per_partition.into_iter().flatten().collect(),
         }
-        ReplacementTable { replacements }
     }
 }
 
@@ -531,15 +518,7 @@ mod tests {
                     &fn_stage(
                         "generator",
                         |xsim: &XSimTable, cx: &mut StageContext<'_>| {
-                            // "Everything" as the row set: the sorted X-Sim row keys,
-                            // over the empty table.
-                            ReplacementTable::recompute_replacements_batched(
-                                xsim,
-                                &config,
-                                xsim.iter().map(|(item, _)| item).collect(),
-                                &ReplacementTable::default(),
-                                cx,
-                            )
+                            ReplacementTable::build(xsim, &config, cx)
                         },
                     ),
                     &table,

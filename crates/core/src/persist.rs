@@ -21,10 +21,9 @@
 //! What is persisted vs recomputed: the snapshot carries every artifact whose
 //! reconstruction is either expensive or non-derivable — the aggregated matrix, the
 //! similarity graph (including its scored-pair delta cache), the X-Sim table, the
-//! replacement table, the fitted item-kNN pools and the privacy ledger. The bridge
-//! index, layer partition and the recommender (X-Map-ib's seeded release included)
-//! are cheap deterministic functions of those and are recomputed on load, exactly as
-//! the fit computes them.
+//! replacement table, the fitted item-kNN pools and the privacy ledger. The
+//! recommender (X-Map-ib's seeded release included) is a cheap deterministic function
+//! of those and is recomputed on load, exactly as the fit computes it.
 
 use crate::delta::RatingDelta;
 use crate::pipeline::{ModelEpoch, XMapModel};
@@ -36,7 +35,7 @@ use std::sync::Arc;
 use xmap_cf::knn::ItemNeighbor;
 use xmap_cf::{DomainId, RatingMatrix};
 use xmap_engine::Dataflow;
-use xmap_graph::{LayerPartition, SimilarityGraph};
+use xmap_graph::SimilarityGraph;
 use xmap_privacy::PrivacyBudget;
 use xmap_store::{Journal, Snapshot};
 
@@ -134,10 +133,10 @@ impl xmap_store::Codec for ModelState {
     }
 }
 
-/// Rebuilds a live [`XMapModel`] from a decoded snapshot image: recomputes the layer
-/// partition and the mode's recommender (deterministic functions of the persisted
-/// artifacts), and seeds the epoch handle at the snapshot epoch so replayed deltas
-/// publish the exact journal stamps.
+/// Rebuilds a live [`XMapModel`] from a decoded snapshot image: recomputes the mode's
+/// recommender (a deterministic function of the persisted artifacts), and seeds the
+/// epoch handle at the snapshot epoch so replayed deltas publish the exact journal
+/// stamps.
 fn model_from_state(state: ModelState) -> Result<XMapModel> {
     let ModelState {
         epoch: epoch_no,
@@ -161,10 +160,18 @@ fn model_from_state(state: ModelState) -> Result<XMapModel> {
             detail: "persisted source and target domains are equal".to_string(),
         });
     }
-
-    // Same calls as the build — the recomputed pieces are bit-identical to what the
-    // persisting process held in memory.
-    let (_, partition) = LayerPartition::from_graph(&graph);
+    // The pieces of one epoch share the matrix's item ids: a graph or pool table of
+    // another size belongs to another model, and would serve its answers.
+    let mismatch = |piece: &str, n_items: usize| XMapError::Corrupt {
+        offset: 0,
+        detail: format!(
+            "persisted {piece} covers {n_items} items, the matrix {}",
+            full.n_items()
+        ),
+    };
+    if graph.n_items() != full.n_items() {
+        return Err(mismatch("graph", graph.n_items()));
+    }
 
     let target_matrix = full
         .filter(|r| full.item_domain(r.item) == target)
@@ -190,11 +197,16 @@ fn model_from_state(state: ModelState) -> Result<XMapModel> {
     } else {
         None
     };
+    if let Some(pools) = item_pools.as_ref().filter(|p| p.len() != full.n_items()) {
+        return Err(mismatch("kNN pool table", pools.len()));
+    }
     // A fresh dataflow: the durations and task bags of the original fit are not
     // persisted, so the reopened model's stats report its shape and empty ledgers.
     let flow = Dataflow::new(config.workers, config.partitions);
-    // Rebuilding over the persisted artifacts releases nothing new: the persisted
-    // ledger already recorded their ε′, so no budget is touched here.
+    // The build's own call, so the recommender is bit-identical to the one the
+    // persisting process held. Rebuilding over the persisted artifacts releases
+    // nothing new: the persisted ledger already recorded their ε′, so no budget is
+    // touched here.
     let recommender = recommend::build(
         &config,
         Arc::new(target_matrix),
@@ -208,7 +220,6 @@ fn model_from_state(state: ModelState) -> Result<XMapModel> {
         target_domain: target,
         full,
         graph,
-        partition: Arc::new(partition),
         replacements,
         xsim,
         recommender,
@@ -406,6 +417,56 @@ mod tests {
             Snapshot::write(&path, &state).unwrap();
             assert_eq!(std::fs::read(&path).unwrap(), framed_by_copy(&state));
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A CRC-valid snapshot carrying a smaller fit's graph or pools beside a larger
+    /// matrix would serve another model's answers; it must not open.
+    #[test]
+    fn a_snapshot_whose_pieces_disagree_in_size_is_refused_as_corrupt() {
+        let ds = CrossDomainDataset::generate(CrossDomainConfig::small());
+        let config = XMapConfig {
+            mode: XMapMode::NxMapItemBased,
+            k: 8,
+            ..Default::default()
+        };
+        let fit = |matrix: &RatingMatrix| {
+            let model = XMapModel::fit(matrix, DomainId::SOURCE, DomainId::TARGET, config);
+            model.unwrap().snapshot().1
+        };
+        let new_item = ds.matrix.n_items() as u32;
+        let mut delta = RatingDelta::new();
+        delta
+            .declare_item(xmap_cf::ItemId(new_item), DomainId::TARGET)
+            .push_timed(ds.overlap_users[0].0, new_item, 4.0, 90);
+        let small = fit(&ds.matrix);
+        let large = fit(&ds
+            .matrix
+            .apply_delta(delta.ratings(), delta.item_domains())
+            .unwrap());
+        let dir = std::env::temp_dir().join(format!("xmap_mismatch_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let open = |state: &ModelState| {
+            Snapshot::write(&dir.join(SNAPSHOT_FILE), state).unwrap();
+            let _ = std::fs::remove_file(dir.join(JOURNAL_FILE));
+            XMapModel::open(&dir)
+        };
+        for (piece, graph_from, pools_from) in [
+            ("graph", &small, &large),
+            ("kNN pool table", &large, &small),
+        ] {
+            let mut state = ModelState::from_epoch(1, &large);
+            state.graph = Arc::clone(&graph_from.graph);
+            state.item_pools = pools_from.item_pools.clone();
+            match open(&state) {
+                Err(XMapError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains(piece), "{detail}")
+                }
+                other => panic!("{piece}: a mismatched snapshot opened: {:?}", other.err()),
+            }
+        }
+        assert!(open(&ModelState::from_epoch(1, &large)).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -3,13 +3,14 @@
 //!
 //! The four components are the four steps of **one** build (`build_epoch`), executed
 //! on the `xmap-engine` [`Dataflow`] runner, which owns partitioning, pool execution and
-//! per-stage accounting (see `DESIGN.md`). A build starts from a base epoch and an
-//! affected set per step: [`XMapModel::fit`] is the build with no base — every item
-//! dirty, every X-Sim row recomputed, every replacement drawn, every pool fitted, each
-//! spliced into the empty piece — and `XMapModel::apply_delta` (`crate::delta`) is the
-//! same build over the served epoch with each set narrowed to what the delta can
-//! reach. A fit records each step under its own ledger name (`baseliner` / `extender` /
-//! `generator` / `recommender`), a delta all of them under `delta`.
+//! per-stage accounting (see `DESIGN.md`). [`XMapModel::fit`] is the build with no base
+//! epoch — every item dirty, every piece built whole — and `XMapModel::apply_delta`
+//! (`crate::delta`) is the same build over the served epoch. Only the baseliner
+//! narrows: it re-scores the pairs of the delta's dirty items over the base graph's
+//! scored-pair cache. Every later step either shares the base's piece, when its input
+//! is unchanged, or builds it whole exactly as a fit does. A fit records each step
+//! under its own ledger name (`baseliner` / `extender` / `generator` /
+//! `recommender`), a delta all of them under `delta`.
 //!
 //! Every step runs partition-parallel with a bit-identity contract (see the build
 //! section of `DESIGN.md`): the released model and the recorded per-partition task
@@ -41,9 +42,7 @@
 //! (`serve_on`) is the same per-profile read run as one `recommend` stage.
 
 use crate::config::XMapConfig;
-use crate::delta::{
-    affected_pool_items, affected_xsim_rows, DeltaReport, IngestAccumulators, RatingDelta,
-};
+use crate::delta::{DeltaReport, RatingDelta};
 use crate::generator::{self, AlterEgo, ReplacementTable};
 use crate::recommend::{self, ProfileRecommender, SharedRecommender};
 use crate::xsim::XSimTable;
@@ -104,7 +103,8 @@ impl PipelineStats {
     /// the model (a delta records under `delta`), empty on a model reopened from a
     /// snapshot: they describe a past process, not the model.
     fn capture(epoch: &ModelEpoch, flow: &Dataflow) -> Self {
-        let layer_counts = epoch.partition.cell_counts();
+        let (_, partition) = LayerPartition::from_graph(&epoch.graph);
+        let layer_counts = partition.cell_counts();
         let bag = |stage: &str| flow.stage_costs(stage).unwrap_or_default();
         PipelineStats {
             n_standard_hetero_pairs: epoch.graph.n_heterogeneous_pairs(),
@@ -127,8 +127,8 @@ impl PipelineStats {
 
 /// One immutable, self-consistent version of a fitted X-Map model.
 ///
-/// Every released artifact of the fit — the aggregated matrix, the baseline graph and
-/// its layer partition, the X-Sim table, the replacement table, the recommender and its
+/// Every released artifact of the fit — the aggregated matrix, the baseline graph, the
+/// X-Sim table, the replacement table, the recommender and its
 /// raw kNN pools, the privacy accountant — is held behind its own `Arc` so that a delta
 /// fit can build the *next* epoch by sharing every piece it did not touch (structural
 /// sharing: unchanged arenas are pointed at, not copied). Readers obtain an epoch via
@@ -140,19 +140,16 @@ pub struct ModelEpoch {
     pub(crate) source_domain: DomainId,
     pub(crate) target_domain: DomainId,
     pub(crate) full: Arc<RatingMatrix>,
-    /// The baseline similarity graph of the fit — retained (it is the arena the
-    /// delta-fit surgically updates, and the artifact the equivalence gate compares).
+    /// The baseline similarity graph of the fit — retained (its scored-pair cache is
+    /// what a delta's baseliner merges over, and the artifact the equivalence gate
+    /// compares).
     pub(crate) graph: Arc<SimilarityGraph>,
-    /// The layer partition of `graph` — retained so a delta fit can detect rank
-    /// changes by comparison instead of recomputing the old partition per update.
-    pub(crate) partition: Arc<LayerPartition>,
     pub(crate) replacements: Arc<ReplacementTable>,
     pub(crate) xsim: Arc<XSimTable>,
     pub(crate) recommender: SharedRecommender,
-    /// The fitted item-kNN pools of the item-based modes, kept so a delta fit can
-    /// re-score only the affected items' pools — the same allocation `recommender`
-    /// reads, not a second copy. `None` for the user-based modes, which precompute
-    /// nothing at fit time.
+    /// The fitted item-kNN pools of the item-based modes, kept for the snapshot and
+    /// the shard cut — the same allocation `recommender` reads, not a second copy.
+    /// `None` for the user-based modes, which precompute nothing at fit time.
     pub(crate) item_pools: Option<Arc<Vec<Vec<ItemNeighbor>>>>,
     /// The privacy accountant of this epoch (private modes only): PRS plus PNSA/PNCF.
     pub(crate) budget: Option<Arc<PrivacyBudget>>,
@@ -254,8 +251,8 @@ impl EvalTarget for ModelEpoch {
 }
 
 /// A fitted X-Map model: an epoch-published immutable snapshot ([`ModelEpoch`]) behind
-/// an atomically swappable handle, plus the mutable ingest side (the dataflow runner,
-/// the ingest accumulators and the attached store). It stores nothing its epoch stores:
+/// an atomically swappable handle, plus the mutable ingest side (the dataflow runner
+/// and the attached store). It stores nothing its epoch stores:
 /// configuration and domains are read from the snapshot.
 ///
 /// All query methods are `&self` and answer from a wait-free snapshot of the current
@@ -271,8 +268,6 @@ pub struct XMapModel {
     pub(crate) flow: Dataflow,
     /// Serializes writers: `apply_delta` holds this for its whole build-aside phase.
     pub(crate) ingest_lock: Mutex<()>,
-    /// MRV-merged per-user/per-item accumulators of the most recent delta ingest.
-    pub(crate) ingest_stats: Mutex<Option<IngestAccumulators>>,
     /// The attached durable store (snapshot path + open journal), `None` for a
     /// purely in-memory model. Attached by [`XMapModel::persist`] /
     /// [`XMapModel::open`] / [`XMapModel::recover`]; when attached, `apply_delta`
@@ -289,7 +284,6 @@ impl XMapModel {
             handle: EpochHandle::new(Arc::new(epoch), epoch_no),
             flow,
             ingest_lock: Mutex::new(()),
-            ingest_stats: Mutex::new(None),
             store: Mutex::new(None),
         }
     }
@@ -413,17 +407,6 @@ impl XMapModel {
     /// PRS, PNSA and PNCF ledger entries), `None` for the non-private ones.
     pub fn privacy_budget(&self) -> Option<Arc<PrivacyBudget>> {
         self.snap().budget.clone()
-    }
-
-    /// The MRV-merged ingest accumulators of the most recent delta fit (per-user rating
-    /// sums/counts and per-item touch counts of the delta stream), or `None` before the
-    /// first `apply_delta`. Deterministically merged in `(key, shard)` order — see the
-    /// MRV section of `DESIGN.md`.
-    pub fn ingest_accumulators(&self) -> Option<IngestAccumulators> {
-        self.ingest_stats
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
     }
 
     /// The combined fit task bag: every per-partition cost the four fit stages recorded
@@ -568,37 +551,35 @@ fn gather_pairs(
 }
 
 /// The partition-parallel item-kNN pool fit of the recommender step: one ordered map
-/// over `items`, each partition gathering its items' kernel rows through one reused
-/// scratch — a row is the item's candidate set *and* the candidates' similarities, in
-/// candidate order — and recording the entries walked as its cost.
+/// over every item of `matrix`, each partition gathering its items' kernel rows through
+/// one reused scratch — a row is the item's candidate set *and* the candidates'
+/// similarities, in candidate order — and recording the entries walked as its cost.
+/// The pool table comes back indexed by item.
 fn fit_item_pools(
     matrix: &RatingMatrix,
     knn_config: &ItemKnnConfig,
-    items: Vec<ItemId>,
     cx: &mut StageContext<'_>,
-) -> Vec<(ItemId, Vec<ItemNeighbor>)> {
+) -> Vec<Vec<ItemNeighbor>> {
     let kernel = ItemRowKernel::new(matrix, knn_config.metric);
-    cx.map_items_ordered(items, |_ix, part| {
+    cx.map_items_ordered(matrix.items().collect(), |_ix, part| {
         let mut scratch = RowScratch::new();
         let mut outs = Vec::with_capacity(part.len());
         let mut cost = 0.0f64;
         for &(_, item) in part {
             let (row, walked) = kernel.row(item, &mut scratch);
             cost += walked;
-            outs.push((item, ItemKnn::neighbors_from_row(row, knn_config.k)));
+            outs.push(ItemKnn::neighbors_from_row(row, knn_config.k));
         }
         (outs, cost)
     })
 }
 
-/// What a delta's build starts from. A fit starts from nothing (`None`): each of its
-/// row sets is everything and each base piece the empty one.
+/// What a delta's build starts from. A fit starts from nothing (`None`): every item is
+/// dirty and the scored-pair cache is the empty graph's.
 pub(crate) struct DeltaBase<'a> {
     /// The epoch the delta was applied to.
     pub(crate) epoch: &'a ModelEpoch,
     pub(crate) delta: &'a RatingDelta,
-    /// The users the delta touched, ascending (the merged MRV accumulator keys).
-    pub(crate) affected_users: &'a [UserId],
 }
 
 /// Where the steps of a build record their data-derived task costs.
@@ -623,11 +604,14 @@ impl Ledgers<'_, '_> {
     }
 }
 
-/// The one build: the four steps of Figure 4 over `updated`, each recomputing its
-/// affected set — everything without a `base`, what the delta can reach with one — and
-/// splicing it into the base's piece, then the epoch assembly, which shares with the
-/// base every piece no step rebuilt. The result is bit-identical to the serial
-/// references on `updated` whichever way it was reached (see `DESIGN.md`).
+/// The one build: the four steps of Figure 4 over `updated`, then the epoch assembly.
+/// The baseliner re-scores the dirty items' pairs — every item without a `base`, the
+/// delta users' profiles with one — over the base graph's scored-pair cache. Each
+/// later step shares the base's piece when its input is unchanged (the graph for the
+/// X-Sim table and the replacements, the target-domain matrix for the recommender and
+/// its pools) and otherwise builds the piece whole, as a fit does. The result is
+/// bit-identical to the serial references on `updated` whichever way it was reached
+/// (see `DESIGN.md`).
 ///
 /// Privacy: a fresh accountant per build, sized to exactly ε (PRS) + ε′ (PNSA + PNCF)
 /// by sequential composition — a delta re-releases every artifact, shared or not — and
@@ -648,108 +632,88 @@ pub(crate) fn build_epoch(
         .is_private()
         .then(|| PrivacyBudget::new(config.privacy.total()));
     let mut report = DeltaReport::default();
-    // What the steps splice into: the base epoch's pieces, empty ones in a fit.
-    let (old_graph, old_xsim, old_replacements) = match base {
-        Some(b) => (
-            Arc::clone(&b.epoch.graph),
-            Arc::clone(&b.epoch.xsim),
-            Arc::clone(&b.epoch.replacements),
-        ),
+    // The scored-pair cache the baseliner merges over: the base graph's, or the empty
+    // graph's in a fit.
+    let empty;
+    let old_graph: &SimilarityGraph = match base {
+        Some(b) => &b.epoch.graph,
         None => {
-            let graph_config = GraphConfig {
+            empty = SimilarityGraph::empty(GraphConfig {
                 metric: config.metric,
                 top_k: Some(config.k),
                 min_similarity: 0.0,
-            };
-            let graph = Arc::new(SimilarityGraph::empty(graph_config));
-            (graph, Arc::default(), Arc::default())
+            });
+            &empty
         }
     };
 
-    // --- 1. Baseliner: gather the dirty items' whole rows and merge them over the old
-    // graph's scored-pair cache. Nothing re-scored and no item added: the old arena
+    // --- 1. Baseliner, the one narrowed step: gather the dirty items' whole rows and
+    // merge them over the cache. Nothing re-scored and no item added: the base arena
     // *is* the refit's, so it is shared instead of copied. ---
-    let (graph, partition) = ledgers.step("baseliner", |cx| {
+    let graph = ledgers.step("baseliner", |cx| {
         let dirty: Vec<ItemId> = match base {
             None => updated.items().collect(),
-            Some(b) => SimilarityGraph::dirty_items(updated, b.affected_users),
+            Some(b) => {
+                let users = b.delta.affected_users();
+                report.n_affected_users = users.len();
+                SimilarityGraph::dirty_items(updated, &users)
+            }
         };
         report.n_dirty_items = dirty.len();
         let (keys, fresh) = gather_pairs(updated, config.metric, dirty, cx);
         report.n_rescored_pairs = keys.len();
-        let unchanged = keys.is_empty() && updated.n_items() == old_graph.n_items();
-        if let Some(b) = base.filter(|_| unchanged) {
-            return (Arc::clone(&old_graph), Arc::clone(&b.epoch.partition));
+        let unchanged =
+            |b: &&DeltaBase<'_>| keys.is_empty() && updated.n_items() == b.epoch.graph.n_items();
+        if let Some(b) = base.filter(unchanged) {
+            return Arc::clone(&b.epoch.graph);
         }
-        let graph = old_graph.apply_updates(updated, keys, fresh);
-        // Bridges and layers: cheap linear passes over the new arena.
-        let (_, partition) = LayerPartition::from_graph(&graph);
-        (Arc::new(graph), Arc::new(partition))
+        Arc::new(old_graph.apply_updates(updated, keys, fresh))
     });
+    // A shared graph leaves the X-Sim table and the replacements the refit's too.
+    let unmoved = base.filter(|b| Arc::ptr_eq(&graph, &b.epoch.graph));
 
-    // --- 2. Extender: recompute the source rows within meta-path reach of a change
-    // (an untouched graph reaches nothing, so the table is shared outright). ---
-    let (xsim, rows) = ledgers.step("extender", |cx| {
-        let rows: Vec<ItemId> = match base {
-            None => graph
+    // --- 2. Extender: every source row by frontier expansion. ---
+    let xsim = ledgers.step("extender", |cx| match unmoved {
+        Some(b) => Arc::clone(&b.epoch.xsim),
+        None => {
+            report.n_xsim_rows = updated
                 .items()
-                .filter(|&i| graph.item_domain(i) == source)
-                .collect(),
-            Some(_) if Arc::ptr_eq(&graph, &old_graph) => Vec::new(),
-            Some(b) => {
-                affected_xsim_rows(&old_graph, &b.epoch.partition, &graph, &partition, source)
-            }
-        };
-        report.n_xsim_rows = rows.len();
-        let xsim = if rows.is_empty() {
-            Arc::clone(&old_xsim)
-        } else {
-            Arc::new(old_xsim.with_recomputed_rows(
+                .filter(|&i| updated.item_domain(i) == source)
+                .count();
+            // Bridges and layers: cheap linear passes over the new arena.
+            let (_, partition) = LayerPartition::from_graph(&graph);
+            Arc::new(XSimTable::build(
                 &graph,
                 &partition,
                 source,
                 config.metapath,
-                rows.clone(),
                 cx,
             ))
-        };
-        (xsim, rows)
+        }
     });
 
     // --- 3. Generator: PRS (one exponential-mechanism draw per item, reused for every
-    // user) spends the generation-phase ε before the draws run, then the recomputed
-    // rows are re-drawn — every row the table holds, in a fit. Per-item RNG streams
-    // keep an unchanged row's draw bit-equal, so with nothing recomputed the old table
-    // already *is* the refit's and is shared. ---
+    // user) spends the generation-phase ε before the draws run, then every X-Sim row
+    // is drawn. ---
     let replacements = ledgers.step("generator", |cx| -> Result<_> {
         if let Some(budget) = &mut budget {
             budget.spend("PRS", config.privacy.epsilon)?;
         }
-        let draws: Vec<ItemId> = match base {
-            None => xsim.iter().map(|(item, _)| item).collect(),
-            Some(_) => rows.clone(),
-        };
-        report.n_replacement_draws = draws.len();
-        Ok(if draws.is_empty() {
-            Arc::clone(&old_replacements)
-        } else {
-            Arc::new(ReplacementTable::recompute_replacements_batched(
-                &xsim,
-                &config,
-                draws,
-                &old_replacements,
-                cx,
-            ))
+        Ok(match unmoved {
+            Some(b) => Arc::clone(&b.epoch.replacements),
+            None => {
+                report.n_replacement_draws = xsim.n_connected_items();
+                Arc::new(ReplacementTable::build(&xsim, &config, cx))
+            }
         })
     })?;
 
     // --- 4. Recommender: when the delta leaves the target-domain training matrix
     // untouched (no target rating events, no new users or items) the recommender and
     // its pools are bit-equal to a refit's and are shared. Otherwise the item-kNN
-    // pools (item-based modes) of the items with an affected target-domain pair are
-    // re-fitted into a copy of the base table and every mode rebuilds through
-    // `recommend::build`. Either way ε′ (PNSA + PNCF) is debited first: an exhausted
-    // budget fails the step without paying for the pool fit. ---
+    // pools (item-based modes) are fitted for every target-matrix item and every mode
+    // rebuilds through `recommend::build`. Either way ε′ (PNSA + PNCF) is debited
+    // first: an exhausted budget fails the step without paying for the pool fit. ---
     let (recommender, item_pools) = ledgers.step("recommender", |cx| -> Result<_> {
         let untouched = |b: &&DeltaBase<'_>| {
             updated.n_users() == b.epoch.full.n_users()
@@ -774,23 +738,8 @@ pub(crate) fn build_epoch(
         }
         recommend::debit_stage_budget(&config, budget.as_mut())?;
         let pools = recommend::item_pool_config(&config).map(|knn_config| {
-            let items: Vec<ItemId> = match base {
-                None => target_matrix.items().collect(),
-                Some(b) => affected_pool_items(&target_matrix, b.affected_users),
-            };
-            report.n_pool_refits = items.len();
-            let mut pools: Vec<Vec<ItemNeighbor>> = base.map_or_else(Vec::new, |b| {
-                b.epoch
-                    .item_pools
-                    .as_deref()
-                    .expect("item-based models retain their kNN pools") // lint: panic — reviewed invariant
-                    .clone()
-            });
-            pools.resize(target_matrix.n_items(), Vec::new());
-            for (item, pool) in fit_item_pools(&target_matrix, &knn_config, items, cx) {
-                pools[item.index()] = pool;
-            }
-            Arc::new(pools)
+            report.n_pool_refits = target_matrix.n_items();
+            Arc::new(fit_item_pools(&target_matrix, &knn_config, cx))
         });
         let recommender = recommend::build(&config, target_matrix, pools.clone(), cx.pool())?;
         Ok((recommender, pools))
@@ -802,7 +751,6 @@ pub(crate) fn build_epoch(
         target_domain: target,
         full: full(),
         graph,
-        partition,
         replacements,
         xsim,
         recommender,
@@ -1022,10 +970,8 @@ mod tests {
         }
     }
 
-    /// The build with "everything" as every step's affected set against the serial
-    /// reference of each step, piece by piece, in all four modes. (Checked to fail when
-    /// any one step's everything set drops a row: the last item of `dirty`, of the
-    /// extender's `rows`, of the generator's `draws`, of the pool `items`.)
+    /// A fit — every item dirty, every later piece built whole — against the serial
+    /// reference of each step, piece by piece, in all four modes.
     #[test]
     fn a_fitted_epoch_equals_the_serial_reference_of_every_step_in_all_four_modes() {
         use xmap_engine::WorkerPool;
@@ -1121,16 +1067,15 @@ mod tests {
                 ..Default::default()
             };
             let mut scratch = CandidateScratch::new();
-            let reference: Vec<(ItemId, Vec<ItemNeighbor>)> = m
+            let reference: Vec<Vec<ItemNeighbor>> = m
                 .items()
                 .map(|i| {
                     let cands = scratch.candidate_set(&m, i);
-                    let pool = ItemKnn::neighbors_from_candidates(&m, i, &cands, &knn_config);
-                    (i, pool)
+                    ItemKnn::neighbors_from_candidates(&m, i, &cands, &knn_config)
                 })
                 .collect();
             if metric == SimilarityMetric::AdjustedCosine {
-                let pool = &reference[0].1;
+                let pool = &reference[0];
                 let kept: Vec<ItemId> = pool.iter().map(|n| n.item).collect();
                 assert_eq!(kept, vec![ItemId(7), ItemId(8), ItemId(1)]);
                 let dropped =
@@ -1145,7 +1090,7 @@ mod tests {
                 let flow = Dataflow::new(workers, 4);
                 let fitted = flow.run(
                     &fn_stage("pools", |(), cx: &mut StageContext<'_>| {
-                        fit_item_pools(&m, &knn_config, m.items().collect(), cx)
+                        fit_item_pools(&m, &knn_config, cx)
                     }),
                     (),
                 );

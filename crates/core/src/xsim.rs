@@ -21,10 +21,9 @@
 //!   by `xmap-graph` and every hop's statistics are re-resolved through
 //!   [`SimilarityGraph::edge_between`]. This is the historical implementation, kept in
 //!   this module's tests as the equivalence oracle.
-//! * [`XSimTable::with_recomputed_rows`] — the production path, for a fit (every source
-//!   item, spliced into the empty table) and a delta (the affected rows) alike: the rows
-//!   are processed in dataflow partitions, each partition walking a **frontier
-//!   expansion** directly over the CSR arena. The walk carries the running
+//! * `XSimTable::build` — the production path, for a fit and a delta alike: every
+//!   source item's row is processed in dataflow partitions, each partition walking a
+//!   **frontier expansion** directly over the CSR arena. The walk carries the running
 //!   path-similarity numerator/denominator and certainty product along the DFS,
 //!   accumulating per-destination sums in scratch buffers reused across the partition's
 //!   source items — no path materialisation and no per-hop edge re-resolution.
@@ -117,9 +116,8 @@ pub fn aggregate_paths(graph: &SimilarityGraph, paths: &[&MetaPath]) -> Option<f
 /// The cross-domain X-Sim table: for every source item, its reachable target items.
 ///
 /// `PartialEq` compares every row exactly — it is what the delta-fit equivalence gate
-/// holds a spliced table ([`XSimTable::with_recomputed_rows`]) against a freshly
-/// computed one.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// holds a delta's table against a refit's.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct XSimTable {
     entries: HashMap<ItemId, Vec<XSimEntry>>,
     source_domain: Option<DomainId>,
@@ -247,27 +245,26 @@ fn frontier_dfs(
 }
 
 impl XSimTable {
-    /// Recomputes the given source-item `rows` on the (updated) graph and partition and
-    /// splices them into a copy of this table; every other row is carried over
-    /// untouched — the extender, with every source item over the empty table for a fit
-    /// and the affected rows over the base epoch's table for a delta.
+    /// Computes the table of `graph` and its `partition` — the extender: every source
+    /// item's row, by frontier expansion.
     ///
-    /// `rows` are split into the dataflow's partitions; each partition is one pool task
-    /// that reuses a `FrontierScratch` across its items and records the work estimate
-    /// `Σ (1 + degree + candidates)` on the running stage's ledger, so the cluster
-    /// simulator replays exactly this step's task bag. When `rows` covers every source
-    /// item whose meta-path neighbourhood changed, the result is **bit-identical** to
-    /// recomputing the whole table on the updated graph. Rows that come back empty are
-    /// *removed*: the table never stores empty rows.
-    pub fn with_recomputed_rows(
-        &self,
+    /// The source items are split into the dataflow's partitions; each partition is one
+    /// pool task that reuses a `FrontierScratch` across its items and records the work
+    /// estimate `Σ (1 + degree + candidates)` on the running stage's ledger, so the
+    /// cluster simulator replays exactly this step's task bag. The table is
+    /// **bit-identical** to the per-pair reference at any worker count, and never
+    /// stores an empty row.
+    pub(crate) fn build(
         graph: &SimilarityGraph,
         partition: &LayerPartition,
         source_domain: DomainId,
         metapath: MetaPathConfig,
-        rows: Vec<ItemId>,
         cx: &mut StageContext<'_>,
     ) -> Self {
+        let rows: Vec<ItemId> = graph
+            .items()
+            .filter(|&i| graph.item_domain(i) == source_domain)
+            .collect();
         let per_partition = cx.map_partitions(
             rows,
             |item| item.0,
@@ -288,23 +285,15 @@ impl XSimTable {
                         &mut scratch,
                     );
                     cost += 1.0 + graph.degree(item) as f64 + entries.len() as f64;
-                    // Keep empty rows here: they erase a stale row during the splice.
-                    out.push((item, entries));
+                    if !entries.is_empty() {
+                        out.push((item, entries));
+                    }
                 }
                 (out, cost)
             },
         );
-
-        let mut entries = self.entries.clone();
-        for (item, fresh) in per_partition.into_iter().flatten() {
-            if fresh.is_empty() {
-                entries.remove(&item);
-            } else {
-                entries.insert(item, fresh);
-            }
-        }
         XSimTable {
-            entries,
+            entries: per_partition.into_iter().flatten().collect(),
             source_domain: Some(source_domain),
         }
     }
@@ -469,9 +458,9 @@ mod tests {
         /// per-pair path: meta-paths are materialised and re-aggregated per destination.
         /// The per-item work is independent, so it is distributed over `pool`.
         ///
-        /// [`XSimTable::with_recomputed_rows`] over every source item produces the
-        /// identical table via frontier expansion and is what the pipeline's extender
-        /// step runs; this is the equivalence oracle, compiled for tests only.
+        /// [`XSimTable::build`] produces the identical table via frontier expansion and
+        /// is what the pipeline's extender step runs; this is the equivalence oracle,
+        /// compiled for tests only.
         pub(crate) fn compute(
             graph: &SimilarityGraph,
             partition: &LayerPartition,
@@ -769,19 +758,7 @@ mod tests {
             &xmap_engine::fn_stage(
                 "extender",
                 |g: &SimilarityGraph, cx: &mut StageContext<'_>| {
-                    // "Everything" as the row set: every source item, over the empty table.
-                    let rows = g
-                        .items()
-                        .filter(|&i| g.item_domain(i) == DomainId::SOURCE)
-                        .collect();
-                    XSimTable::default().with_recomputed_rows(
-                        g,
-                        partition,
-                        DomainId::SOURCE,
-                        metapath,
-                        rows,
-                        cx,
-                    )
+                    XSimTable::build(g, partition, DomainId::SOURCE, metapath, cx)
                 },
             ),
             graph,

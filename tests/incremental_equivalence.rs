@@ -135,7 +135,7 @@ fn delta_fit_equals_full_refit_in_all_four_modes_at_1_2_and_8_workers() {
 fn sequential_deltas_compose_to_the_same_model_as_one_refit() {
     // Two consecutive incremental batches must land on the same bits as a single
     // refit on the final matrix — state carried between deltas (the scored-pair
-    // cache, spliced X-Sim rows, spliced pools) must not go stale.
+    // cache, the pieces shared with the base epoch) must not go stale.
     let ds = dataset();
     let model = XMapModel::fit(
         &ds.matrix,
@@ -173,6 +173,189 @@ fn sequential_deltas_compose_to_the_same_model_as_one_refit() {
     );
 }
 
+/// SplitMix64: the seeded stream the write-surface walk below draws from.
+struct Seeded(u64);
+
+impl Seeded {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+}
+
+/// How many delta shapes `shaped_delta` draws from.
+const SHAPES: usize = 7;
+
+/// One delta of the given shape against the current matrix `m`, its timesteps from `t`
+/// up (a low `t` loses to the cells it updates, a high one wins).
+fn shaped_delta(m: &RatingMatrix, shape: usize, rng: &mut Seeded, t: u32) -> RatingDelta {
+    let (n_users, n_items) = (m.n_users(), m.n_items());
+    let cell = |rng: &mut Seeded| {
+        let value = 1 + rng.below(5);
+        (
+            rng.below(n_users) as u32,
+            rng.below(n_items) as u32,
+            value as f64,
+        )
+    };
+    let mut delta = RatingDelta::new();
+    match shape {
+        // One cell three times, at descending then equal timesteps, beside another.
+        0 => {
+            let (u, i, v) = cell(rng);
+            delta
+                .push_timed(u, i, v, t + 2)
+                .push_timed(u, i, 6.0 - v, t + 1)
+                .push_timed(u, i, 3.0, t + 2);
+            let (u, i, v) = cell(rng);
+            delta.push_timed(u, i, v, t);
+        }
+        // Empty.
+        1 => {}
+        // An item redeclared with its current domain, and rated.
+        2 => {
+            let (u, i, v) = cell(rng);
+            delta
+                .declare_item(ItemId(i), m.item_domain(ItemId(i)))
+                .push_timed(u, i, v, t);
+        }
+        // A new user and a new item at the growth bound: two events and one declaration
+        // may name user `n_users + 1` and item `n_items + 2`.
+        3 => {
+            let (u, _, v) = cell(rng);
+            let domain = [DomainId::SOURCE, DomainId::TARGET][rng.below(2)];
+            let (new_user, new_item) = (n_users as u32 + 1, n_items as u32 + 2);
+            delta
+                .declare_item(ItemId(new_item), domain)
+                .push_timed(new_user, new_item, v, t)
+                .push_timed(u, new_item, 6.0 - v, t + 1);
+        }
+        // Source-domain items only.
+        4 => {
+            let source = m.items_in_domain(DomainId::SOURCE);
+            for k in 0..1 + rng.below(4) {
+                let (u, _, v) = cell(rng);
+                delta.push_timed(u, source[rng.below(source.len())].0, v, t + k as u32);
+            }
+        }
+        // Every user of the trace, one rating each.
+        5 => {
+            for u in 0..n_users as u32 {
+                let (_, i, v) = cell(rng);
+                delta.push_timed(u, i, v, t);
+            }
+        }
+        // A few cells anywhere.
+        _ => {
+            for k in 0..1 + rng.below(6) {
+                let (u, i, v) = cell(rng);
+                delta.push_timed(u, i, v, t + k as u32);
+            }
+        }
+    }
+    delta
+}
+
+/// Ids one past the growth bound of `m` — a user, a rated item and a declared item —
+/// are refused as `Data`, leaving the epoch, the snapshot and the journal as they were.
+fn refuses_ids_one_past_the_bound(model: &XMapModel, m: &RatingMatrix, what: &str) {
+    let (n_users, n_items) = (m.n_users() as u32, m.n_items() as u32);
+    let mut user = RatingDelta::new();
+    user.push_timed(n_users + 1, 0, 3.0, 9);
+    let mut item = RatingDelta::new();
+    item.push_timed(0, n_items + 1, 3.0, 9);
+    let mut declaration = RatingDelta::new();
+    declaration.declare_item(ItemId(n_items + 1), DomainId::TARGET);
+    let (epoch, before) = model.snapshot();
+    let journal = model.journal_len_bytes();
+    for delta in [user, item, declaration] {
+        let err = model.apply_delta(&delta).err();
+        assert!(
+            matches!(err, Some(xmap_suite::core::XMapError::Data(_))),
+            "{what}: {err:?}"
+        );
+        assert_eq!(model.epoch(), epoch, "{what}: an epoch published");
+        assert!(
+            std::sync::Arc::ptr_eq(&model.snapshot().1, &before),
+            "{what}"
+        );
+        assert_eq!(
+            model.journal_len_bytes(),
+            journal,
+            "{what}: the journal grew"
+        );
+    }
+}
+
+/// Seeded walks over the write surface: 1–4 deltas of every shape `shaped_delta`
+/// knows, on NX-ib and X-ib at 2 workers, with a `persist` → `open` at a seeded point.
+/// After every delta the model releases exactly what a refit on the folded matrix
+/// releases, and ids one past the growth bound are refused without side effects.
+#[test]
+fn seeded_delta_walks_equal_a_refit_after_every_delta() {
+    let ds = dataset();
+    let probe_users: Vec<UserId> = ds
+        .overlap_users
+        .iter()
+        .take(4)
+        .chain(ds.source_only_users.iter().take(2))
+        .copied()
+        .collect();
+    let probe_items: Vec<ItemId> = ds.target_items().into_iter().take(8).collect();
+    for mode in [XMapMode::NxMapItemBased, XMapMode::XMapItemBased] {
+        let fit = |matrix: &RatingMatrix| {
+            XMapModel::fit(matrix, DomainId::SOURCE, DomainId::TARGET, config(mode, 2)).unwrap()
+        };
+        let mut seen = [false; SHAPES];
+        for seed in 0..8u64 {
+            let mut rng = Seeded(seed);
+            let n_deltas = 1 + rng.below(4);
+            let persist_at = rng.below(n_deltas);
+            let dir = std::env::temp_dir().join(format!(
+                "xmap_walk_{}_{}_{seed}",
+                std::process::id(),
+                mode.label()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut model = fit(&ds.matrix);
+            let mut folded = ds.matrix.clone();
+            for step in 0..n_deltas {
+                let shape = rng.below(SHAPES);
+                seen[shape] = true;
+                let what = format!("{mode:?} seed {seed} step {step} shape {shape}");
+                let t = [0, 500, 2000][rng.below(3)] + 10 * step as u32;
+                let delta = shaped_delta(&folded, shape, &mut rng, t);
+                let report = model.apply_delta(&delta).unwrap();
+                assert_eq!(report.epoch, 2 + step as u64, "{what}");
+                folded = folded
+                    .apply_delta(delta.ratings(), delta.item_domains())
+                    .unwrap();
+                let expected = released_bits(&fit(&folded), &probe_users, &probe_items);
+                assert_eq!(
+                    released_bits(&model, &probe_users, &probe_items),
+                    expected,
+                    "{what}"
+                );
+                if step == persist_at {
+                    model.persist(&dir).unwrap();
+                    model = XMapModel::open(&dir).unwrap();
+                    assert_eq!(
+                        released_bits(&model, &probe_users, &probe_items),
+                        expected,
+                        "{what}: reopened"
+                    );
+                }
+                refuses_ids_one_past_the_bound(&model, &folded, &what);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        assert_eq!(seen, [true; SHAPES], "{mode:?}: a shape went unwalked");
+    }
+}
+
 /// The sparse trace of the cost contract below (few ratings per user over a wide
 /// catalogue, like the paper's).
 fn sparse_config() -> CrossDomainConfig {
@@ -202,49 +385,48 @@ fn round_robin_delta(ds: &CrossDomainDataset, size: usize) -> RatingDelta {
     delta
 }
 
-/// `DeltaReport`'s three work counters by their definitions, from materialised pair
-/// keys: the dirty items, the affected co-rated pair keys of the aggregated matrix,
-/// and the distinct endpoints of the affected pair keys of the target-domain matrix.
-fn counts_by_definition(updated: &RatingMatrix, delta: &RatingDelta) -> (usize, usize, usize) {
-    let users = delta.affected_users();
-    let dirty = SimilarityGraph::dirty_items(updated, &users);
+/// The baseliner's two counters by their definitions, from materialised pair keys: the
+/// dirty items and the affected co-rated pair keys of the aggregated matrix.
+fn counts_by_definition(updated: &RatingMatrix, delta: &RatingDelta) -> (usize, usize) {
+    let dirty = SimilarityGraph::dirty_items(updated, &delta.affected_users());
     let keys = SimilarityGraph::affected_pair_keys(updated, &dirty);
-    let target = updated
-        .filter(|r| updated.item_domain(r.item) == DomainId::TARGET)
-        .unwrap();
-    let target_dirty = SimilarityGraph::dirty_items(&target, &users);
-    let mut endpoints: Vec<ItemId> = SimilarityGraph::affected_pair_keys(&target, &target_dirty)
-        .into_iter()
-        .flat_map(|key| {
-            let (lo, hi) = SimilarityGraph::pair_of_key(key);
-            [lo, hi]
-        })
-        .collect();
-    endpoints.sort_unstable();
-    endpoints.dedup();
-    (dirty.len(), keys.len(), endpoints.len())
+    (dirty.len(), keys.len())
 }
 
-/// The delta stage gathers rows and marks pool endpoints without ever building a pair
-/// key; what it *reports* must still be the key-based definitions, to the digit — on
-/// the gate delta (new user, new item), a follow-up delta on the grown model, and the
-/// sparse trace's 1/8/32-rating deltas, all of which touch the target domain.
+/// The delta stage gathers rows without ever building a pair key; what it *reports*
+/// must still be the key-based definitions, to the digit — on the gate delta (new user,
+/// new item), a follow-up delta on the grown model, a source-only delta, and the sparse
+/// trace's 1/8/32-rating deltas. Every one re-scores pairs, so the three later steps
+/// report their whole sets: every source item, every X-Sim row and — unless the delta
+/// left the target domain alone and the recommender was shared — every item.
 #[test]
 fn delta_report_counts_equal_their_pair_key_definitions() {
-    let check = |model: &XMapModel, delta: &RatingDelta, what: &str| {
+    let check = |model: &XMapModel, delta: &RatingDelta, touches_target: bool, what: &str| {
         let report = model.apply_delta(delta).unwrap();
-        let (n_dirty, n_pairs, n_endpoints) = counts_by_definition(&model.matrix(), delta);
+        let updated = model.matrix();
+        let (n_dirty, n_pairs) = counts_by_definition(&updated, delta);
         assert_eq!(report.n_dirty_items, n_dirty, "{what}: dirty items");
         assert_eq!(report.n_rescored_pairs, n_pairs, "{what}: rescored pairs");
+        assert!(n_pairs > 0, "{what}: the delta is trivial");
+        assert_eq!(
+            report.n_xsim_rows,
+            updated.items_in_domain(DomainId::SOURCE).len(),
+            "{what}: X-Sim rows"
+        );
+        assert_eq!(
+            report.n_replacement_draws,
+            model.xsim().n_connected_items(),
+            "{what}: replacement draws"
+        );
         let item_based = model.config().mode == XMapMode::NxMapItemBased;
         assert_eq!(
             report.n_pool_refits,
-            if item_based { n_endpoints } else { 0 },
+            if item_based && touches_target {
+                updated.n_items()
+            } else {
+                0
+            },
             "{what}: pool refits"
-        );
-        assert!(
-            n_pairs > 0 && n_endpoints > 0,
-            "{what}: the delta is trivial"
         );
     };
     for mode in [XMapMode::NxMapItemBased, XMapMode::NxMapUserBased] {
@@ -253,17 +435,27 @@ fn delta_report_counts_equal_their_pair_key_definitions() {
             XMapModel::fit(matrix, DomainId::SOURCE, DomainId::TARGET, config(mode, 2)).unwrap()
         };
         let model = fit(&ds.matrix);
-        check(&model, &gate_delta(&ds), "gate delta");
+        check(&model, &gate_delta(&ds), true, "gate delta");
         let mut second = RatingDelta::new();
         second
             .push_timed(ds.overlap_users[2].0, ds.target_items()[1].0, 4.0, 300)
             .push_timed(ds.overlap_users[0].0, ds.target_items()[0].0, 5.0, 301);
-        check(&model, &second, "second delta");
+        check(&model, &second, true, "second delta");
+        // A source-only delta shares the recommender (`delta::tests` holds the
+        // `Arc::ptr_eq` beside this count), so it fits no pool.
+        let mut source_only = RatingDelta::new();
+        source_only.push_timed(ds.overlap_users[3].0, ds.source_items()[2].0, 2.0, 302);
+        check(&model, &source_only, false, "source-only delta");
 
         let sparse = CrossDomainDataset::generate(sparse_config());
         for size in [1usize, 8, 32] {
             let delta = round_robin_delta(&sparse, size);
-            check(&fit(&sparse.matrix), &delta, &format!("sparse/{size}"));
+            check(
+                &fit(&sparse.matrix),
+                &delta,
+                true,
+                &format!("sparse/{size}"),
+            );
         }
     }
 }
