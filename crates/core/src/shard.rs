@@ -31,10 +31,12 @@
 //!   `.journal`, reusing the `xmap-store` codec verbatim). An ingest splits the
 //!   [`RatingDelta`] into per-shard sub-deltas, applies the full delta on the
 //!   coordinator, then journals each hosted shard's row changes *before*
-//!   publishing the new slice epoch. Killing a node drops its in-memory state
-//!   (files survive); recovery loads the snapshot, replays the journal, and — if
-//!   the node was dead across ingests its journal never saw — re-replicates the
-//!   shard from the coordinator and rewrites its files.
+//!   publishing the new slice epoch. A shard's snapshot and journal record are
+//!   encoded and checksummed once and the same bytes go to every host. Killing
+//!   a node drops its in-memory state (files survive); recovery loads the
+//!   snapshot, replays the journal, and — if the node was dead across ingests
+//!   its journal never saw — re-replicates the shard from the coordinator and
+//!   rewrites its files.
 //!
 //! Routing, per-shard serving and per-shard ingest work are recorded as
 //! [`RoutedTask`] ledgers (`route` / `shard-serve` / `shard-ingest`) with
@@ -299,9 +301,8 @@ impl ShardSlice {
             graph_rows: diff_rows(&self.graph_rows, &new.graph_rows),
             xsim_rows: diff_rows(&self.xsim_rows, &new.xsim_rows),
             pool_rows: match (&self.pool_rows, &new.pool_rows) {
-                (Some(old), Some(new_rows)) => diff_rows(old, new_rows),
-                (None, Some(new_rows)) => new_rows.clone(),
-                _ => Vec::new(),
+                (old, Some(new_rows)) => diff_rows(old.as_deref().unwrap_or_default(), new_rows),
+                (_, None) => Vec::new(),
             },
             replacement_pairs: (self.replacement_pairs != new.replacement_pairs)
                 .then(|| new.replacement_pairs.clone()),
@@ -336,45 +337,43 @@ fn replacement_in(pairs: &[(ItemId, ItemId)], item: ItemId) -> Option<ItemId> {
     at.ok().map(|ix| pairs[ix].1)
 }
 
+/// One per-item row of a slice: the item and its entries.
+type Row<T> = (ItemId, Vec<T>);
+
+/// Merge-joins two row lists ascending by item id: each id once, with its row on
+/// either side (`None` where that side lacks the id).
+fn join_rows<'a, T>(
+    a: &'a [Row<T>],
+    b: &'a [Row<T>],
+) -> impl Iterator<Item = (ItemId, Option<&'a Vec<T>>, Option<&'a Vec<T>>)> {
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    std::iter::from_fn(move || {
+        let id = a.peek().into_iter().chain(b.peek()).map(|r| r.0).min()?;
+        let in_a = a.next_if(|r| r.0 == id).map(|r| &r.1);
+        let in_b = b.next_if(|r| r.0 == id).map(|r| &r.1);
+        Some((id, in_a, in_b))
+    })
+}
+
 /// Row upserts between two sorted row lists: `(id, new_row)` for added or changed
 /// rows, `(id, [])` for removed ones. Empty rows are never *stored* (cuts skip
 /// them), so the empty row is unambiguous as a removal marker.
-fn diff_rows<T: Clone + PartialEq>(
-    old: &[(ItemId, Vec<T>)],
-    new: &[(ItemId, Vec<T>)],
-) -> Vec<(ItemId, Vec<T>)> {
-    let old_map: BTreeMap<ItemId, &Vec<T>> = old.iter().map(|(i, r)| (*i, r)).collect();
-    let mut out = Vec::new();
-    for (id, row) in new {
-        if old_map.get(id).is_none_or(|prev| *prev != row) {
-            out.push((*id, row.clone()));
-        }
-    }
-    let new_ids: std::collections::BTreeSet<ItemId> = new.iter().map(|(i, _)| *i).collect();
-    for (id, _) in old {
-        if !new_ids.contains(id) {
-            out.push((*id, Vec::new()));
-        }
-    }
-    out.sort_by_key(|&(id, _)| id);
-    out
+fn diff_rows<T: Clone + PartialEq>(old: &[Row<T>], new: &[Row<T>]) -> Vec<Row<T>> {
+    let changed = join_rows(old, new).filter_map(|(id, old, new)| match new {
+        Some(row) => (old != Some(row)).then(|| (id, row.clone())),
+        None => Some((id, Vec::new())),
+    });
+    changed.collect()
 }
 
 /// Applies [`diff_rows`] output: upserts non-empty rows, removes rows the diff
 /// emptied, keeps everything else — result stays sorted by item id.
-fn apply_rows<T: Clone>(
-    old: &[(ItemId, Vec<T>)],
-    upserts: &[(ItemId, Vec<T>)],
-) -> Vec<(ItemId, Vec<T>)> {
-    let mut merged: BTreeMap<ItemId, Vec<T>> = old.iter().map(|(i, r)| (*i, r.clone())).collect();
-    for (id, row) in upserts {
-        if row.is_empty() {
-            merged.remove(id);
-        } else {
-            merged.insert(*id, row.clone());
-        }
-    }
-    merged.into_iter().collect()
+fn apply_rows<T: Clone>(old: &[Row<T>], upserts: &[Row<T>]) -> Vec<Row<T>> {
+    let merged = join_rows(old, upserts).filter_map(|(id, old, upsert)| match upsert {
+        Some(row) => (!row.is_empty()).then(|| (id, row.clone())),
+        None => old.map(|row| (id, row.clone())),
+    });
+    merged.collect()
 }
 
 /// Snapshot payload of one hosted shard: the publication epoch and the slice,
@@ -470,24 +469,19 @@ impl xmap_store::Codec for SliceDelta {
 // Nodes and the sharded model
 // ---------------------------------------------------------------------------
 
-/// The durable files of one hosted shard on one node: the open write-ahead
-/// journal (the snapshot path is derived from the store directory).
-struct ShardStore {
-    journal: Journal,
-}
-
 /// One hosted shard on one node: the epoch-published slice, the mode's
 /// recommender built from the slice's *own* pool rows (empty pools outside the
-/// shard) over the epoch's target-domain matrix, and the shard's durable store
-/// when persisted. Slice and recommender are the shard's, not the node's — every
-/// host holds a clone of the same two `Arc`s; only a node recovered from its own
-/// files rebuilds them. The matrix is the replicated data plane every node reads
+/// shard) over the epoch's target-domain matrix, and, when persisted, the shard's
+/// open write-ahead journal (the snapshot path derives from the store directory).
+/// Slice and recommender are the shard's, not the node's — every host holds a
+/// clone of the same two `Arc`s; only a node recovered from its own files
+/// rebuilds them. The matrix is the replicated data plane every node reads
 /// (user-based prediction needs all raters' averages) and is shared, not copied;
 /// the pools are the genuinely partitioned fitted state.
 struct NodeShard {
     handle: EpochHandle<ShardSlice>,
     serve: SharedRecommender,
-    store: Option<ShardStore>,
+    journal: Option<Journal>,
 }
 
 /// One simulated node: alive flag plus the shards it hosts. Killing a node
@@ -524,10 +518,25 @@ impl ShardNode {
             Entry::Vacant(slot) => slot.insert(NodeShard {
                 handle: EpochHandle::new(slice, epoch_no),
                 serve,
-                store: None,
+                journal: None,
             }),
         }
     }
+}
+
+/// What `build` makes of `slice`, built once per distinct slice among a shard's
+/// hosts: they share one slice `Arc`, except a node recovered from its own files,
+/// which holds an equal but separate one.
+fn once_per_slice<B>(
+    built: &mut Vec<(Arc<ShardSlice>, B)>,
+    slice: Arc<ShardSlice>,
+    build: impl FnOnce(Arc<ShardSlice>) -> B,
+) -> &B {
+    if let Some(at) = built.iter().position(|(seen, _)| Arc::ptr_eq(seen, &slice)) {
+        return &built[at].1;
+    }
+    built.push((Arc::clone(&slice), build(slice)));
+    &built[built.len() - 1].1
 }
 
 /// The three routed-work ledgers plus the read-routing rotation counter.
@@ -859,19 +868,17 @@ impl ShardedModel {
             let serve = new_slice.recommender(&epoch, self.model.flow.pool())?;
             let sub = &subs[shard as usize];
             let cost = 1.0 + sub.len() as f64;
+            let mut records = Vec::new();
             for host in self.map.hosts(shard, self.nodes.len()) {
                 let node = &mut self.nodes[host];
-                if !node.alive {
-                    continue;
-                }
-                let Some(ns) = node.shards.get_mut(&shard) else {
+                let Some(ns) = node.shards.get_mut(&shard).filter(|_| node.alive) else {
                     continue;
                 };
-                if let Some(store) = ns.store.as_mut() {
-                    let (_, old) = ns.handle.load();
-                    store
-                        .journal
-                        .append(epoch_no, &old.diff(&new_slice, sub.clone()))?;
+                if let Some(journal) = ns.journal.as_mut() {
+                    let record = once_per_slice(&mut records, ns.handle.load().1, |old| {
+                        Journal::frame(epoch_no, &old.diff(&new_slice, sub.clone()))
+                    });
+                    journal.append_framed(record)?;
                 }
                 node.install(epoch_no, Arc::clone(&new_slice), Arc::clone(&serve));
                 lock_ledgers(&self.ledgers)
@@ -887,27 +894,25 @@ impl ShardedModel {
     /// `dir/node<i>/shard<s>.{snap,journal}`. Returns the snapshot epoch.
     pub fn persist(&mut self, dir: &Path) -> Result<u64> {
         let (epoch_no, _) = self.model.snapshot();
-        for (id, node) in self.nodes.iter_mut().enumerate() {
-            if !node.alive {
-                continue;
-            }
+        let mut snaps = vec![Vec::new(); self.map.n_shards()];
+        for (id, node) in self.nodes.iter_mut().enumerate().filter(|(_, n)| n.alive) {
             let node_dir = dir.join(format!("node{id}"));
             std::fs::create_dir_all(&node_dir).map_err(|e| XMapError::Io {
                 path: node_dir.clone(),
                 context: format!("create node store directory: {e}"),
             })?;
             for (&shard, ns) in node.shards.iter_mut() {
-                let (_, slice) = ns.handle.load();
-                Snapshot::write(
-                    &node_dir.join(format!("shard{shard}.snap")),
-                    &SliceState {
-                        epoch: epoch_no,
-                        slice,
-                    },
-                )?;
+                let snap =
+                    once_per_slice(&mut snaps[shard as usize], ns.handle.load().1, |slice| {
+                        Snapshot::frame(&SliceState {
+                            epoch: epoch_no,
+                            slice,
+                        })
+                    });
+                Snapshot::write_framed(&node_dir.join(format!("shard{shard}.snap")), snap)?;
                 let journal =
                     Journal::create(&node_dir.join(format!("shard{shard}.journal")), epoch_no)?;
-                ns.store = Some(ShardStore { journal });
+                ns.journal = Some(journal);
             }
         }
         self.store_dir = Some(dir.to_path_buf());
@@ -976,7 +981,7 @@ impl ShardedModel {
                 journal.reset(epoch_no)?;
             }
             let serve = slice.recommender(&epoch, self.model.flow.pool())?;
-            rebuilt.install(epoch_no, slice, serve).store = Some(ShardStore { journal });
+            rebuilt.install(epoch_no, slice, serve).journal = Some(journal);
         }
         self.nodes[node] = rebuilt;
         Ok(())
@@ -1167,6 +1172,169 @@ mod tests {
         let bytes = encode_to_vec(&delta);
         let back: SliceDelta = decode_exact(&bytes, 0).unwrap();
         assert_eq!(back, delta);
+    }
+
+    /// `diff_rows` by `BTreeMap` / `BTreeSet` lookups: the merge walk's oracle.
+    fn diff_rows_by_map<T: Clone + PartialEq>(old: &[Row<T>], new: &[Row<T>]) -> Vec<Row<T>> {
+        let old_map: BTreeMap<ItemId, &Vec<T>> = old.iter().map(|(i, r)| (*i, r)).collect();
+        let mut out = Vec::new();
+        for (id, row) in new {
+            if old_map.get(id).is_none_or(|prev| *prev != row) {
+                out.push((*id, row.clone()));
+            }
+        }
+        let new_ids: std::collections::BTreeSet<ItemId> = new.iter().map(|(i, _)| *i).collect();
+        for (id, _) in old {
+            if !new_ids.contains(id) {
+                out.push((*id, Vec::new()));
+            }
+        }
+        out.sort_by_key(|&(id, _)| id);
+        out
+    }
+
+    /// `apply_rows` by `BTreeMap` upserts: the merge walk's oracle.
+    fn apply_rows_by_map<T: Clone>(old: &[Row<T>], upserts: &[Row<T>]) -> Vec<Row<T>> {
+        let mut merged: BTreeMap<ItemId, Vec<T>> =
+            old.iter().map(|(i, r)| (*i, r.clone())).collect();
+        for (id, row) in upserts {
+            if row.is_empty() {
+                merged.remove(id);
+            } else {
+                merged.insert(*id, row.clone());
+            }
+        }
+        merged.into_iter().collect()
+    }
+
+    /// A row list ascending by id over ids `0..24`, rows of 0–2 entries from a
+    /// three-value alphabet (so equal rows recur); `empty` rows only if asked.
+    fn random_rows(rng: &mut proptest::TestRng, empty: bool) -> Vec<Row<u8>> {
+        let mut rows = Vec::new();
+        for id in (0..24u32)
+            .filter(|_| rng.next_u64().is_multiple_of(2))
+            .collect::<Vec<_>>()
+        {
+            let len = rng.next_u64() % 3 + u64::from(!empty);
+            rows.push((
+                ItemId(id),
+                (0..len).map(|_| (rng.next_u64() % 3) as u8).collect(),
+            ));
+        }
+        rows
+    }
+
+    proptest::proptest! {
+        /// The merge walks give the `BTreeMap` forms' output on any sorted inputs,
+        /// and applying a diff reproduces its target.
+        #[test]
+        fn merge_walks_equal_the_map_forms(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = proptest::TestRng::from_name(&seed.to_string());
+            let (old, new) = (random_rows(&mut rng, false), random_rows(&mut rng, false));
+            let upserts = random_rows(&mut rng, true);
+            let diff = diff_rows(&old, &new);
+            proptest::prop_assert_eq!(&diff, &diff_rows_by_map(&old, &new));
+            proptest::prop_assert_eq!(&apply_rows(&old, &diff), &new);
+            let applied = apply_rows(&old, &upserts);
+            proptest::prop_assert_eq!(applied, apply_rows_by_map(&old, &upserts));
+        }
+    }
+
+    /// Every host of a shard holds the same `.snap` and `.journal` bytes after a
+    /// persist and two ingests — the bytes a per-host `Snapshot::write` of the
+    /// served slice writes — and still after a node recovered from its own files
+    /// (an equal but separate slice) journals a third; the routed probe answers
+    /// keep the coordinator's bits throughout.
+    #[test]
+    fn every_host_of_a_shard_writes_the_same_snapshot_and_journal_bytes() {
+        use crate::{XMapConfig, XMapMode};
+        use xmap_cf::DomainId;
+        use xmap_dataset::synthetic::{CrossDomainConfig, CrossDomainDataset};
+
+        let ds = CrossDomainDataset::generate(CrossDomainConfig::small());
+        let config = XMapConfig {
+            mode: XMapMode::XMapItemBased,
+            k: 8,
+            ..Default::default()
+        };
+        let model = XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, config).unwrap();
+        let mut sharded = ShardedModel::with_hot_replication(model, 4, 3).unwrap();
+        let dir = std::env::temp_dir().join(format!("xmap_shard_bytes_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let epoch_no = sharded.persist(&dir).unwrap();
+        let file = |node: usize, shard: u32, ext: &str| {
+            std::fs::read(dir.join(format!("node{node}/shard{shard}.{ext}"))).unwrap()
+        };
+        let hosts = |sharded: &ShardedModel, shard: u32| sharded.map.hosts(shard, 4);
+        let n_shards = sharded.map.n_shards() as u32;
+        assert!((0..n_shards).any(|shard| hosts(&sharded, shard).len() == 3));
+        for shard in 0..n_shards {
+            for host in hosts(&sharded, shard) {
+                let slice = sharded.nodes[host].shards[&shard].handle.load().1;
+                let fresh = dir.join(format!("fresh{host}_{shard}.snap"));
+                Snapshot::write(
+                    &fresh,
+                    &SliceState {
+                        epoch: epoch_no,
+                        slice,
+                    },
+                )
+                .unwrap();
+                assert_eq!(file(host, shard, "snap"), std::fs::read(&fresh).unwrap());
+            }
+        }
+
+        let probes = |sharded: &ShardedModel| -> Vec<Vec<(ItemId, u64)>> {
+            ds.overlap_users[..4]
+                .iter()
+                .map(|&user| {
+                    let recs = sharded.recommend(user, 5).unwrap();
+                    recs.into_iter().map(|(i, s)| (i, s.to_bits())).collect()
+                })
+                .collect()
+        };
+        let assert_hosts_agree = |sharded: &ShardedModel, when: &str| {
+            for shard in 0..n_shards {
+                let hosts = hosts(sharded, shard);
+                for ext in ["snap", "journal"] {
+                    let first = file(hosts[0], shard, ext);
+                    for &host in &hosts[1..] {
+                        assert!(
+                            file(host, shard, ext) == first,
+                            "{when}: node{host}/shard{shard}.{ext} differs from node{}'s",
+                            hosts[0]
+                        );
+                    }
+                }
+            }
+        };
+        for (n, user) in ds.overlap_users[..3].iter().enumerate() {
+            let mut delta = RatingDelta::new();
+            delta.push_timed(
+                user.0,
+                ds.target_items()[n].0,
+                5.0 - n as f64,
+                77 + n as u32,
+            );
+            sharded.ingest(&delta).unwrap();
+            if n == 1 {
+                assert_hosts_agree(&sharded, "after two ingests");
+                let before = probes(&sharded);
+                sharded.kill_node(1).unwrap();
+                sharded.recover_node(1).unwrap();
+                assert_eq!(probes(&sharded), before, "probe bits moved across recovery");
+            }
+        }
+        assert_hosts_agree(&sharded, "after an ingest on the recovered node");
+        let coordinator: Vec<Vec<(ItemId, u64)>> = ds.overlap_users[..4]
+            .iter()
+            .map(|&user| {
+                let recs = sharded.model.recommend(user, 5);
+                recs.into_iter().map(|(i, s)| (i, s.to_bits())).collect()
+            })
+            .collect();
+        assert_eq!(probes(&sharded), coordinator);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

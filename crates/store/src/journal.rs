@@ -34,7 +34,7 @@
 //! survives a crash (write-ahead discipline: the caller appends *before* publishing
 //! the epoch the record produces).
 
-use crate::codec::{decode_exact, encode_to_vec, Codec};
+use crate::codec::{decode_exact, Codec, Encoder};
 use crate::crc::crc32;
 use crate::{StoreError, FORMAT_VERSION};
 use std::fs::{File, OpenOptions};
@@ -77,6 +77,14 @@ fn attribute(path: &Path, err: StoreError) -> StoreError {
         StoreError::Corrupt { offset, detail } => corrupt_in(path, offset, detail),
         other => other,
     }
+}
+
+/// One encoded, checksummed record frame ([`Journal::frame`]), ready to append to
+/// any journal whose next epoch is its stamp.
+#[derive(Clone, Debug)]
+pub struct RecordFrame {
+    epoch: u64,
+    bytes: Vec<u8>,
 }
 
 /// An open append-only journal (see the module docs for framing and semantics).
@@ -260,6 +268,40 @@ impl Journal {
     /// fsyncs it, returning the absolute byte offset of the record frame. On any
     /// error nothing is acknowledged — the caller must not publish the epoch.
     pub fn append<T: Codec>(&mut self, epoch: u64, value: &T) -> Result<u64, StoreError> {
+        self.append_framed(&Self::frame(epoch, value))
+    }
+
+    /// The record frame of `value` stamped `epoch`: length, epoch, payload and
+    /// CRC. The payload is encoded straight into the frame; its length field is
+    /// back-patched. Replicas of one record append the same frame.
+    pub fn frame<T: Codec>(epoch: u64, value: &T) -> RecordFrame {
+        let mut e = Encoder::new();
+        e.put_u32(0); // payload length, patched once the payload is in
+        e.put_u64(epoch);
+        value.enc(&mut e);
+        let mut bytes = e.into_bytes();
+        // A payload past the u32 length field wraps here; `append_framed`
+        // refuses such a frame before writing it.
+        let payload_len = (bytes.len() - FRAME_PREFIX as usize) as u32;
+        bytes[..4].copy_from_slice(&payload_len.to_le_bytes());
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        RecordFrame { epoch, bytes }
+    }
+
+    /// [`Journal::append`] of a [`Journal::frame`]: refuses a stamp other than
+    /// `last_epoch() + 1` or a payload its `u32` length field cannot state, then
+    /// writes the frame and fsyncs.
+    pub fn append_framed(&mut self, frame: &RecordFrame) -> Result<u64, StoreError> {
+        let epoch = frame.epoch;
+        let payload_len = frame.bytes.len() as u64 - FRAME_PREFIX - FRAME_SUFFIX;
+        if payload_len > u64::from(u32::MAX) {
+            return Err(corrupt_in(
+                &self.path,
+                self.end,
+                format!("refusing a {payload_len}-byte record: the frame states at most 4 GiB"),
+            ));
+        }
         if epoch != self.last_epoch + 1 {
             return Err(corrupt_in(
                 &self.path,
@@ -270,25 +312,17 @@ impl Journal {
                 ),
             ));
         }
-        let payload = encode_to_vec(value);
-        let mut frame = Vec::with_capacity((FRAME_PREFIX + FRAME_SUFFIX) as usize + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&epoch.to_le_bytes());
-        frame.extend_from_slice(&payload);
-        let crc = crc32(&frame);
-        frame.extend_from_slice(&crc.to_le_bytes());
-
         self.file
             .seek(SeekFrom::Start(self.end))
             .map_err(|e| StoreError::io(&self.path, "seek to journal end", e))?;
         self.file
-            .write_all(&frame)
+            .write_all(&frame.bytes)
             .map_err(|e| StoreError::io(&self.path, "append journal record", e))?;
         self.file
             .sync_all()
             .map_err(|e| StoreError::io(&self.path, "fsync journal record", e))?;
         let offset = self.end;
-        self.end += frame.len() as u64;
+        self.end += frame.bytes.len() as u64;
         self.last_epoch = epoch;
         Ok(offset)
     }
@@ -406,6 +440,55 @@ mod tests {
         let (journal, records) = Journal::open::<Rec>(&path).unwrap();
         assert_eq!(records.len(), 4);
         assert_eq!(journal.last_epoch(), 5);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The record frame built by copying: the payload
+    /// encoded on its own, then copied behind the length and epoch.
+    fn framed_by_copy<T: Codec>(epoch: u64, value: &T) -> Vec<u8> {
+        let payload = crate::codec::encode_to_vec(value);
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&epoch.to_le_bytes());
+        frame.extend_from_slice(&payload);
+        let crc = crc32(&frame);
+        frame.extend_from_slice(&crc.to_le_bytes());
+        frame
+    }
+
+    #[test]
+    fn appends_keep_the_copying_appends_bytes() {
+        let dir = temp_dir("bytes");
+        let path = dir.join("deltas.journal");
+        let records = write_journal(&path);
+        let bytes = fs::read(&path).unwrap();
+        let mut expected = bytes[..HEADER_LEN as usize].to_vec();
+        for (i, rec) in records.iter().enumerate() {
+            let frame = framed_by_copy(2 + i as u64, rec);
+            assert_eq!(Journal::frame(2 + i as u64, rec).bytes, frame);
+            expected.extend_from_slice(&frame);
+        }
+        assert_eq!(bytes, expected);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_frame_appends_to_every_journal_at_its_epoch() {
+        let dir = temp_dir("shared-frame");
+        let [a, b] = ["a.journal", "b.journal"].map(|name| dir.join(name));
+        let frame = Journal::frame(4, &(vec![7u32], String::from("shared")));
+        for path in [&a, &b] {
+            let mut journal = Journal::create(path, 3).unwrap();
+            journal.append_framed(&frame).unwrap();
+            let err = journal.append_framed(&frame).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Corrupt { .. }),
+                "a replayed stamp"
+            );
+        }
+        assert_eq!(fs::read(&a).unwrap(), fs::read(&b).unwrap());
+        let (journal, records) = Journal::open::<Rec>(&b).unwrap();
+        assert_eq!(journal.last_epoch(), 4);
+        assert_eq!(records[0].value, (vec![7u32], String::from("shared")));
         fs::remove_dir_all(&dir).unwrap();
     }
 

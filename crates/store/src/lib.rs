@@ -33,7 +33,7 @@ mod snapshot;
 
 pub use codec::{decode_exact, encode_to_vec, Codec, Decoder, Encoder};
 pub use crc::{crc32, Crc32};
-pub use journal::{Journal, JournalRecord, JOURNAL_MAGIC};
+pub use journal::{Journal, JournalRecord, RecordFrame, JOURNAL_MAGIC};
 pub use snapshot::{Snapshot, SNAPSHOT_MAGIC};
 
 use std::fmt;
