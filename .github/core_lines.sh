@@ -8,8 +8,8 @@
 # to its own results.
 set -euo pipefail
 
-ceiling=3107
-pub_ceiling=159
+ceiling=3050
+pub_ceiling=153
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 awk -v ceiling="$ceiling" -v pub_ceiling="$pub_ceiling" '

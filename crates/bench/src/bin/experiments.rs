@@ -27,12 +27,15 @@
 //! trace and prints both the table and the JSON series.
 
 use std::process::ExitCode;
-use xmap_bench::experiments::Direction;
+use xmap_bench::experiments::{stage_costs, Direction};
 use xmap_bench::{amazon_like, amazon_like_small, Scale, SweepRunner};
-use xmap_core::{PrivacyConfig, ShardedModel, XMapConfig, XMapMode, XMapModel};
+use xmap_core::{
+    PrivacyConfig, ShardedModel, XMapConfig, XMapMode, XMapModel, DELTA_STAGE_NAME, FIT_STAGE_NAMES,
+};
+use xmap_engine::Json;
 use xmap_eval::{
-    evaluate_batch_serial, evaluate_predictions, render_series_table, EvalReport, Json, SweepParam,
-    SweepSeries, SweepSpec,
+    evaluate_batch_serial, evaluate_predictions, render_series_table, EvalReport, SweepParam,
+    SweepSeries, SweepSpec, EVAL_STAGE_NAME,
 };
 
 /// Tolerance of the accuracy gate: committed baseline values may drift by at most this.
@@ -95,7 +98,15 @@ fn smoke_runner(mode: XMapMode) -> SweepRunner {
 
 /// The fit stages' per-partition task bags, keyed by ledger name — part of the gated
 /// report so the baseline JSON also pins the fit task costs.
-type FitLedgers = Vec<(&'static str, Vec<f64>)>;
+type FitLedgers = Vec<(String, Vec<f64>)>;
+
+/// One ledger entry's name, task count and total cost: what the report prints and the
+/// baseline pins.
+type LedgerTotal = (String, usize, f64);
+
+fn bag_total((name, bag): &(String, Vec<f64>)) -> LedgerTotal {
+    (name.clone(), bag.len(), bag.iter().sum())
+}
 
 /// Fits the smoke configuration at every gate worker count and asserts the
 /// engine-parallel evaluation is bit-identical to the serial reference throughout —
@@ -125,19 +136,22 @@ fn run_determinism_gate(runner: &SweepRunner) -> (EvalReport, FitLedgers, u64) {
             1,
             "{workers} workers: a fresh fit is epoch 1"
         );
-        let stats = model.stats();
-        let mut fit_ledgers: FitLedgers = vec![
-            ("baseliner", stats.baseliner_task_costs.clone()),
-            ("extender", stats.extension_task_costs.clone()),
-            ("generator", stats.generator_task_costs.clone()),
-            ("recommender", stats.recommender_task_costs.clone()),
-        ];
+        let mut fit_ledgers: FitLedgers = model
+            .ledger()
+            .into_iter()
+            .map(|r| (r.name, r.costs))
+            .collect();
         for (name, bag) in &fit_ledgers {
             assert!(
                 !bag.is_empty(),
                 "{workers} workers: the {name} stage recorded no task costs"
             );
         }
+        let names: Vec<&str> = fit_ledgers.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(
+            names, FIT_STAGE_NAMES,
+            "{workers} workers: the fit's ledger"
+        );
         let report = model.evaluate_batch(batch.clone());
         let serial = evaluate_batch_serial(&*model.snapshot().1, &batch);
         assert!(
@@ -150,9 +164,8 @@ fn run_determinism_gate(runner: &SweepRunner) -> (EvalReport, FitLedgers, u64) {
             loop_outcome.mae.to_bits(),
             "{workers} workers: MAE diverged from evaluate_predictions"
         );
-        let costs = model
-            .eval_task_costs()
-            .expect("evaluation records task costs");
+        let costs = stage_costs(&model, EVAL_STAGE_NAME);
+        assert!(!costs.is_empty(), "evaluation records task costs");
         // After everything is evaluated, apply the pinned smoke delta (the first test
         // triple fed back as a fresh rating) and capture the `delta` ledger: the
         // incremental fit's task bag is gated against the baseline — and against the
@@ -175,14 +188,12 @@ fn run_determinism_gate(runner: &SweepRunner) -> (EvalReport, FitLedgers, u64) {
             (2, 2),
             "{workers} workers: the smoke delta must publish epoch 2"
         );
-        let delta_bag = model
-            .delta_task_costs()
-            .expect("apply_delta records its task bag");
+        let delta_bag = stage_costs(&model, DELTA_STAGE_NAME);
         assert!(
             !delta_bag.is_empty(),
             "{workers} workers: the delta stage recorded no task costs"
         );
-        fit_ledgers.push(("delta", delta_bag));
+        fit_ledgers.push((DELTA_STAGE_NAME.to_string(), delta_bag));
         match &reference {
             None => reference = Some((report, costs, fit_ledgers)),
             Some((expected, expected_costs, expected_ledgers)) => {
@@ -208,12 +219,12 @@ fn run_determinism_gate(runner: &SweepRunner) -> (EvalReport, FitLedgers, u64) {
 /// Routes the smoke model across [`GATE_NODES`] simulated nodes with hot-shard
 /// replication (factor [`GATE_REPLICATION`]) and asserts every routed answer —
 /// predictions, top-N lists, and a routed ingest of the pinned smoke delta —
-/// carries the exact single-node bits. Returns the router's three task-cost
-/// ledgers (`route` / `shard_serve` / `shard_ingest`) in the same shape as the
-/// fit ledgers, so the baseline JSON also pins the routed work profile: a
-/// drifting task count means the router's read placement or sub-delta
-/// splitting changed — regenerate the baseline deliberately.
-fn run_sharded_gate(runner: &SweepRunner) -> FitLedgers {
+/// carries the exact single-node bits. Returns the totals of the router's three
+/// per-node tallies (`route` / `shard_serve` / `shard_ingest`), so the baseline
+/// JSON also pins the routed work profile: a drifting task count means the
+/// router's read placement or sub-delta splitting changed — regenerate the
+/// baseline deliberately.
+fn run_sharded_gate(runner: &SweepRunner) -> Vec<LedgerTotal> {
     let split = runner.split(None);
     let batch = runner.eval_batch(&split);
     let (source, target) = runner.domains();
@@ -297,35 +308,14 @@ fn run_sharded_gate(runner: &SweepRunner) -> FitLedgers {
         );
     }
 
-    let ledgers: FitLedgers = vec![
-        (
-            "route",
-            sharded.route_ledger().iter().map(|t| t.cost).collect(),
-        ),
-        (
-            "shard_serve",
-            sharded
-                .shard_serve_ledger()
-                .iter()
-                .map(|t| t.cost)
-                .collect(),
-        ),
-        (
-            "shard_ingest",
-            sharded
-                .shard_ingest_ledger()
-                .iter()
-                .map(|t| t.cost)
-                .collect(),
-        ),
-    ];
-    for (name, bag) in &ledgers {
+    let totals = sharded.ledger().into_iter().map(|(name, tally)| {
         assert!(
-            !bag.is_empty(),
+            tally.n_tasks > 0,
             "the {name} ledger recorded no routed tasks"
         );
-    }
-    ledgers
+        (name.to_string(), tally.n_tasks, tally.total_work)
+    });
+    totals.collect()
 }
 
 fn smoke_sweeps() -> Vec<(SweepSpec, SweepSeries)> {
@@ -368,19 +358,24 @@ fn report_to_json(report: &EvalReport) -> Json {
     ])
 }
 
-/// One JSON node per fit ledger: task count and total cost. The totals are sums of
+/// One JSON node per ledger entry: task count and total cost. The totals are sums of
 /// integer-valued, data-derived work estimates accumulated in a fixed order, so they
 /// are exactly reproducible and safe to gate at [`GATE_TOLERANCE`].
-fn fit_ledgers_to_json(ledgers: &FitLedgers) -> Json {
-    Json::obj(ledgers.iter().map(|(name, bag)| {
-        (
-            *name,
-            Json::obj([
-                ("n_tasks", Json::Num(bag.len() as f64)),
-                ("total_cost", Json::Num(bag.iter().sum())),
-            ]),
-        )
-    }))
+fn ledgers_to_json(totals: &[LedgerTotal]) -> Json {
+    let node = |(name, n_tasks, total): &LedgerTotal| {
+        let counts = [
+            ("n_tasks", Json::Num(*n_tasks as f64)),
+            ("total_cost", Json::Num(*total)),
+        ];
+        (name.clone(), Json::obj(counts))
+    };
+    Json::Obj(totals.iter().map(node).collect())
+}
+
+fn print_totals(what: &str, totals: &[LedgerTotal]) {
+    for (name, n_tasks, total) in totals {
+        println!("{what}: {name} ledger {n_tasks} tasks, total cost {total:.0}");
+    }
 }
 
 fn series_to_json(spec: &SweepSpec, series: &SweepSeries) -> Json {
@@ -409,13 +404,8 @@ fn eval_smoke(args: &[String]) -> ExitCode {
         "determinism: EvalStage bit-identical to the serial reference at {GATE_WORKERS:?} workers \
          (ledgers describe model epoch {model_epoch})"
     );
-    for (name, bag) in &fit_ledgers {
-        println!(
-            "fit: {name} ledger {} tasks, total cost {:.0}",
-            bag.len(),
-            bag.iter().sum::<f64>()
-        );
-    }
+    let fit_totals: Vec<LedgerTotal> = fit_ledgers.iter().map(bag_total).collect();
+    print_totals("fit", &fit_totals);
     println!(
         "eval: mae {:.6}  rmse {:.6}  precision@N {:.4}  recall@N {:.4}  coverage {:.4}  ({} triples, {} ranking users)",
         report.mae,
@@ -432,13 +422,7 @@ fn eval_smoke(args: &[String]) -> ExitCode {
         "sharded: routed serving + ingest bit-identical to single-node at {GATE_NODES} nodes \
          (hot-shard replication factor {GATE_REPLICATION})"
     );
-    for (name, bag) in &shard_ledgers {
-        println!(
-            "sharded: {name} ledger {} tasks, total cost {:.0}",
-            bag.len(),
-            bag.iter().sum::<f64>()
-        );
-    }
+    print_totals("sharded", &shard_ledgers);
 
     let sweeps = smoke_sweeps();
     for (spec, series) in &sweeps {
@@ -460,13 +444,13 @@ fn eval_smoke(args: &[String]) -> ExitCode {
         ("bit_identical", Json::Bool(true)),
         ("model_epoch", Json::Num(model_epoch as f64)),
         ("eval", report_to_json(&report)),
-        ("fit", fit_ledgers_to_json(&fit_ledgers)),
+        ("fit", ledgers_to_json(&fit_totals)),
         (
             "shard",
             Json::obj([
                 ("n_nodes", Json::Num(GATE_NODES as f64)),
                 ("replication", Json::Num(GATE_REPLICATION as f64)),
-                ("ledgers", fit_ledgers_to_json(&shard_ledgers)),
+                ("ledgers", ledgers_to_json(&shard_ledgers)),
             ]),
         ),
         (
@@ -561,7 +545,7 @@ fn diff_against_baseline(current: &Json, baseline: &Json) -> Vec<String> {
     // The fit task-cost ledgers (plus the incremental fit's `delta` bag): a drifting
     // task count or total cost means the fit's partitioning or cost model changed —
     // regenerate the baseline deliberately.
-    for stage in ["baseliner", "extender", "generator", "recommender", "delta"] {
+    for stage in FIT_STAGE_NAMES.into_iter().chain([DELTA_STAGE_NAME]) {
         for field in ["n_tasks", "total_cost"] {
             check(
                 &mut drift,

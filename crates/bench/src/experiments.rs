@@ -13,11 +13,14 @@ use xmap_cf::baselines::{
     ItemAverage, LinkedDomainItemKnn, RatingPredictor, RemoteUser, SingleDomainItemKnn,
 };
 use xmap_cf::{DomainId, Rating, UserKnnConfig};
-use xmap_core::{PrivacyConfig, RatingDelta, ShardedModel, XMapConfig, XMapMode, XMapModel};
+use xmap_core::{
+    PrivacyConfig, RatingDelta, ShardedModel, XMapConfig, XMapMode, XMapModel, DELTA_STAGE_NAME,
+    FIT_STAGE_NAMES,
+};
 use xmap_dataset::split::{random_holdout, CrossDomainSplit, SplitConfig};
 use xmap_dataset::synthetic::CrossDomainDataset;
-use xmap_engine::{ClusterCostModel, ClusterSim, RoutedTask};
-use xmap_eval::{evaluate_predictions, SweepSeries};
+use xmap_engine::{ClusterCostModel, ClusterSim};
+use xmap_eval::{evaluate_predictions, SweepSeries, EVAL_STAGE_NAME};
 
 /// The two evaluation directions of the cross-domain experiments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -166,8 +169,8 @@ pub fn fig1b(scale: Scale) -> Fig1bResult {
     )
     .expect("generated dataset always contains both domains"); // lint: panic — reviewed invariant
     Fig1bResult {
-        standard: model.stats().n_standard_hetero_pairs,
-        metapath_based: model.stats().n_xsim_hetero_pairs,
+        standard: model.graph().n_heterogeneous_pairs(),
+        metapath_based: model.xsim().n_heterogeneous_pairs(),
     }
 }
 
@@ -515,7 +518,7 @@ pub fn fig11(scale: Scale) -> Vec<SweepSeries> {
     let baseline = 5;
 
     let xmap_sim = ClusterSim::new(
-        model.stats().extension_task_costs.clone(),
+        stage_costs(&model, FIT_STAGE_NAMES[1]),
         ClusterCostModel::xmap_like(),
     );
     let als_costs: Vec<f64> = ds
@@ -604,11 +607,12 @@ pub fn replay(scale: Scale) -> ReplayTable {
     };
 
     let model = runner.fit(&split);
-    let mut bags = vec![bag("fit", model.fit_task_costs())];
+    let fit_bag = FIT_STAGE_NAMES
+        .iter()
+        .flat_map(|&stage| stage_costs(&model, stage));
+    let mut bags = vec![bag("fit", fit_bag.collect())];
     model.evaluate_batch(runner.eval_batch(&split));
-    let eval_bag = model
-        .eval_task_costs()
-        .expect("evaluate_batch records its task bag"); // lint: panic — reviewed invariant
+    let eval_bag = stage_costs(&model, EVAL_STAGE_NAME);
     let target_items = ds.target_items();
     let mut delta = RatingDelta::new();
     for ix in 0..8usize {
@@ -619,10 +623,10 @@ pub fn replay(scale: Scale) -> ReplayTable {
     model
         .apply_delta(&delta)
         .expect("the delta names existing users and items"); // lint: panic — reviewed invariant
-    let delta_bag = model
-        .delta_task_costs()
-        .expect("apply_delta records its task bag"); // lint: panic — reviewed invariant
-    bags.push(bag("delta (8 ratings)", delta_bag));
+    bags.push(bag(
+        "delta (8 ratings)",
+        stage_costs(&model, DELTA_STAGE_NAME),
+    ));
     bags.push(bag("eval", eval_bag));
 
     let mut routed = Vec::new();
@@ -640,8 +644,9 @@ pub fn replay(scale: Scale) -> ReplayTable {
                     .recommend(user, 10)
                     .expect("every shard has a live replica"); // lint: panic — reviewed invariant
             }
-            let mut row = |ledger: &'static str, tasks: Vec<RoutedTask>| {
-                let report = ClusterSim::replay_pinned(&tasks, n_nodes, cost_model);
+            let [route, shard_serve, _] = sharded.ledger();
+            for (ledger, tally) in [route, shard_serve] {
+                let report = ClusterSim::replay_pinned(&tally, n_nodes, cost_model);
                 routed.push(RoutedReplay {
                     ledger,
                     n_nodes,
@@ -650,9 +655,7 @@ pub fn replay(scale: Scale) -> ReplayTable {
                     makespan: report.makespan,
                     imbalance: report.imbalance(),
                 });
-            };
-            row("route", sharded.route_ledger());
-            row("shard_serve", sharded.shard_serve_ledger());
+            }
         }
     }
     ReplayTable { bags, routed }
@@ -661,6 +664,13 @@ pub fn replay(scale: Scale) -> ReplayTable {
 // ---------------------------------------------------------------------------
 // Helper reused by tests and the figures binary
 // ---------------------------------------------------------------------------
+
+/// The task bag of a model's ledger entry; empty when the stage never ran or recorded
+/// no costs.
+pub fn stage_costs(model: &XMapModel, stage: &str) -> Vec<f64> {
+    let entry = model.ledger().into_iter().find(|r| r.name == stage);
+    entry.map(|r| r.costs).unwrap_or_default()
+}
 
 /// Returns the underlying Amazon-like dataset plus a default cold-start split for a
 /// direction — exposed so integration tests and examples can reuse the exact harness

@@ -150,7 +150,7 @@ impl Rule {
                  escape: none — move the code or extend the facade"
             }
             Rule::SurfaceDoc => {
-                "surface-doc — a pub fn in the read-surface files (serve/epoch/\n\
+                "surface-doc — a pub fn in the read-surface files (pipeline/epoch/\n\
                  concurrent/persist/shard and the analyzer's own parser+passes) is not\n\
                  mentioned in DESIGN.md. The surface doc is the contract readers audit\n\
                  against; an undocumented entry point is an unaudited one. Document the\n\
@@ -271,7 +271,7 @@ impl Default for Config {
             surface_files: vec![
                 "crates/engine/src/epoch.rs".into(),
                 "crates/engine/src/concurrent.rs".into(),
-                "crates/core/src/serve.rs".into(),
+                "crates/core/src/pipeline.rs".into(),
                 "crates/core/src/delta.rs".into(),
                 // The durable-state surface: the model lifecycle entry points and
                 // the on-disk snapshot/journal formats they rest on.
@@ -725,7 +725,7 @@ mod tests {
     #[test]
     fn surface_pub_fn_must_be_in_design_md() {
         let src = "pub fn serve_fn() {}\npub fn undocumented_fn() {}";
-        let v = lint_str("crates/core/src/serve.rs", src);
+        let v = lint_str("crates/core/src/pipeline.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, Rule::SurfaceDoc);
         assert!(v[0].message.contains("undocumented_fn"));

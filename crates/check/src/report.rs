@@ -2,8 +2,8 @@
 //!
 //! The `lint-audit` CI job runs `cargo xmap-lint --json lint-findings.json`
 //! and uploads the report as an artifact, so a red job carries its evidence.
-//! JSON is rendered by hand — the vendored `serde` is an offline marker stub —
-//! and the shape is versioned so consumers can evolve:
+//! The report is an `xmap_engine::Json` tree — the workspace's one JSON writer —
+//! and its shape is versioned so consumers can evolve:
 //!
 //! ```json
 //! {
@@ -17,84 +17,118 @@
 //! ```
 
 use crate::lint::{Audit, Rule};
+use xmap_engine::Json;
 
 /// Renders the versioned JSON findings report for one audit run.
 pub fn render_report(root: &str, audit: &Audit) -> String {
-    let mut s = String::new();
-    s.push_str("{\n  \"version\": 2,\n");
-    s.push_str(&format!("  \"root\": \"{}\",\n", esc(root)));
-
-    s.push_str("  \"rules\": [");
-    for (i, rule) in Rule::all().iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&format!(
-            "{{\"name\": \"{}\", \"escapable\": {}}}",
-            rule,
-            rule.escapable()
-        ));
-    }
-    s.push_str("],\n");
-
-    s.push_str("  \"findings\": [");
-    for (i, v) in audit.findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-            esc(&v.file),
-            v.line,
-            v.rule,
-            esc(&v.message)
-        ));
-    }
-    if !audit.findings.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("],\n");
-
-    s.push_str("  \"warnings\": [");
-    for (i, w) in audit.warnings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-            esc(&w.file),
-            w.line,
-            esc(&w.message)
-        ));
-    }
-    if !audit.warnings.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("],\n");
-
-    s.push_str(&format!(
-        "  \"summary\": {{\"files\": {}, \"findings\": {}, \"warnings\": {}, \"clean\": {}}}\n}}\n",
-        audit.files,
-        audit.findings.len(),
-        audit.warnings.len(),
-        audit.findings.is_empty()
-    ));
-    s
+    let num = |n: usize| Json::Num(n as f64);
+    let rules = Rule::all().into_iter().map(|rule| {
+        Json::obj([
+            ("name", Json::str(rule.to_string())),
+            ("escapable", Json::Bool(rule.escapable())),
+        ])
+    });
+    let findings = audit.findings.iter().map(|v| {
+        Json::obj([
+            ("file", Json::str(&v.file)),
+            ("line", Json::Num(v.line.into())),
+            ("rule", Json::str(v.rule.to_string())),
+            ("message", Json::str(&v.message)),
+        ])
+    });
+    let warnings = audit.warnings.iter().map(|w| {
+        Json::obj([
+            ("file", Json::str(&w.file)),
+            ("line", Json::Num(w.line.into())),
+            ("message", Json::str(&w.message)),
+        ])
+    });
+    Json::obj([
+        ("version", Json::Num(2.0)),
+        ("root", Json::str(root)),
+        ("rules", Json::Arr(rules.collect())),
+        ("findings", Json::Arr(findings.collect())),
+        ("warnings", Json::Arr(warnings.collect())),
+        (
+            "summary",
+            Json::obj([
+                ("files", num(audit.files)),
+                ("findings", num(audit.findings.len())),
+                ("warnings", num(audit.warnings.len())),
+                ("clean", Json::Bool(audit.findings.is_empty())),
+            ]),
+        ),
+    ])
+    .render_pretty()
 }
 
-/// JSON string escaping: quotes, backslashes, control characters.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lint::Violation;
+    use crate::Warning;
+
+    #[test]
+    fn a_rendered_report_parses_back_with_every_field() {
+        let message = "say \"no\" to C:\\tmp\u{1}\n";
+        let audit = Audit {
+            findings: vec![Violation {
+                file: "crates/a \"b\".rs".into(),
+                line: 7,
+                rule: Rule::all()[0],
+                message: message.into(),
+            }],
+            warnings: vec![Warning {
+                file: "crates/c.rs".into(),
+                line: 3,
+                message: "stale\ttag".into(),
+            }],
+            files: 57,
+        };
+        let doc = Json::parse(&render_report("/ws\\root", &audit)).unwrap();
+        let field = |v: &Json, key: &str| v.get(key).cloned().unwrap();
+        assert_eq!(field(&doc, "version"), Json::Num(2.0));
+        assert_eq!(field(&doc, "root"), Json::str("/ws\\root"));
+        let rules = field(&doc, "rules");
+        let rules = rules.as_array().unwrap();
+        assert_eq!(rules.len(), Rule::all().len());
+        for (json, rule) in rules.iter().zip(Rule::all()) {
+            assert_eq!(field(json, "name"), Json::str(rule.to_string()));
+            assert_eq!(field(json, "escapable"), Json::Bool(rule.escapable()));
         }
+        let findings = field(&doc, "findings");
+        let [finding] = findings.as_array().unwrap() else {
+            panic!("one finding expected");
+        };
+        assert_eq!(field(finding, "file"), Json::str("crates/a \"b\".rs"));
+        assert_eq!(field(finding, "line"), Json::Num(7.0));
+        assert_eq!(
+            field(finding, "rule"),
+            Json::str(Rule::all()[0].to_string())
+        );
+        assert_eq!(field(finding, "message"), Json::str(message));
+        let warnings = field(&doc, "warnings");
+        let [warning] = warnings.as_array().unwrap() else {
+            panic!("one warning expected");
+        };
+        assert_eq!(field(warning, "file"), Json::str("crates/c.rs"));
+        assert_eq!(field(warning, "line"), Json::Num(3.0));
+        assert_eq!(field(warning, "message"), Json::str("stale\ttag"));
+        let summary = field(&doc, "summary");
+        assert_eq!(field(&summary, "files"), Json::Num(57.0));
+        assert_eq!(field(&summary, "findings"), Json::Num(1.0));
+        assert_eq!(field(&summary, "warnings"), Json::Num(1.0));
+        assert_eq!(field(&summary, "clean"), Json::Bool(false));
+        let keys = |v: &Json| match v {
+            Json::Obj(pairs) => pairs.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            _ => Vec::new(),
+        };
+        assert_eq!(
+            keys(&doc),
+            ["version", "root", "rules", "findings", "warnings", "summary"]
+        );
+        assert_eq!(keys(finding), ["file", "line", "rule", "message"]);
+        assert_eq!(keys(warning), ["file", "line", "message"]);
+        assert_eq!(keys(&summary), ["files", "findings", "warnings", "clean"]);
     }
-    out
 }

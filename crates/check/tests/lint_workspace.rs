@@ -4,7 +4,9 @@
 
 use std::path::Path;
 
-use xmap_check::lint::{audit_workspace, lint_source, run_workspace, Config, Rule};
+use xmap_check::lint::{
+    audit_workspace, lint_source, run_workspace, workspace_sources, Config, Rule,
+};
 
 fn workspace_root() -> &'static Path {
     // crates/check → workspace root.
@@ -91,4 +93,36 @@ pub fn planted(flag: &AtomicU64, x: Option<f64>) -> bool {
             "planted {rule} violation was not rejected; findings: {findings:?}"
         );
     }
+}
+
+#[test]
+fn every_allowlist_and_surface_entry_names_a_workspace_file() {
+    // An entry naming a deleted or moved file silently audits nothing: a stale
+    // surface entry exempts the file that replaced it from the surface-doc rule.
+    let paths: Vec<String> = workspace_sources(workspace_root())
+        .into_iter()
+        .map(|(path, _)| path)
+        .collect();
+    let matches = |entry: &str| match entry.strip_suffix('/') {
+        Some(dir) => paths.iter().any(|p| {
+            p.strip_prefix(dir)
+                .is_some_and(|rest| rest.starts_with('/'))
+        }),
+        None => paths.iter().any(|p| p == entry),
+    };
+    let config = Config::default();
+    let stale: Vec<&String> = [
+        &config.ordering_allowlist,
+        &config.atomic_allowlist,
+        &config.surface_files,
+        &config.clock_allowlist,
+    ]
+    .into_iter()
+    .flatten()
+    .filter(|entry| !matches(entry))
+    .collect();
+    assert!(
+        stale.is_empty(),
+        "entries matching no workspace file: {stale:?}"
+    );
 }

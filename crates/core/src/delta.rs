@@ -33,9 +33,9 @@
 //! model's ingest lock.
 //!
 //! The build's four steps run as one `"delta"` stage on the model's own dataflow, so
-//! the per-partition data-derived costs land in a `"delta"` ledger
-//! ([`XMapModel::delta_task_costs`]) that `figures -- replay` replays on the cluster
-//! simulator — identical at any worker count (`tests/incremental_equivalence.rs`).
+//! the per-partition data-derived costs land in the `"delta"` entry of
+//! [`XMapModel::ledger`] that `figures -- replay` replays on the cluster simulator —
+//! identical at any worker count (`tests/incremental_equivalence.rs`).
 
 use crate::pipeline::{build_epoch, DeltaBase, Ledgers, XMapModel};
 use crate::{Result, XMapError};
@@ -206,8 +206,8 @@ impl XMapModel {
     /// serialize on the model's ingest lock.
     ///
     /// The build runs as one `"delta"` stage on the model's own dataflow; its
-    /// per-partition data-derived task costs ([`XMapModel::delta_task_costs`]) are
-    /// identical at any worker count. For the private modes the delta re-releases every
+    /// per-partition data-derived task costs (the [ledger](XMapModel::ledger)'s `delta`
+    /// entry) are identical at any worker count. For the private modes the delta re-releases every
     /// artifact, so a **fresh** privacy accountant is charged exactly like a refit
     /// (ε for PRS, ε′ for PNSA + PNCF) and replaces the previous ledger.
     ///
@@ -268,14 +268,6 @@ impl XMapModel {
         // retires with its last snapshot. ---
         report.epoch = self.handle.publish(Arc::new(next));
         Ok(report)
-    }
-
-    /// Per-partition task costs of the most recent [`XMapModel::apply_delta`] (the
-    /// `delta` stage's ledger entry) — the incremental-fit analogue of
-    /// [`XMapModel::fit_task_costs`], for the cluster simulator. Data-derived, so
-    /// identical at any worker count.
-    pub fn delta_task_costs(&self) -> Option<Vec<f64>> {
-        self.flow.stage_costs(DELTA_STAGE_NAME)
     }
 
     /// Serves `profiles` from a pool of `readers` snapshot readers **while** applying
@@ -417,7 +409,7 @@ mod tests {
         )
         .unwrap();
         assert_matches_refit(&model, &refit, &ds);
-        assert!(model.delta_task_costs().is_some());
+        assert!(model.flow.stage_costs(DELTA_STAGE_NAME).is_some());
         // An untouched delta shares every piece with the base epoch — pointers, not
         // copies.
         let (_, next) = model.snapshot();

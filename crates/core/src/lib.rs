@@ -55,7 +55,7 @@ pub use config::{PrivacyConfig, XMapConfig, XMapMode};
 pub use delta::{DeltaReport, RatingDelta, ServedRead, DELTA_STAGE_NAME};
 pub use generator::{AlterEgo, RatingTransfer, ReplacementTable};
 pub use persist::{JOURNAL_FILE, SNAPSHOT_FILE};
-pub use pipeline::{ModelEpoch, PipelineStats, XMapModel};
+pub use pipeline::{ModelEpoch, XMapModel, FIT_STAGE_NAMES};
 pub use recommend::{ProfileRecommender, ProfileScratch};
 pub use shard::{ShardMap, ShardSlice, ShardedModel};
 pub use xsim::{XSimEntry, XSimTable};

@@ -9,8 +9,7 @@
 //! narrows: it re-scores the pairs of the delta's dirty items over the base graph's
 //! scored-pair cache. Every later step either shares the base's piece, when its input
 //! is unchanged, or builds it whole exactly as a fit does. A fit records each step
-//! under its own ledger name (`baseliner` / `extender` / `generator` /
-//! `recommender`), a delta all of them under `delta`.
+//! under its own ledger name ([`FIT_STAGE_NAMES`]), a delta all of them under `delta`.
 //!
 //! Every step runs partition-parallel with a bit-identity contract (see the build
 //! section of `DESIGN.md`): the released model and the recorded per-partition task
@@ -20,10 +19,10 @@
 //! `xmap_cf::similarity::ItemRowKernel` gather; the per-pair profile merge survives only
 //! as the oracle of the serial references.
 //!
-//! Per-stage wall-clock durations and the four task bags of the fit are reported as
-//! [`PipelineStats`] — the scalability experiment (Figure 11) replays those task costs
-//! on the cluster simulator; measured fit times are the benchmark's (`benchmark/`,
-//! `fit_s` and `core.pipeline.*.fit_ms`).
+//! Every stage's wall-clock duration and task bag is one entry of
+//! [`XMapModel::ledger`] — the scalability experiment (Figure 11) replays those task
+//! costs on the cluster simulator; measured fit times are the benchmark's
+//! (`benchmark/`, `fit_s` and `core.pipeline.*.fit_ms`).
 //!
 //! ## Serve-while-updating: epoch-published snapshots
 //!
@@ -56,74 +55,14 @@ use xmap_cf::{
     UserId,
 };
 use xmap_engine::{fn_stage, Dataflow, EpochHandle, StageContext, StageReport};
-use xmap_eval::EVAL_STAGE_NAME;
 use xmap_eval::{EvalBatch, EvalReport, EvalStage, EvalTarget, SweepParam, SweepSeries, SweepSpec};
-use xmap_graph::{GraphConfig, Layer, LayerPartition, SimilarityGraph};
+use xmap_graph::{GraphConfig, LayerPartition, SimilarityGraph};
 use xmap_privacy::PrivacyBudget;
 
-/// Summary statistics of a fitted pipeline.
-#[derive(Clone, Debug)]
-pub struct PipelineStats {
-    /// Heterogeneous item pairs connected by a *direct* baseline edge (the "standard"
-    /// bar of Figure 1(b)).
-    pub n_standard_hetero_pairs: usize,
-    /// Heterogeneous item pairs connected after the X-Sim extension (the "meta-path-
-    /// based" bar of Figure 1(b)).
-    pub n_xsim_hetero_pairs: usize,
-    /// Number of bridge items detected.
-    pub n_bridge_items: usize,
-    /// Item counts per `(domain, layer)` cell of the layer partition.
-    pub layer_counts: Vec<(DomainId, Layer, usize)>,
-    /// Wall-clock duration of each pipeline stage.
-    pub stage_durations: Vec<StageReport>,
-    /// Per-partition work estimates of the baseliner stage (the profile entries its row
-    /// gathers walk, `Σ over items (1 + Σ over raters |profile|)` per partition),
-    /// recorded by the `Dataflow` runner. Data-derived, so identical for any worker
-    /// count.
-    pub baseliner_task_costs: Vec<f64>,
-    /// Per-partition work estimates of the extension stage, recorded by the `Dataflow`
-    /// runner (one task per dataflow partition; data-derived, so identical for any
-    /// worker count). The scalability benchmark schedules these onto simulated machines.
-    pub extension_task_costs: Vec<f64>,
-    /// Per-partition work estimates of the generator stage (`Σ (1 + |candidates|)` per
-    /// partition of replacement draws). Data-derived, so identical for any worker count.
-    pub generator_task_costs: Vec<f64>,
-    /// Per-partition work estimates of the recommender stage's item-kNN fit (the
-    /// entries its row gathers walk, per partition of items). Empty for the user-based
-    /// modes, which precompute nothing at fit time.
-    pub recommender_task_costs: Vec<f64>,
-    /// Number of ratings in the target-domain training matrix.
-    pub n_target_ratings: usize,
-}
-
-impl PipelineStats {
-    /// The stats of a model serving `epoch` on `flow`. The shape half is a function of
-    /// the epoch's own pieces (a bridge item is a BB-layer item); the durations and the
-    /// four fit task bags are the dataflow's ledger entries — the fit's for the life of
-    /// the model (a delta records under `delta`), empty on a model reopened from a
-    /// snapshot: they describe a past process, not the model.
-    fn capture(epoch: &ModelEpoch, flow: &Dataflow) -> Self {
-        let (_, partition) = LayerPartition::from_graph(&epoch.graph);
-        let layer_counts = partition.cell_counts();
-        let bag = |stage: &str| flow.stage_costs(stage).unwrap_or_default();
-        PipelineStats {
-            n_standard_hetero_pairs: epoch.graph.n_heterogeneous_pairs(),
-            n_xsim_hetero_pairs: epoch.xsim.n_heterogeneous_pairs(),
-            n_bridge_items: layer_counts
-                .iter()
-                .filter(|(_, layer, _)| *layer == Layer::BridgeBridge)
-                .map(|&(_, _, count)| count)
-                .sum(),
-            layer_counts,
-            stage_durations: flow.reports(),
-            baseliner_task_costs: bag("baseliner"),
-            extension_task_costs: bag("extender"),
-            generator_task_costs: bag("generator"),
-            recommender_task_costs: bag("recommender"),
-            n_target_ratings: epoch.recommender.target().n_ratings(),
-        }
-    }
-}
+/// The ledger names of a fit's four stages, in pipeline order. A fit's task bag is
+/// these entries' costs concatenated in this order; a delta records all four steps
+/// under [`crate::DELTA_STAGE_NAME`].
+pub const FIT_STAGE_NAMES: [&str; 4] = ["baseliner", "extender", "generator", "recommender"];
 
 /// One immutable, self-consistent version of a fitted X-Map model.
 ///
@@ -344,11 +283,13 @@ impl XMapModel {
         self.snap().full.clone()
     }
 
-    /// Pipeline statistics of the current epoch: pair counts and layer sizes derived
-    /// from its pieces, the dataflow's latest stage timings, and the task bags of the
-    /// fit.
-    pub fn stats(&self) -> PipelineStats {
-        PipelineStats::capture(&self.snap(), &self.flow)
+    /// The model's ledger: the most recent run of each stage on its dataflow — the
+    /// fit's four ([`FIT_STAGE_NAMES`]), then `recommend`, `eval` and `delta` as they
+    /// first run — each with its wall-clock duration and data-derived task costs.
+    /// Empty on a model reopened from a snapshot: the fit's entries describe a past
+    /// process, not the model.
+    pub fn ledger(&self) -> Vec<StageReport> {
+        self.flow.reports()
     }
 
     /// Display label of the active recommender variant.
@@ -384,23 +325,11 @@ impl XMapModel {
     /// model's dataflow (see [`serve_on`]). Output is bit-identical to calling
     /// [`ModelEpoch::recommend_for_profile`] once per profile against that snapshot, at
     /// any worker count. The *recommendations* are safe to compute from any number of
-    /// threads sharing the model; the cost ledger, however, holds one slot per stage
-    /// name, so concurrent batches overwrite each other's `recommend` entry (last
-    /// writer wins — see [`XMapModel::serving_task_costs`]).
+    /// threads sharing the model; the [ledger](XMapModel::ledger), however, holds one
+    /// entry per stage name, so concurrent batches overwrite each other's `recommend`
+    /// entry (last writer wins: serve a batch from one thread to attribute its costs).
     pub fn serve_profiles(&self, profiles: &[Profile], n: usize) -> Vec<Vec<(ItemId, f64)>> {
         serve_on(&self.flow, self.snap().recommender.as_ref(), profiles, n)
-    }
-
-    /// Per-partition task costs of the most recent serving batch (the `recommend`
-    /// stage's ledger entry), for the cluster simulator — the serving analogue of
-    /// [`PipelineStats::extension_task_costs`].
-    ///
-    /// "Most recent" is global to the model: the ledger keeps one slot per stage name,
-    /// so when several threads serve batches concurrently this returns whichever batch
-    /// wrote last. To attribute costs to a specific batch for replay, serve it from a
-    /// single thread and read this immediately after [`XMapModel::serve_profiles`].
-    pub fn serving_task_costs(&self) -> Option<Vec<f64>> {
-        self.flow.stage_costs(RECOMMEND_STAGE_NAME)
     }
 
     /// The privacy accountant of the current epoch: `Some` for the private modes (with
@@ -409,42 +338,23 @@ impl XMapModel {
         self.snap().budget.clone()
     }
 
-    /// The combined fit task bag: every per-partition cost the four fit stages recorded
-    /// (baseliner, extender, generator, recommender — in pipeline order), for cluster
-    /// replay of the whole model fit. Data-derived, so identical at any worker count.
-    pub fn fit_task_costs(&self) -> Vec<f64> {
-        ["baseliner", "extender", "generator", "recommender"]
-            .iter()
-            .flat_map(|stage| self.flow.stage_costs(stage).unwrap_or_default())
-            .collect()
-    }
-
     /// Evaluates the model over an [`EvalBatch`] on the dataflow engine: test triples
     /// and ranking cases are partitioned via the engine's ordered map, evaluated in
     /// parallel (against one epoch snapshot), and aggregated exactly like the serial
     /// reference ([`xmap_eval::evaluate_batch_serial`]) — the report is **bit-identical**
     /// to the serial protocol (and its `mae`/`rmse` to `evaluate_predictions`) at any
-    /// worker count. Per-partition data-derived costs land in the `eval` ledger
-    /// ([`XMapModel::eval_task_costs`]).
+    /// worker count. Per-partition data-derived costs land in the ledger's `eval` entry.
     pub fn evaluate_batch(&self, batch: EvalBatch) -> EvalReport {
         let snap = self.snap();
         self.flow.run(&EvalStage::new(snap.as_ref()), batch)
-    }
-
-    /// Per-partition task costs of the most recent evaluation batch (the `eval`
-    /// stage's ledger entry), for the cluster simulator — the evaluation analogue of
-    /// [`XMapModel::serving_task_costs`], with the same one-slot-per-stage-name
-    /// concurrency caveat.
-    pub fn eval_task_costs(&self) -> Option<Vec<f64>> {
-        self.flow.stage_costs(EVAL_STAGE_NAME)
     }
 
     /// Runs a parameter sweep: for every value of `spec`, refits this model's
     /// configuration with the parameter applied (on the same training matrix and
     /// domains) and evaluates `batch` through [`XMapModel::evaluate_batch`]. Each
     /// sweep point is one independent fit with its own dataflow (and therefore its own
-    /// timing/cost ledgers, dropped with the refit model) — this model's ledgers,
-    /// including [`XMapModel::eval_task_costs`], are untouched by a sweep.
+    /// ledger, dropped with the refit model) — this model's ledger, including its
+    /// `eval` entry, is untouched by a sweep.
     ///
     /// [`SweepParam::Overlap`] cannot be swept here (it rebuilds the train/test split,
     /// which the model does not hold) and returns `XMapError::InvalidConfig`; the
@@ -650,7 +560,7 @@ pub(crate) fn build_epoch(
     // --- 1. Baseliner, the one narrowed step: gather the dirty items' whole rows and
     // merge them over the cache. Nothing re-scored and no item added: the base arena
     // *is* the refit's, so it is shared instead of copied. ---
-    let graph = ledgers.step("baseliner", |cx| {
+    let graph = ledgers.step(FIT_STAGE_NAMES[0], |cx| {
         let dirty: Vec<ItemId> = match base {
             None => updated.items().collect(),
             Some(b) => {
@@ -673,7 +583,7 @@ pub(crate) fn build_epoch(
     let unmoved = base.filter(|b| Arc::ptr_eq(&graph, &b.epoch.graph));
 
     // --- 2. Extender: every source row by frontier expansion. ---
-    let xsim = ledgers.step("extender", |cx| match unmoved {
+    let xsim = ledgers.step(FIT_STAGE_NAMES[1], |cx| match unmoved {
         Some(b) => Arc::clone(&b.epoch.xsim),
         None => {
             report.n_xsim_rows = updated
@@ -695,7 +605,7 @@ pub(crate) fn build_epoch(
     // --- 3. Generator: PRS (one exponential-mechanism draw per item, reused for every
     // user) spends the generation-phase ε before the draws run, then every X-Sim row
     // is drawn. ---
-    let replacements = ledgers.step("generator", |cx| -> Result<_> {
+    let replacements = ledgers.step(FIT_STAGE_NAMES[2], |cx| -> Result<_> {
         if let Some(budget) = &mut budget {
             budget.spend("PRS", config.privacy.epsilon)?;
         }
@@ -714,7 +624,7 @@ pub(crate) fn build_epoch(
     // pools (item-based modes) are fitted for every target-matrix item and every mode
     // rebuilds through `recommend::build`. Either way ε′ (PNSA + PNCF) is debited
     // first: an exhausted budget fails the step without paying for the pool fit. ---
-    let (recommender, item_pools) = ledgers.step("recommender", |cx| -> Result<_> {
+    let (recommender, item_pools) = ledgers.step(FIT_STAGE_NAMES[3], |cx| -> Result<_> {
         let untouched = |b: &&DeltaBase<'_>| {
             updated.n_users() == b.epoch.full.n_users()
                 && updated.n_items() == b.epoch.full.n_items()
@@ -861,7 +771,7 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_stats_capture_the_four_stages_and_pair_counts() {
+    fn the_ledger_holds_the_four_fit_stages_and_the_shape_reads_off_the_epoch() {
         let toy = ToyScenario::build();
         let model = XMapModel::fit(
             &toy.matrix,
@@ -870,45 +780,29 @@ mod tests {
             toy_config(XMapMode::NxMapItemBased),
         )
         .unwrap();
-        let stats = model.stats();
-        let stage_names: Vec<&str> = stats
-            .stage_durations
+        let ledger = model.ledger();
+        let names: Vec<&str> = ledger.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, FIT_STAGE_NAMES);
+        for entry in &ledger {
+            assert!(
+                !entry.costs.is_empty(),
+                "the item-based {} stage must record its task bag",
+                entry.name
+            );
+            assert!(entry.costs.iter().all(|&c| c.is_finite() && c >= 0.0));
+        }
+        assert!(model.xsim().n_heterogeneous_pairs() >= model.graph().n_heterogeneous_pairs());
+        let (_, partition) = LayerPartition::from_graph(&model.graph());
+        let cells = partition.cell_counts();
+        let bb_items: usize = cells
             .iter()
-            .map(|r| r.name.as_str())
-            .collect();
-        assert_eq!(
-            stage_names,
-            vec!["baseliner", "extender", "generator", "recommender"]
-        );
-        assert!(stats.n_xsim_hetero_pairs >= stats.n_standard_hetero_pairs);
-        assert!(
-            stats.n_bridge_items >= 2,
-            "Inception and at least one book are bridges"
-        );
-        assert!(!stats.extension_task_costs.is_empty());
-        assert!(
-            !stats.baseliner_task_costs.is_empty(),
-            "the baseliner must record its pair-scoring task bag"
-        );
-        assert!(
-            !stats.generator_task_costs.is_empty(),
-            "the generator must record its replacement-draw task bag"
-        );
-        assert!(
-            !stats.recommender_task_costs.is_empty(),
-            "the item-based recommender must record its kNN-fit task bag"
-        );
-        let combined = model.fit_task_costs();
-        assert_eq!(
-            combined.len(),
-            stats.baseliner_task_costs.len()
-                + stats.extension_task_costs.len()
-                + stats.generator_task_costs.len()
-                + stats.recommender_task_costs.len()
-        );
-        assert!(combined.iter().all(|&c| c.is_finite() && c >= 0.0));
-        assert!(stats.n_target_ratings > 0);
-        let total_layer_items: usize = stats.layer_counts.iter().map(|(_, _, c)| c).sum();
+            .filter(|(_, layer, _)| *layer == xmap_graph::Layer::BridgeBridge)
+            .map(|&(_, _, count)| count)
+            .sum();
+        let bridges = xmap_graph::BridgeIndex::from_graph(&model.graph()).n_bridges();
+        assert!(bridges >= 2, "Inception and at least one book are bridges");
+        assert_eq!(bridges, bb_items, "a bridge item is a BB-layer item");
+        let total_layer_items: usize = cells.iter().map(|(_, _, c)| c).sum();
         assert_eq!(total_layer_items, toy.matrix.n_items());
     }
 
@@ -927,9 +821,9 @@ mod tests {
         )
         .unwrap();
         // user-based CF precomputes nothing at fit time — no task bag to replay
-        assert!(model.stats().recommender_task_costs.is_empty());
-        assert!(!model.stats().baseliner_task_costs.is_empty());
-        assert!(!model.stats().generator_task_costs.is_empty());
+        let ledger = model.ledger();
+        let empty: Vec<bool> = ledger.iter().map(|r| r.costs.is_empty()).collect();
+        assert_eq!(empty, [false, false, false, true]);
     }
 
     #[test]
@@ -1250,7 +1144,8 @@ mod tests {
             let batched = model.serve_profiles(&profiles, 5);
             assert_eq!(batched, per_user, "{workers} workers: batch diverged");
             let costs = model
-                .serving_task_costs()
+                .flow
+                .stage_costs(RECOMMEND_STAGE_NAME)
                 .expect("serving records task costs");
             match (&reference, &reference_costs) {
                 (None, _) => {
@@ -1303,13 +1198,13 @@ mod tests {
         .unwrap();
         assert!(model.privacy_budget().is_none());
         assert!(
-            model.serving_task_costs().is_none(),
+            model.flow.stage_costs(RECOMMEND_STAGE_NAME).is_none(),
             "no serving ran yet, so no recommend-stage ledger entry"
         );
         let out = model.serve_profiles(&[model.alterego(users::ALICE).profile], 2);
         assert_eq!(out.len(), 1);
         assert!(!out[0].is_empty());
-        assert!(model.serving_task_costs().is_some());
+        assert!(model.flow.stage_costs(RECOMMEND_STAGE_NAME).is_some());
     }
 
     fn eval_batch_for(ds: &CrossDomainDataset) -> EvalBatch {
@@ -1358,7 +1253,8 @@ mod tests {
                 },
             )
             .unwrap();
-            assert!(model.eval_task_costs().is_none(), "no evaluation ran yet");
+            let eval_costs = || model.flow.stage_costs(xmap_eval::EVAL_STAGE_NAME);
+            assert!(eval_costs().is_none(), "no evaluation ran yet");
             let report = model.evaluate_batch(batch.clone());
             // the engine-parallel report equals the fully serial protocol, bit for bit
             let serial = xmap_eval::evaluate_batch_serial(&*model.snapshot().1, &batch);
@@ -1371,7 +1267,7 @@ mod tests {
             assert_eq!(report.mae.to_bits(), loop_outcome.mae.to_bits());
             assert_eq!(report.rmse.to_bits(), loop_outcome.rmse.to_bits());
             assert_eq!(report.n_predictions, loop_outcome.n);
-            let costs = model.eval_task_costs().expect("evaluation records costs");
+            let costs = eval_costs().expect("evaluation records costs");
             match (&reference, &reference_costs) {
                 (None, _) => {
                     reference = Some(report);

@@ -38,10 +38,10 @@
 //!   its journal never saw — re-replicates the shard from the coordinator and
 //!   rewrites its files.
 //!
-//! Routing, per-shard serving and per-shard ingest work are recorded as
-//! [`RoutedTask`] ledgers (`route` / `shard-serve` / `shard-ingest`) with
+//! Routing, per-shard serving and per-shard ingest work are tallied per node
+//! ([`ShardedModel::ledger`]: `route` / `shard_serve` / `shard_ingest`) with
 //! data-derived costs, so `xmap_engine::ClusterSim::replay_pinned` can replay a
-//! serving trace on a simulated cluster exactly like the fit ledgers.
+//! serving trace on a simulated cluster exactly like the fit ledger.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::path::{Path, PathBuf};
@@ -56,7 +56,7 @@ use crate::{Result, XMapError};
 use xmap_cf::knn::{ItemNeighbor, Profile};
 use xmap_cf::topk::{top_k, TopK};
 use xmap_cf::{ItemId, SimilarityStats, UserId};
-use xmap_engine::{EpochHandle, RoutedTask, WorkerPool};
+use xmap_engine::{EpochHandle, RoutedTally, WorkerPool};
 use xmap_privacy::PrivacyBudget;
 use xmap_store::{Journal, Snapshot};
 
@@ -539,12 +539,12 @@ fn once_per_slice<B>(
     &built[built.len() - 1].1
 }
 
-/// The three routed-work ledgers plus the read-routing rotation counter.
+/// The three routed-work tallies plus the read-routing rotation counter.
 #[derive(Default)]
 struct ShardLedgers {
-    route: Vec<RoutedTask>,
-    serve: Vec<RoutedTask>,
-    ingest: Vec<RoutedTask>,
+    route: RoutedTally,
+    serve: RoutedTally,
+    ingest: RoutedTally,
     next_read: u64,
 }
 
@@ -673,10 +673,7 @@ impl ShardedModel {
         let mut led = lock_ledgers(&self.ledgers);
         let pick = live[(led.next_read % live.len() as u64) as usize];
         led.next_read += 1;
-        led.route.push(RoutedTask {
-            node: pick,
-            cost: 1.0,
-        });
+        led.route.add(pick, 1.0);
         Ok(pick)
     }
 
@@ -689,9 +686,7 @@ impl ShardedModel {
     }
 
     fn push_serve(&self, node: usize, cost: f64) {
-        lock_ledgers(&self.ledgers)
-            .serve
-            .push(RoutedTask { node, cost });
+        lock_ledgers(&self.ledgers).serve.add(node, cost);
     }
 
     /// The home shard of a profile: the shard of its first item (shard 0 for an
@@ -881,9 +876,7 @@ impl ShardedModel {
                     journal.append_framed(record)?;
                 }
                 node.install(epoch_no, Arc::clone(&new_slice), Arc::clone(&serve));
-                lock_ledgers(&self.ledgers)
-                    .ingest
-                    .push(RoutedTask { node: host, cost });
+                lock_ledgers(&self.ledgers).ingest.add(host, cost);
             }
         }
         Ok(report)
@@ -987,32 +980,32 @@ impl ShardedModel {
         Ok(())
     }
 
-    /// The routing ledger: one unit-cost task per routed request→shard
-    /// interaction, attributed to the serving node. Replayable by
-    /// `xmap_engine::ClusterSim::replay_pinned`.
-    pub fn route_ledger(&self) -> Vec<RoutedTask> {
-        lock_ledgers(&self.ledgers).route.clone()
+    /// The routed-work ledger: one per-node tally per kind of routed work, each
+    /// replayable by `xmap_engine::ClusterSim::replay_pinned` —
+    /// * `route`: one unit-cost task per routed request→shard interaction, on the
+    ///   serving node;
+    /// * `shard_serve`: one task per shard-local phase of a routed request, cost
+    ///   `1 + items processed`;
+    /// * `shard_ingest`: one task per (shard, live hosting node) of each ingest, cost
+    ///   `1 + sub-delta ratings`.
+    pub fn ledger(&self) -> [(&'static str, RoutedTally); 3] {
+        let led = lock_ledgers(&self.ledgers);
+        [
+            ("route", led.route.clone()),
+            ("shard_serve", led.serve.clone()),
+            ("shard_ingest", led.ingest.clone()),
+        ]
     }
 
-    /// The per-shard serving ledger: one task per shard-local phase of a routed
-    /// request, cost `1 + items processed`.
-    pub fn shard_serve_ledger(&self) -> Vec<RoutedTask> {
-        lock_ledgers(&self.ledgers).serve.clone()
-    }
-
-    /// The per-shard ingest ledger: one task per (shard, hosting node) of each
-    /// ingest, cost `1 + sub-delta ratings`.
-    pub fn shard_ingest_ledger(&self) -> Vec<RoutedTask> {
-        lock_ledgers(&self.ledgers).ingest.clone()
-    }
-
-    /// Clears all three routed-work ledgers (the rotation counter is kept, so
-    /// routing decisions stay on their sequence).
+    /// Zeroes the three tallies (the rotation counter is kept, so routing decisions
+    /// stay on their sequence).
     pub fn clear_ledgers(&self) {
         let mut led = lock_ledgers(&self.ledgers);
-        led.route.clear();
-        led.serve.clear();
-        led.ingest.clear();
+        let next_read = led.next_read;
+        *led = ShardLedgers {
+            next_read,
+            ..ShardLedgers::default()
+        };
     }
 }
 

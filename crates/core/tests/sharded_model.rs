@@ -98,12 +98,10 @@ fn routed_serving_matches_single_node_in_all_modes_at_1_2_8_nodes() {
             }
             // Sharding spends no additional privacy budget.
             assert_same_ledger(&sharded, &reference, &format!("{mode:?}/{n_nodes} nodes"));
+            let [(_, route), (_, serve), _] = sharded.ledger();
+            assert!(route.n_tasks > 0, "{mode:?}: routed reads must be ledgered");
             assert!(
-                !sharded.route_ledger().is_empty(),
-                "{mode:?}: routed reads must be ledgered"
-            );
-            assert!(
-                !sharded.shard_serve_ledger().is_empty(),
+                serve.n_tasks > 0,
                 "{mode:?}: shard serving must be ledgered"
             );
         }
@@ -188,11 +186,14 @@ fn hot_shard_replication_preserves_bits_and_rotates_reads() {
     let a = sharded.predict_for_profile(&profile, item).unwrap();
     let b = sharded.predict_for_profile(&profile, item).unwrap();
     assert_eq!(a.to_bits(), b.to_bits(), "replicas must answer identically");
-    let route = sharded.route_ledger();
-    assert_eq!(route.len(), 2);
-    assert_ne!(
-        route[0].node, route[1].node,
-        "reads of a replicated shard must rotate across replicas"
+    let [(_, route), ..] = sharded.ledger();
+    assert_eq!(route.n_tasks, 2);
+    let mut loads = route.node_loads.clone();
+    loads.retain(|&load| load != 0.0);
+    assert_eq!(
+        loads,
+        [1.0, 1.0],
+        "reads of a replicated shard must rotate across replicas: {route:?}"
     );
 
     // Replication beyond the node count clamps: every node hosts the hot shard.
@@ -242,9 +243,20 @@ fn routed_ingest_matches_single_node_ingest() {
         let report = sharded.ingest(&delta).unwrap();
         assert_eq!(report.epoch, 2);
         assert_eq!(sharded.epoch(), 2);
-        assert!(
-            !sharded.shard_ingest_ledger().is_empty(),
-            "per-shard ingest work must be ledgered"
+        let map = sharded.shard_map();
+        let live_hosted: usize = (0..map.n_shards() as u32)
+            .map(|shard| {
+                let hosts = map.hosts(shard, 4).into_iter();
+                hosts
+                    .filter(|&h| sharded.node_is_alive(h) && sharded.slice(h, shard).is_some())
+                    .count()
+            })
+            .sum();
+        let [.., (_, ingest)] = sharded.ledger();
+        assert!(live_hosted > 0);
+        assert_eq!(
+            ingest.n_tasks, live_hosted,
+            "one ingest task per live hosted (shard, host) pair"
         );
         let new_user = UserId(ds.matrix.n_users() as u32);
         let new_item = ItemId(ds.matrix.n_items() as u32);
@@ -305,8 +317,11 @@ fn killed_node_fails_over_and_recovers_from_its_journal() {
     assert_eq!(live_epoch, 2, "live replica serves the post-ingest epoch");
     sharded.clear_ledgers();
     sharded.predict_for_profile(&profile, hot_item).unwrap();
-    assert!(
-        sharded.route_ledger().iter().all(|t| t.node != victim),
+    let [(_, route), ..] = sharded.ledger();
+    assert!(route.n_tasks > 0, "the read must be routed");
+    assert_eq!(
+        route.node_loads.get(victim).copied().unwrap_or(0.0),
+        0.0,
         "no read may route to a dead node"
     );
 

@@ -86,7 +86,7 @@ pub struct SpeedupPoint {
 }
 
 /// The cluster simulator: a cost model plus either an anonymous task bag placed by LPT
-/// ([`ClusterSim::makespan`]) or a routed ledger whose placement is already pinned
+/// ([`ClusterSim::makespan`]) or a routed tally whose placement is already pinned
 /// ([`ClusterSim::replay_pinned`]).
 #[derive(Clone, Debug)]
 pub struct ClusterSim {
@@ -137,40 +137,32 @@ impl ClusterSim {
         self.model.finish(&loads, self.total_work())
     }
 
-    /// Replays a routed ledger on `n_nodes` machines under the second placement
-    /// policy: *pinned* — each task runs on the node the router sent it to instead of
+    /// Replays a routed tally on `n_nodes` machines under the second placement
+    /// policy: *pinned* — each node keeps the load the router sent it instead of
     /// being re-balanced by LPT, so a skewed shard map shows up as load imbalance. The
     /// makespan finishes through the same serial / per-machine / shuffle terms as
     /// [`ClusterSim::makespan`], so routed and LPT replays of the same work are
     /// directly comparable.
     ///
-    /// Tasks must name an existing node and carry finite, non-negative costs.
+    /// The tally must name only existing nodes.
     pub fn replay_pinned(
-        tasks: &[RoutedTask],
+        tally: &RoutedTally,
         n_nodes: usize,
         model: ClusterCostModel,
     ) -> RoutedReport {
         assert!(n_nodes > 0, "a cluster needs at least one node");
-        let mut node_loads = vec![0.0f64; n_nodes];
-        let mut total_work = 0.0;
-        for task in tasks {
-            assert!(
-                task.node < n_nodes,
-                "routed task names node {} of a {n_nodes}-node cluster",
-                task.node
-            );
-            assert!(
-                task.cost.is_finite() && task.cost >= 0.0,
-                "task costs must be finite and non-negative"
-            );
-            node_loads[task.node] += task.cost;
-            total_work += task.cost;
-        }
+        assert!(
+            tally.node_loads.len() <= n_nodes,
+            "routed tally names node {} of a {n_nodes}-node cluster",
+            tally.node_loads.len() - 1
+        );
+        let mut node_loads = tally.node_loads.clone();
+        node_loads.resize(n_nodes, 0.0);
         RoutedReport {
-            makespan: model.finish(&node_loads, total_work),
+            makespan: model.finish(&node_loads, tally.total_work),
             node_loads,
-            n_tasks: tasks.len(),
-            total_work,
+            n_tasks: tally.n_tasks,
+            total_work: tally.total_work,
         }
     }
 
@@ -202,17 +194,38 @@ impl ClusterSim {
 // Routed execution: nodes that own shards and run the tasks sent to them
 // ---------------------------------------------------------------------------
 
-/// One task of a routed trace: the node that executed it and its data-derived cost.
+/// The per-node tally of a routed trace: what [`ClusterSim::replay_pinned`] replays.
 ///
-/// Unlike the anonymous task bags [`ClusterSim`] schedules with LPT, a routed task is
-/// *pinned*: the router already decided which node runs it (the shard owner or a
-/// replica), so the replay must respect that placement instead of re-balancing it.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RoutedTask {
-    /// The node the router sent the task to.
-    pub node: usize,
-    /// Data-derived cost of the task, in the same unit as [`ClusterSim`] task costs.
-    pub cost: f64,
+/// Unlike the anonymous task bags [`ClusterSim`] schedules with LPT, routed work is
+/// *pinned*: the router already decided which node runs each task (the shard owner or
+/// a replica), so the tally keeps each node's load instead of the tasks. Bounded by
+/// the node count however long the trace, and — accumulating in trace order — it
+/// replays bit-equal to the task list it summarises.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RoutedTally {
+    /// Total cost sent to each node, indexed by node id, up to the highest node seen.
+    pub node_loads: Vec<f64>,
+    /// Number of tasks tallied.
+    pub n_tasks: usize,
+    /// Sum of all task costs, in tally order.
+    pub total_work: f64,
+}
+
+impl RoutedTally {
+    /// Tallies one task the router sent to `node`, with its data-derived cost in the
+    /// same unit as [`ClusterSim`] task costs. Non-finite or negative costs are rejected.
+    pub fn add(&mut self, node: usize, cost: f64) {
+        assert!(
+            cost.is_finite() && cost >= 0.0,
+            "task costs must be finite and non-negative"
+        );
+        if node >= self.node_loads.len() {
+            self.node_loads.resize(node + 1, 0.0);
+        }
+        self.node_loads[node] += cost;
+        self.n_tasks += 1;
+        self.total_work += cost;
+    }
 }
 
 /// Aggregated outcome of [`ClusterSim::replay_pinned`].
@@ -334,6 +347,39 @@ mod tests {
         let _ = ClusterSim::new(vec![1.0, -0.5], ClusterCostModel::xmap_like());
     }
 
+    /// Today's per-task replay, kept as the oracle of the tally: every task names a
+    /// node and its load accumulates in task order.
+    fn replay_tasks(
+        tasks: &[(usize, f64)],
+        n_nodes: usize,
+        model: ClusterCostModel,
+    ) -> RoutedReport {
+        let mut node_loads = vec![0.0f64; n_nodes];
+        let mut total_work = 0.0;
+        for &(node, cost) in tasks {
+            assert!(
+                node < n_nodes,
+                "routed task names node {node} of a {n_nodes}-node cluster"
+            );
+            node_loads[node] += cost;
+            total_work += cost;
+        }
+        RoutedReport {
+            makespan: model.finish(&node_loads, total_work),
+            node_loads,
+            n_tasks: tasks.len(),
+            total_work,
+        }
+    }
+
+    fn tally(tasks: &[(usize, f64)]) -> RoutedTally {
+        let mut tally = RoutedTally::default();
+        for &(node, cost) in tasks {
+            tally.add(node, cost);
+        }
+        tally
+    }
+
     #[test]
     fn routed_replay_pins_tasks_to_their_nodes() {
         let free = ClusterCostModel {
@@ -343,11 +389,10 @@ mod tests {
             shuffle_stages: 0,
         };
         // Everything routed to node 2: no LPT rebalancing may hide the hotspot.
-        let tasks: Vec<RoutedTask> = (0..10).map(|_| RoutedTask { node: 2, cost: 1.0 }).collect();
-        let report = ClusterSim::replay_pinned(&tasks, 4, free);
+        let report = ClusterSim::replay_pinned(&tally(&[(2, 1.0); 10]), 4, free);
         assert_eq!(report.n_tasks, 10);
         assert!((report.makespan - 10.0).abs() < 1e-12);
-        assert!((report.node_loads[2] - 10.0).abs() < 1e-12);
+        assert_eq!(report.node_loads, vec![0.0, 0.0, 10.0, 0.0]);
         assert!(
             (report.imbalance() - 4.0).abs() < 1e-12,
             "one of four nodes does all the work"
@@ -357,11 +402,7 @@ mod tests {
     #[test]
     fn routed_replay_balanced_matches_lpt_parallel_part() {
         let model = ClusterCostModel::xmap_like();
-        let tasks = vec![
-            RoutedTask { node: 0, cost: 2.0 },
-            RoutedTask { node: 1, cost: 2.0 },
-        ];
-        let routed = ClusterSim::replay_pinned(&tasks, 2, model);
+        let routed = ClusterSim::replay_pinned(&tally(&[(0, 2.0), (1, 2.0)]), 2, model);
         let lpt = ClusterSim::new(vec![2.0, 2.0], model);
         assert!(
             (routed.makespan - lpt.makespan(2)).abs() < 1e-12,
@@ -373,15 +414,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "names node")]
     fn routed_task_beyond_cluster_is_rejected() {
-        let task = RoutedTask { node: 1, cost: 1.0 };
-        let _ = ClusterSim::replay_pinned(&[task], 1, ClusterCostModel::xmap_like());
+        let _ = ClusterSim::replay_pinned(&tally(&[(1, 1.0)]), 1, ClusterCostModel::xmap_like());
     }
 
     #[test]
     fn empty_routed_ledger_costs_only_overheads() {
         let model = ClusterCostModel::xmap_like();
-        let report = ClusterSim::replay_pinned(&[], 2, model);
+        let report = ClusterSim::replay_pinned(&RoutedTally::default(), 2, model);
         assert_eq!(report.n_tasks, 0);
+        assert_eq!(report.node_loads, vec![0.0, 0.0]);
         assert!(
             (report.makespan - (model.serial_cost + model.per_machine_overhead * 2.0)).abs()
                 < 1e-12
@@ -404,6 +445,26 @@ mod tests {
             let lower = (sim.total_work() / machines as f64).max(max_task);
             prop_assert!(t >= lower - 1e-9, "makespan {t} below lower bound {lower}");
             prop_assert!(t <= sim.makespan(1) + 1e-9);
+        }
+
+        /// Replaying the tally of a pinned task list is bit-equal to replaying the
+        /// tasks one by one.
+        #[test]
+        fn a_replayed_tally_is_bit_equal_to_the_per_task_replay(
+            n_nodes in 1usize..9,
+            picks in proptest::collection::vec((0usize..64, 0.0f64..10.0), 0..200),
+        ) {
+            let tasks: Vec<(usize, f64)> =
+                picks.into_iter().map(|(node, cost)| (node % n_nodes, cost)).collect();
+            let model = ClusterCostModel::xmap_like();
+            let oracle = replay_tasks(&tasks, n_nodes, model);
+            let replayed = ClusterSim::replay_pinned(&tally(&tasks), n_nodes, model);
+            let bits = |loads: &[f64]| loads.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&replayed.node_loads), bits(&oracle.node_loads));
+            prop_assert_eq!(replayed.makespan.to_bits(), oracle.makespan.to_bits());
+            prop_assert_eq!(replayed.n_tasks, oracle.n_tasks);
+            prop_assert_eq!(replayed.total_work.to_bits(), oracle.total_work.to_bits());
+            prop_assert_eq!(replayed.imbalance().to_bits(), oracle.imbalance().to_bits());
         }
     }
 }

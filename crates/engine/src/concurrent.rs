@@ -288,7 +288,7 @@ mod tests {
         let expect: Vec<f64> = (0..queries).map(|q| 1.0 + q as f64).collect();
         assert_eq!(read_costs, expect);
         if updates == 0 {
-            // An empty cost bag must not leave (or create) a ledger entry.
+            // An empty cost bag leaves no task bag to replay.
             assert!(flow.stage_costs(CONCURRENT_INGEST_STAGE).is_none());
         } else {
             let ingest_costs = flow.stage_costs(CONCURRENT_INGEST_STAGE).unwrap();

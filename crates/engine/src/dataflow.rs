@@ -6,9 +6,9 @@
 //! single place where partitioning, parallel execution and accounting live:
 //!
 //! * a [`Stage`] is one named transformation (`baseliner`, `extender`, …);
-//! * the [`Dataflow`] runner owns the [`WorkerPool`], the [`Partitioner`] and a
-//!   [`StageTimer`]; [`Dataflow::run`] executes a stage, times it, and collects the
-//!   stage's per-partition task costs;
+//! * the [`Dataflow`] runner owns the [`WorkerPool`], the [`Partitioner`] and the
+//!   ledger; [`Dataflow::run`] executes a stage, times it, and records its duration
+//!   and per-partition task costs as one [`StageReport`];
 //! * inside a stage, [`StageContext::map_partitions`] splits the input by key into the
 //!   dataflow's partitions, processes every partition as one pool task (so per-partition
 //!   scratch state is reused across the items of a partition), and records one
@@ -21,11 +21,13 @@
 //! it on local threads: both consume the same per-partition costs via
 //! [`Dataflow::stage_costs`].
 
+use crate::clock::Stopwatch;
 use crate::partition::Partitioner;
 use crate::pool::WorkerPool;
-use crate::stage::{StageReport, StageTimer};
+use crate::stage::{self, StageReport};
 use std::hash::Hash;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// One named transformation of the dataflow.
 ///
@@ -181,14 +183,13 @@ impl StageContext<'_> {
     }
 }
 
-/// The dataflow runner: executes [`Stage`]s on a pool, times them, and accumulates
-/// their per-partition task costs for the cluster simulator.
+/// The dataflow runner: executes [`Stage`]s on a pool, times them, and keeps the
+/// ledger — one [`StageReport`] per stage name — for the cluster simulator.
 #[derive(Debug)]
 pub struct Dataflow {
     pool: WorkerPool,
     partitioner: Partitioner,
-    timer: StageTimer,
-    stage_costs: Mutex<Vec<(String, Vec<f64>)>>,
+    ledger: Mutex<Vec<StageReport>>,
 }
 
 impl Dataflow {
@@ -199,8 +200,7 @@ impl Dataflow {
         Dataflow {
             pool: WorkerPool::new(workers),
             partitioner: Partitioner::new(partitions),
-            timer: StageTimer::new(),
-            stage_costs: Mutex::new(Vec::new()),
+            ledger: Mutex::new(Vec::new()),
         }
     }
 
@@ -214,70 +214,52 @@ impl Dataflow {
         self.partitioner
     }
 
-    /// Runs a stage: times it under its name and collects the per-partition task costs
-    /// it recorded. Re-running a stage *replaces* its previous timing report and cost
-    /// entry, so a long-lived runner that serves the same stage indefinitely keeps a
-    /// bounded ledger (one entry per distinct stage name).
+    /// Runs a stage and records its duration and the per-partition task costs it
+    /// recorded. Re-running a stage *replaces* its entry, so a long-lived runner that
+    /// serves the same stage indefinitely keeps a bounded ledger (one entry per
+    /// distinct stage name).
     pub fn run<In, S: Stage<In>>(&self, stage: &S, input: In) -> S::Out {
         let mut cx = StageContext {
             pool: &self.pool,
             partitioner: self.partitioner,
             costs: Vec::new(),
         };
-        let out = self
-            .timer
-            .run_stage(stage.name(), || stage.run(input, &mut cx));
-        self.replace_costs(stage.name(), cx.costs);
+        let watch = Stopwatch::start();
+        let out = stage.run(input, &mut cx);
+        self.record_external(stage.name(), watch.elapsed(), cx.costs);
         out
     }
 
     /// Records a stage that executed *outside* [`Dataflow::run`] — e.g. the
     /// [`ConcurrentStage`](crate::concurrent::ConcurrentStage) driver, whose reader
-    /// pool and ingest worker interleave on their own threads. The measured duration
-    /// and per-task cost bag enter the timer and cost ledger with the same
-    /// replace-latest semantics as [`Dataflow::run`], so external stages surface
-    /// through [`Dataflow::reports`] and [`Dataflow::stage_costs`] exactly like
-    /// pool-executed ones.
-    pub fn record_external(&self, name: &str, duration: std::time::Duration, costs: Vec<f64>) {
-        self.timer.record_latest(name, duration);
-        self.replace_costs(name, costs);
+    /// pool and ingest worker interleave on their own threads — with the same
+    /// replace-latest rule, so it surfaces through [`Dataflow::reports`] and
+    /// [`Dataflow::stage_costs`] exactly like a pool-executed stage.
+    pub fn record_external(&self, name: &str, duration: Duration, costs: Vec<f64>) {
+        let report = StageReport {
+            name: name.to_string(),
+            duration,
+            costs,
+        };
+        stage::record(&mut self.lock(), report);
     }
 
-    /// Replace-latest ledger update shared by [`Dataflow::run`] and
-    /// [`Dataflow::record_external`].
-    fn replace_costs(&self, name: &str, costs: Vec<f64>) {
-        let mut ledger = self
-            .stage_costs
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if costs.is_empty() {
-            // Replacement semantics also cover the empty case: a re-run that recorded
-            // nothing (a stage that skips its partitioned maps, or one recording costs
-            // itself via `record_task_cost`) must not leave a stale task bag behind for
-            // the cluster simulator to replay.
-            ledger.retain(|(entry, _)| entry != name);
-        } else {
-            match ledger.iter_mut().find(|(entry, _)| entry == name) {
-                Some(entry) => entry.1 = costs,
-                None => ledger.push((name.to_string(), costs)),
-            }
-        }
+    fn lock(&self) -> MutexGuard<'_, Vec<StageReport>> {
+        self.ledger.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Wall-clock reports of the most recent run of each stage, in first-execution
-    /// order.
+    /// The ledger: the most recent run of each stage, in first-execution order.
     pub fn reports(&self) -> Vec<StageReport> {
-        self.timer.reports()
+        self.lock().clone()
     }
 
-    /// The per-partition task costs recorded by the most recent run of the named stage.
+    /// The per-partition task costs recorded by the most recent run of the named stage;
+    /// `None` when the stage never ran or its latest run recorded no costs.
     pub fn stage_costs(&self, stage: &str) -> Option<Vec<f64>> {
-        self.stage_costs
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.lock()
             .iter()
-            .find(|(name, _)| name == stage)
-            .map(|(_, costs)| costs.clone())
+            .find(|r| r.name == stage && !r.costs.is_empty())
+            .map(|r| r.costs.clone())
     }
 }
 

@@ -1,9 +1,9 @@
 //! A minimal JSON value: rendering and parsing.
 //!
 //! The vendored `serde` stand-in is a marker-trait stub (see the workspace
-//! `Cargo.toml`), so machine-readable reports — the sweep runner's output and the CI
-//! accuracy baseline it is diffed against — are built on this small, dependency-free
-//! JSON tree instead. Numbers render through Rust's shortest-round-trip `f64`
+//! `Cargo.toml`), so machine-readable reports — the sweep runner's output, the CI
+//! accuracy baseline it is diffed against, and the `xmap-lint` findings report — are
+//! built on this small, dependency-free JSON tree instead. Numbers render through Rust's shortest-round-trip `f64`
 //! formatting, so a value written by [`Json::render`] parses back bit-identical, which
 //! is what lets the CI gate compare MAE values at `1e-9` tolerance meaningfully.
 

@@ -15,8 +15,12 @@
 //!   stages across executor cores.
 //! * [`partition::Partitioner`] — deterministic hash partitioning of keys into `p`
 //!   partitions, the unit of work distribution (Spark's `partitionBy`).
-//! * [`stage::StageTimer`] — named-stage wall-clock accounting so experiments can report
-//!   per-component times (baseliner / extender / generator / recommender, Figure 4).
+//! * [`stage::StageReport`] — the ledger entry: one per named stage, its wall-clock
+//!   duration and its data-derived per-partition task costs (baseliner / extender /
+//!   generator / recommender, Figure 4).
+//! * [`json::Json`] — the workspace's one JSON writer and parser: the eval-smoke report
+//!   and its CI baseline, and the `xmap-lint` findings report (the vendored serde is a
+//!   marker stub, see the workspace `Cargo.toml`).
 //! * [`clock::Stopwatch`] — the one sanctioned ambient clock read; all wall-clock
 //!   measurement funnels through it so the `ambient-nondeterminism` lint rule can ban
 //!   `Instant::now` everywhere else.
@@ -43,19 +47,21 @@ pub mod cluster;
 pub mod concurrent;
 pub mod dataflow;
 pub mod epoch;
+pub mod json;
 pub mod partition;
 pub mod pool;
 pub mod stage;
 pub mod sync;
 
 pub use clock::Stopwatch;
-pub use cluster::{ClusterCostModel, ClusterSim, RoutedReport, RoutedTask, SpeedupPoint};
+pub use cluster::{ClusterCostModel, ClusterSim, RoutedReport, RoutedTally, SpeedupPoint};
 pub use concurrent::{
     ConcurrentIngest, ConcurrentRead, ConcurrentReport, ConcurrentStage, IngestRecord, ReadRecord,
     CONCURRENT_INGEST_STAGE, CONCURRENT_READ_STAGE,
 };
 pub use dataflow::{fn_stage, Dataflow, FnStage, Stage, StageContext};
 pub use epoch::EpochHandle;
+pub use json::{Json, JsonError};
 pub use partition::Partitioner;
 pub use pool::WorkerPool;
-pub use stage::{StageReport, StageTimer};
+pub use stage::StageReport;

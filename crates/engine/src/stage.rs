@@ -1,176 +1,104 @@
-//! Named-stage wall-clock accounting.
+//! The one cost ledger's entry and its update rule.
 //!
 //! The X-Map implementation is a four-stage pipeline (baseliner → extender → generator →
-//! recommender, Figure 4). [`StageTimer`] records how long each named stage took so
-//! experiments can report per-component costs and the cluster simulator can be fed with
-//! realistic stage weights.
+//! recommender, Figure 4). Every stage a [`Dataflow`](crate::dataflow::Dataflow) runs or
+//! records from outside leaves one [`StageReport`]: how long the stage took and the
+//! per-partition task costs the cluster simulator replays (Figure 11).
 
-use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::clock::Stopwatch;
-
-/// One recorded stage.
+/// One ledger entry: the most recent run of a named stage.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StageReport {
     /// Stage name.
     pub name: String,
     /// Wall-clock duration of the stage.
     pub duration: Duration,
+    /// Data-derived per-partition task costs, in partition order — identical at any
+    /// worker count; empty when the run recorded none.
+    pub costs: Vec<f64>,
 }
 
-/// Collects named stage durations. Thread-safe so parallel stages can record themselves.
-#[derive(Debug, Default)]
-pub struct StageTimer {
-    reports: Mutex<Vec<StageReport>>,
-}
-
-impl StageTimer {
-    /// Creates an empty timer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Runs `f` as a named stage, recording its duration, and returns its result.
-    ///
-    /// Re-running a stage *replaces* its previous report (see
-    /// [`StageTimer::record_latest`]), so a long-lived runner re-executing the same
-    /// stage indefinitely keeps one report per distinct stage name. Use
-    /// [`StageTimer::record`] directly when append semantics are wanted.
-    pub fn run_stage<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
-        let watch = Stopwatch::start();
-        let result = f();
-        self.record_latest(name, watch.elapsed());
-        result
-    }
-
-    /// Records an externally measured duration for a named stage.
-    pub fn record(&self, name: &str, duration: Duration) {
-        self.reports
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(StageReport {
-                name: name.to_string(),
-                duration,
-            });
-    }
-
-    /// Records a duration for a named stage, *replacing* the most recent entry with the
-    /// same name (appending if none exists). Long-running processes that re-run the
-    /// same stage indefinitely (batched serving) stay bounded: one report per distinct
-    /// stage name, in first-execution order.
-    pub fn record_latest(&self, name: &str, duration: Duration) {
-        let mut reports = self
-            .reports
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(r) = reports.iter_mut().rev().find(|r| r.name == name) {
-            r.duration = duration;
-        } else {
-            reports.push(StageReport {
-                name: name.to_string(),
-                duration,
-            });
-        }
-    }
-
-    /// All recorded stages in recording order.
-    pub fn reports(&self) -> Vec<StageReport> {
-        self.reports
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Total duration across all recorded stages.
-    pub fn total(&self) -> Duration {
-        self.reports
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .map(|r| r.duration)
-            .sum()
-    }
-
-    /// The duration of the most recent stage with the given name, if any.
-    pub fn last(&self, name: &str) -> Option<Duration> {
-        self.reports
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .rev()
-            .find(|r| r.name == name)
-            .map(|r| r.duration)
-    }
-
-    /// Clears all recorded stages.
-    pub fn reset(&self) {
-        self.reports
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
+/// Replace-latest: `report` replaces the entry of the same name, or is appended. A
+/// long-lived runner re-running the same stages indefinitely keeps one entry per
+/// distinct stage name, in first-execution order — and a re-run that recorded no costs
+/// leaves no stale task bag behind.
+pub(crate) fn record(ledger: &mut Vec<StageReport>, report: StageReport) {
+    match ledger.iter_mut().find(|r| r.name == report.name) {
+        Some(entry) => *entry = report,
+        None => ledger.push(report),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataflow::{fn_stage, Dataflow, StageContext};
+
+    fn entry(name: &str, millis: u64, costs: Vec<f64>) -> StageReport {
+        StageReport {
+            name: name.to_string(),
+            duration: Duration::from_millis(millis),
+            costs,
+        }
+    }
 
     #[test]
     fn run_stage_records_and_returns() {
-        let timer = StageTimer::new();
-        let value = timer.run_stage("baseliner", || 21 * 2);
+        let flow = Dataflow::new(1, 4);
+        let value = flow.run(
+            &fn_stage("baseliner", |(), _: &mut StageContext<'_>| 21 * 2),
+            (),
+        );
         assert_eq!(value, 42);
-        let reports = timer.reports();
+        let reports = flow.reports();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].name, "baseliner");
+        assert!(reports[0].costs.is_empty());
     }
 
     #[test]
     fn record_and_query_by_name() {
-        let timer = StageTimer::new();
-        timer.record("extender", Duration::from_millis(5));
-        timer.record("generator", Duration::from_millis(7));
-        timer.record("extender", Duration::from_millis(9));
-        assert_eq!(timer.last("extender"), Some(Duration::from_millis(9)));
-        assert_eq!(timer.last("generator"), Some(Duration::from_millis(7)));
-        assert_eq!(timer.last("missing"), None);
-        assert_eq!(timer.total(), Duration::from_millis(21));
+        let mut ledger = Vec::new();
+        record(&mut ledger, entry("extender", 5, vec![1.0]));
+        record(&mut ledger, entry("generator", 7, vec![2.0, 3.0]));
+        record(&mut ledger, entry("extender", 9, vec![4.0]));
+        let find = |name: &str| ledger.iter().find(|r| r.name == name);
+        assert_eq!(find("extender"), Some(&entry("extender", 9, vec![4.0])));
+        assert_eq!(
+            find("generator"),
+            Some(&entry("generator", 7, vec![2.0, 3.0]))
+        );
+        assert_eq!(find("missing"), None);
     }
 
     #[test]
     fn record_latest_replaces_in_place() {
-        let timer = StageTimer::new();
-        timer.record_latest("recommend", Duration::from_millis(5));
-        timer.record_latest("other", Duration::from_millis(1));
-        timer.record_latest("recommend", Duration::from_millis(9));
-        let reports = timer.reports();
-        assert_eq!(reports.len(), 2, "re-recording must not grow the list");
-        assert_eq!(reports[0].name, "recommend");
-        assert_eq!(reports[0].duration, Duration::from_millis(9));
-        assert_eq!(reports[1].name, "other");
-    }
-
-    #[test]
-    fn reset_clears_reports() {
-        let timer = StageTimer::new();
-        timer.record("a", Duration::from_millis(1));
-        timer.reset();
-        assert!(timer.reports().is_empty());
-        assert_eq!(timer.total(), Duration::ZERO);
+        let mut ledger = Vec::new();
+        record(&mut ledger, entry("recommend", 5, vec![1.0, 1.0]));
+        record(&mut ledger, entry("other", 1, vec![]));
+        record(&mut ledger, entry("recommend", 9, vec![]));
+        assert_eq!(ledger.len(), 2, "re-recording must not grow the list");
+        assert_eq!(ledger[0], entry("recommend", 9, vec![]));
+        assert_eq!(ledger[1].name, "other");
     }
 
     #[test]
     fn stages_are_recorded_in_order() {
-        let timer = StageTimer::new();
+        let flow = Dataflow::new(1, 4);
         for name in ["baseliner", "extender", "generator", "recommender"] {
-            timer.run_stage(name, || std::thread::sleep(Duration::from_micros(10)));
+            let sleep = |(), _: &mut StageContext<'_>| {
+                std::thread::sleep(Duration::from_micros(10));
+            };
+            flow.run(&fn_stage(name, sleep), ());
         }
-        let names: Vec<String> = timer.reports().into_iter().map(|r| r.name).collect();
+        let reports = flow.reports();
+        let names: Vec<&str> = reports.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(
             names,
             vec!["baseliner", "extender", "generator", "recommender"]
         );
-        assert!(timer.total() >= Duration::from_micros(40));
+        let total: Duration = reports.iter().map(|r| r.duration).sum();
+        assert!(total >= Duration::from_micros(40));
     }
 }

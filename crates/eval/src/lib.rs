@@ -12,20 +12,16 @@
 //!   triples and ranking cases run as an [`EvalStage`] on the `xmap-engine` dataflow,
 //!   bit-identical to the serial reference at any worker count;
 //! * [`report`] — plain-text table/series rendering used by the harness binaries in
-//!   `xmap-bench` so every reproduced table and figure prints in a uniform format;
-//! * [`json`] — a minimal JSON tree for machine-readable reports and the CI accuracy
-//!   baseline (the vendored serde is a marker stub, see the workspace `Cargo.toml`).
+//!   `xmap-bench` so every reproduced table and figure prints in a uniform format.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod json;
 pub mod metrics;
 pub mod protocol;
 pub mod report;
 pub mod stage;
 
-pub use json::{Json, JsonError};
 pub use metrics::{coverage, mae, precision_at_n, recall_at_n, rmse};
 pub use protocol::{
     evaluate_predictions, EvalOutcome, SweepMetric, SweepParam, SweepPoint, SweepSeries, SweepSpec,

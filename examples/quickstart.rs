@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use xmap_suite::graph::BridgeIndex;
 use xmap_suite::prelude::*;
 
 fn main() {
@@ -29,13 +30,14 @@ fn main() {
         .expect("the synthetic trace always contains both domains");
 
     println!("fitted {}", model.label());
+    let graph = model.graph();
     println!(
         "  bridge items: {}, heterogeneous pairs: {} direct / {} after X-Sim extension",
-        model.stats().n_bridge_items,
-        model.stats().n_standard_hetero_pairs,
-        model.stats().n_xsim_hetero_pairs
+        BridgeIndex::from_graph(&graph).n_bridges(),
+        graph.n_heterogeneous_pairs(),
+        model.xsim().n_heterogeneous_pairs()
     );
-    for stage in &model.stats().stage_durations {
+    for stage in model.ledger() {
         println!("  stage {:<12} {:?}", stage.name, stage.duration);
     }
 

@@ -16,7 +16,7 @@ mod common;
 
 use common::ReleasedBits;
 use std::path::{Path, PathBuf};
-use xmap_suite::core::XMapError;
+use xmap_suite::core::{XMapError, DELTA_STAGE_NAME};
 use xmap_suite::prelude::*;
 
 const GATE_WORKERS: [usize; 3] = [1, 2, 8];
@@ -172,6 +172,38 @@ fn reopening_a_private_snapshot_spends_no_epsilon() {
             released_bits(&model, &probe_users, &probe_items),
             "{mode:?}: reopened model diverged from the one that persisted it"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A reopened model's ledger starts empty — the fit's entries described the process
+/// that fitted it, not the model — and a delta applied to it records one `delta`
+/// entry whose task bag is the same at 1, 2 and 8 workers.
+#[test]
+fn a_reopened_model_has_an_empty_ledger_until_its_first_delta() {
+    let ds = dataset();
+    let delta = first_delta(&ds);
+    let mut reference: Option<Vec<f64>> = None;
+    for workers in GATE_WORKERS {
+        let dir = scratch_dir(&format!("ledger_{workers}"));
+        let config = config(XMapMode::NxMapItemBased, workers);
+        let model = XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, config);
+        model.unwrap().persist(&dir).unwrap();
+        let reopened = XMapModel::open(&dir).unwrap();
+        assert!(reopened.ledger().is_empty(), "{workers} workers");
+        reopened.apply_delta(&delta).unwrap();
+        let mut ledger = reopened.ledger();
+        assert_eq!(ledger.len(), 1, "{workers} workers: {ledger:?}");
+        let entry = ledger.remove(0);
+        assert_eq!(entry.name, DELTA_STAGE_NAME);
+        assert!(!entry.costs.is_empty(), "{workers} workers");
+        match &reference {
+            None => reference = Some(entry.costs),
+            Some(expected) => assert_eq!(
+                &entry.costs, expected,
+                "{workers} workers changed the delta bag"
+            ),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

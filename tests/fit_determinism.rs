@@ -1,7 +1,7 @@
 //! The fit determinism gate: a full `XMapModel::fit` must produce **bit-identical**
 //! models at 1, 2 and 8 workers in all four modes — graph bits, replacement table and
-//! predictions on a probe set — with identical per-stage fit task bags
-//! (`baseliner` / `generator` / `recommender` ledgers, plus the extender's).
+//! predictions on a probe set — with identical per-stage fit task bags (the
+//! `baseliner` / `extender` / `generator` / `recommender` entries of the ledger).
 //!
 //! This mirrors the evaluation gate (`evaluate_batch_is_bit_identical_...`): the fit
 //! stages partition by data-derived keys and the private RNG streams derive from
@@ -26,15 +26,14 @@ fn dataset() -> CrossDomainDataset {
 
 const GATE_WORKERS: [usize; 3] = [1, 2, 8];
 
-/// What the gate compares across worker counts: everything the model released plus
-/// the four task bags of the fit.
+/// What the gate compares across worker counts: everything the model released, its
+/// X-Sim pair count, and the four task bags of the fit — the ledger's entries, by name
+/// in pipeline order.
 #[derive(Debug, PartialEq)]
 struct ModelFingerprint {
     released: ReleasedBits,
-    baseliner_costs: Vec<f64>,
-    generator_costs: Vec<f64>,
-    recommender_costs: Vec<f64>,
-    extension_costs: Vec<f64>,
+    xsim_pairs: usize,
+    fit_bags: Vec<(String, Vec<f64>)>,
 }
 
 fn fingerprint(
@@ -42,13 +41,14 @@ fn fingerprint(
     probe_users: &[UserId],
     probe_items: &[ItemId],
 ) -> ModelFingerprint {
-    let stats = model.stats();
     ModelFingerprint {
         released: released_bits(model, probe_users, probe_items),
-        baseliner_costs: stats.baseliner_task_costs,
-        generator_costs: stats.generator_task_costs,
-        recommender_costs: stats.recommender_task_costs,
-        extension_costs: stats.extension_task_costs,
+        xsim_pairs: model.xsim().n_heterogeneous_pairs(),
+        fit_bags: model
+            .ledger()
+            .into_iter()
+            .map(|r| (r.name, r.costs))
+            .collect(),
     }
 }
 
@@ -88,14 +88,20 @@ fn fit_is_bit_identical_at_1_2_and_8_workers_in_all_four_modes() {
                 !fp.released.replacements.is_empty(),
                 "{mode:?}: the fit must map at least one item"
             );
-            assert!(
-                !fp.baseliner_costs.is_empty() && !fp.generator_costs.is_empty(),
-                "{mode:?}: baseliner and generator must record their task bags"
-            );
+            let bags: Vec<(&str, bool)> = fp
+                .fit_bags
+                .iter()
+                .map(|(name, costs)| (name.as_str(), !costs.is_empty()))
+                .collect();
             assert_eq!(
-                fp.recommender_costs.is_empty(),
-                !mode.is_item_based(),
-                "{mode:?}: only the item-based modes have a fit-time kNN task bag"
+                bags,
+                [
+                    ("baseliner", true),
+                    ("extender", true),
+                    ("generator", true),
+                    ("recommender", mode.is_item_based()),
+                ],
+                "{mode:?}: every fit stage but the user-based recommender records a task bag"
             );
             match &reference {
                 None => reference = Some(fp),

@@ -1,6 +1,7 @@
 //! Integration tests of the scalability path: the pipeline's per-stage accounting, the
 //! worker-pool parallelism, and the cluster simulator that reproduces Figure 11.
 
+use xmap_suite::core::FIT_STAGE_NAMES;
 use xmap_suite::engine::{ClusterCostModel, ClusterSim, WorkerPool};
 use xmap_suite::prelude::*;
 
@@ -38,15 +39,15 @@ fn worker_count_does_not_change_model_outputs() {
     let serial = fit(1);
     let parallel = fit(4);
     assert_eq!(
-        serial.stats().n_xsim_hetero_pairs,
-        parallel.stats().n_xsim_hetero_pairs
+        serial.xsim().n_heterogeneous_pairs(),
+        parallel.xsim().n_heterogeneous_pairs()
     );
-    // The Dataflow's task costs are data-derived, so the extender's task bag is
+    // The Dataflow's task costs are data-derived, so every fit stage's task bag is
     // identical no matter how many workers executed it.
-    assert_eq!(
-        serial.stats().extension_task_costs,
-        parallel.stats().extension_task_costs
-    );
+    let bags = |model: &XMapModel| -> Vec<Vec<f64>> {
+        model.ledger().into_iter().map(|r| r.costs).collect()
+    };
+    assert_eq!(bags(&serial), bags(&parallel));
     let user = ds.source_only_users[0];
     for item in ds.target_items().into_iter().take(20) {
         assert_eq!(serial.predict(user, item), parallel.predict(user, item));
@@ -61,26 +62,20 @@ fn pipeline_stage_accounting_covers_all_four_components() {
         ..XMapConfig::default()
     };
     let model = XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, cfg).unwrap();
-    let stats = model.stats();
-    let names: Vec<&str> = stats
-        .stage_durations
-        .iter()
-        .map(|r| r.name.as_str())
-        .collect();
-    assert_eq!(
-        names,
-        vec!["baseliner", "extender", "generator", "recommender"]
-    );
+    let ledger = model.ledger();
+    let names: Vec<&str> = ledger.iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(names, FIT_STAGE_NAMES);
     // The Dataflow runner records one task cost per dataflow partition; every source
     // item contributes at least 1.0 to its partition's cost.
+    let extension = &ledger[1].costs;
     assert_eq!(
-        model.stats().extension_task_costs.len(),
+        extension.len(),
         cfg.partitions,
         "one extension task per dataflow partition"
     );
-    assert!(model.stats().extension_task_costs.iter().all(|&c| c >= 0.0));
+    assert!(extension.iter().all(|&c| c >= 0.0));
     assert!(
-        model.stats().extension_task_costs.iter().sum::<f64>() >= ds.source_items().len() as f64,
+        extension.iter().sum::<f64>() >= ds.source_items().len() as f64,
         "costs must cover every source item"
     );
 }
@@ -101,10 +96,9 @@ fn figure_11_shape_xmap_scales_nearly_linearly_and_beats_als() {
         },
     )
     .unwrap();
-    let xmap = ClusterSim::new(
-        model.stats().extension_task_costs.clone(),
-        ClusterCostModel::xmap_like(),
-    );
+    let extension = model.ledger().swap_remove(1);
+    assert_eq!(extension.name, "extender");
+    let xmap = ClusterSim::new(extension.costs, ClusterCostModel::xmap_like());
     let als_costs: Vec<f64> = ds
         .matrix
         .users()
