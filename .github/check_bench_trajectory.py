@@ -19,7 +19,15 @@ import sys
 from pathlib import Path
 
 SHARED_BY_A_PAIR = ("seed", "seconds", "stream_hash", "probe_hash", "claim")
-PER_LAYER = ("generate_ms", "fit_s", "cut_ms", "ingest_p50_ms", "recover_replay_s")
+PER_LAYER = (
+    "generate_ms",
+    "fit_s",
+    "cut_ms",
+    "ingest_p50_ms",
+    "recover_replay_s",
+    "predict_p50_us",
+    "recommend_p99_us",
+)
 
 
 def check(root: Path) -> list[str]:

@@ -1,4 +1,4 @@
-//! The epoch-marked dense buffer behind every reusable per-id scratch.
+//! The dense per-id scratch every read reuses: the epoch-marked buffer and the id bit set.
 //!
 //! A scratch keyed by a dense id (user or item index) wants `O(1)` lookups *and* `O(1)`
 //! invalidation between uses. [`EpochBuffer`] gets both by stamping each slot with the
@@ -7,6 +7,11 @@
 //! are only swept when that counter is about to wrap. This is the one place the
 //! bump-and-wrap-around logic lives; the co-rating candidate sets, the dense profile
 //! lookup and both user-based accumulators are built on it.
+//!
+//! An epoch buffer cannot list its live slots in id order. [`IdBitSet`] can: a read that
+//! must visit what it touched in ascending id (the neighbour search's offer order, the
+//! candidate stream) marks one bit per id and walks the words, at `O(1)` per id plus one
+//! step per 64 ids of the span it touched — no sort, no per-read clear of the whole set.
 //!
 //! Every access is bounds-checked against the length of the current use: ids reach the
 //! serve path from caller-made profiles and item lists, and an id outside the catalogue
@@ -65,6 +70,81 @@ impl<T: Copy + Default> EpochBuffer<T> {
             *slot = T::default();
         }
         Some((fresh, slot))
+    }
+}
+
+/// A dense set of the ids `0..len`, emptied by walking it in ascending id.
+///
+/// [`insert`](Self::insert) and [`remove`](Self::remove) flip one bit;
+/// [`ascending`](Self::ascending) yields the members in ascending id and clears each
+/// word as it goes, so a full walk leaves the set empty. A walk the caller stops early
+/// leaves the words it did not reach to the next [`begin`](Self::begin), which clears
+/// only the span of words the previous use touched: a use costs `O(ids inserted +
+/// span / 64)`, never `O(len)`.
+#[derive(Clone, Debug, Default)]
+pub struct IdBitSet {
+    /// Bit `ix % 64` of `words[ix / 64]` is set iff `ix` is a member. Every word outside
+    /// `lo..hi` is zero.
+    words: Vec<u64>,
+    len: usize,
+    /// The words an insert of the current use touched, not yet walked past.
+    lo: usize,
+    hi: usize,
+}
+
+impl IdBitSet {
+    /// An empty set; it takes its size from the first [`begin`](Self::begin).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Starts a use over the ids `0..len` with no member, re-sized like
+    /// [`EpochBuffer::begin`].
+    pub fn begin(&mut self, len: usize) {
+        if self.lo < self.hi {
+            // what the last walk stopped short of
+            self.words[self.lo..self.hi].fill(0);
+        }
+        self.words.resize(len.div_ceil(64), 0);
+        self.len = len;
+        self.lo = self.words.len();
+        self.hi = 0;
+    }
+
+    /// Adds `ix`; an id outside the current length is ignored.
+    #[inline]
+    pub fn insert(&mut self, ix: usize) {
+        if ix < self.len {
+            let w = ix / 64;
+            self.words[w] |= 1 << (ix % 64);
+            self.lo = self.lo.min(w);
+            self.hi = self.hi.max(w + 1);
+        }
+    }
+
+    /// Drops `ix` if it is a member; an id outside the current length is ignored.
+    #[inline]
+    pub fn remove(&mut self, ix: usize) {
+        if ix < self.len {
+            self.words[ix / 64] &= !(1 << (ix % 64));
+        }
+    }
+
+    /// The members in ascending id, each removed as it is yielded.
+    pub fn ascending(&mut self) -> impl Iterator<Item = usize> + '_ {
+        let mut word = 0u64;
+        std::iter::from_fn(move || {
+            while word == 0 {
+                if self.lo >= self.hi {
+                    return None;
+                }
+                word = std::mem::take(&mut self.words[self.lo]);
+                self.lo += 1;
+            }
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            Some((self.lo - 1) * 64 + bit)
+        })
     }
 }
 
@@ -133,5 +213,42 @@ mod tests {
         );
         assert_eq!(buf.get(1), None);
         assert_eq!(buf.entry(0).map(|(f, s)| (f, *s)), Some((true, 0)));
+    }
+
+    #[test]
+    fn the_bit_set_walks_its_members_in_ascending_id_and_ends_empty() {
+        let mut set = IdBitSet::new();
+        set.begin(200);
+        for ix in [130, 3, 64, 199, 3, 0, 63, 500, usize::MAX] {
+            set.insert(ix);
+        }
+        set.remove(64);
+        set.remove(1000);
+        assert_eq!(set.ascending().collect::<Vec<_>>(), [0, 3, 63, 130, 199]);
+        assert_eq!(set.ascending().next(), None, "a full walk empties the set");
+        set.begin(200);
+        assert_eq!(set.ascending().next(), None);
+    }
+
+    #[test]
+    fn a_walk_stopped_early_leaves_nothing_behind_for_the_next_use() {
+        let mut set = IdBitSet::new();
+        set.begin(300);
+        for ix in [5, 70, 71, 250] {
+            set.insert(ix);
+        }
+        assert_eq!(set.ascending().take(2).collect::<Vec<_>>(), [5, 70]);
+        // the catalogue shrank between two uses: words past the new length go too
+        set.begin(100);
+        set.insert(99);
+        set.insert(100);
+        assert_eq!(set.ascending().collect::<Vec<_>>(), [99]);
+        set.begin(300);
+        set.insert(2);
+        assert_eq!(
+            set.ascending().collect::<Vec<_>>(),
+            [2],
+            "neither 71 nor 250 survives the stopped walk"
+        );
     }
 }

@@ -15,14 +15,16 @@
 //! and both are *item-major gathers* over a [`UserKnnScratch`] rather than probes:
 //! Phase 1 ([`UserKnn::neighbors_of_profile`]) walks the item rows of the profile's
 //! items and accumulates Equation 1 per touched user — a user who co-rates nothing is
-//! never visited — and Phase 2 for a candidate list ([`UserKnn::score_with_neighbors`])
-//! scatters each neighbour's row once into a per-item accumulator instead of
-//! binary-searching every neighbour row for every candidate. Both are bit-identical to
-//! the definitions they replace (the full scan, kept as a test oracle, and
+//! never visited — then offers the touched users to the top-k in ascending id and stops
+//! at k neighbours of similarity exactly 1; Phase 2 for a candidate list
+//! ([`UserKnn::score_with_neighbors`]) scatters the span of each neighbour's row that
+//! the list covers into a per-item accumulator instead of binary-searching every
+//! neighbour row for every candidate. Both are bit-identical to the definitions they
+//! replace (the full scan, kept as a test oracle, and
 //! [`UserKnn::predict_with_neighbors`] per item): every floating-point sum receives the
-//! same addends in the same order.
+//! same addends in the same order, and every user past the stop loses its tie.
 
-use crate::epoch::EpochBuffer;
+use crate::epoch::{EpochBuffer, IdBitSet};
 use crate::error::{CfError, Result};
 use crate::ids::{ItemId, UserId};
 use crate::matrix::RatingMatrix;
@@ -123,8 +125,12 @@ impl<'a> UserKnn<'a> {
     /// terms therefore arrive in ascending item id — the order a walk of the user's own
     /// row would produce them — so each similarity is the same float as that of a scan
     /// over every stored user, and users the profile shares no item with (similarity
-    /// exactly 0, never a neighbour) are not visited at all. Ties in the top-k break
-    /// towards the lower user id, independent of the order users were first touched in.
+    /// exactly 0, never a neighbour) are not visited at all.
+    ///
+    /// The touched users are then offered to the top-k in ascending id — the scan's
+    /// order — and the walk stops once the top-k holds k users at similarity exactly
+    /// 1.0. That stop is exact: Equation 1 is clamped to `[-1, 1]`, ties break towards
+    /// the lower user id, and every user left unwalked has a higher id than all k.
     pub fn neighbors_of_profile(
         &self,
         profile: &Profile,
@@ -141,7 +147,7 @@ impl<'a> UserKnn<'a> {
         // stable: among duplicates of an item the last offered stays last
         items.sort_by_key(|&(i, _)| i);
         sums.begin(self.matrix.n_users());
-        touched.clear();
+        touched.begin(self.matrix.n_users());
         for (pos, &(item, ra)) in items.iter().enumerate() {
             if items.get(pos + 1).is_some_and(|&(next, _)| next == item) {
                 continue;
@@ -153,7 +159,7 @@ impl<'a> UserKnn<'a> {
                     continue;
                 };
                 if fresh {
-                    touched.push(e.user);
+                    touched.insert(e.user.index());
                 }
                 let db = e.value - i_avg;
                 *num += da * db;
@@ -162,8 +168,8 @@ impl<'a> UserKnn<'a> {
             }
         }
         let mut collector = TopK::new(self.config.k);
-        for &user in touched.iter() {
-            let [num, den_a, den_b] = sums.get(user.index()).unwrap_or_default();
+        for ix in touched.ascending() {
+            let [num, den_a, den_b] = sums.get(ix).unwrap_or_default();
             let den = (den_a * den_b).sqrt();
             if den < 1e-12 {
                 continue;
@@ -171,7 +177,12 @@ impl<'a> UserKnn<'a> {
             let sim = (num / den).clamp(-1.0, 1.0);
             // lint: float-eq — exact zero is the "no overlap" sentinel, as in neighbors().
             if sim.abs() > self.config.min_similarity && sim != 0.0 {
-                collector.push_keyed(sim, u64::from(user.0), user);
+                collector.push(sim, UserId(ix as u32));
+                // k users at the clamp's ceiling: every later user has a higher id and
+                // loses the tie, so the rest of the walk cannot change the top-k
+                if collector.threshold() == Some(1.0) {
+                    break;
+                }
             }
         }
         collector
@@ -249,8 +260,10 @@ impl<'a> UserKnn<'a> {
     /// per item, bit for bit. Each neighbour's row is scattered once, in neighbour
     /// order, into a dense per-item `(num, den)` accumulator, so every item's sums take
     /// the same addends in the same order as the per-item loop — without a binary
-    /// search per (candidate, neighbour) pair. Ids outside the catalogue read as "no
-    /// neighbour rated it".
+    /// search per (candidate, neighbour) pair. Rows are sorted by item, so only the
+    /// slice between the lowest and the highest id of `items` is walked: a routed hop
+    /// scoring one shard's segment touches that shard's part of each row. Ids outside
+    /// the catalogue read as "no neighbour rated it".
     pub fn score_with_neighbors(
         &self,
         user_average: f64,
@@ -258,11 +271,14 @@ impl<'a> UserKnn<'a> {
         items: &[ItemId],
         scratch: &mut UserKnnScratch,
     ) -> Vec<(f64, ItemId)> {
+        let (Some(&lo), Some(&hi)) = (items.iter().min(), items.iter().max()) else {
+            return Vec::new();
+        };
         let sums = &mut scratch.item_sums;
         sums.begin(self.matrix.n_items());
         for &(b, sim) in neighbors {
             let b_avg = self.matrix.user_average(b);
-            for e in self.matrix.user_profile(b) {
+            for e in self.matrix.user_profile_in(b, lo..=hi) {
                 if let Some((_, (num, den))) = sums.entry(e.item.index()) {
                     *num += sim * (e.value - b_avg);
                     *den += sim.abs();
@@ -373,8 +389,8 @@ pub struct UserKnnScratch {
     profile: Vec<(ItemId, f64)>,
     /// Equation 1's `[num, den_a, den_b]` per user touched by the current profile.
     sums: EpochBuffer<[f64; 3]>,
-    /// The users with live `sums`, in first-touch order.
-    touched: Vec<UserId>,
+    /// The users with live `sums`, walked in ascending id.
+    touched: IdBitSet,
     /// Equation 2's `(num, den)` per item rated by a neighbour.
     item_sums: EpochBuffer<(f64, f64)>,
 }
@@ -1099,6 +1115,20 @@ pub(crate) mod tests {
         b.build().unwrap()
     }
 
+    /// Many users with one or two ratings each: most share a single item with a
+    /// profile, which puts them at exactly ±1.0 — more than k such ties is the case the
+    /// neighbour search's stop at k perfect neighbours is for.
+    fn single_overlap_matrix(rng: &mut TestRng, n_users: u32, n_items: u32) -> RatingMatrix {
+        let mut b = RatingMatrixBuilder::new().with_dimensions(n_users as usize, n_items as usize);
+        for u in 0..n_users {
+            for _ in 0..1 + rng.next_u64() % 2 {
+                let value = (1 + rng.next_u64() % 5) as f64;
+                b.push_parts(u, skewed_item(rng, n_items), value).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
     /// A random profile: possibly empty, with duplicate items (different values),
     /// out-of-catalogue ids, and ratings that sit exactly on the item average (zero
     /// variance on the profile's side of Equation 1).
@@ -1126,6 +1156,106 @@ pub(crate) mod tests {
         neighbors.iter().map(|&(u, s)| (u, s.to_bits())).collect()
     }
 
+    /// The indexed search against the scan, bit for bit, at `k`, at `k = 1`, with a
+    /// `min_similarity` above zero, and with a duplicated and two out-of-catalogue
+    /// items added to the profile (the duplicate's last value is the one in force).
+    /// Returns the scan's neighbours of the plain profile at `k`.
+    fn search_matching_scan(m: &RatingMatrix, profile: &Profile, k: usize) -> Vec<(UserId, f64)> {
+        let mut scratch = UserKnnScratch::new();
+        let mut noisy = profile.clone();
+        let (first, value, _) = profile[0];
+        noisy.insert(0, (first, 6.0 - value, Timestep(0)));
+        noisy.push((ItemId(m.n_items() as u32 + 4), 4.0, Timestep(0)));
+        noisy.push((ItemId(u32::MAX), 2.0, Timestep(0)));
+        for profile in [profile, &noisy] {
+            for (k, min_similarity) in [(k, 0.0), (1, 0.0), (k, 0.5)] {
+                let knn = UserKnn::new(m, UserKnnConfig { k, min_similarity }).unwrap();
+                let got = knn.neighbors_of_profile(profile, &mut scratch);
+                let expect = knn.neighbors_of_profile_scan(profile);
+                assert_eq!(bits(&got), bits(&expect), "k {k}, min {min_similarity}");
+            }
+        }
+        let knn = UserKnn::new(
+            m,
+            UserKnnConfig {
+                k,
+                min_similarity: 0.0,
+            },
+        )
+        .unwrap();
+        knn.neighbors_of_profile_scan(profile)
+    }
+
+    #[test]
+    fn the_stop_keeps_the_lowest_ids_among_perfect_neighbours_not_the_first_touched() {
+        // Item 0 is walked first, so user 9 is touched before users 0..3; all four sit at
+        // exactly 1.0 (one co-rated item each), and the top-3 is the three lowest ids.
+        let mut b = RatingMatrixBuilder::new();
+        b.push_parts(9, 0, 5.0).unwrap();
+        b.push_parts(10, 0, 1.0).unwrap();
+        for u in 0..3 {
+            b.push_parts(u, 1, 5.0).unwrap();
+        }
+        b.push_parts(11, 1, 1.0).unwrap();
+        let m = b.build().unwrap();
+        let profile = profile_from_pairs([(ItemId(0), 5.0), (ItemId(1), 5.0)]);
+        let expect: Vec<(UserId, f64)> = (0..3).map(|u| (UserId(u), 1.0)).collect();
+        assert_eq!(bits(&search_matching_scan(&m, &profile, 3)), bits(&expect));
+    }
+
+    #[test]
+    fn the_stop_waits_for_exactly_one_not_for_nearly_one() {
+        // Users 0 and 1 co-rate two items with deviations almost parallel to the
+        // profile's (similarity just below 1.0); user 9 co-rates one item, at exactly
+        // 1.0, and has the higher id. A stop at "threshold ≥ 1 − ε" would miss user 9.
+        let mut b = RatingMatrixBuilder::new();
+        for u in 0..2 {
+            b.push_parts(u, 0, 5.0).unwrap();
+            b.push_parts(u, 1, 4.999).unwrap();
+        }
+        b.push_parts(20, 0, 1.0).unwrap();
+        b.push_parts(20, 1, 1.0).unwrap();
+        b.push_parts(9, 2, 5.0).unwrap();
+        b.push_parts(21, 2, 1.0).unwrap();
+        let m = b.build().unwrap();
+        let profile = profile_from_pairs([(ItemId(0), 5.0), (ItemId(1), 5.0), (ItemId(2), 5.0)]);
+        let expect = search_matching_scan(&m, &profile, 2);
+        assert_eq!(expect[0], (UserId(9), 1.0));
+        let (runner_up, sim) = expect[1];
+        assert_eq!(runner_up, UserId(0));
+        assert!(sim < 1.0 && sim > 1.0 - 1e-6, "nearly one: {sim}");
+    }
+
+    #[test]
+    fn the_single_overlap_generator_puts_more_than_k_neighbours_at_one() {
+        // guards the proptest below: its single-overlap rounds must reach the stop
+        let mut reached = 0;
+        for seed in 0..64u32 {
+            let mut rng = TestRng::from_name(&seed.to_string());
+            let m = single_overlap_matrix(&mut rng, 200, 30);
+            let profile = random_profile(&mut rng, &m);
+            let k = 1 + seed as usize % 12;
+            let wide = UserKnn::new(
+                &m,
+                UserKnnConfig {
+                    k: 200,
+                    min_similarity: 0.0,
+                },
+            )
+            .unwrap();
+            let at_one = wide
+                .neighbors_of_profile_scan(&profile)
+                .iter()
+                .filter(|n| n.1 == 1.0)
+                .count();
+            reached += usize::from(at_one > k);
+        }
+        assert!(
+            reached >= 32,
+            "only {reached} of 64 profiles reach the stop"
+        );
+    }
+
     #[test]
     fn zero_variance_overlap_yields_no_neighbour_on_either_path() {
         // Item 0 has one rater, so its average *is* that rating: a profile repeating it
@@ -1146,7 +1276,8 @@ pub(crate) mod tests {
 
     proptest! {
         /// Indexed Phase 1 ≡ the scan over every stored user, bit for bit — across
-        /// profiles and matrices of different sizes served by one warmed scratch.
+        /// profiles and matrices of different sizes served by one warmed scratch, a third
+        /// of them with most raters at ±1.0 on a single co-rated item.
         #[test]
         fn indexed_neighbour_search_equals_the_scan_oracle(
             seed in any::<u64>(),
@@ -1160,9 +1291,10 @@ pub(crate) mod tests {
             // k reaches past the candidate count on the small matrix
             let small = skewed_matrix(&mut rng, 1 + n_users / 8, n_items);
             let large = skewed_matrix(&mut rng, n_users, n_items + 7);
+            let single = single_overlap_matrix(&mut rng, n_users, n_items);
             let mut scratch = UserKnnScratch::new();
             for round in 0..6 {
-                let m = if round % 2 == 0 { &large } else { &small };
+                let m = [&large, &small, &single][round % 3];
                 let knn = UserKnn::new(m, UserKnnConfig { k, min_similarity }).unwrap();
                 let profile = random_profile(&mut rng, m);
                 let expect = knn.neighbors_of_profile_scan(&profile);

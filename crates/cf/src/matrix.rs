@@ -14,6 +14,7 @@ use crate::error::{CfError, Result};
 use crate::ids::{DomainId, ItemId, UserId};
 use crate::rating::{Rating, RatingScale, Timestep};
 use serde::{Deserialize, Serialize};
+use std::ops::{Bound, RangeBounds};
 
 /// One stored rating as seen from the user-major view: `(item, value, timestep)`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -327,6 +328,23 @@ impl RatingMatrix {
             return &[];
         }
         &self.user_entries[self.user_offsets[u]..self.user_offsets[u + 1]]
+    }
+
+    /// The part of [`user_profile`](Self::user_profile) whose items lie in `items`,
+    /// found by two binary searches over the sorted profile.
+    pub fn user_profile_in(&self, user: UserId, items: impl RangeBounds<ItemId>) -> &[UserEntry] {
+        let row = self.user_profile(user);
+        let start = row.partition_point(|e| match items.start_bound() {
+            Bound::Included(&lo) => e.item < lo,
+            Bound::Excluded(&lo) => e.item <= lo,
+            Bound::Unbounded => false,
+        });
+        let end = row.partition_point(|e| match items.end_bound() {
+            Bound::Included(&hi) => e.item <= hi,
+            Bound::Excluded(&hi) => e.item < hi,
+            Bound::Unbounded => true,
+        });
+        &row[start..end.max(start)]
     }
 
     /// The item profile `Y_i`: every `(user, value, timestep)` who rated `item`, sorted by
@@ -800,6 +818,32 @@ mod tests {
                 .iter()
                 .any(|e| e.user == r.user && e.value == r.value));
         }
+    }
+
+    #[test]
+    fn a_profile_span_is_the_filter_of_the_profile_by_the_range() {
+        let mut b = RatingMatrixBuilder::new();
+        for item in [0u32, 2, 3, 7, 9] {
+            b.push_parts(0, item, 3.0).unwrap();
+        }
+        let m = b.build().unwrap();
+        let filtered = |keep: &dyn Fn(ItemId) -> bool| -> Vec<ItemId> {
+            let row = m.user_profile(UserId(0));
+            row.iter().map(|e| e.item).filter(|&i| keep(i)).collect()
+        };
+        let ids = |row: &[UserEntry]| row.iter().map(|e| e.item).collect::<Vec<_>>();
+        for lo in 0..11u32 {
+            for hi in 0..11u32 {
+                let (lo, hi) = (ItemId(lo), ItemId(hi));
+                let half_open = m.user_profile_in(UserId(0), lo..hi);
+                assert_eq!(ids(half_open), filtered(&|i| lo <= i && i < hi));
+                let closed = m.user_profile_in(UserId(0), lo..=hi);
+                assert_eq!(ids(closed), filtered(&|i| lo <= i && i <= hi));
+            }
+        }
+        let all = m.user_profile_in(UserId(0), ..=ItemId(u32::MAX));
+        assert_eq!(ids(all), [0, 2, 3, 7, 9].map(ItemId));
+        assert!(m.user_profile_in(UserId(5), ..).is_empty());
     }
 
     #[test]

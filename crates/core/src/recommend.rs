@@ -30,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::ops::Range;
 use std::sync::Arc;
-use xmap_cf::epoch::EpochBuffer;
+use xmap_cf::epoch::{EpochBuffer, IdBitSet};
 use xmap_cf::knn::{profile_average, ItemNeighbor, Profile};
 use xmap_cf::topk::top_k;
 use xmap_cf::{
@@ -130,20 +130,9 @@ fn phased_top_n<R: ProfileRecommender + ?Sized>(
 ) -> Vec<(ItemId, f64)> {
     let plan = rec.plan(profile, scratch);
     let catalogue = 0..rec.target().n_items() as u32;
-    let stream = candidate_stream(profile, rec.candidates(profile, &plan, catalogue));
+    let stream = scratch.candidate_stream(profile, &rec.candidates(profile, &plan, catalogue));
     let scored = rec.score(profile, &plan, &stream, scratch);
     top_k(n, scored).into_iter().map(|(s, i)| (i, s)).collect()
-}
-
-/// The candidate stream every top-N path scores, from whatever the `candidates` calls
-/// of a request gathered: ascending item id, deduplicated, the profile's own items
-/// dropped. The order is load-bearing — it is the offer order of the top-N tie-break.
-pub(crate) fn candidate_stream(profile: &Profile, mut gathered: Vec<ItemId>) -> Vec<ItemId> {
-    let owned: Vec<ItemId> = profile.iter().map(|&(i, _, _)| i).collect();
-    gathered.sort_unstable();
-    gathered.dedup();
-    gathered.retain(|i| !owned.contains(i));
-    gathered
 }
 
 /// Builds the recommender of `config.mode` over the target-domain training matrix —
@@ -238,14 +227,15 @@ fn require_k(k: usize) -> crate::Result<()> {
 // ---------------------------------------------------------------------------
 
 /// The reusable per-thread state of the read path: the dense profile lookup of the
-/// item-based variants (replacing a per-prediction `HashMap`) and the neighbour-search
-/// and scoring accumulators of the user-based ones.
+/// item-based variants (replacing a per-prediction `HashMap`), the candidate stream's
+/// bit set, and the neighbour-search and scoring accumulators of the user-based ones.
 ///
 /// Every buffer is keyed by a dense index and invalidated wholesale by an epoch bump
-/// ([`EpochBuffer`]), so a use costs `O(what it touches)` regardless of how many
-/// profiles the scratch served before, and re-sized to the recommender's matrix at
-/// every use, so a warmed scratch survives an ingest that adds users or items — and a
-/// thread that served a larger or a smaller model before. One scratch per thread
+/// ([`EpochBuffer`]) or emptied by its own ascending walk ([`IdBitSet`]), so a use
+/// costs `O(what it touches)` regardless of how many profiles the scratch served
+/// before, and re-sized to the recommender's matrix at every use, so a warmed scratch
+/// survives an ingest that adds users or items — and a thread that served a larger or
+/// a smaller model before. One scratch per thread
 /// ([`with_thread_scratch`]) serves all phases of a request and every request after it.
 #[derive(Debug, Default)]
 pub struct ProfileScratch {
@@ -253,6 +243,8 @@ pub struct ProfileScratch {
     ratings: EpochBuffer<(f64, Timestep)>,
     /// The loaded profile's most recent timestep (the temporal "now" of Equation 7).
     now: Timestep,
+    /// The candidate stream's members, walked in ascending id.
+    stream: IdBitSet,
     /// The user-based variants' Equation 1 / Equation 2 accumulators.
     knn: UserKnnScratch,
 }
@@ -288,6 +280,20 @@ impl ProfileScratch {
     /// The loaded profile's rating of `item`, if any.
     fn get(&self, item: ItemId) -> Option<(f64, Timestep)> {
         self.ratings.get(item.index())
+    }
+
+    /// The candidate stream every top-N path scores, from the ids the `candidates`
+    /// calls of a request gathered: ascending item id, deduplicated, the profile's own
+    /// items dropped. The order is load-bearing — it is the offer order of the top-N
+    /// tie-break. The gathered ids (catalogue ids, read off the model's rows) are marked
+    /// in a bit set, the profile's are cleared, and the rest come out in id order:
+    /// `O(|ids| + |profile|)` plus one step per 64 ids of the span, with no sort.
+    pub(crate) fn candidate_stream(&mut self, profile: &Profile, ids: &[ItemId]) -> Vec<ItemId> {
+        let set = &mut self.stream;
+        set.begin(ids.iter().max().map_or(0, |i| i.index() + 1));
+        ids.iter().for_each(|i| set.insert(i.index()));
+        profile.iter().for_each(|(i, _, _)| set.remove(i.index()));
+        set.ascending().map(|ix| ItemId(ix as u32)).collect()
     }
 }
 
@@ -769,18 +775,16 @@ fn profile_avg(target: &RatingMatrix, profile: &Profile) -> f64 {
 }
 
 /// User-based candidate contribution of the rows in `item_range`: every item there
-/// rated by at least one planned neighbour.
+/// rated by at least one planned neighbour — only the range's slice of each row is
+/// walked, so a routed hop reads its own shard's part of the neighbour rows.
 fn neighbor_rated_items(
     target: &RatingMatrix,
     neighbors: &[(UserId, f64)],
     item_range: &Range<u32>,
 ) -> Vec<ItemId> {
-    let mut out = Vec::new();
-    for &(u, _) in neighbors {
-        let rated = target.user_profile(u).iter().map(|e| e.item);
-        out.extend(rated.filter(|i| item_range.contains(&i.0)));
-    }
-    out
+    let range = ItemId(item_range.start)..ItemId(item_range.end);
+    let rated = |&(u, _): &(UserId, f64)| target.user_profile_in(u, range.clone());
+    neighbors.iter().flat_map(rated).map(|e| e.item).collect()
 }
 
 #[cfg(test)]
@@ -1075,15 +1079,13 @@ pub(crate) mod tests {
             for profile in &profiles {
                 let plan = rec.plan(profile, &mut ProfileScratch::new());
                 let n_items = rec.target().n_items() as u32;
-                let mut stream = rec.candidates(profile, &plan, 0..n_items);
-                stream.sort_unstable();
-                stream.dedup();
-                stream.retain(|i| profile.iter().all(|&(owned, _, _)| owned != *i));
+                let stream =
+                    candidate_stream_by_sort(profile, rec.candidates(profile, &plan, 0..n_items));
 
                 let mut by_range = rec.candidates(profile, &plan, 0..2);
                 by_range.extend(rec.candidates(profile, &plan, 2..n_items));
                 assert_eq!(
-                    candidate_stream(profile, by_range),
+                    ProfileScratch::new().candidate_stream(profile, &by_range),
                     stream,
                     "{}: ranges do not compose for {profile:?}",
                     rec.label()
@@ -1305,7 +1307,43 @@ pub(crate) mod tests {
         profile
     }
 
+    /// The candidate stream by its definition: sort, deduplicate, and drop every id the
+    /// profile holds by a linear search of the profile.
+    fn candidate_stream_by_sort(profile: &Profile, mut gathered: Vec<ItemId>) -> Vec<ItemId> {
+        let owned: Vec<ItemId> = profile.iter().map(|&(i, _, _)| i).collect();
+        gathered.sort_unstable();
+        gathered.dedup();
+        gathered.retain(|i| !owned.contains(i));
+        gathered
+    }
+
     proptest! {
+        /// The bit-set stream ≡ the sorted one, on one warmed scratch: gathered ids
+        /// repeated, spread over catalogues of different sizes or absent altogether,
+        /// against profiles holding some of them, ids the stream never saw, ids past
+        /// the catalogue and `u32::MAX`.
+        #[test]
+        fn the_bit_set_stream_equals_the_sorted_stream(
+            seed in any::<u64>(),
+            n_items in 1u32..300,
+        ) {
+            let mut rng = TestRng::from_name(&seed.to_string());
+            let mut scratch = ProfileScratch::new();
+            for round in 0..6u32 {
+                let catalogue = (n_items >> (round % 3)).max(1);
+                let len = if round == 5 { 0 } else { rng.next_u64() % 40 };
+                let gathered: Vec<ItemId> = (0..len)
+                    .map(|_| ItemId(skewed_item(&mut rng, catalogue)))
+                    .collect();
+                let mut profile = random_profile(&mut rng, catalogue);
+                if let Some(&i) = gathered.first() {
+                    profile.push((i, 3.0, Timestep(0)));
+                }
+                let got = scratch.candidate_stream(&profile, &gathered);
+                prop_assert_eq!(got, candidate_stream_by_sort(&profile, gathered));
+            }
+        }
+
         /// The lists released once at build serve the bits of the per-read draw: every
         /// item id — one past the catalogue, one with an empty pool and one with
         /// `|pool| ≤ k` among them — predicts what the oracle predicts, and top-N is
@@ -1346,7 +1384,7 @@ pub(crate) mod tests {
                     prop_assert_eq!(got.to_bits(), expect.to_bits(), "item {} of {:?}", i, profile);
                 }
                 let gathered = rec.candidates(&profile, &ServePlan::default(), 0..catalogue);
-                let stream = candidate_stream(&profile, gathered);
+                let stream = ProfileScratch::new().candidate_stream(&profile, &gathered);
                 for n in [1, 5, stream.len() + 1] {
                     let ranked: Vec<(ItemId, f64)> =
                         top_k(n, stream.iter().map(|&i| (oracle[i.index()], i)))

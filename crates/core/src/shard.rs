@@ -50,7 +50,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use crate::delta::{DeltaReport, RatingDelta};
 use crate::generator::{self, AlterEgo};
 use crate::pipeline::{ModelEpoch, XMapModel};
-use crate::recommend::{self, candidate_stream, ServePlan, SharedRecommender};
+use crate::recommend::{self, ServePlan, SharedRecommender};
 use crate::xsim::XSimEntry;
 use crate::{Result, XMapError};
 use xmap_cf::knn::{ItemNeighbor, Profile};
@@ -793,7 +793,8 @@ impl ShardedModel {
                 (replica.serve.candidates(profile, &plan, start..end), cost)
             })?);
         }
-        self.routed_scores(profile, &plan, &candidate_stream(profile, gathered), n)
+        let stream = recommend::with_thread_scratch(|s| s.candidate_stream(profile, &gathered));
+        self.routed_scores(profile, &plan, &stream, n)
     }
 
     /// Runs one shard-local phase of a routed request on a live replica of

@@ -231,10 +231,13 @@ fn probe_delta(ds: &CrossDomainDataset) -> RatingDelta {
 
 /// A routed ingest (split into per-shard sub-deltas, coordinator apply, slice
 /// republish) answers exactly like the single-node model after the same delta —
-/// including for the delta-introduced user and item.
+/// including for the delta-introduced user and item — in every mode. The delta
+/// declares an item, so the last shard's range stretches to cover it: the
+/// user-based hops, which walk only their shard's slice of each neighbour row,
+/// must find it there.
 #[test]
 fn routed_ingest_matches_single_node_ingest() {
-    for mode in [XMapMode::NxMapItemBased, XMapMode::XMapUserBased] {
+    for mode in ALL_MODES {
         let ds = dataset();
         let delta = probe_delta(&ds);
         let reference = fit(&ds, mode);
