@@ -27,6 +27,8 @@ PER_LAYER = (
     "recover_replay_s",
     "predict_p50_us",
     "recommend_p99_us",
+    "node_recover_ms",
+    "recover_compacted_ms",
 )
 
 

@@ -736,10 +736,11 @@ mod tests {
 
     #[test]
     fn the_epoch_and_its_recommender_hold_one_pool_table() {
-        // The recommender sits behind `dyn`, so its `Arc` is counted rather than
-        // compared: the epoch's table has exactly two owners — the epoch and the
-        // recommender built over it (`recommend::tests` holds the constructor to
-        // `Arc::ptr_eq`). A copy on the way into `recommend::build` would leave one.
+        // The recommender sits behind `dyn`, so its `Arc`s are counted rather than
+        // compared: the epoch's pool table, and X-Map-ib's release, have exactly two
+        // owners — the epoch and the recommender built over it (`recommend::tests`
+        // holds the constructor to `Arc::ptr_eq`). A copy on the way into or out of
+        // `recommend::build` would leave one.
         fn assert_shared(model: &XMapModel, when: &str) {
             let (_, epoch) = model.snapshot();
             let pools = epoch
@@ -751,6 +752,15 @@ mod tests {
                 2,
                 "{when}: the pool table was copied"
             );
+            let mode = epoch.config().mode;
+            assert_eq!(epoch.item_release.is_some(), mode.is_private(), "{when}");
+            if let Some(release) = &epoch.item_release {
+                assert_eq!(
+                    Arc::strong_count(release),
+                    2,
+                    "{when}: the release was copied"
+                );
+            }
         }
         let ds = dataset();
         for mode in [XMapMode::NxMapItemBased, XMapMode::XMapItemBased] {

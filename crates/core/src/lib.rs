@@ -109,6 +109,14 @@ impl std::fmt::Display for XMapError {
 
 impl std::error::Error for XMapError {}
 
+impl XMapError {
+    /// A [`XMapError::Corrupt`] found in decoded state rather than at a byte offset.
+    pub(crate) fn corrupt(detail: impl Into<String>) -> Self {
+        let detail = detail.into();
+        XMapError::Corrupt { offset: 0, detail }
+    }
+}
+
 impl From<xmap_cf::CfError> for XMapError {
     fn from(e: xmap_cf::CfError) -> Self {
         XMapError::Cf(e)

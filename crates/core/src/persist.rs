@@ -150,24 +150,18 @@ fn model_from_state(state: ModelState) -> Result<XMapModel> {
         item_pools,
         budget,
     } = state;
-    config.validate().map_err(|m| XMapError::Corrupt {
-        offset: 0,
-        detail: format!("persisted configuration is invalid: {m}"),
-    })?;
+    let invalid = |m| XMapError::corrupt(format!("persisted configuration is invalid: {m}"));
+    config.validate().map_err(invalid)?;
     if source == target {
-        return Err(XMapError::Corrupt {
-            offset: 0,
-            detail: "persisted source and target domains are equal".to_string(),
-        });
+        let detail = "persisted source and target domains are equal";
+        return Err(XMapError::corrupt(detail));
     }
     // The pieces of one epoch share the matrix's item ids: a graph or pool table of
     // another size belongs to another model, and would serve its answers.
-    let mismatch = |piece: &str, n_items: usize| XMapError::Corrupt {
-        offset: 0,
-        detail: format!(
-            "persisted {piece} covers {n_items} items, the matrix {}",
-            full.n_items()
-        ),
+    let n_full = full.n_items();
+    let mismatch = |piece: &str, n: usize| {
+        let detail = format!("persisted {piece} covers {n} items, the matrix {n_full}");
+        XMapError::corrupt(detail)
     };
     if graph.n_items() != full.n_items() {
         return Err(mismatch("graph", graph.n_items()));
@@ -175,25 +169,18 @@ fn model_from_state(state: ModelState) -> Result<XMapModel> {
 
     let target_matrix = full
         .filter(|r| full.item_domain(r.item) == target)
-        .map_err(|_| XMapError::Corrupt {
-            offset: 0,
-            detail: "persisted matrix has no target-domain ratings".to_string(),
-        })?;
+        .map_err(|_| XMapError::corrupt("persisted matrix has no target-domain ratings"))?;
 
     let budget = if config.mode.is_private() {
-        Some(budget.ok_or_else(|| XMapError::Corrupt {
-            offset: 0,
-            detail: "private mode snapshot is missing its privacy ledger".to_string(),
-        })?)
+        let missing = || XMapError::corrupt("private mode snapshot is missing its privacy ledger");
+        Some(budget.ok_or_else(missing)?)
     } else {
         None
     };
 
     let item_pools = if config.mode.is_item_based() {
-        Some(item_pools.ok_or_else(|| XMapError::Corrupt {
-            offset: 0,
-            detail: "item-based mode snapshot is missing its kNN pools".to_string(),
-        })?)
+        let missing = || XMapError::corrupt("item-based mode snapshot is missing its kNN pools");
+        Some(item_pools.ok_or_else(missing)?)
     } else {
         None
     };
@@ -207,7 +194,7 @@ fn model_from_state(state: ModelState) -> Result<XMapModel> {
     // persisting process held. Rebuilding over the persisted artifacts releases
     // nothing new: the persisted ledger already recorded their ε′, so no budget is
     // touched here.
-    let recommender = recommend::build(
+    let (recommender, item_release) = recommend::build(
         &config,
         Arc::new(target_matrix),
         item_pools.as_ref().map(Arc::clone),
@@ -224,6 +211,7 @@ fn model_from_state(state: ModelState) -> Result<XMapModel> {
         xsim,
         recommender,
         item_pools,
+        item_release,
         budget,
     };
     Ok(XMapModel::from_epoch(epoch, epoch_no, flow))
@@ -293,13 +281,10 @@ impl XMapModel {
             (Journal::create(journal, snapshot_epoch)?, Vec::new())
         };
         if jrnl.base_epoch() > snapshot_epoch {
-            return Err(XMapError::Corrupt {
-                offset: 0,
-                detail: format!(
-                    "journal base epoch {} is ahead of snapshot epoch {snapshot_epoch}",
-                    jrnl.base_epoch()
-                ),
-            });
+            let base = jrnl.base_epoch();
+            let detail =
+                format!("journal base epoch {base} is ahead of snapshot epoch {snapshot_epoch}");
+            return Err(XMapError::corrupt(detail));
         }
         let mut current = snapshot_epoch;
         for record in &records {

@@ -43,7 +43,7 @@
 use crate::config::XMapConfig;
 use crate::delta::{DeltaReport, RatingDelta};
 use crate::generator::{self, AlterEgo, ReplacementTable};
-use crate::recommend::{self, ProfileRecommender, SharedRecommender};
+use crate::recommend::{self, NeighborTable, ProfileRecommender, SharedRecommender};
 use crate::xsim::XSimTable;
 use crate::{Result, XMapError};
 use std::cell::RefCell;
@@ -67,13 +67,13 @@ pub const FIT_STAGE_NAMES: [&str; 4] = ["baseliner", "extender", "generator", "r
 /// One immutable, self-consistent version of a fitted X-Map model.
 ///
 /// Every released artifact of the fit — the aggregated matrix, the baseline graph, the
-/// X-Sim table, the replacement table, the recommender and its
-/// raw kNN pools, the privacy accountant — is held behind its own `Arc` so that a delta
-/// fit can build the *next* epoch by sharing every piece it did not touch (structural
-/// sharing: unchanged arenas are pointed at, not copied). Readers obtain an epoch via
-/// [`XMapModel::snapshot`] and answer queries entirely from it; an epoch never mutates
-/// after publication, so a snapshot is always self-consistent regardless of concurrent
-/// ingestion.
+/// X-Sim table, the replacement table, the recommender, its raw kNN pools and
+/// X-Map-ib's release, the privacy accountant — is held behind its own `Arc` so that a
+/// delta fit can build the *next* epoch by sharing every piece it did not touch
+/// (structural sharing: unchanged arenas are pointed at, not copied). Readers obtain an
+/// epoch via [`XMapModel::snapshot`] and answer queries entirely from it; an epoch never
+/// mutates after publication, so a snapshot is always self-consistent regardless of
+/// concurrent ingestion.
 pub struct ModelEpoch {
     pub(crate) config: XMapConfig,
     pub(crate) source_domain: DomainId,
@@ -89,7 +89,11 @@ pub struct ModelEpoch {
     /// The fitted item-kNN pools of the item-based modes, kept for the snapshot and
     /// the shard cut — the same allocation `recommender` reads, not a second copy.
     /// `None` for the user-based modes, which precompute nothing at fit time.
-    pub(crate) item_pools: Option<Arc<Vec<Vec<ItemNeighbor>>>>,
+    pub(crate) item_pools: Option<NeighborTable>,
+    /// X-Map-ib's release, drawn once by the build that made this epoch: the table
+    /// `recommender` scores from, whose rows every shard copies. Never persisted — a
+    /// reopened snapshot redraws it from the seed.
+    pub(crate) item_release: Option<NeighborTable>,
     /// The privacy accountant of this epoch (private modes only): PRS plus PNSA/PNCF.
     pub(crate) budget: Option<Arc<PrivacyBudget>>,
 }
@@ -620,11 +624,12 @@ pub(crate) fn build_epoch(
 
     // --- 4. Recommender: when the delta leaves the target-domain training matrix
     // untouched (no target rating events, no new users or items) the recommender and
-    // its pools are bit-equal to a refit's and are shared. Otherwise the item-kNN
-    // pools (item-based modes) are fitted for every target-matrix item and every mode
-    // rebuilds through `recommend::build`. Either way ε′ (PNSA + PNCF) is debited
-    // first: an exhausted budget fails the step without paying for the pool fit. ---
-    let (recommender, item_pools) = ledgers.step(FIT_STAGE_NAMES[3], |cx| -> Result<_> {
+    // its pools and release are bit-equal to a refit's and are shared. Otherwise the
+    // item-kNN pools (item-based modes) are fitted for every target-matrix item and
+    // every mode rebuilds through `recommend::build`, which draws X-Map-ib's release.
+    // Either way ε′ (PNSA + PNCF) is debited first: an exhausted budget fails the step
+    // without paying for the pool fit. ---
+    let (recommender, pools, release) = ledgers.step(FIT_STAGE_NAMES[3], |cx| -> Result<_> {
         let untouched = |b: &&DeltaBase<'_>| {
             updated.n_users() == b.epoch.full.n_users()
                 && updated.n_items() == b.epoch.full.n_items()
@@ -635,7 +640,8 @@ pub(crate) fn build_epoch(
         };
         if let Some(b) = base.filter(untouched) {
             recommend::debit_stage_budget(&config, budget.as_mut())?;
-            return Ok((Arc::clone(&b.epoch.recommender), b.epoch.item_pools.clone()));
+            let (pools, release) = (b.epoch.item_pools.clone(), b.epoch.item_release.clone());
+            return Ok((Arc::clone(&b.epoch.recommender), pools, release));
         }
         let no_ratings = || XMapError::Data("target domain has no ratings".to_string());
         let target_matrix = Arc::new(
@@ -651,8 +657,8 @@ pub(crate) fn build_epoch(
             report.n_pool_refits = target_matrix.n_items();
             Arc::new(fit_item_pools(&target_matrix, &knn_config, cx))
         });
-        let recommender = recommend::build(&config, target_matrix, pools.clone(), cx.pool())?;
-        Ok((recommender, pools))
+        recommend::build(&config, target_matrix, pools.clone(), cx.pool())
+            .map(|(recommender, release)| (recommender, pools, release))
     })?;
 
     let epoch = ModelEpoch {
@@ -664,7 +670,8 @@ pub(crate) fn build_epoch(
         replacements,
         xsim,
         recommender,
-        item_pools,
+        item_pools: pools,
+        item_release: release,
         budget: budget.map(Arc::new),
     };
     Ok((epoch, report))

@@ -12,6 +12,7 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use xmap_cf::knn::ItemNeighbor;
 use xmap_cf::{ItemId, RatingMatrix};
 use xmap_privacy::sensitivity::truncation_width;
 use xmap_privacy::{laplace_noise, similarity_sensitivity, truncated_similarity};
@@ -39,32 +40,43 @@ pub(crate) fn centred_norms(matrix: &RatingMatrix) -> Vec<f64> {
     matrix.items().map(norm).collect()
 }
 
-/// The similarity-based sensitivity `SS(i, j)` of an item pair: the two items'
-/// [`centred_norms`] entries (an item outside the table has no raters: norm 0) plus
-/// one merge of their profiles into the mean-centred co-rating vectors, which land in
-/// the caller's reused `co` buffers.
-pub(crate) fn pair_sensitivity_from(
+/// The similarity-based sensitivity `SS(item, j)` of every candidate `j` of a pool, in
+/// pool order, from one gather: the item's raters in ascending user id, each rater's
+/// profile merged once against the candidates in id order, every co-rating pushed
+/// into its candidate's mean-centred vectors — the order a per-pair profile merge
+/// emits them, so each `SS` is that merge's float. A repeated candidate gets its full
+/// vectors at every position; one nobody co-rated (outside the catalogue, say) gets
+/// empty ones. The norms are the build's [`centred_norms`] table (an item outside it
+/// has no raters: norm 0).
+pub(crate) fn pool_sensitivities(
     matrix: &RatingMatrix,
     norms: &[f64],
-    (i, j): (ItemId, ItemId),
-    (co_i, co_j): &mut (Vec<f64>, Vec<f64>),
-) -> f64 {
-    let (yi, yj) = (matrix.item_profile(i), matrix.item_profile(j));
-    co_i.clear();
-    co_j.clear();
-    let (mut a, mut b) = (0usize, 0usize);
-    while a < yi.len() && b < yj.len() {
-        let order = yi[a].user.cmp(&yj[b].user);
-        if order.is_eq() {
-            let avg = matrix.user_average(yi[a].user);
-            co_i.push(yi[a].value - avg);
-            co_j.push(yj[b].value - avg);
+    item: ItemId,
+    pool: &[ItemNeighbor],
+) -> Vec<f64> {
+    let mut by_id: Vec<usize> = (0..pool.len()).collect();
+    by_id.sort_by_key(|&at| pool[at].item);
+    // (pool position, r_ui − r̄_u, r_uj − r̄_u), raters ascending.
+    let mut co_ratings: Vec<(usize, f64, f64)> = Vec::new();
+    for rating in matrix.item_profile(item) {
+        let avg = matrix.user_average(rating.user);
+        let mut profile = matrix.user_profile(rating.user).iter().peekable();
+        for &at in &by_id {
+            while profile.next_if(|e| e.item < pool[at].item).is_some() {}
+            let co_rated = profile.peek().filter(|e| e.item == pool[at].item);
+            co_ratings.extend(co_rated.map(|e| (at, rating.value - avg, e.value - avg)));
         }
-        a += usize::from(order.is_le());
-        b += usize::from(order.is_ge());
     }
+    // A stable sort: each candidate's run keeps the raters' ascending order.
+    co_ratings.sort_by_key(|&(at, _, _)| at);
+    let (co_i, co_j): (Vec<f64>, Vec<f64>) = co_ratings.iter().map(|c| (c.1, c.2)).unzip();
     let norm = |item: ItemId| norms.get(item.index()).copied().unwrap_or(0.0);
-    similarity_sensitivity(co_i, co_j, norm(i), norm(j))
+    let start = |at: usize| co_ratings.partition_point(|c| c.0 < at);
+    let sensitivity = |(at, n): (usize, &ItemNeighbor)| {
+        let run = start(at)..start(at + 1);
+        similarity_sensitivity(&co_i[run.clone()], &co_j[run], norm(item), norm(n.item))
+    };
+    pool.iter().enumerate().map(sensitivity).collect()
 }
 
 /// The PNSA mechanism: privately selects `k` neighbours from `candidates`.
@@ -192,7 +204,7 @@ pub fn pncf_noisy_similarity<R: Rng + ?Sized>(
 
 /// `SS(i, j)` by definition, straight from the rating matrix (mean-centred co-rating
 /// vectors, both full adjusted-cosine norms re-summed per pair): the oracle
-/// [`pair_sensitivity_from`] must match bit for bit.
+/// [`pool_sensitivities`] must match bit for bit.
 #[cfg(test)]
 pub(crate) fn pair_sensitivity(matrix: &RatingMatrix, i: ItemId, j: ItemId) -> f64 {
     let yi = matrix.item_profile(i);
@@ -447,35 +459,46 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The norm-table sensitivity is the per-pair definition's float, for every
-        /// ordered pair of a small random matrix — single-rater items, pairs with no
-        /// co-rater and zero-norm items (a lone rater sits exactly on their average)
-        /// take the `FLOOR` branches — through one reused pair of buffers, and `SS` is
-        /// symmetric to the bit.
+        /// The gathered sensitivities are the per-pair definition's floats, for every
+        /// item of a small random matrix (and one past it) against a random pool and
+        /// the pool of every id twice over: repeated candidates, candidates past the
+        /// catalogue, an unrated catalogue item and candidates sharing no rater with
+        /// the item among them. Single-rater items, pairs with no co-rater and
+        /// zero-norm items (a lone rater sits exactly on their average) take the
+        /// `FLOOR` branches, and `SS` is symmetric to the bit.
         #[test]
         fn table_sensitivity_is_the_per_pair_definition_bit_for_bit(
             ratings in proptest::collection::vec((0u32..9, 0u32..10, 1u32..=5), 1..60),
+            pools in proptest::collection::vec(proptest::collection::vec(0u32..15, 0..12), 14),
         ) {
-            let mut b = RatingMatrixBuilder::new();
+            // Item 10: one rater whose only rating it is — a zero norm. Item 11: one
+            // rater with other ratings. Item 12 is in the catalogue but unrated; 13
+            // and 14 are past it: no raters, no norm entry.
+            let mut b = RatingMatrixBuilder::new().with_dimensions(21, 13);
             for &(u, i, v) in &ratings {
                 b.push_parts(u, i, f64::from(v)).unwrap();
             }
-            // Item 10: one rater whose only rating it is — a zero norm. Item 11: one
-            // rater with other ratings. Item 12 is past the catalogue: no raters, no entry.
             b.push_parts(20, 10, 4.0).unwrap();
             b.push_parts(0, 11, 5.0).unwrap();
             let m = b.build().unwrap();
             let norms = centred_norms(&m);
-            proptest::prop_assert_eq!(norms.len(), m.n_items());
+            proptest::prop_assert_eq!(norms.len(), 13);
             proptest::prop_assert_eq!(norms[10].to_bits(), 0.0f64.to_bits());
-            let mut co = Default::default();
-            for i in (0..13).map(ItemId) {
-                for j in (0..13).map(ItemId) {
-                    let got = pair_sensitivity_from(&m, &norms, (i, j), &mut co);
-                    let want = pair_sensitivity(&m, i, j);
-                    proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "SS({}, {})", i.0, j.0);
-                    let mirrored = pair_sensitivity_from(&m, &norms, (j, i), &mut co);
-                    proptest::prop_assert_eq!(got.to_bits(), mirrored.to_bits(), "SS({}, {})", j.0, i.0);
+            let every_id_twice: Vec<u32> = (0..15).chain(0..15).collect();
+            for (i, drawn) in (0..14).map(ItemId).zip(&pools) {
+                for ids in [drawn, &every_id_twice] {
+                    let pool: Vec<ItemNeighbor> = ids
+                        .iter()
+                        .map(|&j| ItemNeighbor { item: ItemId(j), similarity: 0.5 })
+                        .collect();
+                    let got = pool_sensitivities(&m, &norms, i, &pool);
+                    proptest::prop_assert_eq!(got.len(), pool.len());
+                    for (n, ss) in pool.iter().zip(got) {
+                        let want = pair_sensitivity(&m, i, n.item);
+                        proptest::prop_assert_eq!(ss.to_bits(), want.to_bits(), "SS({}, {})", i.0, n.item.0);
+                        let mirrored = pair_sensitivity(&m, n.item, i);
+                        proptest::prop_assert_eq!(ss.to_bits(), mirrored.to_bits(), "SS({}, {})", n.item.0, i.0);
+                    }
                 }
             }
             let floor = pair_sensitivity(&m, ItemId(10), ItemId(11));

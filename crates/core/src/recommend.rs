@@ -10,19 +10,20 @@
 //! * [`PrivateUserBasedRecommender`] — X-Map-ub: the user-based variant with the same
 //!   mechanisms adapted to user–user similarities (global sensitivity 2, see DESIGN.md).
 //!
-//! This module is the only code that knows a mode. `build` is the one place a
-//! [`XMapMode`] picks a concrete type — the fit, the delta fit, a reopened snapshot and
-//! every shard construct their recommender through it — and every variant
-//! answers a top-N request through the same three phases of [`ProfileRecommender`]:
-//! `plan` (profile-level state), `candidates` (what the rows of an item range add to
-//! the candidate stream) and `score`. A single-node read runs the phases over the
-//! whole catalogue (the provided `recommend_for_profile`; a served batch is that call
-//! per profile); the sharded router runs the very same methods once per shard, over
-//! the rows each replica holds. Either way the dense per-request state lives in the
-//! calling thread's one [`ProfileScratch`].
+//! This module is the only code that knows a mode. `assemble` is the one place a
+//! [`XMapMode`] picks a concrete type, and `build` the one place X-Map-ib's release is
+//! drawn: the fit, the delta fit and a reopened snapshot build (draw, then assemble);
+//! a shard assembles over its rows of the coordinator's pools and release, drawing
+//! nothing. Every variant answers a top-N request through the same three phases of
+//! [`ProfileRecommender`]: `plan` (profile-level state), `candidates` (what the rows
+//! of an item range add to the candidate stream) and `score`. A single-node read runs
+//! the phases over the whole catalogue (the provided `recommend_for_profile`; a served
+//! batch is that call per profile); the sharded router runs the very same methods once
+//! per shard, over the rows each replica holds. Either way the dense per-request state
+//! lives in the calling thread's one [`ProfileScratch`].
 
 use crate::private::{
-    centred_norms, pair_sensitivity_from, pncf_noisy_similarity, private_neighbor_selection,
+    centred_norms, pncf_noisy_similarity, pool_sensitivities, private_neighbor_selection,
     ScoredCandidate,
 };
 use crate::{XMapConfig, XMapMode};
@@ -42,6 +43,10 @@ use xmap_privacy::PrivacyBudget;
 
 /// A recommender as the model layers hold it: shared, immutable, thread-safe.
 pub(crate) type SharedRecommender = Arc<dyn ProfileRecommender + Send + Sync>;
+
+/// A per-item table of neighbour lists indexed by item id — the fitted item-kNN pools,
+/// or X-Map-ib's release — shared by whoever reads it.
+pub(crate) type NeighborTable = Arc<Vec<Vec<ItemNeighbor>>>;
 
 /// The profile-level state of one top-N request: computed once by
 /// [`ProfileRecommender::plan`] and handed to every `candidates` / `score` call of the
@@ -73,7 +78,7 @@ impl ServePlan {
 /// phases over the whole catalogue and ranks the stream with the workspace [`top_k`] —
 /// so a recommender built over a fragment of the fitted rows answers with the same code
 /// as the full copy.
-pub trait ProfileRecommender {
+pub trait ProfileRecommender: std::any::Any {
     /// Label matching the paper's figure legends.
     fn label(&self) -> &'static str;
 
@@ -135,31 +140,60 @@ fn phased_top_n<R: ProfileRecommender + ?Sized>(
     top_k(n, scored).into_iter().map(|(s, i)| (i, s)).collect()
 }
 
-/// Builds the recommender of `config.mode` over the target-domain training matrix —
-/// the single place a mode names a concrete recommender type. `pools` are the fitted
-/// item-kNN pools of the item-based modes (`pools[i]` = item `i`'s row, at the width
-/// of [`item_pool_config`]; absent rows read as isolated items), held as the very
-/// allocation the caller keeps, and ignored by the user-based modes, which precompute
-/// nothing. X-Map-ib's release draw runs on `workers` and records no task cost.
+/// Builds the recommender of `config.mode` over the target-domain training matrix.
+/// `pools` are the fitted item-kNN pools of the item-based modes (`pools[i]` = item
+/// `i`'s row, at the width of [`item_pool_config`]; absent rows read as isolated
+/// items), held as the very allocation the caller keeps, and ignored by the
+/// user-based modes, which precompute nothing. For X-Map-ib this draws the release,
+/// once — the only place it is drawn: per item, [`released_neighbors`] of its pool.
+/// The `(seed, item)` streams are independent, so the items are the tasks of
+/// `workers` (no task cost recorded) and the lists come back in item order, the same
+/// at any worker count. Every build redraws every item — `n_items` enters PNSA's
+/// truncation width, so a delta that declares one item changes every list. The
+/// release is returned beside the recommender, which points at it.
 ///
 /// Building never touches a [`PrivacyBudget`]: whoever *releases* the recommender (a
 /// fit, a delta fit) debits ε′ through [`debit_stage_budget`] first; a reopened
-/// snapshot or a shard re-derives, from the same seed, a release the persisted /
-/// coordinator ledger already recorded.
+/// snapshot re-derives, from the same seed, a release the persisted ledger already
+/// recorded.
 pub(crate) fn build(
     config: &XMapConfig,
     target: Arc<RatingMatrix>,
-    pools: Option<Arc<Vec<Vec<ItemNeighbor>>>>,
+    pools: Option<NeighborTable>,
     workers: &WorkerPool,
-) -> crate::Result<SharedRecommender> {
+) -> crate::Result<(SharedRecommender, Option<NeighborTable>)> {
     config.validate().map_err(crate::XMapError::InvalidConfig)?;
+    let released = (config.mode == XMapMode::XMapItemBased).then(|| {
+        let norms = centred_norms(&target);
+        let pools = pools.as_deref().map_or(&[][..], Vec::as_slice);
+        Arc::new(workers.parallel_map_indexed(pools, |i, pool| {
+            released_neighbors(&target, &norms, config, ItemId(i as u32), pool)
+        }))
+    });
+    Ok((assemble(config, target, pools, released.clone())?, released))
+}
+
+/// The recommender of `config.mode` over tables a build already holds — the single
+/// place a mode names a concrete recommender type. It draws nothing: X-Map-ib scores
+/// from `released`, a table [`build`] drew (a shard passes its rows of the
+/// coordinator's), and a missing table, like missing pools, reads as isolated items.
+pub(crate) fn assemble(
+    config: &XMapConfig,
+    target: Arc<RatingMatrix>,
+    pools: Option<NeighborTable>,
+    released: Option<NeighborTable>,
+) -> crate::Result<SharedRecommender> {
     let privacy = &config.privacy;
     Ok(match config.mode {
-        XMapMode::NxMapItemBased | XMapMode::XMapItemBased => {
-            let pools = pools.unwrap_or_default();
-            let rec = ItemBasedRecommender::from_pools(target, config, pools, workers);
-            Arc::new(rec)
-        }
+        XMapMode::NxMapItemBased | XMapMode::XMapItemBased => Arc::new(ItemBasedRecommender {
+            target,
+            pools: pools.unwrap_or_default(),
+            released: config
+                .mode
+                .is_private()
+                .then(|| released.unwrap_or_default()),
+            temporal_alpha: config.temporal_alpha,
+        }),
         XMapMode::NxMapUserBased => Arc::new(UserBasedRecommender::fit(target, config.k)?),
         XMapMode::XMapUserBased => Arc::new(PrivateUserBasedRecommender::new(
             target,
@@ -323,10 +357,10 @@ pub struct ItemBasedRecommender {
     /// The fitted `ItemKnn` pools, indexed by item id — the allocation the epoch (or a
     /// shard's padded slice rows) owns, never a copy. `candidates` reads them in both
     /// modes; NX-Map-ib also scores from them.
-    pools: Arc<Vec<Vec<ItemNeighbor>>>,
+    pools: NeighborTable,
     /// X-Map-ib only: the released neighbour list of every item, which `score` reads in
-    /// place of `pools`.
-    released: Option<Vec<Vec<ItemNeighbor>>>,
+    /// place of `pools` — like them, the epoch's (or a shard's padded rows of it).
+    released: Option<NeighborTable>,
     temporal_alpha: f64,
 }
 
@@ -348,34 +382,6 @@ impl ItemBasedRecommender {
         })
     }
 
-    /// The recommender of an item-based `config.mode` over externally fitted pools of
-    /// width [`item_pool_config`]. For X-Map-ib this draws the release, once: per item,
-    /// [`released_neighbors`] of its pool — the `(seed, item)` streams are independent,
-    /// so the items are the tasks of `workers` and the lists come back in item order,
-    /// the same at any worker count. Every build redraws every item — `n_items` enters
-    /// PNSA's truncation width, so a delta that declares one item changes every list.
-    /// Crate-private because it debits nothing itself: only [`build`] (whose callers
-    /// debit first, or re-derive a recorded release) reaches it.
-    pub(crate) fn from_pools(
-        target: Arc<RatingMatrix>,
-        config: &XMapConfig,
-        pools: Arc<Vec<Vec<ItemNeighbor>>>,
-        workers: &WorkerPool,
-    ) -> Self {
-        let released = config.mode.is_private().then(|| {
-            let norms = centred_norms(&target);
-            workers.parallel_map_indexed(&pools, |i, pool| {
-                released_neighbors(&target, &norms, config, ItemId(i as u32), pool)
-            })
-        });
-        ItemBasedRecommender {
-            target,
-            pools,
-            released,
-            temporal_alpha: config.temporal_alpha,
-        }
-    }
-
     /// The fitted pool of an item (before private selection, in X-Map-ib).
     pub fn neighbors(&self, item: ItemId) -> &[ItemNeighbor] {
         row(&self.pools, item)
@@ -383,7 +389,7 @@ impl ItemBasedRecommender {
 
     /// The table predictions read: the release for X-Map-ib, the pools for NX-Map-ib.
     fn scored(&self) -> &[Vec<ItemNeighbor>] {
-        self.released.as_deref().unwrap_or(&self.pools)
+        self.released.as_ref().unwrap_or(&self.pools)
     }
 
     fn predict_loaded(
@@ -408,13 +414,12 @@ fn row(table: &[Vec<ItemNeighbor>], item: ItemId) -> &[ItemNeighbor] {
 }
 
 /// X-Map-ib's release of one item (Algorithms 4–5): PNSA selects `k` of the pool's
-/// candidates, each annotated with its similarity-based sensitivity (read off the
-/// build's `norms` table, the pool's profile merges sharing one pair of buffers), and
-/// PNCF noises
+/// candidates, each annotated with its similarity-based sensitivity (one
+/// [`pool_sensitivities`] gather over the build's `norms` table), and PNCF noises
 /// every kept similarity, in selection order. The stream is seeded by `(seed, item)`
 /// and reads only that item's pool, so rebuilding over the same pools and matrix —
-/// a reopened snapshot, a shard — re-derives the same list: privacy-free
-/// post-processing of a release the ledger recorded once.
+/// a reopened snapshot — re-derives the same list: privacy-free post-processing of a
+/// release the ledger recorded once.
 fn released_neighbors(
     target: &RatingMatrix,
     norms: &[f64],
@@ -423,13 +428,14 @@ fn released_neighbors(
     pool: &[ItemNeighbor],
 ) -> Vec<ItemNeighbor> {
     let epsilon_prime = config.privacy.epsilon_prime;
-    let mut co = Default::default();
+    let sensitivities = pool_sensitivities(target, norms, item, pool);
     let candidates: Vec<ScoredCandidate> = pool
         .iter()
-        .map(|n| ScoredCandidate {
+        .zip(sensitivities)
+        .map(|(n, sensitivity)| ScoredCandidate {
             item: n.item,
             similarity: n.similarity,
-            sensitivity: pair_sensitivity_from(target, norms, (item, n.item), &mut co),
+            sensitivity,
         })
         .collect();
     let mut rng = StdRng::seed_from_u64(
@@ -645,8 +651,8 @@ const PLAN_SALT: u64 = 0xfeed_beef;
 impl PrivateUserBasedRecommender {
     /// Creates the recommender, fixing the neighbour-pool configuration once. Private
     /// because it debits nothing itself — a public no-debit constructor would let
-    /// callers bypass the ε′ accounting; only [`build`] (whose callers debit first, or
-    /// release nothing) reaches it.
+    /// callers bypass the ε′ accounting; only [`assemble`] (for a build whose caller
+    /// debits first, or a copy of a recorded release) reaches it.
     fn new(
         target: Arc<RatingMatrix>,
         k: usize,
@@ -849,7 +855,7 @@ pub(crate) mod tests {
     ) -> crate::Result<SharedRecommender> {
         let pools = item_pool_config(config)
             .map(|knn| Arc::new(ItemKnn::fit(&target, knn).unwrap().into_neighbors()));
-        build(config, target, pools, &WorkerPool::new(1))
+        Ok(build(config, target, pools, &WorkerPool::new(1))?.0)
     }
 
     fn fitted(config: &XMapConfig) -> SharedRecommender {
@@ -1373,7 +1379,7 @@ pub(crate) mod tests {
             prop_assert!(pools[n_items as usize].is_empty());
             prop_assert_eq!(pools[n_items as usize + 1].len(), 1);
             let workers = WorkerPool::new(2);
-            let rec = build(&config, Arc::clone(&target), Some(Arc::clone(&pools)), &workers).unwrap();
+            let (rec, _) = build(&config, Arc::clone(&target), Some(Arc::clone(&pools)), &workers).unwrap();
             for _ in 0..4 {
                 let profile = random_profile(&mut rng, catalogue);
                 let oracle: Vec<f64> = (0..=catalogue)
@@ -1397,6 +1403,18 @@ pub(crate) mod tests {
         }
     }
 
+    /// The concrete item-based recommender behind a shared one (`None` for the
+    /// user-based modes).
+    pub(crate) fn item_based(rec: &SharedRecommender) -> Option<&ItemBasedRecommender> {
+        let any: &dyn std::any::Any = &**rec;
+        any.downcast_ref()
+    }
+
+    /// X-Map-ib's released table as a recommender holds it (`None` for the other modes).
+    pub(crate) fn released_table(rec: &SharedRecommender) -> Option<&NeighborTable> {
+        item_based(rec)?.released.as_ref()
+    }
+
     #[test]
     fn an_item_based_recommender_holds_the_pools_it_is_handed_not_a_copy() {
         let target = Arc::new(target_matrix());
@@ -1404,14 +1422,23 @@ pub(crate) mod tests {
             let config = config(mode, 3, 0.8, 7);
             let knn = item_pool_config(&config).unwrap();
             let pools = Arc::new(ItemKnn::fit(&target, knn).unwrap().into_neighbors());
-            let rec = ItemBasedRecommender::from_pools(
-                Arc::clone(&target),
+            let workers = WorkerPool::new(1);
+            let (rec, released) = build(
                 &config,
-                Arc::clone(&pools),
-                &WorkerPool::new(1),
+                Arc::clone(&target),
+                Some(Arc::clone(&pools)),
+                &workers,
+            )
+            .unwrap();
+            let held = item_based(&rec).unwrap();
+            assert!(
+                Arc::ptr_eq(&held.pools, &pools),
+                "{mode:?} copied its pools"
             );
-            assert!(Arc::ptr_eq(&rec.pools, &pools), "{mode:?} copied its pools");
-            assert_eq!(rec.released.is_some(), mode.is_private());
+            assert_eq!(released.is_some(), mode.is_private());
+            if let (Some(held), Some(released)) = (&held.released, &released) {
+                assert!(Arc::ptr_eq(held, released), "{mode:?} copied its release");
+            }
         }
     }
 }

@@ -15,11 +15,13 @@
 //!   authoritative fit/ingest plane: adjusted-cosine similarities, X-Sim walks and
 //!   replacement draws all read *cross-shard* state, so the global recompute stays
 //!   in one place) and a set of simulated nodes, each holding epoch-published
-//!   slices of the shards it hosts plus, per shard, the mode's recommender built
-//!   (`recommend::build`) from the slice's own rows — once per shard, its hosts
-//!   sharing it exactly as they share the slice, replicas of a fragment being copies
-//!   of one state — so a replica answers with the single-node code, over the rows it
-//!   holds. Reads route to a live replica of the owning shard;
+//!   slices of the shards it hosts plus, per shard, the mode's recommender assembled
+//!   (`recommend::assemble`) from the slice's own pool rows and the same items' rows
+//!   of the coordinator's X-Map-ib release — copied, never redrawn: only the
+//!   coordinator's build draws — once per shard, its hosts sharing it exactly as they
+//!   share the slice, replicas of a fragment being copies of one state — so a replica
+//!   answers with the single-node code, over the rows it holds. Reads route to a live
+//!   replica of the owning shard;
 //!   top-N requests fan out across shards and merge partial top-N lists with the
 //!   workspace [`TopK`] tie-break (descending `total_cmp`, first-offered wins) —
 //!   provably bit-identical to the single-node stream because per-shard candidate
@@ -36,7 +38,8 @@
 //!   a node drops its in-memory state (files survive); recovery loads the
 //!   snapshot, replays the journal, and — if the node was dead across ingests
 //!   its journal never saw — re-replicates the shard from the coordinator and
-//!   rewrites its files.
+//!   rewrites its files. A replayed slice that is not the coordinator's cut of its
+//!   epoch is refused as `Corrupt`, and the node stays dead.
 //!
 //! Routing, per-shard serving and per-shard ingest work are tallied per node
 //! ([`ShardedModel::ledger`]: `route` / `shard_serve` / `shard_ingest`) with
@@ -56,7 +59,7 @@ use crate::{Result, XMapError};
 use xmap_cf::knn::{ItemNeighbor, Profile};
 use xmap_cf::topk::{top_k, TopK};
 use xmap_cf::{ItemId, SimilarityStats, UserId};
-use xmap_engine::{EpochHandle, RoutedTally, WorkerPool};
+use xmap_engine::{EpochHandle, RoutedTally};
 use xmap_privacy::PrivacyBudget;
 use xmap_store::{Journal, Snapshot};
 
@@ -247,14 +250,9 @@ impl ShardSlice {
             .collect();
         replacement_pairs.sort_unstable();
         let pool_rows = epoch.item_pools.as_ref().map(|pools| {
-            (start..end)
-                .filter_map(|id| {
-                    pools
-                        .get(id as usize)
-                        .filter(|row| !row.is_empty())
-                        .map(|row| (ItemId(id), row.clone()))
-                })
-                .collect()
+            let rows = (start..end).filter_map(|id| Some((ItemId(id), pools.get(id as usize)?)));
+            let rows = rows.filter(|(_, row)| !row.is_empty());
+            rows.map(|(item, row)| (item, row.clone())).collect()
         });
         ShardSlice {
             shard,
@@ -272,23 +270,28 @@ impl ShardSlice {
         replacement_in(&self.replacement_pairs, item)
     }
 
-    /// The mode's recommender over this slice's own pool rows and `epoch`'s
-    /// target-domain matrix: the rows re-assembled into a catalogue-length table —
-    /// every out-of-shard (or empty) slot an empty pool, the shape the recommender
-    /// indexes by raw item id — which the recommender then owns. Built once per
-    /// shard and shared by its hosts, on the coordinator's `workers`. It re-derives
-    /// a release the coordinator's ledger has recorded, so no ε is spent.
-    fn recommender(&self, epoch: &ModelEpoch, workers: &WorkerPool) -> Result<SharedRecommender> {
+    /// The mode's recommender over this slice's own pool rows, the same items' rows of
+    /// `epoch`'s X-Map-ib release, and the epoch's target-domain matrix: each table
+    /// re-assembled catalogue-length — every out-of-shard (or empty) slot an empty row,
+    /// the shape the recommender indexes by raw item id — which the recommender then
+    /// owns. Built once per shard and shared by its hosts. The release rows are copies
+    /// of the ones the coordinator's build drew, so a shard draws nothing and spends
+    /// no ε.
+    fn recommender(&self, epoch: &ModelEpoch) -> Result<SharedRecommender> {
         let target = Arc::clone(epoch.recommender.target());
-        let pools = self.pool_rows.as_ref().map(|rows| {
-            let mut pools = vec![Vec::new(); target.n_items()];
-            let in_table = rows
-                .iter()
-                .filter(|(item, _)| item.index() < target.n_items());
-            in_table.for_each(|(item, row)| pools[item.index()].clone_from(row));
-            Arc::new(pools)
-        });
-        recommend::build(epoch.config(), target, pools, workers)
+        let n_items = target.n_items();
+        let padded = |row_of: &dyn Fn(usize, &Vec<ItemNeighbor>) -> Vec<ItemNeighbor>| {
+            let mut table = vec![Vec::new(); n_items];
+            let rows = self.pool_rows.iter().flatten();
+            for (item, row) in rows.filter(|(item, _)| item.index() < n_items) {
+                table[item.index()] = row_of(item.index(), row);
+            }
+            Arc::new(table)
+        };
+        let (pools, release) = (self.pool_rows.as_ref(), epoch.item_release.as_ref());
+        let pools = pools.map(|_| padded(&|_, row| row.clone()));
+        let released = release.map(|all| padded(&|at, _| all[at].clone()));
+        recommend::assemble(epoch.config(), target, pools, released)
     }
 
     /// The row changes taking `self` to `new`, plus the shard's sub-delta —
@@ -470,9 +473,10 @@ impl xmap_store::Codec for SliceDelta {
 // ---------------------------------------------------------------------------
 
 /// One hosted shard on one node: the epoch-published slice, the mode's
-/// recommender built from the slice's *own* pool rows (empty pools outside the
-/// shard) over the epoch's target-domain matrix, and, when persisted, the shard's
-/// open write-ahead journal (the snapshot path derives from the store directory).
+/// recommender assembled from the slice's *own* pool rows and their release rows
+/// (empty rows outside the shard) over the epoch's target-domain matrix, and, when
+/// persisted, the shard's open write-ahead journal (the snapshot path derives from
+/// the store directory).
 /// Slice and recommender are the shard's, not the node's — every host holds a
 /// clone of the same two `Arc`s; only a node recovered from its own files
 /// rebuilds them. The matrix is the replicated data plane every node reads
@@ -605,7 +609,7 @@ impl ShardedModel {
         let mut nodes: Vec<ShardNode> = (0..n_nodes).map(|_| ShardNode::new()).collect();
         for shard in 0..map.n_shards() as u32 {
             let slice = Arc::new(ShardSlice::cut(&epoch, &map, shard));
-            let serve = slice.recommender(&epoch, model.flow.pool())?;
+            let serve = slice.recommender(&epoch)?;
             for host in map.hosts(shard, n_nodes) {
                 nodes[host].install(epoch_no, Arc::clone(&slice), Arc::clone(&serve));
             }
@@ -861,7 +865,7 @@ impl ShardedModel {
         let (epoch_no, epoch) = self.model.snapshot();
         for shard in 0..self.map.n_shards() as u32 {
             let new_slice = Arc::new(ShardSlice::cut(&epoch, &self.map, shard));
-            let serve = new_slice.recommender(&epoch, self.model.flow.pool())?;
+            let serve = new_slice.recommender(&epoch)?;
             let sub = &subs[shard as usize];
             let cost = 1.0 + sub.len() as f64;
             let mut records = Vec::new();
@@ -931,8 +935,12 @@ impl ShardedModel {
     /// replays the journal records past the snapshot epoch, and — when the
     /// journal ends behind the coordinator (the node was dead across ingests) —
     /// re-replicates the shard from the coordinator's current epoch, rewriting
-    /// the snapshot and resetting the journal. The node resumes serving with
-    /// slices bit-identical to the live replicas'.
+    /// the snapshot and resetting the journal. A replayed slice must equal the
+    /// coordinator's cut of the same epoch — the shard's recommender pairs its pool
+    /// rows with the coordinator's release rows — so a mismatch is a typed
+    /// [`XMapError::Corrupt`]: nothing is installed and the node stays as it was (dead,
+    /// after a kill), its live siblings serving. Otherwise the node resumes serving
+    /// with slices bit-identical to the live replicas'.
     pub fn recover_node(&mut self, node: usize) -> Result<()> {
         if node >= self.nodes.len() {
             return Err(XMapError::Data(format!("no such node: {node}")));
@@ -951,8 +959,7 @@ impl ShardedModel {
             let journal_path = node_dir.join(format!("shard{shard}.journal"));
             let state: SliceState = Snapshot::load(&snap_path)?;
             let (mut journal, records) = Journal::open::<SliceDelta>(&journal_path)?;
-            let mut slice = state.slice;
-            let mut at = state.epoch;
+            let (mut slice, mut at) = (state.slice, state.epoch);
             for rec in &records {
                 if rec.epoch <= at {
                     continue; // already folded into the snapshot
@@ -960,21 +967,20 @@ impl ShardedModel {
                 slice = Arc::new(slice.apply(&rec.value));
                 at = rec.epoch;
             }
+            let cut = ShardSlice::cut(&epoch, &self.map, shard);
             if at < epoch_no {
                 // The journal never saw the ingests that happened while the node
                 // was dead (they are only journaled on live replicas) — catch up
                 // by re-replicating from the coordinator and making it durable.
-                slice = Arc::new(ShardSlice::cut(&epoch, &self.map, shard));
-                Snapshot::write(
-                    &snap_path,
-                    &SliceState {
-                        epoch: epoch_no,
-                        slice: Arc::clone(&slice),
-                    },
-                )?;
+                slice = Arc::new(cut);
+                let (epoch, slice) = (epoch_no, Arc::clone(&slice));
+                Snapshot::write(&snap_path, &SliceState { epoch, slice })?;
                 journal.reset(epoch_no)?;
+            } else if *slice != cut {
+                let detail = format!("node {node} shard {shard}: replay is not the epoch-{at} cut");
+                return Err(XMapError::corrupt(detail));
             }
-            let serve = slice.recommender(&epoch, self.model.flow.pool())?;
+            let serve = slice.recommender(&epoch)?;
             rebuilt.install(epoch_no, slice, serve).journal = Some(journal);
         }
         self.nodes[node] = rebuilt;
@@ -1397,6 +1403,193 @@ mod tests {
                 );
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An X-Map-ib model fitted on the small synthetic trace, with the trace.
+    fn private_item_based() -> (xmap_dataset::synthetic::CrossDomainDataset, XMapModel) {
+        use xmap_dataset::synthetic::{CrossDomainConfig, CrossDomainDataset};
+        let ds = CrossDomainDataset::generate(CrossDomainConfig::small());
+        let config = crate::XMapConfig {
+            mode: crate::XMapMode::XMapItemBased,
+            k: 8,
+            ..Default::default()
+        };
+        let (source, target) = (xmap_cf::DomainId::SOURCE, xmap_cf::DomainId::TARGET);
+        let model = XMapModel::fit(&ds.matrix, source, target, config).unwrap();
+        (ds, model)
+    }
+
+    /// The top-5 bits of the routed reads of four overlap users.
+    fn probe_bits(
+        sharded: &ShardedModel,
+        ds: &xmap_dataset::synthetic::CrossDomainDataset,
+    ) -> Vec<Vec<(ItemId, u64)>> {
+        let bits = |recs: Vec<(ItemId, f64)>| recs.into_iter().map(|(i, s)| (i, s.to_bits()));
+        let probe = |&user| bits(sharded.recommend(user, 5).unwrap()).collect();
+        ds.overlap_users[..4].iter().map(probe).collect()
+    }
+
+    /// The per-shard redraw shards served before they copied the coordinator's
+    /// release, kept as the oracle of the copy: `recommend::build` over the slice's
+    /// own pool rows, re-assembled into a catalogue-length table.
+    fn redrawn_release(slice: &ShardSlice, epoch: &ModelEpoch) -> Option<recommend::NeighborTable> {
+        let target = Arc::clone(epoch.recommender.target());
+        let pools = slice.pool_rows.as_ref().map(|rows| {
+            let mut pools = vec![Vec::new(); target.n_items()];
+            let in_table = rows
+                .iter()
+                .filter(|(item, _)| item.index() < target.n_items());
+            in_table.for_each(|(item, row)| pools[item.index()].clone_from(row));
+            Arc::new(pools)
+        });
+        let workers = xmap_engine::WorkerPool::new(1);
+        recommend::build(epoch.config(), target, pools, &workers)
+            .unwrap()
+            .1
+    }
+
+    /// Every hosted shard's recommender serves, bit for bit, the release rows its own
+    /// per-shard redraw draws — at 1, 2, 4 and 8 nodes, with and without hot
+    /// replication: at the cut, after an item-declaring ingest (which changes most rows
+    /// through `n_items`), after a node dead across that ingest recovers by
+    /// re-replication, and after a node recovers by journal replay.
+    #[test]
+    fn every_shard_serves_the_release_rows_a_per_shard_redraw_draws() {
+        let bits = |table: &[Vec<ItemNeighbor>]| -> Vec<Vec<(ItemId, u64)>> {
+            let row = |row: &Vec<ItemNeighbor>| {
+                row.iter()
+                    .map(|n| (n.item, n.similarity.to_bits()))
+                    .collect()
+            };
+            table.iter().map(row).collect()
+        };
+        let assert_copies = |sharded: &ShardedModel, when: &str| {
+            let (_, epoch) = sharded.model.snapshot();
+            let mut released_rows = 0;
+            for (node, hosted) in sharded.nodes.iter().enumerate() {
+                for (shard, ns) in &hosted.shards {
+                    let served = recommend::tests::released_table(&ns.serve).unwrap();
+                    let redrawn = redrawn_release(&ns.handle.load().1, &epoch).unwrap();
+                    let served = bits(served);
+                    assert!(
+                        served == bits(&redrawn),
+                        "{when}: node {node} shard {shard}"
+                    );
+                    released_rows += served.iter().filter(|row| !row.is_empty()).count();
+                }
+            }
+            assert!(released_rows > 0, "{when}: no shard serves a released row");
+        };
+        for n_nodes in [1, 2, 4, 8] {
+            for hot in [false, true] {
+                let (ds, model) = private_item_based();
+                let mut sharded = match hot {
+                    false => ShardedModel::from_model(model, n_nodes).unwrap(),
+                    true => ShardedModel::with_hot_replication(model, n_nodes, 3).unwrap(),
+                };
+                let case = format!("{n_nodes} nodes, hot replication {hot}");
+                let dir = std::env::temp_dir().join(format!(
+                    "xmap_shard_release_{}_{n_nodes}_{hot}",
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_dir_all(&dir);
+                sharded.persist(&dir).unwrap();
+                assert_copies(&sharded, &format!("{case}, at the cut"));
+
+                let last = n_nodes - 1;
+                sharded.kill_node(last).unwrap();
+                let (new_user, new_item) = (ds.matrix.n_users() as u32, ds.matrix.n_items() as u32);
+                let mut delta = RatingDelta::new();
+                delta
+                    .declare_item(ItemId(new_item), xmap_cf::DomainId::TARGET)
+                    .push_timed(new_user, ds.target_items()[0].0, 4.0, 91)
+                    .push_timed(new_user, new_item, 3.0, 92)
+                    .push_timed(ds.overlap_users[0].0, new_item, 5.0, 93);
+                let (_, before) = sharded.model.snapshot();
+                sharded.ingest(&delta).unwrap();
+                let (_, after) = sharded.model.snapshot();
+                let [before, after] = [&before, &after].map(|e| e.item_release.clone().unwrap());
+                let released = before
+                    .iter()
+                    .zip(after.iter())
+                    .filter(|(a, _)| !a.is_empty());
+                let kept = released.clone().filter(|(a, b)| a == b).count();
+                let n_released = released.count();
+                assert!(
+                    4 * kept < n_released,
+                    "{case}: {kept} of {n_released} rows kept"
+                );
+                if n_nodes > 1 {
+                    assert_copies(&sharded, &format!("{case}, after an item-declaring ingest"));
+                }
+                sharded.recover_node(last).unwrap();
+                assert_copies(&sharded, &format!("{case}, after re-replication"));
+
+                let mut delta = RatingDelta::new();
+                delta.push_timed(ds.overlap_users[1].0, ds.target_items()[1].0, 2.0, 94);
+                sharded.ingest(&delta).unwrap();
+                sharded.kill_node(0).unwrap();
+                sharded.recover_node(0).unwrap();
+                assert_copies(&sharded, &format!("{case}, after journal replay"));
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+
+    /// A shard snapshot whose slice is not the coordinator's cut — one pool
+    /// similarity nudged by one ulp and written with a valid checksum — is refused on
+    /// recovery as `Corrupt`: nothing is installed, the node stays dead, and its live
+    /// sibling answers the routed probes with unchanged bits. The true cut, written
+    /// back, recovers.
+    #[test]
+    fn recovery_refuses_a_slice_that_is_not_the_coordinators_cut() {
+        let (ds, model) = private_item_based();
+        let n_items = model.matrix().n_items();
+        let mut map = ShardMap::uniform(n_items as u32, 2).unwrap();
+        map.replicate_hot(&vec![1; n_items], n_items, 2); // every shard on both nodes
+        let mut sharded = ShardedModel::build(model, map, 2).unwrap();
+        let dir = std::env::temp_dir().join(format!("xmap_shard_nudged_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        sharded.persist(&dir).unwrap();
+        let before = probe_bits(&sharded, &ds);
+
+        sharded.kill_node(1).unwrap();
+        let snap = dir.join("node1/shard0.snap");
+        let state: SliceState = Snapshot::load(&snap).unwrap();
+        let mut nudged = (*state.slice).clone();
+        let entry = &mut nudged.pool_rows.as_mut().unwrap()[0].1[0];
+        entry.similarity = f64::from_bits(entry.similarity.to_bits() ^ 1);
+        let write = |slice: ShardSlice| {
+            let state = SliceState {
+                epoch: state.epoch,
+                slice: Arc::new(slice),
+            };
+            Snapshot::write(&snap, &state).unwrap();
+        };
+        write(nudged);
+        match sharded.recover_node(1) {
+            Err(XMapError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("shard 0"), "{detail}")
+            }
+            other => panic!("a nudged slice recovered: {other:?}"),
+        }
+        assert!(!sharded.node_is_alive(1) && sharded.nodes[1].shards.is_empty());
+        assert_eq!(
+            probe_bits(&sharded, &ds),
+            before,
+            "the live replica's answers moved"
+        );
+
+        write((*state.slice).clone());
+        sharded.recover_node(1).unwrap();
+        assert!(sharded.node_is_alive(1));
+        sharded.kill_node(0).unwrap();
+        assert_eq!(
+            probe_bits(&sharded, &ds),
+            before,
+            "the recovered node's answers"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -398,47 +398,58 @@ fn sharding_ingest_and_recovery_spend_no_epsilon() {
 
 /// Kill a node *before* an ingest: its journal never sees the new epoch, so
 /// recovery must detect the stale journal and re-replicate the shard from the
-/// coordinator — ending at the same bits as the live replicas all the same.
+/// coordinator — ending at the same bits as the live replicas all the same. In
+/// NX-Map-ub and in X-Map-ib, where the re-cut shard from the newer epoch (whose
+/// delta declares an item, so `n_items` moves every released list) pairs its pool
+/// rows with the coordinator's release rows.
 #[test]
 fn node_dead_across_an_ingest_recovers_by_rereplication() {
-    let ds = dataset();
-    let delta = probe_delta(&ds);
-    let reference = fit(&ds, XMapMode::NxMapUserBased);
-    reference.apply_delta(&delta).unwrap();
+    for mode in [XMapMode::NxMapUserBased, XMapMode::XMapItemBased] {
+        let ds = dataset();
+        let delta = probe_delta(&ds);
+        let reference = fit(&ds, mode);
+        reference.apply_delta(&delta).unwrap();
 
-    let mut sharded =
-        ShardedModel::with_hot_replication(fit(&ds, XMapMode::NxMapUserBased), 2, 2).unwrap();
-    let dir = temp_store("rereplication");
-    sharded.persist(&dir).unwrap();
-    sharded.kill_node(1).unwrap();
-    sharded.ingest(&delta).unwrap(); // dead node skipped: journal goes stale
-    sharded.recover_node(1).unwrap();
+        let mut sharded = ShardedModel::with_hot_replication(fit(&ds, mode), 2, 2).unwrap();
+        let dir = temp_store(&format!("rereplication-{mode:?}"));
+        sharded.persist(&dir).unwrap();
+        sharded.kill_node(1).unwrap();
+        sharded.ingest(&delta).unwrap(); // dead node skipped: journal goes stale
+        sharded.recover_node(1).unwrap();
 
-    let map = sharded.shard_map().clone();
-    for s in 0..map.n_shards() as u32 {
-        let hosts = map.hosts(s, 2);
-        if !hosts.contains(&1) {
-            continue;
+        let map = sharded.shard_map().clone();
+        for s in 0..map.n_shards() as u32 {
+            let hosts = map.hosts(s, 2);
+            if !hosts.contains(&1) {
+                continue;
+            }
+            let (epoch, recovered) = sharded.slice(1, s).expect("recovered shard");
+            assert_eq!(epoch, 2, "re-replication must adopt the coordinator epoch");
+            for &other in hosts.iter().filter(|&&h| h != 1) {
+                let (_, live) = sharded.slice(other, s).unwrap();
+                assert_eq!(
+                    *recovered, *live,
+                    "{mode:?} shard {s}: re-replicated slice diverged from the live replica"
+                );
+            }
         }
-        let (epoch, recovered) = sharded.slice(1, s).expect("recovered shard");
-        assert_eq!(epoch, 2, "re-replication must adopt the coordinator epoch");
-        for &other in hosts.iter().filter(|&&h| h != 1) {
-            let (_, live) = sharded.slice(other, s).unwrap();
+        let new_user = UserId(ds.matrix.n_users() as u32);
+        let new_item = ItemId(ds.matrix.n_items() as u32);
+        for &u in &[ds.overlap_users[0], ds.overlap_users[1], new_user] {
             assert_eq!(
-                *recovered, *live,
-                "shard {s}: re-replicated slice diverged from the live replica"
+                sharded.predict(u, new_item).unwrap().to_bits(),
+                reference.predict(u, new_item).to_bits(),
+                "{mode:?}: post-rereplication prediction for {u}"
+            );
+            assert_same_recs(
+                &sharded.recommend(u, 5).unwrap(),
+                &reference.recommend(u, 5),
+                &format!("{mode:?}: post-rereplication top-5 for {u}"),
             );
         }
+        assert_same_ledger(&sharded, &reference, &format!("{mode:?}: re-replication"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let new_user = UserId(ds.matrix.n_users() as u32);
-    for &u in &[ds.overlap_users[0], new_user] {
-        assert_same_recs(
-            &sharded.recommend(u, 5).unwrap(),
-            &reference.recommend(u, 5),
-            "post-rereplication top-5",
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A hostile caller on the read side, in every mode on a replicated 4-node cut:
