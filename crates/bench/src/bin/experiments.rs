@@ -222,7 +222,7 @@ fn run_determinism_gate(runner: &SweepRunner) -> (EvalReport, FitLedgers, u64) {
 /// carries the exact single-node bits. Returns the totals of the router's three
 /// per-node tallies (`route` / `shard_serve` / `shard_ingest`), so the baseline
 /// JSON also pins the routed work profile: a drifting task count means the
-/// router's read placement or sub-delta splitting changed — regenerate the
+/// router's read placement or per-shard ingest charge changed — regenerate the
 /// baseline deliberately.
 fn run_sharded_gate(runner: &SweepRunner) -> Vec<LedgerTotal> {
     let split = runner.split(None);
@@ -566,7 +566,7 @@ fn diff_against_baseline(current: &Json, baseline: &Json) -> Vec<String> {
 
     // The sharded router's work profile: the gate's fixed node count and replication
     // factor, plus each routed ledger's task count and total cost. A drift means the
-    // router's read placement, serving fan-out or sub-delta splitting changed.
+    // router's read placement, serving fan-out or per-shard ingest charge changed.
     for field in ["n_nodes", "replication"] {
         check(
             &mut drift,

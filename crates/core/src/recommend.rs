@@ -35,8 +35,7 @@ use xmap_cf::epoch::{EpochBuffer, IdBitSet};
 use xmap_cf::knn::{profile_average, ItemNeighbor, Profile};
 use xmap_cf::topk::top_k;
 use xmap_cf::{
-    ItemId, ItemKnn, ItemKnnConfig, RatingMatrix, Timestep, UserId, UserKnn, UserKnnConfig,
-    UserKnnScratch,
+    ItemId, ItemKnnConfig, RatingMatrix, Timestep, UserId, UserKnn, UserKnnConfig, UserKnnScratch,
 };
 use xmap_engine::WorkerPool;
 use xmap_privacy::PrivacyBudget;
@@ -365,23 +364,6 @@ pub struct ItemBasedRecommender {
 }
 
 impl ItemBasedRecommender {
-    /// Fits NX-Map-ib on the target-domain training matrix with the serial
-    /// [`ItemKnn::fit`] — the reference the partition-parallel pool fit is held to.
-    pub fn fit(
-        target: impl Into<Arc<RatingMatrix>>,
-        k: usize,
-        temporal_alpha: f64,
-    ) -> crate::Result<Self> {
-        let target = target.into();
-        let pools = ItemKnn::fit(&target, item_knn_config(k, temporal_alpha))?.into_neighbors();
-        Ok(ItemBasedRecommender {
-            target,
-            pools: Arc::new(pools),
-            released: None,
-            temporal_alpha,
-        })
-    }
-
     /// The fitted pool of an item (before private selection, in X-Map-ib).
     pub fn neighbors(&self, item: ItemId) -> &[ItemNeighbor] {
         row(&self.pools, item)
@@ -567,7 +549,7 @@ pub struct UserBasedRecommender {
 
 impl UserBasedRecommender {
     /// Creates the recommender over the target-domain training matrix.
-    pub fn fit(target: impl Into<Arc<RatingMatrix>>, k: usize) -> crate::Result<Self> {
+    pub(crate) fn fit(target: impl Into<Arc<RatingMatrix>>, k: usize) -> crate::Result<Self> {
         require_k(k)?;
         Ok(UserBasedRecommender {
             target: target.into(),
@@ -800,7 +782,7 @@ pub(crate) mod tests {
     use crate::PrivacyConfig;
     use proptest::prelude::*;
     use xmap_cf::knn::profile_from_pairs;
-    use xmap_cf::{DomainId, RatingMatrixBuilder};
+    use xmap_cf::{DomainId, ItemKnn, RatingMatrixBuilder};
 
     /// Target-domain matrix with two item clusters (0-2 liked together, 3-5 liked
     /// together by the other half of the users).
@@ -826,6 +808,26 @@ pub(crate) mod tests {
             b.set_item_domain(ItemId(i), DomainId::TARGET);
         }
         b.build().unwrap()
+    }
+
+    impl ItemBasedRecommender {
+        /// Fits NX-Map-ib on the target-domain training matrix with the serial
+        /// [`ItemKnn::fit`] — the reference the partition-parallel pool fit is held to.
+        pub(crate) fn fit(
+            target: impl Into<Arc<RatingMatrix>>,
+            k: usize,
+            temporal_alpha: f64,
+        ) -> crate::Result<Self> {
+            let target = target.into();
+            let config = item_knn_config(k, temporal_alpha);
+            let pools = ItemKnn::fit(&target, config)?.into_neighbors();
+            Ok(ItemBasedRecommender {
+                target,
+                pools: Arc::new(pools),
+                released: None,
+                temporal_alpha,
+            })
+        }
     }
 
     fn cluster_profile() -> Profile {

@@ -5,12 +5,13 @@
 //! of the fitted state. This module reproduces that deployment shape on one
 //! machine, with the same bit-identity discipline as the rest of the workspace:
 //!
-//! * [`ShardMap`] — a deterministic item-range partition of the catalogue. Every
-//!   fitted per-item artifact (similarity-graph rows, X-Sim rows, replacement
-//!   pairs, item-kNN pools) of a [`ModelEpoch`] is cut into one [`ShardSlice`] per
-//!   shard. Shard `s` is owned by node `s mod n`, and *hot* shards — shards holding
-//!   an item from the popularity head — carry extra replicas on the following
-//!   nodes (clamped to the node count).
+//! * [`ShardMap`] — a deterministic item-range partition of the catalogue. The
+//!   per-item rows a read consults (replacement pairs, item-kNN pools) of a
+//!   [`ModelEpoch`] are cut into one [`ShardSlice`] per shard; the similarity graph
+//!   and X-Sim are fit-time inputs that stay with the coordinator. Shard `s` is
+//!   owned by node `s mod n`, and *hot* shards — shards holding an item from the
+//!   popularity head — carry extra replicas on the following nodes (clamped to the
+//!   node count).
 //! * [`ShardedModel`] — the router. It owns the coordinator [`XMapModel`] (the
 //!   authoritative fit/ingest plane: adjusted-cosine similarities, X-Sim walks and
 //!   replacement draws all read *cross-shard* state, so the global recompute stays
@@ -30,16 +31,19 @@
 //!   globally too.
 //! * Durability — [`ShardedModel::persist`] writes one snapshot + write-ahead
 //!   journal pair *per hosted shard per node* (`node<i>/shard<s>.snap` /
-//!   `.journal`, reusing the `xmap-store` codec verbatim). An ingest splits the
-//!   [`RatingDelta`] into per-shard sub-deltas, applies the full delta on the
-//!   coordinator, then journals each hosted shard's row changes *before*
-//!   publishing the new slice epoch. A shard's snapshot and journal record are
-//!   encoded and checksummed once and the same bytes go to every host. Killing
-//!   a node drops its in-memory state (files survive); recovery loads the
-//!   snapshot, replays the journal, and — if the node was dead across ingests
-//!   its journal never saw — re-replicates the shard from the coordinator and
-//!   rewrites its files. A replayed slice that is not the coordinator's cut of its
-//!   epoch is refused as `Corrupt`, and the node stays dead.
+//!   `.journal`, reusing the `xmap-store` codec verbatim). An ingest applies the
+//!   full [`RatingDelta`] on the coordinator, then journals each hosted shard's
+//!   row changes *before* publishing the new slice epoch. A shard's snapshot and
+//!   journal record are encoded and checksummed once and the same bytes go to
+//!   every host. Killing a node drops its in-memory state (files survive);
+//!   recovery loads the snapshot, replays the journal, and — if the node was dead
+//!   across ingests its journal never saw — re-replicates the shard from the
+//!   coordinator and rewrites its files. A replayed slice that is not the
+//!   coordinator's cut of its epoch is refused as `Corrupt`, and the node stays
+//!   dead. Only [`ShardedModel::recover_node`] reads shard files, and only from the
+//!   directory [`ShardedModel::persist`] attached in the same process, so no other
+//!   process reads one and their layout changes without a `FORMAT_VERSION` bump;
+//!   the single-model `ModelState` snapshot and journal are unaffected.
 //!
 //! Routing, per-shard serving and per-shard ingest work are tallied per node
 //! ([`ShardedModel::ledger`]: `route` / `shard_serve` / `shard_ingest`) with
@@ -54,11 +58,10 @@ use crate::delta::{DeltaReport, RatingDelta};
 use crate::generator::{self, AlterEgo};
 use crate::pipeline::{ModelEpoch, XMapModel};
 use crate::recommend::{self, ServePlan, SharedRecommender};
-use crate::xsim::XSimEntry;
 use crate::{Result, XMapError};
 use xmap_cf::knn::{ItemNeighbor, Profile};
 use xmap_cf::topk::{top_k, TopK};
-use xmap_cf::{ItemId, SimilarityStats, UserId};
+use xmap_cf::{ItemId, UserId};
 use xmap_engine::{EpochHandle, RoutedTally};
 use xmap_privacy::PrivacyBudget;
 use xmap_store::{Journal, Snapshot};
@@ -180,39 +183,23 @@ impl ShardMap {
             self.replicas[s] = self.replicas[s].max(factor.max(1));
         }
     }
-
-    /// Splits a delta into one sub-delta per shard by the rated (or declared)
-    /// item's shard, preserving push order within each shard. The coordinator
-    /// still applies the *full* delta — the split exists so per-shard ingest work
-    /// can be journaled, costed and replayed per node.
-    pub fn split_delta(&self, delta: &RatingDelta) -> Vec<RatingDelta> {
-        let mut subs: Vec<RatingDelta> = (0..self.n_shards()).map(|_| RatingDelta::new()).collect();
-        for &r in delta.ratings() {
-            subs[self.shard_of(r.item) as usize].push(r);
-        }
-        for &(item, domain) in delta.item_domains() {
-            subs[self.shard_of(item) as usize].declare_item(item, domain);
-        }
-        subs
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Shard slices
 // ---------------------------------------------------------------------------
 
-/// Every fitted per-item artifact of one shard's item range, cut from a
-/// [`ModelEpoch`]: similarity-graph rows, X-Sim rows, replacement pairs and (for
-/// the item-based modes) the raw item-kNN pool rows. Rows are sorted ascending by
-/// item id and empty rows are omitted, so two cuts of the same epoch compare
-/// bit-for-bit with `==`.
+/// The rows a replica of one shard's item range serves, cut from a [`ModelEpoch`]:
+/// the replacement pairs of its source items (routed AlterEgo gathering) and, for
+/// the item-based modes, the raw item-kNN pool rows (the shard's recommender). The
+/// similarity graph and X-Sim are fit-time inputs the coordinator alone reads, so
+/// no slice holds them. Rows are sorted ascending by item id and empty rows are
+/// omitted, so two cuts of the same epoch compare bit-for-bit with `==`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardSlice {
     shard: u32,
     start: u32,
     end: u32,
-    graph_rows: Vec<(ItemId, Vec<(ItemId, SimilarityStats)>)>,
-    xsim_rows: Vec<(ItemId, Vec<XSimEntry>)>,
     replacement_pairs: Vec<(ItemId, ItemId)>,
     pool_rows: Option<Vec<(ItemId, Vec<ItemNeighbor>)>>,
 }
@@ -227,22 +214,6 @@ impl ShardSlice {
     /// Cuts the slice of `shard` out of a published epoch.
     pub(crate) fn cut(epoch: &ModelEpoch, map: &ShardMap, shard: u32) -> ShardSlice {
         let (start, end) = map.effective_range(shard, epoch.matrix().n_items() as u32);
-        let graph = epoch.graph();
-        let mut graph_rows = Vec::new();
-        let mut xsim_rows = Vec::new();
-        for id in start..end {
-            let item = ItemId(id);
-            if (id as usize) < graph.n_items() {
-                let view = graph.neighbors(item);
-                if !view.is_empty() {
-                    graph_rows.push((item, view.iter().map(|e| (e.to, *e.stats)).collect()));
-                }
-            }
-            let xrow = epoch.xsim().candidates(item);
-            if !xrow.is_empty() {
-                xsim_rows.push((item, xrow.to_vec()));
-            }
-        }
         let mut replacement_pairs: Vec<(ItemId, ItemId)> = epoch
             .replacements()
             .iter()
@@ -258,8 +229,6 @@ impl ShardSlice {
             shard,
             start,
             end,
-            graph_rows,
-            xsim_rows,
             replacement_pairs,
             pool_rows,
         }
@@ -294,15 +263,12 @@ impl ShardSlice {
         recommend::assemble(epoch.config(), target, pools, released)
     }
 
-    /// The row changes taking `self` to `new`, plus the shard's sub-delta —
-    /// the write-ahead journal record of one ingest.
-    pub(crate) fn diff(&self, new: &ShardSlice, sub_delta: RatingDelta) -> SliceDelta {
+    /// The row changes taking `self` to `new` — the write-ahead journal record of
+    /// one ingest.
+    pub(crate) fn diff(&self, new: &ShardSlice) -> SliceDelta {
         SliceDelta {
-            sub_delta,
             start: new.start,
             end: new.end,
-            graph_rows: diff_rows(&self.graph_rows, &new.graph_rows),
-            xsim_rows: diff_rows(&self.xsim_rows, &new.xsim_rows),
             pool_rows: match (&self.pool_rows, &new.pool_rows) {
                 (old, Some(new_rows)) => diff_rows(old.as_deref().unwrap_or_default(), new_rows),
                 (_, None) => Vec::new(),
@@ -313,14 +279,12 @@ impl ShardSlice {
     }
 
     /// Applies a journaled [`SliceDelta`], producing the post-ingest slice.
-    /// Inverse of [`ShardSlice::diff`]: `old.apply(&old.diff(&new, _)) == new`.
+    /// Inverse of [`ShardSlice::diff`]: `old.apply(&old.diff(&new)) == new`.
     pub(crate) fn apply(&self, delta: &SliceDelta) -> ShardSlice {
         ShardSlice {
             shard: self.shard,
             start: delta.start,
             end: delta.end,
-            graph_rows: apply_rows(&self.graph_rows, &delta.graph_rows),
-            xsim_rows: apply_rows(&self.xsim_rows, &delta.xsim_rows),
             replacement_pairs: delta
                 .replacement_pairs
                 .clone()
@@ -386,18 +350,15 @@ pub(crate) struct SliceState {
     pub(crate) slice: Arc<ShardSlice>,
 }
 
-/// Journal record payload of one hosted shard's ingest: the shard's sub-delta
-/// (observability: which rating events landed here) plus the materialized row
-/// changes — recovery replays the rows, not the ratings, because slice rows are
-/// cross-shard functions of the full matrix that only the coordinator can
-/// recompute.
+/// Journal record payload of one hosted shard's ingest: the slice's materialized
+/// row changes (its range, upserted and removed pool rows, and the replacement
+/// table when it changed). Recovery replays the rows, not the ratings, because
+/// slice rows are cross-shard functions of the full matrix that only the
+/// coordinator can recompute.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct SliceDelta {
-    pub(crate) sub_delta: RatingDelta,
     start: u32,
     end: u32,
-    graph_rows: Vec<(ItemId, Vec<(ItemId, SimilarityStats)>)>,
-    xsim_rows: Vec<(ItemId, Vec<XSimEntry>)>,
     pool_rows: Vec<(ItemId, Vec<ItemNeighbor>)>,
     replacement_pairs: Option<Vec<(ItemId, ItemId)>>,
 }
@@ -407,8 +368,6 @@ impl xmap_store::Codec for ShardSlice {
         e.put_u32(self.shard);
         e.put_u32(self.start);
         e.put_u32(self.end);
-        self.graph_rows.enc(e);
-        self.xsim_rows.enc(e);
         self.replacement_pairs.enc(e);
         self.pool_rows.enc(e);
     }
@@ -418,8 +377,6 @@ impl xmap_store::Codec for ShardSlice {
             shard: d.take_u32()?,
             start: d.take_u32()?,
             end: d.take_u32()?,
-            graph_rows: xmap_store::Codec::dec(d)?,
-            xsim_rows: xmap_store::Codec::dec(d)?,
             replacement_pairs: xmap_store::Codec::dec(d)?,
             pool_rows: xmap_store::Codec::dec(d)?,
         })
@@ -446,22 +403,16 @@ impl xmap_store::Codec for SliceState {
 
 impl xmap_store::Codec for SliceDelta {
     fn enc(&self, e: &mut xmap_store::Encoder) {
-        self.sub_delta.enc(e);
         e.put_u32(self.start);
         e.put_u32(self.end);
-        self.graph_rows.enc(e);
-        self.xsim_rows.enc(e);
         self.pool_rows.enc(e);
         self.replacement_pairs.enc(e);
     }
 
     fn dec(d: &mut xmap_store::Decoder<'_>) -> std::result::Result<Self, xmap_store::StoreError> {
         Ok(SliceDelta {
-            sub_delta: xmap_store::Codec::dec(d)?,
             start: d.take_u32()?,
             end: d.take_u32()?,
-            graph_rows: xmap_store::Codec::dec(d)?,
-            xsim_rows: xmap_store::Codec::dec(d)?,
             pool_rows: xmap_store::Codec::dec(d)?,
             replacement_pairs: xmap_store::Codec::dec(d)?,
         })
@@ -575,7 +526,7 @@ impl ShardedModel {
     /// Shards a fitted model across `n_nodes` simulated nodes, one shard per
     /// node, no replication. The coordinator model moves in and keeps running
     /// fits, ingests and the privacy ledger; the nodes get epoch-published
-    /// slices of every fitted per-item artifact.
+    /// slices of the per-item rows they serve.
     pub fn from_model(model: XMapModel, n_nodes: usize) -> Result<ShardedModel> {
         let n_items = model.snapshot().1.matrix().n_items() as u32;
         let map = ShardMap::uniform(n_items, n_nodes)?;
@@ -853,21 +804,24 @@ impl ShardedModel {
             .collect())
     }
 
-    /// Routed delta ingest: splits the delta into per-shard sub-deltas, applies
-    /// the **full** delta on the coordinator (slice rows are cross-shard
-    /// functions of the whole matrix), then re-cuts every shard's slice from the
-    /// new epoch, write-ahead journals each hosted replica's row changes, and
-    /// publishes the new slices. Dead nodes are skipped — their journals go
-    /// stale and [`ShardedModel::recover_node`] re-replicates instead.
+    /// Routed delta ingest: applies the **full** delta on the coordinator (slice
+    /// rows are cross-shard functions of the whole matrix), then re-cuts every
+    /// shard's slice from the new epoch, write-ahead journals each hosted replica's
+    /// row changes, and publishes the new slices. Each live host of a shard is
+    /// charged `1 +` the delta's ratings of items the shard owns. Dead nodes are
+    /// skipped — their journals go stale and [`ShardedModel::recover_node`]
+    /// re-replicates instead.
     pub fn ingest(&mut self, delta: &RatingDelta) -> Result<DeltaReport> {
-        let subs = self.map.split_delta(delta);
+        let mut ratings = vec![0usize; self.map.n_shards()];
+        for r in delta.ratings() {
+            ratings[self.map.shard_of(r.item) as usize] += 1;
+        }
         let report = self.model.apply_delta(delta)?;
         let (epoch_no, epoch) = self.model.snapshot();
         for shard in 0..self.map.n_shards() as u32 {
             let new_slice = Arc::new(ShardSlice::cut(&epoch, &self.map, shard));
             let serve = new_slice.recommender(&epoch)?;
-            let sub = &subs[shard as usize];
-            let cost = 1.0 + sub.len() as f64;
+            let cost = 1.0 + ratings[shard as usize] as f64;
             let mut records = Vec::new();
             for host in self.map.hosts(shard, self.nodes.len()) {
                 let node = &mut self.nodes[host];
@@ -876,7 +830,7 @@ impl ShardedModel {
                 };
                 if let Some(journal) = ns.journal.as_mut() {
                     let record = once_per_slice(&mut records, ns.handle.load().1, |old| {
-                        Journal::frame(epoch_no, &old.diff(&new_slice, sub.clone()))
+                        Journal::frame(epoch_no, &old.diff(&new_slice))
                     });
                     journal.append_framed(record)?;
                 }
@@ -994,7 +948,7 @@ impl ShardedModel {
     /// * `shard_serve`: one task per shard-local phase of a routed request, cost
     ///   `1 + items processed`;
     /// * `shard_ingest`: one task per (shard, live hosting node) of each ingest, cost
-    ///   `1 + sub-delta ratings`.
+    ///   `1 + the delta's ratings of items the shard owns`.
     pub fn ledger(&self) -> [(&'static str, RoutedTally); 3] {
         let led = lock_ledgers(&self.ledgers);
         [
@@ -1073,59 +1027,23 @@ mod tests {
         assert_eq!(map.replication(1), 1);
     }
 
-    #[test]
-    fn split_delta_routes_by_item_shard_and_preserves_order() {
-        let map = ShardMap::uniform(10, 2).unwrap();
-        let mut delta = RatingDelta::new();
-        delta
-            .push_timed(1, 0, 5.0, 1)
-            .push_timed(2, 9, 4.0, 2)
-            .push_timed(1, 1, 3.0, 3)
-            .push_timed(3, 12, 2.0, 4); // clamped into the last shard
-        let subs = map.split_delta(&delta);
-        assert_eq!(subs.len(), 2);
-        assert_eq!(subs[0].len(), 2);
-        assert_eq!(subs[0].ratings()[0].item, ItemId(0));
-        assert_eq!(subs[0].ratings()[1].item, ItemId(1));
-        assert_eq!(subs[1].len(), 2);
-        assert_eq!(subs[1].ratings()[0].item, ItemId(9));
-        assert_eq!(subs[1].ratings()[1].item, ItemId(12));
-    }
-
     fn sample_slice() -> ShardSlice {
         ShardSlice {
             shard: 1,
             start: 4,
             end: 8,
-            graph_rows: vec![(
-                ItemId(4),
-                vec![(
-                    ItemId(9),
-                    SimilarityStats {
-                        similarity: 0.5,
-                        co_raters: 3,
-                        significance: 4,
-                        union_size: 5,
-                    },
-                )],
-            )],
-            xsim_rows: vec![(
-                ItemId(5),
-                vec![XSimEntry {
-                    item: ItemId(9),
-                    similarity: 0.25,
-                    certainty: 0.5,
-                    n_paths: 1,
-                }],
-            )],
             replacement_pairs: vec![(ItemId(4), ItemId(9)), (ItemId(6), ItemId(8))],
-            pool_rows: Some(vec![(
-                ItemId(4),
-                vec![ItemNeighbor {
-                    item: ItemId(5),
-                    similarity: 0.75,
-                }],
-            )]),
+            pool_rows: Some(vec![
+                (ItemId(4), vec![neighbor(5, 0.75)]),
+                (ItemId(6), vec![neighbor(4, 0.5), neighbor(7, 0.25)]),
+            ]),
+        }
+    }
+
+    fn neighbor(item: u32, similarity: f64) -> ItemNeighbor {
+        ItemNeighbor {
+            item: ItemId(item),
+            similarity,
         }
     }
 
@@ -1146,26 +1064,26 @@ mod tests {
     fn diff_apply_roundtrips_row_changes() {
         let old = sample_slice();
         let mut new = old.clone();
-        // change a row, add a row, remove a row, change the replacement table
-        new.graph_rows[0].1[0].1.similarity = 0.9;
-        new.xsim_rows.push((
-            ItemId(7),
-            vec![XSimEntry {
-                item: ItemId(8),
-                similarity: 0.1,
-                certainty: 0.2,
-                n_paths: 2,
-            }],
-        ));
-        new.pool_rows = Some(Vec::new());
+        // change a pool row, add one, remove one, change the replacement table
+        let rows = new.pool_rows.as_mut().unwrap();
+        rows[0].1[0].similarity = 0.9;
+        rows.insert(1, (ItemId(5), vec![neighbor(6, 0.125)]));
+        rows.pop();
         new.replacement_pairs = vec![(ItemId(4), ItemId(8))];
-        let sub = RatingDelta::new();
-        let delta = old.diff(&new, sub);
+        let delta = old.diff(&new);
+        assert_eq!(
+            delta.pool_rows,
+            vec![
+                (ItemId(4), vec![neighbor(5, 0.9)]),
+                (ItemId(5), vec![neighbor(6, 0.125)]),
+                (ItemId(6), Vec::new()),
+            ]
+        );
         assert_eq!(old.apply(&delta), new);
 
         // identity diff carries no row changes and applies to itself
-        let idd = old.diff(&old, RatingDelta::new());
-        assert!(idd.replacement_pairs.is_none());
+        let idd = old.diff(&old);
+        assert!(idd.replacement_pairs.is_none() && idd.pool_rows.is_empty());
         assert_eq!(old.apply(&idd), old);
 
         // journal payload codec roundtrip

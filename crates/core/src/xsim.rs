@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use xmap_cf::{DomainId, ItemId};
 use xmap_engine::StageContext;
-use xmap_graph::{LayerPartition, MetaPath, MetaPathConfig, SimilarityGraph};
+use xmap_graph::{LayerPartition, MetaPathConfig, SimilarityGraph};
 
 /// One heterogeneous similarity entry: a target-domain item with its X-Sim value.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -56,60 +56,6 @@ impl XSimEntry {
     /// Certainty-weighted similarity used to rank replacement candidates.
     pub fn weighted_similarity(&self) -> f64 {
         self.similarity * self.certainty
-    }
-}
-
-/// Path similarity `s_p` of a meta-path (significance-weighted mean of hop similarities).
-/// Returns `None` when the path contains a hop with zero significance weight everywhere
-/// (no mutual like/dislike on any hop), in which case the path carries no signal.
-pub fn path_similarity(graph: &SimilarityGraph, path: &MetaPath) -> Option<f64> {
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (a, b) in path.hops() {
-        let edge = graph.edge_between(a, b)?;
-        let s = f64::from(edge.stats.significance);
-        num += s * edge.stats.similarity;
-        den += s;
-    }
-    if den <= 0.0 {
-        None
-    } else {
-        Some(num / den)
-    }
-}
-
-/// Path certainty `c_p` of a meta-path (product of normalised weighted significances).
-pub fn path_certainty(graph: &SimilarityGraph, path: &MetaPath) -> f64 {
-    let mut certainty = 1.0;
-    for (a, b) in path.hops() {
-        let edge = match graph.edge_between(a, b) {
-            Some(e) => e,
-            None => return 0.0,
-        };
-        certainty *= edge.normalized_significance();
-    }
-    certainty
-}
-
-/// Aggregates a set of meta-paths that share the same endpoints into an X-Sim value
-/// (Definition 6). Returns `None` when no path carries certainty or signal.
-pub fn aggregate_paths(graph: &SimilarityGraph, paths: &[&MetaPath]) -> Option<f64> {
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for path in paths {
-        let certainty = path_certainty(graph, path);
-        if certainty <= 0.0 {
-            continue;
-        }
-        if let Some(sim) = path_similarity(graph, path) {
-            num += certainty * sim;
-            den += certainty;
-        }
-    }
-    if den <= 0.0 {
-        None
-    } else {
-        Some((num / den).clamp(-1.0, 1.0))
     }
 }
 
@@ -451,7 +397,61 @@ mod tests {
     use std::collections::BTreeMap;
     use xmap_dataset::toy::{items, ToyScenario};
     use xmap_engine::WorkerPool;
-    use xmap_graph::{enumerate_cross_domain_paths, GraphConfig};
+    use xmap_graph::{enumerate_cross_domain_paths, GraphConfig, MetaPath};
+
+    /// Path similarity `s_p` of a meta-path (significance-weighted mean of hop similarities).
+    /// Returns `None` when the path contains a hop with zero significance weight everywhere
+    /// (no mutual like/dislike on any hop), in which case the path carries no signal.
+    fn path_similarity(graph: &SimilarityGraph, path: &MetaPath) -> Option<f64> {
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for (a, b) in path.hops() {
+            let edge = graph.edge_between(a, b)?;
+            let s = f64::from(edge.stats.significance);
+            num += s * edge.stats.similarity;
+            den += s;
+        }
+        if den <= 0.0 {
+            None
+        } else {
+            Some(num / den)
+        }
+    }
+
+    /// Path certainty `c_p` of a meta-path (product of normalised weighted significances).
+    fn path_certainty(graph: &SimilarityGraph, path: &MetaPath) -> f64 {
+        let mut certainty = 1.0;
+        for (a, b) in path.hops() {
+            let edge = match graph.edge_between(a, b) {
+                Some(e) => e,
+                None => return 0.0,
+            };
+            certainty *= edge.normalized_significance();
+        }
+        certainty
+    }
+
+    /// Aggregates a set of meta-paths that share the same endpoints into an X-Sim value
+    /// (Definition 6). Returns `None` when no path carries certainty or signal.
+    fn aggregate_paths(graph: &SimilarityGraph, paths: &[&MetaPath]) -> Option<f64> {
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for path in paths {
+            let certainty = path_certainty(graph, path);
+            if certainty <= 0.0 {
+                continue;
+            }
+            if let Some(sim) = path_similarity(graph, path) {
+                num += certainty * sim;
+                den += certainty;
+            }
+        }
+        if den <= 0.0 {
+            None
+        } else {
+            Some((num / den).clamp(-1.0, 1.0))
+        }
+    }
 
     impl XSimTable {
         /// Computes the table for every item of `source_domain` through the reference

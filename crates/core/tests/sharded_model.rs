@@ -229,12 +229,14 @@ fn probe_delta(ds: &CrossDomainDataset) -> RatingDelta {
     delta
 }
 
-/// A routed ingest (split into per-shard sub-deltas, coordinator apply, slice
-/// republish) answers exactly like the single-node model after the same delta —
-/// including for the delta-introduced user and item — in every mode. The delta
-/// declares an item, so the last shard's range stretches to cover it: the
-/// user-based hops, which walk only their shard's slice of each neighbour row,
-/// must find it there.
+/// A routed ingest (coordinator apply, slice re-cut and republish) answers exactly
+/// like the single-node model after the same delta — including for the
+/// delta-introduced user and item — in every mode. The delta declares an item, so
+/// the last shard's range stretches to cover it: the user-based hops, which walk
+/// only their shard's slice of each neighbour row, must find it there. Each live
+/// hosted (shard, host) is charged `1 +` the delta's ratings in the shard's range:
+/// the new item's ratings count toward the last shard, its declaration adds
+/// nothing.
 #[test]
 fn routed_ingest_matches_single_node_ingest() {
     for mode in ALL_MODES {
@@ -247,22 +249,41 @@ fn routed_ingest_matches_single_node_ingest() {
         assert_eq!(report.epoch, 2);
         assert_eq!(sharded.epoch(), 2);
         let map = sharded.shard_map();
-        let live_hosted: usize = (0..map.n_shards() as u32)
-            .map(|shard| {
-                let hosts = map.hosts(shard, 4).into_iter();
-                hosts
-                    .filter(|&h| sharded.node_is_alive(h) && sharded.slice(h, shard).is_some())
-                    .count()
-            })
-            .sum();
+        let new_user = UserId(ds.matrix.n_users() as u32);
+        let new_item = ItemId(ds.matrix.n_items() as u32);
+        let last = map.n_shards() as u32 - 1;
+        let ratings_in = |shard: u32| {
+            let (start, end) = map.range(shard);
+            let end = if shard == last { u32::MAX } else { end };
+            let ratings = delta.ratings().iter();
+            ratings.filter(|r| (start..end).contains(&r.item.0)).count()
+        };
+        assert_eq!((0..=last).map(ratings_in).sum::<usize>(), delta.len());
+        let new_item_ratings = delta.ratings().iter().filter(|r| r.item == new_item);
+        let new_item_ratings = new_item_ratings.count();
+        assert!(
+            new_item_ratings > 0 && ratings_in(last) >= new_item_ratings,
+            "the new item's ratings count toward the last shard"
+        );
+        let (mut live_hosted, mut expected_cost) = (0, 0.0);
+        for shard in 0..=last {
+            let hosts = map.hosts(shard, 4).into_iter();
+            let live =
+                hosts.filter(|&h| sharded.node_is_alive(h) && sharded.slice(h, shard).is_some());
+            let n_live = live.count();
+            live_hosted += n_live;
+            expected_cost += n_live as f64 * (1.0 + ratings_in(shard) as f64);
+        }
         let [.., (_, ingest)] = sharded.ledger();
         assert!(live_hosted > 0);
         assert_eq!(
             ingest.n_tasks, live_hosted,
             "one ingest task per live hosted (shard, host) pair"
         );
-        let new_user = UserId(ds.matrix.n_users() as u32);
-        let new_item = ItemId(ds.matrix.n_items() as u32);
+        assert_eq!(
+            ingest.total_work, expected_cost,
+            "{mode:?}: each task costs 1 + the delta's ratings in its shard"
+        );
         let mut users = probe_users(&ds);
         users.push(new_user);
         for &u in &users {
