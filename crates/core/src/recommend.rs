@@ -354,7 +354,7 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut ProfileScratch) -> R) -
 pub struct ItemBasedRecommender {
     target: Arc<RatingMatrix>,
     /// The fitted `ItemKnn` pools, indexed by item id — the allocation the epoch (or a
-    /// shard's padded slice rows) owns, never a copy. `candidates` reads them in both
+    /// shard's slice) owns, never a copy. `candidates` reads them in both
     /// modes; NX-Map-ib also scores from them.
     pools: NeighborTable,
     /// X-Map-ib only: the released neighbour list of every item, which `score` reads in
@@ -1410,6 +1410,12 @@ pub(crate) mod tests {
     pub(crate) fn item_based(rec: &SharedRecommender) -> Option<&ItemBasedRecommender> {
         let any: &dyn std::any::Any = &**rec;
         any.downcast_ref()
+    }
+
+    /// The item-kNN pool table an item-based recommender holds (`None` for the
+    /// user-based modes).
+    pub(crate) fn pool_table(rec: &SharedRecommender) -> Option<&NeighborTable> {
+        Some(&item_based(rec)?.pools)
     }
 
     /// X-Map-ib's released table as a recommender holds it (`None` for the other modes).

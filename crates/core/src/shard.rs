@@ -15,14 +15,14 @@
 //! * [`ShardedModel`] — the router. It owns the coordinator [`XMapModel`] (the
 //!   authoritative fit/ingest plane: adjusted-cosine similarities, X-Sim walks and
 //!   replacement draws all read *cross-shard* state, so the global recompute stays
-//!   in one place) and a set of simulated nodes, each holding epoch-published
-//!   slices of the shards it hosts plus, per shard, the mode's recommender assembled
-//!   (`recommend::assemble`) from the slice's own pool rows and the same items' rows
-//!   of the coordinator's X-Map-ib release — copied, never redrawn: only the
-//!   coordinator's build draws — once per shard, its hosts sharing it exactly as they
-//!   share the slice, replicas of a fragment being copies of one state — so a replica
-//!   answers with the single-node code, over the rows it holds. Reads route to a live
-//!   replica of the owning shard;
+//!   in one place) and a set of simulated nodes, each holding the slices of the
+//!   shards it hosts, each with its epoch, plus, per shard, the mode's recommender
+//!   assembled (`recommend::assemble`) over the slice's own pool table — the same
+//!   `Arc`, not a copy — and the same items' rows of the coordinator's X-Map-ib
+//!   release — copied, never redrawn: only the coordinator's build draws — once per
+//!   shard, its hosts sharing it exactly as they share the slice, replicas of a
+//!   fragment being copies of one state — so a replica answers with the single-node
+//!   code, over the rows it holds. Reads route to a live replica of the owning shard;
 //!   top-N requests fan out across shards and merge partial top-N lists with the
 //!   workspace [`TopK`] tie-break (descending `total_cmp`, first-offered wins) —
 //!   provably bit-identical to the single-node stream because per-shard candidate
@@ -33,17 +33,21 @@
 //!   journal pair *per hosted shard per node* (`node<i>/shard<s>.snap` /
 //!   `.journal`, reusing the `xmap-store` codec verbatim). An ingest applies the
 //!   full [`RatingDelta`] on the coordinator, then journals each hosted shard's
-//!   row changes *before* publishing the new slice epoch. A shard's snapshot and
+//!   row changes *before* installing the new slice. A shard's snapshot and
 //!   journal record are encoded and checksummed once and the same bytes go to
 //!   every host. Killing a node drops its in-memory state (files survive);
 //!   recovery loads the snapshot, replays the journal, and — if the node was dead
 //!   across ingests its journal never saw — re-replicates the shard from the
-//!   coordinator and rewrites its files. A replayed slice that is not the
-//!   coordinator's cut of its epoch is refused as `Corrupt`, and the node stays
-//!   dead. Only [`ShardedModel::recover_node`] reads shard files, and only from the
-//!   directory [`ShardedModel::persist`] attached in the same process, so no other
-//!   process reads one and their layout changes without a `FORMAT_VERSION` bump;
-//!   the single-model `ModelState` snapshot and journal are unaffected.
+//!   coordinator and rewrites its files. A journal record reaching outside the
+//!   coordinator's cut, or a replayed slice that is not that cut, is refused as
+//!   `Corrupt`, and the node stays dead. Only [`ShardedModel::recover_node`] reads
+//!   shard files, and only from the directory [`ShardedModel::persist`] attached in
+//!   the same process, so no other process reads one and their layout changes
+//!   without a `FORMAT_VERSION` bump; the single-model `ModelState` snapshot and
+//!   journal are unaffected.
+//!
+//! Every write (`ingest`, `persist`, `kill_node`, `recover_node`) takes `&mut self`,
+//! so no read races it, and a node holds its slices as plain values.
 //!
 //! Routing, per-shard serving and per-shard ingest work are tallied per node
 //! ([`ShardedModel::ledger`]: `route` / `shard_serve` / `shard_ingest`) with
@@ -57,12 +61,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 use crate::delta::{DeltaReport, RatingDelta};
 use crate::generator::{self, AlterEgo};
 use crate::pipeline::{ModelEpoch, XMapModel};
-use crate::recommend::{self, ServePlan, SharedRecommender};
+use crate::recommend::{self, NeighborTable, ServePlan, SharedRecommender};
 use crate::{Result, XMapError};
 use xmap_cf::knn::{ItemNeighbor, Profile};
 use xmap_cf::topk::{top_k, TopK};
 use xmap_cf::{ItemId, UserId};
-use xmap_engine::{EpochHandle, RoutedTally};
+use xmap_engine::RoutedTally;
 use xmap_privacy::PrivacyBudget;
 use xmap_store::{Journal, Snapshot};
 
@@ -190,18 +194,19 @@ impl ShardMap {
 // ---------------------------------------------------------------------------
 
 /// The rows a replica of one shard's item range serves, cut from a [`ModelEpoch`]:
-/// the replacement pairs of its source items (routed AlterEgo gathering) and, for
-/// the item-based modes, the raw item-kNN pool rows (the shard's recommender). The
-/// similarity graph and X-Sim are fit-time inputs the coordinator alone reads, so
-/// no slice holds them. Rows are sorted ascending by item id and empty rows are
-/// omitted, so two cuts of the same epoch compare bit-for-bit with `==`.
+/// the replacement pairs of its source items (routed AlterEgo gathering), sorted by
+/// source, and, for the item-based modes, the item-kNN pool table its recommender
+/// reads — indexed by item id up to `end`, every row before `start` empty, the
+/// shard's one copy of its pools. The similarity graph and X-Sim are fit-time inputs
+/// the coordinator alone reads, so no slice holds them. Two cuts of the same epoch
+/// compare bit-for-bit with `==`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardSlice {
     shard: u32,
     start: u32,
     end: u32,
     replacement_pairs: Vec<(ItemId, ItemId)>,
-    pool_rows: Option<Vec<(ItemId, Vec<ItemNeighbor>)>>,
+    pools: Option<NeighborTable>,
 }
 
 impl ShardSlice {
@@ -220,17 +225,16 @@ impl ShardSlice {
             .filter(|&(source, _)| map.shard_of(source) == shard)
             .collect();
         replacement_pairs.sort_unstable();
-        let pool_rows = epoch.item_pools.as_ref().map(|pools| {
-            let rows = (start..end).filter_map(|id| Some((ItemId(id), pools.get(id as usize)?)));
-            let rows = rows.filter(|(_, row)| !row.is_empty());
-            rows.map(|(item, row)| (item, row.clone())).collect()
-        });
+        let pools = epoch
+            .item_pools
+            .as_deref()
+            .map(|all| padded(all, start, end));
         ShardSlice {
             shard,
             start,
             end,
             replacement_pairs,
-            pool_rows,
+            pools,
         }
     }
 
@@ -239,48 +243,53 @@ impl ShardSlice {
         replacement_in(&self.replacement_pairs, item)
     }
 
-    /// The mode's recommender over this slice's own pool rows, the same items' rows of
-    /// `epoch`'s X-Map-ib release, and the epoch's target-domain matrix: each table
-    /// re-assembled catalogue-length — every out-of-shard (or empty) slot an empty row,
-    /// the shape the recommender indexes by raw item id — which the recommender then
-    /// owns. Built once per shard and shared by its hosts. The release rows are copies
-    /// of the ones the coordinator's build drew, so a shard draws nothing and spends
-    /// no ε.
+    /// The pool row of an item (empty outside the slice, or without pools).
+    fn pool_row(&self, id: u32) -> &[ItemNeighbor] {
+        let row = self.pools.as_ref().and_then(|pools| pools.get(id as usize));
+        row.map_or(&[], Vec::as_slice)
+    }
+
+    /// The mode's recommender over this slice's own pool table (the same `Arc`), the
+    /// same items' rows of `epoch`'s X-Map-ib release padded alike, and the epoch's
+    /// target-domain matrix. Built once per shard and shared by its hosts. The release
+    /// rows are copies of the ones the coordinator's build drew, so a shard draws
+    /// nothing and spends no ε.
     fn recommender(&self, epoch: &ModelEpoch) -> Result<SharedRecommender> {
         let target = Arc::clone(epoch.recommender.target());
-        let n_items = target.n_items();
-        let padded = |row_of: &dyn Fn(usize, &Vec<ItemNeighbor>) -> Vec<ItemNeighbor>| {
-            let mut table = vec![Vec::new(); n_items];
-            let rows = self.pool_rows.iter().flatten();
-            for (item, row) in rows.filter(|(item, _)| item.index() < n_items) {
-                table[item.index()] = row_of(item.index(), row);
-            }
-            Arc::new(table)
-        };
-        let (pools, release) = (self.pool_rows.as_ref(), epoch.item_release.as_ref());
-        let pools = pools.map(|_| padded(&|_, row| row.clone()));
-        let released = release.map(|all| padded(&|at, _| all[at].clone()));
-        recommend::assemble(epoch.config(), target, pools, released)
+        let released = epoch.item_release.as_deref();
+        let released = released.map(|all| padded(all, self.start, self.end));
+        recommend::assemble(epoch.config(), target, self.pools.clone(), released)
     }
 
     /// The row changes taking `self` to `new` — the write-ahead journal record of
-    /// one ingest.
+    /// one ingest: `(id, row)` for each item of `new`'s range whose pool row differs,
+    /// ascending, an emptied row written as `[]`.
     pub(crate) fn diff(&self, new: &ShardSlice) -> SliceDelta {
+        let changed = (new.start..new.end).filter(|&id| self.pool_row(id) != new.pool_row(id));
         SliceDelta {
             start: new.start,
             end: new.end,
-            pool_rows: match (&self.pool_rows, &new.pool_rows) {
-                (old, Some(new_rows)) => diff_rows(old.as_deref().unwrap_or_default(), new_rows),
-                (_, None) => Vec::new(),
-            },
+            pool_rows: changed
+                .map(|id| (ItemId(id), new.pool_row(id).to_vec()))
+                .collect(),
             replacement_pairs: (self.replacement_pairs != new.replacement_pairs)
                 .then(|| new.replacement_pairs.clone()),
         }
     }
 
     /// Applies a journaled [`SliceDelta`], producing the post-ingest slice.
-    /// Inverse of [`ShardSlice::diff`]: `old.apply(&old.diff(&new)) == new`.
+    /// Inverse of [`ShardSlice::diff`]: `old.apply(&old.diff(&new)) == new`. The
+    /// table grows to the record's `end`, so the caller bounds it first
+    /// ([`SliceDelta::within`]).
     pub(crate) fn apply(&self, delta: &SliceDelta) -> ShardSlice {
+        let pools = self.pools.as_ref().map(|old| {
+            let mut pools = Vec::clone(old);
+            pools.resize(delta.end as usize, Vec::new());
+            for (id, row) in &delta.pool_rows {
+                pools[id.index()].clone_from(row);
+            }
+            Arc::new(pools)
+        });
         ShardSlice {
             shard: self.shard,
             start: delta.start,
@@ -289,13 +298,17 @@ impl ShardSlice {
                 .replacement_pairs
                 .clone()
                 .unwrap_or_else(|| self.replacement_pairs.clone()),
-            pool_rows: match &self.pool_rows {
-                Some(rows) => Some(apply_rows(rows, &delta.pool_rows)),
-                None if delta.pool_rows.is_empty() => None,
-                None => Some(delta.pool_rows.clone()),
-            },
+            pools,
         }
     }
+}
+
+/// Rows `start..end` of a per-item table, indexed by item id: every row before
+/// `start` (or past the table) empty.
+fn padded(table: &[Vec<ItemNeighbor>], start: u32, end: u32) -> NeighborTable {
+    let row = |at: usize| table.get(at).filter(|_| at >= start as usize).cloned();
+    let rows = (0..end as usize).map(|at| row(at).unwrap_or_default());
+    Arc::new(rows.collect())
 }
 
 /// The replacement of `item` among `(source, replacement)` pairs ascending by source.
@@ -304,47 +317,8 @@ fn replacement_in(pairs: &[(ItemId, ItemId)], item: ItemId) -> Option<ItemId> {
     at.ok().map(|ix| pairs[ix].1)
 }
 
-/// One per-item row of a slice: the item and its entries.
-type Row<T> = (ItemId, Vec<T>);
-
-/// Merge-joins two row lists ascending by item id: each id once, with its row on
-/// either side (`None` where that side lacks the id).
-fn join_rows<'a, T>(
-    a: &'a [Row<T>],
-    b: &'a [Row<T>],
-) -> impl Iterator<Item = (ItemId, Option<&'a Vec<T>>, Option<&'a Vec<T>>)> {
-    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
-    std::iter::from_fn(move || {
-        let id = a.peek().into_iter().chain(b.peek()).map(|r| r.0).min()?;
-        let in_a = a.next_if(|r| r.0 == id).map(|r| &r.1);
-        let in_b = b.next_if(|r| r.0 == id).map(|r| &r.1);
-        Some((id, in_a, in_b))
-    })
-}
-
-/// Row upserts between two sorted row lists: `(id, new_row)` for added or changed
-/// rows, `(id, [])` for removed ones. Empty rows are never *stored* (cuts skip
-/// them), so the empty row is unambiguous as a removal marker.
-fn diff_rows<T: Clone + PartialEq>(old: &[Row<T>], new: &[Row<T>]) -> Vec<Row<T>> {
-    let changed = join_rows(old, new).filter_map(|(id, old, new)| match new {
-        Some(row) => (old != Some(row)).then(|| (id, row.clone())),
-        None => Some((id, Vec::new())),
-    });
-    changed.collect()
-}
-
-/// Applies [`diff_rows`] output: upserts non-empty rows, removes rows the diff
-/// emptied, keeps everything else — result stays sorted by item id.
-fn apply_rows<T: Clone>(old: &[Row<T>], upserts: &[Row<T>]) -> Vec<Row<T>> {
-    let merged = join_rows(old, upserts).filter_map(|(id, old, upsert)| match upsert {
-        Some(row) => (!row.is_empty()).then(|| (id, row.clone())),
-        None => old.map(|row| (id, row.clone())),
-    });
-    merged.collect()
-}
-
-/// Snapshot payload of one hosted shard: the publication epoch and the slice,
-/// shared with the node that serves it (a snapshot write encodes it in place).
+/// One hosted shard's slice with the epoch it was cut at: what a node holds, and
+/// the payload its snapshot writes in place.
 pub(crate) struct SliceState {
     pub(crate) epoch: u64,
     pub(crate) slice: Arc<ShardSlice>,
@@ -363,13 +337,25 @@ pub(crate) struct SliceDelta {
     replacement_pairs: Option<Vec<(ItemId, ItemId)>>,
 }
 
+impl SliceDelta {
+    /// Whether the record stays inside `cut`, the coordinator's cut of the shard:
+    /// the same `start`, an `end` no further (the catalogue only grows, so every
+    /// genuine record does) and every upsert inside its own range — so replaying it
+    /// sizes nothing by a journalled value.
+    fn within(&self, cut: &ShardSlice) -> bool {
+        let ids = self.start..self.end;
+        let upserts_inside = self.pool_rows.iter().all(|(id, _)| ids.contains(&id.0));
+        self.start == cut.start && self.end <= cut.end && upserts_inside
+    }
+}
+
 impl xmap_store::Codec for ShardSlice {
     fn enc(&self, e: &mut xmap_store::Encoder) {
         e.put_u32(self.shard);
         e.put_u32(self.start);
         e.put_u32(self.end);
         self.replacement_pairs.enc(e);
-        self.pool_rows.enc(e);
+        self.pools.enc(e);
     }
 
     fn dec(d: &mut xmap_store::Decoder<'_>) -> std::result::Result<Self, xmap_store::StoreError> {
@@ -378,7 +364,7 @@ impl xmap_store::Codec for ShardSlice {
             start: d.take_u32()?,
             end: d.take_u32()?,
             replacement_pairs: xmap_store::Codec::dec(d)?,
-            pool_rows: xmap_store::Codec::dec(d)?,
+            pools: xmap_store::Codec::dec(d)?,
         })
     }
 }
@@ -423,18 +409,18 @@ impl xmap_store::Codec for SliceDelta {
 // Nodes and the sharded model
 // ---------------------------------------------------------------------------
 
-/// One hosted shard on one node: the epoch-published slice, the mode's
-/// recommender assembled from the slice's *own* pool rows and their release rows
-/// (empty rows outside the shard) over the epoch's target-domain matrix, and, when
-/// persisted, the shard's open write-ahead journal (the snapshot path derives from
-/// the store directory).
+/// One hosted shard on one node: the slice with its epoch, the mode's recommender
+/// over the slice's own pool table and its release rows (empty rows outside the
+/// shard) and the epoch's target-domain matrix, and, when persisted, the shard's open
+/// write-ahead journal (the snapshot path derives from the store directory).
 /// Slice and recommender are the shard's, not the node's — every host holds a
 /// clone of the same two `Arc`s; only a node recovered from its own files
 /// rebuilds them. The matrix is the replicated data plane every node reads
 /// (user-based prediction needs all raters' averages) and is shared, not copied;
-/// the pools are the genuinely partitioned fitted state.
+/// the pools are the genuinely partitioned fitted state. Writes take the model's
+/// `&mut self`, so the slice is replaced in place: no read can race it.
 struct NodeShard {
-    handle: EpochHandle<ShardSlice>,
+    state: SliceState,
     serve: SharedRecommender,
     journal: Option<Journal>,
 }
@@ -454,24 +440,23 @@ impl ShardNode {
         }
     }
 
-    /// Installs `slice` and the recommender built from it as this node's replica of
-    /// its shard: publishes the slice (opening the handle at `epoch_no` on a first
-    /// install) and swaps the recommender in.
+    /// Installs `slice`, cut at `epoch`, and the recommender built from it as this
+    /// node's replica of its shard, keeping the shard's journal if it has one.
     fn install(
         &mut self,
-        epoch_no: u64,
+        epoch: u64,
         slice: Arc<ShardSlice>,
         serve: SharedRecommender,
     ) -> &mut NodeShard {
-        match self.shards.entry(slice.shard) {
+        let state = SliceState { epoch, slice };
+        match self.shards.entry(state.slice.shard) {
             Entry::Occupied(hosted) => {
                 let ns = hosted.into_mut();
-                ns.handle.publish(slice);
-                ns.serve = serve;
+                (ns.state, ns.serve) = (state, serve);
                 ns
             }
             Entry::Vacant(slot) => slot.insert(NodeShard {
-                handle: EpochHandle::new(slice, epoch_no),
+                state,
                 serve,
                 journal: None,
             }),
@@ -525,8 +510,8 @@ fn lock_ledgers(ledgers: &Mutex<ShardLedgers>) -> std::sync::MutexGuard<'_, Shar
 impl ShardedModel {
     /// Shards a fitted model across `n_nodes` simulated nodes, one shard per
     /// node, no replication. The coordinator model moves in and keeps running
-    /// fits, ingests and the privacy ledger; the nodes get epoch-published
-    /// slices of the per-item rows they serve.
+    /// fits, ingests and the privacy ledger; the nodes get slices of the
+    /// per-item rows they serve, cut from its current epoch.
     pub fn from_model(model: XMapModel, n_nodes: usize) -> Result<ShardedModel> {
         let n_items = model.snapshot().1.matrix().n_items() as u32;
         let map = ShardMap::uniform(n_items, n_nodes)?;
@@ -585,7 +570,7 @@ impl ShardedModel {
         &self.model
     }
 
-    /// The coordinator's current epoch (slices publish in lockstep with it).
+    /// The coordinator's current epoch (live slices are installed in lockstep with it).
     pub fn epoch(&self) -> u64 {
         self.model.epoch()
     }
@@ -595,13 +580,11 @@ impl ShardedModel {
         self.nodes.get(node).is_some_and(|n| n.alive)
     }
 
-    /// The published slice a node currently holds for a shard, with its epoch.
+    /// The slice a node currently holds for a shard, with the epoch it was cut at.
     /// `None` if the node does not host the shard (or lost it to a kill).
     pub fn slice(&self, node: usize, shard: u32) -> Option<(u64, Arc<ShardSlice>)> {
-        self.nodes
-            .get(node)
-            .and_then(|n| n.shards.get(&shard))
-            .map(|ns| ns.handle.load())
+        let ns = self.nodes.get(node)?.shards.get(&shard)?;
+        Some((ns.state.epoch, Arc::clone(&ns.state.slice)))
     }
 
     /// The privacy accountant of the coordinator's current epoch (private modes
@@ -672,8 +655,7 @@ impl ShardedModel {
         let mut pairs: Vec<(ItemId, ItemId)> = Vec::new();
         for (shard, items) in &by_shard {
             let host = self.read_host(*shard)?;
-            let ns = self.node_shard(host, *shard)?;
-            let (_, slice) = ns.handle.load();
+            let slice = &self.node_shard(host, *shard)?.state.slice;
             for &i in items {
                 if let Some(t) = slice.replacement_of(i) {
                     pairs.push((i, t));
@@ -744,7 +726,7 @@ impl ShardedModel {
         let mut gathered: Vec<ItemId> = Vec::new();
         for (&shard, &cost) in &hops {
             gathered.extend(self.on_replica(shard, |replica| {
-                let (start, end) = replica.handle.load().1.item_range();
+                let (start, end) = replica.state.slice.item_range();
                 (replica.serve.candidates(profile, &plan, start..end), cost)
             })?);
         }
@@ -807,7 +789,7 @@ impl ShardedModel {
     /// Routed delta ingest: applies the **full** delta on the coordinator (slice
     /// rows are cross-shard functions of the whole matrix), then re-cuts every
     /// shard's slice from the new epoch, write-ahead journals each hosted replica's
-    /// row changes, and publishes the new slices. Each live host of a shard is
+    /// row changes, and installs the new slices. Each live host of a shard is
     /// charged `1 +` the delta's ratings of items the shard owns. Dead nodes are
     /// skipped — their journals go stale and [`ShardedModel::recover_node`]
     /// re-replicates instead.
@@ -829,7 +811,8 @@ impl ShardedModel {
                     continue;
                 };
                 if let Some(journal) = ns.journal.as_mut() {
-                    let record = once_per_slice(&mut records, ns.handle.load().1, |old| {
+                    let old = Arc::clone(&ns.state.slice);
+                    let record = once_per_slice(&mut records, old, |old| {
                         Journal::frame(epoch_no, &old.diff(&new_slice))
                     });
                     journal.append_framed(record)?;
@@ -854,13 +837,10 @@ impl ShardedModel {
                 context: format!("create node store directory: {e}"),
             })?;
             for (&shard, ns) in node.shards.iter_mut() {
-                let snap =
-                    once_per_slice(&mut snaps[shard as usize], ns.handle.load().1, |slice| {
-                        Snapshot::frame(&SliceState {
-                            epoch: epoch_no,
-                            slice,
-                        })
-                    });
+                let slice = Arc::clone(&ns.state.slice);
+                let snap = once_per_slice(&mut snaps[shard as usize], slice, |_| {
+                    Snapshot::frame(&ns.state)
+                });
                 Snapshot::write_framed(&node_dir.join(format!("shard{shard}.snap")), snap)?;
                 let journal =
                     Journal::create(&node_dir.join(format!("shard{shard}.journal")), epoch_no)?;
@@ -891,10 +871,12 @@ impl ShardedModel {
     /// re-replicates the shard from the coordinator's current epoch, rewriting
     /// the snapshot and resetting the journal. A replayed slice must equal the
     /// coordinator's cut of the same epoch — the shard's recommender pairs its pool
-    /// rows with the coordinator's release rows — so a mismatch is a typed
-    /// [`XMapError::Corrupt`]: nothing is installed and the node stays as it was (dead,
-    /// after a kill), its live siblings serving. Otherwise the node resumes serving
-    /// with slices bit-identical to the live replicas'.
+    /// rows with the coordinator's release rows — and every replayed record must stay
+    /// inside that cut's range ([`SliceDelta::within`]), checked before the record is
+    /// applied; either mismatch is a typed [`XMapError::Corrupt`] (a record's at the
+    /// record's offset): nothing is installed and the node stays as it was (dead, after
+    /// a kill), its live siblings serving. Otherwise the node resumes serving with slices
+    /// bit-identical to the live replicas'.
     pub fn recover_node(&mut self, node: usize) -> Result<()> {
         if node >= self.nodes.len() {
             return Err(XMapError::Data(format!("no such node: {node}")));
@@ -914,14 +896,21 @@ impl ShardedModel {
             let state: SliceState = Snapshot::load(&snap_path)?;
             let (mut journal, records) = Journal::open::<SliceDelta>(&journal_path)?;
             let (mut slice, mut at) = (state.slice, state.epoch);
+            let cut = ShardSlice::cut(&epoch, &self.map, shard);
             for rec in &records {
                 if rec.epoch <= at {
                     continue; // already folded into the snapshot
                 }
+                if !rec.value.within(&cut) {
+                    let detail = format!("node {node} shard {shard}: record outside the cut");
+                    return Err(XMapError::Corrupt {
+                        offset: rec.offset,
+                        detail,
+                    });
+                }
                 slice = Arc::new(slice.apply(&rec.value));
                 at = rec.epoch;
             }
-            let cut = ShardSlice::cut(&epoch, &self.map, shard);
             if at < epoch_no {
                 // The journal never saw the ingests that happened while the node
                 // was dead (they are only journaled on live replicas) — catch up
@@ -1028,15 +1017,15 @@ mod tests {
     }
 
     fn sample_slice() -> ShardSlice {
+        let mut pools = vec![Vec::new(); 8];
+        pools[4] = vec![neighbor(5, 0.75)];
+        pools[6] = vec![neighbor(4, 0.5), neighbor(7, 0.25)];
         ShardSlice {
             shard: 1,
             start: 4,
             end: 8,
             replacement_pairs: vec![(ItemId(4), ItemId(9)), (ItemId(6), ItemId(8))],
-            pool_rows: Some(vec![
-                (ItemId(4), vec![neighbor(5, 0.75)]),
-                (ItemId(6), vec![neighbor(4, 0.5), neighbor(7, 0.25)]),
-            ]),
+            pools: Some(Arc::new(pools)),
         }
     }
 
@@ -1064,11 +1053,11 @@ mod tests {
     fn diff_apply_roundtrips_row_changes() {
         let old = sample_slice();
         let mut new = old.clone();
-        // change a pool row, add one, remove one, change the replacement table
-        let rows = new.pool_rows.as_mut().unwrap();
-        rows[0].1[0].similarity = 0.9;
-        rows.insert(1, (ItemId(5), vec![neighbor(6, 0.125)]));
-        rows.pop();
+        // change a pool row, add one, empty one, change the replacement table
+        let rows = Arc::make_mut(new.pools.as_mut().unwrap());
+        rows[4][0].similarity = 0.9;
+        rows[5] = vec![neighbor(6, 0.125)];
+        rows[6].clear();
         new.replacement_pairs = vec![(ItemId(4), ItemId(8))];
         let delta = old.diff(&new);
         assert_eq!(
@@ -1092,69 +1081,55 @@ mod tests {
         assert_eq!(back, delta);
     }
 
-    /// `diff_rows` by `BTreeMap` / `BTreeSet` lookups: the merge walk's oracle.
-    fn diff_rows_by_map<T: Clone + PartialEq>(old: &[Row<T>], new: &[Row<T>]) -> Vec<Row<T>> {
-        let old_map: BTreeMap<ItemId, &Vec<T>> = old.iter().map(|(i, r)| (*i, r)).collect();
-        let mut out = Vec::new();
-        for (id, row) in new {
-            if old_map.get(id).is_none_or(|prev| *prev != row) {
-                out.push((*id, row.clone()));
-            }
+    /// A pool table padded over `start..end`: rows before `start` empty, the others
+    /// empty or 1–2 entries from a three-value alphabet (so equal rows recur).
+    fn random_pools(rng: &mut proptest::TestRng, start: u32, end: u32) -> Vec<Vec<ItemNeighbor>> {
+        let mut pools = vec![Vec::new(); end as usize];
+        for row in &mut pools[start as usize..] {
+            let len = rng.next_u64() % 3;
+            *row = (0..len)
+                .map(|_| neighbor(9, (rng.next_u64() % 3) as f64))
+                .collect();
         }
-        let new_ids: std::collections::BTreeSet<ItemId> = new.iter().map(|(i, _)| *i).collect();
-        for (id, _) in old {
-            if !new_ids.contains(id) {
-                out.push((*id, Vec::new()));
-            }
-        }
-        out.sort_by_key(|&(id, _)| id);
-        out
-    }
-
-    /// `apply_rows` by `BTreeMap` upserts: the merge walk's oracle.
-    fn apply_rows_by_map<T: Clone>(old: &[Row<T>], upserts: &[Row<T>]) -> Vec<Row<T>> {
-        let mut merged: BTreeMap<ItemId, Vec<T>> =
-            old.iter().map(|(i, r)| (*i, r.clone())).collect();
-        for (id, row) in upserts {
-            if row.is_empty() {
-                merged.remove(id);
-            } else {
-                merged.insert(*id, row.clone());
-            }
-        }
-        merged.into_iter().collect()
-    }
-
-    /// A row list ascending by id over ids `0..24`, rows of 0–2 entries from a
-    /// three-value alphabet (so equal rows recur); `empty` rows only if asked.
-    fn random_rows(rng: &mut proptest::TestRng, empty: bool) -> Vec<Row<u8>> {
-        let mut rows = Vec::new();
-        for id in (0..24u32)
-            .filter(|_| rng.next_u64().is_multiple_of(2))
-            .collect::<Vec<_>>()
-        {
-            let len = rng.next_u64() % 3 + u64::from(!empty);
-            rows.push((
-                ItemId(id),
-                (0..len).map(|_| (rng.next_u64() % 3) as u8).collect(),
-            ));
-        }
-        rows
+        pools
     }
 
     proptest::proptest! {
-        /// The merge walks give the `BTreeMap` forms' output on any sorted inputs,
-        /// and applying a diff reproduces its target.
+        /// On random padded tables whose rows change, appear and empty while `end`
+        /// grows as the last shard's does, `diff` records exactly the items whose rows
+        /// differ — ascending, each with its new row, an emptied one as `[]` — and
+        /// `apply` of that record reproduces the new slice.
         #[test]
-        fn merge_walks_equal_the_map_forms(seed in proptest::prelude::any::<u64>()) {
+        fn diff_records_exactly_the_changed_rows_and_apply_inverts_it(
+            seed in proptest::prelude::any::<u64>(),
+            grow in 0u32..4,
+        ) {
             let mut rng = proptest::TestRng::from_name(&seed.to_string());
-            let (old, new) = (random_rows(&mut rng, false), random_rows(&mut rng, false));
-            let upserts = random_rows(&mut rng, true);
-            let diff = diff_rows(&old, &new);
-            proptest::prop_assert_eq!(&diff, &diff_rows_by_map(&old, &new));
-            proptest::prop_assert_eq!(&apply_rows(&old, &diff), &new);
-            let applied = apply_rows(&old, &upserts);
-            proptest::prop_assert_eq!(applied, apply_rows_by_map(&old, &upserts));
+            let (start, end) = (3, 11);
+            let old_pools = random_pools(&mut rng, start, end);
+            let mut new_pools = random_pools(&mut rng, start, end + grow);
+            for (id, row) in old_pools.iter().enumerate() {
+                if rng.next_u64().is_multiple_of(2) {
+                    new_pools[id].clone_from(row); // an unchanged row
+                }
+            }
+            let slice = |pools: &Vec<Vec<ItemNeighbor>>| ShardSlice {
+                start,
+                end: pools.len() as u32,
+                pools: Some(Arc::new(pools.clone())),
+                ..sample_slice()
+            };
+            let (old, new) = (slice(&old_pools), slice(&new_pools));
+            let delta = old.diff(&new);
+            let empty = Vec::new();
+            let changed: Vec<(ItemId, Vec<ItemNeighbor>)> = new_pools
+                .iter()
+                .enumerate()
+                .filter(|&(id, row)| old_pools.get(id).unwrap_or(&empty) != row)
+                .map(|(id, row)| (ItemId(id as u32), row.clone()))
+                .collect();
+            proptest::prop_assert_eq!(&delta.pool_rows, &changed);
+            proptest::prop_assert_eq!(old.apply(&delta), new);
         }
     }
 
@@ -1188,7 +1163,7 @@ mod tests {
         assert!((0..n_shards).any(|shard| hosts(&sharded, shard).len() == 3));
         for shard in 0..n_shards {
             for host in hosts(&sharded, shard) {
-                let slice = sharded.nodes[host].shards[&shard].handle.load().1;
+                let slice = Arc::clone(&sharded.nodes[host].shards[&shard].state.slice);
                 let fresh = dir.join(format!("fresh{host}_{shard}.snap"));
                 Snapshot::write(
                     &fresh,
@@ -1277,13 +1252,25 @@ mod tests {
             for shard in &replicated {
                 let [a, b] = [0, 1].map(|node| &sharded.nodes[node].shards[shard]);
                 assert!(
-                    Arc::ptr_eq(&a.serve, &b.serve)
-                        && Arc::ptr_eq(&a.handle.load().1, &b.handle.load().1),
+                    Arc::ptr_eq(&a.serve, &b.serve) && Arc::ptr_eq(&a.state.slice, &b.state.slice),
                     "{when}: the hosts of shard {shard} hold separate copies"
                 );
             }
         };
+        // Every hosted recommender reads its slice's pool table, not a copy of it.
+        let assert_one_table = |sharded: &ShardedModel, when: &str| {
+            for (node, hosted) in sharded.nodes.iter().enumerate() {
+                for (shard, ns) in &hosted.shards {
+                    let served = recommend::tests::pool_table(&ns.serve).unwrap();
+                    assert!(
+                        Arc::ptr_eq(served, ns.state.slice.pools.as_ref().unwrap()),
+                        "{when}: node {node} shard {shard} serves a copy of its pools"
+                    );
+                }
+            }
+        };
         assert_shared(&sharded, "after with_hot_replication");
+        assert_one_table(&sharded, "at the cut");
 
         let dir = std::env::temp_dir().join(format!("xmap_shard_sharing_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1292,11 +1279,13 @@ mod tests {
         delta.push_timed(ds.overlap_users[0].0, ds.target_items()[0].0, 5.0, 77);
         sharded.ingest(&delta).unwrap();
         assert_shared(&sharded, "after ingest");
+        assert_one_table(&sharded, "after ingest");
 
         // A node recovered from its own files rebuilds its recommenders — and they
         // answer with the bits of the ones its siblings share.
         sharded.kill_node(1).unwrap();
         sharded.recover_node(1).unwrap();
+        assert_one_table(&sharded, "after journal replay");
         let profiles: Vec<Profile> = ds.overlap_users[..4]
             .iter()
             .map(|&user| sharded.alterego(user).unwrap().profile)
@@ -1304,7 +1293,7 @@ mod tests {
         for shard in &replicated {
             let [live, recovered] = [0, 1].map(|node| &sharded.nodes[node].shards[shard]);
             assert!(!Arc::ptr_eq(&live.serve, &recovered.serve));
-            let (start, end) = recovered.handle.load().1.item_range();
+            let (start, end) = recovered.state.slice.item_range();
             let items: Vec<ItemId> = (start..end).map(ItemId).collect();
             for profile in &profiles {
                 let plan = ServePlan::default();
@@ -1321,6 +1310,14 @@ mod tests {
                 );
             }
         }
+
+        // A node dead across an ingest recovers by re-replication.
+        sharded.kill_node(1).unwrap();
+        let mut delta = RatingDelta::new();
+        delta.push_timed(ds.overlap_users[1].0, ds.target_items()[1].0, 4.0, 78);
+        sharded.ingest(&delta).unwrap();
+        sharded.recover_node(1).unwrap();
+        assert_one_table(&sharded, "after re-replication");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1350,18 +1347,11 @@ mod tests {
 
     /// The per-shard redraw shards served before they copied the coordinator's
     /// release, kept as the oracle of the copy: `recommend::build` over the slice's
-    /// own pool rows, re-assembled into a catalogue-length table.
-    fn redrawn_release(slice: &ShardSlice, epoch: &ModelEpoch) -> Option<recommend::NeighborTable> {
+    /// own pool table.
+    fn redrawn_release(slice: &ShardSlice, epoch: &ModelEpoch) -> Option<NeighborTable> {
         let target = Arc::clone(epoch.recommender.target());
-        let pools = slice.pool_rows.as_ref().map(|rows| {
-            let mut pools = vec![Vec::new(); target.n_items()];
-            let in_table = rows
-                .iter()
-                .filter(|(item, _)| item.index() < target.n_items());
-            in_table.for_each(|(item, row)| pools[item.index()].clone_from(row));
-            Arc::new(pools)
-        });
         let workers = xmap_engine::WorkerPool::new(1);
+        let pools = slice.pools.clone();
         recommend::build(epoch.config(), target, pools, &workers)
             .unwrap()
             .1
@@ -1388,7 +1378,7 @@ mod tests {
             for (node, hosted) in sharded.nodes.iter().enumerate() {
                 for (shard, ns) in &hosted.shards {
                     let served = recommend::tests::released_table(&ns.serve).unwrap();
-                    let redrawn = redrawn_release(&ns.handle.load().1, &epoch).unwrap();
+                    let redrawn = redrawn_release(&ns.state.slice, &epoch).unwrap();
                     let served = bits(served);
                     assert!(
                         served == bits(&redrawn),
@@ -1476,7 +1466,8 @@ mod tests {
         let snap = dir.join("node1/shard0.snap");
         let state: SliceState = Snapshot::load(&snap).unwrap();
         let mut nudged = (*state.slice).clone();
-        let entry = &mut nudged.pool_rows.as_mut().unwrap()[0].1[0];
+        let pools = Arc::make_mut(nudged.pools.as_mut().unwrap());
+        let entry = pools.iter_mut().flatten().next().unwrap();
         entry.similarity = f64::from_bits(entry.similarity.to_bits() ^ 1);
         let write = |slice: ShardSlice| {
             let state = SliceState {
@@ -1502,6 +1493,60 @@ mod tests {
         write((*state.slice).clone());
         sharded.recover_node(1).unwrap();
         assert!(sharded.node_is_alive(1));
+        sharded.kill_node(0).unwrap();
+        assert_eq!(
+            probe_bits(&sharded, &ds),
+            before,
+            "the recovered node's answers"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A shard journal record reaching outside the coordinator's cut — an `end` far
+    /// past the catalogue, or an upsert outside its own range — appended with a valid
+    /// checksum is refused on recovery as `Corrupt` at the record's offset, before it
+    /// is applied: nothing is installed, the node stays dead, and its live sibling
+    /// answers the routed probes with unchanged bits. A clean journal recovers.
+    #[test]
+    fn recovery_refuses_a_journal_record_outside_the_coordinators_cut() {
+        let (ds, model) = private_item_based();
+        let n_items = model.matrix().n_items();
+        let mut map = ShardMap::uniform(n_items as u32, 2).unwrap();
+        map.replicate_hot(&vec![1; n_items], n_items, 2); // every shard on both nodes
+        let mut sharded = ShardedModel::build(model, map, 2).unwrap();
+        let dir = std::env::temp_dir().join(format!("xmap_shard_stray_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let epoch_no = sharded.persist(&dir).unwrap();
+        let before = probe_bits(&sharded, &ds);
+
+        sharded.kill_node(1).unwrap();
+        let (start, end) = sharded.slice(0, 0).unwrap().1.item_range();
+        let record = |end: u32, pool_rows| SliceDelta {
+            start,
+            end,
+            pool_rows,
+            replacement_pairs: None,
+        };
+        let huge_end = record(u32::MAX, Vec::new());
+        let stray_id = record(end, vec![(ItemId(end), vec![neighbor(start, 0.5)])]);
+        let journal = dir.join("node1/shard0.journal");
+        for hostile in [huge_end, stray_id] {
+            let mut appended = Journal::create(&journal, epoch_no).unwrap();
+            let offset = appended.append(epoch_no + 1, &hostile).unwrap();
+            match sharded.recover_node(1) {
+                Err(XMapError::Corrupt { offset: at, detail }) => {
+                    assert_eq!(at, offset, "{detail}");
+                    assert!(detail.contains("shard 0"), "{detail}");
+                }
+                other => panic!("{hostile:?} recovered: {other:?}"),
+            }
+            assert!(!sharded.node_is_alive(1) && sharded.nodes[1].shards.is_empty());
+            let moved = "the live replica's answers moved";
+            assert_eq!(probe_bits(&sharded, &ds), before, "{moved}");
+        }
+
+        Journal::create(&journal, epoch_no).unwrap();
+        sharded.recover_node(1).unwrap();
         sharded.kill_node(0).unwrap();
         assert_eq!(
             probe_bits(&sharded, &ds),
