@@ -340,7 +340,9 @@ fn smoke_sweeps() -> Vec<(SweepSpec, SweepSeries)> {
     specs
         .into_iter()
         .map(|(mode, spec)| {
-            let series = smoke_runner(mode).run(&spec);
+            let series = smoke_runner(mode)
+                .run(&spec)
+                .expect("every smoke sweep value is a valid configuration");
             (spec, series)
         })
         .collect()
@@ -715,7 +717,14 @@ fn sweep_command(args: &[String]) -> ExitCode {
     };
     let spec = SweepSpec::new(param, values);
     println!("# sweep {} on amazon_like ({scale:?})", param.label());
-    let series = SweepRunner::new(amazon_like(scale), Direction::MovieToBook, base).run(&spec);
+    let runner = SweepRunner::new(amazon_like(scale), Direction::MovieToBook, base);
+    let series = match runner.run(&spec) {
+        Ok(series) => series,
+        Err(e) => {
+            eprintln!("sweep failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     print!(
         "{}",
         render_series_table(param.label(), std::slice::from_ref(&series), 4)

@@ -1,16 +1,15 @@
 //! The engine-parallel sweep runner: [`SweepSpec`] → fitted models → [`SweepSeries`].
 //!
-//! `XMapModel::sweep` can refit-and-evaluate every parameter that lives in the model
-//! configuration (k, ε, ε′, α). The one axis it cannot execute is the overlap fraction
-//! of Figure 9, which changes the *split* rather than the config — [`SweepRunner`] owns
-//! the dataset and split configuration, so it executes every [`SweepParam`] uniformly:
-//! each sweep point is one pipeline fit plus one `EvalStage` dataflow run, and the
-//! resulting series is deterministic for any worker count (the fit and the evaluation
-//! both carry the engine's bit-identity contract).
+//! [`SweepRunner`] owns the dataset and split configuration, so it executes every
+//! [`SweepParam`] through one loop: a config-level value (k, ε, ε′, α) is fitted on the
+//! fixed split, and an overlap value (the axis of Figure 9) rebuilds the split. Each
+//! sweep point is one pipeline fit plus one `EvalStage` dataflow run, and the resulting
+//! series is deterministic for any worker count (the fit and the evaluation both carry
+//! the engine's bit-identity contract).
 
 use crate::experiments::Direction;
 use xmap_cf::DomainId;
-use xmap_core::{XMapConfig, XMapModel};
+use xmap_core::{Result, XMapConfig, XMapModel};
 use xmap_dataset::split::{CrossDomainSplit, SplitConfig};
 use xmap_dataset::synthetic::CrossDomainDataset;
 use xmap_eval::{ranking_cases_from_test, EvalBatch, SweepParam, SweepSeries, SweepSpec};
@@ -87,34 +86,38 @@ impl SweepRunner {
     }
 
     /// Executes a sweep: one fitted pipeline plus one `EvalStage` dataflow run per
-    /// point. Config-level parameters delegate to `XMapModel::sweep`; overlap points
-    /// rebuild the split (the axis of Figure 9) and evaluate the base configuration on
-    /// each rebuilt split.
-    pub fn run(&self, spec: &SweepSpec) -> SweepSeries {
-        match spec.param {
-            SweepParam::Overlap => {
-                let mut series = SweepSeries::new(format!(
-                    "{} / {}",
-                    self.base.mode.label(),
-                    spec.param.label()
-                ));
-                for &fraction in &spec.values {
-                    let split = self.split(Some(fraction));
-                    let model = self.fit(&split);
-                    let report = model.evaluate_batch(self.eval_batch(&split));
-                    series.push(fraction, report.metric(spec.metric));
+    /// point. A config-level value is applied to the base configuration and fitted on
+    /// the runner's default split; an overlap value rebuilds the split and fits the base
+    /// configuration on it. An invalid value (k = 0, say) is the fit's
+    /// `XMapError::InvalidConfig`.
+    pub fn run(&self, spec: &SweepSpec) -> Result<SweepSeries> {
+        let (source, target) = self.domains();
+        let label = format!("{} / {}", self.base.mode.label(), spec.param.label());
+        let mut series = SweepSeries::new(label);
+        // The overlap axis rebuilds the split per point; every other axis shares one.
+        let fixed = (spec.param != SweepParam::Overlap).then(|| self.split(None));
+        for &value in &spec.values {
+            let mut config = self.base;
+            match spec.param {
+                SweepParam::K => config.k = value.round() as usize,
+                SweepParam::Epsilon => config.privacy.epsilon = value,
+                SweepParam::EpsilonPrime => config.privacy.epsilon_prime = value,
+                SweepParam::TemporalAlpha => config.temporal_alpha = value,
+                SweepParam::Overlap => {}
+            }
+            let rebuilt;
+            let split = match &fixed {
+                Some(split) => split,
+                None => {
+                    rebuilt = self.split(Some(value));
+                    &rebuilt
                 }
-                series
-            }
-            _ => {
-                let split = self.split(None);
-                let batch = self.eval_batch(&split);
-                self.fit(&split)
-                    .sweep(spec, &batch)
-                    // lint: panic — reviewed invariant
-                    .expect("config-level sweep params are handled by the model")
-            }
+            };
+            let model = XMapModel::fit(&split.train, source, target, config)?;
+            let report = model.evaluate_batch(self.eval_batch(split));
+            series.push(value, report.metric(spec.metric));
         }
+        Ok(series)
     }
 }
 
@@ -123,7 +126,7 @@ mod tests {
     use super::*;
     use crate::datasets::amazon_like_small;
     use crate::experiments::evaluate_xmap;
-    use xmap_core::XMapMode;
+    use xmap_core::{XMapError, XMapMode};
     use xmap_eval::SweepMetric;
 
     fn runner() -> SweepRunner {
@@ -138,7 +141,9 @@ mod tests {
     #[test]
     fn k_sweep_matches_the_serial_evaluation_protocol_bit_for_bit() {
         let r = runner();
-        let series = r.run(&SweepSpec::new(SweepParam::K, vec![4.0, 8.0]));
+        let series = r
+            .run(&SweepSpec::new(SweepParam::K, vec![4.0, 8.0]))
+            .unwrap();
         assert_eq!(series.points.len(), 2);
         let (source, target) = r.domains();
         let split = r.split(None);
@@ -162,7 +167,9 @@ mod tests {
     #[test]
     fn overlap_sweep_rebuilds_the_split_per_point() {
         let r = runner();
-        let series = r.run(&SweepSpec::new(SweepParam::Overlap, vec![0.5, 1.0]));
+        let series = r
+            .run(&SweepSpec::new(SweepParam::Overlap, vec![0.5, 1.0]))
+            .unwrap();
         assert_eq!(series.label, "NX-MAP-IB / overlap");
         assert_eq!(series.points.len(), 2);
         for point in &series.points {
@@ -185,8 +192,9 @@ mod tests {
                 workers,
                 ..Default::default()
             };
-            let series =
-                SweepRunner::new(amazon_like_small(), Direction::MovieToBook, base).run(&spec);
+            let series = SweepRunner::new(amazon_like_small(), Direction::MovieToBook, base)
+                .run(&spec)
+                .unwrap();
             match &reference {
                 None => reference = Some(series),
                 Some(expected) => {
@@ -199,13 +207,21 @@ mod tests {
     #[test]
     fn ranking_metrics_flow_through_the_sweep() {
         let r = runner();
-        let series =
-            r.run(&SweepSpec::new(SweepParam::K, vec![8.0]).with_metric(SweepMetric::PrecisionAtN));
+        let spec = SweepSpec::new(SweepParam::K, vec![8.0]).with_metric(SweepMetric::PrecisionAtN);
+        let series = r.run(&spec).unwrap();
         assert_eq!(series.points.len(), 1);
         let y = series.points[0].y;
         assert!((0.0..=1.0).contains(&y), "precision@N out of range: {y}");
         let batch = r.eval_batch(&r.split(None));
         assert!(!batch.ranking.is_empty());
         assert!(r.catalogue_size() > 0);
+    }
+
+    #[test]
+    fn an_invalid_point_value_is_a_configuration_error() {
+        let err = runner()
+            .run(&SweepSpec::new(SweepParam::K, vec![4.0, 0.0]))
+            .unwrap_err();
+        assert!(matches!(err, XMapError::InvalidConfig(_)), "{err}");
     }
 }

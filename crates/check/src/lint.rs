@@ -112,7 +112,7 @@ impl Rule {
         match self {
             Rule::Ordering => {
                 "ordering — Ordering::Relaxed / Ordering::SeqCst outside the audited\n\
-                 concurrency files (epoch.rs, concurrent.rs, mrv.rs, engine/src/sync/).\n\
+                 concurrency files (epoch.rs, mrv.rs, engine/src/sync/).\n\
                  Relaxed hides reorderings the model checker must see; SeqCst hides a\n\
                  missing happens-before edge behind a global fence. Use Acquire/Release\n\
                  through the xmap_engine::sync facade, move the code into the audited\n\
@@ -151,9 +151,9 @@ impl Rule {
             }
             Rule::SurfaceDoc => {
                 "surface-doc — a pub fn in the read-surface files (pipeline/epoch/\n\
-                 concurrent/persist/shard and the analyzer's own parser+passes) is not\n\
-                 mentioned in DESIGN.md. The surface doc is the contract readers audit\n\
-                 against; an undocumented entry point is an unaudited one. Document the\n\
+                 persist/shard and the analyzer's own parser+passes) is not mentioned\n\
+                 in DESIGN.md. The surface doc is the contract readers audit against;\n\
+                 an undocumented entry point is an unaudited one. Document the\n\
                  function in DESIGN.md (by name) or unexport it.\n\
                  \n\
                  escape: none — the doc is the point"
@@ -260,7 +260,6 @@ impl Default for Config {
         Config {
             ordering_allowlist: vec![
                 "crates/engine/src/epoch.rs".into(),
-                "crates/engine/src/concurrent.rs".into(),
                 "crates/cf/src/mrv.rs".into(),
                 // The facade interprets orderings rather than using them; its
                 // internals (shims, vector-clock runtime, seeded hooks) name every
@@ -270,7 +269,6 @@ impl Default for Config {
             atomic_allowlist: vec!["crates/engine/src/sync/".into()],
             surface_files: vec![
                 "crates/engine/src/epoch.rs".into(),
-                "crates/engine/src/concurrent.rs".into(),
                 "crates/core/src/pipeline.rs".into(),
                 "crates/core/src/delta.rs".into(),
                 // The durable-state surface: the model lifecycle entry points and

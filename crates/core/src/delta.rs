@@ -39,12 +39,9 @@
 
 use crate::pipeline::{build_epoch, DeltaBase, Ledgers, XMapModel};
 use crate::{Result, XMapError};
-use std::sync::{Arc, Mutex};
-use xmap_cf::knn::Profile;
+use std::sync::Arc;
 use xmap_cf::{DomainId, ItemId, Rating, RatingMatrix, Timestep, UserId};
-use xmap_engine::{
-    fn_stage, ConcurrentIngest, ConcurrentRead, ConcurrentReport, ConcurrentStage, StageContext,
-};
+use xmap_engine::{fn_stage, StageContext};
 
 /// Ledger key of the delta stage.
 pub const DELTA_STAGE_NAME: &str = "delta";
@@ -160,17 +157,6 @@ pub struct DeltaReport {
     pub journal_offset: Option<u64>,
 }
 
-/// One read answered by [`XMapModel::serve_concurrent`]: the recommendations plus the
-/// epoch of the snapshot that produced them — the boundary against which the serialized
-/// reference must be bit-equal.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ServedRead {
-    /// The epoch the read's snapshot observed.
-    pub epoch: u64,
-    /// The top-N recommendations served from that epoch.
-    pub recommendations: Vec<(ItemId, f64)>,
-}
-
 /// The validation prelude of [`XMapModel::apply_delta`], ahead of the build, the
 /// journal append and the publish. Domain migration is not an incremental operation,
 /// and ids must stay dense: the matrix's growth rule
@@ -268,75 +254,6 @@ impl XMapModel {
         // retires with its last snapshot. ---
         report.epoch = self.handle.publish(Arc::new(next));
         Ok(report)
-    }
-
-    /// Serves `profiles` from a pool of `readers` snapshot readers **while** applying
-    /// `deltas` one after another from an ingest worker — the serve-while-updating
-    /// driver ([`ConcurrentStage`]).
-    ///
-    /// Every read takes a wait-free epoch snapshot, answers entirely from it, and
-    /// reports which epoch it observed ([`ServedRead::epoch`]); the report records
-    /// per-read and per-ingest latencies plus the epoch sequence. The contract (gated
-    /// by `tests/concurrent_serve.rs`): each read is **bit-identical** to serving the
-    /// same profile against the serialized schedule at its observed epoch boundary —
-    /// interleaving changes *which* epoch a read sees, never the bits an epoch answers
-    /// with.
-    ///
-    /// Read/ingest cost bags land in the `concurrent-read` / `concurrent-ingest`
-    /// ledgers of the model's dataflow. The first ingest error aborts with that error
-    /// after the stage drains (reads are not lost; remaining deltas are still
-    /// attempted).
-    pub fn serve_concurrent(
-        &self,
-        profiles: &[Profile],
-        n: usize,
-        readers: usize,
-        deltas: &[RatingDelta],
-    ) -> Result<(Vec<ServedRead>, ConcurrentReport)> {
-        let error: Mutex<Option<XMapError>> = Mutex::new(None);
-        let stage = ConcurrentStage::new(readers);
-        let (reads, report) = stage.run(
-            &self.flow,
-            profiles,
-            |_ix, profile: &Profile| {
-                let (epoch, snap) = self.snapshot();
-                let recommendations = snap.recommend_for_profile(profile, n);
-                ConcurrentRead {
-                    epoch,
-                    output: ServedRead {
-                        epoch,
-                        recommendations,
-                    },
-                    cost: 1.0 + profile.len() as f64,
-                }
-            },
-            deltas.len(),
-            |ix| match self.apply_delta(&deltas[ix]) {
-                Ok(delta_report) => ConcurrentIngest {
-                    epoch: delta_report.epoch,
-                    cost: 1.0 + deltas[ix].len() as f64,
-                },
-                Err(e) => {
-                    let mut slot = error
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if slot.is_none() {
-                        *slot = Some(e);
-                    }
-                    ConcurrentIngest {
-                        epoch: self.epoch(),
-                        cost: 1.0,
-                    }
-                }
-            },
-        );
-        if let Some(e) = error
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
-            return Err(e);
-        }
-        Ok((reads, report))
     }
 }
 

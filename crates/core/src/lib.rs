@@ -52,7 +52,7 @@ pub mod shard;
 pub mod xsim;
 
 pub use config::{PrivacyConfig, XMapConfig, XMapMode};
-pub use delta::{DeltaReport, RatingDelta, ServedRead, DELTA_STAGE_NAME};
+pub use delta::{DeltaReport, RatingDelta, DELTA_STAGE_NAME};
 pub use generator::{AlterEgo, RatingTransfer, ReplacementTable};
 pub use persist::{JOURNAL_FILE, SNAPSHOT_FILE};
 pub use pipeline::{ModelEpoch, XMapModel, FIT_STAGE_NAMES};

@@ -55,7 +55,7 @@ use xmap_cf::{
     UserId,
 };
 use xmap_engine::{fn_stage, Dataflow, EpochHandle, StageContext, StageReport};
-use xmap_eval::{EvalBatch, EvalReport, EvalStage, EvalTarget, SweepParam, SweepSeries, SweepSpec};
+use xmap_eval::{EvalBatch, EvalReport, EvalStage, EvalTarget};
 use xmap_graph::{GraphConfig, LayerPartition, SimilarityGraph};
 use xmap_privacy::PrivacyBudget;
 
@@ -318,12 +318,6 @@ impl XMapModel {
         self.snap().recommend(user, n)
     }
 
-    /// Predicted rating for an explicit (possibly artificial) target-domain profile
-    /// (current epoch).
-    pub fn predict_for_profile(&self, profile: &Profile, item: ItemId) -> f64 {
-        self.snap().predict_for_profile(profile, item)
-    }
-
     /// Serves a batch of explicit profiles: top-N per profile, in request order, all
     /// from **one** epoch snapshot taken at entry, as one `recommend` stage on the
     /// model's dataflow (see [`serve_on`]). Output is bit-identical to calling
@@ -351,42 +345,6 @@ impl XMapModel {
     pub fn evaluate_batch(&self, batch: EvalBatch) -> EvalReport {
         let snap = self.snap();
         self.flow.run(&EvalStage::new(snap.as_ref()), batch)
-    }
-
-    /// Runs a parameter sweep: for every value of `spec`, refits this model's
-    /// configuration with the parameter applied (on the same training matrix and
-    /// domains) and evaluates `batch` through [`XMapModel::evaluate_batch`]. Each
-    /// sweep point is one independent fit with its own dataflow (and therefore its own
-    /// ledger, dropped with the refit model) — this model's ledger, including its
-    /// `eval` entry, is untouched by a sweep.
-    ///
-    /// [`SweepParam::Overlap`] cannot be swept here (it rebuilds the train/test split,
-    /// which the model does not hold) and returns `XMapError::InvalidConfig`; the
-    /// `xmap-bench` sweep runner executes overlap sweeps. Sweeping a privacy parameter
-    /// on a non-private mode refits identical models and yields a flat series.
-    pub fn sweep(&self, spec: &SweepSpec, batch: &EvalBatch) -> Result<SweepSeries> {
-        let snap = self.snap();
-        let mut series = SweepSeries::new(format!("{} / {}", snap.label(), spec.param.label()));
-        for &value in &spec.values {
-            let mut config = snap.config;
-            match spec.param {
-                SweepParam::K => config.k = value.round() as usize,
-                SweepParam::Epsilon => config.privacy.epsilon = value,
-                SweepParam::EpsilonPrime => config.privacy.epsilon_prime = value,
-                SweepParam::TemporalAlpha => config.temporal_alpha = value,
-                SweepParam::Overlap => {
-                    return Err(XMapError::InvalidConfig(
-                        "overlap sweeps rebuild the train/test split; run them through the \
-                         xmap-bench sweep runner"
-                            .to_string(),
-                    ))
-                }
-            }
-            let model = XMapModel::fit(&snap.full, snap.source_domain, snap.target_domain, config)?;
-            let report = model.evaluate_batch(batch.clone());
-            series.push(value, report.metric(spec.metric));
-        }
-        Ok(series)
     }
 }
 
@@ -1290,58 +1248,6 @@ mod tests {
                 _ => unreachable!(),
             }
         }
-    }
-
-    #[test]
-    fn sweep_refits_per_point_and_matches_independent_evaluations() {
-        let ds = CrossDomainDataset::generate(CrossDomainConfig::small());
-        let batch = eval_batch_for(&ds);
-        let base = XMapConfig {
-            k: 8,
-            ..Default::default()
-        };
-        let model = XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, base).unwrap();
-        let spec = xmap_eval::SweepSpec::new(xmap_eval::SweepParam::K, vec![2.0, 6.0]);
-        let series = model.sweep(&spec, &batch).unwrap();
-        assert_eq!(series.label, "NX-MAP-IB / k");
-        assert_eq!(series.points.len(), 2);
-        for point in &series.points {
-            let config = XMapConfig {
-                k: point.x as usize,
-                ..base
-            };
-            let refit =
-                XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, config).unwrap();
-            let expected = refit.evaluate_batch(batch.clone());
-            assert_eq!(
-                point.y.to_bits(),
-                expected.mae.to_bits(),
-                "sweep point k={} diverged from an independent fit",
-                point.x
-            );
-        }
-        // invalid point values surface as configuration errors, not panics
-        let bad = xmap_eval::SweepSpec::new(xmap_eval::SweepParam::K, vec![0.0]);
-        assert!(matches!(
-            model.sweep(&bad, &batch),
-            Err(XMapError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn overlap_sweeps_are_rejected_at_the_model_level() {
-        let toy = ToyScenario::build();
-        let model = XMapModel::fit(
-            &toy.matrix,
-            DomainId::SOURCE,
-            DomainId::TARGET,
-            toy_config(XMapMode::NxMapItemBased),
-        )
-        .unwrap();
-        let spec = xmap_eval::SweepSpec::new(xmap_eval::SweepParam::Overlap, vec![0.5]);
-        let err = model.sweep(&spec, &EvalBatch::default()).unwrap_err();
-        assert!(matches!(err, XMapError::InvalidConfig(_)));
-        assert!(err.to_string().contains("sweep runner"));
     }
 
     #[test]

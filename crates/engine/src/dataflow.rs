@@ -27,7 +27,6 @@ use crate::pool::WorkerPool;
 use crate::stage::{self, StageReport};
 use std::hash::Hash;
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 /// One named transformation of the dataflow.
 ///
@@ -226,22 +225,13 @@ impl Dataflow {
         };
         let watch = Stopwatch::start();
         let out = stage.run(input, &mut cx);
-        self.record_external(stage.name(), watch.elapsed(), cx.costs);
-        out
-    }
-
-    /// Records a stage that executed *outside* [`Dataflow::run`] — e.g. the
-    /// [`ConcurrentStage`](crate::concurrent::ConcurrentStage) driver, whose reader
-    /// pool and ingest worker interleave on their own threads — with the same
-    /// replace-latest rule, so it surfaces through [`Dataflow::reports`] and
-    /// [`Dataflow::stage_costs`] exactly like a pool-executed stage.
-    pub fn record_external(&self, name: &str, duration: Duration, costs: Vec<f64>) {
         let report = StageReport {
-            name: name.to_string(),
-            duration,
-            costs,
+            name: stage.name().to_string(),
+            duration: watch.elapsed(),
+            costs: cx.costs,
         };
         stage::record(&mut self.lock(), report);
+        out
     }
 
     fn lock(&self) -> MutexGuard<'_, Vec<StageReport>> {

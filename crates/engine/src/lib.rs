@@ -28,9 +28,6 @@
 //!   writers build the next model version aside and publish it with one pointer swing;
 //!   readers take wait-free reference-counted snapshots and never observe a torn or
 //!   retired epoch. This is the publication primitive behind serve-while-updating.
-//! * [`concurrent::ConcurrentStage`] — a driver that interleaves a reader pool with an
-//!   ingest worker over epoch-published state, recording both sides (latencies and
-//!   data-derived task costs) in the dataflow's ledgers.
 //! * [`cluster::ClusterSim`] — a deterministic cluster *simulator*: given the
 //!   per-partition task costs recorded by a `Dataflow` stage (or any modelled task bag),
 //!   it computes the makespan of an LPT (longest processing time first) schedule on `m`
@@ -44,7 +41,6 @@
 
 pub mod clock;
 pub mod cluster;
-pub mod concurrent;
 pub mod dataflow;
 pub mod epoch;
 pub mod json;
@@ -55,10 +51,6 @@ pub mod sync;
 
 pub use clock::Stopwatch;
 pub use cluster::{ClusterCostModel, ClusterSim, RoutedReport, RoutedTally, SpeedupPoint};
-pub use concurrent::{
-    ConcurrentIngest, ConcurrentRead, ConcurrentReport, ConcurrentStage, IngestRecord, ReadRecord,
-    CONCURRENT_INGEST_STAGE, CONCURRENT_READ_STAGE,
-};
 pub use dataflow::{fn_stage, Dataflow, FnStage, Stage, StageContext};
 pub use epoch::EpochHandle;
 pub use json::{Json, JsonError};

@@ -139,7 +139,7 @@ impl Default for WorkerPool {
 /// A raw pointer wrapper that is `Send`/`Copy` so scoped workers can write disjoint slots.
 /// Accessing the pointer goes through [`SendPtr::slot`] so closures capture the whole
 /// wrapper (and its `Send` impl) rather than the raw pointer field.
-pub(crate) struct SendPtr<T>(pub(crate) *mut T);
+struct SendPtr<T>(*mut T);
 unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
 
@@ -156,7 +156,7 @@ impl<T> SendPtr<T> {
     /// # Safety
     /// The caller must ensure `idx` is in bounds of the allocation and that no other
     /// thread accesses the same slot concurrently.
-    pub(crate) unsafe fn slot(self, idx: usize) -> *mut T {
+    unsafe fn slot(self, idx: usize) -> *mut T {
         self.0.add(idx)
     }
 }

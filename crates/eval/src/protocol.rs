@@ -103,8 +103,8 @@ impl SweepMetric {
 }
 
 /// A declarative sweep: which parameter to vary, the values to visit (in order), and
-/// which metric to record. Executed by `XMapModel::sweep` (refit per point, evaluation
-/// as a dataflow run) or, for [`SweepParam::Overlap`], by the `xmap-bench` sweep runner.
+/// which metric to record. Executed by the `xmap-bench` sweep runner (one fit plus one
+/// dataflow evaluation per point).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SweepSpec {
     /// The swept parameter.

@@ -21,8 +21,7 @@ pub mod prelude {
         DomainId, ItemId, Rating, RatingMatrix, RatingMatrixBuilder, Timestep, UserId,
     };
     pub use xmap_core::{
-        DeltaReport, ModelEpoch, PrivacyConfig, RatingDelta, ServedRead, XMapConfig, XMapMode,
-        XMapModel,
+        DeltaReport, ModelEpoch, PrivacyConfig, RatingDelta, XMapConfig, XMapMode, XMapModel,
     };
     pub use xmap_dataset::split::{CrossDomainSplit, SplitConfig};
     pub use xmap_dataset::synthetic::{CrossDomainConfig, CrossDomainDataset};

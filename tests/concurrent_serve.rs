@@ -1,7 +1,11 @@
 //! The serve-while-updating gate: wait-free snapshot readers against epoch-published
 //! models during delta ingestion.
 //!
-//! Two contracts from the epoch-publication design (DESIGN.md):
+//! Serving while updating is two calls: readers take a wait-free
+//! [`XMapModel::snapshot`] and answer from it, while `apply_delta` builds the next
+//! epoch aside and publishes it with one swap. The test-local [`interleave`] driver
+//! runs both at once on scoped threads. Two contracts from the epoch-publication
+//! design (DESIGN.md):
 //!
 //! * **Interleave-transparency** — for *any* randomized schedule (random delta
 //!   contents, random split into ingest batches, 1/2/8 readers), every interleaved
@@ -22,6 +26,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 use xmap_suite::cf::knn::Profile;
+use xmap_suite::engine::Stopwatch;
 use xmap_suite::prelude::*;
 
 const READER_COUNTS: [usize; 3] = [1, 2, 8];
@@ -100,6 +105,70 @@ fn serialized_reference(
     tables
 }
 
+/// One interleaved read: the epoch its snapshot observed, its answer and its latency.
+struct Read {
+    epoch: u64,
+    answer: Vec<(ItemId, f64)>,
+    latency: Duration,
+}
+
+/// Serves `requests` from `readers` scoped threads **while** the calling thread
+/// applies `updates` in order. Reader `r` answers requests `r, r + readers, …`, each
+/// from a fresh wait-free snapshot. Returns the reads in request order and the epoch
+/// each update published.
+fn interleave(
+    model: &XMapModel,
+    requests: &[Profile],
+    readers: usize,
+    updates: &[RatingDelta],
+) -> (Vec<Read>, Vec<u64>) {
+    std::thread::scope(|scope| {
+        let pool: Vec<_> = (0..readers)
+            .map(|r| {
+                scope.spawn(move || {
+                    let reads = requests.iter().skip(r).step_by(readers).map(|profile| {
+                        let watch = Stopwatch::start();
+                        let (epoch, snap) = model.snapshot();
+                        let answer = snap.recommend_for_profile(profile, TOP_N);
+                        let latency = watch.elapsed();
+                        Read {
+                            epoch,
+                            answer,
+                            latency,
+                        }
+                    });
+                    reads.collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let published = updates
+            .iter()
+            .map(|delta| {
+                model
+                    .apply_delta(delta)
+                    .expect("the schedule applies")
+                    .epoch
+            })
+            .collect();
+        // Reader `q % readers` answered request `q` as its `q / readers`-th read.
+        let mut pool: Vec<_> = pool
+            .into_iter()
+            .map(|reader| reader.join().expect("a reader panicked").into_iter())
+            .collect();
+        let reads = (0..requests.len())
+            .map(|q| pool[q % readers].next().expect("every request was read"))
+            .collect();
+        (reads, published)
+    })
+}
+
+/// The nearest-rank p99 of the reads' latencies.
+fn p99(reads: &[Read]) -> Duration {
+    let mut latencies: Vec<Duration> = reads.iter().map(|read| read.latency).collect();
+    latencies.sort_unstable();
+    latencies[(latencies.len() * 99).div_ceil(100).max(1) - 1]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -143,9 +212,7 @@ proptest! {
 
         for readers in READER_COUNTS {
             let model = fit(&ds, mode);
-            let (reads, report) = model
-                .serve_concurrent(&requests, TOP_N, readers, &updates)
-                .expect("randomized deltas apply cleanly");
+            let (reads, published) = interleave(&model, &requests, readers, &updates);
             prop_assert_eq!(reads.len(), requests.len());
             prop_assert_eq!(model.epoch(), 1 + n_deltas as u64);
             for (q, read) in reads.iter().enumerate() {
@@ -154,13 +221,12 @@ proptest! {
                     "{readers}r: read {} observed unpublished epoch {}", q, read.epoch
                 );
                 prop_assert_eq!(
-                    bits(&read.recommendations),
+                    bits(&read.answer),
                     tables[(read.epoch - 1) as usize][q].clone(),
                     "{}r: read {} tore away from its epoch {}", readers, q, read.epoch
                 );
             }
             // The ingest worker published the serialized epoch sequence, in order.
-            let published: Vec<u64> = report.ingests.iter().map(|i| i.epoch).collect();
             prop_assert_eq!(
                 published,
                 (2..=1 + n_deltas as u64).collect::<Vec<_>>()
@@ -226,13 +292,13 @@ fn concurrent_serve_with_no_deltas_equals_plain_batch_serving() {
         .take(8)
         .map(|&u| model.alterego(u).profile)
         .collect();
-    let (reads, report) = model.serve_concurrent(&requests, TOP_N, 2, &[]).unwrap();
-    assert!(report.ingests.is_empty());
+    let (reads, published) = interleave(&model, &requests, 2, &[]);
+    assert!(published.is_empty());
     let (_, snap) = model.snapshot();
     for (read, profile) in reads.iter().zip(&requests) {
         assert_eq!(read.epoch, 1);
         assert_eq!(
-            bits(&read.recommendations),
+            bits(&read.answer),
             bits(&snap.recommend_for_profile(profile, TOP_N))
         );
     }
@@ -281,9 +347,7 @@ fn fixed_schedule_reads_match_the_serialized_schedule_in_all_four_modes() {
         let tables = serialized_reference(&ds, mode, &updates, &seeds);
         for readers in READER_COUNTS {
             let model = fit(&ds, mode);
-            let (reads, report) = model
-                .serve_concurrent(&requests, TOP_N, readers, &updates)
-                .expect("the fixed schedule applies cleanly");
+            let (reads, published) = interleave(&model, &requests, readers, &updates);
             assert_eq!(
                 reads.len(),
                 requests.len(),
@@ -297,13 +361,12 @@ fn fixed_schedule_reads_match_the_serialized_schedule_in_all_four_modes() {
                     read.epoch
                 );
                 assert_eq!(
-                    bits(&read.recommendations),
+                    bits(&read.answer),
                     tables[(read.epoch - 1) as usize][q % seeds.len()],
                     "{mode:?}/{readers}r: read {q} tore away from its epoch {}",
                     read.epoch
                 );
             }
-            let published: Vec<u64> = report.ingests.iter().map(|i| i.epoch).collect();
             assert_eq!(
                 published,
                 (2..=last_epoch).collect::<Vec<_>>(),
@@ -333,12 +396,7 @@ fn reader_p99_during_ingest_stays_within_2x_of_idle() {
             // the matrix and still exercises the full publish path.
             let p99 = |updates: &[RatingDelta]| {
                 (0..5)
-                    .map(|_| {
-                        let (_, report) = model
-                            .serve_concurrent(&requests, TOP_N, readers, updates)
-                            .expect("the fixed schedule applies cleanly");
-                        report.read_p99()
-                    })
+                    .map(|_| p99(&interleave(&model, &requests, readers, updates).0))
                     .min()
                     .expect("five trials ran")
             };

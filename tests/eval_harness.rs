@@ -1,7 +1,6 @@
 //! Cross-crate integration tests of the engine-parallel evaluation harness: the
 //! `EvalStage` contract (bit-identity with the serial reference at 1/2/8 workers, one
-//! data-derived task bag in the `eval` ledger) driven through the public API, plus the
-//! model-level sweep entry point.
+//! data-derived task bag in the `eval` ledger) driven through the public API.
 
 use xmap_suite::engine::Dataflow;
 use xmap_suite::eval::EVAL_STAGE_NAME;
@@ -119,38 +118,4 @@ fn eval_stage_runs_on_a_standalone_dataflow_and_replaces_its_ledger() {
     let costs = flow.stage_costs(EVAL_STAGE_NAME).unwrap();
     assert_eq!(costs.len(), 8, "prediction-only rerun holds one cost bag");
     assert!((costs.iter().sum::<f64>() - 4.0).abs() < 1e-9);
-}
-
-#[test]
-fn model_sweep_visits_every_value_and_stays_deterministic() {
-    let ds = dataset();
-    let split = CrossDomainSplit::build(&ds, DomainId::TARGET, SplitConfig::default());
-    let batch = eval_batch(&ds, &split);
-    let spec = SweepSpec::new(SweepParam::K, vec![4.0, 10.0]).with_metric(SweepMetric::Mae);
-
-    let mut reference = None;
-    for workers in [1usize, 2] {
-        let model = XMapModel::fit(
-            &split.train,
-            DomainId::SOURCE,
-            DomainId::TARGET,
-            XMapConfig {
-                k: 10,
-                workers,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let series = model.sweep(&spec, &batch).unwrap();
-        assert_eq!(series.points.len(), 2);
-        assert_eq!(series.points[0].x, 4.0);
-        assert_eq!(series.points[1].x, 10.0);
-        for p in &series.points {
-            assert!(p.y.is_finite(), "k={} gave non-finite MAE", p.x);
-        }
-        match &reference {
-            None => reference = Some(series),
-            Some(expected) => assert_eq!(&series, expected, "{workers} workers changed the sweep"),
-        }
-    }
 }
