@@ -140,11 +140,6 @@ impl SingleDomainItemKnn {
         Ok(SingleDomainItemKnn { target_only, k })
     }
 
-    /// The filtered (target-domain-only) training matrix.
-    pub fn training_matrix(&self) -> &RatingMatrix {
-        &self.target_only
-    }
-
     /// Predicts through a freshly fitted item-kNN over the filtered matrix.
     ///
     /// The model is fitted lazily per call batch in [`Self::predict_batch`]; for single
@@ -413,14 +408,17 @@ mod tests {
     fn single_domain_knn_cannot_personalise_cold_start() {
         let m = cross_domain();
         let p = SingleDomainItemKnn::fit(&m, DomainId::TARGET, 5).unwrap();
-        assert!(p.training_matrix().n_ratings() < m.n_ratings());
+        let target_only = m
+            .filter(|r| m.item_domain(r.item) == DomainId::TARGET)
+            .unwrap();
+        assert!(target_only.n_ratings() < m.n_ratings());
         let preds = p
             .predict_batch(&[(UserId(3), ItemId(3)), (UserId(3), ItemId(5))])
             .unwrap();
         // user 3 has no target-domain ratings, so both predictions are unpersonalised
         // item averages.
-        assert!((preds[0] - p.training_matrix().item_average(ItemId(3))).abs() < 1e-9);
-        assert!((preds[1] - p.training_matrix().item_average(ItemId(5))).abs() < 1e-9);
+        assert!((preds[0] - target_only.item_average(ItemId(3))).abs() < 1e-9);
+        assert!((preds[1] - target_only.item_average(ItemId(5))).abs() < 1e-9);
     }
 
     #[test]

@@ -658,11 +658,7 @@ impl<'a> ItemKnn<'a> {
         let mut den = 0.0;
         for n in self.neighbors(item) {
             if let Some(&(r, t)) = ratings.get(&n.item) {
-                let weight = if self.config.temporal_alpha > 0.0 {
-                    (-self.config.temporal_alpha * now.elapsed_since(t) as f64).exp()
-                } else {
-                    1.0
-                };
+                let weight = now.decay_since(t, self.config.temporal_alpha);
                 num += n.similarity * (r - self.matrix.item_average(n.item)) * weight;
                 den += n.similarity.abs() * weight;
             }

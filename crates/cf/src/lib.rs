@@ -18,6 +18,7 @@
 //! to items, and the cross-domain machinery lives in `xmap-graph` / `xmap-core`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod als;
@@ -28,16 +29,13 @@ pub mod error;
 pub mod ids;
 pub mod knn;
 pub mod matrix;
-pub mod mrv;
 pub mod rating;
 pub mod similarity;
-pub mod temporal;
 pub mod topk;
 
 pub use error::{CfError, Result};
 pub use ids::{DomainId, ItemId, UserId};
 pub use knn::{CandidateScratch, ItemKnn, ItemKnnConfig, UserKnn, UserKnnConfig, UserKnnScratch};
 pub use matrix::{RatingMatrix, RatingMatrixBuilder};
-pub use mrv::{MrvCell, MrvCounterSplit, MrvShard, MrvSplit};
 pub use rating::{Rating, Timestep};
 pub use similarity::{SimilarityMetric, SimilarityStats};

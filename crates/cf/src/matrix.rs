@@ -272,15 +272,6 @@ pub struct RatingMatrix {
 }
 
 impl RatingMatrix {
-    /// Builds a matrix from an iterator of ratings with the default scale.
-    pub fn from_ratings<I: IntoIterator<Item = Rating>>(ratings: I) -> Result<Self> {
-        let mut b = RatingMatrixBuilder::new();
-        for r in ratings {
-            b.push(r)?;
-        }
-        b.build()
-    }
-
     /// Number of users (including users with no rating, if declared via dimensions).
     pub fn n_users(&self) -> usize {
         self.n_users
@@ -1097,8 +1088,11 @@ mod tests {
     #[test]
     fn iter_round_trips_through_from_ratings() {
         let m = small();
-        let ratings: Vec<Rating> = m.iter().collect();
-        let m2 = RatingMatrix::from_ratings(ratings).unwrap();
+        let mut b = RatingMatrixBuilder::new();
+        for r in m.iter() {
+            b.push(r).unwrap();
+        }
+        let m2 = b.build().unwrap();
         assert_eq!(m2.n_ratings(), m.n_ratings());
         for r in m.iter() {
             assert_eq!(m2.rating(r.user, r.item), Some(r.value));

@@ -23,6 +23,17 @@ impl Timestep {
     pub fn elapsed_since(self, earlier: Timestep) -> u32 {
         self.0.saturating_sub(earlier.0)
     }
+
+    /// Equation 7's weight `e^{-α (self - earlier)}` of a rating given at `earlier`, seen
+    /// from `self`; `alpha <= 0` disables the decay (weight 1 for every rating).
+    #[inline]
+    pub fn decay_since(self, earlier: Timestep, alpha: f64) -> f64 {
+        if alpha > 0.0 {
+            (-alpha * self.elapsed_since(earlier) as f64).exp()
+        } else {
+            1.0
+        }
+    }
 }
 
 impl From<u32> for Timestep {
@@ -118,12 +129,53 @@ impl Default for RatingScale {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn timestep_elapsed_saturates() {
         assert_eq!(Timestep(10).elapsed_since(Timestep(4)), 6);
         assert_eq!(Timestep(4).elapsed_since(Timestep(10)), 0);
         assert_eq!(Timestep::from(3u32), Timestep(3));
+    }
+
+    #[test]
+    fn zero_alpha_means_no_decay() {
+        assert_eq!(Timestep(100).decay_since(Timestep(0), 0.0), 1.0);
+    }
+
+    #[test]
+    fn decay_decreases_with_age() {
+        let now = Timestep(100);
+        let recent = now.decay_since(Timestep(95), 0.1);
+        let old = now.decay_since(Timestep(10), 0.1);
+        assert!(recent > old);
+        assert!(old > 0.0);
+        assert!((now.decay_since(now, 0.1) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn future_ratings_do_not_amplify() {
+        // elapsed_since saturates at zero, so a "future" rating gets weight 1, not > 1
+        assert_eq!(Timestep(5).decay_since(Timestep(50), 0.5), 1.0);
+    }
+
+    proptest! {
+        /// Decay weights are always in [0, 1] for non-negative α (extreme ages may
+        /// underflow to exactly zero, which is still a valid weight).
+        #[test]
+        fn weights_bounded(alpha in 0.0f64..2.0, now in 0u32..1000, then in 0u32..1000) {
+            let w = Timestep(now).decay_since(Timestep(then), alpha);
+            prop_assert!((0.0..=1.0).contains(&w));
+        }
+
+        /// Weight is monotonically non-increasing in the age of the rating.
+        #[test]
+        fn weights_monotone_in_age(alpha in 0.0f64..2.0, now in 100u32..1000, d1 in 0u32..100, d2 in 0u32..100) {
+            let (older, newer) = if d1 > d2 { (d1, d2) } else { (d2, d1) };
+            let w_old = Timestep(now).decay_since(Timestep(now - older), alpha);
+            let w_new = Timestep(now).decay_since(Timestep(now - newer), alpha);
+            prop_assert!(w_old <= w_new + 1e-12);
+        }
     }
 
     #[test]

@@ -459,25 +459,6 @@ pub fn user_similarity(matrix: &RatingMatrix, a: UserId, b: UserId) -> f64 {
     clamp_similarity(safe_ratio(num, (den_a * den_b).sqrt()))
 }
 
-/// Number of items co-rated by two users.
-pub fn co_rated_items(matrix: &RatingMatrix, a: UserId, b: UserId) -> usize {
-    let xa = matrix.user_profile(a);
-    let xb = matrix.user_profile(b);
-    let (mut p, mut q, mut n) = (0usize, 0usize, 0usize);
-    while p < xa.len() && q < xb.len() {
-        match xa[p].item.cmp(&xb[q].item) {
-            std::cmp::Ordering::Less => p += 1,
-            std::cmp::Ordering::Greater => q += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                p += 1;
-                q += 1;
-            }
-        }
-    }
-    n
-}
-
 #[inline]
 fn safe_ratio(num: f64, den: f64) -> f64 {
     if den.abs() < 1e-12 || !den.is_finite() || !num.is_finite() {
@@ -635,7 +616,6 @@ mod tests {
             disagree < -0.5,
             "disagreeing users should have negative similarity, got {disagree}"
         );
-        assert_eq!(co_rated_items(&m, UserId(0), UserId(1)), 4);
     }
 
     #[test]
@@ -644,7 +624,6 @@ mod tests {
         b.push_parts(0, 0, 4.0).unwrap();
         let m = b.build().unwrap();
         assert_eq!(user_similarity(&m, UserId(0), UserId(2)), 0.0);
-        assert_eq!(co_rated_items(&m, UserId(0), UserId(2)), 0);
     }
 
     #[test]

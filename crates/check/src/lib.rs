@@ -4,8 +4,7 @@
 //!
 //! * the **model-check harness**: re-exports of `xmap_engine::sync::model` plus
 //!   the protocol models under `tests/` that exhaustively explore the
-//!   epoch-publication and MRV merge protocols (see `DESIGN.md`, "Checked
-//!   concurrency");
+//!   epoch-publication protocol (see `DESIGN.md`, "Checked concurrency");
 //! * the **`xmap-lint` binary** ([`lint`]): a multi-pass determinism auditor —
 //!   a hand-rolled lexer ([`lex`](crate::lex)) and lightweight parser layer
 //!   ([`parse`](crate::parse)) drive the five token-level house rules plus the

@@ -112,7 +112,7 @@ impl Rule {
         match self {
             Rule::Ordering => {
                 "ordering — Ordering::Relaxed / Ordering::SeqCst outside the audited\n\
-                 concurrency files (epoch.rs, mrv.rs, engine/src/sync/).\n\
+                 concurrency files (epoch.rs, engine/src/sync/).\n\
                  Relaxed hides reorderings the model checker must see; SeqCst hides a\n\
                  missing happens-before edge behind a global fence. Use Acquire/Release\n\
                  through the xmap_engine::sync facade, move the code into the audited\n\
@@ -260,7 +260,6 @@ impl Default for Config {
         Config {
             ordering_allowlist: vec![
                 "crates/engine/src/epoch.rs".into(),
-                "crates/cf/src/mrv.rs".into(),
                 // The facade interprets orderings rather than using them; its
                 // internals (shims, vector-clock runtime, seeded hooks) name every
                 // ordering by construction.

@@ -520,11 +520,7 @@ fn predict_item_based(
     } in neighbors
     {
         if let Some((r, t)) = scratch.get(j) {
-            let weight = if temporal_alpha > 0.0 {
-                (-temporal_alpha * now.elapsed_since(t) as f64).exp()
-            } else {
-                1.0
-            };
+            let weight = now.decay_since(t, temporal_alpha);
             num += sim * (r - target.item_average(j)) * weight;
             den += sim.abs() * weight;
         }

@@ -20,6 +20,7 @@
 //!   when available.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod genres;

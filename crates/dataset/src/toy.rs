@@ -18,8 +18,6 @@ use xmap_cf::{DomainId, ItemId, RatingMatrix, RatingMatrixBuilder, UserId};
 pub struct ToyScenario {
     /// The rating matrix with item domains declared (movies = SOURCE, books = TARGET).
     pub matrix: RatingMatrix,
-    /// Human-readable user names, indexed by [`UserId`].
-    pub user_names: Vec<&'static str>,
     /// Human-readable item names, indexed by [`ItemId`].
     pub item_names: Vec<&'static str>,
 }
@@ -95,7 +93,6 @@ impl ToyScenario {
 
         ToyScenario {
             matrix: b.build().expect("toy scenario is non-empty"), // lint: panic — reviewed invariant
-            user_names: vec!["Alice", "Bob", "Cecilia", "Dave", "Eve"],
             item_names: vec![
                 "Interstellar",
                 "Inception",
@@ -105,14 +102,6 @@ impl ToyScenario {
                 "Dune",
             ],
         }
-    }
-
-    /// Name of a user.
-    pub fn user_name(&self, user: UserId) -> &str {
-        self.user_names
-            .get(user.index())
-            .copied()
-            .unwrap_or("<unknown>")
     }
 
     /// Name of an item.
@@ -193,10 +182,8 @@ mod tests {
     #[test]
     fn names_resolve() {
         let toy = ToyScenario::build();
-        assert_eq!(toy.user_name(users::ALICE), "Alice");
         assert_eq!(toy.item_name(items::THE_FOREVER_WAR), "The Forever War");
         assert_eq!(toy.item_name(items::DUNE), "Dune");
-        assert_eq!(toy.user_name(UserId(99)), "<unknown>");
         assert_eq!(toy.item_name(ItemId(99)), "<unknown>");
         assert_eq!(
             ToyScenario::default().matrix.n_ratings(),

@@ -93,12 +93,6 @@ impl StageContext<'_> {
         self.partitioner
     }
 
-    /// Records an explicit per-partition task cost (for stages that partition work
-    /// themselves rather than through [`StageContext::map_partitions`]).
-    pub fn record_task_cost(&mut self, cost: f64) {
-        self.costs.push(cost);
-    }
-
     /// Partitions `items` by `key`, processes every partition as one pool task, and
     /// returns the per-partition outputs in partition order.
     ///
@@ -323,14 +317,15 @@ mod tests {
         let record = fn_stage(
             "sweep-point",
             |items: Vec<u64>, cx: &mut StageContext<'_>| {
-                for _ in &items {
-                    cx.record_task_cost(1.0);
+                let n = items.len();
+                if n > 0 {
+                    cx.map_partitions(items, |x| *x, |_, part| ((), part.len() as f64));
                 }
-                items.len()
+                n
             },
         );
         assert_eq!(flow.run(&record, vec![1, 2, 3]), 3);
-        assert_eq!(flow.stage_costs("sweep-point").unwrap().len(), 3);
+        assert_eq!(flow.stage_costs("sweep-point").unwrap().len(), 4);
         // a later run of the same stage name with no recorded costs must not leave the
         // old task bag in place
         assert_eq!(flow.run(&record, Vec::new()), 0);

@@ -53,16 +53,6 @@ impl Partitioner {
         }
         out
     }
-
-    /// Sizes of the partitions produced for the given keys (useful for load modelling
-    /// without materialising the partitions).
-    pub fn partition_sizes<K: Hash>(&self, keys: impl IntoIterator<Item = K>) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.partitions];
-        for k in keys {
-            sizes[self.partition_of(&k)] += 1;
-        }
-        sizes
-    }
 }
 
 #[cfg(test)]
@@ -105,7 +95,11 @@ mod tests {
     #[test]
     fn load_is_roughly_balanced_for_many_keys() {
         let p = Partitioner::new(10);
-        let sizes = p.partition_sizes(0u32..10_000);
+        let sizes: Vec<usize> = p
+            .split_by_key(0u32..10_000, |x| *x)
+            .iter()
+            .map(Vec::len)
+            .collect();
         let max = *sizes.iter().max().unwrap();
         let min = *sizes.iter().min().unwrap();
         assert!(min > 0, "no partition should be empty with 10k keys");
@@ -113,17 +107,6 @@ mod tests {
             (max as f64) / (min as f64) < 1.5,
             "partitions too imbalanced: {sizes:?}"
         );
-    }
-
-    #[test]
-    fn partition_sizes_match_split() {
-        let p = Partitioner::new(5);
-        let keys: Vec<u64> = (0..500).map(|x| x * 7 + 3).collect();
-        let sizes = p.partition_sizes(keys.iter().copied());
-        let split = p.split_by_key(keys, |x| *x);
-        for (s, part) in sizes.iter().zip(&split) {
-            assert_eq!(*s, part.len());
-        }
     }
 
     proptest! {

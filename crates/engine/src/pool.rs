@@ -109,25 +109,6 @@ impl WorkerPool {
             .map(|r| r.expect("every index was processed")) // lint: panic — reviewed invariant
             .collect()
     }
-
-    /// Splits `total` work items into per-worker contiguous ranges of near-equal size.
-    /// Useful when the caller wants chunked rather than element-wise scheduling.
-    pub fn chunk_ranges(&self, total: usize) -> Vec<std::ops::Range<usize>> {
-        if total == 0 {
-            return Vec::new();
-        }
-        let workers = self.workers.min(total);
-        let base = total / workers;
-        let extra = total % workers;
-        let mut ranges = Vec::with_capacity(workers);
-        let mut start = 0;
-        for w in 0..workers {
-            let len = base + usize::from(w < extra);
-            ranges.push(start..start + len);
-            start += len;
-        }
-        ranges
-    }
 }
 
 impl Default for WorkerPool {
@@ -222,24 +203,6 @@ mod tests {
         assert_eq!(parallel, sequential);
     }
 
-    #[test]
-    fn chunk_ranges_cover_everything_without_overlap() {
-        let pool = WorkerPool::new(4);
-        let ranges = pool.chunk_ranges(10);
-        assert_eq!(ranges.len(), 4);
-        let mut covered = vec![false; 10];
-        for r in &ranges {
-            for i in r.clone() {
-                assert!(!covered[i], "index {i} covered twice");
-                covered[i] = true;
-            }
-        }
-        assert!(covered.into_iter().all(|c| c));
-        assert!(pool.chunk_ranges(0).is_empty());
-        // more workers than items: one range per item
-        assert_eq!(WorkerPool::new(16).chunk_ranges(3).len(), 3);
-    }
-
     proptest! {
         /// Parallel map equals sequential map for arbitrary inputs and worker counts.
         #[test]
@@ -248,17 +211,6 @@ mod tests {
             let parallel = pool.parallel_map(&input, |x| x * x - 3);
             let sequential: Vec<i64> = input.iter().map(|x| x * x - 3).collect();
             prop_assert_eq!(parallel, sequential);
-        }
-
-        /// Chunk ranges always partition [0, total).
-        #[test]
-        fn chunks_partition(total in 0usize..500, workers in 1usize..10) {
-            let ranges = WorkerPool::new(workers).chunk_ranges(total);
-            let count: usize = ranges.iter().map(|r| r.len()).sum();
-            prop_assert_eq!(count, total);
-            for w in ranges.windows(2) {
-                prop_assert_eq!(w[0].end, w[1].start);
-            }
         }
     }
 }

@@ -15,6 +15,7 @@
 //!   `xmap-bench` so every reproduced table and figure prints in a uniform format.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod metrics;

@@ -173,21 +173,6 @@ impl SweepSeries {
             .copied()
             .min_by(|a, b| a.y.partial_cmp(&b.y).unwrap_or(std::cmp::Ordering::Equal))
     }
-
-    /// Whether the series is (weakly) monotonically decreasing in y — used by tests that
-    /// check trends such as "MAE decreases as the overlap grows", with `slack` absorbing
-    /// experimental noise.
-    pub fn is_decreasing(&self, slack: f64) -> bool {
-        self.points.windows(2).all(|w| w[1].y <= w[0].y + slack)
-    }
-
-    /// Mean y value over the series (NaN for an empty series).
-    pub fn mean_y(&self) -> f64 {
-        if self.points.is_empty() {
-            return f64::NAN;
-        }
-        self.points.iter().map(|p| p.y).sum::<f64>() / self.points.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -266,16 +251,11 @@ mod tests {
         assert_eq!(s.label, "X-MAP-IB");
         assert_eq!(s.points.len(), 3);
         assert_eq!(s.best().unwrap().x, 20.0);
-        assert!(!s.is_decreasing(0.0));
-        assert!(s.is_decreasing(0.05));
-        assert!((s.mean_y() - (0.8 + 0.7 + 0.72) / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_series_edge_cases() {
         let s = SweepSeries::new("empty");
         assert!(s.best().is_none());
-        assert!(s.mean_y().is_nan());
-        assert!(s.is_decreasing(0.0));
     }
 }

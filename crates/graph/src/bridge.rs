@@ -48,15 +48,6 @@ impl BridgeIndex {
         self.is_bridge.is_empty()
     }
 
-    /// All bridge items.
-    pub fn bridge_items(&self) -> Vec<ItemId> {
-        self.is_bridge
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &b)| if b { Some(ItemId(i as u32)) } else { None })
-            .collect()
-    }
-
     /// Number of bridge items.
     pub fn n_bridges(&self) -> usize {
         self.is_bridge.iter().filter(|&&b| b).count()
@@ -127,19 +118,6 @@ mod tests {
             "item 0 is only connected to item 1 (same domain)"
         );
         assert!(!idx.is_bridge(ItemId(99)), "unknown items are non-bridge");
-    }
-
-    #[test]
-    fn bridge_items_listing_matches_flags() {
-        let g = two_domain_fixture();
-        let idx = BridgeIndex::from_graph(&g);
-        let listed = idx.bridge_items();
-        assert_eq!(listed.len(), idx.n_bridges());
-        for item in listed {
-            assert!(idx.is_bridge(item));
-        }
-        assert_eq!(idx.len(), g.n_items());
-        assert!(!idx.is_empty());
     }
 
     #[test]

@@ -682,12 +682,6 @@ impl SimilarityGraph {
         self.edge_stats.len()
     }
 
-    /// Total number of adjacency slots (every undirected edge occupies one slot on each
-    /// endpoint, so this is `2 * n_undirected_edges`).
-    pub fn n_directed_edges(&self) -> usize {
-        self.neighbors.len()
-    }
-
     /// Degree of an item (number of neighbours).
     pub fn degree(&self, item: ItemId) -> usize {
         let i = item.index();
@@ -741,15 +735,6 @@ impl SimilarityGraph {
             to: if probe == a { e.to } else { probe },
             stats: e.stats,
         })
-    }
-
-    /// Whether the item has at least one edge to an item of a *different* domain.
-    pub fn has_cross_domain_edge(&self, item: ItemId) -> bool {
-        let d = self.item_domain(item);
-        self.neighbors(item)
-            .ids()
-            .iter()
-            .any(|&to| self.item_domain(to) != d)
     }
 
     /// Number of item pairs `(i, j)` with `i` and `j` in different domains connected by a
@@ -858,7 +843,7 @@ mod tests {
         // items 0 and 1 share user 0
         assert!(g.edge_between(ItemId(0), ItemId(1)).is_some());
         // cross-domain edge through the straddler (user 2): item 1 and item 3
-        assert!(g.has_cross_domain_edge(ItemId(1)) || g.has_cross_domain_edge(ItemId(3)));
+        assert!(g.n_heterogeneous_pairs() > 0);
     }
 
     #[test]

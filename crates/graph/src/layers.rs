@@ -117,21 +117,6 @@ impl LayerPartition {
         self.assignments.is_empty()
     }
 
-    /// All items assigned to a given `(domain, layer)` cell.
-    pub fn items_in(&self, domain: DomainId, layer: Layer) -> Vec<ItemId> {
-        self.assignments
-            .iter()
-            .enumerate()
-            .filter_map(|(i, a)| {
-                if a.domain == domain && a.layer == layer {
-                    Some(ItemId(i as u32))
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-
     /// Item counts per `(domain, layer)` cell, as `(domain, layer, count)` rows — handy
     /// for experiment reports and sanity checks.
     pub fn cell_counts(&self) -> Vec<(DomainId, Layer, usize)> {
@@ -245,18 +230,6 @@ mod tests {
         // every item appears in exactly one (domain, layer) cell
         let total: usize = partition.cell_counts().iter().map(|(_, _, c)| c).sum();
         assert_eq!(total, g.n_items());
-        for d in [DomainId::SOURCE, DomainId::TARGET] {
-            for layer in [
-                Layer::BridgeBridge,
-                Layer::NonBridgeBridge,
-                Layer::NonBridgeNonBridge,
-            ] {
-                for item in partition.items_in(d, layer) {
-                    assert_eq!(partition.layer(item), layer);
-                    assert_eq!(partition.domain(item), d);
-                }
-            }
-        }
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! weighted mean) lives in `xmap-core`, which consumes the [`MetaPath`]s produced here.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod bridge;

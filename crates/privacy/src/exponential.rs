@@ -103,29 +103,6 @@ pub fn exponential_mechanism<R: Rng + ?Sized>(
     Ok(weights.len() - 1)
 }
 
-/// Samples `count` distinct candidate indices *without replacement*, re-normalising the
-/// remaining weights after every draw. PNSA selects its k private neighbours this way
-/// (Algorithm 4, step 10: "sample an element from C1 and C0 without replacement").
-pub fn exponential_mechanism_without_replacement<R: Rng + ?Sized>(
-    rng: &mut R,
-    scores: &[f64],
-    epsilon: f64,
-    sensitivity: f64,
-    count: usize,
-) -> Result<Vec<usize>, ExponentialError> {
-    if scores.is_empty() {
-        return Err(ExponentialError::NoCandidates);
-    }
-    let mut remaining: Vec<usize> = (0..scores.len()).collect();
-    let mut selected = Vec::with_capacity(count.min(scores.len()));
-    while selected.len() < count && !remaining.is_empty() {
-        let sub_scores: Vec<f64> = remaining.iter().map(|&i| scores[i]).collect();
-        let picked = exponential_mechanism(rng, &sub_scores, epsilon, sensitivity)?;
-        selected.push(remaining.remove(picked));
-    }
-    Ok(selected)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,28 +187,6 @@ mod tests {
                 w[i]
             );
         }
-    }
-
-    #[test]
-    fn without_replacement_returns_distinct_indices() {
-        let scores = [0.2, 0.9, 0.1, 0.7, 0.5];
-        let mut rng = StdRng::seed_from_u64(5);
-        let sel =
-            exponential_mechanism_without_replacement(&mut rng, &scores, 1.0, 2.0, 3).unwrap();
-        assert_eq!(sel.len(), 3);
-        let mut sorted = sel.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 3);
-    }
-
-    #[test]
-    fn without_replacement_caps_at_candidate_count() {
-        let scores = [0.1, 0.2];
-        let mut rng = StdRng::seed_from_u64(5);
-        let sel =
-            exponential_mechanism_without_replacement(&mut rng, &scores, 1.0, 2.0, 10).unwrap();
-        assert_eq!(sel.len(), 2);
     }
 
     #[test]

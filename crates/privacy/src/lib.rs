@@ -21,6 +21,7 @@
 //! under seeded generators in tests and experiments.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod budget;

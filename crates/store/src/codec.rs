@@ -175,11 +175,6 @@ impl<'a> Decoder<'a> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
-    /// Reads `n` raw bytes.
-    pub fn take_raw(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        self.take(n, "raw bytes")
-    }
-
     /// Reads a length-prefixed UTF-8 string.
     pub fn take_str(&mut self) -> Result<String, StoreError> {
         let len = self.take_len(1, "string")?;

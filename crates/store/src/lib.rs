@@ -24,6 +24,7 @@
 //!   newer format are refused rather than misread.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 mod codec;
