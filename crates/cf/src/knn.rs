@@ -1,26 +1,26 @@
 //! Neighbour-based collaborative filtering — Algorithms 1 and 2 of the paper.
 //!
 //! * [`UserKnn`] implements the user-based scheme: Phase 1 selects the k most similar
-//!   users under Equation 1, Phase 2 predicts with Equation 2 and ranks the top-N items.
+//!   users under Equation 1, Phase 2 predicts with Equation 2 and scores candidate lists.
 //! * [`ItemKnn`] implements the item-based scheme: Phase 1 precomputes, for every item,
 //!   its k most similar items under the chosen metric (Equation 3 / adjusted cosine),
 //!   Phase 2 predicts with Equation 4.
 //!
-//! Both predictors also accept an *external profile* — a list of `(item, rating)` pairs
+//! Both predictors accept an *external profile* — a list of `(item, rating)` pairs
 //! that is not stored in the training matrix. This is exactly how X-Map consumes them:
 //! the AlterEgo profile of a user is an artificial profile in the target domain that is
 //! combined with the target-domain training data (§4.4).
 //!
 //! The user-based scheme precomputes nothing, so both of its phases run per request,
 //! and both are *item-major gathers* over a [`UserKnnScratch`] rather than probes:
-//! Phase 1 ([`UserKnn::neighbors_of_profile`]) walks the item rows of the profile's
-//! items and accumulates Equation 1 per touched user — a user who co-rates nothing is
-//! never visited — then offers the touched users to the top-k in ascending id and stops
-//! at k neighbours of similarity exactly 1; Phase 2 for a candidate list
-//! ([`UserKnn::score_with_neighbors`]) scatters the span of each neighbour's row that
-//! the list covers into a per-item accumulator instead of binary-searching every
-//! neighbour row for every candidate. Both are bit-identical to the definitions they
-//! replace (the full scan, kept as a test oracle, and
+//! Phase 1 ([`UserKnn::neighbors_of_profile`]) walks the columns of the profile's items
+//! in user-id windows, accumulating Equation 1 per touched user — a user who co-rates
+//! nothing is never visited — and offers each window's users to the top-k in ascending
+//! id, ending at k neighbours of similarity exactly 1 before reading the next window;
+//! Phase 2 for a candidate list ([`UserKnn::score_with_neighbors`]) scatters the span
+//! of each neighbour's row that the list covers into a per-item accumulator instead of
+//! binary-searching every neighbour row for every candidate. Both are bit-identical to
+//! the definitions they replace (the full scan, kept as a test oracle, and
 //! [`UserKnn::predict_with_neighbors`] per item): every floating-point sum receives the
 //! same addends in the same order, and every user past the stop loses its tie.
 
@@ -30,8 +30,7 @@ use crate::ids::{ItemId, UserId};
 use crate::matrix::RatingMatrix;
 use crate::rating::Timestep;
 use crate::similarity::{
-    item_similarity_stats, user_similarity, ItemRowKernel, RowScratch, SimilarityMetric,
-    SimilarityStats,
+    item_similarity_stats, ItemRowKernel, RowScratch, SimilarityMetric, SimilarityStats,
 };
 use crate::topk::{top_k, TopK};
 use serde::{Deserialize, Serialize};
@@ -96,41 +95,20 @@ impl<'a> UserKnn<'a> {
         self.config
     }
 
-    /// Phase 1: the k most similar users to `user` (Equation 1), sorted by descending
-    /// similarity. The user themself is never included.
-    pub fn neighbors(&self, user: UserId) -> Vec<(UserId, f64)> {
-        let mut collector = TopK::new(self.config.k);
-        for other in self.matrix.users() {
-            if other == user {
-                continue;
-            }
-            let sim = user_similarity(self.matrix, user, other);
-            // lint: float-eq — exact zero is the "no overlap" sentinel from user_similarity.
-            if sim.abs() > self.config.min_similarity && sim != 0.0 {
-                collector.push(sim, other);
-            }
-        }
-        collector
-            .into_sorted_vec()
-            .into_iter()
-            .map(|(s, u)| (u, s))
-            .collect()
-    }
-
     /// Phase 1 for an external profile: the k most similar training users to the profile.
     ///
-    /// An inverted-index gather: for each of the profile's items, in ascending id (of
-    /// duplicates the last wins; an out-of-catalogue id has an empty row), walk the
-    /// item's row and add its term of Equation 1 to the sums of every rater. A user's
-    /// terms therefore arrive in ascending item id — the order a walk of the user's own
-    /// row would produce them — so each similarity is the same float as that of a scan
-    /// over every stored user, and users the profile shares no item with (similarity
-    /// exactly 0, never a neighbour) are not visited at all.
-    ///
-    /// The touched users are then offered to the top-k in ascending id — the scan's
-    /// order — and the walk stops once the top-k holds k users at similarity exactly
-    /// 1.0. That stop is exact: Equation 1 is clamped to `[-1, 1]`, ties break towards
-    /// the lower user id, and every user left unwalked has a higher id than all k.
+    /// A windowed inverted-index gather. Each distinct profile item (ascending id; of
+    /// duplicates the last wins; an out-of-catalogue id has an empty column) keeps a
+    /// cursor into its column, which is sorted by user id. Per window of
+    /// `USER_WINDOW` user ids, every cursor advances to the window's end, adding its
+    /// item's term of Equation 1 to the sums of each rater it passes; the window's
+    /// touched users are then offered to the top-k in ascending id, and the search ends
+    /// the moment the top-k holds k users at similarity exactly 1.0 — Equation 1 is
+    /// clamped to `[-1, 1]` and ties break towards the lower id, so no later user can
+    /// enter. A user's terms arrive in ascending item id and users are offered in
+    /// ascending id, so the result is bit for bit that of a scan over every stored user.
+    /// The next window starts at the lowest unwalked user id, so an empty one costs
+    /// nothing; users the profile shares no item with are never visited.
     pub fn neighbors_of_profile(
         &self,
         profile: &Profile,
@@ -138,6 +116,7 @@ impl<'a> UserKnn<'a> {
     ) -> Vec<(UserId, f64)> {
         let UserKnnScratch {
             profile: items,
+            cursors,
             sums,
             touched,
             ..
@@ -146,42 +125,65 @@ impl<'a> UserKnn<'a> {
         items.extend(profile.iter().map(|&(i, v, _)| (i, v)));
         // stable: among duplicates of an item the last offered stays last
         items.sort_by_key(|&(i, _)| i);
+        cursors.clear();
+        let mut next: Option<u32> = None;
+        for (pos, &(item, ra)) in items.iter().enumerate() {
+            let Some(first) = self.matrix.item_profile(item).first() else {
+                continue;
+            };
+            if items.get(pos + 1).is_some_and(|&(later, _)| later == item) {
+                continue;
+            }
+            next = Some(next.map_or(first.user.0, |n| n.min(first.user.0)));
+            let i_avg = self.matrix.item_average(item);
+            cursors.push(Cursor {
+                item,
+                i_avg,
+                da: ra - i_avg,
+                pos: 0,
+            });
+        }
         sums.begin(self.matrix.n_users());
         touched.begin(self.matrix.n_users());
-        for (pos, &(item, ra)) in items.iter().enumerate() {
-            if items.get(pos + 1).is_some_and(|&(next, _)| next == item) {
-                continue;
-            }
-            let i_avg = self.matrix.item_average(item);
-            let da = ra - i_avg;
-            for e in self.matrix.item_profile(item) {
-                let Some((fresh, [num, den_a, den_b])) = sums.entry(e.user.index()) else {
-                    continue;
-                };
-                if fresh {
-                    touched.insert(e.user.index());
-                }
-                let db = e.value - i_avg;
-                *num += da * db;
-                *den_a += da * da;
-                *den_b += db * db;
-            }
-        }
         let mut collector = TopK::new(self.config.k);
-        for ix in touched.ascending() {
-            let [num, den_a, den_b] = sums.get(ix).unwrap_or_default();
-            let den = (den_a * den_b).sqrt();
-            if den < 1e-12 {
-                continue;
-            }
-            let sim = (num / den).clamp(-1.0, 1.0);
-            // lint: float-eq — exact zero is the "no overlap" sentinel, as in neighbors().
-            if sim.abs() > self.config.min_similarity && sim != 0.0 {
-                collector.push(sim, UserId(ix as u32));
-                // k users at the clamp's ceiling: every later user has a higher id and
-                // loses the tie, so the rest of the walk cannot change the top-k
-                if collector.threshold() == Some(1.0) {
-                    break;
+        'windows: while let Some(start) = next.take() {
+            let end = start.saturating_add(USER_WINDOW);
+            cursors.retain_mut(|c| {
+                let column = self.matrix.item_profile(c.item);
+                while let Some(e) = column.get(c.pos) {
+                    if e.user.0 >= end {
+                        next = Some(next.map_or(e.user.0, |n| n.min(e.user.0)));
+                        return true;
+                    }
+                    c.pos += 1;
+                    let Some((fresh, [num, den_a, den_b])) = sums.entry(e.user.index()) else {
+                        continue;
+                    };
+                    if fresh {
+                        touched.insert(e.user.index());
+                    }
+                    let db = e.value - c.i_avg;
+                    *num += c.da * db;
+                    *den_a += c.da * c.da;
+                    *den_b += db * db;
+                }
+                false
+            });
+            for ix in touched.ascending() {
+                let [num, den_a, den_b] = sums.get(ix).unwrap_or_default();
+                let den = (den_a * den_b).sqrt();
+                if den < 1e-12 {
+                    continue;
+                }
+                let sim = (num / den).clamp(-1.0, 1.0);
+                // lint: float-eq — exact zero is the "no overlap" sentinel of Equation 1.
+                if sim.abs() > self.config.min_similarity && sim != 0.0 {
+                    collector.push(sim, UserId(ix as u32));
+                    // k users at the clamp's ceiling: every later user has a higher id and
+                    // loses the tie, so no later window can change the top-k
+                    if collector.threshold() == Some(1.0) {
+                        break 'windows;
+                    }
                 }
             }
         }
@@ -304,12 +306,6 @@ impl<'a> UserKnn<'a> {
         self.matrix.scale().clamp(raw)
     }
 
-    /// Predicted rating of `item` for a stored `user`.
-    pub fn predict(&self, user: UserId, item: ItemId) -> f64 {
-        let neighbors = self.neighbors(user);
-        self.predict_with_neighbors(self.matrix.user_average(user), &neighbors, item)
-    }
-
     /// Predicted rating of `item` for an external profile.
     pub fn predict_for_profile(
         &self,
@@ -321,62 +317,6 @@ impl<'a> UserKnn<'a> {
         let avg = profile_average(profile).unwrap_or_else(|| self.matrix.global_average());
         self.predict_with_neighbors(avg, &neighbors, item)
     }
-
-    /// Top-N recommendations for a stored user, excluding items the user already rated.
-    pub fn recommend(&self, user: UserId, n: usize) -> Vec<(ItemId, f64)> {
-        let neighbors = self.neighbors(user);
-        let avg = self.matrix.user_average(user);
-        let rated: Vec<ItemId> = self
-            .matrix
-            .user_profile(user)
-            .iter()
-            .map(|e| e.item)
-            .collect();
-        self.rank_candidates(avg, &neighbors, &rated, n)
-    }
-
-    /// Top-N recommendations for an external profile, excluding the profile's own items.
-    pub fn recommend_for_profile(
-        &self,
-        profile: &Profile,
-        n: usize,
-        scratch: &mut UserKnnScratch,
-    ) -> Vec<(ItemId, f64)> {
-        let neighbors = self.neighbors_of_profile(profile, scratch);
-        let avg = profile_average(profile).unwrap_or_else(|| self.matrix.global_average());
-        let rated: Vec<ItemId> = profile.iter().map(|&(i, _, _)| i).collect();
-        self.rank_candidates(avg, &neighbors, &rated, n)
-    }
-
-    /// The deduplicated, ascending-id candidate items for a neighbour set: every
-    /// item rated by at least one neighbour — the stream `rank_candidates` scores.
-    fn candidate_items(&self, neighbors: &[(UserId, f64)]) -> Vec<ItemId> {
-        // Only items rated by at least one neighbour can receive a personalised score.
-        let mut candidates: Vec<ItemId> = Vec::new();
-        for &(b, _) in neighbors {
-            for e in self.matrix.user_profile(b) {
-                candidates.push(e.item);
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        candidates
-    }
-
-    fn rank_candidates(
-        &self,
-        user_average: f64,
-        neighbors: &[(UserId, f64)],
-        exclude: &[ItemId],
-        n: usize,
-    ) -> Vec<(ItemId, f64)> {
-        let scored = self
-            .candidate_items(neighbors)
-            .into_iter()
-            .filter(|i| !exclude.contains(i))
-            .map(|i| (self.predict_with_neighbors(user_average, neighbors, i), i));
-        top_k(n, scored).into_iter().map(|(s, i)| (i, s)).collect()
-    }
 }
 
 /// Reusable buffers of the user-based serve path, one per serving thread: both phases
@@ -387,6 +327,8 @@ impl<'a> UserKnn<'a> {
 pub struct UserKnnScratch {
     /// The profile's `(item, rating)` pairs, ascending by item id.
     profile: Vec<(ItemId, f64)>,
+    /// One cursor per distinct profile item with raters, ascending by item id.
+    cursors: Vec<Cursor>,
     /// Equation 1's `[num, den_a, den_b]` per user touched by the current profile.
     sums: EpochBuffer<[f64; 3]>,
     /// The users with live `sums`, walked in ascending id.
@@ -400,6 +342,20 @@ impl UserKnnScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// The user ids one window of the neighbour search walks before it offers them
+/// (swept over 128, 256, 512 and 1024 on the user-based serve benchmark).
+const USER_WINDOW: u32 = 128;
+
+/// A profile item's place in the neighbour search: its Equation 1 constants and the
+/// next unwalked position in its column.
+#[derive(Debug)]
+struct Cursor {
+    item: ItemId,
+    i_avg: f64,
+    da: f64,
+    pos: usize,
 }
 
 // ---------------------------------------------------------------------------
@@ -566,22 +522,6 @@ impl<'a> ItemKnn<'a> {
             .collect()
     }
 
-    /// Wraps externally computed neighbour pools (e.g. pools produced partition-parallel
-    /// from [`ItemKnn::neighbors_from_row`]) after validating the configuration.
-    /// `neighbors[i]` must be item `i`'s pool; missing trailing items read as isolated.
-    pub fn from_pools(
-        matrix: &'a RatingMatrix,
-        config: ItemKnnConfig,
-        neighbors: Vec<Vec<ItemNeighbor>>,
-    ) -> Result<Self> {
-        Self::validate(&config)?;
-        Ok(ItemKnn {
-            matrix,
-            config,
-            neighbors,
-        })
-    }
-
     /// Phase 1: precomputes the k most similar items for every item.
     ///
     /// Each item is scored against everything it shares a rater with in one
@@ -745,6 +685,28 @@ pub(crate) mod tests {
         b.build().unwrap()
     }
 
+    /// A stored user's row as an external profile.
+    fn row_profile(m: &RatingMatrix, user: UserId) -> Profile {
+        m.user_profile(user)
+            .iter()
+            .map(|e| (e.item, e.value, e.timestep))
+            .collect()
+    }
+
+    /// The top `n` items outside `profile`, ranked by both user-based phases.
+    fn recommend(knn: &UserKnn<'_>, profile: &Profile, n: usize) -> Vec<(ItemId, f64)> {
+        let mut scratch = UserKnnScratch::new();
+        let neighbors = knn.neighbors_of_profile(profile, &mut scratch);
+        let avg = profile_average(profile).unwrap_or_else(|| knn.matrix().global_average());
+        let unrated: Vec<ItemId> = knn
+            .matrix()
+            .items()
+            .filter(|&i| profile.iter().all(|p| p.0 != i))
+            .collect();
+        let scored = knn.score_with_neighbors(avg, &neighbors, &unrated, &mut scratch);
+        top_k(n, scored).into_iter().map(|(s, i)| (i, s)).collect()
+    }
+
     #[test]
     fn user_knn_finds_same_cluster_neighbors() {
         let m = clustered();
@@ -756,12 +718,14 @@ pub(crate) mod tests {
             },
         )
         .unwrap();
-        let neigh = knn.neighbors(UserId(0));
-        assert!(!neigh.is_empty());
-        // the most similar users must come from the same cluster (users 1, 2 or 6)
-        for &(u, s) in neigh.iter().take(2) {
+        let neigh =
+            knn.neighbors_of_profile(&row_profile(&m, UserId(0)), &mut UserKnnScratch::new());
+        assert_eq!(neigh.len(), 3);
+        // the stored user matches their own row; the rest come from the same cluster
+        assert_eq!(neigh[0], (UserId(0), 1.0));
+        for &(u, s) in &neigh {
             assert!(
-                u == UserId(1) || u == UserId(2) || u == UserId(6),
+                u == UserId(0) || u == UserId(1) || u == UserId(2) || u == UserId(6),
                 "unexpected neighbor {u}"
             );
             assert!(s > 0.0);
@@ -772,8 +736,10 @@ pub(crate) mod tests {
     fn user_knn_predicts_cluster_preferences() {
         let m = clustered();
         let knn = UserKnn::new(&m, UserKnnConfig::default()).unwrap();
-        let liked = knn.predict(UserId(6), ItemId(2));
-        let disliked = knn.predict(UserId(6), ItemId(4));
+        let profile = row_profile(&m, UserId(6));
+        let mut scratch = UserKnnScratch::new();
+        let liked = knn.predict_for_profile(&profile, ItemId(2), &mut scratch);
+        let disliked = knn.predict_for_profile(&profile, ItemId(4), &mut scratch);
         assert!(
             liked > disliked,
             "cluster item should be predicted higher: {liked} vs {disliked}"
@@ -786,7 +752,7 @@ pub(crate) mod tests {
     fn user_knn_recommend_excludes_rated_items() {
         let m = clustered();
         let knn = UserKnn::new(&m, UserKnnConfig::default()).unwrap();
-        let recs = knn.recommend(UserId(6), 3);
+        let recs = recommend(&knn, &row_profile(&m, UserId(6)), 3);
         assert!(!recs.is_empty());
         for (item, _) in &recs {
             assert_ne!(*item, ItemId(0));
@@ -798,17 +764,24 @@ pub(crate) mod tests {
 
     #[test]
     fn user_knn_external_profile_matches_stored_user_behaviour() {
+        // user 6's ratings as an external profile over a matrix that does not store them
         let m = clustered();
-        let knn = UserKnn::new(&m, UserKnnConfig::default()).unwrap();
-        let profile = profile_from_pairs([(ItemId(0), 5.0), (ItemId(1), 4.0)]);
+        let mut b = RatingMatrixBuilder::new();
+        for r in m.iter().filter(|r| r.user != UserId(6)) {
+            b.push(r).unwrap();
+        }
+        let without = b.build().unwrap();
         let mut scratch = UserKnnScratch::new();
-        let stored = knn.predict(UserId(6), ItemId(2));
-        let external = knn.predict_for_profile(&profile, ItemId(2), &mut scratch);
+        let knn = UserKnn::new(&m, UserKnnConfig::default()).unwrap();
+        let stored = knn.predict_for_profile(&row_profile(&m, UserId(6)), ItemId(2), &mut scratch);
+        let external_knn = UserKnn::new(&without, UserKnnConfig::default()).unwrap();
+        let profile = profile_from_pairs([(ItemId(0), 5.0), (ItemId(1), 4.0)]);
+        let external = external_knn.predict_for_profile(&profile, ItemId(2), &mut scratch);
         assert!(
             (stored - external).abs() < 0.75,
             "external profile should predict similarly: {stored} vs {external}"
         );
-        let recs = knn.recommend_for_profile(&profile, 2, &mut scratch);
+        let recs = recommend(&external_knn, &profile, 2);
         assert_eq!(recs[0].0, ItemId(2));
     }
 
@@ -1002,29 +975,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn from_pools_wraps_externally_computed_pools_and_validates() {
-        let m = clustered();
-        let config = ItemKnnConfig {
-            k: 2,
-            ..Default::default()
-        };
-        let pools = ItemKnn::fit(&m, config).unwrap().into_neighbors();
-        let wrapped = ItemKnn::from_pools(&m, config, pools.clone()).unwrap();
-        for i in 0..m.n_items() as u32 {
-            assert_eq!(wrapped.neighbors(ItemId(i)), pools[i as usize].as_slice());
-        }
-        assert!(ItemKnn::from_pools(
-            &m,
-            ItemKnnConfig {
-                k: 0,
-                ..Default::default()
-            },
-            pools
-        )
-        .is_err());
-    }
-
-    #[test]
     fn item_knn_into_neighbors_hands_over_the_fitted_pools() {
         let m = clustered();
         let knn = ItemKnn::fit(
@@ -1069,9 +1019,10 @@ pub(crate) mod tests {
         let m = clustered();
         let uknn = UserKnn::new(&m, UserKnnConfig::default()).unwrap();
         let iknn = ItemKnn::fit(&m, ItemKnnConfig::default()).unwrap();
+        let mut scratch = UserKnnScratch::new();
         for u in m.users() {
             for i in m.items() {
-                let pu = uknn.predict(u, i);
+                let pu = uknn.predict_for_profile(&row_profile(&m, u), i, &mut scratch);
                 let pi = iknn.predict(u, i);
                 assert!(
                     (1.0..=5.0).contains(&pu),
@@ -1228,13 +1179,13 @@ pub(crate) mod tests {
         let mut reached = 0;
         for seed in 0..64u32 {
             let mut rng = TestRng::from_name(&seed.to_string());
-            let m = single_overlap_matrix(&mut rng, 200, 30);
+            let m = single_overlap_matrix(&mut rng, 4 * W + 200, 30);
             let profile = random_profile(&mut rng, &m);
             let k = 1 + seed as usize % 12;
             let wide = UserKnn::new(
                 &m,
                 UserKnnConfig {
-                    k: 200,
+                    k: 4 * W as usize + 200,
                     min_similarity: 0.0,
                 },
             )
@@ -1270,6 +1221,112 @@ pub(crate) mod tests {
             .is_empty());
     }
 
+    /// A matrix over `n_users` users and three items, from `(user, item, value)` cells.
+    fn windowed(n_users: u32, cells: &[(u32, u32, f64)]) -> RatingMatrix {
+        let mut b = RatingMatrixBuilder::new().with_dimensions(n_users as usize, 3);
+        for &(u, i, v) in cells {
+            b.push_parts(u, i, v).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    const W: u32 = USER_WINDOW;
+
+    fn at_one(users: &[u32]) -> Vec<(UserId, f64)> {
+        users.iter().map(|&u| (UserId(u), 1.0)).collect()
+    }
+
+    #[test]
+    fn the_kth_perfect_neighbour_may_close_a_window_or_open_the_next() {
+        // The first window is `0..W`: the third user at 1.0 sits on its last id, then on
+        // the next window's first; the perfect users after it lose their ties.
+        for kth in [W - 1, W] {
+            let mut cells = vec![(2, 0, 1.0), (4 * W - 1, 0, 1.0)];
+            cells.extend([0, 1, kth, kth + 1, 3 * W].map(|u| (u, 0, 5.0)));
+            let m = windowed(4 * W, &cells);
+            let profile = profile_from_pairs([(ItemId(0), 5.0)]);
+            let got = search_matching_scan(&m, &profile, 3);
+            assert_eq!(bits(&got), bits(&at_one(&[0, 1, kth])), "k-th at {kth}");
+        }
+    }
+
+    #[test]
+    fn the_stop_can_fire_windows_after_the_first() {
+        // One user at 1.0 (item 2 alone) in each of the first two windows and two more
+        // in the fourth, beside users just below 1.0 (items 0 and 1) and fillers at the
+        // bottom of the scale: the fourth window's second perfect user is the k-th.
+        let mut cells = Vec::new();
+        for u in [2, 2 * W + 3, 5 * W - 1] {
+            cells.extend((0..3).map(|i| (u, i, 1.0)));
+        }
+        for u in [1, W + 9, 2 * W + 7] {
+            cells.extend([(u, 0, 5.0), (u, 1, 4.999)]);
+        }
+        cells.extend([0, W + 5, 3 * W + 1, 3 * W + 2, 3 * W + 3].map(|u| (u, 2, 5.0)));
+        let m = windowed(5 * W, &cells);
+        let profile = profile_from_pairs([(ItemId(0), 5.0), (ItemId(1), 5.0), (ItemId(2), 5.0)]);
+        let got = search_matching_scan(&m, &profile, 4);
+        assert_eq!(bits(&got), bits(&at_one(&[0, W + 5, 3 * W + 1, 3 * W + 2])));
+    }
+
+    #[test]
+    fn a_search_without_a_stop_walks_every_window() {
+        // k exceeds the touched set: every rater of the profile's items, in every window,
+        // is a neighbour — the last on the matrix's last id.
+        let raters = [3, W - 1, W + 1, 2 * W + 50, 3 * W + 9, 5 * W - 1];
+        let mut cells: Vec<_> = raters
+            .iter()
+            .map(|&u| (u, 0, 1.0 + f64::from(u % 5)))
+            .collect();
+        cells.extend(raters.iter().map(|&u| (u, 1, 1.0 + f64::from(u % 3))));
+        let m = windowed(5 * W, &cells);
+        let profile = profile_from_pairs([(ItemId(0), 4.0), (ItemId(1), 2.0)]);
+        let got = search_matching_scan(&m, &profile, 50);
+        assert_eq!(got.len(), raters.len());
+    }
+
+    #[test]
+    fn a_column_that_runs_out_in_the_first_window_drops_its_cursor() {
+        // Item 1's raters all sit in the first window; item 0's reach the fourth.
+        let mut cells = vec![(3, 1, 5.0), (10, 1, 2.0), (3, 0, 4.0), (10, 0, 1.0)];
+        cells.extend((0..8).map(|j| (j * W / 2 + 11, 0, f64::from(1 + j % 5))));
+        let m = windowed(4 * W, &cells);
+        let profile = profile_from_pairs([(ItemId(0), 4.0), (ItemId(1), 5.0)]);
+        let got = search_matching_scan(&m, &profile, 5);
+        assert_eq!(got.len(), 5);
+    }
+
+    #[test]
+    fn one_warmed_scratch_follows_matrices_with_fewer_and_more_users() {
+        // A stop in the first window leaves later users' words to the next use, which
+        // runs on a smaller matrix, then on a larger one.
+        let perfect = |n: u32, users: &[u32]| {
+            let mut cells = vec![(n - 1, 0, 1.0)];
+            cells.extend(users.iter().map(|&u| (u, 0, 5.0)));
+            windowed(n, &cells)
+        };
+        let matrices = [
+            perfect(4 * W, &[0, 5, 9, 2 * W, 3 * W]),
+            perfect(W / 2, &[1, 7, 30]),
+            perfect(6 * W, &[W, 4 * W, 5 * W + 2, 6 * W - 2]),
+        ];
+        let profile = profile_from_pairs([(ItemId(0), 5.0)]);
+        let mut scratch = UserKnnScratch::new();
+        for (m, expect) in matrices.iter().zip([&[0, 5][..], &[1, 7], &[W, 4 * W]]) {
+            let knn = UserKnn::new(
+                m,
+                UserKnnConfig {
+                    k: 2,
+                    min_similarity: 0.0,
+                },
+            )
+            .unwrap();
+            let got = knn.neighbors_of_profile(&profile, &mut scratch);
+            assert_eq!(bits(&got), bits(&knn.neighbors_of_profile_scan(&profile)));
+            assert_eq!(bits(&got), bits(&at_one(expect)));
+        }
+    }
+
     proptest! {
         /// Indexed Phase 1 ≡ the scan over every stored user, bit for bit — across
         /// profiles and matrices of different sizes served by one warmed scratch, a third
@@ -1284,10 +1341,11 @@ pub(crate) mod tests {
         ) {
             let mut rng = TestRng::from_name(&seed.to_string());
             let min_similarity = [0.0, 0.0, 0.5, 1.0 - 1e-9][min_similarity_pick];
-            // k reaches past the candidate count on the small matrix
+            // k reaches past the candidate count on the small matrix; the other two span
+            // at least four windows of the search
             let small = skewed_matrix(&mut rng, 1 + n_users / 8, n_items);
-            let large = skewed_matrix(&mut rng, n_users, n_items + 7);
-            let single = single_overlap_matrix(&mut rng, n_users, n_items);
+            let large = skewed_matrix(&mut rng, 4 * W + n_users, n_items + 7);
+            let single = single_overlap_matrix(&mut rng, 4 * W + n_users, n_items);
             let mut scratch = UserKnnScratch::new();
             for round in 0..6 {
                 let m = [&large, &small, &single][round % 3];
