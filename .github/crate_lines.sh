@@ -12,14 +12,14 @@ set -euo pipefail
 
 # crate, line ceiling, `pub` ceiling
 ceilings="
-cf 2330 169
+cf 2324 167
 graph 791 68
 engine 2038 135
 privacy 313 32
 store 790 64
 dataset 903 52
 eval 496 46
-core 2835 143
+core 2826 143
 "
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."

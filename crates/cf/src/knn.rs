@@ -85,16 +85,6 @@ impl<'a> UserKnn<'a> {
         Ok(UserKnn { matrix, config })
     }
 
-    /// The underlying training matrix.
-    pub fn matrix(&self) -> &RatingMatrix {
-        self.matrix
-    }
-
-    /// The configuration the recommender was created with.
-    pub fn config(&self) -> UserKnnConfig {
-        self.config
-    }
-
     /// Phase 1 for an external profile: the k most similar training users to the profile.
     ///
     /// A windowed inverted-index gather. Each distinct profile item (ascending id; of
@@ -693,13 +683,18 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// The top `n` items outside `profile`, ranked by both user-based phases.
-    fn recommend(knn: &UserKnn<'_>, profile: &Profile, n: usize) -> Vec<(ItemId, f64)> {
+    /// The top `n` items of `m` outside `profile`, ranked by both user-based phases of
+    /// `knn` (built over `m`).
+    fn recommend(
+        m: &RatingMatrix,
+        knn: &UserKnn<'_>,
+        profile: &Profile,
+        n: usize,
+    ) -> Vec<(ItemId, f64)> {
         let mut scratch = UserKnnScratch::new();
         let neighbors = knn.neighbors_of_profile(profile, &mut scratch);
-        let avg = profile_average(profile).unwrap_or_else(|| knn.matrix().global_average());
-        let unrated: Vec<ItemId> = knn
-            .matrix()
+        let avg = profile_average(profile).unwrap_or_else(|| m.global_average());
+        let unrated: Vec<ItemId> = m
             .items()
             .filter(|&i| profile.iter().all(|p| p.0 != i))
             .collect();
@@ -752,7 +747,7 @@ pub(crate) mod tests {
     fn user_knn_recommend_excludes_rated_items() {
         let m = clustered();
         let knn = UserKnn::new(&m, UserKnnConfig::default()).unwrap();
-        let recs = recommend(&knn, &row_profile(&m, UserId(6)), 3);
+        let recs = recommend(&m, &knn, &row_profile(&m, UserId(6)), 3);
         assert!(!recs.is_empty());
         for (item, _) in &recs {
             assert_ne!(*item, ItemId(0));
@@ -781,7 +776,7 @@ pub(crate) mod tests {
             (stored - external).abs() < 0.75,
             "external profile should predict similarly: {stored} vs {external}"
         );
-        let recs = recommend(&external_knn, &profile, 2);
+        let recs = recommend(&without, &external_knn, &profile, 2);
         assert_eq!(recs[0].0, ItemId(2));
     }
 
@@ -990,21 +985,6 @@ pub(crate) mod tests {
             .collect();
         let pools = knn.into_neighbors();
         assert_eq!(pools, expect);
-    }
-
-    #[test]
-    fn user_knn_exposes_its_config() {
-        let m = clustered();
-        let knn = UserKnn::new(
-            &m,
-            UserKnnConfig {
-                k: 7,
-                min_similarity: 0.1,
-            },
-        )
-        .unwrap();
-        assert_eq!(knn.config().k, 7);
-        assert_eq!(knn.config().min_similarity, 0.1);
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! [`ProfileRecommender`]: `plan` (profile-level state), `candidates` (what the rows
 //! of an item range add to the candidate stream) and `score`. A single-node read runs
 //! the phases over the whole catalogue (the provided `recommend_for_profile`; a served
-//! batch is that call per profile); the sharded router runs the very same methods once
-//! per shard, over the rows each replica holds. Either way the dense per-request state
-//! lives in the calling thread's one [`ProfileScratch`].
+//! batch is that call per profile). The sharded router runs that read on one replica
+//! for the user-based variants, and `candidates` and `score` once per shard, over the
+//! rows each replica holds, for the item-based ones. Either way the dense per-request
+//! state lives in the calling thread's one [`ProfileScratch`].
 
 use crate::private::{
     centred_norms, pncf_noisy_similarity, pool_sensitivities, private_neighbor_selection,
@@ -49,23 +50,14 @@ pub(crate) type NeighborTable = Arc<Vec<Vec<ItemNeighbor>>>;
 
 /// The profile-level state of one top-N request: computed once by
 /// [`ProfileRecommender::plan`] and handed to every `candidates` / `score` call of the
-/// request (a sharded model computes it on the profile's home shard and ships it to
-/// every scoring shard). The item-based variants need none; the user-based ones carry
-/// the selected neighbourhood and the profile average, and X-Map-ub also the pool its
-/// per-item draws select from.
+/// request. The item-based variants need none (a sharded model hands every shard the
+/// empty plan); the user-based ones carry the selected neighbourhood and the profile
+/// average, and X-Map-ub also the pool its per-item draws select from.
 #[derive(Debug, Default)]
 pub struct ServePlan {
     pool: Vec<(UserId, f64)>,
     neighbors: Vec<(UserId, f64)>,
     avg: f64,
-}
-
-impl ServePlan {
-    /// Size of the planned neighbourhood: the per-shard work of a user-based
-    /// candidate-gathering hop, which the sharded router ledgers.
-    pub(crate) fn n_neighbors(&self) -> usize {
-        self.neighbors.len()
-    }
 }
 
 /// Common interface of the four target-domain recommenders.

@@ -22,13 +22,13 @@
 //!   release — copied, never redrawn: only the coordinator's build draws — once per
 //!   shard, its hosts sharing it exactly as they share the slice, replicas of a
 //!   fragment being copies of one state — so a replica answers with the single-node
-//!   code, over the rows it holds. Reads route to a live replica of the owning shard;
-//!   top-N requests fan out across shards and merge partial top-N lists with the
-//!   workspace [`TopK`] tie-break (descending `total_cmp`, first-offered wins) —
-//!   provably bit-identical to the single-node stream because per-shard candidate
-//!   segments are contiguous ascending item-id runs, so any candidate a local
-//!   top-N drops is dominated by ≥ n same-segment survivors that dominate it
-//!   globally too.
+//!   code, over the rows it holds. A read goes only where the state it reads lives:
+//!   a prediction to a live replica of the item's shard, a user-based top-N (which
+//!   reads only the replicated matrix) whole to one replica of the profile's home
+//!   shard, and an item-based top-N (which reads the partitioned pools) to the
+//!   shards owning its candidates, each scoring its contiguous ascending segment of
+//!   the candidate stream, every score offered in stream order to one [`TopK`] — the
+//!   single-node read's offers, so the same bits.
 //! * Durability — [`ShardedModel::persist`] writes one snapshot + write-ahead
 //!   journal pair *per hosted shard per node* (`node<i>/shard<s>.snap` /
 //!   `.journal`, reusing the `xmap-store` codec verbatim). An ingest applies the
@@ -64,7 +64,7 @@ use crate::pipeline::{ModelEpoch, XMapModel};
 use crate::recommend::{self, NeighborTable, ServePlan, SharedRecommender};
 use crate::{Result, XMapError};
 use xmap_cf::knn::{ItemNeighbor, Profile};
-use xmap_cf::topk::{top_k, TopK};
+use xmap_cf::topk::TopK;
 use xmap_cf::{ItemId, UserId};
 use xmap_engine::RoutedTally;
 use xmap_privacy::PrivacyBudget;
@@ -80,8 +80,8 @@ use xmap_store::{Journal, Snapshot};
 /// The map is a pure function of `(n_items, n_shards)` plus any explicit
 /// [`ShardMap::replicate_hot`] calls, so every node derives identical placement
 /// without coordination — the moral equivalent of Spark's hash partitioner, made
-/// range-based so per-shard candidate streams stay contiguous in item id (the
-/// property the partial top-N merge proof rests on).
+/// range-based so each shard's part of an ascending candidate stream is one
+/// contiguous segment (what lets a routed top-N offer scores in stream order).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardMap {
     n_items: u32,
@@ -628,7 +628,7 @@ impl ShardedModel {
     }
 
     /// The home shard of a profile: the shard of its first item (shard 0 for an
-    /// empty profile). Phase-1 neighbour selection runs on a replica of it.
+    /// empty profile). A user-based top-N runs whole on a replica of it.
     fn home_shard(&self, profile: &Profile) -> u32 {
         profile
             .first()
@@ -696,33 +696,25 @@ impl ShardedModel {
         self.recommend_for_profile(&alter.profile, n)
     }
 
-    /// Routed top-N recommendations for an explicit profile: the recommender's
-    /// three phases, each run on the replicas of the shards it concerns — `plan`
-    /// on the profile's home shard, `candidates` and `score` fanned across the
-    /// shards — with the partial top-N lists merged in shard order under the
-    /// workspace tie-break. Bit-identical to the single-node recommender (see the
-    /// [module docs](self)).
+    /// Routed top-N recommendations for an explicit profile, sent only where the
+    /// state it reads lives. A user-based request reads nothing but the replicated
+    /// target matrix, so it is one hop: the single-node read on a replica of the
+    /// profile's home shard (cost `1 + |profile|`). An item-based one reads the
+    /// partitioned pools: `candidates` runs on the shards owning the profile's items
+    /// (cost `1 +` those items), then [`routed_scores`](Self::routed_scores) ranks
+    /// the stream. Bit-identical to the single-node recommender either way.
     pub fn recommend_for_profile(&self, profile: &Profile, n: usize) -> Result<Vec<(ItemId, f64)>> {
-        // Routing policy, the one thing the router knows about a mode: an
-        // item-based request has no profile-level phase and gathers from the shards
-        // owning its profile's items (cost 1 + those items); a user-based one plans
-        // on its home shard, then gathers from every shard (cost 1 + neighbours).
+        if !self.model.config().mode.is_item_based() {
+            return self.on_replica(self.home_shard(profile), |replica| {
+                let out = replica.serve.recommend_for_profile(profile, n);
+                (out, 1.0 + profile.len() as f64)
+            });
+        }
         let mut hops: BTreeMap<u32, f64> = BTreeMap::new();
-        let plan = if self.model.config().mode.is_item_based() {
-            for &(i, _, _) in profile {
-                *hops.entry(self.map.shard_of(i)).or_insert(1.0) += 1.0;
-            }
-            ServePlan::default()
-        } else {
-            let plan = self.on_replica(self.home_shard(profile), |replica| {
-                let plan =
-                    recommend::with_thread_scratch(|scratch| replica.serve.plan(profile, scratch));
-                (plan, 1.0 + profile.len() as f64)
-            })?;
-            let cost = 1.0 + plan.n_neighbors() as f64;
-            hops.extend((0..self.map.n_shards() as u32).map(|shard| (shard, cost)));
-            plan
-        };
+        for &(i, _, _) in profile {
+            *hops.entry(self.map.shard_of(i)).or_insert(1.0) += 1.0;
+        }
+        let plan = ServePlan::default();
         let mut gathered: Vec<ItemId> = Vec::new();
         for (&shard, &cost) in &hops {
             gathered.extend(self.on_replica(shard, |replica| {
@@ -743,13 +735,10 @@ impl ShardedModel {
         Ok(out)
     }
 
-    /// Scores the candidate stream shard by shard and merges the partial top-N
-    /// lists: each shard's segment is a contiguous ascending run, its local
-    /// top-N is re-sorted back into offer order (ascending item id) and fed to
-    /// the global [`TopK`] in shard order. Any candidate a local top-N drops has
-    /// ≥ n same-segment dominators that also dominate it globally (higher score,
-    /// or equal score and earlier offer position), so the merge is bit-identical
-    /// to ranking the undivided stream.
+    /// Scores the ascending candidate stream on the shards that own it, one
+    /// contiguous segment per shard in shard order, and offers every score, in
+    /// stream order, to one [`TopK`]: the very offers the single-node read makes, so
+    /// the ranking is bit-identical.
     fn routed_scores(
         &self,
         profile: &Profile,
@@ -757,14 +746,18 @@ impl ShardedModel {
         candidates: &[ItemId],
         n: usize,
     ) -> Result<Vec<(ItemId, f64)>> {
+        let last = self.map.n_shards() as u32 - 1;
         let mut global = TopK::new(n);
         let mut ix = 0;
         while ix < candidates.len() {
             let shard = self.map.shard_of(candidates[ix]);
-            let mut end = ix + 1;
-            while end < candidates.len() && self.map.shard_of(candidates[end]) == shard {
-                end += 1;
-            }
+            // Ids past the map clamp into the last shard, which takes the rest.
+            let end = if shard == last {
+                candidates.len()
+            } else {
+                let (_, bound) = self.map.range(shard);
+                ix + candidates[ix..].partition_point(|c| c.0 < bound)
+            };
             let segment = &candidates[ix..end];
             let scored = self.on_replica(shard, |replica| {
                 let scored = recommend::with_thread_scratch(|scratch| {
@@ -772,9 +765,7 @@ impl ShardedModel {
                 });
                 (scored, 1.0 + segment.len() as f64)
             })?;
-            let mut local = top_k(n, scored);
-            local.sort_by_key(|&(_, i)| i);
-            for (score, item) in local {
+            for (score, item) in scored {
                 global.push(score, item);
             }
             ix = end;

@@ -7,8 +7,8 @@
 //! re-replication when its journal missed ingests) to the very same bits.
 
 use xmap_cf::knn::Profile;
-use xmap_cf::{DomainId, ItemId, Timestep, UserId};
-use xmap_core::{RatingDelta, ShardedModel, XMapConfig, XMapMode, XMapModel};
+use xmap_cf::{DomainId, ItemId, RatingMatrixBuilder, Timestep, UserId};
+use xmap_core::{RatingDelta, ShardedModel, XMapConfig, XMapError, XMapMode, XMapModel};
 use xmap_dataset::synthetic::{CrossDomainConfig, CrossDomainDataset};
 
 const ALL_MODES: [XMapMode; 4] = [
@@ -216,6 +216,129 @@ fn hot_shard_replication_preserves_bits_and_rotates_reads() {
     }
 }
 
+/// A user-based top-N reads only the target matrix, which every node holds, so it is
+/// one hop to a replica of the profile's home shard: without replication it still
+/// answers the single-node bits with a node of another shard dead, it fails with the
+/// typed routing error (no panic) once every host of the home shard is dead, and it
+/// ledgers one `route` and one `shard_serve` task costing `1 + |profile|`.
+#[test]
+fn a_user_based_read_needs_only_its_home_shard() {
+    let ds = dataset();
+    for mode in [XMapMode::NxMapUserBased, XMapMode::XMapUserBased] {
+        let mut sharded = ShardedModel::from_model(fit(&ds, mode), 4).unwrap();
+        let (_, epoch) = sharded.coordinator().snapshot();
+        let profile = epoch.alterego(ds.overlap_users[0]).profile;
+        assert!(
+            !profile.is_empty(),
+            "{mode:?}: the probe needs a non-empty AlterEgo"
+        );
+        let expected = epoch.recommend_for_profile(&profile, 5);
+        assert!(
+            !expected.is_empty(),
+            "{mode:?}: the probe must recommend something"
+        );
+
+        sharded.clear_ledgers();
+        let routed = sharded.recommend_for_profile(&profile, 5).unwrap();
+        assert_same_recs(&routed, &expected, &format!("{mode:?}: all nodes up"));
+        let [(_, route), (_, serve), _] = sharded.ledger();
+        assert_eq!(route.n_tasks, 1, "{mode:?}: one routing decision");
+        assert_eq!(serve.n_tasks, 1, "{mode:?}: one shard-local hop");
+        assert_eq!(
+            serve.total_work,
+            1.0 + profile.len() as f64,
+            "{mode:?}: hop cost"
+        );
+
+        let map = sharded.shard_map().clone();
+        let home = map.shard_of(profile[0].0);
+        let home_host = map.owner(home, 4);
+        let other = (0..4).find(|&node| node != home_host).unwrap();
+        sharded.kill_node(other).unwrap();
+        assert_same_recs(
+            &sharded.recommend_for_profile(&profile, 5).unwrap(),
+            &expected,
+            &format!("{mode:?}: node {other} of another shard dead"),
+        );
+
+        sharded.kill_node(home_host).unwrap();
+        match sharded.recommend_for_profile(&profile, 5) {
+            Err(XMapError::Data(_)) => {}
+            got => panic!("{mode:?}: a dead home shard must be a routing error: {got:?}"),
+        }
+    }
+}
+
+/// A catalogue whose item-based scores tie across every shard boundary at 2 and 8
+/// nodes: even ids are target items, odd ids source items, and the target items
+/// alternate between two clusters whose columns are identical within a cluster
+/// (users 0-3 rate one 5 and the other 1, users 4-7 the reverse). Every item of a
+/// cluster has the same average and the same similarities, so a profile of cluster
+/// items scores all other members of its cluster with the same bits.
+fn tied_clusters() -> xmap_cf::RatingMatrix {
+    let mut b = RatingMatrixBuilder::new();
+    for item in 0..32u32 {
+        let domain = if item % 2 == 0 {
+            DomainId::TARGET
+        } else {
+            DomainId::SOURCE
+        };
+        b.set_item_domain(ItemId(item), domain);
+        for user in 0..8u32 {
+            let likes = (user < 4) == (item % 4 < 2);
+            b.push_parts(user, item, if likes { 5.0 } else { 1.0 })
+                .unwrap();
+        }
+    }
+    b.build().unwrap()
+}
+
+/// Equal scores on both sides of a shard boundary: the routed item-based top-N is the
+/// single-node one at every `n` that cuts through the tie, first-offered (lowest id)
+/// wins included, at 2 and 8 nodes.
+#[test]
+fn ties_across_a_shard_boundary_rank_as_on_one_node() {
+    let config = XMapConfig {
+        mode: XMapMode::NxMapItemBased,
+        k: 8,
+        ..Default::default()
+    };
+    let matrix = tied_clusters();
+    let fit = || XMapModel::fit(&matrix, DomainId::SOURCE, DomainId::TARGET, config);
+    let entry = |item: u32, value: f64| (ItemId(item), value, Timestep(0));
+    let profiles: [Profile; 2] = [vec![entry(0, 5.0)], vec![entry(0, 5.0), entry(20, 4.0)]];
+    let (_, epoch) = fit().unwrap().snapshot();
+    for n_nodes in [2usize, 8] {
+        let sharded = ShardedModel::from_model(fit().unwrap(), n_nodes).unwrap();
+        let map = sharded.shard_map();
+        for (ix, profile) in profiles.iter().enumerate() {
+            let everything = epoch.recommend_for_profile(profile, 64);
+            let top = everything[0].1.to_bits();
+            let tied: Vec<ItemId> = everything
+                .iter()
+                .filter(|(_, score)| score.to_bits() == top)
+                .map(|&(item, _)| item)
+                .collect();
+            assert!(
+                tied.len() >= 4 && tied.windows(2).all(|w| w[0] < w[1]),
+                "profile #{ix}: the best score must tie in ascending id: {everything:?}"
+            );
+            assert_ne!(
+                map.shard_of(tied[0]),
+                map.shard_of(tied[tied.len() - 1]),
+                "{n_nodes} nodes, profile #{ix}: the tie must straddle a boundary"
+            );
+            for n in 0..=everything.len() + 1 {
+                assert_same_recs(
+                    &sharded.recommend_for_profile(profile, n).unwrap(),
+                    &epoch.recommend_for_profile(profile, n),
+                    &format!("{n_nodes} nodes, profile #{ix}: top-{n}"),
+                );
+            }
+        }
+    }
+}
+
 fn probe_delta(ds: &CrossDomainDataset) -> RatingDelta {
     let new_user = ds.matrix.n_users() as u32;
     let new_item = ds.matrix.n_items() as u32; // clamps into the last shard
@@ -232,8 +355,8 @@ fn probe_delta(ds: &CrossDomainDataset) -> RatingDelta {
 /// A routed ingest (coordinator apply, slice re-cut and republish) answers exactly
 /// like the single-node model after the same delta — including for the
 /// delta-introduced user and item — in every mode. The delta declares an item, so
-/// the last shard's range stretches to cover it: the user-based hops, which walk
-/// only their shard's slice of each neighbour row, must find it there. Each live
+/// the last shard's range stretches to cover it: the item-based scoring hops, which
+/// score only their shard's segment of the stream, must find it there. Each live
 /// hosted (shard, host) is charged `1 +` the delta's ratings in the shard's range:
 /// the new item's ratings count toward the last shard, its declaration adds
 /// nothing.
