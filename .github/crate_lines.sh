@@ -19,7 +19,7 @@ privacy 313 32
 store 790 64
 dataset 903 52
 eval 496 46
-core 2826 143
+core 2808 143
 "
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."

@@ -57,12 +57,14 @@ pub struct TopK<T> {
 }
 
 impl<T> TopK<T> {
-    /// Creates a collector for the `k` best items. `k == 0` collects nothing.
+    /// Creates a collector for the `k` best items. `k == 0` collects nothing. The heap
+    /// reserves at most 1,024 slots up front and grows past them on demand, so a
+    /// caller's `k` never sizes an allocation.
     pub fn new(k: usize) -> Self {
         TopK {
             k,
             next_seq: 0,
-            heap: BinaryHeap::with_capacity(k.saturating_add(1)),
+            heap: BinaryHeap::with_capacity(k.saturating_add(1).min(1024)),
         }
     }
 

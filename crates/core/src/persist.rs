@@ -187,6 +187,13 @@ fn model_from_state(state: ModelState) -> Result<XMapModel> {
     if let Some(pools) = item_pools.as_ref().filter(|p| p.len() != full.n_items()) {
         return Err(mismatch("kNN pool table", pools.len()));
     }
+    // The item-based kernel multiplies every similarity by the zero term of an item a
+    // profile lacks, and `±∞ · 0` is NaN: only finite similarities are served.
+    let pools = item_pools.as_deref().map_or(&[][..], Vec::as_slice);
+    if pools.iter().flatten().any(|n| !n.similarity.is_finite()) {
+        let detail = "persisted kNN pool holds a non-finite similarity";
+        return Err(XMapError::corrupt(detail));
+    }
     // A fresh dataflow: the durations and task bags of the original fit are not
     // persisted, so the reopened model's stats report its shape and empty ledgers.
     let flow = Dataflow::new(config.workers, config.partitions);
@@ -453,5 +460,39 @@ mod tests {
         }
         assert!(open(&ModelState::from_epoch(1, &large)).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A CRC-valid snapshot whose pools hold a NaN or an infinite similarity would
+    /// score NaN for items the profile lacks; it must not open.
+    #[test]
+    fn a_snapshot_with_a_non_finite_pool_similarity_is_refused_as_corrupt() {
+        let ds = CrossDomainDataset::generate(CrossDomainConfig::small());
+        for mode in [XMapMode::NxMapItemBased, XMapMode::XMapItemBased] {
+            let config = XMapConfig {
+                mode,
+                k: 8,
+                ..Default::default()
+            };
+            let model = XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, config);
+            let (_, epoch) = model.unwrap().snapshot();
+            let dir = std::env::temp_dir().join(format!("xmap_nan_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut state = ModelState::from_epoch(1, &epoch);
+                let mut pools = state.item_pools.as_deref().unwrap().clone();
+                let row = pools.iter_mut().rev().find(|row| !row.is_empty()).unwrap();
+                row[0].similarity = bad;
+                state.item_pools = Some(Arc::new(pools));
+                Snapshot::write(&dir.join(SNAPSHOT_FILE), &state).unwrap();
+                match XMapModel::open(&dir) {
+                    Err(XMapError::Corrupt { detail, .. }) => {
+                        assert!(detail.contains("non-finite"), "{detail}")
+                    }
+                    other => panic!("{mode:?}: a {bad} similarity opened: {:?}", other.err()),
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

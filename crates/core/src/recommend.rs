@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::ops::Range;
 use std::sync::Arc;
-use xmap_cf::epoch::{EpochBuffer, IdBitSet};
+use xmap_cf::epoch::IdBitSet;
 use xmap_cf::knn::{profile_average, ItemNeighbor, Profile};
 use xmap_cf::topk::top_k;
 use xmap_cf::{
@@ -101,7 +101,7 @@ pub trait ProfileRecommender: std::any::Any {
     /// Phase 3: `(score, item)` for every item of `items`, in order — exactly
     /// [`predict_for_profile`](Self::predict_for_profile) per item, with the
     /// profile-level work hoisted into `plan` and the dense per-item state (the
-    /// profile lookup of the item-based variants, NX-Map-ub's Equation 2 sums) into
+    /// term table of the item-based variants, NX-Map-ub's Equation 2 sums) into
     /// `scratch`.
     fn score(
         &self,
@@ -251,23 +251,22 @@ fn require_k(k: usize) -> crate::Result<()> {
 // Dense profile scratch
 // ---------------------------------------------------------------------------
 
-/// The reusable per-thread state of the read path: the dense profile lookup of the
-/// item-based variants (replacing a per-prediction `HashMap`), the candidate stream's
-/// bit set, and the neighbour-search and scoring accumulators of the user-based ones.
+/// The reusable per-thread state of the read path: the item-based variants' term table
+/// (per catalogue item, `(r_j − r̄_j, w_j)` of the loaded profile's rating and `(0, 0)`
+/// where it has none — why that moves no bit: [`predict_item_based`]), the candidate
+/// stream's bit set ([`IdBitSet`]), and the user-based variants' accumulators.
 ///
-/// Every buffer is keyed by a dense index and invalidated wholesale by an epoch bump
-/// ([`EpochBuffer`]) or emptied by its own ascending walk ([`IdBitSet`]), so a use
-/// costs `O(what it touches)` regardless of how many profiles the scratch served
-/// before, and re-sized to the recommender's matrix at every use, so a warmed scratch
-/// survives an ingest that adds users or items — and a thread that served a larger or
-/// a smaller model before. One scratch per thread
-/// ([`with_thread_scratch`]) serves all phases of a request and every request after it.
+/// A load re-zeroes only the last request's slots, and the other buffers reset by an
+/// epoch bump or their own walk, so a use costs `O(what it touches)`; every buffer is
+/// re-sized to the recommender's matrix at each use, so a warm scratch survives an
+/// ingest that grows the model, or a thread that served another model. One scratch per
+/// thread ([`with_thread_scratch`]) serves all phases of every request.
 #[derive(Debug, Default)]
 pub struct ProfileScratch {
-    /// The loaded profile's `(rating, timestep)` per item.
-    ratings: EpochBuffer<(f64, Timestep)>,
-    /// The loaded profile's most recent timestep (the temporal "now" of Equation 7).
-    now: Timestep,
+    /// `(r_j − r̄_j, w_j)` per catalogue item of the loaded profile, `(0, 0)` elsewhere.
+    terms: Vec<(f64, f64)>,
+    /// The slots of `terms` the loaded profile wrote.
+    written: Vec<usize>,
     /// The candidate stream's members, walked in ascending id.
     stream: IdBitSet,
     /// The user-based variants' Equation 1 / Equation 2 accumulators.
@@ -280,31 +279,25 @@ impl ProfileScratch {
         Self::default()
     }
 
-    /// Loads a profile, invalidating whatever was loaded before. Later duplicate items
-    /// overwrite earlier ones, matching `HashMap::from_iter` semantics.
-    ///
-    /// `n_items` bounds the dense buffer to the recommender's catalogue: profile
-    /// entries with out-of-catalogue ids are skipped — they can never match a neighbour
-    /// (neighbour pools only hold catalogue items), and sizing buffers by a raw,
-    /// possibly corrupted id would allocate unboundedly. `now` still considers the full
-    /// profile, matching the previous `HashMap` path bit for bit.
-    fn load(&mut self, profile: &Profile, n_items: usize) {
-        self.ratings.begin(n_items);
-        self.now = profile
-            .iter()
-            .map(|&(_, _, t)| t)
-            .max()
-            .unwrap_or(Timestep(0));
-        for &(i, v, t) in profile {
-            if let Some((_, slot)) = self.ratings.entry(i.index()) {
-                *slot = (v, t);
+    /// Loads a profile's terms over `target`'s catalogue, re-zeroing whatever was
+    /// loaded before. The temporal "now" is the profile's most recent timestep, taken
+    /// over the full profile; later duplicate items overwrite earlier ones. Entries
+    /// with out-of-catalogue ids are skipped — no neighbour row holds one, and sizing
+    /// the table by a raw, possibly corrupted id would allocate unboundedly.
+    fn load(&mut self, profile: &Profile, target: &RatingMatrix, alpha: f64) {
+        for &j in &self.written {
+            self.terms[j] = (0.0, 0.0);
+        }
+        self.written.clear();
+        self.terms.resize(target.n_items(), (0.0, 0.0));
+        let now = profile.iter().map(|&(_, _, t)| t).max();
+        let now = now.unwrap_or(Timestep(0));
+        for &(i, r, t) in profile {
+            if let Some(slot) = self.terms.get_mut(i.index()) {
+                *slot = (r - target.item_average(i), now.decay_since(t, alpha));
+                self.written.push(i.index());
             }
         }
-    }
-
-    /// The loaded profile's rating of `item`, if any.
-    fn get(&self, item: ItemId) -> Option<(f64, Timestep)> {
-        self.ratings.get(item.index())
     }
 
     /// The candidate stream every top-N path scores, from the ids the `candidates`
@@ -325,8 +318,8 @@ impl ProfileScratch {
 thread_local! {
     /// The one scratch mechanism: every read — a single call, a partition of a served
     /// batch, one hop of a routed request — borrows its thread's scratch, so loops on
-    /// one thread amortise the dense buffers. Epoch invalidation makes reuse across
-    /// unrelated profiles (and recommenders) safe.
+    /// one thread amortise the dense buffers. Invalidation at every use makes reuse
+    /// across unrelated profiles (and recommenders) safe.
     static THREAD_SCRATCH: std::cell::RefCell<ProfileScratch> =
         std::cell::RefCell::new(ProfileScratch::new());
 }
@@ -364,21 +357,6 @@ impl ItemBasedRecommender {
     /// The table predictions read: the release for X-Map-ib, the pools for NX-Map-ib.
     fn scored(&self) -> &[Vec<ItemNeighbor>] {
         self.released.as_ref().unwrap_or(&self.pools)
-    }
-
-    fn predict_loaded(
-        &self,
-        table: &[Vec<ItemNeighbor>],
-        scratch: &ProfileScratch,
-        item: ItemId,
-    ) -> f64 {
-        predict_item_based(
-            &self.target,
-            row(table, item),
-            scratch,
-            item,
-            self.temporal_alpha,
-        )
     }
 }
 
@@ -450,8 +428,8 @@ impl ProfileRecommender for ItemBasedRecommender {
 
     fn predict_for_profile(&self, profile: &Profile, item: ItemId) -> f64 {
         with_thread_scratch(|scratch| {
-            scratch.load(profile, self.target.n_items());
-            self.predict_loaded(self.scored(), scratch, item)
+            scratch.load(profile, &self.target, self.temporal_alpha);
+            predict_item_based(&self.target, row(self.scored(), item), &scratch.terms, item)
         })
     }
 
@@ -474,11 +452,11 @@ impl ProfileRecommender for ItemBasedRecommender {
         items: &[ItemId],
         scratch: &mut ProfileScratch,
     ) -> Vec<(f64, ItemId)> {
-        scratch.load(profile, self.target.n_items());
-        let table = self.scored();
+        scratch.load(profile, &self.target, self.temporal_alpha);
+        let (table, terms) = (self.scored(), &scratch.terms);
         items
             .iter()
-            .map(|&i| (self.predict_loaded(table, scratch, i), i))
+            .map(|&i| (predict_item_based(&self.target, row(table, i), terms, i), i))
             .collect()
     }
 }
@@ -491,31 +469,30 @@ fn item_knn_config(k: usize, temporal_alpha: f64) -> ItemKnnConfig {
     }
 }
 
-/// Equation 4 / 7 prediction shared by the item-based recommenders: given the neighbours
-/// of `item`, combine the loaded profile's ratings of those neighbours. The profile is
-/// consulted through a pre-loaded [`ProfileScratch`] so a top-N request pays the profile
-/// indexing once, not once per prediction.
+/// Equation 4 / 7 prediction shared by the item-based recommenders: `item`'s
+/// neighbours against the loaded profile's [`ProfileScratch`] term table — one
+/// multiply-add per neighbour, whether or not the profile holds it.
+///
+/// The bits are those of a loop that adds only the profile's items: a hit performs
+/// exactly that loop's operations, `(sim · d) · w` and `|sim| · w`, and a miss adds
+/// `±0` to `num` and `+0` to `den`. Both sums start at `+0`, and under round-to-nearest
+/// a sum is `−0` only when both addends are (`x + (−x) = +0`), so neither ever holds
+/// `−0` and adding a signed zero leaves it unchanged. That needs finite similarities
+/// (`±∞ · 0` is NaN): fit, delta and release produce only finite ones, and a restored
+/// snapshot refuses any other. The `#[cfg(test)]` probe loop is the oracle.
 fn predict_item_based(
     target: &RatingMatrix,
     neighbors: &[ItemNeighbor],
-    scratch: &ProfileScratch,
+    terms: &[(f64, f64)],
     item: ItemId,
-    temporal_alpha: f64,
 ) -> f64 {
     let item_avg = target.item_average(item);
-    let now = scratch.now;
     let mut num = 0.0;
     let mut den = 0.0;
-    for &ItemNeighbor {
-        item: j,
-        similarity: sim,
-    } in neighbors
-    {
-        if let Some((r, t)) = scratch.get(j) {
-            let weight = now.decay_since(t, temporal_alpha);
-            num += sim * (r - target.item_average(j)) * weight;
-            den += sim.abs() * weight;
-        }
+    for n in neighbors {
+        let (d, w) = terms.get(n.item.index()).copied().unwrap_or_default();
+        num += n.similarity * d * w;
+        den += n.similarity.abs() * w;
     }
     let raw = if den < 1e-12 {
         item_avg
@@ -1204,6 +1181,141 @@ pub(crate) mod tests {
     }
 
     // -----------------------------------------------------------------------
+    // The term-table kernel against the probe loop it replaced.
+    // -----------------------------------------------------------------------
+
+    /// Equation 4 / 7 as it was computed before the term table: probe the profile for
+    /// every neighbour and do arithmetic on a hit only. Of duplicate items the last
+    /// wins, ids past the catalogue are never found, and "now" is the latest timestep
+    /// of the full profile.
+    fn predict_by_probe(
+        target: &RatingMatrix,
+        neighbors: &[ItemNeighbor],
+        profile: &Profile,
+        item: ItemId,
+        temporal_alpha: f64,
+    ) -> f64 {
+        let ratings: std::collections::HashMap<ItemId, (f64, Timestep)> = profile
+            .iter()
+            .filter(|(i, _, _)| i.index() < target.n_items())
+            .map(|&(i, r, t)| (i, (r, t)))
+            .collect();
+        let now = profile.iter().map(|&(_, _, t)| t).max();
+        let now = now.unwrap_or(Timestep(0));
+        let item_avg = target.item_average(item);
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for &ItemNeighbor {
+            item: j,
+            similarity: sim,
+        } in neighbors
+        {
+            if let Some(&(r, t)) = ratings.get(&j) {
+                let weight = now.decay_since(t, temporal_alpha);
+                num += sim * (r - target.item_average(j)) * weight;
+                den += sim.abs() * weight;
+            }
+        }
+        let raw = if den < 1e-12 {
+            item_avg
+        } else {
+            item_avg + num / den
+        };
+        target.scale().clamp(raw)
+    }
+
+    /// A neighbour row over a catalogue of `n_items`: catalogue ids (mostly the head,
+    /// where profiles hit), ids at and past its end, and similarities of either sign,
+    /// signed zeros and ±1 among them.
+    fn random_row(rng: &mut TestRng, n_items: u32) -> Vec<ItemNeighbor> {
+        (0..rng.next_u64() % 24)
+            .map(|_| ItemNeighbor {
+                item: match rng.next_u64() % 10 {
+                    0 => ItemId(n_items + (rng.next_u64() % 2) as u32),
+                    1 => ItemId(u32::MAX),
+                    _ => ItemId(skewed_item(rng, n_items)),
+                },
+                similarity: match rng.next_u64() % 8 {
+                    0 => [0.0, -0.0, 1.0, -1.0][(rng.next_u64() % 4) as usize],
+                    _ => 2.0 * rng.next_f64() - 1.0,
+                },
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The branch-free kernel over the term table has the bits of the probe loop,
+        /// on one warmed scratch: random rows against profiles with duplicate items,
+        /// ids at and past the catalogue, and hits rated exactly at their item's
+        /// average (a signed-zero term), under no decay, decay, and a decay that
+        /// underflows a hit's weight to zero.
+        #[test]
+        fn the_term_table_kernel_has_the_bits_of_the_probe_loop(
+            seed in any::<u64>(),
+            n_users in 1u32..60,
+            n_items in 1u32..40,
+            alpha in 0usize..3,
+        ) {
+            let alpha = [0.0, 0.3, 1e3][alpha];
+            let mut rng = TestRng::from_name(&seed.to_string());
+            let target = skewed_matrix(&mut rng, n_users, n_items);
+            let catalogue = target.n_items() as u32;
+            let mut scratch = ProfileScratch::new();
+            for _ in 0..6 {
+                let mut profile = random_profile(&mut rng, catalogue);
+                for _ in 0..rng.next_u64() % 4 {
+                    let i = ItemId(skewed_item(&mut rng, catalogue));
+                    let t = Timestep((rng.next_u64() % 60) as u32);
+                    profile.push((i, target.item_average(i), t));
+                }
+                scratch.load(&profile, &target, alpha);
+                for _ in 0..12 {
+                    let row = random_row(&mut rng, catalogue);
+                    let item = ItemId((rng.next_u64() % u64::from(catalogue + 1)) as u32);
+                    let got = predict_item_based(&target, &row, &scratch.terms, item);
+                    let expect = predict_by_probe(&target, &row, &profile, item, alpha);
+                    prop_assert_eq!(got.to_bits(), expect.to_bits(), "{:?} on {:?}", row, profile);
+                }
+            }
+        }
+    }
+
+    /// A thread's one scratch alternates between two profiles and two recommenders of
+    /// different catalogue sizes, and every answer is a fresh scratch's: no slot of an
+    /// earlier request leaks into a later one.
+    #[test]
+    fn a_warmed_scratch_scores_what_a_fresh_one_scores() {
+        let mut rng = TestRng::from_name("warmed scratch");
+        let small = ItemBasedRecommender::fit(target_matrix(), 5, 0.0).unwrap();
+        let large = ItemBasedRecommender::fit(skewed_matrix(&mut rng, 40, 30), 5, 0.3).unwrap();
+        let profiles: [Profile; 2] = [
+            vec![
+                (ItemId(3), 4.0, Timestep(2)),
+                (ItemId(4), 1.0, Timestep(9)),
+                (ItemId(20), 5.0, Timestep(5)),
+                (ItemId(31), 2.0, Timestep(1)),
+            ],
+            cluster_profile(),
+        ];
+        let mut warm = ProfileScratch::new();
+        for round in 0..8 {
+            let rec = if round % 4 < 2 { &large } else { &small };
+            let profile = &profiles[round % 2];
+            let items: Vec<ItemId> = (0..=rec.target().n_items() as u32).map(ItemId).collect();
+            let plan = ServePlan::default();
+            let fresh = rec.score(profile, &plan, &items, &mut ProfileScratch::new());
+            let got = rec.score(profile, &plan, &items, &mut warm);
+            let bits =
+                |s: &[(f64, ItemId)]| s.iter().map(|(v, i)| (v.to_bits(), *i)).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&fresh), "round {round}");
+            for &(expect, item) in &fresh {
+                let single = rec.predict_for_profile(profile, item);
+                assert_eq!(single.to_bits(), expect.to_bits(), "round {round}, {item}");
+            }
+        }
+    }
+
+    // -----------------------------------------------------------------------
     // X-Map-ib's build-time release against the per-read draw it replaced.
     // -----------------------------------------------------------------------
 
@@ -1252,14 +1364,8 @@ pub(crate) mod tests {
             })
             .collect();
         let mut scratch = ProfileScratch::new();
-        scratch.load(profile, target.n_items());
-        predict_item_based(
-            target,
-            &neighbor_sims,
-            &scratch,
-            item,
-            config.temporal_alpha,
-        )
+        scratch.load(profile, target, config.temporal_alpha);
+        predict_item_based(target, &neighbor_sims, &scratch.terms, item)
     }
 
     /// An item id skewed towards the head of the catalogue.

@@ -111,7 +111,7 @@ mod tests {
         for workers in [1usize, 2] {
             let flow = Dataflow::new(workers, 4);
             let first = serve_on(&flow, &rec, &requests, 3);
-            // Epoch invalidation makes the reuse invisible in the outputs.
+            // Invalidation at every use makes the reuse invisible in the outputs.
             let second = serve_on(&flow, &rec, &requests, 3);
             assert_eq!(first, second, "warmed scratch changed served output");
         }

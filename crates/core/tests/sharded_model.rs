@@ -48,6 +48,13 @@ fn assert_same_recs(a: &[(ItemId, f64)], b: &[(ItemId, f64)], what: &str) {
     }
 }
 
+/// Scores never rise down a top-N answer.
+fn assert_ranked(recs: &[(ItemId, f64)], what: &str) {
+    for pair in recs.windows(2) {
+        assert!(pair[0].1 >= pair[1].1, "{what}: out of rank order");
+    }
+}
+
 /// The routed model's privacy accountant must be the single-node reference's, bit
 /// for bit — every ledger entry, `spent` and `remaining`: building replicas,
 /// routed ingests and node recovery re-wrap released artifacts and spend no ε.
@@ -597,11 +604,12 @@ fn node_dead_across_an_ingest_recovers_by_rereplication() {
 }
 
 /// A hostile caller on the read side, in every mode on a replicated 4-node cut:
-/// users and items one past the model and at `u32::MAX`, `n` of 0, 1 and far past
-/// the catalogue, and hand-made profiles that are empty, repeat an item, name ids
-/// past the catalogue, or hold the whole catalogue. Every routed answer is the
-/// epoch's, bit for bit, and a served batch is the per-profile read; nothing
-/// panics, and nothing sizes a buffer by an id (a `u32::MAX` would not return).
+/// users and items one past the model and at `u32::MAX`, `n` of 0, 1, far past the
+/// catalogue and `usize::MAX`, and hand-made profiles that are empty, repeat an item,
+/// name ids past the catalogue, or hold the whole catalogue. Every routed answer is
+/// the epoch's, bit for bit, and a served batch is the per-profile read; the two
+/// largest `n` both return every candidate, ranked. Nothing panics, and nothing sizes
+/// a buffer by an id or by `n` (a `u32::MAX` or a `usize::MAX` would not return).
 #[test]
 fn hostile_reads_answer_with_the_epochs_bits_in_all_modes() {
     let ds = dataset();
@@ -629,6 +637,8 @@ fn hostile_reads_answer_with_the_epochs_bits_in_all_modes() {
     ];
     let users = [ds.overlap_users[0], UserId(n_users), UserId(u32::MAX)];
     let items = [target[0], ItemId(n_items), ItemId(u32::MAX)];
+    assert!(n_items < 1000, "n = 1000 must reach past the catalogue");
+    const NS: [usize; 4] = [0, 1, 1000, usize::MAX];
     for mode in ALL_MODES {
         let sharded = ShardedModel::with_hot_replication(fit(&ds, mode), 4, 2).unwrap();
         let (_, epoch) = sharded.coordinator().snapshot();
@@ -645,12 +655,16 @@ fn hostile_reads_answer_with_the_epochs_bits_in_all_modes() {
                     "{mode:?}: predict({user}, {item})"
                 );
             }
-            for n in [0usize, 1, 1000] {
-                assert_same_recs(
-                    &sharded.recommend(user, n).unwrap(),
-                    &epoch.recommend(user, n),
-                    &format!("{mode:?}: top-{n} for {user}"),
-                );
+            let mut past_catalogue = Vec::new();
+            for n in NS {
+                let recs = sharded.recommend(user, n).unwrap();
+                let what = format!("{mode:?}: top-{n} for {user}");
+                assert_same_recs(&recs, &epoch.recommend(user, n), &what);
+                assert_ranked(&recs, &what);
+                if n == usize::MAX {
+                    assert_same_recs(&recs, &past_catalogue, &what);
+                }
+                past_catalogue = recs;
             }
         }
         for (ix, profile) in profiles.iter().enumerate() {
@@ -665,23 +679,27 @@ fn hostile_reads_answer_with_the_epochs_bits_in_all_modes() {
                 );
             }
         }
-        for n in [0usize, 1, 1000] {
+        let mut past_catalogue = Vec::new();
+        for n in NS {
             let per_profile: Vec<Vec<(ItemId, f64)>> = profiles
                 .iter()
                 .map(|p| epoch.recommend_for_profile(p, n))
                 .collect();
             for (ix, (profile, expected)) in profiles.iter().zip(&per_profile).enumerate() {
-                assert_same_recs(
-                    &sharded.recommend_for_profile(profile, n).unwrap(),
-                    expected,
-                    &format!("{mode:?}: top-{n} of profile #{ix}"),
-                );
+                let what = format!("{mode:?}: top-{n} of profile #{ix}");
+                let recs = sharded.recommend_for_profile(profile, n).unwrap();
+                assert_same_recs(&recs, expected, &what);
+                assert_ranked(&recs, &what);
+            }
+            if n == usize::MAX {
+                assert_eq!(per_profile, past_catalogue, "{mode:?}: every candidate");
             }
             assert_eq!(
                 sharded.coordinator().serve_profiles(&profiles, n),
                 per_profile,
                 "{mode:?}: serve_profiles at n = {n}"
             );
+            past_catalogue = per_profile;
         }
     }
 }
