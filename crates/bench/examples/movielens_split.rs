@@ -3,13 +3,15 @@
 //! it with a from-scratch ALS matrix-factorisation recommender.
 //!
 //! ```text
-//! cargo run --release --example movielens_split
+//! cargo run --release -p xmap-bench --example movielens_split
 //! ```
 
-use xmap_suite::cf::als::{AlsConfig, AlsModel};
-use xmap_suite::dataset::genres::{GenreDatasetConfig, GenreTaggedDataset};
-use xmap_suite::dataset::split::random_holdout;
-use xmap_suite::prelude::*;
+use xmap_bench::als::{AlsConfig, AlsModel};
+use xmap_bench::genres::{GenreDatasetConfig, GenreTaggedDataset, MOVIELENS_GENRES};
+use xmap_cf::{DomainId, Rating};
+use xmap_core::{XMapConfig, XMapMode, XMapModel};
+use xmap_dataset::split::random_holdout;
+use xmap_eval::evaluate_predictions;
 
 fn main() {
     // 1. Generate the MovieLens-like genre-tagged trace and partition it into two
@@ -69,7 +71,7 @@ fn main() {
 fn genre_names(indices: &[usize]) -> String {
     indices
         .iter()
-        .map(|&g| xmap_suite::dataset::genres::MOVIELENS_GENRES[g].0)
+        .map(|&g| MOVIELENS_GENRES[g].0)
         .collect::<Vec<_>>()
         .join(", ")
 }

@@ -10,12 +10,10 @@
 //! about relative behaviour against the neighbourhood methods, not about squeezing the
 //! last percent of RMSE out of the factor model.
 
-use crate::error::{CfError, Result};
-use crate::ids::{ItemId, UserId};
-use crate::matrix::RatingMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use xmap_cf::{CfError, ItemId, RatingMatrix, Result, UserId};
 
 /// Hyper-parameters of the ALS trainer.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -143,11 +141,6 @@ impl AlsModel {
         })
     }
 
-    /// Number of latent factors.
-    pub fn factors(&self) -> usize {
-        self.factors
-    }
-
     /// Predicted rating for `(user, item)`, clamped to the training scale. Unknown users
     /// or items fall back to the global mean.
     pub fn predict(&self, user: UserId, item: ItemId) -> f64 {
@@ -163,19 +156,6 @@ impl AlsModel {
             self.global_mean
         };
         raw.clamp(self.scale_min, self.scale_max)
-    }
-
-    /// Top-N recommendations for a user, excluding items in `exclude`.
-    pub fn recommend(&self, user: UserId, n: usize, exclude: &[ItemId]) -> Vec<(ItemId, f64)> {
-        let n_items = self.item_factors.len() / self.factors;
-        let scored = (0..n_items as u32)
-            .map(ItemId)
-            .filter(|i| !exclude.contains(i))
-            .map(|i| (self.predict(user, i), i));
-        crate::topk::top_k(n, scored)
-            .into_iter()
-            .map(|(s, i)| (i, s))
-            .collect()
     }
 }
 
@@ -290,8 +270,7 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::RatingMatrixBuilder;
-    use rand::Rng;
+    use xmap_cf::RatingMatrixBuilder;
 
     /// Low-rank synthetic ratings: r(u, i) = clamp(3 + sign pattern), rank-1 structure.
     fn low_rank(n_users: u32, n_items: u32, density: f64, seed: u64) -> RatingMatrix {
@@ -378,26 +357,6 @@ mod tests {
         }
         let p = model.predict(UserId(999), ItemId(999));
         assert!((p - m.global_average().clamp(1.0, 5.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn recommend_excludes_requested_items() {
-        let m = low_rank(20, 15, 0.4, 4);
-        let model = AlsModel::train(
-            &m,
-            AlsConfig {
-                factors: 3,
-                iterations: 5,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let exclude = vec![ItemId(0), ItemId(1), ItemId(2)];
-        let recs = model.recommend(UserId(0), 5, &exclude);
-        assert_eq!(recs.len(), 5);
-        for (item, _) in recs {
-            assert!(!exclude.contains(&item));
-        }
     }
 
     #[test]

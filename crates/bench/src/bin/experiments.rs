@@ -28,14 +28,15 @@
 
 use std::process::ExitCode;
 use xmap_bench::experiments::{stage_costs, Direction};
+use xmap_bench::report::render_series_table;
 use xmap_bench::{amazon_like, amazon_like_small, Scale, SweepRunner};
 use xmap_core::{
     PrivacyConfig, ShardedModel, XMapConfig, XMapMode, XMapModel, DELTA_STAGE_NAME, FIT_STAGE_NAMES,
 };
 use xmap_engine::Json;
 use xmap_eval::{
-    evaluate_batch_serial, evaluate_predictions, render_series_table, EvalReport, SweepParam,
-    SweepSeries, SweepSpec, EVAL_STAGE_NAME,
+    evaluate_batch_serial, evaluate_predictions, EvalReport, SweepParam, SweepSeries, SweepSpec,
+    EVAL_STAGE_NAME,
 };
 
 /// Tolerance of the accuracy gate: committed baseline values may drift by at most this.

@@ -12,8 +12,8 @@
 
 use std::time::Instant;
 use xmap_bench::experiments::{self, PrivacySurface};
+use xmap_bench::report::{render_series_table, render_table};
 use xmap_bench::Scale;
-use xmap_eval::{render_series_table, render_table};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

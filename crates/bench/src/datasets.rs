@@ -6,7 +6,7 @@
 //! `cargo run -p xmap-bench --bin figures -- all` is practical on a laptop/CI box, and
 //! [`Scale::Full`] enlarges the traces for more stable numbers.
 
-use xmap_dataset::genres::{GenreDatasetConfig, GenreTaggedDataset};
+use crate::genres::{GenreDatasetConfig, GenreTaggedDataset};
 use xmap_dataset::synthetic::{CrossDomainConfig, CrossDomainDataset};
 
 /// The size of the synthetic workloads.

@@ -7,12 +7,11 @@
 //! reproduced artifact. [`replay`] is the one entry that is not a paper figure: the
 //! simulated makespans of the model's recorded task bags and routed ledgers.
 
+use crate::als::{AlsConfig, AlsModel};
+use crate::baselines::{ItemAverage, LinkedDomainItemKnn, RemoteUser};
 use crate::datasets::{amazon_like, movielens_like, Scale};
 use crate::sweep::SweepRunner;
-use xmap_cf::baselines::{
-    ItemAverage, LinkedDomainItemKnn, RatingPredictor, RemoteUser, SingleDomainItemKnn,
-};
-use xmap_cf::{DomainId, Rating, UserKnnConfig};
+use xmap_cf::{DomainId, Rating};
 use xmap_core::{
     PrivacyConfig, RatingDelta, ShardedModel, XMapConfig, XMapMode, XMapModel, DELTA_STAGE_NAME,
     FIT_STAGE_NAMES,
@@ -91,7 +90,8 @@ pub fn evaluate_xmap(
     evaluate_predictions(&split.test, |u, i| model.predict(u, i)).mae
 }
 
-/// Evaluates one of the competitor baselines on a split.
+/// Evaluates one of the competitor baselines on a split. `KNN-SD` is `KNN-CD` fitted on
+/// the target-domain training ratings alone.
 pub fn evaluate_baseline(
     split: &CrossDomainSplit,
     source: DomainId,
@@ -106,36 +106,26 @@ pub fn evaluate_baseline(
             evaluate_predictions(test, |u, i| p.predict(u, i)).mae
         }
         "REMOTEUSER" => {
-            let p = RemoteUser::new(
-                train,
-                source,
-                UserKnnConfig {
-                    k,
-                    min_similarity: 0.0,
-                },
-            )
-            .expect("training matrix is non-empty"); // lint: panic — reviewed invariant
+            let p = RemoteUser::new(train, source, k).expect("training matrix is non-empty"); // lint: panic — reviewed invariant
             evaluate_predictions(test, |u, i| p.predict(u, i)).mae
         }
-        "ITEM-BASED-KNN" | "KNN-CD" => {
-            let p = LinkedDomainItemKnn::fit(train, k).expect("training matrix is non-empty"); // lint: panic — reviewed invariant
-            evaluate_predictions(test, |u, i| p.predict(u, i)).mae
-        }
-        "KNN-SD" => {
-            let target = if source == DomainId::SOURCE {
-                DomainId::TARGET
+        "ITEM-BASED-KNN" | "KNN-CD" | "KNN-SD" => {
+            let target_only;
+            let matrix = if system == "KNN-SD" {
+                let target = if source == DomainId::SOURCE {
+                    DomainId::TARGET
+                } else {
+                    DomainId::SOURCE
+                };
+                target_only = train
+                    .filter(|r| train.item_domain(r.item) == target)
+                    .expect("split keeps target-domain training ratings"); // lint: panic — reviewed invariant
+                &target_only
             } else {
-                DomainId::SOURCE
+                train
             };
-            let p =
-                SingleDomainItemKnn::fit(train, target, k).expect("training matrix is non-empty"); // lint: panic — reviewed invariant
-            let queries: Vec<_> = test.iter().map(|r| (r.user, r.item)).collect();
-            let preds = p.predict_batch(&queries).expect("prediction batch"); // lint: panic — reviewed invariant
-            let pairs: Vec<(f64, f64)> = preds
-                .into_iter()
-                .zip(test.iter().map(|r| r.value))
-                .collect();
-            xmap_eval::mae(&pairs)
+            let p = LinkedDomainItemKnn::fit(matrix, k).expect("training matrix is non-empty"); // lint: panic — reviewed invariant
+            evaluate_predictions(test, |u, i| p.predict(u, i)).mae
         }
         other => panic!("unknown baseline `{other}`"),
     }
@@ -484,9 +474,9 @@ pub fn table3(scale: Scale) -> Vec<(String, f64)> {
         results.push((label.to_string(), outcome.mae));
     }
 
-    let als = xmap_cf::als::AlsModel::train(
+    let als = AlsModel::train(
         &train_all,
-        xmap_cf::als::AlsConfig {
+        AlsConfig {
             factors: 8,
             iterations: 10,
             ..Default::default()
@@ -726,6 +716,42 @@ mod tests {
     }
 
     #[test]
+    fn baseline_maes_are_pinned() {
+        // Every competitor's MAE bits on the harness's quick cold-start split, and on a
+        // split with 4 auxiliary target ratings per test user, where KNN-sd personalises;
+        // table 3's ALS row also runs the genre generator and the Table 2 partition.
+        let (ds, split, source, target) = harness_split(Scale::Quick, Direction::MovieToBook);
+        let aux = CrossDomainSplit::build(
+            &ds,
+            target,
+            SplitConfig {
+                auxiliary_profile_size: 4,
+                ..default_split()
+            },
+        );
+        let pins = [
+            (&split, "ITEMAVERAGE", 0x3ff1_24ea_dcb1_e60a_u64),
+            (&split, "REMOTEUSER", 0x3ff1_3aae_6a63_5185),
+            (&split, "ITEM-BASED-KNN", 0x3ff0_63a3_3ad1_4886),
+            (&split, "KNN-CD", 0x3ff0_63a3_3ad1_4886),
+            (&split, "KNN-SD", 0x3ff1_24ea_dcb1_e60a),
+            (&aux, "REMOTEUSER", 0x3ff0_72c3_b15e_4b0a),
+            (&aux, "KNN-CD", 0x3fef_f4e4_ffc0_9b4b),
+            (&aux, "KNN-SD", 0x3ff0_bc10_e9f1_f665),
+        ];
+        for (split, system, bits) in pins {
+            let mae = evaluate_baseline(split, source, system, 40);
+            assert_eq!(mae.to_bits(), bits, "{system}: {mae}");
+        }
+        let table = table3(Scale::Quick);
+        let (_, als) = table
+            .iter()
+            .find(|(label, _)| label == "MLlib-ALS")
+            .unwrap();
+        assert_eq!(als.to_bits(), 0x3feb_6512_a9bd_6187, "MLlib-ALS: {als}");
+    }
+
+    #[test]
     fn private_variant_pays_a_bounded_quality_cost() {
         let nx = quick_mae(XMapMode::NxMapItemBased, Direction::MovieToBook);
         let x = quick_mae(XMapMode::XMapItemBased, Direction::MovieToBook);
@@ -769,7 +795,7 @@ mod tests {
     #[test]
     fn table2_partition_is_balanced_and_complete() {
         let t = table2(Scale::Quick);
-        assert_eq!(t.rows.len(), xmap_dataset::genres::MOVIELENS_GENRES.len());
+        assert_eq!(t.rows.len(), crate::genres::MOVIELENS_GENRES.len());
         let (d1, d2) = t.domain_sizes;
         assert!(d1 > 0 && d2 > 0);
         assert_eq!(d1 + d2, 150);

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use xmap_cf::rating::RatingScale;
-use xmap_cf::{DomainId, ItemId, RatingMatrix, RatingMatrixBuilder, UserId};
+use xmap_cf::{DomainId, ItemId, Rating, RatingMatrix, RatingMatrixBuilder, Timestep, UserId};
 
 /// The 19 ML-20M genres plus "Other", with the approximate relative frequencies reported
 /// in Table 2 (movie counts per genre). The absolute counts are irrelevant; only the
@@ -75,8 +75,6 @@ pub struct GenreTaggedDataset {
     pub matrix: RatingMatrix,
     /// `genres[item] = genre indices into` [`MOVIELENS_GENRES`].
     pub item_genres: Vec<Vec<usize>>,
-    /// Configuration used to generate the dataset.
-    pub config: GenreDatasetConfig,
 }
 
 impl GenreTaggedDataset {
@@ -147,11 +145,11 @@ impl GenreTaggedDataset {
                 let noise: f64 = rng.gen_range(-config.noise..config.noise);
                 let value = scale.clamp((3.0 + 2.0 * affinity + noise).round());
                 builder
-                    .push(xmap_cf::Rating::at(
+                    .push(Rating::at(
                         UserId(u as u32),
                         ItemId(item as u32),
                         value,
-                        xmap_cf::Timestep(t as u32),
+                        Timestep(t as u32),
                     ))
                     .expect("generated ratings are finite"); // lint: panic — reviewed invariant
             }
@@ -160,7 +158,6 @@ impl GenreTaggedDataset {
         GenreTaggedDataset {
             matrix: builder.build().expect("non-empty by construction"), // lint: panic — reviewed invariant
             item_genres,
-            config,
         }
     }
 

@@ -1,9 +1,9 @@
 //! Plain-text rendering of tables and figure series.
 //!
-//! The `figures` harness in `xmap-bench` prints every reproduced table and figure through
-//! these helpers so the output format is uniform and easy to diff across runs.
+//! The `figures` and `experiments` binaries print every reproduced table and figure
+//! through these helpers so the output format is uniform and easy to diff across runs.
 
-use crate::protocol::SweepSeries;
+use xmap_eval::SweepSeries;
 
 /// Renders a fixed-width table: `headers` followed by one row per entry of `rows`.
 /// Column widths adapt to the longest cell.

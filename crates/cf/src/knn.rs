@@ -32,7 +32,7 @@ use crate::rating::Timestep;
 use crate::similarity::{
     item_similarity_stats, ItemRowKernel, RowScratch, SimilarityMetric, SimilarityStats,
 };
-use crate::topk::{top_k, TopK};
+use crate::topk::TopK;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -52,37 +52,20 @@ pub fn profile_from_pairs(pairs: impl IntoIterator<Item = (ItemId, f64)>) -> Pro
 // User-based CF (Algorithm 1)
 // ---------------------------------------------------------------------------
 
-/// Configuration of the user-based recommender.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct UserKnnConfig {
-    /// Number of neighbours `k` retained in Phase 1.
-    pub k: usize,
-    /// Neighbours with |similarity| below this threshold are discarded (0 keeps all).
-    pub min_similarity: f64,
-}
-
-impl Default for UserKnnConfig {
-    fn default() -> Self {
-        UserKnnConfig {
-            k: 50,
-            min_similarity: 0.0,
-        }
-    }
-}
-
 /// User-based k-nearest-neighbour collaborative filtering (Algorithm 1).
 pub struct UserKnn<'a> {
     matrix: &'a RatingMatrix,
-    config: UserKnnConfig,
+    /// Number of neighbours retained in Phase 1.
+    k: usize,
 }
 
 impl<'a> UserKnn<'a> {
-    /// Creates a user-based recommender over a training matrix.
-    pub fn new(matrix: &'a RatingMatrix, config: UserKnnConfig) -> Result<Self> {
-        if config.k == 0 {
+    /// Creates a user-based recommender over a training matrix, keeping `k` neighbours.
+    pub fn new(matrix: &'a RatingMatrix, k: usize) -> Result<Self> {
+        if k == 0 {
             return Err(CfError::invalid_parameter("k", "must be at least 1"));
         }
-        Ok(UserKnn { matrix, config })
+        Ok(UserKnn { matrix, k })
     }
 
     /// Phase 1 for an external profile: the k most similar training users to the profile.
@@ -135,7 +118,7 @@ impl<'a> UserKnn<'a> {
         }
         sums.begin(self.matrix.n_users());
         touched.begin(self.matrix.n_users());
-        let mut collector = TopK::new(self.config.k);
+        let mut collector = TopK::new(self.k);
         'windows: while let Some(start) = next.take() {
             let end = start.saturating_add(USER_WINDOW);
             cursors.retain_mut(|c| {
@@ -166,8 +149,8 @@ impl<'a> UserKnn<'a> {
                     continue;
                 }
                 let sim = (num / den).clamp(-1.0, 1.0);
-                // lint: float-eq — exact zero is the "no overlap" sentinel of Equation 1.
-                if sim.abs() > self.config.min_similarity && sim != 0.0 {
+                // rejects the "no overlap" zero and a hostile profile's NaN alike
+                if sim.abs() > 0.0 {
                     collector.push(sim, UserId(ix as u32));
                     // k users at the clamp's ceiling: every later user has a higher id and
                     // loses the tie, so no later window can change the top-k
@@ -190,10 +173,10 @@ impl<'a> UserKnn<'a> {
     #[cfg(test)]
     fn neighbors_of_profile_scan(&self, profile: &Profile) -> Vec<(UserId, f64)> {
         let profile_map: HashMap<ItemId, f64> = profile.iter().map(|&(i, v, _)| (i, v)).collect();
-        let mut collector = TopK::new(self.config.k);
+        let mut collector = TopK::new(self.k);
         for other in self.matrix.users() {
             let sim = self.profile_user_similarity(&profile_map, other);
-            if sim.abs() > self.config.min_similarity && sim != 0.0 {
+            if sim.abs() > 0.0 {
                 collector.push(sim, other);
             }
         }
@@ -533,16 +516,6 @@ impl<'a> ItemKnn<'a> {
         })
     }
 
-    /// The underlying training matrix.
-    pub fn matrix(&self) -> &RatingMatrix {
-        self.matrix
-    }
-
-    /// The configuration the model was fitted with.
-    pub fn config(&self) -> ItemKnnConfig {
-        self.config
-    }
-
     /// The precomputed neighbours of an item (empty for unknown or isolated items).
     pub fn neighbors(&self, item: ItemId) -> &[ItemNeighbor] {
         self.neighbors
@@ -600,38 +573,6 @@ impl<'a> ItemKnn<'a> {
         };
         self.matrix.scale().clamp(raw)
     }
-
-    /// Top-N recommendations for a stored user, excluding already rated items.
-    pub fn recommend(&self, user: UserId, n: usize) -> Vec<(ItemId, f64)> {
-        let profile: Profile = self
-            .matrix
-            .user_profile(user)
-            .iter()
-            .map(|e| (e.item, e.value, e.timestep))
-            .collect();
-        self.recommend_for_profile(&profile, n)
-    }
-
-    /// Top-N recommendations for an external profile, excluding the profile's own items.
-    ///
-    /// Candidates are the neighbours of the profile's items (anything else would receive
-    /// the unpersonalised item-average score anyway).
-    pub fn recommend_for_profile(&self, profile: &Profile, n: usize) -> Vec<(ItemId, f64)> {
-        let owned: Vec<ItemId> = profile.iter().map(|&(i, _, _)| i).collect();
-        let mut candidates: Vec<ItemId> = Vec::new();
-        for &(i, _, _) in profile {
-            for nb in self.neighbors(i) {
-                candidates.push(nb.item);
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        let scored = candidates
-            .into_iter()
-            .filter(|i| !owned.contains(i))
-            .map(|i| (self.predict_for_profile(profile, i), i));
-        top_k(n, scored).into_iter().map(|(s, i)| (i, s)).collect()
-    }
 }
 
 /// Mean rating of a profile, if non-empty.
@@ -647,6 +588,7 @@ pub fn profile_average(profile: &Profile) -> Option<f64> {
 pub(crate) mod tests {
     use super::*;
     use crate::matrix::RatingMatrixBuilder;
+    use crate::topk::top_k;
     use proptest::prelude::*;
 
     /// Two clear taste clusters: users 0-2 love items 0-2 and hate 3-5; users 3-5 the
@@ -705,14 +647,7 @@ pub(crate) mod tests {
     #[test]
     fn user_knn_finds_same_cluster_neighbors() {
         let m = clustered();
-        let knn = UserKnn::new(
-            &m,
-            UserKnnConfig {
-                k: 3,
-                min_similarity: 0.0,
-            },
-        )
-        .unwrap();
+        let knn = UserKnn::new(&m, 3).unwrap();
         let neigh =
             knn.neighbors_of_profile(&row_profile(&m, UserId(0)), &mut UserKnnScratch::new());
         assert_eq!(neigh.len(), 3);
@@ -730,7 +665,7 @@ pub(crate) mod tests {
     #[test]
     fn user_knn_predicts_cluster_preferences() {
         let m = clustered();
-        let knn = UserKnn::new(&m, UserKnnConfig::default()).unwrap();
+        let knn = UserKnn::new(&m, 50).unwrap();
         let profile = row_profile(&m, UserId(6));
         let mut scratch = UserKnnScratch::new();
         let liked = knn.predict_for_profile(&profile, ItemId(2), &mut scratch);
@@ -746,7 +681,7 @@ pub(crate) mod tests {
     #[test]
     fn user_knn_recommend_excludes_rated_items() {
         let m = clustered();
-        let knn = UserKnn::new(&m, UserKnnConfig::default()).unwrap();
+        let knn = UserKnn::new(&m, 50).unwrap();
         let recs = recommend(&m, &knn, &row_profile(&m, UserId(6)), 3);
         assert!(!recs.is_empty());
         for (item, _) in &recs {
@@ -767,9 +702,9 @@ pub(crate) mod tests {
         }
         let without = b.build().unwrap();
         let mut scratch = UserKnnScratch::new();
-        let knn = UserKnn::new(&m, UserKnnConfig::default()).unwrap();
+        let knn = UserKnn::new(&m, 50).unwrap();
         let stored = knn.predict_for_profile(&row_profile(&m, UserId(6)), ItemId(2), &mut scratch);
-        let external_knn = UserKnn::new(&without, UserKnnConfig::default()).unwrap();
+        let external_knn = UserKnn::new(&without, 50).unwrap();
         let profile = profile_from_pairs([(ItemId(0), 5.0), (ItemId(1), 4.0)]);
         let external = external_knn.predict_for_profile(&profile, ItemId(2), &mut scratch);
         assert!(
@@ -783,14 +718,7 @@ pub(crate) mod tests {
     #[test]
     fn user_knn_rejects_zero_k() {
         let m = clustered();
-        assert!(UserKnn::new(
-            &m,
-            UserKnnConfig {
-                k: 0,
-                min_similarity: 0.0
-            }
-        )
-        .is_err());
+        assert!(UserKnn::new(&m, 0).is_err());
     }
 
     #[test]
@@ -823,20 +751,6 @@ pub(crate) mod tests {
         let liked = knn.predict(UserId(6), ItemId(2));
         let disliked = knn.predict(UserId(6), ItemId(4));
         assert!(liked > disliked, "{liked} vs {disliked}");
-    }
-
-    #[test]
-    fn item_knn_recommend_for_profile_prefers_cluster_item() {
-        let m = clustered();
-        let knn = ItemKnn::fit(&m, ItemKnnConfig::default()).unwrap();
-        let profile = profile_from_pairs([(ItemId(0), 5.0), (ItemId(1), 5.0)]);
-        let recs = knn.recommend_for_profile(&profile, 6);
-        assert!(!recs.is_empty());
-        assert_eq!(recs[0].0, ItemId(2));
-        for (item, _) in &recs {
-            assert_ne!(*item, ItemId(0));
-            assert_ne!(*item, ItemId(1));
-        }
     }
 
     #[test]
@@ -997,7 +911,7 @@ pub(crate) mod tests {
     #[test]
     fn predictions_respect_rating_scale() {
         let m = clustered();
-        let uknn = UserKnn::new(&m, UserKnnConfig::default()).unwrap();
+        let uknn = UserKnn::new(&m, 50).unwrap();
         let iknn = ItemKnn::fit(&m, ItemKnnConfig::default()).unwrap();
         let mut scratch = UserKnnScratch::new();
         for u in m.users() {
@@ -1083,9 +997,9 @@ pub(crate) mod tests {
         neighbors.iter().map(|&(u, s)| (u, s.to_bits())).collect()
     }
 
-    /// The indexed search against the scan, bit for bit, at `k`, at `k = 1`, with a
-    /// `min_similarity` above zero, and with a duplicated and two out-of-catalogue
-    /// items added to the profile (the duplicate's last value is the one in force).
+    /// The indexed search against the scan, bit for bit, at `k` and at `k = 1`, and
+    /// with a duplicated and two out-of-catalogue items added to the profile (the
+    /// duplicate's last value is the one in force).
     /// Returns the scan's neighbours of the plain profile at `k`.
     fn search_matching_scan(m: &RatingMatrix, profile: &Profile, k: usize) -> Vec<(UserId, f64)> {
         let mut scratch = UserKnnScratch::new();
@@ -1095,21 +1009,14 @@ pub(crate) mod tests {
         noisy.push((ItemId(m.n_items() as u32 + 4), 4.0, Timestep(0)));
         noisy.push((ItemId(u32::MAX), 2.0, Timestep(0)));
         for profile in [profile, &noisy] {
-            for (k, min_similarity) in [(k, 0.0), (1, 0.0), (k, 0.5)] {
-                let knn = UserKnn::new(m, UserKnnConfig { k, min_similarity }).unwrap();
+            for k in [k, 1] {
+                let knn = UserKnn::new(m, k).unwrap();
                 let got = knn.neighbors_of_profile(profile, &mut scratch);
                 let expect = knn.neighbors_of_profile_scan(profile);
-                assert_eq!(bits(&got), bits(&expect), "k {k}, min {min_similarity}");
+                assert_eq!(bits(&got), bits(&expect), "k {k}");
             }
         }
-        let knn = UserKnn::new(
-            m,
-            UserKnnConfig {
-                k,
-                min_similarity: 0.0,
-            },
-        )
-        .unwrap();
+        let knn = UserKnn::new(m, k).unwrap();
         knn.neighbors_of_profile_scan(profile)
     }
 
@@ -1162,14 +1069,7 @@ pub(crate) mod tests {
             let m = single_overlap_matrix(&mut rng, 4 * W + 200, 30);
             let profile = random_profile(&mut rng, &m);
             let k = 1 + seed as usize % 12;
-            let wide = UserKnn::new(
-                &m,
-                UserKnnConfig {
-                    k: 4 * W as usize + 200,
-                    min_similarity: 0.0,
-                },
-            )
-            .unwrap();
+            let wide = UserKnn::new(&m, 4 * W as usize + 200).unwrap();
             let at_one = wide
                 .neighbors_of_profile_scan(&profile)
                 .iter()
@@ -1188,17 +1088,23 @@ pub(crate) mod tests {
         // Item 0 has one rater, so its average *is* that rating: a profile repeating it
         // overlaps user 0 with da = db = 0 and `den < 1e-12`. Users 1 and 2 overlap on
         // item 1 only, where the profile sits on the average (da = 0) but they do not.
+        // A NaN profile rating makes Equation 1 NaN for every rater, which must not pass
+        // for a neighbour either.
         let mut b = RatingMatrixBuilder::new();
         b.push_parts(0, 0, 4.0).unwrap();
         b.push_parts(1, 1, 2.0).unwrap();
         b.push_parts(2, 1, 4.0).unwrap();
         let m = b.build().unwrap();
-        let knn = UserKnn::new(&m, UserKnnConfig::default()).unwrap();
-        let profile = profile_from_pairs([(ItemId(0), 4.0), (ItemId(1), 3.0)]);
-        assert!(knn.neighbors_of_profile_scan(&profile).is_empty());
-        assert!(knn
-            .neighbors_of_profile(&profile, &mut UserKnnScratch::new())
-            .is_empty());
+        let knn = UserKnn::new(&m, 50).unwrap();
+        for profile in [
+            profile_from_pairs([(ItemId(0), 4.0), (ItemId(1), 3.0)]),
+            profile_from_pairs([(ItemId(1), f64::NAN)]),
+        ] {
+            assert!(knn.neighbors_of_profile_scan(&profile).is_empty());
+            assert!(knn
+                .neighbors_of_profile(&profile, &mut UserKnnScratch::new())
+                .is_empty());
+        }
     }
 
     /// A matrix over `n_users` users and three items, from `(user, item, value)` cells.
@@ -1293,14 +1199,7 @@ pub(crate) mod tests {
         let profile = profile_from_pairs([(ItemId(0), 5.0)]);
         let mut scratch = UserKnnScratch::new();
         for (m, expect) in matrices.iter().zip([&[0, 5][..], &[1, 7], &[W, 4 * W]]) {
-            let knn = UserKnn::new(
-                m,
-                UserKnnConfig {
-                    k: 2,
-                    min_similarity: 0.0,
-                },
-            )
-            .unwrap();
+            let knn = UserKnn::new(m, 2).unwrap();
             let got = knn.neighbors_of_profile(&profile, &mut scratch);
             assert_eq!(bits(&got), bits(&knn.neighbors_of_profile_scan(&profile)));
             assert_eq!(bits(&got), bits(&at_one(expect)));
@@ -1317,10 +1216,8 @@ pub(crate) mod tests {
             n_users in 1u32..300,
             n_items in 1u32..60,
             k in 1usize..40,
-            min_similarity_pick in 0usize..4,
         ) {
             let mut rng = TestRng::from_name(&seed.to_string());
-            let min_similarity = [0.0, 0.0, 0.5, 1.0 - 1e-9][min_similarity_pick];
             // k reaches past the candidate count on the small matrix; the other two span
             // at least four windows of the search
             let small = skewed_matrix(&mut rng, 1 + n_users / 8, n_items);
@@ -1329,7 +1226,7 @@ pub(crate) mod tests {
             let mut scratch = UserKnnScratch::new();
             for round in 0..6 {
                 let m = [&large, &small, &single][round % 3];
-                let knn = UserKnn::new(m, UserKnnConfig { k, min_similarity }).unwrap();
+                let knn = UserKnn::new(m, k).unwrap();
                 let profile = random_profile(&mut rng, m);
                 let expect = knn.neighbors_of_profile_scan(&profile);
                 let got = knn.neighbors_of_profile(&profile, &mut scratch);
@@ -1350,7 +1247,7 @@ pub(crate) mod tests {
         ) {
             let mut rng = TestRng::from_name(&seed.to_string());
             let m = skewed_matrix(&mut rng, n_users, n_items);
-            let knn = UserKnn::new(&m, UserKnnConfig { k, min_similarity: 0.0 }).unwrap();
+            let knn = UserKnn::new(&m, k).unwrap();
             let mut scratch = UserKnnScratch::new();
             let profile = random_profile(&mut rng, &m);
             let mut neighbors = knn.neighbors_of_profile(&profile, &mut scratch);

@@ -3,7 +3,8 @@
 //! Three classical metrics appear in the paper:
 //!
 //! * **user–user Pearson-style similarity** (Equation 1, Algorithm 1, Phase 1) — computed
-//!   on ratings mean-centred by the *item* average,
+//!   on ratings mean-centred by the *item* average, by [`crate::UserKnn`]'s neighbour
+//!   search,
 //! * **item–item adjusted cosine** (Equations 3 and 6, Algorithm 2 / §3.1) — computed on
 //!   ratings mean-centred by the *user* average, which the paper (following Sarwar et al.)
 //!   considers the most effective baseline similarity, and
@@ -27,7 +28,7 @@
 //!   (property-tested below) at a fraction of the profile entries walked.
 
 use crate::epoch::EpochBuffer;
-use crate::ids::{ItemId, UserId};
+use crate::ids::ItemId;
 use crate::matrix::RatingMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -425,40 +426,6 @@ pub fn item_similarity(
     item_similarity_stats(matrix, i, j, metric).similarity
 }
 
-/// User–user similarity of Equation 1 (Algorithm 1, Phase 1): ratings are centred by the
-/// *item* average and the sums run over the items co-rated by both users.
-pub fn user_similarity(matrix: &RatingMatrix, a: UserId, b: UserId) -> f64 {
-    let xa = matrix.user_profile(a);
-    let xb = matrix.user_profile(b);
-    if xa.is_empty() || xb.is_empty() {
-        return 0.0;
-    }
-
-    let mut num = 0.0f64;
-    let mut den_a = 0.0f64;
-    let mut den_b = 0.0f64;
-
-    let (mut p, mut q) = (0usize, 0usize);
-    while p < xa.len() && q < xb.len() {
-        match xa[p].item.cmp(&xb[q].item) {
-            std::cmp::Ordering::Less => p += 1,
-            std::cmp::Ordering::Greater => q += 1,
-            std::cmp::Ordering::Equal => {
-                let i_avg = matrix.item_average(xa[p].item);
-                let da = xa[p].value - i_avg;
-                let db = xb[q].value - i_avg;
-                num += da * db;
-                den_a += da * da;
-                den_b += db * db;
-                p += 1;
-                q += 1;
-            }
-        }
-    }
-
-    clamp_similarity(safe_ratio(num, (den_a * den_b).sqrt()))
-}
-
 #[inline]
 fn safe_ratio(num: f64, den: f64) -> f64 {
     if den.abs() < 1e-12 || !den.is_finite() || !num.is_finite() {
@@ -591,39 +558,6 @@ mod tests {
             "liked vs disliked items should be negatively similar, got {s02}"
         );
         assert!(s01 > s02);
-    }
-
-    #[test]
-    fn user_similarity_matches_shared_taste() {
-        let mut b = RatingMatrixBuilder::new();
-        // users 0 and 1 agree, user 2 disagrees
-        for item in 0..4u32 {
-            b.push_parts(0, item, if item % 2 == 0 { 5.0 } else { 1.0 })
-                .unwrap();
-            b.push_parts(1, item, if item % 2 == 0 { 4.0 } else { 2.0 })
-                .unwrap();
-            b.push_parts(2, item, if item % 2 == 0 { 1.0 } else { 5.0 })
-                .unwrap();
-        }
-        let m = b.build().unwrap();
-        let agree = user_similarity(&m, UserId(0), UserId(1));
-        let disagree = user_similarity(&m, UserId(0), UserId(2));
-        assert!(
-            agree > 0.5,
-            "agreeing users should have high similarity, got {agree}"
-        );
-        assert!(
-            disagree < -0.5,
-            "disagreeing users should have negative similarity, got {disagree}"
-        );
-    }
-
-    #[test]
-    fn user_similarity_with_empty_profile_is_zero() {
-        let mut b = RatingMatrixBuilder::new().with_dimensions(3, 2);
-        b.push_parts(0, 0, 4.0).unwrap();
-        let m = b.build().unwrap();
-        assert_eq!(user_similarity(&m, UserId(0), UserId(2)), 0.0);
     }
 
     #[test]
@@ -765,26 +699,6 @@ mod tests {
                     prop_assert_eq!(sij.significance, sji.significance);
                     prop_assert!(sij.significance <= sij.co_raters);
                     prop_assert!(sij.co_raters <= sij.union_size || sij.union_size == 0);
-                }
-            }
-        }
-
-        /// User similarity is symmetric and bounded.
-        #[test]
-        fn user_similarity_symmetric(
-            ratings in proptest::collection::vec((0u32..8, 0u32..8, 1u32..=5), 1..80),
-        ) {
-            let mut b = RatingMatrixBuilder::new();
-            for (u, i, v) in ratings {
-                b.push_parts(u, i, v as f64).unwrap();
-            }
-            let m = b.build().unwrap();
-            for a in 0..m.n_users().min(5) as u32 {
-                for c in 0..m.n_users().min(5) as u32 {
-                    let sab = user_similarity(&m, UserId(a), UserId(c));
-                    let sba = user_similarity(&m, UserId(c), UserId(a));
-                    prop_assert!((sab - sba).abs() < 1e-9);
-                    prop_assert!((-1.0..=1.0).contains(&sab));
                 }
             }
         }

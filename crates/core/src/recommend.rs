@@ -35,9 +35,7 @@ use std::sync::Arc;
 use xmap_cf::epoch::IdBitSet;
 use xmap_cf::knn::{profile_average, ItemNeighbor, Profile};
 use xmap_cf::topk::top_k;
-use xmap_cf::{
-    ItemId, ItemKnnConfig, RatingMatrix, Timestep, UserId, UserKnn, UserKnnConfig, UserKnnScratch,
-};
+use xmap_cf::{ItemId, ItemKnnConfig, RatingMatrix, Timestep, UserId, UserKnn, UserKnnScratch};
 use xmap_engine::WorkerPool;
 use xmap_privacy::PrivacyBudget;
 
@@ -523,14 +521,8 @@ impl UserBasedRecommender {
     }
 
     fn knn(&self) -> UserKnn<'_> {
-        UserKnn::new(
-            &self.target,
-            UserKnnConfig {
-                k: self.k,
-                min_similarity: 0.0,
-            },
-        )
-        .expect("k validated at construction") // lint: panic — reviewed invariant
+        let knn = UserKnn::new(&self.target, self.k);
+        knn.expect("k validated at construction") // lint: panic — reviewed invariant
     }
 }
 
@@ -581,10 +573,10 @@ impl ProfileRecommender for UserBasedRecommender {
 /// (range `[-1, 1]`, so `GS = 2`) — see the substitution notes in DESIGN.md.
 pub struct PrivateUserBasedRecommender {
     target: Arc<RatingMatrix>,
-    /// Neighbour-pool configuration, fixed at construction: the pool is slightly larger
-    /// than `k` so the exponential mechanism has room without collapsing to a uniform
-    /// choice over the whole user base.
-    pool_config: UserKnnConfig,
+    /// Neighbour-pool width, fixed at construction: the pool is slightly larger than
+    /// `k` so the exponential mechanism has room without collapsing to a uniform choice
+    /// over the whole user base.
+    pool_k: usize,
     k: usize,
     epsilon_prime: f64,
     rho: f64,
@@ -596,7 +588,7 @@ pub struct PrivateUserBasedRecommender {
 const PLAN_SALT: u64 = 0xfeed_beef;
 
 impl PrivateUserBasedRecommender {
-    /// Creates the recommender, fixing the neighbour-pool configuration once. Private
+    /// Creates the recommender, fixing the neighbour-pool width once. Private
     /// because it debits nothing itself — a public no-debit constructor would let
     /// callers bypass the ε′ accounting; only [`assemble`] (for a build whose caller
     /// debits first, or a copy of a recorded release) reaches it.
@@ -610,10 +602,7 @@ impl PrivateUserBasedRecommender {
         require_k(k)?;
         Ok(PrivateUserBasedRecommender {
             target,
-            pool_config: UserKnnConfig {
-                k: private_pool_width(k),
-                min_similarity: 0.0,
-            },
+            pool_k: private_pool_width(k),
             k,
             epsilon_prime,
             rho,
@@ -622,7 +611,7 @@ impl PrivateUserBasedRecommender {
     }
 
     fn knn(&self) -> UserKnn<'_> {
-        let knn = UserKnn::new(&self.target, self.pool_config);
+        let knn = UserKnn::new(&self.target, self.pool_k);
         knn.expect("pool k validated at construction") // lint: panic — reviewed invariant
     }
 

@@ -10,9 +10,10 @@
 //!   declarative [`SweepSpec`];
 //! * [`stage`] — the engine-parallel evaluation harness: an [`EvalBatch`] of test
 //!   triples and ranking cases run as an [`EvalStage`] on the `xmap-engine` dataflow,
-//!   bit-identical to the serial reference at any worker count;
-//! * [`report`] — plain-text table/series rendering used by the harness binaries in
-//!   `xmap-bench` so every reproduced table and figure prints in a uniform format.
+//!   bit-identical to the serial reference at any worker count.
+//!
+//! The plain-text table and series rendering the harness binaries print with lives in
+//! `xmap-bench` (`report`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -20,15 +21,13 @@
 
 pub mod metrics;
 pub mod protocol;
-pub mod report;
 pub mod stage;
 
 pub use metrics::{coverage, mae, precision_at_n, recall_at_n, rmse};
 pub use protocol::{
     evaluate_predictions, EvalOutcome, SweepMetric, SweepParam, SweepPoint, SweepSeries, SweepSpec,
 };
-pub use report::{render_series_table, render_table};
 pub use stage::{
     evaluate_batch_serial, ranking_cases_from_test, EvalBatch, EvalReport, EvalStage, EvalTarget,
-    PredictorFn, RankingCase, EVAL_STAGE_NAME,
+    RankingCase, EVAL_STAGE_NAME,
 };

@@ -46,22 +46,6 @@ pub trait EvalTarget: Sync {
     fn recommend(&self, user: UserId, n: usize) -> Vec<ItemId>;
 }
 
-/// Adapter making a bare prediction closure an [`EvalTarget`].
-///
-/// Ranking is unsupported: evaluating a batch with ranking cases through this adapter
-/// panics. Use a full [`EvalTarget`] implementation for ranking metrics.
-pub struct PredictorFn<F>(pub F);
-
-impl<F: Fn(UserId, ItemId) -> f64 + Sync> EvalTarget for PredictorFn<F> {
-    fn predict(&self, user: UserId, item: ItemId) -> f64 {
-        (self.0)(user, item)
-    }
-
-    fn recommend(&self, _user: UserId, _n: usize) -> Vec<ItemId> {
-        panic!("PredictorFn is prediction-only; ranking cases need a full EvalTarget")
-    }
-}
-
 /// One ranking-evaluation case: a user and the items that count as relevant for them
 /// (typically their hidden high ratings).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -430,23 +414,19 @@ mod tests {
 
     #[test]
     fn predictor_fn_serves_prediction_batches() {
-        let target = PredictorFn(|u: UserId, i: ItemId| (u.0 + i.0) as f64);
+        // a prediction-only batch through the stage: its MAE is the serial loop's, bit
+        // for bit
         let test = vec![
             Rating::new(UserId(1), ItemId(2), 3.0),
             Rating::new(UserId(0), ItemId(0), 1.0),
         ];
-        let batch0 = EvalBatch::predictions(test.clone());
         let flow = Dataflow::new(2, 4);
-        let report = flow.run(&EvalStage::new(&target), batch0);
-        let outcome = evaluate_predictions(&test, |u, i| (u.0 + i.0) as f64);
+        let report = flow.run(
+            &EvalStage::new(&ToyTarget),
+            EvalBatch::predictions(test.clone()),
+        );
+        let outcome = evaluate_predictions(&test, |u, i| ToyTarget.predict(u, i));
         assert_eq!(report.mae.to_bits(), outcome.mae.to_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "prediction-only")]
-    fn predictor_fn_rejects_ranking_cases() {
-        let target = PredictorFn(|_: UserId, _: ItemId| 3.0);
-        target.recommend(UserId(0), 3);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! competitor baselines together — the same path the examples and the `figures` harness
 //! use.
 
-use xmap_suite::cf::baselines::{ItemAverage, RatingPredictor, RemoteUser};
-use xmap_suite::cf::UserKnnConfig;
+use xmap_bench::baselines::{ItemAverage, RemoteUser};
 use xmap_suite::prelude::*;
 
 fn dataset() -> CrossDomainDataset {
@@ -100,7 +99,7 @@ fn all_four_variants_and_remoteuser_are_evaluated_on_the_same_split() {
         );
         results.push((mode.label(), outcome.mae));
     }
-    let remote = RemoteUser::new(&split.train, DomainId::SOURCE, UserKnnConfig::default()).unwrap();
+    let remote = RemoteUser::new(&split.train, DomainId::SOURCE, 50).unwrap();
     let remote_mae = evaluate_predictions(&split.test, |u, i| remote.predict(u, i)).mae;
     results.push(("RemoteUser", remote_mae));
 
