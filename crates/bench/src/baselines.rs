@@ -13,7 +13,8 @@
 //!   user-based CF predicts in the target domain.
 
 use crate::similarity::user_similarity;
-use xmap_cf::topk::TopK;
+use std::{cell::RefCell, collections::BTreeMap};
+use xmap_cf::topk::top_k;
 use xmap_cf::{DomainId, ItemId, ItemKnn, ItemKnnConfig, RatingMatrix, Result, UserId, UserKnn};
 
 /// Predicts the average rating of the item over all users who rated it ("ITEMAVERAGE").
@@ -70,6 +71,8 @@ pub struct RemoteUser<'a> {
     /// Equation 2 over the full matrix.
     knn: UserKnn<'a>,
     k: usize,
+    /// Each queried user's source-domain neighbours, searched on their first query.
+    neighbors: RefCell<BTreeMap<UserId, Vec<(UserId, f64)>>>,
 }
 
 impl<'a> RemoteUser<'a> {
@@ -84,33 +87,26 @@ impl<'a> RemoteUser<'a> {
             source_only,
             knn: UserKnn::new(full, k)?,
             k,
+            neighbors: RefCell::default(),
         })
     }
 
     /// The k nearest neighbours of `user` measured on source-domain ratings only.
     fn source_neighbors(&self, user: UserId) -> Vec<(UserId, f64)> {
-        let mut collector = TopK::new(self.k);
-        for other in self.source_only.users() {
-            if other == user {
-                continue;
-            }
-            let sim = user_similarity(&self.source_only, user, other);
-            if sim.abs() > 0.0 {
-                collector.push(sim, other);
-            }
-        }
-        collector
-            .into_sorted_vec()
-            .into_iter()
-            .map(|(s, u)| (u, s))
-            .collect()
+        let others = self.source_only.users().filter(|&other| other != user);
+        let sims = others.map(|other| (user_similarity(&self.source_only, user, other), other));
+        let kept = top_k(self.k, sims.filter(|&(sim, _)| sim.abs() > 0.0));
+        kept.into_iter().map(|(s, u)| (u, s)).collect()
     }
 
     /// Equation 2 over the user's source-domain neighbours and their full-matrix ratings.
     pub fn predict(&self, user: UserId, item: ItemId) -> f64 {
-        let neighbors = self.source_neighbors(user);
-        self.knn
-            .predict_with_neighbors(self.full.user_average(user), &neighbors, item)
+        let mut memo = self.neighbors.borrow_mut();
+        let neighbors = memo
+            .entry(user)
+            .or_insert_with(|| self.source_neighbors(user));
+        let avg = self.full.user_average(user);
+        self.knn.predict_with_neighbors(avg, neighbors, item)
     }
 }
 

@@ -30,7 +30,7 @@ use crate::ids::{ItemId, UserId};
 use crate::matrix::RatingMatrix;
 use crate::rating::Timestep;
 use crate::similarity::{
-    item_similarity_stats, ItemRowKernel, RowScratch, SimilarityMetric, SimilarityStats,
+    item_similarity_stats, ItemRowKernel, Partners, RowScratch, SimilarityMetric, SimilarityStats,
 };
 use crate::topk::TopK;
 use serde::{Deserialize, Serialize};
@@ -377,14 +377,9 @@ pub struct CandidateScratch {
 }
 
 impl CandidateScratch {
-    /// Creates an empty scratch (the seen buffer grows to the matrix size on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The co-rating candidate set of `item`: the distinct items sharing at least one
-    /// rater with it, sorted ascending — exactly one row of
-    /// [`ItemKnn::candidate_sets`].
+    /// rater with it, sorted ascending — exactly one row of `ItemKnn::candidate_sets`
+    /// (the test-only table of every item's set).
     pub fn candidate_set(&mut self, matrix: &RatingMatrix, item: ItemId) -> Vec<ItemId> {
         self.seen.begin(matrix.n_items());
         let mut cands: Vec<ItemId> = Vec::new();
@@ -432,8 +427,9 @@ impl<'a> ItemKnn<'a> {
     /// user — peak memory per set equals its distinct-neighbour count (plus the one
     /// `O(n_items)` marker buffer), while the historical per-user scatter grew with the
     /// rating count before its dedup.
+    #[cfg(test)]
     pub fn candidate_sets(matrix: &RatingMatrix) -> Vec<Vec<ItemId>> {
-        let mut scratch = CandidateScratch::new();
+        let mut scratch = CandidateScratch::default();
         (0..matrix.n_items())
             .map(|i| scratch.candidate_set(matrix, ItemId(i as u32)))
             .collect()
@@ -442,7 +438,7 @@ impl<'a> ItemKnn<'a> {
     /// Phase 1 for one item, by definition: scores every candidate with one profile
     /// merge each and keeps the top `config.k`, sorted by descending similarity (ties
     /// keep candidate order — ascending item id when the candidates come from
-    /// [`ItemKnn::candidate_sets`]).
+    /// [`CandidateScratch::candidate_set`]).
     ///
     /// This is the per-candidate **reference** [`ItemKnn::neighbors_from_row`] is held
     /// to; no fit path calls it.
@@ -504,10 +500,12 @@ impl<'a> ItemKnn<'a> {
     pub fn fit(matrix: &'a RatingMatrix, config: ItemKnnConfig) -> Result<Self> {
         Self::validate(&config)?;
         let kernel = ItemRowKernel::new(matrix, config.metric);
-        let mut scratch = RowScratch::new();
+        let mut scratch = RowScratch::default();
         let neighbors = matrix
             .items()
-            .map(|i| Self::neighbors_from_row(kernel.row(i, &mut scratch).0, config.k))
+            .map(|i| {
+                Self::neighbors_from_row(kernel.row(i, &mut scratch, Partners::All).0, config.k)
+            })
             .collect();
         Ok(ItemKnn {
             matrix,
@@ -867,7 +865,7 @@ pub(crate) mod tests {
     fn candidate_scratch_matches_candidate_sets_row_for_row() {
         let m = clustered();
         let sets = ItemKnn::candidate_sets(&m);
-        let mut scratch = CandidateScratch::new();
+        let mut scratch = CandidateScratch::default();
         for (i, set) in sets.iter().enumerate() {
             assert_eq!(&scratch.candidate_set(&m, ItemId(i as u32)), set);
         }

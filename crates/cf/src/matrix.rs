@@ -66,12 +66,6 @@ impl RatingMatrixBuilder {
         }
     }
 
-    /// Pre-sizes internal buffers (purely an optimisation).
-    pub fn reserve(&mut self, n_ratings: usize) -> &mut Self {
-        self.ratings.reserve(n_ratings);
-        self
-    }
-
     /// Hints the number of users and items so unrated trailing ids are still represented.
     pub fn with_dimensions(mut self, n_users: usize, n_items: usize) -> Self {
         self.n_users_hint = n_users;

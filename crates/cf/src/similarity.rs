@@ -29,7 +29,7 @@
 
 use crate::epoch::EpochBuffer;
 use crate::ids::ItemId;
-use crate::matrix::RatingMatrix;
+use crate::matrix::{RatingMatrix, UserEntry};
 use serde::{Deserialize, Serialize};
 
 /// Which item–item similarity formula to use for the baseline similarity graph.
@@ -228,7 +228,8 @@ struct PairSums {
 
 /// Reusable buffers of [`ItemRowKernel::row`], one per worker: dense per-item
 /// accumulators forgotten in `O(1)` between rows, re-sized to the matrix at each use
-/// so one warmed scratch serves matrices of different sizes in turn.
+/// so one warmed scratch serves matrices of different sizes in turn (`default` is
+/// empty: buffers take the matrix's size on first use).
 #[derive(Debug, Default)]
 pub struct RowScratch {
     sums: EpochBuffer<PairSums>,
@@ -239,11 +240,16 @@ pub struct RowScratch {
     row: Vec<(ItemId, SimilarityStats)>,
 }
 
-impl RowScratch {
-    /// An empty scratch; buffers take the matrix's size on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// Which partners an [`ItemRowKernel::row`] keeps.
+#[derive(Clone, Copy, Debug)]
+pub enum Partners<'m> {
+    /// Every item co-rated with the row's item.
+    All,
+    /// The items above the row's item, and those below it that the mask marks by
+    /// item index. `None` marks none, so every rater's profile is walked from the
+    /// row's item onwards only: a caller that keeps each pair from its lower item
+    /// scores it once.
+    Above(Option<&'m [bool]>),
 }
 
 /// Scores an item against everything it is co-rated with in one gather — the
@@ -303,16 +309,18 @@ impl<'a> ItemRowKernel<'a> {
         }
     }
 
-    /// The statistics of `item` against every item sharing a rater with it, ascending
-    /// by item id (`item` itself excluded), each bit-identical to
-    /// [`item_similarity_stats`] of the pair in either orientation — plus the row's
-    /// data-derived cost, the profile entries the gather walks:
-    /// `1 + Σ_{u ∈ raters(item)} |profile(u)|`. An unrated item, or an id outside the
-    /// catalogue, has an empty row of cost 1.
+    /// The statistics of `item` against the `partners` it shares a rater with,
+    /// ascending by item id (`item` itself excluded), each bit-identical to
+    /// [`item_similarity_stats`] of the pair in either orientation — a restricted row's
+    /// records are the full row's, because a partner's slot sees the same raters in
+    /// the same order. Plus the row's data-derived cost, the size of the profiles its
+    /// raters hold, whatever `partners` is: `1 + Σ_{u ∈ raters(item)} |profile(u)|`.
+    /// An unrated item, or an id outside the catalogue, has an empty row of cost 1.
     pub fn row<'s>(
         &self,
         item: ItemId,
         scratch: &'s mut RowScratch,
+        partners: Partners<'_>,
     ) -> (&'s [(ItemId, SimilarityStats)], f64) {
         let RowScratch {
             sums,
@@ -333,12 +341,9 @@ impl<'a> ItemRowKernel<'a> {
             let ri = rater.value;
             let likes_i = ri >= i_avg;
             let u_avg = matrix.user_average(rater.user);
-            for e in profile {
-                if e.item == item {
-                    continue;
-                }
+            let mut add = |e: &UserEntry| {
                 let Some((fresh, s)) = sums.entry(e.item.index()) else {
-                    continue;
+                    return;
                 };
                 if fresh {
                     touched.push(e.item);
@@ -356,6 +361,19 @@ impl<'a> ItemRowKernel<'a> {
                         s.b += e.value;
                     }
                 }
+            };
+            // The rater's profile (ascending item id) splits at `item`: `at` entries
+            // below it, then `item` itself, then the entries above it.
+            let at = profile.partition_point(|e| e.item < item);
+            let above = at + usize::from(profile.get(at).is_some_and(|e| e.item == item));
+            profile[above..].iter().for_each(&mut add);
+            match partners {
+                Partners::All => profile[..at].iter().for_each(add),
+                Partners::Above(Some(keep)) => profile[..at]
+                    .iter()
+                    .filter(|e| keep.get(e.item.index()) == Some(&true))
+                    .for_each(add),
+                Partners::Above(None) => {}
             }
         }
         touched.sort_unstable();
@@ -605,7 +623,7 @@ mod tests {
         let kernel = ItemRowKernel::new(m, metric);
         let past = m.n_items() as u32 + 2;
         for i in (0..past).chain([u32::MAX]).map(ItemId) {
-            let (row, cost) = kernel.row(i, scratch);
+            let (row, cost) = kernel.row(i, scratch, Partners::All);
             let walked: usize = m
                 .item_profile(i)
                 .iter()
@@ -642,12 +660,15 @@ mod tests {
         b.push_parts(0, 0, 4.0).unwrap();
         b.push_parts(0, 2, 2.0).unwrap();
         let m = b.build().unwrap();
-        let mut scratch = RowScratch::new();
+        let mut scratch = RowScratch::default();
         for metric in METRICS {
             let kernel = ItemRowKernel::new(&m, metric);
-            assert_eq!(kernel.row(ItemId(0), &mut scratch).0.len(), 1);
+            assert_eq!(
+                kernel.row(ItemId(0), &mut scratch, Partners::All).0.len(),
+                1
+            );
             for absent in [ItemId(1), ItemId(3), ItemId(4), ItemId(u32::MAX)] {
-                let (row, cost) = kernel.row(absent, &mut scratch);
+                let (row, cost) = kernel.row(absent, &mut scratch, Partners::All);
                 assert!(row.is_empty(), "{metric:?}: {absent} has no raters");
                 assert_eq!(cost, 1.0);
             }
@@ -669,10 +690,41 @@ mod tests {
             let mut rng = TestRng::from_name(&seed.to_string());
             let small = skewed_matrix(&mut rng, 1 + n_users / 6, n_items);
             let large = skewed_matrix(&mut rng, n_users, n_items + 9);
-            let mut scratch = RowScratch::new();
+            let mut scratch = RowScratch::default();
             for m in [&large, &small, &large] {
                 for metric in METRICS {
                     assert_rows_equal_the_merge(m, metric, &mut scratch);
+                }
+            }
+        }
+
+        /// A restricted row is the full row filtered to the same partners — those
+        /// above the item, and below it the ones the mask marks (none without one) —
+        /// record for record and bit for bit, at the full row's cost, for all three
+        /// metrics.
+        #[test]
+        fn restricted_rows_are_the_full_row_filtered(
+            seed in any::<u64>(),
+            n_users in 1u32..80,
+            n_items in 1u32..30,
+        ) {
+            let mut rng = TestRng::from_name(&seed.to_string());
+            let m = skewed_matrix(&mut rng, n_users, n_items);
+            let mask: Vec<bool> = (0..m.n_items() as u64).map(|i| (i ^ seed).is_multiple_of(3)).collect();
+            let (mut full_scratch, mut scratch) = (RowScratch::default(), RowScratch::default());
+            for metric in METRICS {
+                let kernel = ItemRowKernel::new(&m, metric);
+                for item in (0..m.n_items() as u32 + 1).map(ItemId) {
+                    let (full, full_cost) = kernel.row(item, &mut full_scratch, Partners::All);
+                    for keep in [None, Some(mask.as_slice())] {
+                        let kept = |j: ItemId| j > item || keep.is_some_and(|k| k[j.index()]);
+                        let expect: Vec<_> =
+                            full.iter().filter(|(j, _)| kept(*j)).map(|&(j, s)| (j, bits(s))).collect();
+                        let (row, cost) = kernel.row(item, &mut scratch, Partners::Above(keep));
+                        let got: Vec<_> = row.iter().map(|&(j, s)| (j, bits(s))).collect();
+                        prop_assert_eq!(got, expect, "{:?}: row {}", metric, item);
+                        prop_assert_eq!(cost, full_cost);
+                    }
                 }
             }
         }

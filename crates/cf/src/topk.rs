@@ -70,7 +70,7 @@ impl<T> TopK<T> {
 
     /// Offers a candidate. Non-finite scores are ignored. A candidate scoring equal to
     /// the current k-th entry does not displace it (first-offered wins ties): this is
-    /// [`push_keyed`](Self::push_keyed) with the running sequence number as the key.
+    /// `push_keyed` with the running sequence number as the key.
     pub fn push(&mut self, score: f64, payload: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -82,7 +82,7 @@ impl<T> TopK<T> {
     /// result is the same whatever order the offers arrive in. Non-finite scores are
     /// ignored. A collector is fed through this method or through
     /// [`push`](Self::push), not both — their keys would not be comparable.
-    pub fn push_keyed(&mut self, score: f64, key: u64, payload: T) {
+    fn push_keyed(&mut self, score: f64, key: u64, payload: T) {
         if self.k == 0 || !score.is_finite() {
             return;
         }

@@ -15,9 +15,10 @@
 //! section of `DESIGN.md`): the released model and the recorded per-partition task
 //! costs are identical at any worker count. The two steps that score item pairs — the
 //! baseliner (`gather_pairs`) and the item-kNN pool fit (`fit_item_pools`) —
-//! partition *items* and score each item's whole row in one
-//! `xmap_cf::similarity::ItemRowKernel` gather; the per-pair profile merge survives only
-//! as the oracle of the serial references.
+//! partition *items* and score each item's row in one
+//! `xmap_cf::similarity::ItemRowKernel` gather (the baseliner's restricted to the
+//! partners it keeps); the per-pair profile merge survives only as the oracle of the
+//! serial references.
 //!
 //! Every stage's wall-clock duration and task bag is one entry of
 //! [`XMapModel::ledger`] — the scalability experiment (Figure 11) replays those task
@@ -49,7 +50,7 @@ use crate::{Result, XMapError};
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 use xmap_cf::knn::{ItemNeighbor, Profile};
-use xmap_cf::similarity::{ItemRowKernel, RowScratch};
+use xmap_cf::similarity::{ItemRowKernel, Partners, RowScratch};
 use xmap_cf::{
     DomainId, ItemId, ItemKnn, ItemKnnConfig, RatingMatrix, SimilarityMetric, SimilarityStats,
     UserId,
@@ -376,50 +377,44 @@ pub(crate) fn serve_on(
     flow.run(&fn_stage(RECOMMEND_STAGE_NAME, serve), ())
 }
 
-/// The partition-parallel pair scoring of the baseliner step: the kernel row of each of
-/// the `dirty` items, as ascending canonical keys with their statistics. Every
-/// unordered pair with a dirty endpoint comes back exactly once — a pair of two dirty
-/// items is kept from its lower endpoint only. Each partition hands back one flat
-/// `(key, stats)` run — never a `Vec` per row — and records the entries its gathers
-/// walked as its cost; the runs are merged by one stable sort (ascending items make a
-/// run mostly sorted already).
+/// The partition-parallel pair scoring of the baseliner step: each of the `dirty`
+/// items' [`ItemRowKernel::row`] rows, as `(canonical key, stats)` pairs. Every
+/// unordered pair with a dirty endpoint comes back exactly once, scored once: from its
+/// lower item when that is dirty, else from its higher one. In a fit every item is
+/// dirty, so a row walks each rater's profile from the item onwards only. Each
+/// partition hands back one flat run in no particular key order — never a `Vec` per
+/// row — and records the full rows' size (`1 + Σ |profile(u)|` per row) as its cost;
+/// [`SimilarityGraph::apply_updates`] orders the runs.
 fn gather_pairs(
     matrix: &RatingMatrix,
     metric: SimilarityMetric,
     dirty: Vec<ItemId>,
     cx: &mut StageContext<'_>,
-) -> (Vec<u64>, Vec<SimilarityStats>) {
-    let mut is_dirty = vec![false; matrix.n_items()];
+) -> Vec<Vec<(u64, SimilarityStats)>> {
+    let mut clean = vec![true; matrix.n_items()];
     for &item in &dirty {
-        is_dirty[item.index()] = true;
+        clean[item.index()] = false;
     }
+    let keep_below = (dirty.len() < matrix.n_items()).then_some(clean.as_slice());
     let kernel = ItemRowKernel::new(matrix, metric);
-    let runs = cx.map_partitions(
+    cx.map_partitions(
         dirty,
         |&item| item,
         |_ix, part| {
-            let mut scratch = RowScratch::new();
+            let mut scratch = RowScratch::default();
             let mut run: Vec<(u64, SimilarityStats)> = Vec::new();
             let mut cost = 0.0f64;
             for &item in part {
-                let (row, walked) = kernel.row(item, &mut scratch);
-                cost += walked;
+                let (row, size) = kernel.row(item, &mut scratch, Partners::Above(keep_below));
+                cost += size;
                 run.extend(
                     row.iter()
-                        .filter(|&&(other, _)| other > item || !is_dirty[other.index()])
                         .map(|&(other, stats)| (SimilarityGraph::pair_key(item, other), stats)),
                 );
             }
             (run, cost)
         },
-    );
-    let mut pairs: Vec<(u64, SimilarityStats)> =
-        Vec::with_capacity(runs.iter().map(Vec::len).sum());
-    for run in runs {
-        pairs.extend(run);
-    }
-    pairs.sort_by_key(|&(key, _)| key);
-    pairs.into_iter().unzip()
+    )
 }
 
 /// The partition-parallel item-kNN pool fit of the recommender step: one ordered map
@@ -434,11 +429,11 @@ fn fit_item_pools(
 ) -> Vec<Vec<ItemNeighbor>> {
     let kernel = ItemRowKernel::new(matrix, knn_config.metric);
     cx.map_items_ordered(matrix.items().collect(), |_ix, part| {
-        let mut scratch = RowScratch::new();
+        let mut scratch = RowScratch::default();
         let mut outs = Vec::with_capacity(part.len());
         let mut cost = 0.0f64;
         for &(_, item) in part {
-            let (row, walked) = kernel.row(item, &mut scratch);
+            let (row, walked) = kernel.row(item, &mut scratch, Partners::All);
             cost += walked;
             outs.push(ItemKnn::neighbors_from_row(row, knn_config.k));
         }
@@ -519,8 +514,8 @@ pub(crate) fn build_epoch(
         }
     };
 
-    // --- 1. Baseliner, the one narrowed step: gather the dirty items' whole rows and
-    // merge them over the cache. Nothing re-scored and no item added: the base arena
+    // --- 1. Baseliner, the one narrowed step: gather the dirty items' rows and merge
+    // them over the cache. Nothing re-scored and no item added: the base arena
     // *is* the refit's, so it is shared instead of copied. ---
     let graph = ledgers.step(FIT_STAGE_NAMES[0], |cx| {
         let dirty: Vec<ItemId> = match base {
@@ -532,14 +527,15 @@ pub(crate) fn build_epoch(
             }
         };
         report.n_dirty_items = dirty.len();
-        let (keys, fresh) = gather_pairs(updated, config.metric, dirty, cx);
-        report.n_rescored_pairs = keys.len();
-        let unchanged =
-            |b: &&DeltaBase<'_>| keys.is_empty() && updated.n_items() == b.epoch.graph.n_items();
+        let runs = gather_pairs(updated, config.metric, dirty, cx);
+        report.n_rescored_pairs = runs.iter().map(Vec::len).sum();
+        let unchanged = |b: &&DeltaBase<'_>| {
+            report.n_rescored_pairs == 0 && updated.n_items() == b.epoch.graph.n_items()
+        };
         if let Some(b) = base.filter(unchanged) {
             return Arc::clone(&b.epoch.graph);
         }
-        Arc::new(old_graph.apply_updates(updated, keys, fresh))
+        Arc::new(old_graph.apply_updates(updated, runs, cx.pool()))
     });
     // A shared graph leaves the X-Sim table and the replacements the refit's too.
     let unmoved = base.filter(|b| Arc::ptr_eq(&graph, &b.epoch.graph));
@@ -829,6 +825,50 @@ mod tests {
         }
     }
 
+    /// A delta whose dirty items have clean partners below them — the pairs a dirty
+    /// item's row keeps below it, which reach the graph in no key order — rebuilds
+    /// the graph of `build_serial` on the updated matrix, with the same pair count and
+    /// task costs at 1, 2 and 8 workers.
+    #[test]
+    fn delta_gather_with_clean_partners_below_is_bit_identical_at_1_2_and_8_workers() {
+        let ds = CrossDomainDataset::generate(CrossDomainConfig::small());
+        // One user rates the catalogue's last three items; the items rated beside them
+        // by others stay clean.
+        let (user, n_items) = (ds.overlap_users[0], ds.matrix.n_items() as u32);
+        let mut delta = RatingDelta::new();
+        for (ix, item) in (n_items - 3..n_items).enumerate() {
+            delta.push_timed(user.0, item, 1.0 + ix as f64, 900 + ix as u32);
+        }
+        let mut expected: Option<(usize, Vec<f64>)> = None;
+        for workers in [1usize, 2, 8] {
+            let config = XMapConfig {
+                k: 8,
+                workers,
+                partitions: 16,
+                ..Default::default()
+            };
+            let model =
+                XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, config).unwrap();
+            let report = model.apply_delta(&delta).unwrap();
+            let updated = model.matrix();
+            let dirty = SimilarityGraph::dirty_items(&updated, &[user]);
+            let kernel = ItemRowKernel::new(&updated, config.metric);
+            let mut scratch = RowScratch::default();
+            let below = dirty.iter().any(|&item| {
+                let row = kernel.row(item, &mut scratch, Partners::All).0;
+                row.iter()
+                    .any(|&(j, _)| j < item && dirty.binary_search(&j).is_err())
+            });
+            assert!(below, "no dirty item has a clean partner below it");
+            let graph_config = model.graph().config();
+            let reference = SimilarityGraph::build_serial(&updated, graph_config);
+            assert_eq!(*model.graph(), reference, "{workers} workers diverged");
+            let costs = model.flow.stage_costs(crate::DELTA_STAGE_NAME).unwrap();
+            let seen = (report.n_rescored_pairs, costs);
+            assert_eq!(expected.get_or_insert_with(|| seen.clone()), &seen);
+        }
+    }
+
     /// A fit — every item dirty, every later piece built whole — against the serial
     /// reference of each step, piece by piece, in all four modes.
     #[test]
@@ -925,7 +965,7 @@ mod tests {
                 metric,
                 ..Default::default()
             };
-            let mut scratch = CandidateScratch::new();
+            let mut scratch = CandidateScratch::default();
             let reference: Vec<Vec<ItemNeighbor>> = m
                 .items()
                 .map(|i| {

@@ -48,8 +48,8 @@ pub(crate) type NeighborTable = Arc<Vec<Vec<ItemNeighbor>>>;
 
 /// The profile-level state of one top-N request: computed once by
 /// [`ProfileRecommender::plan`] and handed to every `candidates` / `score` call of the
-/// request. The item-based variants need none (a sharded model hands every shard the
-/// empty plan); the user-based ones carry the selected neighbourhood and the profile
+/// request. The item-based variants keep theirs in the scratch's term table and return
+/// the empty plan; the user-based ones carry the selected neighbourhood and the profile
 /// average, and X-Map-ub also the pool its per-item draws select from.
 #[derive(Debug, Default)]
 pub struct ServePlan {
@@ -78,9 +78,11 @@ pub trait ProfileRecommender: std::any::Any {
     /// Predicted rating of `item` for the given (AlterEgo) profile.
     fn predict_for_profile(&self, profile: &Profile, item: ItemId) -> f64;
 
-    /// Phase 1: the profile-level state of a top-N request. Nothing for the
-    /// item-based variants; the user-based ones run their neighbour search over the
-    /// dense accumulators of `scratch`.
+    /// Phase 1: the profile-level state of a top-N request. The item-based variants
+    /// load the profile's term table into `scratch` (their `score` reads it and
+    /// nothing else); the user-based ones run their neighbour search over the dense
+    /// accumulators of `scratch`. Every later phase of the request runs on the same
+    /// scratch.
     fn plan(&self, _profile: &Profile, _scratch: &mut ProfileScratch) -> ServePlan {
         ServePlan::default()
     }
@@ -431,6 +433,14 @@ impl ProfileRecommender for ItemBasedRecommender {
         })
     }
 
+    /// Loads the profile's term table into `scratch`, which every `score` of the
+    /// request then reads: the table depends only on the target matrix every shard's
+    /// recommender shares, so a routed request loads it once for all its hops.
+    fn plan(&self, profile: &Profile, scratch: &mut ProfileScratch) -> ServePlan {
+        scratch.load(profile, &self.target, self.temporal_alpha);
+        ServePlan::default()
+    }
+
     // The pools drive candidate generation in both modes: X-Map-ib's private selection
     // decides what a candidate is scored from, not whether it is one.
     fn candidates(&self, profile: &Profile, _: &ServePlan, item_range: Range<u32>) -> Vec<ItemId> {
@@ -445,12 +455,11 @@ impl ProfileRecommender for ItemBasedRecommender {
 
     fn score(
         &self,
-        profile: &Profile,
+        _: &Profile,
         _: &ServePlan,
         items: &[ItemId],
         scratch: &mut ProfileScratch,
     ) -> Vec<(f64, ItemId)> {
-        scratch.load(profile, &self.target, self.temporal_alpha);
         let (table, terms) = (self.scored(), &scratch.terms);
         items
             .iter()
@@ -1291,8 +1300,10 @@ pub(crate) mod tests {
             let rec = if round % 4 < 2 { &large } else { &small };
             let profile = &profiles[round % 2];
             let items: Vec<ItemId> = (0..=rec.target().n_items() as u32).map(ItemId).collect();
-            let plan = ServePlan::default();
-            let fresh = rec.score(profile, &plan, &items, &mut ProfileScratch::new());
+            let mut fresh_scratch = ProfileScratch::new();
+            let plan = rec.plan(profile, &mut fresh_scratch);
+            let fresh = rec.score(profile, &plan, &items, &mut fresh_scratch);
+            let plan = rec.plan(profile, &mut warm);
             let got = rec.score(profile, &plan, &items, &mut warm);
             let bits =
                 |s: &[(f64, ItemId)]| s.iter().map(|(v, i)| (v.to_bits(), *i)).collect::<Vec<_>>();

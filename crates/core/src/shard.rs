@@ -61,7 +61,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use crate::delta::{DeltaReport, RatingDelta};
 use crate::generator::{self, AlterEgo};
 use crate::pipeline::{ModelEpoch, XMapModel};
-use crate::recommend::{self, NeighborTable, ServePlan, SharedRecommender};
+use crate::recommend::{self, NeighborTable, ProfileScratch, ServePlan, SharedRecommender};
 use crate::{Result, XMapError};
 use xmap_cf::knn::{ItemNeighbor, Profile};
 use xmap_cf::topk::TopK;
@@ -166,9 +166,14 @@ impl ShardMap {
     /// round-robin. The count clamps to `n_nodes` — asking for more replicas than
     /// nodes yields every node exactly once, never a duplicate host.
     pub fn hosts(&self, shard: u32, n_nodes: usize) -> Vec<usize> {
+        self.host_seq(shard, n_nodes).collect()
+    }
+
+    /// [`ShardMap::hosts`], unallocated.
+    fn host_seq(&self, shard: u32, n_nodes: usize) -> impl Iterator<Item = usize> + Clone {
         let owner = self.owner(shard, n_nodes);
         let count = (self.replication(shard) as usize).min(n_nodes).max(1);
-        (0..count).map(|i| (owner + i) % n_nodes).collect()
+        (0..count).map(move |i| (owner + i) % n_nodes)
     }
 
     /// Raises the replica count of every shard holding one of the `head` most
@@ -597,19 +602,15 @@ impl ShardedModel {
     /// the routing decision in the `route` ledger. Fails when every host of the
     /// shard is dead.
     fn read_host(&self, shard: u32) -> Result<usize> {
-        let live: Vec<usize> = self
-            .map
-            .hosts(shard, self.nodes.len())
-            .into_iter()
-            .filter(|&h| self.nodes[h].alive && self.nodes[h].shards.contains_key(&shard))
-            .collect();
-        if live.is_empty() {
-            return Err(XMapError::Data(format!(
-                "shard {shard} has no live replica (all hosts killed)"
-            )));
-        }
+        let hosts = self.map.host_seq(shard, self.nodes.len());
+        let live =
+            hosts.filter(|&h| self.nodes[h].alive && self.nodes[h].shards.contains_key(&shard));
+        let n_live = live.clone().count().max(1) as u64;
         let mut led = lock_ledgers(&self.ledgers);
-        let pick = live[(led.next_read % live.len() as u64) as usize];
+        let Some(pick) = live.clone().nth((led.next_read % n_live) as usize) else {
+            let dead = format!("shard {shard} has no live replica (all hosts killed)");
+            return Err(XMapError::Data(dead));
+        };
         led.next_read += 1;
         led.route.add(pick, 1.0);
         Ok(pick)
@@ -714,16 +715,21 @@ impl ShardedModel {
         for &(i, _, _) in profile {
             *hops.entry(self.map.shard_of(i)).or_insert(1.0) += 1.0;
         }
-        let plan = ServePlan::default();
-        let mut gathered: Vec<ItemId> = Vec::new();
-        for (&shard, &cost) in &hops {
-            gathered.extend(self.on_replica(shard, |replica| {
-                let (start, end) = replica.state.slice.item_range();
-                (replica.serve.candidates(profile, &plan, start..end), cost)
-            })?);
-        }
-        let stream = recommend::with_thread_scratch(|s| s.candidate_stream(profile, &gathered));
-        self.routed_scores(profile, &plan, &stream, n)
+        // One scratch for every hop: the first hop's replica plans (loads the term
+        // table every shard's `score` reads), and the plan rides along.
+        recommend::with_thread_scratch(|scratch| {
+            let mut plan = None;
+            let mut gathered: Vec<ItemId> = Vec::new();
+            for (&shard, &cost) in &hops {
+                gathered.extend(self.on_replica(shard, |replica| {
+                    let plan = plan.get_or_insert_with(|| replica.serve.plan(profile, scratch));
+                    let (start, end) = replica.state.slice.item_range();
+                    (replica.serve.candidates(profile, plan, start..end), cost)
+                })?);
+            }
+            let stream = scratch.candidate_stream(profile, &gathered);
+            self.routed_scores(profile, &plan.unwrap_or_default(), &stream, n, scratch)
+        })
     }
 
     /// Runs one shard-local phase of a routed request on a live replica of
@@ -745,6 +751,7 @@ impl ShardedModel {
         plan: &ServePlan,
         candidates: &[ItemId],
         n: usize,
+        scratch: &mut ProfileScratch,
     ) -> Result<Vec<(ItemId, f64)>> {
         let last = self.map.n_shards() as u32 - 1;
         let mut global = TopK::new(n);
@@ -760,9 +767,7 @@ impl ShardedModel {
             };
             let segment = &candidates[ix..end];
             let scored = self.on_replica(shard, |replica| {
-                let scored = recommend::with_thread_scratch(|scratch| {
-                    replica.serve.score(profile, plan, segment, scratch)
-                });
+                let scored = replica.serve.score(profile, plan, segment, scratch);
                 (scored, 1.0 + segment.len() as f64)
             })?;
             for (score, item) in scored {
@@ -1287,13 +1292,13 @@ mod tests {
             let (start, end) = recovered.state.slice.item_range();
             let items: Vec<ItemId> = (start..end).map(ItemId).collect();
             for profile in &profiles {
-                let plan = ServePlan::default();
                 let answers = [live, recovered].map(|replica| {
-                    let scored = recommend::with_thread_scratch(|scratch| {
-                        replica.serve.score(profile, &plan, &items, scratch)
-                    });
-                    let bits: Vec<u64> = scored.iter().map(|&(s, _)| s.to_bits()).collect();
-                    (bits, replica.serve.candidates(profile, &plan, start..end))
+                    recommend::with_thread_scratch(|scratch| {
+                        let plan = replica.serve.plan(profile, scratch);
+                        let scored = replica.serve.score(profile, &plan, &items, scratch);
+                        let bits: Vec<u64> = scored.iter().map(|&(s, _)| s.to_bits()).collect();
+                        (bits, replica.serve.candidates(profile, &plan, start..end))
+                    })
                 });
                 assert_eq!(
                     answers[0], answers[1],

@@ -25,14 +25,6 @@ impl WorkerPool {
         }
     }
 
-    /// A pool sized to the machine's available parallelism.
-    pub fn default_parallelism() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        WorkerPool::new(workers)
-    }
-
     /// The number of workers.
     pub fn workers(&self) -> usize {
         self.workers
@@ -58,18 +50,29 @@ impl WorkerPool {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        if self.workers == 1 || items.len() == 1 {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
+        let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
+        self.for_each_mut(&mut results, |idx, slot| *slot = Some(f(idx, &items[idx])));
+        results
+            .into_iter()
+            .map(|r| r.expect("every index was processed")) // lint: panic — reviewed invariant
+            .collect()
+    }
 
+    /// Applies `f` to every element of `items` in place, each element on exactly one
+    /// worker, with its index — the disjoint-`&mut` form of
+    /// [`WorkerPool::parallel_map_indexed`], which is this over its output slots.
+    pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut T) + Sync,
+    {
         let n = items.len();
+        if self.workers == 1 || n <= 1 {
+            items.iter_mut().enumerate().for_each(|(i, t)| f(i, t));
+            return;
+        }
         let cursor = AtomicUsize::new(0);
-        let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-        results.resize_with(n, || None);
-        let results_ptr = SendPtr(results.as_mut_ptr());
+        let items_ptr = SendPtr(items.as_mut_ptr());
 
         std::thread::scope(|scope| {
             let spawn_worker = |_| {
@@ -83,13 +86,10 @@ impl WorkerPool {
                     if idx >= n {
                         break;
                     }
-                    let value = f(idx, &items[idx]);
                     // SAFETY: each index is claimed by exactly one worker (fetch_add is
-                    // unique per idx), the vector was pre-sized to n elements, and the
-                    // scope guarantees workers finish before `results` is read.
-                    unsafe {
-                        *results_ptr.slot(idx) = Some(value);
-                    }
+                    // unique per idx), `idx < n` keeps it inside the slice, and the
+                    // scope ends every worker before the borrow of `items` does.
+                    f(idx, unsafe { &mut *items_ptr.slot(idx) });
                 })
             };
             // Joined by handle, not left to the scope, which waits for the workers'
@@ -103,17 +103,6 @@ impl WorkerPool {
                 }
             }
         });
-
-        results
-            .into_iter()
-            .map(|r| r.expect("every index was processed")) // lint: panic — reviewed invariant
-            .collect()
-    }
-}
-
-impl Default for WorkerPool {
-    fn default() -> Self {
-        WorkerPool::default_parallelism()
     }
 }
 
@@ -185,9 +174,18 @@ mod tests {
     }
 
     #[test]
-    fn default_pool_has_at_least_one_worker() {
-        assert!(WorkerPool::default().workers() >= 1);
-        assert!(WorkerPool::default_parallelism().workers() >= 1);
+    fn for_each_mut_visits_every_element_once_in_place() {
+        for workers in [1, 2, 8] {
+            let mut items: Vec<(usize, u32)> = (0..100).map(|i| (i, 0)).collect();
+            WorkerPool::new(workers).for_each_mut(&mut items, |idx, (i, visits)| {
+                assert_eq!(idx, *i);
+                *visits += 1;
+            });
+            assert!(
+                items.iter().all(|&(_, visits)| visits == 1),
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]

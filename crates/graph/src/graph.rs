@@ -9,12 +9,13 @@
 //! ## Scoring: rows in production, pairs in the reference
 //!
 //! [`SimilarityGraph::build`] (and the engine-parallel graph step of `xmap-core`, fit
-//! and delta alike) score an item's whole row in one [`ItemRowKernel`] gather and keep the
-//! `hi > lo` half, so the ascending pair-key list falls out of the rows.
-//! [`SimilarityGraph::build_serial`] and [`SimilarityGraph::apply_updates_serial`] stay
-//! on the definition — enumerate the co-rated pair keys, one
-//! [`item_similarity_stats`] merge per key — and are the oracle every bit-identity gate
-//! compares against; both feed the one `from_scored_pairs` back half.
+//! and delta alike) score each pair once, from its lower item's
+//! [`ItemRowKernel::row`] gather, and hand the pairs over in any order; the key
+//! order is this module's alone ([`SimilarityGraph::apply_updates`]).
+//! [`SimilarityGraph::build_serial`] and the test-only `apply_updates_serial` stay on
+//! the definition — enumerate the co-rated pair keys, one [`item_similarity_stats`]
+//! merge per key — and are the oracle every bit-identity gate compares against; all
+//! feed the one `from_scored_pairs` back half.
 //!
 //! ## Storage layout
 //!
@@ -33,10 +34,11 @@
 //!
 //! Pruning keeps an undirected edge when it ranks within the `top_k` strongest edges of
 //! *either* endpoint (union semantics), an item's edges ranked by similarity descending
-//! and, among equals, by ascending position in the key-sorted pair list — one bounded
-//! heap per item (`union_top_k`). This is a deliberate change from the historical
-//! per-item lists, which traversed only edges surviving the *from* side's pruning and
-//! consulted the reverse orientation solely when scoring already-enumerated paths: with
+//! and, among equals, by ascending position in the key-sorted pair list — one
+//! selection per item over its incident pairs (`union_top_k`). This is a deliberate
+//! change from the historical per-item lists, which traversed only edges surviving the
+//! *from* side's pruning and consulted the reverse orientation solely when scoring
+//! already-enumerated paths: with
 //! undirected storage the traversable and scorable edge sets are necessarily the same,
 //! and the union is the choice consistent with the old scoring fallback. Consequently
 //! item degrees are no longer bounded by `top_k` (a hub every neighbour ranks highly
@@ -46,9 +48,12 @@
 //! (§3.1 discusses exactly this O(m²) blow-up).
 
 use serde::{Deserialize, Serialize};
-use xmap_cf::similarity::{item_similarity_stats, ItemRowKernel, RowScratch, SimilarityStats};
-use xmap_cf::topk::TopK;
-use xmap_cf::{DomainId, ItemId, RatingMatrix, SimilarityMetric, UserId};
+use std::ops::Range;
+use xmap_cf::similarity::{
+    item_similarity_stats, ItemRowKernel, Partners, RowScratch, SimilarityStats,
+};
+use xmap_cf::{CandidateScratch, DomainId, ItemId, RatingMatrix, SimilarityMetric, UserId};
+use xmap_engine::WorkerPool;
 
 /// Configuration for building the baseline similarity graph.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -181,76 +186,125 @@ pub struct SimilarityGraph {
     config: GraphConfig,
 }
 
-/// Flush threshold floor for the chunked pair-key dedup: below this many pending keys a
-/// merge is not worth its copy.
-const PAIR_KEY_MIN_CHUNK: usize = 1 << 12;
+/// A pruning rule: `keep[ix]` for every scored pair, given the pool, the item count,
+/// the pairs and `k` (`union_top_k`, or the sort oracle in the tests).
+type Prune = fn(&WorkerPool, usize, &[u64], &[SimilarityStats], usize) -> Vec<bool>;
 
-/// Sorts + dedups `pending` and merges it into the sorted, deduplicated `merged`.
-fn merge_pair_chunk(merged: &mut Vec<u64>, pending: &mut Vec<u64>) {
-    if pending.is_empty() {
-        return;
-    }
-    pending.sort_unstable();
-    pending.dedup();
-    let mut out = Vec::with_capacity(merged.len() + pending.len());
-    let (mut a, mut b) = (0usize, 0usize);
-    while a < merged.len() && b < pending.len() {
-        match merged[a].cmp(&pending[b]) {
-            std::cmp::Ordering::Less => {
-                out.push(merged[a]);
-                a += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(pending[b]);
-                b += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(merged[a]);
-                a += 1;
-                b += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&merged[a..]);
-    out.extend_from_slice(&pending[b..]);
-    *merged = out;
-    pending.clear();
+/// Contiguous ranges of `n_items` items, `8 × workers` of them at most: the units a
+/// build's pool works on. What an item gets never depends on them.
+fn item_ranges(n_items: usize, pool: &WorkerPool) -> Vec<Range<usize>> {
+    let per = n_items.div_ceil(8 * pool.workers()).max(1);
+    (0..n_items)
+        .step_by(per)
+        .map(|s| s..n_items.min(s + per))
+        .collect()
 }
 
 /// Union top-k pruning: `keep[ix]` says whether pair `ix` ranks within the `k` strongest
 /// pairs of at least one of its endpoints, under the order *similarity descending, pair
-/// index ascending*. One bounded heap per item, sized to the item's incident pairs when
-/// those are fewer than `k`, filled in one pass over the pairs; the kept set is the
-/// union of what the heaps retain. Similarities are filter survivors — never zero or
-/// NaN, and finite because every metric is bounded.
-fn union_top_k(n_items: usize, keys: &[u64], stats: &[SimilarityStats], k: usize) -> Vec<bool> {
-    let endpoints = |key: u64| {
-        let (lo, hi) = SimilarityGraph::pair_of_key(key);
-        [lo.index(), hi.index()]
-    };
-    let mut incident = vec![0usize; n_items];
+/// index ascending*. The pool ranks each item's incident pairs over item ranges, each
+/// range with one reused buffer: an item with at most `k` pairs keeps them all, any
+/// other selects its `k` first under that (total) order. The kept set is the union of
+/// every item's. `keys` ascend, so only the pairs an item holds as the higher item
+/// need laying out. Similarities are filter survivors — never zero or NaN, and finite
+/// because every metric is bounded.
+fn union_top_k(
+    pool: &WorkerPool,
+    n_items: usize,
+    keys: &[u64],
+    stats: &[SimilarityStats],
+    k: usize,
+) -> Vec<bool> {
+    // An item's pairs as the lower item are a contiguous run of the ascending keys,
+    // `lo_at[i]..lo_at[i + 1]`; its pairs as the higher item are laid out by item,
+    // ascending pair index, in `below`.
+    let (mut lo_at, mut hi_at) = (vec![0u32; n_items + 1], vec![0u32; n_items + 1]);
     for &key in keys {
-        for item in endpoints(key) {
-            incident[item] += 1;
-        }
+        let (lo, hi) = SimilarityGraph::pair_of_key(key);
+        lo_at[lo.index() + 1] += 1;
+        hi_at[hi.index() + 1] += 1;
     }
-    let mut heaps: Vec<TopK<()>> = incident.iter().map(|&d| TopK::new(k.min(d))).collect();
-    for (ix, (&key, stats)) in keys.iter().zip(stats).enumerate() {
-        for item in endpoints(key) {
-            heaps[item].push_keyed(stats.similarity, ix as u64, ());
-        }
+    for i in 0..n_items {
+        lo_at[i + 1] += lo_at[i];
+        hi_at[i + 1] += hi_at[i];
     }
+    let mut cursor = hi_at[..n_items].to_vec();
+    let mut below = vec![0u32; keys.len()];
+    for (ix, &key) in keys.iter().enumerate() {
+        let hi = SimilarityGraph::pair_of_key(key).1.index();
+        below[cursor[hi] as usize] = ix as u32;
+        cursor[hi] += 1;
+    }
+    let kept = pool.parallel_map(&item_ranges(n_items, pool), |items| {
+        let (mut ranked, mut kept) = (Vec::new(), Vec::new());
+        for i in items.clone() {
+            let as_hi = &below[hi_at[i] as usize..hi_at[i + 1] as usize];
+            let pairs = as_hi.iter().copied().chain(lo_at[i]..lo_at[i + 1]);
+            if as_hi.len() + (lo_at[i + 1] - lo_at[i]) as usize <= k {
+                kept.extend(pairs);
+            } else if k > 0 {
+                ranked.clear();
+                ranked.extend(pairs.map(|ix| (stats[ix as usize].similarity, ix)));
+                ranked.select_nth_unstable_by(k - 1, |a: &(f64, u32), b| {
+                    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+                });
+                kept.extend(ranked[..k].iter().map(|&(_, ix)| ix));
+            }
+        }
+        kept
+    });
     let mut keep = vec![false; keys.len()];
-    for ix in heaps.iter().flat_map(TopK::keys) {
+    for ix in kept.into_iter().flatten() {
         keep[ix as usize] = true;
     }
     keep
+}
+
+/// The runs' pairs in ascending key order: counted and scattered by lower item, each
+/// run dropped once scattered, then a bucket sorted by its higher item only if it
+/// arrived out of order (a delta's clean partners below a dirty item).
+fn bucket_pairs(
+    n_items: usize,
+    runs: Vec<Vec<(u64, SimilarityStats)>>,
+) -> (Vec<u64>, Vec<SimilarityStats>) {
+    let lo = |key: u64| (key >> 32) as usize;
+    let mut starts = vec![0usize; n_items + 1];
+    for &(key, _) in runs.iter().flatten() {
+        starts[lo(key) + 1] += 1;
+    }
+    for i in 0..n_items {
+        starts[i + 1] += starts[i];
+    }
+    let mut cursor = starts[..n_items].to_vec();
+    let mut keys = vec![0u64; starts[n_items]];
+    let mut stats = vec![SimilarityStats::NONE; starts[n_items]];
+    for run in runs {
+        for (key, pair) in run {
+            let slot = &mut cursor[lo(key)];
+            (keys[*slot], stats[*slot]) = (key, pair);
+            *slot += 1;
+        }
+    }
+    let mut bucket: Vec<(u64, SimilarityStats)> = Vec::new();
+    for w in starts.windows(2) {
+        let (keys, stats) = (&mut keys[w[0]..w[1]], &mut stats[w[0]..w[1]]);
+        if !keys.is_sorted() {
+            bucket.clear();
+            bucket.extend(keys.iter().copied().zip(stats.iter().copied()));
+            bucket.sort_unstable_by_key(|&(key, _)| key);
+            for (ix, &(key, pair)) in bucket.iter().enumerate() {
+                (keys[ix], stats[ix]) = (key, pair);
+            }
+        }
+    }
+    (keys, stats)
 }
 
 /// The pruning rule by definition — rank every item's incident pairs with a full sort
 /// and keep each item's first `k` — which [`union_top_k`] must reproduce.
 #[cfg(test)]
 fn union_top_k_by_sorting(
+    _: &WorkerPool,
     n_items: usize,
     keys: &[u64],
     stats: &[SimilarityStats],
@@ -289,30 +343,20 @@ impl SimilarityGraph {
     }
 
     /// All co-rated unordered item pairs of the matrix as sorted, deduplicated
-    /// canonical keys — the candidate set every graph build scores.
-    ///
-    /// Peak memory is bounded by the *deduplicated* pair count (plus a constant-size
-    /// chunk), not by the raw `Σ_u d_u²` pair emissions: users' pair streams are
-    /// accumulated into a bounded pending chunk that is sorted, deduplicated and merged
-    /// into the running sorted set whenever it would outgrow that set. A single heavy
-    /// user's pairs are mutually distinct (profiles hold each item once), so even the
-    /// largest one-user burst stays within the bound.
+    /// canonical keys — the candidate set every graph build scores: each item's
+    /// [`CandidateScratch::candidate_set`] above it, in ascending item order, so peak
+    /// memory is the output's, not the raw `Σ_u d_u²` pair emissions.
     pub fn co_rated_pair_keys(matrix: &RatingMatrix) -> Vec<u64> {
-        let mut merged: Vec<u64> = Vec::new();
-        let mut pending: Vec<u64> = Vec::new();
-        for u in matrix.users() {
-            let profile = matrix.user_profile(u);
-            for a in 0..profile.len() {
-                for b in (a + 1)..profile.len() {
-                    pending.push(Self::pair_key(profile[a].item, profile[b].item));
-                }
-            }
-            if pending.len() >= PAIR_KEY_MIN_CHUNK.max(merged.len()) {
-                merge_pair_chunk(&mut merged, &mut pending);
-            }
+        let mut scratch = CandidateScratch::default();
+        let mut keys = Vec::new();
+        for lo in matrix.items() {
+            let above = scratch
+                .candidate_set(matrix, lo)
+                .into_iter()
+                .filter(|&hi| hi > lo);
+            keys.extend(above.map(|hi| Self::pair_key(lo, hi)));
         }
-        merge_pair_chunk(&mut merged, &mut pending);
-        merged
+        keys
     }
 
     /// The items whose pairwise similarity statistics may differ after the profiles of
@@ -343,26 +387,19 @@ impl SimilarityGraph {
     ///
     /// Pairs with *no* dirty endpoint keep their statistics bit for bit: both profiles,
     /// both item averages and all their raters' user averages are untouched by the
-    /// delta (see [`SimilarityGraph::dirty_items`]). Enumeration walks each dirty
-    /// item's raters' profiles, so the cost is proportional to the delta's two-hop
+    /// delta (see [`SimilarityGraph::dirty_items`]). Enumeration collects each dirty
+    /// item's candidate set, so the cost is proportional to the delta's two-hop
     /// co-rating neighbourhood, not to the trace.
     pub fn affected_pair_keys(matrix: &RatingMatrix, dirty: &[ItemId]) -> Vec<u64> {
-        let mut merged: Vec<u64> = Vec::new();
-        let mut pending: Vec<u64> = Vec::new();
+        let mut scratch = CandidateScratch::default();
+        let mut keys = Vec::new();
         for &it in dirty {
-            for rater in matrix.item_profile(it) {
-                for e in matrix.user_profile(rater.user) {
-                    if e.item != it {
-                        pending.push(Self::pair_key(it, e.item));
-                    }
-                }
-            }
-            if pending.len() >= PAIR_KEY_MIN_CHUNK.max(merged.len()) {
-                merge_pair_chunk(&mut merged, &mut pending);
-            }
+            let set = scratch.candidate_set(matrix, it);
+            keys.extend(set.into_iter().map(|j| Self::pair_key(it, j)));
         }
-        merge_pair_chunk(&mut merged, &mut pending);
-        merged
+        keys.sort_unstable();
+        keys.dedup();
+        keys
     }
 
     /// The graph of no items under `config`: what a first build's
@@ -381,13 +418,15 @@ impl SimilarityGraph {
         }
     }
 
-    /// Rebuilds the graph after a rating delta: the `affected_keys` (sorted canonical
-    /// keys, with `fresh_stats[ix]` the **freshly recomputed** statistics of
-    /// `affected_keys[ix]` on the updated matrix) replace or extend this graph's
-    /// scored-pair cache; every other scored pair keeps its cached statistics. The
-    /// merged key/stat sequence then runs through the shared
-    /// `from_scored_pairs` back half (filter → union top-k pruning →
-    /// arena assembly).
+    /// Rebuilds the graph after a rating delta: the `runs` hold the **freshly
+    /// recomputed** statistics of the affected pairs on the updated matrix, keyed by
+    /// canonical pair key, in any order and split across any number of runs (a
+    /// partition-parallel gather hands over one run per partition). They replace or
+    /// extend this graph's scored-pair cache; every other scored pair keeps its cached
+    /// statistics. The pairs are put in key order here — bucketed by lower item, see
+    /// `bucket_pairs` — and the merged key/stat sequence then runs through the shared
+    /// `from_scored_pairs` back half (filter → union top-k pruning → arena assembly),
+    /// whose per-item work runs over item ranges on `pool`.
     ///
     /// The merge runs over the **pre-pruning** scored-pair cache, not the stored
     /// arena: top-k pruning is a global ranking over all scored pairs, so a delta that
@@ -396,76 +435,58 @@ impl SimilarityGraph {
     ///
     /// **Recompute, never accumulate:** affected pairs are re-scored from scratch on
     /// the updated matrix — no float deltas are added to cached similarities — so when
-    /// `affected_keys` covers every pair whose inputs changed (see
+    /// the runs cover every pair whose inputs changed (see
     /// [`SimilarityGraph::affected_pair_keys`]), the result is **bit-identical to a
-    /// full [`SimilarityGraph::build`] on the updated matrix**. Pruning and pool
-    /// ordering are global properties of the surviving pair set, which is why the
-    /// assembly is a linear merge over all pairs (cheap copies) while the similarity
-    /// *scoring* — the dominant cost — is confined to the affected keys.
+    /// full [`SimilarityGraph::build`] on the updated matrix**, at any worker count.
+    /// Pruning and pool ordering are global properties of the surviving pair set,
+    /// which is why the assembly is a linear merge over all pairs (cheap copies) while
+    /// the similarity *scoring* — the dominant cost — is confined to the affected keys.
     ///
     /// # Panics
-    /// Panics if the key/stat lengths differ or `affected_keys` is not strictly
-    /// ascending.
+    /// Panics if a pair key appears twice, or names an item outside `updated`.
     pub fn apply_updates(
         &self,
         updated: &RatingMatrix,
-        affected_keys: Vec<u64>,
-        fresh_stats: Vec<SimilarityStats>,
+        runs: Vec<Vec<(u64, SimilarityStats)>>,
+        pool: &WorkerPool,
     ) -> SimilarityGraph {
-        assert_eq!(
-            affected_keys.len(),
-            fresh_stats.len(),
-            "every affected key needs exactly one fresh statistics record"
-        );
+        let (affected_keys, fresh_stats) = bucket_pairs(updated.n_items(), runs);
         assert!(
             affected_keys.windows(2).all(|w| w[0] < w[1]),
-            "affected keys must be strictly ascending"
+            "every affected pair must be scored exactly once"
         );
         // Nothing cached (a first build over `SimilarityGraph::empty`): the fresh pairs
         // are the whole sequence already, so hand them over instead of copying them.
         if self.scored_keys.is_empty() {
-            return Self::from_scored_pairs(updated, self.config, affected_keys, fresh_stats);
+            return Self::from_scored_pairs(updated, self.config, affected_keys, fresh_stats, pool);
         }
 
         let mut keys: Vec<u64> = Vec::with_capacity(self.scored_keys.len() + affected_keys.len());
         let mut stats: Vec<SimilarityStats> = Vec::with_capacity(keys.capacity());
-        let (mut cached, mut af) = (0usize, 0usize);
-        while cached < self.scored_keys.len() && af < affected_keys.len() {
-            match self.scored_keys[cached].cmp(&affected_keys[af]) {
-                std::cmp::Ordering::Less => {
-                    keys.push(self.scored_keys[cached]);
-                    stats.push(self.scored_stats[cached]);
-                    cached += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    keys.push(affected_keys[af]);
-                    stats.push(fresh_stats[af]);
-                    af += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    keys.push(affected_keys[af]);
-                    stats.push(fresh_stats[af]);
-                    cached += 1;
-                    af += 1;
-                }
+        let mut fresh = affected_keys.into_iter().zip(fresh_stats).peekable();
+        for (&key, &cached) in self.scored_keys.iter().zip(&self.scored_stats) {
+            let mut replaced = false;
+            while let Some((k, s)) = fresh.next_if(|&(k, _)| k <= key) {
+                replaced |= k == key;
+                keys.push(k);
+                stats.push(s);
+            }
+            if !replaced {
+                keys.push(key);
+                stats.push(cached);
             }
         }
-        while cached < self.scored_keys.len() {
-            keys.push(self.scored_keys[cached]);
-            stats.push(self.scored_stats[cached]);
-            cached += 1;
-        }
-        while af < affected_keys.len() {
-            keys.push(affected_keys[af]);
-            stats.push(fresh_stats[af]);
-            af += 1;
+        for (k, s) in fresh {
+            keys.push(k);
+            stats.push(s);
         }
 
-        Self::from_scored_pairs(updated, self.config, keys, stats)
+        Self::from_scored_pairs(updated, self.config, keys, stats, pool)
     }
 
     /// Number of entries in the scored-pair cache (filter-surviving pairs before
     /// pruning) — the memory the delta-fit path pays for exact incremental pruning.
+    #[cfg(test)]
     pub fn n_scored_pairs(&self) -> usize {
         self.scored_keys.len()
     }
@@ -476,6 +497,7 @@ impl SimilarityGraph {
     /// the engine-parallel delta stage must match bit for bit at any worker count —
     /// and, by the recompute-exactly rule, it equals a full
     /// [`SimilarityGraph::build`] on the updated matrix (property-tested below).
+    #[cfg(test)]
     pub fn apply_updates_serial(
         &self,
         updated: &RatingMatrix,
@@ -483,14 +505,17 @@ impl SimilarityGraph {
     ) -> SimilarityGraph {
         let dirty = Self::dirty_items(updated, affected_users);
         let keys = Self::affected_pair_keys(updated, &dirty);
-        let stats: Vec<SimilarityStats> = keys
+        let pairs: Vec<(u64, SimilarityStats)> = keys
             .iter()
             .map(|&key| {
                 let (lo, hi) = Self::pair_of_key(key);
-                item_similarity_stats(updated, lo, hi, self.config.metric)
+                (
+                    key,
+                    item_similarity_stats(updated, lo, hi, self.config.metric),
+                )
             })
             .collect();
-        self.apply_updates(updated, keys, stats)
+        self.apply_updates(updated, vec![pairs], &WorkerPool::new(1))
     }
 
     /// Assembles the CSR arena from every candidate pair key and its similarity
@@ -498,10 +523,10 @@ impl SimilarityGraph {
     /// [`SimilarityGraph::co_rated_pair_keys`] produces them).
     ///
     /// This is the shared back half of every build path: the weak-edge filter, the
-    /// union top-k pruning and the arena assembly. `xmap-core` gathers rows
-    /// partition-parallel and feeds the key-sorted pairs here through
-    /// [`SimilarityGraph::apply_updates`], which is what makes its graphs bit-identical
-    /// to [`SimilarityGraph::build_serial`].
+    /// union top-k pruning and the arena assembly, the per-item parts of the last two
+    /// on `pool`. `xmap-core` gathers rows partition-parallel and feeds the pairs here
+    /// through [`SimilarityGraph::apply_updates`], which is what makes its graphs
+    /// bit-identical to [`SimilarityGraph::build_serial`].
     ///
     /// # Panics
     /// Panics if `keys` and `stats` have different lengths.
@@ -510,8 +535,9 @@ impl SimilarityGraph {
         config: GraphConfig,
         keys: Vec<u64>,
         stats: Vec<SimilarityStats>,
+        pool: &WorkerPool,
     ) -> Self {
-        Self::assemble(matrix, config, keys, stats, union_top_k)
+        Self::assemble(matrix, config, (keys, stats), pool, union_top_k)
     }
 
     /// [`SimilarityGraph::from_scored_pairs`] with the pruning rule as a parameter, so
@@ -519,9 +545,9 @@ impl SimilarityGraph {
     fn assemble(
         matrix: &RatingMatrix,
         config: GraphConfig,
-        keys: Vec<u64>,
-        stats: Vec<SimilarityStats>,
-        prune: fn(usize, &[u64], &[SimilarityStats], usize) -> Vec<bool>,
+        (keys, stats): (Vec<u64>, Vec<SimilarityStats>),
+        pool: &WorkerPool,
+        prune: Prune,
     ) -> Self {
         assert_eq!(
             keys.len(),
@@ -546,7 +572,7 @@ impl SimilarityGraph {
         // --- 3. Union top-k pruning: keep a pair ranked top-k by either endpoint. ---
         let keep = config
             .top_k
-            .map(|k| prune(n_items, &scored_keys, &scored_stats, k));
+            .map(|k| prune(pool, n_items, &scored_keys, &scored_stats, k));
         let mut edges: Vec<(ItemId, ItemId)> = Vec::new();
         let mut edge_stats: Vec<SimilarityStats> = Vec::new();
         for (ix, (&key, &stats)) in scored_keys.iter().zip(&scored_stats).enumerate() {
@@ -581,32 +607,39 @@ impl SimilarityGraph {
             }
         }
 
-        // Pair keys were processed in ascending (lo, hi) order, but an item appears as
-        // both `lo` and `hi`, so its slice is not sorted yet — sort each row by id and
-        // derive the descending-similarity slot permutation.
+        // Pair keys were processed in ascending (lo, hi) order, so an item's slots
+        // hold its lower neighbours (as `hi`, ascending `lo`) and then its higher ones
+        // (as `lo`, ascending `hi`): each row is sorted by id already. The pool derives
+        // each row's descending-similarity slot permutation in place, over disjoint
+        // item ranges of `sim_rank`.
         let mut sim_rank = vec![0u32; total_slots];
-        for i in 0..n_items {
-            let (start, end) = (offsets[i] as usize, offsets[i + 1] as usize);
-            let mut row: Vec<(ItemId, u32)> = neighbors[start..end]
-                .iter()
-                .copied()
-                .zip(edge_ix[start..end].iter().copied())
-                .collect();
-            row.sort_unstable_by_key(|&(id, _)| id);
-            for (slot, &(id, ix)) in row.iter().enumerate() {
-                neighbors[start + slot] = id;
-                edge_ix[start + slot] = ix;
-            }
-            let mut order: Vec<u32> = (0..(end - start) as u32).collect();
-            order.sort_by(|&a, &b| {
-                let sa = edge_stats[edge_ix[start + a as usize] as usize].similarity;
-                let sb = edge_stats[edge_ix[start + b as usize] as usize].similarity;
-                sb.partial_cmp(&sa)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            sim_rank[start..end].copy_from_slice(&order);
+        let mut chunks: Vec<(Range<usize>, &mut [u32])> = Vec::new();
+        let mut rest = sim_rank.as_mut_slice();
+        for items in item_ranges(n_items, pool) {
+            let len = (offsets[items.end] - offsets[items.start]) as usize;
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            chunks.push((items, chunk));
+            rest = tail;
         }
+        pool.for_each_mut(&mut chunks, |_, (items, ranks)| {
+            let base = offsets[items.start] as usize;
+            for i in items.clone() {
+                let (start, end) = (offsets[i] as usize, offsets[i + 1] as usize);
+                let order = &mut ranks[start - base..end - base];
+                for (slot, rank) in order.iter_mut().enumerate() {
+                    *rank = slot as u32;
+                }
+                // A total order (ties by slot), so the unstable sort is the stable one.
+                order.sort_unstable_by(|&a, &b| {
+                    let sa = edge_stats[edge_ix[start + a as usize] as usize].similarity;
+                    let sb = edge_stats[edge_ix[start + b as usize] as usize].similarity;
+                    sb.partial_cmp(&sa)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.cmp(&b))
+                });
+            }
+        });
+        drop(chunks);
 
         let item_domain = (0..n_items as u32)
             .map(|i| matrix.item_domain(ItemId(i)))
@@ -642,29 +675,26 @@ impl SimilarityGraph {
                 item_similarity_stats(matrix, lo, hi, config.metric)
             })
             .collect();
-        Self::from_scored_pairs(matrix, config, keys, stats)
+        Self::from_scored_pairs(matrix, config, keys, stats, &WorkerPool::new(1))
     }
 
     /// Builds the graph from a rating matrix containing the aggregated domains,
-    /// single-threaded: one [`ItemRowKernel`] row per item in ascending id, each row's
-    /// `hi > lo` half appended — the pair keys ascend by construction and every
-    /// unordered pair is kept exactly once — then the shared
-    /// `from_scored_pairs` back half. Bit-identical to
+    /// single-threaded: one [`ItemRowKernel::row`] per item in ascending id —
+    /// the pair keys ascend by construction and every unordered pair is scored exactly
+    /// once — then the shared `from_scored_pairs` back half. Bit-identical to
     /// [`SimilarityGraph::build_serial`] (property-tested below).
     pub fn build(matrix: &RatingMatrix, config: GraphConfig) -> Self {
         let kernel = ItemRowKernel::new(matrix, config.metric);
-        let mut scratch = RowScratch::new();
+        let mut scratch = RowScratch::default();
         let mut keys: Vec<u64> = Vec::new();
         let mut stats: Vec<SimilarityStats> = Vec::new();
         for lo in matrix.items() {
-            for &(hi, pair) in kernel.row(lo, &mut scratch).0 {
-                if hi > lo {
-                    keys.push(Self::pair_key(lo, hi));
-                    stats.push(pair);
-                }
+            for &(hi, pair) in kernel.row(lo, &mut scratch, Partners::Above(None)).0 {
+                keys.push(Self::pair_key(lo, hi));
+                stats.push(pair);
             }
         }
-        Self::from_scored_pairs(matrix, config, keys, stats)
+        Self::from_scored_pairs(matrix, config, keys, stats, &WorkerPool::new(1))
     }
 
     /// The configuration the graph was built with.
@@ -1016,10 +1046,10 @@ mod tests {
     }
 
     #[test]
-    fn pair_key_collection_flushes_chunks_on_heavy_traces() {
-        // 40 users × 40-item profiles emit 31,200 raw pairs — several times the flush
-        // threshold — so this exercises the chunk-sort-merge path the proptest corpus
-        // is too small to reach. The result must still be the exact naive key set.
+    fn pair_key_collection_is_exact_on_heavy_traces() {
+        // 40 users × 40-item profiles emit 31,200 raw pairs, far more than the proptest
+        // corpus reaches, and most of them repeats. The result must still be the exact
+        // naive key set.
         let mut b = RatingMatrixBuilder::new();
         for u in 0..40u32 {
             for x in 0..40u32 {
@@ -1035,10 +1065,7 @@ mod tests {
                 d * (d - 1) / 2
             })
             .sum();
-        assert!(
-            raw > 4 * super::PAIR_KEY_MIN_CHUNK,
-            "trace too small to exercise the flush path ({raw} raw pairs)"
-        );
+        assert!(raw > 30_000, "trace too small ({raw} raw pairs)");
         let mut naive: Vec<u64> = Vec::new();
         for u in m.users() {
             let profile = m.user_profile(u);
@@ -1092,7 +1119,7 @@ mod tests {
                 ..Default::default()
             };
             let g = SimilarityGraph::build(&m, config);
-            assert_eq!(g.apply_updates(&m, Vec::new(), Vec::new()), g);
+            assert_eq!(g.apply_updates(&m, Vec::new(), &WorkerPool::new(1)), g);
             assert_eq!(g.apply_updates_serial(&m, &[]), g);
         }
     }
@@ -1114,16 +1141,25 @@ mod tests {
                 })
                 .collect();
             // `PartialEq` covers the arena and the scored-pair cache alike.
+            let one = WorkerPool::new(1);
             let direct =
-                SimilarityGraph::from_scored_pairs(&m, config, keys.clone(), stats.clone());
+                SimilarityGraph::from_scored_pairs(&m, config, keys.clone(), stats.clone(), &one);
             assert_eq!(direct, SimilarityGraph::build_serial(&m, config));
+            // Runs in any order and split any way: the graph puts the keys in order.
+            let mut pairs: Vec<(u64, SimilarityStats)> = keys.into_iter().zip(stats).collect();
+            pairs.reverse();
+            let runs = vec![pairs[..2].to_vec(), Vec::new(), pairs[2..].to_vec()];
             let empty = SimilarityGraph::empty(config);
             assert_eq!((empty.n_items(), empty.n_scored_pairs()), (0, 0));
-            assert_eq!(empty.apply_updates(&m, keys.clone(), stats.clone()), direct);
+            assert_eq!(empty.apply_updates(&m, runs.clone(), &one), direct);
             // Items but no scored pair: the same pass-through, decided by the cache.
-            let isolated = SimilarityGraph::from_scored_pairs(&m, config, Vec::new(), Vec::new());
+            let isolated =
+                SimilarityGraph::from_scored_pairs(&m, config, Vec::new(), Vec::new(), &one);
             assert_eq!(isolated.n_items(), m.n_items());
-            assert_eq!(isolated.apply_updates(&m, keys, stats), direct);
+            assert_eq!(
+                isolated.apply_updates(&m, runs, &WorkerPool::new(2)),
+                direct
+            );
         }
     }
 
@@ -1201,16 +1237,122 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn apply_updates_rejects_unsorted_keys() {
+    #[should_panic(expected = "scored exactly once")]
+    fn apply_updates_rejects_a_pair_scored_twice() {
         let m = fixture();
         let g = SimilarityGraph::build(&m, GraphConfig::default());
-        let keys = vec![
-            SimilarityGraph::pair_key(ItemId(1), ItemId(0)),
-            SimilarityGraph::pair_key(ItemId(0), ItemId(1)),
+        // The same pair from both endpoints, in two runs.
+        let runs = vec![
+            vec![(
+                SimilarityGraph::pair_key(ItemId(1), ItemId(0)),
+                SimilarityStats::NONE,
+            )],
+            vec![(
+                SimilarityGraph::pair_key(ItemId(0), ItemId(1)),
+                SimilarityStats::NONE,
+            )],
         ];
-        let stats = vec![SimilarityStats::NONE; 2];
-        let _ = g.apply_updates(&m, keys, stats);
+        let _ = g.apply_updates(&m, runs, &WorkerPool::new(1));
+    }
+
+    /// A delta's runs: each dirty item's row above it plus its clean partners below
+    /// it — the only pairs that reach a bucket out of order — taken in descending item
+    /// order, dealt over 1, 2 and 8 runs and assembled on as many workers, give the
+    /// graph of `apply_updates_serial`.
+    #[test]
+    fn delta_runs_with_clean_partners_below_equal_apply_updates_serial() {
+        let mut b = RatingMatrixBuilder::new();
+        for u in 0..24u32 {
+            for x in 0..6u32 {
+                b.push_parts(u, (u * 5 + x * 7) % 40, ((u + x) % 5 + 1) as f64)
+                    .unwrap();
+            }
+        }
+        let m = b.build().unwrap();
+        let config = GraphConfig {
+            top_k: Some(3),
+            ..Default::default()
+        };
+        let g = SimilarityGraph::build(&m, config);
+        let delta: Vec<xmap_cf::Rating> = (37..40u32)
+            .map(|i| {
+                xmap_cf::Rating::at(UserId(0), ItemId(i), (i - 35) as f64, xmap_cf::Timestep(i))
+            })
+            .collect();
+        let updated = m.apply_delta(&delta, &[]).unwrap();
+        let dirty = SimilarityGraph::dirty_items(&updated, &[UserId(0)]);
+        let mut clean = vec![true; updated.n_items()];
+        dirty.iter().for_each(|d| clean[d.index()] = false);
+        let kernel = ItemRowKernel::new(&updated, config.metric);
+        let mut scratch = RowScratch::default();
+        let (mut pairs, mut below) = (Vec::new(), 0);
+        for &item in dirty.iter().rev() {
+            let (row, _) = kernel.row(item, &mut scratch, Partners::Above(Some(&clean)));
+            for &(other, stats) in row {
+                below += usize::from(other < item);
+                pairs.push((SimilarityGraph::pair_key(item, other), stats));
+            }
+        }
+        assert!(below > 1, "too few clean partners below a dirty item");
+        let reference = g.apply_updates_serial(&updated, &[UserId(0)]);
+        for n in [1, 2, 8] {
+            let mut runs = vec![Vec::new(); n];
+            for (ix, &pair) in pairs.iter().enumerate() {
+                runs[ix % n].push(pair);
+            }
+            let incremental = g.apply_updates(&updated, runs, &WorkerPool::new(n));
+            assert_eq!(incremental, reference, "{n} runs and workers");
+        }
+    }
+
+    /// Ties at the k-th place on items that open and close a parallel range: the
+    /// selection keeps the lower pair index, like the sort oracle, at any worker count.
+    #[test]
+    fn union_top_k_breaks_kth_place_ties_at_range_edges_like_the_oracle() {
+        // Each item is paired with the next four, all at one similarity but every
+        // seventh pair: items past the first four have 7–8 pairs and a tie across the
+        // k-th place.
+        let n = 200usize;
+        let mut keys = Vec::new();
+        for a in 0..n as u32 {
+            for b in a + 1..(n as u32).min(a + 5) {
+                keys.push(SimilarityGraph::pair_key(ItemId(a), ItemId(b)));
+            }
+        }
+        let stats: Vec<SimilarityStats> = (0..keys.len())
+            .map(|ix| SimilarityStats {
+                similarity: if ix % 7 == 0 { 0.9 } else { 0.4 },
+                co_raters: 1,
+                ..SimilarityStats::NONE
+            })
+            .collect();
+        for workers in [2, 8] {
+            let pool = WorkerPool::new(workers);
+            let edge = item_ranges(n, &pool)[1].start;
+            for item in [edge - 1, edge] {
+                let mut sims: Vec<f64> = keys
+                    .iter()
+                    .zip(&stats)
+                    .filter(|(&key, _)| {
+                        let (lo, hi) = SimilarityGraph::pair_of_key(key);
+                        lo.index() == item || hi.index() == item
+                    })
+                    .map(|(_, s)| s.similarity)
+                    .collect();
+                sims.sort_by(|a, b| b.total_cmp(a));
+                assert!(
+                    sims.len() > 4 && sims[2] == sims[3],
+                    "item {item}: no tie at k = 3"
+                );
+            }
+            for k in [1, 3, 5] {
+                assert_eq!(
+                    union_top_k(&pool, n, &keys, &stats, k),
+                    union_top_k_by_sorting(&pool, n, &keys, &stats, k),
+                    "k = {k}, {workers} workers"
+                );
+            }
+        }
     }
 
     /// Reference adjacency built the naive way: all unordered co-rated pairs into a
@@ -1250,12 +1392,13 @@ mod tests {
     }
 
     /// A matrix of `n_items` items (one user rates them all) and the graphs
-    /// `from_scored_pairs` and the sort-everything oracle assemble from `pairs` —
+    /// `from_scored_pairs` and the sort-everything oracle assemble on `workers` from `pairs` —
     /// `(item, item, index into the tied palette)`, self-pairs and repeats dropped.
     fn pruned_both_ways(
         n_items: u32,
         pairs: &[(u32, u32, usize)],
         config: GraphConfig,
+        workers: usize,
     ) -> (SimilarityGraph, SimilarityGraph) {
         const PALETTE: [f64; 4] = [0.8, -0.5, 0.5, 0.2];
         let mut b = RatingMatrixBuilder::new();
@@ -1279,8 +1422,11 @@ mod tests {
         scored.sort_by_key(|&(key, _)| key);
         scored.dedup_by_key(|&mut (key, _)| key);
         let (keys, stats): (Vec<u64>, Vec<SimilarityStats>) = scored.into_iter().unzip();
-        let heaps = SimilarityGraph::from_scored_pairs(&m, config, keys.clone(), stats.clone());
-        let sorted = SimilarityGraph::assemble(&m, config, keys, stats, union_top_k_by_sorting);
+        let pool = WorkerPool::new(workers);
+        let heaps =
+            SimilarityGraph::from_scored_pairs(&m, config, keys.clone(), stats.clone(), &pool);
+        let sorted =
+            SimilarityGraph::assemble(&m, config, (keys, stats), &pool, union_top_k_by_sorting);
         (heaps, sorted)
     }
 
@@ -1295,13 +1441,13 @@ mod tests {
         };
         let mut pairs = vec![(0, 1, 2), (0, 2, 2), (0, 3, 2)];
         pairs.extend([(4, 5, 2), (4, 6, 2), (4, 7, 2), (4, 8, 2)]);
-        let (heaps, sorted) = pruned_both_ways(12, &pairs, config);
+        let (heaps, sorted) = pruned_both_ways(12, &pairs, config, 1);
         assert_eq!(heaps, sorted);
         assert_eq!(heaps.degree(ItemId(0)), 3);
         assert_eq!(heaps.degree(ItemId(4)), 4);
         // Three stronger pairs fill item 8's own top-k: now nobody ranks (4, 8).
         pairs.extend([(8, 9, 0), (8, 10, 0), (8, 11, 0)]);
-        let (heaps, sorted) = pruned_both_ways(12, &pairs, config);
+        let (heaps, sorted) = pruned_both_ways(12, &pairs, config, 1);
         assert_eq!(heaps, sorted);
         assert!(heaps.edge_between(ItemId(4), ItemId(8)).is_none());
         assert_eq!(heaps.degree(ItemId(4)), 3);
@@ -1484,8 +1630,10 @@ mod tests {
             for top_k in [Some(1), Some(2), Some(5), None] {
                 for min_similarity in [0.0, 0.3] {
                     let config = GraphConfig { top_k, min_similarity, ..Default::default() };
-                    let (heaps, sorted) = pruned_both_ways(n_items, &pairs, config);
-                    prop_assert_eq!(heaps, sorted, "pruning diverged under {:?}", config);
+                    for workers in [1, 2, 8] {
+                        let (heaps, sorted) = pruned_both_ways(n_items, &pairs, config, workers);
+                        prop_assert_eq!(heaps, sorted, "pruning diverged under {:?}", config);
+                    }
                 }
             }
         }
