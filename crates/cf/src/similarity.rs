@@ -28,8 +28,8 @@
 //!   (property-tested below) at a fraction of the profile entries walked.
 
 use crate::epoch::EpochBuffer;
-use crate::ids::ItemId;
-use crate::matrix::{RatingMatrix, UserEntry};
+use crate::ids::{ItemId, UserId};
+use crate::matrix::RatingMatrix;
 use serde::{Deserialize, Serialize};
 
 /// Which item–item similarity formula to use for the baseline similarity graph.
@@ -240,6 +240,17 @@ pub struct RowScratch {
     row: Vec<(ItemId, SimilarityStats)>,
 }
 
+/// One rating of a user's profile as a pair term reads it, tabulated once per kernel.
+#[derive(Clone, Copy, Debug)]
+struct Term {
+    item: ItemId,
+    /// Definition 2's like: the rating is at least its item's average.
+    likes: bool,
+    /// The rating as the metric's sums take it: `value − r̄_u` for adjusted cosine,
+    /// `value` for cosine and Pearson.
+    centred: f64,
+}
+
 /// Which partners an [`ItemRowKernel::row`] keeps.
 #[derive(Clone, Copy, Debug)]
 pub enum Partners<'m> {
@@ -264,17 +275,23 @@ pub enum Partners<'m> {
 /// commute, so the orientation of the pair does not matter either). What the merge
 /// recomputes per pair and the gather must not — each item's denominator over *all*
 /// its raters — is computed once here, by the merge's own expression in the merge's
-/// own rater order.
+/// own rater order; so is each rating's centred value and like flag, by the merge's
+/// expressions, which the gather would otherwise re-derive at every visit.
 pub struct ItemRowKernel<'a> {
     matrix: &'a RatingMatrix,
     metric: SimilarityMetric,
     /// Per-item denominator of the adjusted-cosine / cosine formula (Pearson's runs
     /// over the co-raters only and has none).
     norms: Vec<f64>,
+    /// Every user's profile as terms, user after user in ascending item id:
+    /// `terms[offsets[u]..offsets[u + 1]]` is user `u`'s.
+    terms: Vec<Term>,
+    offsets: Vec<usize>,
 }
 
 impl<'a> ItemRowKernel<'a> {
-    /// Prepares the kernel: one pass over every item profile for the denominators.
+    /// Prepares the kernel: one pass over every item profile for the denominators, one
+    /// over every user profile for the terms.
     pub fn new(matrix: &'a RatingMatrix, metric: SimilarityMetric) -> Self {
         // The two denominators are `item_similarity_stats`' expressions verbatim: the
         // same addends summed in the same (ascending user id) order.
@@ -302,11 +319,33 @@ impl<'a> ItemRowKernel<'a> {
                 .collect(),
             SimilarityMetric::Pearson => Vec::new(),
         };
+        let mut terms = Vec::with_capacity(matrix.n_ratings());
+        let mut offsets = Vec::with_capacity(matrix.n_users() + 1);
+        offsets.push(0);
+        for user in matrix.users() {
+            let u_avg = matrix.user_average(user);
+            terms.extend(matrix.user_profile(user).iter().map(|e| Term {
+                item: e.item,
+                likes: e.value >= matrix.item_average(e.item),
+                centred: match metric {
+                    SimilarityMetric::AdjustedCosine => e.value - u_avg,
+                    SimilarityMetric::Cosine | SimilarityMetric::Pearson => e.value,
+                },
+            }));
+            offsets.push(terms.len());
+        }
         ItemRowKernel {
             matrix,
             metric,
             norms,
+            terms,
+            offsets,
         }
+    }
+
+    /// User `user`'s profile as terms (every rater of an item is a user of the matrix).
+    fn profile(&self, user: UserId) -> &[Term] {
+        &self.terms[self.offsets[user.index()]..self.offsets[user.index() + 1]]
     }
 
     /// The statistics of `item` against the `partners` it shares a rater with,
@@ -330,48 +369,47 @@ impl<'a> ItemRowKernel<'a> {
         } = scratch;
         let matrix = self.matrix;
         let yi = matrix.item_profile(item);
-        let i_avg = matrix.item_average(item);
         sums.begin(matrix.n_items());
         touched.clear();
         row.clear();
         let mut walked = 0usize;
         for rater in yi {
-            let profile = matrix.user_profile(rater.user);
+            let profile = self.profile(rater.user);
             walked += profile.len();
-            let ri = rater.value;
-            let likes_i = ri >= i_avg;
-            let u_avg = matrix.user_average(rater.user);
-            let mut add = |e: &UserEntry| {
-                let Some((fresh, s)) = sums.entry(e.item.index()) else {
+            // The rater's profile (ascending item id) splits at `item`: `at` terms
+            // below it, then the rater's own term, then the terms above it.
+            let at = profile.partition_point(|t| t.item < item);
+            let (below, [own, above @ ..]) = profile.split_at(at) else {
+                continue; // unreachable: a rater's profile holds the item
+            };
+            let mut add = |t: &Term| {
+                let Some((fresh, s)) = sums.entry(t.item.index()) else {
                     return;
                 };
                 if fresh {
-                    touched.push(e.item);
+                    touched.push(t.item);
                 }
                 s.co_raters += 1;
                 // Definition 2: mutual like (both >= item average) or mutual dislike.
-                if likes_i == (e.value >= matrix.item_average(e.item)) {
+                if own.likes == t.likes {
                     s.significance += 1;
                 }
                 match self.metric {
-                    SimilarityMetric::AdjustedCosine => s.a += (ri - u_avg) * (e.value - u_avg),
-                    SimilarityMetric::Cosine => s.a += ri * e.value,
+                    SimilarityMetric::AdjustedCosine | SimilarityMetric::Cosine => {
+                        s.a += own.centred * t.centred
+                    }
                     SimilarityMetric::Pearson => {
-                        s.a += ri;
-                        s.b += e.value;
+                        s.a += own.centred;
+                        s.b += t.centred;
                     }
                 }
             };
-            // The rater's profile (ascending item id) splits at `item`: `at` entries
-            // below it, then `item` itself, then the entries above it.
-            let at = profile.partition_point(|e| e.item < item);
-            let above = at + usize::from(profile.get(at).is_some_and(|e| e.item == item));
-            profile[above..].iter().for_each(&mut add);
+            above.iter().for_each(&mut add);
             match partners {
-                Partners::All => profile[..at].iter().for_each(add),
-                Partners::Above(Some(keep)) => profile[..at]
+                Partners::All => below.iter().for_each(add),
+                Partners::Above(Some(keep)) => below
                     .iter()
-                    .filter(|e| keep.get(e.item.index()) == Some(&true))
+                    .filter(|t| keep.get(t.item.index()) == Some(&true))
                     .for_each(add),
                 Partners::Above(None) => {}
             }
@@ -391,17 +429,17 @@ impl<'a> ItemRowKernel<'a> {
             }
             centred.begin(matrix.n_items());
             for rater in yi {
-                for e in matrix.user_profile(rater.user) {
-                    if e.item == item {
+                for t in self.profile(rater.user) {
+                    if t.item == item {
                         continue;
                     }
                     let (Some(s), Some((_, [num, di, dj]))) =
-                        (sums.get(e.item.index()), centred.entry(e.item.index()))
+                        (sums.get(t.item.index()), centred.entry(t.item.index()))
                     else {
                         continue;
                     };
                     let a = rater.value - s.a;
-                    let b = e.value - s.b;
+                    let b = t.centred - s.b;
                     *num += a * b;
                     *di += a * a;
                     *dj += b * b;
@@ -654,6 +692,77 @@ mod tests {
         }
     }
 
+    /// A restricted row is the full row filtered to the same partners — those above
+    /// the item, and below it the ones the mask of `seed` marks (none without one) —
+    /// record for record and bit for bit, at the full row's cost, for all three metrics.
+    fn assert_restricted_rows_filter_the_full_row(m: &RatingMatrix, seed: u64) {
+        let mask: Vec<bool> = (0..m.n_items() as u64)
+            .map(|i| (i ^ seed).is_multiple_of(3))
+            .collect();
+        let (mut full_scratch, mut scratch) = (RowScratch::default(), RowScratch::default());
+        for metric in METRICS {
+            let kernel = ItemRowKernel::new(m, metric);
+            for item in (0..m.n_items() as u32 + 1).map(ItemId) {
+                let (full, full_cost) = kernel.row(item, &mut full_scratch, Partners::All);
+                for keep in [None, Some(mask.as_slice())] {
+                    let kept = |j: ItemId| j > item || keep.is_some_and(|k| k[j.index()]);
+                    let expect: Vec<_> = full
+                        .iter()
+                        .filter(|(j, _)| kept(*j))
+                        .map(|&(j, s)| (j, bits(s)))
+                        .collect();
+                    let (row, cost) = kernel.row(item, &mut scratch, Partners::Above(keep));
+                    let got: Vec<_> = row.iter().map(|&(j, s)| (j, bits(s))).collect();
+                    assert_eq!(got, expect, "{metric:?}: row {item}");
+                    assert_eq!(cost, full_cost);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_are_the_merge_at_the_like_and_zero_boundaries() {
+        // Item 0's average is exactly 3.0 and user 2 rates it 3.0: a like on the
+        // boundary. User 2 rates both its items at its own average (centred +0 under
+        // adjusted cosine), user 3's centred ratings are +1, -1 and 0, so a product is
+        // -0; users 4 and 5 rate 0.0 and -0.0, cosine's and Pearson's ±0 terms.
+        let mut b = RatingMatrixBuilder::new();
+        for (u, i, v) in [
+            (0, 0, 2.0),
+            (0, 1, 5.0),
+            (1, 0, 4.0),
+            (1, 2, 1.0),
+            (2, 0, 3.0),
+            (2, 1, 3.0),
+            (3, 0, 4.0),
+            (3, 1, 2.0),
+            (3, 3, 3.0),
+            (4, 1, 0.0),
+            (4, 3, -0.0),
+            (4, 4, 2.0),
+            (5, 3, -0.0),
+            (5, 4, 0.0),
+            (5, 0, 2.0),
+        ] {
+            b.push_parts(u, i, v).unwrap();
+        }
+        let m = b.build().unwrap();
+        assert_eq!(m.item_average(ItemId(0)).to_bits(), 3.0f64.to_bits());
+        assert_eq!(m.user_average(UserId(2)).to_bits(), 3.0f64.to_bits());
+        assert_eq!(m.user_average(UserId(3)).to_bits(), 3.0f64.to_bits());
+        assert_eq!(
+            m.rating(UserId(5), ItemId(3)).map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+        let mut scratch = RowScratch::default();
+        for metric in METRICS {
+            assert_rows_equal_the_merge(&m, metric, &mut scratch);
+        }
+        for seed in 0..3 {
+            assert_restricted_rows_filter_the_full_row(&m, seed);
+        }
+    }
+
     #[test]
     fn rows_of_unrated_and_out_of_catalogue_items_are_empty() {
         let mut b = RatingMatrixBuilder::new().with_dimensions(2, 4);
@@ -710,23 +819,7 @@ mod tests {
         ) {
             let mut rng = TestRng::from_name(&seed.to_string());
             let m = skewed_matrix(&mut rng, n_users, n_items);
-            let mask: Vec<bool> = (0..m.n_items() as u64).map(|i| (i ^ seed).is_multiple_of(3)).collect();
-            let (mut full_scratch, mut scratch) = (RowScratch::default(), RowScratch::default());
-            for metric in METRICS {
-                let kernel = ItemRowKernel::new(&m, metric);
-                for item in (0..m.n_items() as u32 + 1).map(ItemId) {
-                    let (full, full_cost) = kernel.row(item, &mut full_scratch, Partners::All);
-                    for keep in [None, Some(mask.as_slice())] {
-                        let kept = |j: ItemId| j > item || keep.is_some_and(|k| k[j.index()]);
-                        let expect: Vec<_> =
-                            full.iter().filter(|(j, _)| kept(*j)).map(|&(j, s)| (j, bits(s))).collect();
-                        let (row, cost) = kernel.row(item, &mut scratch, Partners::Above(keep));
-                        let got: Vec<_> = row.iter().map(|&(j, s)| (j, bits(s))).collect();
-                        prop_assert_eq!(got, expect, "{:?}: row {}", metric, item);
-                        prop_assert_eq!(cost, full_cost);
-                    }
-                }
-            }
+            assert_restricted_rows_filter_the_full_row(&m, seed);
         }
 
         /// Similarities are symmetric and bounded for every metric on random matrices.

@@ -18,21 +18,22 @@
 //! Two computation paths produce identical rows:
 //!
 //! * `XSimTable::compute` — the reference per-pair path: meta-paths are materialised
-//!   by `xmap-graph` and every hop's statistics are re-resolved through
+//!   by a scanning enumerator and every hop's statistics are re-resolved through
 //!   [`SimilarityGraph::edge_between`]. This is the historical implementation, kept in
 //!   this module's tests as the equivalence oracle.
-//! * `XSimTable::build` — the production path, for a fit and a delta alike: every
-//!   source item's row is processed in dataflow partitions, each partition walking a
-//!   **frontier expansion** directly over the CSR arena. The walk carries the running
-//!   path-similarity numerator/denominator and certainty product along the DFS,
-//!   accumulating per-destination sums in scratch buffers reused across the partition's
-//!   source items — no path materialisation and no per-hop edge re-resolution.
+//! * `XSimTable::build` — the production path, for a fit and a delta alike: the
+//!   graph's pruned hops are tabulated once ([`HopTable`]), then every source item's
+//!   row is processed in dataflow partitions, each partition walking a **frontier
+//!   expansion** over that table. The walk carries the running path-similarity
+//!   numerator/denominator and certainty product along the DFS, accumulating
+//!   per-destination sums in scratch buffers reused across the partition's source
+//!   items — no path materialisation and no per-hop edge re-resolution.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use xmap_cf::{DomainId, ItemId};
 use xmap_engine::StageContext;
-use xmap_graph::{LayerPartition, MetaPathConfig, SimilarityGraph};
+use xmap_graph::{HopTable, LayerPartition, MetaPathConfig, SimilarityGraph};
 
 /// One heterogeneous similarity entry: a target-domain item with its X-Sim value.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -82,8 +83,6 @@ struct FrontierScratch {
     acc_paths: Vec<u32>,
     /// Destinations touched by the current source item.
     touched: Vec<ItemId>,
-    /// The current DFS path (at most one item per layer, so at most 6 entries).
-    visited: Vec<ItemId>,
     /// Paths recorded so far for the current source item (the `max_paths` budget).
     recorded: usize,
 }
@@ -96,7 +95,6 @@ impl FrontierScratch {
             acc_certainty: vec![0.0; n_items],
             acc_paths: vec![0; n_items],
             touched: Vec::new(),
-            visited: Vec::with_capacity(6),
             recorded: 0,
         }
     }
@@ -109,7 +107,6 @@ impl FrontierScratch {
             self.acc_certainty[ix] = 0.0;
             self.acc_paths[ix] = 0;
         }
-        self.visited.clear();
         self.recorded = 0;
     }
 
@@ -128,71 +125,37 @@ impl FrontierScratch {
     }
 }
 
-/// DFS over the CSR arena mirroring the pruned meta-path enumeration of
-/// `xmap-graph`, but carrying the running path aggregates instead of materialising
-/// paths: `num`/`den` are the significance-weighted similarity sums along the current
-/// path (Definition 3) and `certainty` the product of normalised significances
-/// (Definition 5). Every hop reads its statistics once from the edge it traverses —
-/// no `edge_between` re-resolution.
-#[allow(clippy::too_many_arguments)]
+/// DFS over the pruned hops, mirroring the meta-path enumeration but carrying the
+/// running path aggregates instead of materialising paths: `num`/`den` are the
+/// significance-weighted similarity sums along the current path (Definition 3) and
+/// `certainty` the product of normalised significances (Definition 5). Each hop's
+/// addends were read once from its edge when the table was built.
 fn frontier_dfs(
-    graph: &SimilarityGraph,
-    partition: &LayerPartition,
-    source_domain: DomainId,
-    config: MetaPathConfig,
+    hops: &HopTable,
+    max_paths: usize,
     here: ItemId,
-    num: f64,
-    den: f64,
-    certainty: f64,
+    (num, den, certainty): (f64, f64, f64),
     scratch: &mut FrontierScratch,
 ) {
-    if scratch.recorded >= config.max_paths {
-        return;
-    }
-    let here_rank = partition.path_rank(here, source_domain);
-    if here_rank >= 5 {
-        return; // the far NN layer is terminal
-    }
-
-    let mut taken = 0usize;
-    for edge in graph.neighbors(here).by_similarity() {
-        if taken >= config.per_layer_top_k || scratch.recorded >= config.max_paths {
+    for hop in hops.hops(here) {
+        if scratch.recorded >= max_paths {
             break;
         }
-        let next = edge.to;
-        if scratch.visited.contains(&next) {
-            continue;
-        }
-        if partition.path_rank(next, source_domain) != here_rank + 1 {
-            continue;
-        }
-        taken += 1;
-        let s = f64::from(edge.stats.significance);
-        let next_num = num + s * edge.stats.similarity;
-        let next_den = den + s;
-        let next_certainty = certainty * edge.normalized_significance();
-        scratch.visited.push(next);
-        if partition.domain(next) != source_domain {
-            scratch.record_path(next, next_num, next_den, next_certainty);
-        }
-        frontier_dfs(
-            graph,
-            partition,
-            source_domain,
-            config,
-            next,
-            next_num,
-            next_den,
-            next_certainty,
-            scratch,
+        let next = (
+            num + hop.weighted_similarity,
+            den + hop.significance,
+            certainty * hop.certainty,
         );
-        scratch.visited.pop();
+        if hop.crosses {
+            scratch.record_path(hop.to, next.0, next.1, next.2);
+        }
+        frontier_dfs(hops, max_paths, hop.to, next, scratch);
     }
 }
 
 impl XSimTable {
     /// Computes the table of `graph` and its `partition` — the extender: every source
-    /// item's row, by frontier expansion.
+    /// item's row, by frontier expansion over the graph's [`HopTable`], built once.
     ///
     /// The source items are split into the dataflow's partitions; each partition is one
     /// pool task that reuses a `FrontierScratch` across its items and records the work
@@ -211,6 +174,7 @@ impl XSimTable {
             .items()
             .filter(|&i| graph.item_domain(i) == source_domain)
             .collect();
+        let hops = HopTable::build(graph, partition, source_domain, metapath.per_layer_top_k);
         let per_partition = cx.map_partitions(
             rows,
             |item| item.0,
@@ -224,10 +188,10 @@ impl XSimTable {
                 for &item in items {
                     let entries = Self::batched_entries_for_item(
                         graph,
-                        partition,
+                        &hops,
                         item,
                         source_domain,
-                        metapath,
+                        metapath.max_paths,
                         &mut scratch,
                     );
                     cost += 1.0 + graph.degree(item) as f64 + entries.len() as f64;
@@ -248,26 +212,14 @@ impl XSimTable {
     /// entry emission. Produces exactly the entries of the test oracle's `entries_for_item`.
     fn batched_entries_for_item(
         graph: &SimilarityGraph,
-        partition: &LayerPartition,
+        hops: &HopTable,
         item: ItemId,
         source_domain: DomainId,
-        metapath: MetaPathConfig,
+        max_paths: usize,
         scratch: &mut FrontierScratch,
     ) -> Vec<XSimEntry> {
         scratch.reset();
-        scratch.visited.push(item);
-        frontier_dfs(
-            graph,
-            partition,
-            source_domain,
-            metapath,
-            item,
-            0.0,
-            0.0,
-            1.0,
-            scratch,
-        );
-        scratch.visited.pop();
+        frontier_dfs(hops, max_paths, item, (0.0, 0.0, 1.0), scratch);
 
         // Direct heterogeneous edges keep their baseline similarity (the meta-path
         // accumulators only fill in pairs without a direct edge, §3.3).
@@ -394,10 +346,102 @@ impl xmap_store::Codec for XSimTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::BTreeMap;
+    use xmap_cf::RatingMatrixBuilder;
     use xmap_dataset::toy::{items, ToyScenario};
     use xmap_engine::WorkerPool;
-    use xmap_graph::{enumerate_cross_domain_paths, GraphConfig, MetaPath};
+    use xmap_graph::GraphConfig;
+
+    /// A materialised meta-path: the ordered sequence of items visited, starting at the
+    /// source item; always at least two items (one hop).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct MetaPath {
+        items: Vec<ItemId>,
+    }
+
+    impl MetaPath {
+        fn source(&self) -> ItemId {
+            self.items[0]
+        }
+
+        fn destination(&self) -> ItemId {
+            *self.items.last().unwrap()
+        }
+
+        fn n_hops(&self) -> usize {
+            self.items.len().saturating_sub(1)
+        }
+
+        /// Consecutive item pairs (the edges of the path).
+        fn hops(&self) -> impl Iterator<Item = (ItemId, ItemId)> + '_ {
+            self.items.windows(2).map(|w| (w[0], w[1]))
+        }
+    }
+
+    /// The reference enumeration: every pruned meta-path from `start` (an item of
+    /// `source_domain`) to an item of the other domain, reported as soon as it reaches
+    /// one (the walk continues deeper), at most `config.max_paths` of them. Its DFS
+    /// scans each visited item's whole similarity-ordered adjacency for edges into the
+    /// next layer rank and skips items already on the path — the pruning rule derived
+    /// afresh at every visit, independently of [`HopTable`].
+    fn enumerate_cross_domain_paths(
+        graph: &SimilarityGraph,
+        partition: &LayerPartition,
+        start: ItemId,
+        source_domain: DomainId,
+        config: MetaPathConfig,
+    ) -> Vec<MetaPath> {
+        let mut paths = Vec::new();
+        let mut current = vec![start];
+        scan_dfs(
+            graph,
+            partition,
+            source_domain,
+            config,
+            &mut current,
+            &mut paths,
+        );
+        paths
+    }
+
+    fn scan_dfs(
+        graph: &SimilarityGraph,
+        partition: &LayerPartition,
+        source_domain: DomainId,
+        config: MetaPathConfig,
+        current: &mut Vec<ItemId>,
+        paths: &mut Vec<MetaPath>,
+    ) {
+        if paths.len() >= config.max_paths {
+            return;
+        }
+        let here = *current.last().unwrap();
+        let here_rank = partition.path_rank(here, source_domain);
+        if here_rank >= 5 {
+            return; // the far NN layer is terminal
+        }
+        let mut taken = 0usize;
+        for edge in graph.neighbors(here).by_similarity() {
+            if taken >= config.per_layer_top_k || paths.len() >= config.max_paths {
+                break;
+            }
+            let next = edge.to;
+            if current.contains(&next) || partition.path_rank(next, source_domain) != here_rank + 1
+            {
+                continue;
+            }
+            taken += 1;
+            current.push(next);
+            if partition.domain(next) != source_domain {
+                paths.push(MetaPath {
+                    items: current.clone(),
+                });
+            }
+            scan_dfs(graph, partition, source_domain, config, current, paths);
+            current.pop();
+        }
+    }
 
     /// Path similarity `s_p` of a meta-path (significance-weighted mean of hop similarities).
     /// Returns `None` when the path contains a hop with zero significance weight everywhere
@@ -848,5 +892,145 @@ mod tests {
         );
         assert!(table.candidates(ItemId(999)).is_empty());
         assert!(table.best_match(ItemId(999)).is_none());
+    }
+    #[test]
+    fn hop_iterator_matches_items() {
+        let path = MetaPath {
+            items: vec![ItemId(0), ItemId(1), ItemId(3)],
+        };
+        let hops: Vec<(ItemId, ItemId)> = path.hops().collect();
+        assert_eq!(hops, vec![(ItemId(0), ItemId(1)), (ItemId(1), ItemId(3))]);
+        assert_eq!(path.source(), ItemId(0));
+        assert_eq!(path.destination(), ItemId(3));
+    }
+
+    #[test]
+    fn max_paths_caps_enumeration() {
+        let (graph, partition) = toy_graph();
+        let enumerate = |max_paths| {
+            enumerate_cross_domain_paths(
+                &graph,
+                &partition,
+                items::INTERSTELLAR,
+                DomainId::SOURCE,
+                MetaPathConfig {
+                    max_paths,
+                    ..Default::default()
+                },
+            )
+        };
+        assert!(enumerate(10_000).len() > 1);
+        assert_eq!(enumerate(1).len(), 1);
+    }
+
+    /// Every entry of the table as bits, row by row, so `-0.0` and `0.0` differ.
+    fn table_bits(table: &XSimTable) -> Vec<(ItemId, ItemId, u64, u64, usize)> {
+        let rows = table.iter().flat_map(|(item, row)| {
+            row.iter().map(move |e| {
+                let (sim, certainty) = (e.similarity.to_bits(), e.certainty.to_bits());
+                (item, e.item, sim, certainty, e.n_paths)
+            })
+        });
+        rows.collect()
+    }
+
+    /// A random two-domain matrix's graph and partition, a random meta-path
+    /// configuration (`per_layer_top_k` in 1..=4, `max_paths` in 1..=60), and whether
+    /// some source item has more pruned paths than `max_paths` admits. Asserts that the
+    /// hop-table extender's table is the oracle's, bit for bit, at 1, 2 and 8 workers.
+    fn assert_build_equals_the_oracle(seed: u64) -> bool {
+        let mut rng = TestRng::from_name(&seed.to_string());
+        let mut below = |n: u64| rng.next_u64() % n;
+        // Users keep to one domain but for a few straddlers, so the graph grows all six
+        // layers and long paths.
+        let n_items = 4 + below(21) as u32;
+        let source_items = 2 + below(u64::from(n_items) - 3) as u32;
+        let mut b = RatingMatrixBuilder::new();
+        for u in 0..4 + below(27) as u32 {
+            let (lo, hi) = match below(8) {
+                0 => (0, n_items),
+                1..=3 => (0, source_items),
+                _ => (source_items, n_items),
+            };
+            for _ in 0..2 + below(6) {
+                let i = lo + below(u64::from(hi - lo)) as u32;
+                b.push_parts(u, i, 1.0 + below(5) as f64).unwrap();
+            }
+        }
+        for i in 0..n_items {
+            let domain = if i < source_items {
+                DomainId::SOURCE
+            } else {
+                DomainId::TARGET
+            };
+            b.set_item_domain(ItemId(i), domain);
+        }
+        let top_k = [None, Some(1), Some(3), Some(6)][below(4) as usize];
+        // `max_paths` in 1..=60, small budgets the likelier, so that some bind.
+        let budget = 1 + below(60);
+        let metapath = MetaPathConfig {
+            per_layer_top_k: 1 + below(4) as usize,
+            max_paths: 1 + below(budget) as usize,
+        };
+        let matrix = b.build().unwrap();
+        let graph = SimilarityGraph::build(
+            &matrix,
+            GraphConfig {
+                top_k,
+                ..Default::default()
+            },
+        );
+        let (_, partition) = LayerPartition::from_graph(&graph);
+        let reference = XSimTable::compute(
+            &graph,
+            &partition,
+            DomainId::SOURCE,
+            metapath,
+            &WorkerPool::new(1),
+        );
+        for workers in [1, 2, 8] {
+            let built = batched_table(&graph, &partition, metapath, workers, 16);
+            assert_eq!(built.n_connected_items(), reference.n_connected_items());
+            assert_eq!(
+                table_bits(&built),
+                table_bits(&reference),
+                "seed {seed}, {metapath:?}, {workers} workers"
+            );
+        }
+        let uncapped = MetaPathConfig {
+            max_paths: usize::MAX,
+            ..metapath
+        };
+        let capped = graph
+            .items()
+            .filter(|&i| graph.item_domain(i) == DomainId::SOURCE)
+            .any(|i| {
+                let paths =
+                    enumerate_cross_domain_paths(&graph, &partition, i, DomainId::SOURCE, uncapped);
+                paths.len() > metapath.max_paths
+            });
+        capped
+    }
+
+    proptest! {
+        /// The hop-table extender equals the scanning oracle over random two-domain
+        /// matrices, fan-outs, path budgets and worker counts.
+        #[test]
+        fn build_equals_the_oracle_across_configurations(seed in any::<u64>()) {
+            assert_build_equals_the_oracle(seed);
+        }
+    }
+
+    #[test]
+    fn the_oracle_comparison_reaches_max_paths() {
+        // The budget must bind in some cases, or the comparison above would not see
+        // the walk stop mid-row.
+        let capped = (0..48)
+            .filter(|&seed| assert_build_equals_the_oracle(seed))
+            .count();
+        assert!(
+            (4..48).contains(&capped),
+            "{capped} of 48 cases reach max_paths"
+        );
     }
 }

@@ -160,12 +160,15 @@ impl CrossDomainDataset {
         let source_pool = (source_items.as_slice(), source_zipf.as_ref());
         let target_pool = (target_items.as_slice(), target_zipf.as_ref());
 
+        let mut draws = Draws::default();
         let emit = |builder: &mut RatingMatrixBuilder,
                     rng: &mut StdRng,
+                    draws: &mut Draws,
                     user: UserId,
                     (items, zipf): (&[ItemId], Option<&ZipfTable>),
                     timestep_base: u32| {
-            let mut chosen = sample_without_replacement(rng, items, config.ratings_per_user, zipf);
+            let mut chosen =
+                sample_without_replacement(rng, items, config.ratings_per_user, zipf, draws);
             chosen.sort_unstable();
             for (ord, item) in chosen.into_iter().enumerate() {
                 let affinity = dot(&user_factors[user.index()], &item_factors[item.index()]);
@@ -184,18 +187,19 @@ impl CrossDomainDataset {
         };
 
         for &u in &source_only_users {
-            emit(&mut builder, &mut rng, u, source_pool, 0);
+            emit(&mut builder, &mut rng, &mut draws, u, source_pool, 0);
         }
         for &u in &target_only_users {
-            emit(&mut builder, &mut rng, u, target_pool, 0);
+            emit(&mut builder, &mut rng, &mut draws, u, target_pool, 0);
         }
         for &u in &overlap_users {
             // straddlers first rate the source domain, later the target domain, giving
             // them a meaningful temporal ordering across domains
-            emit(&mut builder, &mut rng, u, source_pool, 0);
+            emit(&mut builder, &mut rng, &mut draws, u, source_pool, 0);
             emit(
                 &mut builder,
                 &mut rng,
+                &mut draws,
                 u,
                 target_pool,
                 config.ratings_per_user as u32,
@@ -275,24 +279,55 @@ fn zipf_weights(len: usize, skew: f64) -> Option<Vec<f64>> {
     )
 }
 
-/// A pool's [`zipf_weights`] and their sequential prefix sums, built once per pool.
+/// A pool's [`zipf_weights`], their sequential prefix sums and a guide over those,
+/// built once per pool.
 struct ZipfTable {
     weights: Vec<f64>,
     /// `prefix[p]` is `((w[0] + w[1]) + …) + w[p - 1]`, summed in order; `prefix[len]`
     /// is the table total.
     prefix: Vec<f64>,
+    /// Chen & Asau's guide table: `guide[k]` is the last position whose prefix is at
+    /// most `k / len` of the total, so a search for a value starts in its bucket.
+    guide: Vec<usize>,
+}
+
+/// The state of one [`ZipfTable::picks`] call, kept across a trace's calls so that
+/// its buffers are allocated once.
+#[derive(Debug, Default)]
+struct Draws {
+    /// Chosen positions, ascending.
+    chosen: Vec<usize>,
+    /// `taken[j]` sums the weights of the first `j` chosen positions.
+    taken: Vec<f64>,
+    /// The picks in draw order.
+    picks: Vec<usize>,
 }
 
 impl ZipfTable {
     fn new(weights: Vec<f64>) -> Self {
         let mut total = 0.0;
-        let prefix = std::iter::once(0.0)
+        let prefix: Vec<f64> = std::iter::once(0.0)
             .chain(weights.iter().map(|&w| {
                 total += w;
                 total
             }))
             .collect();
-        ZipfTable { weights, prefix }
+        let len = weights.len();
+        let mut p = 0;
+        let guide = (0..len)
+            .map(|k| {
+                let edge = total * (k as f64 / len as f64);
+                while p + 1 < len && prefix[p + 1] <= edge {
+                    p += 1;
+                }
+                p
+            })
+            .collect();
+        ZipfTable {
+            weights,
+            prefix,
+            guide,
+        }
     }
 
     /// What `count` picks may cost in rounding: the running total, the prefix table
@@ -306,22 +341,34 @@ impl ZipfTable {
 
     /// `count` distinct pool positions in draw order — the picks of the re-summing
     /// loop (`resum_picks`, the test oracle) and its RNG position: one `u64` per pick.
-    /// A pick is a binary search that [`ZipfTable::certified_pick`] checks against
+    /// A pick is a proposal — `propose(table, lo, chosen, taken)`, the trace's being
+    /// [`ZipfTable::guided`] — that [`ZipfTable::certified_pick`] checks against
     /// `margin`, or, when the check fails, the loop's own re-sum and scan. A chosen
-    /// position leaves the table by joining `chosen`, so the table is never copied.
-    fn picks(&self, rng: &mut StdRng, count: usize, margin: f64) -> Vec<usize> {
-        // Chosen positions ascending; `taken[j]` sums the weights of the first `j`.
-        let mut chosen: Vec<usize> = Vec::with_capacity(count);
-        let mut taken = Vec::with_capacity(count + 1);
+    /// position leaves the table by joining `draws.chosen`, so the table is never copied.
+    fn picks<'d>(
+        &self,
+        rng: &mut StdRng,
+        count: usize,
+        margin: f64,
+        draws: &'d mut Draws,
+        propose: impl Fn(&Self, f64, &[usize], &[f64]) -> usize,
+    ) -> &'d [usize] {
+        let Draws {
+            chosen,
+            taken,
+            picks,
+        } = draws;
+        chosen.clear();
+        taken.clear();
         taken.push(0.0);
-        let mut picks = Vec::with_capacity(count);
+        picks.clear();
         for _ in 0..count {
             // The loop drew `gen_range(0.0..total)`, which the stand-in computes as
             // `0.0 + next_f64()·(total − 0.0)`: this is that `next_f64()`.
             let v: f64 = rng.gen_range(0.0..1.0);
             let pick = self
-                .certified_pick(v, &chosen, &taken, margin)
-                .unwrap_or_else(|| self.rescan_pick(v, &chosen));
+                .certified_pick(v, chosen, taken, margin, &propose)
+                .unwrap_or_else(|| self.rescan_pick(v, chosen));
             let at = chosen.partition_point(|&q| q < pick);
             chosen.insert(at, pick);
             taken.truncate(at + 1);
@@ -333,28 +380,23 @@ impl ZipfTable {
         picks
     }
 
-    /// The loop's pick for draw fraction `v`, when a search can certify it. The
+    /// The loop's pick for draw fraction `v`, when the proposal can be certified. The
     /// loop's draw lies in `[v·(T̃ − m), v·(T̃ + m)]`, `T̃` the table total less the
     /// chosen weights; its pick is monotone in the draw (`fl(x − w)` is monotone in
     /// `x`), so a bracket at least `m` inside one remaining item's span of the
-    /// remaining-weight prefix sums names the loop's pick.
-    fn certified_pick(&self, v: f64, chosen: &[usize], taken: &[f64], m: f64) -> Option<usize> {
+    /// remaining-weight prefix sums names the loop's pick, whatever proposed it.
+    fn certified_pick(
+        &self,
+        v: f64,
+        chosen: &[usize],
+        taken: &[f64],
+        m: f64,
+        propose: impl Fn(&Self, f64, &[usize], &[f64]) -> usize,
+    ) -> Option<usize> {
         let len = self.weights.len();
-        // The remaining weight ahead of position `p`: the table's prefix less the
-        // chosen weights below `p`.
-        let ahead = |p: usize| self.prefix[p] - taken[chosen.partition_point(|&q| q < p)];
         let left = self.prefix[len] - taken[chosen.len()];
         let (lo, hi) = (v * (left - m), v * (left + m));
-        // The last position whose remaining prefix is at most `lo`.
-        let (mut p, mut end) = (0, len);
-        while end - p > 1 {
-            let mid = (p + end) / 2;
-            if ahead(mid) <= lo {
-                p = mid;
-            } else {
-                end = mid;
-            }
-        }
+        let p = propose(self, lo, chosen, taken);
         let below = chosen.partition_point(|&q| q < p);
         let remaining = chosen.get(below) != Some(&p);
         // The loop takes its last remaining item once the draw passes the others.
@@ -362,6 +404,32 @@ impl ZipfTable {
         let start = self.prefix[p] - taken[below];
         let end = self.prefix[p + 1] - taken[below];
         (remaining && lo >= start + m && (last || hi < end - m)).then_some(p)
+    }
+
+    /// The proposal: the last position `p` whose remaining prefix — the table's prefix
+    /// less the weights of the `j` chosen positions below `p` — is at most `lo`, or 0.
+    /// One walk over `chosen` finds the run of positions with the answer's `j`; in it
+    /// the predicate is monotone in `p`, so stepping from where the guide puts
+    /// `lo + taken[j]` ends at the run's last position that satisfies it.
+    fn guided(&self, lo: f64, chosen: &[usize], taken: &[f64]) -> usize {
+        let len = self.weights.len();
+        let ahead = |p: usize, j: usize| self.prefix[p] - taken[j] <= lo;
+        let mut j = 0;
+        while j < chosen.len() && chosen[j] + 1 < len && ahead(chosen[j] + 1, j + 1) {
+            j += 1;
+        }
+        let first = if j == 0 { 0 } else { chosen[j - 1] + 1 };
+        let last = chosen.get(j).copied().unwrap_or(len - 1);
+        // `as` saturates: a negative bucket is 0.
+        let bucket = ((lo + taken[j]) / self.prefix[len] * len as f64) as usize;
+        let mut p = self.guide[bucket.min(len - 1)].clamp(first, last);
+        while p < last && ahead(p + 1, j) {
+            p += 1;
+        }
+        while p > first && !ahead(p, j) {
+            p -= 1;
+        }
+        p
     }
 
     /// The exact fallback: the re-summing loop itself over the positions not chosen.
@@ -384,12 +452,14 @@ impl ZipfTable {
 /// Draws `count` distinct items of `pool`: uniformly without a Zipf table, else by
 /// cumulative-weight inversion over the weights not yet drawn. The weighted picks are
 /// those of the loop that re-sums the remaining table per draw (`resum_picks`, kept
-/// as the test oracle), each found in O(log n) through [`ZipfTable::picks`].
+/// as the test oracle), each proposed by a guided search ([`ZipfTable::guided`]) and
+/// drawn into the reused `draws`.
 fn sample_without_replacement(
     rng: &mut StdRng,
     pool: &[ItemId],
     count: usize,
     zipf: Option<&ZipfTable>,
+    draws: &mut Draws,
 ) -> Vec<ItemId> {
     let count = count.min(pool.len());
     let Some(zipf) = zipf else {
@@ -401,8 +471,8 @@ fn sample_without_replacement(
         }
         return indices[..count].iter().map(|&i| pool[i]).collect();
     };
-    let picks = zipf.picks(rng, count, zipf.margin(count));
-    picks.into_iter().map(|p| pool[p]).collect()
+    let picks = zipf.picks(rng, count, zipf.margin(count), draws, ZipfTable::guided);
+    picks.iter().map(|&p| pool[p]).collect()
 }
 
 /// The weighted draw before [`ZipfTable`]: a chosen item leaves the table, and the
@@ -662,7 +732,13 @@ mod tests {
         let margin = margin.unwrap_or_else(|| table.margin(count));
         let (mut fast, mut oracle) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
         assert_eq!(
-            table.picks(&mut fast, count, margin),
+            table.picks(
+                &mut fast,
+                count,
+                margin,
+                &mut Draws::default(),
+                ZipfTable::guided
+            ),
             resum_picks(&mut oracle, &table.weights, count),
             "seed {seed}, {count} of {len} at skew {skew}"
         );
@@ -673,12 +749,17 @@ mod tests {
         );
     }
 
-    /// One test shape per seed: a pool of 1..=`max_len` items, skew 0.3, 1.1 or 2.0,
-    /// and a count up to the whole pool — the whole pool on every fourth seed.
+    /// One test shape per seed: a pool of 1..=`max_len` items — of 1 or 2 items on a
+    /// quarter of the seeds, at every skew — skew 0.01, 0.3, 1.1, 2.0 or 4.0, and a
+    /// count up to the whole pool — the whole pool on every fourth seed.
     fn oracle_shape(seed: u64, max_len: usize) -> (usize, f64, usize) {
         let mut shape = StdRng::seed_from_u64(seed ^ 0x5EED_CAFE);
-        let len = shape.gen_range(1..=max_len);
-        let skew = [0.3, 1.1, 2.0][(seed % 3) as usize];
+        let len = match (seed / 5) % 8 {
+            0 => 1,
+            1 => 2,
+            _ => shape.gen_range(1..=max_len),
+        };
+        let skew = [0.01, 0.3, 1.1, 2.0, 4.0][(seed % 5) as usize];
         let count = if seed.is_multiple_of(4) {
             len
         } else {
@@ -702,6 +783,35 @@ mod tests {
             let (len, skew, count) = oracle_shape(seed, 400);
             let total = ZipfTable::new(zipf_weights(len, skew).unwrap()).prefix[len];
             assert_picks_match_the_oracle(seed, len, skew, count, Some(total));
+        }
+    }
+
+    #[test]
+    fn a_wrong_proposal_still_picks_what_the_resumming_loop_picks() {
+        // Certification proves a proposal or refuses it for the exact re-scan, so
+        // neither a proposal one position off nor one pinned to either end of the
+        // table can move a pick or the RNG position.
+        type Proposal = fn(&ZipfTable, f64, &[usize], &[f64]) -> usize;
+        let proposals: [Proposal; 4] = [
+            |t, lo, chosen, taken| (t.guided(lo, chosen, taken) + 1) % t.weights.len(),
+            |t, lo, chosen, taken| t.guided(lo, chosen, taken).saturating_sub(1),
+            |_, _, _, _| 0,
+            |t, _, _, _| t.weights.len() - 1,
+        ];
+        let mut draws = Draws::default();
+        for seed in 0..120 {
+            let (len, skew, count) = oracle_shape(seed, 600);
+            let table = ZipfTable::new(zipf_weights(len, skew).unwrap());
+            let propose = proposals[(seed % 4) as usize];
+            let (mut wrong, mut oracle) =
+                (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let margin = table.margin(count);
+            assert_eq!(
+                table.picks(&mut wrong, count, margin, &mut draws, propose),
+                resum_picks(&mut oracle, &table.weights, count),
+                "seed {seed}, {count} of {len} at skew {skew}"
+            );
+            assert_eq!(wrong.next_u64(), oracle.next_u64(), "seed {seed}");
         }
     }
 

@@ -12,9 +12,10 @@
 //! * **meta-paths** — walks that contain at most one item per layer (Definition 3),
 //!   pruned by keeping only the top-k edges between adjacent layers.
 //!
-//! This crate builds the graph, computes the layer partition, and enumerates pruned
-//! meta-paths. The X-Sim aggregation itself (path similarity, path certainty, the final
-//! weighted mean) lives in `xmap-core`, which consumes the [`MetaPath`]s produced here.
+//! This crate builds the graph, computes the layer partition, and tabulates every
+//! item's pruned meta-path hops ([`HopTable`]). The X-Sim aggregation itself (path
+//! similarity, path certainty, the final weighted mean) lives in `xmap-core`, whose
+//! extender walks that table.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,4 +29,4 @@ pub mod metapath;
 pub use bridge::BridgeIndex;
 pub use graph::{EdgeRef, GraphConfig, NeighborView, SimilarityGraph};
 pub use layers::{Layer, LayerAssignment, LayerPartition};
-pub use metapath::{enumerate_cross_domain_paths, enumerate_meta_paths, MetaPath, MetaPathConfig};
+pub use metapath::{Hop, HopTable, MetaPathConfig};

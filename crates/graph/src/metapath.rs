@@ -1,4 +1,4 @@
-//! Meta-path enumeration with layer-based pruning (Definition 3, §3.2 and §5.2).
+//! Meta-path hops with layer-based pruning (Definition 3, §3.2 and §5.2).
 //!
 //! A meta-path between two items consists of at most one item from each of the six
 //! layers, moving across *adjacent* layers only:
@@ -7,11 +7,11 @@
 //! NN_src ↔ NB_src ↔ BB_src ↔ BB_tgt ↔ NB_tgt ↔ NN_tgt
 //! ```
 //!
-//! Enumeration is a depth-first walk from the start item in which each hop (a) follows an
-//! edge of the baseline similarity graph, (b) moves to the *next* layer rank
-//! ([`crate::LayerPartition::path_rank`]), and (c) is restricted to the `per_layer_top_k`
-//! strongest such edges — the "top-k items from every neighbouring layer" pruning that
-//! the extender applies (§5.2).
+//! Each hop (a) follows an edge of the baseline similarity graph, (b) moves to the
+//! *next* layer rank ([`crate::LayerPartition::path_rank`]), and (c) is one of the
+//! `per_layer_top_k` strongest such edges — the "top-k items from every neighbouring
+//! layer" pruning that the extender applies (§5.2). [`HopTable`] applies (a)–(c) once
+//! per graph, so a walk from any start item only follows the table.
 
 use crate::graph::SimilarityGraph;
 use crate::layers::LayerPartition;
@@ -38,128 +38,82 @@ impl Default for MetaPathConfig {
     }
 }
 
-/// A meta-path: the ordered sequence of items visited, starting at the source item.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MetaPath {
-    /// Visited items in order; always at least two items (one hop).
-    pub items: Vec<ItemId>,
+/// One pruned hop of a meta-path: the next item and what the hop adds to the path's
+/// running aggregates (Definitions 3–5), read once from the edge it follows.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Hop {
+    /// The next item, one layer rank further from the source domain.
+    pub to: ItemId,
+    /// Whether `to` lies outside the source domain, so a path ending there counts.
+    pub crosses: bool,
+    /// Weighted significance `S` of the edge (Definition 2).
+    pub significance: f64,
+    /// `S · s_ac`: the hop's addend of the path-similarity numerator (Definition 3).
+    pub weighted_similarity: f64,
+    /// Normalised weighted significance `Ŝ` (Definition 4): the hop's certainty factor.
+    pub certainty: f64,
 }
 
-impl MetaPath {
-    /// The first item of the path.
-    pub fn source(&self) -> ItemId {
-        self.items[0]
-    }
-
-    /// The last item of the path.
-    pub fn destination(&self) -> ItemId {
-        *self.items.last().expect("meta-paths are never empty") // lint: panic — reviewed invariant
-    }
-
-    /// Number of hops (edges) in the path.
-    pub fn n_hops(&self) -> usize {
-        self.items.len().saturating_sub(1)
-    }
-
-    /// Iterator over consecutive item pairs (the edges of the path).
-    pub fn hops(&self) -> impl Iterator<Item = (ItemId, ItemId)> + '_ {
-        self.items.windows(2).map(|w| (w[0], w[1]))
-    }
+/// Every item's pruned hops away from one source domain, tabulated once per graph:
+/// an item of rank `r < 5` holds the first `per_layer_top_k` of its edges into rank
+/// `r + 1`, in the arena's similarity order; an item of rank 5 (the far NN layer)
+/// holds none. Ranks strictly increase along a path, so no walk over the table can
+/// revisit an item.
+#[derive(Clone, Debug)]
+pub struct HopTable {
+    /// `hops[offsets[i]..offsets[i + 1]]` are item `i`'s hops.
+    offsets: Vec<u32>,
+    hops: Vec<Hop>,
 }
 
-/// Enumerates pruned meta-paths from `start` to items satisfying `accept`.
-///
-/// `source_domain` orients the layer ranks: paths always move *away* from the source
-/// domain's NN layer towards the other domain's NN layer. Paths are reported as soon as
-/// an accepted item is reached (and the walk continues deeper, so both a 2-hop and a
-/// 3-hop path to different accepted items can be reported).
-pub fn enumerate_meta_paths(
-    graph: &SimilarityGraph,
-    partition: &LayerPartition,
-    start: ItemId,
-    source_domain: DomainId,
-    config: MetaPathConfig,
-    mut accept: impl FnMut(ItemId) -> bool,
-) -> Vec<MetaPath> {
-    let mut paths = Vec::new();
-    let mut current = vec![start];
-    dfs(
-        graph,
-        partition,
-        source_domain,
-        config,
-        &mut current,
-        &mut paths,
-        &mut accept,
-    );
-    paths
-}
-
-/// Convenience wrapper: all pruned meta-paths from `start` (an item of `source_domain`)
-/// to any item of the *other* domain. This is the enumeration the extender's
-/// cross-domain step needs: for every source item, the reachable target items together
-/// with the paths that reach them.
-pub fn enumerate_cross_domain_paths(
-    graph: &SimilarityGraph,
-    partition: &LayerPartition,
-    start: ItemId,
-    source_domain: DomainId,
-    config: MetaPathConfig,
-) -> Vec<MetaPath> {
-    enumerate_meta_paths(graph, partition, start, source_domain, config, |item| {
-        partition.domain(item) != source_domain
-    })
-}
-
-fn dfs(
-    graph: &SimilarityGraph,
-    partition: &LayerPartition,
-    source_domain: DomainId,
-    config: MetaPathConfig,
-    current: &mut Vec<ItemId>,
-    paths: &mut Vec<MetaPath>,
-    accept: &mut impl FnMut(ItemId) -> bool,
-) {
-    if paths.len() >= config.max_paths {
-        return;
-    }
-    let here = *current.last().expect("path is never empty"); // lint: panic — reviewed invariant
-    let here_rank = partition.path_rank(here, source_domain);
-    if here_rank >= 5 {
-        return; // the far NN layer is terminal
+impl HopTable {
+    /// Tabulates the hops of every item of `graph` under `partition`'s layer ranks,
+    /// oriented away from `source_domain`.
+    pub fn build(
+        graph: &SimilarityGraph,
+        partition: &LayerPartition,
+        source_domain: DomainId,
+        per_layer_top_k: usize,
+    ) -> Self {
+        let ranks: Vec<u8> = graph
+            .items()
+            .map(|i| partition.path_rank(i, source_domain))
+            .collect();
+        let mut offsets = Vec::with_capacity(ranks.len() + 1);
+        offsets.push(0);
+        let mut hops = Vec::new();
+        for (item, &rank) in graph.items().zip(&ranks) {
+            if rank < 5 {
+                let view = graph.neighbors(item);
+                let next = view
+                    .by_similarity()
+                    .filter(|e| ranks[e.to.index()] == rank + 1)
+                    .take(per_layer_top_k);
+                hops.extend(next.map(|e| {
+                    let significance = f64::from(e.stats.significance);
+                    Hop {
+                        to: e.to,
+                        crosses: partition.domain(e.to) != source_domain,
+                        significance,
+                        weighted_similarity: significance * e.stats.similarity,
+                        certainty: e.normalized_significance(),
+                    }
+                }));
+            }
+            offsets.push(hops.len() as u32);
+        }
+        HopTable { offsets, hops }
     }
 
-    // Candidate hops: edges into the next layer rank, strongest first (the CSR arena's
-    // per-item similarity ranking), limited to the per-layer top-k.
-    let mut taken = 0usize;
-    for edge in graph.neighbors(here).by_similarity() {
-        if taken >= config.per_layer_top_k || paths.len() >= config.max_paths {
-            break;
+    /// The hops of `item`, strongest first; none for an id outside the graph.
+    pub fn hops(&self, item: ItemId) -> &[Hop] {
+        match (
+            self.offsets.get(item.index()),
+            self.offsets.get(item.index() + 1),
+        ) {
+            (Some(&start), Some(&end)) => &self.hops[start as usize..end as usize],
+            _ => &[],
         }
-        let next = edge.to;
-        if current.contains(&next) {
-            continue;
-        }
-        if partition.path_rank(next, source_domain) != here_rank + 1 {
-            continue;
-        }
-        taken += 1;
-        current.push(next);
-        if accept(next) {
-            paths.push(MetaPath {
-                items: current.clone(),
-            });
-        }
-        dfs(
-            graph,
-            partition,
-            source_domain,
-            config,
-            current,
-            paths,
-            accept,
-        );
-        current.pop();
     }
 }
 
@@ -201,10 +155,10 @@ mod tests {
         b.push_parts(4, 4, 5.0).unwrap();
         b.push_parts(4, 5, 4.0).unwrap();
         for i in 0..3u32 {
-            b.set_item_domain(ItemId(i), xmap_cf::DomainId::SOURCE);
+            b.set_item_domain(ItemId(i), DomainId::SOURCE);
         }
         for i in 3..6u32 {
-            b.set_item_domain(ItemId(i), xmap_cf::DomainId::TARGET);
+            b.set_item_domain(ItemId(i), DomainId::TARGET);
         }
         let m = b.build().unwrap();
         let g = SimilarityGraph::build(
@@ -218,57 +172,53 @@ mod tests {
         (g, p)
     }
 
+    /// The hops the pruning rule defines for `item`, re-derived from the graph: the
+    /// first `k` edges in similarity order whose far end has the next layer rank.
+    fn pruned_edges(
+        g: &SimilarityGraph,
+        p: &LayerPartition,
+        item: ItemId,
+        source: DomainId,
+        k: usize,
+    ) -> Vec<ItemId> {
+        let rank = p.path_rank(item, source);
+        if rank >= 5 {
+            return Vec::new();
+        }
+        g.neighbors(item)
+            .by_similarity()
+            .filter(|e| p.path_rank(e.to, source) == rank + 1)
+            .take(k)
+            .map(|e| e.to)
+            .collect()
+    }
+
     #[test]
     fn full_chain_is_enumerated_from_the_nn_layer() {
         let (g, p) = chain();
-        let paths = enumerate_cross_domain_paths(
-            &g,
-            &p,
-            ItemId(0),
-            xmap_cf::DomainId::SOURCE,
-            MetaPathConfig::default(),
-        );
-        assert!(!paths.is_empty());
-        // the longest path reaches the far NN item 5 through every layer once
-        let longest = paths.iter().max_by_key(|p| p.n_hops()).unwrap();
-        assert_eq!(
-            longest.items,
-            vec![
-                ItemId(0),
-                ItemId(1),
-                ItemId(2),
-                ItemId(3),
-                ItemId(4),
-                ItemId(5)
-            ]
-        );
-        assert_eq!(longest.n_hops(), 5);
-        // every reported path ends in the target domain
-        for path in &paths {
-            assert_eq!(p.domain(path.destination()), xmap_cf::DomainId::TARGET);
-            assert_eq!(path.source(), ItemId(0));
+        let table = HopTable::build(&g, &p, DomainId::SOURCE, 10);
+        // following the table from the NN item crosses every layer once
+        let mut walk = vec![ItemId(0)];
+        while let [hop] = table.hops(*walk.last().unwrap()) {
+            assert_eq!(hop.crosses, p.domain(hop.to) == DomainId::TARGET);
+            walk.push(hop.to);
         }
+        assert_eq!(walk, (0..6).map(ItemId).collect::<Vec<_>>());
+        assert!(
+            table.hops(ItemId(5)).is_empty(),
+            "the far NN layer is terminal"
+        );
     }
 
     #[test]
     fn paths_visit_each_layer_at_most_once_with_increasing_rank() {
         let (g, p) = chain();
-        for start in [ItemId(0), ItemId(1), ItemId(2)] {
-            let paths = enumerate_cross_domain_paths(
-                &g,
-                &p,
-                start,
-                xmap_cf::DomainId::SOURCE,
-                MetaPathConfig::default(),
-            );
-            for path in paths {
-                let ranks: Vec<u8> = path
-                    .items
-                    .iter()
-                    .map(|&i| p.path_rank(i, xmap_cf::DomainId::SOURCE))
-                    .collect();
-                for w in ranks.windows(2) {
-                    assert_eq!(w[1], w[0] + 1, "ranks must increase by one: {ranks:?}");
+        for source in [DomainId::SOURCE, DomainId::TARGET] {
+            let table = HopTable::build(&g, &p, source, 10);
+            for item in g.items() {
+                for hop in table.hops(item) {
+                    assert_eq!(p.path_rank(hop.to, source), p.path_rank(item, source) + 1);
+                    assert_eq!(hop.crosses, p.domain(hop.to) != source);
                 }
             }
         }
@@ -277,43 +227,11 @@ mod tests {
     #[test]
     fn bridge_item_reaches_target_in_a_single_hop() {
         let (g, p) = chain();
-        let paths = enumerate_cross_domain_paths(
-            &g,
-            &p,
-            ItemId(2),
-            xmap_cf::DomainId::SOURCE,
-            MetaPathConfig::default(),
-        );
-        assert!(paths
+        let table = HopTable::build(&g, &p, DomainId::SOURCE, 10);
+        assert!(table
+            .hops(ItemId(2))
             .iter()
-            .any(|pth| pth.items == vec![ItemId(2), ItemId(3)]));
-    }
-
-    #[test]
-    fn hop_iterator_matches_items() {
-        let path = MetaPath {
-            items: vec![ItemId(0), ItemId(1), ItemId(3)],
-        };
-        let hops: Vec<(ItemId, ItemId)> = path.hops().collect();
-        assert_eq!(hops, vec![(ItemId(0), ItemId(1)), (ItemId(1), ItemId(3))]);
-        assert_eq!(path.source(), ItemId(0));
-        assert_eq!(path.destination(), ItemId(3));
-    }
-
-    #[test]
-    fn max_paths_caps_enumeration() {
-        let (g, p) = chain();
-        let paths = enumerate_cross_domain_paths(
-            &g,
-            &p,
-            ItemId(0),
-            xmap_cf::DomainId::SOURCE,
-            MetaPathConfig {
-                max_paths: 1,
-                ..Default::default()
-            },
-        );
-        assert_eq!(paths.len(), 1);
+            .any(|hop| hop.to == ItemId(3) && hop.crosses));
     }
 
     #[test]
@@ -325,9 +243,9 @@ mod tests {
             b.push_parts(t, 0, 5.0).unwrap();
             b.push_parts(t, 1 + t, ((t % 5) + 1) as f64).unwrap();
         }
-        b.set_item_domain(ItemId(0), xmap_cf::DomainId::SOURCE);
+        b.set_item_domain(ItemId(0), DomainId::SOURCE);
         for t in 0..8u32 {
-            b.set_item_domain(ItemId(1 + t), xmap_cf::DomainId::TARGET);
+            b.set_item_domain(ItemId(1 + t), DomainId::TARGET);
         }
         let m = b.build().unwrap();
         let g = SimilarityGraph::build(
@@ -338,64 +256,52 @@ mod tests {
             },
         );
         let (_, p) = LayerPartition::from_graph(&g);
-        let narrow = enumerate_cross_domain_paths(
-            &g,
-            &p,
-            ItemId(0),
-            xmap_cf::DomainId::SOURCE,
-            MetaPathConfig {
-                per_layer_top_k: 3,
-                ..Default::default()
-            },
-        );
-        let wide = enumerate_cross_domain_paths(
-            &g,
-            &p,
-            ItemId(0),
-            xmap_cf::DomainId::SOURCE,
-            MetaPathConfig {
-                per_layer_top_k: 100,
-                ..Default::default()
-            },
-        );
-        assert!(
-            narrow.len() <= 3 + 3 * 3,
-            "narrow fanout produced {} paths",
-            narrow.len()
-        );
-        assert!(wide.len() >= narrow.len());
+        let narrow = HopTable::build(&g, &p, DomainId::SOURCE, 3);
+        let wide = HopTable::build(&g, &p, DomainId::SOURCE, 100);
+        // every edge of the source item leads into the target domain's bridge layer
+        assert!(g.degree(ItemId(0)) > 3);
+        assert_eq!(narrow.hops(ItemId(0)).len(), 3);
+        assert_eq!(wide.hops(ItemId(0)).len(), g.degree(ItemId(0)));
+        assert_eq!(narrow.hops(ItemId(0)), &wide.hops(ItemId(0))[..3]);
     }
 
     proptest! {
-        /// On random two-domain matrices every enumerated path starts at the requested
-        /// item, ends in the other domain, has at most 5 hops, and never repeats an item.
+        /// On random two-domain matrices, from either domain and at any fan-out, every
+        /// item's hops are the pruned edges the rule defines, in similarity order, each
+        /// carrying its edge's statistics bit for bit; ids past the graph have none.
         #[test]
         fn path_invariants(
             ratings in proptest::collection::vec((0u32..10, 0u32..12, 1u32..=5), 10..150),
-            start in 0u32..12,
+            k in 1usize..=4,
+            from_target in 0u32..2,
         ) {
             let mut b = RatingMatrixBuilder::new();
             for (u, i, v) in &ratings {
                 b.push_parts(*u, *i, *v as f64).unwrap();
             }
             for i in 0..12u32 {
-                let d = if i < 6 { xmap_cf::DomainId::SOURCE } else { xmap_cf::DomainId::TARGET };
+                let d = if i < 6 { DomainId::SOURCE } else { DomainId::TARGET };
                 b.set_item_domain(ItemId(i), d);
             }
             let m = b.build().unwrap();
             let g = SimilarityGraph::build(&m, GraphConfig { top_k: Some(5), ..Default::default() });
             let (_, p) = LayerPartition::from_graph(&g);
-            let src_domain = if start < 6 { xmap_cf::DomainId::SOURCE } else { xmap_cf::DomainId::TARGET };
-            let paths = enumerate_cross_domain_paths(&g, &p, ItemId(start), src_domain, MetaPathConfig::default());
-            for path in paths {
-                prop_assert_eq!(path.source(), ItemId(start));
-                prop_assert!(path.n_hops() >= 1 && path.n_hops() <= 5);
-                prop_assert!(p.domain(path.destination()) != src_domain);
-                let mut seen = path.items.clone();
-                seen.sort_unstable();
-                seen.dedup();
-                prop_assert_eq!(seen.len(), path.items.len(), "no repeated items");
+            let source = if from_target == 1 { DomainId::TARGET } else { DomainId::SOURCE };
+            let table = HopTable::build(&g, &p, source, k);
+            for item in g.items() {
+                let hops = table.hops(item);
+                let to: Vec<ItemId> = hops.iter().map(|h| h.to).collect();
+                prop_assert_eq!(to, pruned_edges(&g, &p, item, source, k));
+                for hop in hops {
+                    let edge = g.edge_between(item, hop.to).unwrap();
+                    let s = f64::from(edge.stats.significance);
+                    prop_assert_eq!(hop.significance.to_bits(), s.to_bits());
+                    prop_assert_eq!(hop.weighted_similarity.to_bits(), (s * edge.stats.similarity).to_bits());
+                    prop_assert_eq!(hop.certainty.to_bits(), edge.normalized_significance().to_bits());
+                    prop_assert_eq!(hop.crosses, p.domain(hop.to) != source);
+                }
             }
+            prop_assert!(table.hops(ItemId(g.n_items() as u32)).is_empty());
         }
     }
 }
