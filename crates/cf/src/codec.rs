@@ -1,15 +1,15 @@
 //! [`Codec`] implementations for the CF substrate's plain value types.
 //!
-//! The encodings here are the leaves the snapshot format is built from: ids and
-//! timesteps as their raw integers, ratings/entries/statistics as field sequences
-//! in declaration order, floats as IEEE-754 bits (bit-exact round trips). The
-//! [`crate::RatingMatrix`] codec lives in `matrix.rs` next to its private fields.
+//! The encodings here are the leaves the snapshot and journal formats are built
+//! from: ids and timesteps as their raw integers, ratings and entries as field
+//! sequences in declaration order, floats as IEEE-754 bits (bit-exact round
+//! trips). The [`crate::RatingMatrix`] codec lives in `matrix.rs` next to its
+//! private fields.
 
 use crate::ids::{DomainId, ItemId, UserId};
-use crate::knn::ItemNeighbor;
 use crate::matrix::{ItemEntry, UserEntry};
 use crate::rating::{Rating, RatingScale, Timestep};
-use crate::similarity::{SimilarityMetric, SimilarityStats};
+use crate::similarity::SimilarityMetric;
 use xmap_store::{Codec, Decoder, Encoder, StoreError};
 
 macro_rules! newtype_codec {
@@ -108,36 +108,6 @@ impl Codec for SimilarityMetric {
     }
 }
 
-impl Codec for SimilarityStats {
-    fn enc(&self, e: &mut Encoder) {
-        e.put_f64(self.similarity);
-        e.put_u32(self.co_raters);
-        e.put_u32(self.significance);
-        e.put_u32(self.union_size);
-    }
-    fn dec(d: &mut Decoder<'_>) -> Result<Self, StoreError> {
-        Ok(SimilarityStats {
-            similarity: d.take_f64()?,
-            co_raters: d.take_u32()?,
-            significance: d.take_u32()?,
-            union_size: d.take_u32()?,
-        })
-    }
-}
-
-impl Codec for ItemNeighbor {
-    fn enc(&self, e: &mut Encoder) {
-        self.item.enc(e);
-        e.put_f64(self.similarity);
-    }
-    fn dec(d: &mut Decoder<'_>) -> Result<Self, StoreError> {
-        Ok(ItemNeighbor {
-            item: ItemId::dec(d)?,
-            similarity: d.take_f64()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,16 +129,6 @@ mod tests {
         roundtrip(RatingScale::FIVE_STAR);
         roundtrip(SimilarityMetric::AdjustedCosine);
         roundtrip(SimilarityMetric::Pearson);
-        roundtrip(SimilarityStats {
-            similarity: -0.25,
-            co_raters: 3,
-            significance: 2,
-            union_size: 11,
-        });
-        roundtrip(ItemNeighbor {
-            item: ItemId(5),
-            similarity: 0.75,
-        });
     }
 
     #[test]

@@ -163,7 +163,7 @@ pub struct DeltaReport {
 /// ([`RatingMatrix::check_delta_growth`]) is refused here as `XMapError::Data`, before
 /// the journal append — an id past it would size the matrix, the graph arena and every
 /// dense buffer by the id instead of by the data.
-fn check_delta(delta: &RatingDelta, full: &RatingMatrix) -> Result<()> {
+pub(crate) fn check_delta(delta: &RatingDelta, full: &RatingMatrix) -> Result<()> {
     for &(item, domain) in delta.item_domains() {
         if item.index() < full.n_items() && full.item_domain(item) != domain {
             return Err(XMapError::Data(format!(

@@ -270,32 +270,6 @@ impl xmap_store::Codec for RatingTransfer {
     }
 }
 
-/// On-disk codec for the replacement table, encoded in **ascending source-item
-/// order** for a canonical byte stream (see [`crate::xsim::XSimTable`]'s codec).
-impl xmap_store::Codec for ReplacementTable {
-    fn enc(&self, e: &mut xmap_store::Encoder) {
-        let mut pairs: Vec<(ItemId, ItemId)> =
-            self.replacements.iter().map(|(k, v)| (*k, *v)).collect();
-        pairs.sort_unstable();
-        e.put_usize(pairs.len());
-        for (source, replacement) in pairs {
-            source.enc(e);
-            replacement.enc(e);
-        }
-    }
-
-    fn dec(d: &mut xmap_store::Decoder<'_>) -> std::result::Result<Self, xmap_store::StoreError> {
-        let len = d.take_len(8, "replacement table")?;
-        let mut replacements = HashMap::with_capacity(len);
-        for _ in 0..len {
-            let source = ItemId::dec(d)?;
-            let replacement = ItemId::dec(d)?;
-            replacements.insert(source, replacement);
-        }
-        Ok(ReplacementTable { replacements })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

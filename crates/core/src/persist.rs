@@ -1,42 +1,39 @@
-//! Durable model state: versioned snapshots plus an append-only delta journal.
+//! Durable model state: a versioned snapshot of the ratings plus an append-only
+//! delta journal.
 //!
 //! The persistence layer completes the model lifecycle (`fit` → [`XMapModel::persist`]
 //! → [`XMapModel::apply_delta`] → [`XMapModel::open`] / [`XMapModel::recover`]):
 //!
-//! * [`XMapModel::persist`] serializes the current [`ModelEpoch`] into an atomically
-//!   written, checksummed snapshot (`model.snap`) and opens a fresh write-ahead
-//!   journal (`deltas.journal`) based at the snapshot epoch.
+//! * [`XMapModel::persist`] writes what no build can derive — the epoch number, the
+//!   configuration, the two domains and the aggregated rating matrix — into an
+//!   atomically written, checksummed snapshot (`model.snap`), and opens a fresh
+//!   write-ahead journal (`deltas.journal`) based at the snapshot epoch.
 //! * With a store attached, `apply_delta` journals every [`RatingDelta`] — fsynced,
 //!   CRC-framed, epoch-stamped — *before* publishing the new epoch, so the files on
 //!   disk always describe a superset of what readers have been shown.
-//! * [`XMapModel::open`] / [`XMapModel::recover`] rebuild the model: load the
-//!   snapshot, replay every journal record past the snapshot epoch through the
-//!   ordinary `apply_delta` path (which is bit-identical to a full refit — see
-//!   `DESIGN.md`), and discard any torn tail the journal scan truncated away.
+//! * [`XMapModel::open`] / [`XMapModel::recover`] load the snapshot's matrix, fold
+//!   every journal record past the snapshot epoch into it, and run the one build
+//!   (`build_epoch`) once over the result, publishing it at the last record's stamp.
+//!   A torn tail the journal scan truncated away is discarded.
 //! * [`XMapModel::compact`] folds the journal into a new snapshot: it rewrites the
 //!   snapshot at the current epoch *first* (atomic rename), then resets the journal.
 //!   A crash between the two steps leaves stale records the next recovery skips
 //!   (their epoch stamps are ≤ the snapshot epoch), never a lost delta.
 //!
-//! What is persisted vs recomputed: the snapshot carries every artifact whose
-//! reconstruction is either expensive or non-derivable — the aggregated matrix, the
-//! similarity graph (including its scored-pair delta cache), the X-Sim table, the
-//! replacement table, the fitted item-kNN pools and the privacy ledger. The
-//! recommender (X-Map-ib's seeded release included) is a cheap deterministic function
-//! of those and is recomputed on load, exactly as the fit computes it.
+//! Nothing derived is durable: the graph and its scored-pair cache, X-Sim, the
+//! replacements, the kNN pools, X-Map-ib's release and the privacy ledger are all
+//! rebuilt by the recovery's fit. A delta equals a refit on its matrix (the
+//! incremental-equivalence gate), so that fit is the model that wrote the files —
+//! when the running binary computes the floats the writing one did. A recovered model
+//! is always the running binary's fit of the journalled matrix.
 
-use crate::delta::RatingDelta;
-use crate::pipeline::{ModelEpoch, XMapModel};
-use crate::recommend;
-use crate::xsim::XSimTable;
+use crate::delta::{check_delta, RatingDelta};
+use crate::pipeline::{build_epoch, Ledgers, XMapModel};
 use crate::{Result, XMapError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use xmap_cf::knn::ItemNeighbor;
 use xmap_cf::{DomainId, RatingMatrix};
 use xmap_engine::Dataflow;
-use xmap_graph::SimilarityGraph;
-use xmap_privacy::PrivacyBudget;
 use xmap_store::{Journal, Snapshot};
 
 /// File name of the model snapshot inside a store directory.
@@ -65,36 +62,26 @@ impl ModelStore {
     }
 }
 
-/// The on-disk image of one [`ModelEpoch`]: everything a recovery cannot (or should
-/// not) recompute. Field order is the wire order; see the "Durable state" section of
-/// `DESIGN.md` for the format contract.
+/// The snapshot payload: the state no build can derive. Field order is the wire
+/// order; see the "Durable state" section of `DESIGN.md` for the format contract.
 struct ModelState {
     epoch: u64,
     config: crate::XMapConfig,
     source: DomainId,
     target: DomainId,
-    full: Arc<RatingMatrix>,
-    graph: Arc<SimilarityGraph>,
-    xsim: Arc<XSimTable>,
-    replacements: Arc<crate::ReplacementTable>,
-    item_pools: Option<Arc<Vec<Vec<ItemNeighbor>>>>,
-    budget: Option<Arc<PrivacyBudget>>,
+    matrix: Arc<RatingMatrix>,
 }
 
 impl ModelState {
-    /// Captures the persistable image of a published epoch (cheap: `Arc` clones).
-    fn from_epoch(epoch_no: u64, epoch: &ModelEpoch) -> Self {
+    /// The persistable image of the model's current epoch (cheap: one `Arc` clone).
+    fn of(model: &XMapModel) -> Self {
+        let (epoch, current) = model.handle.load();
         ModelState {
-            epoch: epoch_no,
-            config: epoch.config,
-            source: epoch.source_domain,
-            target: epoch.target_domain,
-            full: Arc::clone(&epoch.full),
-            graph: Arc::clone(&epoch.graph),
-            xsim: Arc::clone(&epoch.xsim),
-            replacements: Arc::clone(&epoch.replacements),
-            item_pools: epoch.item_pools.as_ref().map(Arc::clone),
-            budget: epoch.budget.as_ref().map(Arc::clone),
+            epoch,
+            config: current.config,
+            source: current.source_domain,
+            target: current.target_domain,
+            matrix: Arc::clone(&current.full),
         }
     }
 }
@@ -105,12 +92,7 @@ impl xmap_store::Codec for ModelState {
         self.config.enc(e);
         self.source.enc(e);
         self.target.enc(e);
-        self.full.enc(e);
-        self.graph.enc(e);
-        self.xsim.enc(e);
-        self.replacements.enc(e);
-        self.item_pools.enc(e);
-        self.budget.enc(e);
+        self.matrix.enc(e);
     }
 
     fn dec(d: &mut xmap_store::Decoder<'_>) -> std::result::Result<Self, xmap_store::StoreError> {
@@ -123,111 +105,15 @@ impl xmap_store::Codec for ModelState {
             config: xmap_store::Codec::dec(d)?,
             source: xmap_store::Codec::dec(d)?,
             target: xmap_store::Codec::dec(d)?,
-            full: xmap_store::Codec::dec(d)?,
-            graph: xmap_store::Codec::dec(d)?,
-            xsim: xmap_store::Codec::dec(d)?,
-            replacements: xmap_store::Codec::dec(d)?,
-            item_pools: xmap_store::Codec::dec(d)?,
-            budget: xmap_store::Codec::dec(d)?,
+            matrix: xmap_store::Codec::dec(d)?,
         })
     }
 }
 
-/// Rebuilds a live [`XMapModel`] from a decoded snapshot image: recomputes the mode's
-/// recommender (a deterministic function of the persisted artifacts), and seeds the
-/// epoch handle at the snapshot epoch so replayed deltas publish the exact journal
-/// stamps.
-fn model_from_state(state: ModelState) -> Result<XMapModel> {
-    let ModelState {
-        epoch: epoch_no,
-        config,
-        source,
-        target,
-        full,
-        graph,
-        xsim,
-        replacements,
-        item_pools,
-        budget,
-    } = state;
-    let invalid = |m| XMapError::corrupt(format!("persisted configuration is invalid: {m}"));
-    config.validate().map_err(invalid)?;
-    if source == target {
-        let detail = "persisted source and target domains are equal";
-        return Err(XMapError::corrupt(detail));
-    }
-    // The pieces of one epoch share the matrix's item ids: a graph or pool table of
-    // another size belongs to another model, and would serve its answers.
-    let n_full = full.n_items();
-    let mismatch = |piece: &str, n: usize| {
-        let detail = format!("persisted {piece} covers {n} items, the matrix {n_full}");
-        XMapError::corrupt(detail)
-    };
-    if graph.n_items() != full.n_items() {
-        return Err(mismatch("graph", graph.n_items()));
-    }
-
-    let target_matrix = full
-        .filter(|r| full.item_domain(r.item) == target)
-        .map_err(|_| XMapError::corrupt("persisted matrix has no target-domain ratings"))?;
-
-    let budget = if config.mode.is_private() {
-        let missing = || XMapError::corrupt("private mode snapshot is missing its privacy ledger");
-        Some(budget.ok_or_else(missing)?)
-    } else {
-        None
-    };
-
-    let item_pools = if config.mode.is_item_based() {
-        let missing = || XMapError::corrupt("item-based mode snapshot is missing its kNN pools");
-        Some(item_pools.ok_or_else(missing)?)
-    } else {
-        None
-    };
-    if let Some(pools) = item_pools.as_ref().filter(|p| p.len() != full.n_items()) {
-        return Err(mismatch("kNN pool table", pools.len()));
-    }
-    // The item-based kernel multiplies every similarity by the zero term of an item a
-    // profile lacks, and `±∞ · 0` is NaN: only finite similarities are served.
-    let pools = item_pools.as_deref().map_or(&[][..], Vec::as_slice);
-    if pools.iter().flatten().any(|n| !n.similarity.is_finite()) {
-        let detail = "persisted kNN pool holds a non-finite similarity";
-        return Err(XMapError::corrupt(detail));
-    }
-    // A fresh dataflow: the durations and task bags of the original fit are not
-    // persisted, so the reopened model's stats report its shape and empty ledgers.
-    let flow = Dataflow::new(config.workers, config.partitions);
-    // The build's own call, so the recommender is bit-identical to the one the
-    // persisting process held. Rebuilding over the persisted artifacts releases
-    // nothing new: the persisted ledger already recorded their ε′, so no budget is
-    // touched here.
-    let (recommender, item_release) = recommend::build(
-        &config,
-        Arc::new(target_matrix),
-        item_pools.as_ref().map(Arc::clone),
-        flow.pool(),
-    )?;
-
-    let epoch = ModelEpoch {
-        config,
-        source_domain: source,
-        target_domain: target,
-        full,
-        graph,
-        replacements,
-        xsim,
-        recommender,
-        item_pools,
-        item_release,
-        budget,
-    };
-    Ok(XMapModel::from_epoch(epoch, epoch_no, flow))
-}
-
 impl XMapModel {
-    /// Attaches a durable store to the model: writes a snapshot of the current epoch
-    /// into `dir` (atomically — temp file, fsync, rename) and opens a fresh delta
-    /// journal based at that epoch. From here on, every [`XMapModel::apply_delta`]
+    /// Attaches a durable store to the model: writes a snapshot of the current epoch's
+    /// ratings into `dir` (atomically — temp file, fsync, rename) and opens a fresh
+    /// delta journal based at that epoch. From here on, every [`XMapModel::apply_delta`]
     /// write-ahead journals its delta before publishing. Returns the snapshot epoch.
     ///
     /// Re-persisting an already-attached model rewrites the snapshot and journal in
@@ -245,11 +131,10 @@ impl XMapModel {
             .ingest_lock
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let (epoch_no, epoch) = self.handle.load();
-        let state = ModelState::from_epoch(epoch_no, &epoch);
+        let state = ModelState::of(self);
         let snapshot_path = dir.join(SNAPSHOT_FILE);
         Snapshot::write(&snapshot_path, &state)?;
-        let journal = Journal::create(&dir.join(JOURNAL_FILE), epoch_no)?;
+        let journal = Journal::create(&dir.join(JOURNAL_FILE), state.epoch)?;
         *self
             .store
             .lock()
@@ -257,7 +142,7 @@ impl XMapModel {
             snapshot_path,
             journal,
         });
-        Ok(epoch_no)
+        Ok(state.epoch)
     }
 
     /// Opens a persisted model from its store directory: equivalent to
@@ -267,21 +152,34 @@ impl XMapModel {
         Self::recover(&dir.join(SNAPSHOT_FILE), &dir.join(JOURNAL_FILE))
     }
 
-    /// Crash recovery: loads the snapshot, replays every journal record newer than
-    /// the snapshot epoch through the ordinary delta path, and re-attaches the store.
+    /// Crash recovery: loads the snapshot's matrix, folds every journal record newer
+    /// than the snapshot epoch into it, fits the result once and re-attaches the store.
     ///
-    /// The recovered model is bit-identical to the in-memory model that wrote the
-    /// files (`apply_delta` is bit-identical to a full refit, and recomputed pieces
-    /// are deterministic). A torn journal tail — a record cut short by a crash — is
-    /// truncated away and recovery succeeds with the intact prefix; any *complete*
-    /// but damaged record (bad CRC, wrong epoch stamp) fails with
-    /// [`XMapError::Corrupt`]. Records at or below the snapshot epoch (left behind
-    /// by a crash between compaction's snapshot rewrite and journal reset) are
-    /// skipped. A missing journal file is treated as empty and recreated.
+    /// Each folded record passes the checks `apply_delta` makes (its error is returned
+    /// unchanged) against the matrix as of that record, and must be stamped with the
+    /// next epoch, else [`XMapError::Corrupt`] at its offset; the model is published at
+    /// the last record's stamp. It is bit-identical to the in-memory model that wrote
+    /// the files: `apply_delta` is bit-identical to a full refit. A torn journal tail —
+    /// a record cut short by a crash — is truncated away and recovery succeeds with the
+    /// intact prefix; any *complete* but damaged record fails with
+    /// [`XMapError::Corrupt`]. Records at or below the snapshot epoch (left behind by a
+    /// crash between compaction's snapshot rewrite and journal reset) are skipped. A
+    /// missing journal file is treated as empty and recreated. The fit runs on a
+    /// dataflow the model does not keep, so the recovered model's ledger starts empty.
     pub fn recover(snapshot: &Path, journal: &Path) -> Result<XMapModel> {
-        let state: ModelState = Snapshot::load(snapshot)?;
-        let snapshot_epoch = state.epoch;
-        let model = model_from_state(state)?;
+        let ModelState {
+            epoch: snapshot_epoch,
+            config,
+            source,
+            target,
+            matrix,
+        } = Snapshot::load(snapshot)?;
+        let invalid = |m| XMapError::corrupt(format!("persisted configuration is invalid: {m}"));
+        config.validate().map_err(invalid)?;
+        if source == target {
+            let detail = "persisted source and target domains are equal";
+            return Err(XMapError::corrupt(detail));
+        }
         let (mut jrnl, records) = if journal.exists() {
             Journal::open::<RatingDelta>(journal)?
         } else {
@@ -293,23 +191,35 @@ impl XMapModel {
                 format!("journal base epoch {base} is ahead of snapshot epoch {snapshot_epoch}");
             return Err(XMapError::corrupt(detail));
         }
-        let mut current = snapshot_epoch;
-        for record in &records {
-            if record.epoch <= snapshot_epoch {
-                continue; // compaction crash leftovers — already folded into the snapshot
-            }
-            let report = model.apply_delta(&record.value)?;
-            if report.epoch != record.epoch {
+        let (mut full, mut current) = (matrix, snapshot_epoch);
+        for record in records.iter().filter(|r| r.epoch > snapshot_epoch) {
+            let delta = &record.value;
+            check_delta(delta, &full)?;
+            if record.epoch != current + 1 {
                 return Err(XMapError::Corrupt {
                     offset: record.offset,
                     detail: format!(
-                        "journal record stamped epoch {} replayed as epoch {}",
-                        record.epoch, report.epoch
+                        "journal record stamped epoch {} follows epoch {current}",
+                        record.epoch
                     ),
                 });
             }
-            current = report.epoch;
+            full = Arc::new(full.apply_delta(delta.ratings(), delta.item_domains())?);
+            current = record.epoch;
         }
+        let flow = || Dataflow::new(config.workers, config.partitions);
+        let fit = flow();
+        let copy = || Arc::clone(&full);
+        let (epoch, _) = build_epoch(
+            config,
+            source,
+            target,
+            &full,
+            None,
+            Ledgers::Named(&fit),
+            copy,
+        )?;
+        let model = XMapModel::from_epoch(epoch, current, flow());
         // A stale journal (every record folded into the snapshot) ends behind the
         // model; rebase it so the next write-ahead append is contiguous. This only
         // discards records the snapshot already covers.
@@ -342,11 +252,10 @@ impl XMapModel {
         let store = guard.as_mut().ok_or_else(|| {
             XMapError::Data("no durable store attached; call persist() first".to_string())
         })?;
-        let (epoch_no, epoch) = self.handle.load();
-        let state = ModelState::from_epoch(epoch_no, &epoch);
+        let state = ModelState::of(self);
         Snapshot::write(&store.snapshot_path, &state)?;
-        store.journal.reset(epoch_no)?;
-        Ok(epoch_no)
+        store.journal.reset(state.epoch)?;
+        Ok(state.epoch)
     }
 
     /// Size in bytes of the attached delta journal (header plus intact records), or
@@ -364,10 +273,37 @@ impl XMapModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::{ShardMap, ShardSlice, SliceState};
+    use crate::pipeline::ModelEpoch;
     use crate::{XMapConfig, XMapMode};
+    use xmap_cf::knn::ItemNeighbor;
+    use xmap_cf::ItemId;
     use xmap_dataset::synthetic::{CrossDomainConfig, CrossDomainDataset};
     use xmap_store::{crc32, encode_to_vec, FORMAT_VERSION, SNAPSHOT_MAGIC};
+
+    const ALL_MODES: [XMapMode; 4] = [
+        XMapMode::NxMapItemBased,
+        XMapMode::NxMapUserBased,
+        XMapMode::XMapItemBased,
+        XMapMode::XMapUserBased,
+    ];
+
+    /// A directory unique to this test process and `tag`, recreated empty.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("xmap_persist_{}_{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn fit(ds: &CrossDomainDataset, mode: XMapMode, workers: usize) -> XMapModel {
+        let config = XMapConfig {
+            mode,
+            k: 8,
+            workers,
+            ..Default::default()
+        };
+        XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, config).unwrap()
+    }
 
     /// The file `Snapshot::write` wrote before it encoded in place: the payload
     /// encoded on its own, then copied behind the header.
@@ -385,114 +321,205 @@ mod tests {
     #[test]
     fn snapshots_of_a_model_and_a_slice_keep_the_copying_writes_bytes() {
         let ds = CrossDomainDataset::generate(CrossDomainConfig::small());
-        let config = XMapConfig {
-            mode: XMapMode::XMapItemBased,
-            k: 8,
-            ..Default::default()
-        };
-        let model = XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, config).unwrap();
-        let dir = std::env::temp_dir().join(format!("xmap_snapshot_bytes_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let epoch_no = model.persist(&dir).unwrap();
-        let (_, epoch) = model.snapshot();
+        let model = fit(&ds, XMapMode::XMapItemBased, 2);
+        let dir = scratch_dir("snapshot_bytes");
+        model.persist(&dir).unwrap();
         assert_eq!(
             std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(),
-            framed_by_copy(&ModelState::from_epoch(epoch_no, &epoch))
+            framed_by_copy(&ModelState::of(&model))
         );
-        let map = ShardMap::uniform(ds.matrix.n_items() as u32, 3).unwrap();
-        for shard in 0..3 {
-            let state = SliceState {
-                epoch: epoch_no,
-                slice: Arc::new(ShardSlice::cut(&epoch, &map, shard)),
-            };
-            let path = dir.join(format!("shard{shard}.snap"));
-            Snapshot::write(&path, &state).unwrap();
-            assert_eq!(std::fs::read(&path).unwrap(), framed_by_copy(&state));
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A CRC-valid snapshot carrying a smaller fit's graph or pools beside a larger
-    /// matrix would serve another model's answers; it must not open.
+    /// A CRC-valid snapshot stamped with the format that also held the derived tables
+    /// is refused as `Corrupt` naming its version, not decoded as a matrix.
     #[test]
-    fn a_snapshot_whose_pieces_disagree_in_size_is_refused_as_corrupt() {
+    fn a_snapshot_of_the_old_format_version_is_refused() {
         let ds = CrossDomainDataset::generate(CrossDomainConfig::small());
-        let config = XMapConfig {
-            mode: XMapMode::NxMapItemBased,
-            k: 8,
-            ..Default::default()
-        };
-        let fit = |matrix: &RatingMatrix| {
-            let model = XMapModel::fit(matrix, DomainId::SOURCE, DomainId::TARGET, config);
-            model.unwrap().snapshot().1
-        };
-        let new_item = ds.matrix.n_items() as u32;
-        let mut delta = RatingDelta::new();
-        delta
-            .declare_item(xmap_cf::ItemId(new_item), DomainId::TARGET)
-            .push_timed(ds.overlap_users[0].0, new_item, 4.0, 90);
-        let small = fit(&ds.matrix);
-        let large = fit(&ds
-            .matrix
-            .apply_delta(delta.ratings(), delta.item_domains())
-            .unwrap());
-        let dir = std::env::temp_dir().join(format!("xmap_mismatch_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let open = |state: &ModelState| {
-            Snapshot::write(&dir.join(SNAPSHOT_FILE), state).unwrap();
-            let _ = std::fs::remove_file(dir.join(JOURNAL_FILE));
-            XMapModel::open(&dir)
-        };
-        for (piece, graph_from, pools_from) in [
-            ("graph", &small, &large),
-            ("kNN pool table", &large, &small),
-        ] {
-            let mut state = ModelState::from_epoch(1, &large);
-            state.graph = Arc::clone(&graph_from.graph);
-            state.item_pools = pools_from.item_pools.clone();
-            match open(&state) {
-                Err(XMapError::Corrupt { detail, .. }) => {
-                    assert!(detail.contains(piece), "{detail}")
-                }
-                other => panic!("{piece}: a mismatched snapshot opened: {:?}", other.err()),
+        let dir = scratch_dir("old_version");
+        fit(&ds, XMapMode::NxMapItemBased, 2).persist(&dir).unwrap();
+        let path = dir.join(SNAPSHOT_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
+        let crc_at = bytes.len() - 4;
+        let crc = crc32(&bytes[..crc_at]);
+        bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match XMapModel::open(&dir) {
+            Err(XMapError::Corrupt { offset, detail }) => {
+                assert_eq!(offset, 8);
+                assert!(detail.contains("format version 1"), "{detail}");
             }
+            other => panic!("a version-1 snapshot opened: {:?}", other.err()),
         }
-        assert!(open(&ModelState::from_epoch(1, &large)).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A CRC-valid snapshot whose pools hold a NaN or an infinite similarity would
-    /// score NaN for items the profile lacks; it must not open.
+    /// Six deltas: one declaring a target item, one touching only the source domain,
+    /// one repeating a cell of the first (and rating it twice), then three plain ones.
+    fn six_deltas(ds: &CrossDomainDataset) -> Vec<RatingDelta> {
+        let (source, target) = (ds.source_items(), ds.target_items());
+        let (new_user, new_item) = (ds.matrix.n_users() as u32, ds.matrix.n_items() as u32);
+        let overlap = |n: usize| ds.overlap_users[n].0;
+        let mut deltas = vec![RatingDelta::new(); 6];
+        deltas[0]
+            .declare_item(ItemId(new_item), DomainId::TARGET)
+            .push_timed(overlap(0), target[0].0, 1.0, 200)
+            .push_timed(new_user, source[0].0, 4.0, 201)
+            .push_timed(new_user, new_item, 5.0, 202);
+        deltas[1]
+            .push_timed(overlap(1), source[1].0, 2.0, 210)
+            .push_timed(overlap(2), source[2].0, 5.0, 211);
+        deltas[2]
+            .push_timed(overlap(0), target[0].0, 3.0, 220)
+            .push_timed(overlap(0), target[0].0, 4.5, 221);
+        for (n, delta) in deltas[3..].iter_mut().enumerate() {
+            delta
+                .push_timed(
+                    overlap(3 + n),
+                    target[1 + n].0,
+                    2.0 + n as f64,
+                    230 + n as u32,
+                )
+                .push_timed(overlap(4 + n), new_item, 4.0, 240 + n as u32);
+        }
+        deltas
+    }
+
+    fn pool_bits(table: &Option<Arc<Vec<Vec<ItemNeighbor>>>>) -> Option<Vec<Vec<(ItemId, u64)>>> {
+        let row = |row: &Vec<ItemNeighbor>| {
+            row.iter()
+                .map(|n| (n.item, n.similarity.to_bits()))
+                .collect()
+        };
+        table.as_deref().map(|rows| rows.iter().map(row).collect())
+    }
+
+    /// Every piece of two epochs, compared exactly: the matrix, the graph with its
+    /// scored-pair cache, X-Sim, the replacements, the kNN pools, X-Map-ib's release and
+    /// the privacy ledger's entries.
+    fn assert_same_epoch(got: &ModelEpoch, want: &ModelEpoch, what: &str) {
+        assert_eq!(got.full, want.full, "{what}: matrix");
+        assert_eq!(got.graph, want.graph, "{what}: graph");
+        assert_eq!(got.xsim, want.xsim, "{what}: X-Sim");
+        assert_eq!(got.replacements, want.replacements, "{what}: replacements");
+        assert_eq!(
+            pool_bits(&got.item_pools),
+            pool_bits(&want.item_pools),
+            "{what}: pools"
+        );
+        assert_eq!(
+            pool_bits(&got.item_release),
+            pool_bits(&want.item_release),
+            "{what}: X-Map-ib release"
+        );
+        let ledger = |epoch: &ModelEpoch| {
+            let entries = epoch.budget.iter().flat_map(|b| b.ledger());
+            let entries = entries.map(|e| (e.mechanism.clone(), e.epsilon.to_bits()));
+            entries.collect::<Vec<_>>()
+        };
+        assert_eq!(ledger(got), ledger(want), "{what}: privacy ledger");
+    }
+
+    /// In all four modes at 1, 2 and 8 workers, a model reopened after 0–6 journalled
+    /// deltas equals the writer's epoch piece by piece, whether it folds the journal
+    /// (replayed) or opens a snapshot compacted at that epoch.
     #[test]
-    fn a_snapshot_with_a_non_finite_pool_similarity_is_refused_as_corrupt() {
+    fn recovery_equals_the_writers_epoch_piece_by_piece_in_all_four_modes_at_1_2_and_8_workers() {
         let ds = CrossDomainDataset::generate(CrossDomainConfig::small());
-        for mode in [XMapMode::NxMapItemBased, XMapMode::XMapItemBased] {
-            let config = XMapConfig {
-                mode,
-                k: 8,
-                ..Default::default()
-            };
-            let model = XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, config);
-            let (_, epoch) = model.unwrap().snapshot();
-            let dir = std::env::temp_dir().join(format!("xmap_nan_{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
-            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-                let mut state = ModelState::from_epoch(1, &epoch);
-                let mut pools = state.item_pools.as_deref().unwrap().clone();
-                let row = pools.iter_mut().rev().find(|row| !row.is_empty()).unwrap();
-                row[0].similarity = bad;
-                state.item_pools = Some(Arc::new(pools));
-                Snapshot::write(&dir.join(SNAPSHOT_FILE), &state).unwrap();
-                match XMapModel::open(&dir) {
-                    Err(XMapError::Corrupt { detail, .. }) => {
-                        assert!(detail.contains("non-finite"), "{detail}")
+        let deltas = six_deltas(&ds);
+        for mode in ALL_MODES {
+            for workers in [1, 2, 8] {
+                let case = format!("{mode:?}/{workers}w");
+                let writer = fit(&ds, mode, workers);
+                let dir = scratch_dir(&format!("pieces_{mode:?}_{workers}"));
+                let copy = scratch_dir(&format!("pieces_{mode:?}_{workers}_copy"));
+                writer.persist(&dir).unwrap();
+                for n in 0..=deltas.len() {
+                    if n > 0 {
+                        writer.apply_delta(&deltas[n - 1]).unwrap();
                     }
-                    other => panic!("{mode:?}: a {bad} similarity opened: {:?}", other.err()),
+                    let (epoch_no, want) = writer.snapshot();
+                    for file in [SNAPSHOT_FILE, JOURNAL_FILE] {
+                        std::fs::copy(dir.join(file), copy.join(file)).unwrap();
+                    }
+                    let replayed = XMapModel::open(&copy).unwrap();
+                    let (got_no, got) = replayed.snapshot();
+                    assert_eq!(got_no, epoch_no, "{case}, {n} deltas");
+                    assert_same_epoch(&got, &want, &format!("{case}, {n} deltas replayed"));
+                    assert_eq!(replayed.compact().unwrap(), epoch_no);
+                    drop(replayed);
+                    let compacted = XMapModel::open(&copy).unwrap();
+                    let (got_no, got) = compacted.snapshot();
+                    assert_eq!(got_no, epoch_no, "{case}, {n} deltas");
+                    assert_same_epoch(&got, &want, &format!("{case}, {n} deltas compacted"));
                 }
+                let _ = std::fs::remove_dir_all(&dir);
+                let _ = std::fs::remove_dir_all(&copy);
             }
-            let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// A CRC-valid record past the snapshot whose delta `apply_delta` would refuse —
+    /// here one redeclaring an item's domain behind a valid record — fails the recovery
+    /// with the very error `apply_delta` returns, and leaves both files as they were.
+    #[test]
+    fn a_mid_journal_record_that_fails_check_delta_is_refused_with_its_error() {
+        let ds = CrossDomainDataset::generate(CrossDomainConfig::small());
+        let deltas = six_deltas(&ds);
+        let writer = fit(&ds, XMapMode::NxMapItemBased, 2);
+        let dir = scratch_dir("bad_record");
+        writer.persist(&dir).unwrap();
+        writer.apply_delta(&deltas[0]).unwrap();
+        let mut bad = RatingDelta::new();
+        bad.declare_item(ds.source_items()[0], DomainId::TARGET);
+        let refused = writer.apply_delta(&bad).unwrap_err().to_string();
+        let mut journal = Journal::open::<RatingDelta>(&dir.join(JOURNAL_FILE))
+            .unwrap()
+            .0;
+        journal.append(3, &bad).unwrap();
+        journal.append(4, &deltas[1]).unwrap();
+        let files =
+            |dir: &Path| [SNAPSHOT_FILE, JOURNAL_FILE].map(|f| std::fs::read(dir.join(f)).unwrap());
+        let before = files(&dir);
+        match XMapModel::open(&dir) {
+            Err(err @ XMapError::Data(_)) => assert_eq!(err.to_string(), refused),
+            other => panic!("a refused delta recovered: {:?}", other.err()),
+        }
+        assert_eq!(files(&dir), before, "a refused recovery touched the store");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A record whose stamp skips an epoch — written with a valid checksum — fails the
+    /// recovery as `Corrupt` at that record's offset.
+    #[test]
+    fn a_stamp_gap_is_corrupt_at_the_records_offset() {
+        let ds = CrossDomainDataset::generate(CrossDomainConfig::small());
+        let deltas = six_deltas(&ds);
+        let writer = fit(&ds, XMapMode::NxMapUserBased, 2);
+        let dir = scratch_dir("stamp_gap");
+        writer.persist(&dir).unwrap();
+        writer.apply_delta(&deltas[1]).unwrap();
+        let second = writer
+            .apply_delta(&deltas[3])
+            .unwrap()
+            .journal_offset
+            .unwrap() as usize;
+        let path = dir.join(JOURNAL_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[second + 4..second + 12].copy_from_slice(&4u64.to_le_bytes());
+        let len = u32::from_le_bytes(bytes[second..second + 4].try_into().unwrap()) as usize;
+        let crc_at = second + 12 + len;
+        let crc = crc32(&bytes[second..crc_at]);
+        bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match XMapModel::open(&dir) {
+            Err(XMapError::Corrupt { offset, detail }) => {
+                assert_eq!(offset, second as u64, "{detail}");
+                assert!(detail.contains("stamp 4"), "{detail}");
+            }
+            other => panic!("a stamp gap recovered: {:?}", other.err()),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

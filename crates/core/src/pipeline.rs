@@ -87,13 +87,13 @@ pub struct ModelEpoch {
     pub(crate) replacements: Arc<ReplacementTable>,
     pub(crate) xsim: Arc<XSimTable>,
     pub(crate) recommender: SharedRecommender,
-    /// The fitted item-kNN pools of the item-based modes, kept for the snapshot and
-    /// the shard cut — the same allocation `recommender` reads, not a second copy.
+    /// The fitted item-kNN pools of the item-based modes, kept for the shard cut —
+    /// the same allocation `recommender` reads, not a second copy.
     /// `None` for the user-based modes, which precompute nothing at fit time.
     pub(crate) item_pools: Option<NeighborTable>,
     /// X-Map-ib's release, drawn once by the build that made this epoch: the table
     /// `recommender` scores from, whose rows every shard copies. Never persisted — a
-    /// reopened snapshot redraws it from the seed.
+    /// recovery's fit redraws it from the seed.
     pub(crate) item_release: Option<NeighborTable>,
     /// The privacy accountant of this epoch (private modes only): PRS plus PNSA/PNCF.
     pub(crate) budget: Option<Arc<PrivacyBudget>>,
@@ -221,8 +221,8 @@ pub struct XMapModel {
 
 impl XMapModel {
     /// The one constructor: a model serving `epoch` as epoch number `epoch_no`, with the
-    /// dataflow that built it (a fit) or a fresh one (a reopened snapshot) and no store
-    /// attached.
+    /// dataflow that built it (a fit) or a fresh one (a recovery, whose fit ran on a
+    /// dataflow of its own) and no store attached.
     pub(crate) fn from_epoch(epoch: ModelEpoch, epoch_no: u64, flow: Dataflow) -> XMapModel {
         XMapModel {
             handle: EpochHandle::new(Arc::new(epoch), epoch_no),
@@ -291,8 +291,8 @@ impl XMapModel {
     /// The model's ledger: the most recent run of each stage on its dataflow — the
     /// fit's four ([`FIT_STAGE_NAMES`]), then `recommend`, `eval` and `delta` as they
     /// first run — each with its wall-clock duration and data-derived task costs.
-    /// Empty on a model reopened from a snapshot: the fit's entries describe a past
-    /// process, not the model.
+    /// Empty on a model reopened from a snapshot: its recovery's fit describes the
+    /// reopening, not the model.
     pub fn ledger(&self) -> Vec<StageReport> {
         self.flow.reports()
     }

@@ -12,8 +12,8 @@
 //!
 //! This module is the only code that knows a mode. `assemble` is the one place a
 //! [`XMapMode`] picks a concrete type, and `build` the one place X-Map-ib's release is
-//! drawn: the fit, the delta fit and a reopened snapshot build (draw, then assemble);
-//! a shard assembles over its rows of the coordinator's pools and release, drawing
+//! drawn: the fit and the delta fit build (draw, then assemble) — a recovery is a
+//! fit; a shard assembles over its rows of the coordinator's pools and release, drawing
 //! nothing. Every variant answers a top-N request through the same three phases of
 //! [`ProfileRecommender`]: `plan` (profile-level state), `candidates` (what the rows
 //! of an item range add to the candidate stream) and `score`. A single-node read runs
@@ -144,9 +144,7 @@ fn phased_top_n<R: ProfileRecommender + ?Sized>(
 /// release is returned beside the recommender, which points at it.
 ///
 /// Building never touches a [`PrivacyBudget`]: whoever *releases* the recommender (a
-/// fit, a delta fit) debits ε′ through [`debit_stage_budget`] first; a reopened
-/// snapshot re-derives, from the same seed, a release the persisted ledger already
-/// recorded.
+/// fit, a delta fit) debits ε′ through [`debit_stage_budget`] first.
 pub(crate) fn build(
     config: &XMapConfig,
     target: Arc<RatingMatrix>,
@@ -369,9 +367,8 @@ fn row(table: &[Vec<ItemNeighbor>], item: ItemId) -> &[ItemNeighbor] {
 /// candidates, each annotated with its similarity-based sensitivity (one
 /// [`pool_sensitivities`] gather over the build's `norms` table), and PNCF noises
 /// every kept similarity, in selection order. The stream is seeded by `(seed, item)`
-/// and reads only that item's pool, so rebuilding over the same pools and matrix —
-/// a reopened snapshot — re-derives the same list: privacy-free post-processing of a
-/// release the ledger recorded once.
+/// and reads only that item's pool, so rebuilding over the same pools and matrix
+/// re-derives the same list.
 fn released_neighbors(
     target: &RatingMatrix,
     norms: &[f64],
@@ -485,8 +482,8 @@ fn item_knn_config(k: usize, temporal_alpha: f64) -> ItemKnnConfig {
 /// `±0` to `num` and `+0` to `den`. Both sums start at `+0`, and under round-to-nearest
 /// a sum is `−0` only when both addends are (`x + (−x) = +0`), so neither ever holds
 /// `−0` and adding a signed zero leaves it unchanged. That needs finite similarities
-/// (`±∞ · 0` is NaN): fit, delta and release produce only finite ones, and a restored
-/// snapshot refuses any other. The `#[cfg(test)]` probe loop is the oracle.
+/// (`±∞ · 0` is NaN): fit, delta and release produce only finite ones, and a
+/// recovery is a fit. The `#[cfg(test)]` probe loop is the oracle.
 fn predict_item_based(
     target: &RatingMatrix,
     neighbors: &[ItemNeighbor],

@@ -1,5 +1,5 @@
 //! The model sharded across simulated nodes: routing, hot-shard replication and
-//! journal-backed failover.
+//! failover by re-cutting from the coordinator.
 //!
 //! The paper runs X-Map on a Spark cluster whose executors each hold a *partition*
 //! of the fitted state. This module reproduces that deployment shape on one
@@ -29,22 +29,13 @@
 //!   shards owning its candidates, each scoring its contiguous ascending segment of
 //!   the candidate stream, every score offered in stream order to one [`TopK`] — the
 //!   single-node read's offers, so the same bits.
-//! * Durability — [`ShardedModel::persist`] writes one snapshot + write-ahead
-//!   journal pair *per hosted shard per node* (`node<i>/shard<s>.snap` /
-//!   `.journal`, reusing the `xmap-store` codec verbatim). An ingest applies the
-//!   full [`RatingDelta`] on the coordinator, then journals each hosted shard's
-//!   row changes *before* installing the new slice. A shard's snapshot and
-//!   journal record are encoded and checksummed once and the same bytes go to
-//!   every host. Killing a node drops its in-memory state (files survive);
-//!   recovery loads the snapshot, replays the journal, and — if the node was dead
-//!   across ingests its journal never saw — re-replicates the shard from the
-//!   coordinator and rewrites its files. A journal record reaching outside the
-//!   coordinator's cut, or a replayed slice that is not that cut, is refused as
-//!   `Corrupt`, and the node stays dead. Only [`ShardedModel::recover_node`] reads
-//!   shard files, and only from the directory [`ShardedModel::persist`] attached in
-//!   the same process, so no other process reads one and their layout changes
-//!   without a `FORMAT_VERSION` bump; the single-model `ModelState` snapshot and
-//!   journal are unaffected.
+//! * Failover — a shard replica is a copy of the coordinator's state, refreshed from
+//!   it, and nothing about it is durable. [`ShardedModel::persist`] persists the
+//!   coordinator, whose `apply_delta` is the only journal an ingest writes. Killing a
+//!   node drops its in-memory state; [`ShardedModel::recover_node`] gives it back each
+//!   hosted shard of the coordinator's current epoch — a live sibling's slice and
+//!   recommender, shared, or one fresh cut — so it needs no files and serves the
+//!   coordinator's bits.
 //!
 //! Every write (`ingest`, `persist`, `kill_node`, `recover_node`) takes `&mut self`,
 //! so no read races it, and a node holds its slices as plain values.
@@ -54,8 +45,8 @@
 //! data-derived costs, so `xmap_engine::ClusterSim::replay_pinned` can replay a
 //! serving trace on a simulated cluster exactly like the fit ledger.
 
-use std::collections::btree_map::{BTreeMap, Entry};
-use std::path::{Path, PathBuf};
+use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::delta::{DeltaReport, RatingDelta};
@@ -68,7 +59,6 @@ use xmap_cf::topk::TopK;
 use xmap_cf::{ItemId, UserId};
 use xmap_engine::RoutedTally;
 use xmap_privacy::PrivacyBudget;
-use xmap_store::{Journal, Snapshot};
 
 // ---------------------------------------------------------------------------
 // Shard map
@@ -248,12 +238,6 @@ impl ShardSlice {
         replacement_in(&self.replacement_pairs, item)
     }
 
-    /// The pool row of an item (empty outside the slice, or without pools).
-    fn pool_row(&self, id: u32) -> &[ItemNeighbor] {
-        let row = self.pools.as_ref().and_then(|pools| pools.get(id as usize));
-        row.map_or(&[], Vec::as_slice)
-    }
-
     /// The mode's recommender over this slice's own pool table (the same `Arc`), the
     /// same items' rows of `epoch`'s X-Map-ib release padded alike, and the epoch's
     /// target-domain matrix. Built once per shard and shared by its hosts. The release
@@ -264,47 +248,6 @@ impl ShardSlice {
         let released = epoch.item_release.as_deref();
         let released = released.map(|all| padded(all, self.start, self.end));
         recommend::assemble(epoch.config(), target, self.pools.clone(), released)
-    }
-
-    /// The row changes taking `self` to `new` — the write-ahead journal record of
-    /// one ingest: `(id, row)` for each item of `new`'s range whose pool row differs,
-    /// ascending, an emptied row written as `[]`.
-    pub(crate) fn diff(&self, new: &ShardSlice) -> SliceDelta {
-        let changed = (new.start..new.end).filter(|&id| self.pool_row(id) != new.pool_row(id));
-        SliceDelta {
-            start: new.start,
-            end: new.end,
-            pool_rows: changed
-                .map(|id| (ItemId(id), new.pool_row(id).to_vec()))
-                .collect(),
-            replacement_pairs: (self.replacement_pairs != new.replacement_pairs)
-                .then(|| new.replacement_pairs.clone()),
-        }
-    }
-
-    /// Applies a journaled [`SliceDelta`], producing the post-ingest slice.
-    /// Inverse of [`ShardSlice::diff`]: `old.apply(&old.diff(&new)) == new`. The
-    /// table grows to the record's `end`, so the caller bounds it first
-    /// ([`SliceDelta::within`]).
-    pub(crate) fn apply(&self, delta: &SliceDelta) -> ShardSlice {
-        let pools = self.pools.as_ref().map(|old| {
-            let mut pools = Vec::clone(old);
-            pools.resize(delta.end as usize, Vec::new());
-            for (id, row) in &delta.pool_rows {
-                pools[id.index()].clone_from(row);
-            }
-            Arc::new(pools)
-        });
-        ShardSlice {
-            shard: self.shard,
-            start: delta.start,
-            end: delta.end,
-            replacement_pairs: delta
-                .replacement_pairs
-                .clone()
-                .unwrap_or_else(|| self.replacement_pairs.clone()),
-            pools,
-        }
     }
 }
 
@@ -322,116 +265,26 @@ fn replacement_in(pairs: &[(ItemId, ItemId)], item: ItemId) -> Option<ItemId> {
     at.ok().map(|ix| pairs[ix].1)
 }
 
-/// One hosted shard's slice with the epoch it was cut at: what a node holds, and
-/// the payload its snapshot writes in place.
-pub(crate) struct SliceState {
-    pub(crate) epoch: u64,
-    pub(crate) slice: Arc<ShardSlice>,
-}
-
-/// Journal record payload of one hosted shard's ingest: the slice's materialized
-/// row changes (its range, upserted and removed pool rows, and the replacement
-/// table when it changed). Recovery replays the rows, not the ratings, because
-/// slice rows are cross-shard functions of the full matrix that only the
-/// coordinator can recompute.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct SliceDelta {
-    start: u32,
-    end: u32,
-    pool_rows: Vec<(ItemId, Vec<ItemNeighbor>)>,
-    replacement_pairs: Option<Vec<(ItemId, ItemId)>>,
-}
-
-impl SliceDelta {
-    /// Whether the record stays inside `cut`, the coordinator's cut of the shard:
-    /// the same `start`, an `end` no further (the catalogue only grows, so every
-    /// genuine record does) and every upsert inside its own range — so replaying it
-    /// sizes nothing by a journalled value.
-    fn within(&self, cut: &ShardSlice) -> bool {
-        let ids = self.start..self.end;
-        let upserts_inside = self.pool_rows.iter().all(|(id, _)| ids.contains(&id.0));
-        self.start == cut.start && self.end <= cut.end && upserts_inside
-    }
-}
-
-impl xmap_store::Codec for ShardSlice {
-    fn enc(&self, e: &mut xmap_store::Encoder) {
-        e.put_u32(self.shard);
-        e.put_u32(self.start);
-        e.put_u32(self.end);
-        self.replacement_pairs.enc(e);
-        self.pools.enc(e);
-    }
-
-    fn dec(d: &mut xmap_store::Decoder<'_>) -> std::result::Result<Self, xmap_store::StoreError> {
-        Ok(ShardSlice {
-            shard: d.take_u32()?,
-            start: d.take_u32()?,
-            end: d.take_u32()?,
-            replacement_pairs: xmap_store::Codec::dec(d)?,
-            pools: xmap_store::Codec::dec(d)?,
-        })
-    }
-}
-
-impl xmap_store::Codec for SliceState {
-    fn enc(&self, e: &mut xmap_store::Encoder) {
-        e.put_u64(self.epoch);
-        self.slice.enc(e);
-    }
-
-    fn dec(d: &mut xmap_store::Decoder<'_>) -> std::result::Result<Self, xmap_store::StoreError> {
-        let epoch = d.take_u64()?;
-        if epoch == 0 {
-            return Err(d.corrupt("slice snapshot epoch must be ≥ 1".to_string()));
-        }
-        Ok(SliceState {
-            epoch,
-            slice: xmap_store::Codec::dec(d)?,
-        })
-    }
-}
-
-impl xmap_store::Codec for SliceDelta {
-    fn enc(&self, e: &mut xmap_store::Encoder) {
-        e.put_u32(self.start);
-        e.put_u32(self.end);
-        self.pool_rows.enc(e);
-        self.replacement_pairs.enc(e);
-    }
-
-    fn dec(d: &mut xmap_store::Decoder<'_>) -> std::result::Result<Self, xmap_store::StoreError> {
-        Ok(SliceDelta {
-            start: d.take_u32()?,
-            end: d.take_u32()?,
-            pool_rows: xmap_store::Codec::dec(d)?,
-            replacement_pairs: xmap_store::Codec::dec(d)?,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Nodes and the sharded model
 // ---------------------------------------------------------------------------
 
-/// One hosted shard on one node: the slice with its epoch, the mode's recommender
-/// over the slice's own pool table and its release rows (empty rows outside the
-/// shard) and the epoch's target-domain matrix, and, when persisted, the shard's open
-/// write-ahead journal (the snapshot path derives from the store directory).
-/// Slice and recommender are the shard's, not the node's — every host holds a
-/// clone of the same two `Arc`s; only a node recovered from its own files
-/// rebuilds them. The matrix is the replicated data plane every node reads
-/// (user-based prediction needs all raters' averages) and is shared, not copied;
-/// the pools are the genuinely partitioned fitted state. Writes take the model's
-/// `&mut self`, so the slice is replaced in place: no read can race it.
+/// One hosted shard on one node: the slice with the epoch it was cut at, and the
+/// mode's recommender over the slice's own pool table and its release rows (empty rows
+/// outside the shard) and the epoch's target-domain matrix. Slice and recommender are
+/// the shard's, not the node's — every host holds a clone of the same two `Arc`s. The
+/// matrix is the replicated data plane every node reads (user-based prediction needs
+/// all raters' averages) and is shared, not copied; the pools are the genuinely
+/// partitioned fitted state. Writes take the model's `&mut self`, so the slice is
+/// replaced in place: no read can race it.
 struct NodeShard {
-    state: SliceState,
+    epoch: u64,
+    slice: Arc<ShardSlice>,
     serve: SharedRecommender,
-    journal: Option<Journal>,
 }
 
 /// One simulated node: alive flag plus the shards it hosts. Killing a node
-/// clears `shards` (in-memory state is lost); its files survive for recovery.
+/// clears `shards`: its in-memory state is lost.
 struct ShardNode {
     alive: bool,
     shards: BTreeMap<u32, NodeShard>,
@@ -446,42 +299,16 @@ impl ShardNode {
     }
 
     /// Installs `slice`, cut at `epoch`, and the recommender built from it as this
-    /// node's replica of its shard, keeping the shard's journal if it has one.
-    fn install(
-        &mut self,
-        epoch: u64,
-        slice: Arc<ShardSlice>,
-        serve: SharedRecommender,
-    ) -> &mut NodeShard {
-        let state = SliceState { epoch, slice };
-        match self.shards.entry(state.slice.shard) {
-            Entry::Occupied(hosted) => {
-                let ns = hosted.into_mut();
-                (ns.state, ns.serve) = (state, serve);
-                ns
-            }
-            Entry::Vacant(slot) => slot.insert(NodeShard {
-                state,
-                serve,
-                journal: None,
-            }),
-        }
+    /// node's replica of its shard.
+    fn install(&mut self, epoch: u64, slice: Arc<ShardSlice>, serve: SharedRecommender) {
+        let shard = slice.shard;
+        let hosted = NodeShard {
+            epoch,
+            slice,
+            serve,
+        };
+        self.shards.insert(shard, hosted);
     }
-}
-
-/// What `build` makes of `slice`, built once per distinct slice among a shard's
-/// hosts: they share one slice `Arc`, except a node recovered from its own files,
-/// which holds an equal but separate one.
-fn once_per_slice<B>(
-    built: &mut Vec<(Arc<ShardSlice>, B)>,
-    slice: Arc<ShardSlice>,
-    build: impl FnOnce(Arc<ShardSlice>) -> B,
-) -> &B {
-    if let Some(at) = built.iter().position(|(seen, _)| Arc::ptr_eq(seen, &slice)) {
-        return &built[at].1;
-    }
-    built.push((Arc::clone(&slice), build(slice)));
-    &built[built.len() - 1].1
 }
 
 /// The three routed-work tallies plus the read-routing rotation counter.
@@ -504,7 +331,6 @@ pub struct ShardedModel {
     model: XMapModel,
     map: ShardMap,
     nodes: Vec<ShardNode>,
-    store_dir: Option<PathBuf>,
     ledgers: Mutex<ShardLedgers>,
 }
 
@@ -560,7 +386,6 @@ impl ShardedModel {
             model,
             map,
             nodes,
-            store_dir: None,
             ledgers: Mutex::new(ShardLedgers::default()),
         })
     }
@@ -589,7 +414,7 @@ impl ShardedModel {
     /// `None` if the node does not host the shard (or lost it to a kill).
     pub fn slice(&self, node: usize, shard: u32) -> Option<(u64, Arc<ShardSlice>)> {
         let ns = self.nodes.get(node)?.shards.get(&shard)?;
-        Some((ns.state.epoch, Arc::clone(&ns.state.slice)))
+        Some((ns.epoch, Arc::clone(&ns.slice)))
     }
 
     /// The privacy accountant of the coordinator's current epoch (private modes
@@ -656,7 +481,7 @@ impl ShardedModel {
         let mut pairs: Vec<(ItemId, ItemId)> = Vec::new();
         for (shard, items) in &by_shard {
             let host = self.read_host(*shard)?;
-            let slice = &self.node_shard(host, *shard)?.state.slice;
+            let slice = &self.node_shard(host, *shard)?.slice;
             for &i in items {
                 if let Some(t) = slice.replacement_of(i) {
                     pairs.push((i, t));
@@ -723,7 +548,7 @@ impl ShardedModel {
             for (&shard, &cost) in &hops {
                 gathered.extend(self.on_replica(shard, |replica| {
                     let plan = plan.get_or_insert_with(|| replica.serve.plan(profile, scratch));
-                    let (start, end) = replica.state.slice.item_range();
+                    let (start, end) = replica.slice.item_range();
                     (replica.serve.candidates(profile, plan, start..end), cost)
                 })?);
             }
@@ -783,12 +608,11 @@ impl ShardedModel {
     }
 
     /// Routed delta ingest: applies the **full** delta on the coordinator (slice
-    /// rows are cross-shard functions of the whole matrix), then re-cuts every
-    /// shard's slice from the new epoch, write-ahead journals each hosted replica's
-    /// row changes, and installs the new slices. Each live host of a shard is
+    /// rows are cross-shard functions of the whole matrix; with a store attached, its
+    /// `apply_delta` journals the delta), then re-cuts every shard's slice from the new
+    /// epoch and installs it on the shard's live hosts. Each live host of a shard is
     /// charged `1 +` the delta's ratings of items the shard owns. Dead nodes are
-    /// skipped — their journals go stale and [`ShardedModel::recover_node`]
-    /// re-replicates instead.
+    /// skipped: [`ShardedModel::recover_node`] re-cuts them.
     pub fn ingest(&mut self, delta: &RatingDelta) -> Result<DeltaReport> {
         let mut ratings = vec![0usize; self.map.n_shards()];
         for r in delta.ratings() {
@@ -797,60 +621,29 @@ impl ShardedModel {
         let report = self.model.apply_delta(delta)?;
         let (epoch_no, epoch) = self.model.snapshot();
         for shard in 0..self.map.n_shards() as u32 {
-            let new_slice = Arc::new(ShardSlice::cut(&epoch, &self.map, shard));
-            let serve = new_slice.recommender(&epoch)?;
+            let slice = Arc::new(ShardSlice::cut(&epoch, &self.map, shard));
+            let serve = slice.recommender(&epoch)?;
             let cost = 1.0 + ratings[shard as usize] as f64;
-            let mut records = Vec::new();
-            for host in self.map.hosts(shard, self.nodes.len()) {
-                let node = &mut self.nodes[host];
-                let Some(ns) = node.shards.get_mut(&shard).filter(|_| node.alive) else {
-                    continue;
-                };
-                if let Some(journal) = ns.journal.as_mut() {
-                    let old = Arc::clone(&ns.state.slice);
-                    let record = once_per_slice(&mut records, old, |old| {
-                        Journal::frame(epoch_no, &old.diff(&new_slice))
-                    });
-                    journal.append_framed(record)?;
+            for host in self.map.host_seq(shard, self.nodes.len()) {
+                if self.nodes[host].alive {
+                    self.nodes[host].install(epoch_no, Arc::clone(&slice), Arc::clone(&serve));
+                    lock_ledgers(&self.ledgers).ingest.add(host, cost);
                 }
-                node.install(epoch_no, Arc::clone(&new_slice), Arc::clone(&serve));
-                lock_ledgers(&self.ledgers).ingest.add(host, cost);
             }
         }
         Ok(report)
     }
 
-    /// Attaches a durable store: writes one snapshot and opens one fresh
-    /// write-ahead journal per hosted shard per live node, under
-    /// `dir/node<i>/shard<s>.{snap,journal}`. Returns the snapshot epoch.
+    /// Attaches a durable store to the coordinator ([`XMapModel::persist`]): the
+    /// shards keep no files, being re-cut from the coordinator. Returns the snapshot
+    /// epoch.
     pub fn persist(&mut self, dir: &Path) -> Result<u64> {
-        let (epoch_no, _) = self.model.snapshot();
-        let mut snaps = vec![Vec::new(); self.map.n_shards()];
-        for (id, node) in self.nodes.iter_mut().enumerate().filter(|(_, n)| n.alive) {
-            let node_dir = dir.join(format!("node{id}"));
-            std::fs::create_dir_all(&node_dir).map_err(|e| XMapError::Io {
-                path: node_dir.clone(),
-                context: format!("create node store directory: {e}"),
-            })?;
-            for (&shard, ns) in node.shards.iter_mut() {
-                let slice = Arc::clone(&ns.state.slice);
-                let snap = once_per_slice(&mut snaps[shard as usize], slice, |_| {
-                    Snapshot::frame(&ns.state)
-                });
-                Snapshot::write_framed(&node_dir.join(format!("shard{shard}.snap")), snap)?;
-                let journal =
-                    Journal::create(&node_dir.join(format!("shard{shard}.journal")), epoch_no)?;
-                ns.journal = Some(journal);
-            }
-        }
-        self.store_dir = Some(dir.to_path_buf());
-        Ok(epoch_no)
+        self.model.persist(dir)
     }
 
-    /// Kills a node: marks it dead and drops its in-memory shard state. Its
-    /// snapshot and journal files survive untouched; reads of the shards it
-    /// hosted fail over to the remaining replicas (promotion is implicit in the
-    /// read routing), and shards with no other replica error until recovery.
+    /// Kills a node: marks it dead and drops its in-memory shard state. Reads of the
+    /// shards it hosted fail over to the remaining replicas (promotion is implicit in
+    /// the read routing), and shards with no other replica error until recovery.
     pub fn kill_node(&mut self, node: usize) -> Result<()> {
         let n = self
             .nodes
@@ -861,66 +654,34 @@ impl ShardedModel {
         Ok(())
     }
 
-    /// Recovers a killed node from its per-shard files: loads each snapshot,
-    /// replays the journal records past the snapshot epoch, and — when the
-    /// journal ends behind the coordinator (the node was dead across ingests) —
-    /// re-replicates the shard from the coordinator's current epoch, rewriting
-    /// the snapshot and resetting the journal. A replayed slice must equal the
-    /// coordinator's cut of the same epoch — the shard's recommender pairs its pool
-    /// rows with the coordinator's release rows — and every replayed record must stay
-    /// inside that cut's range ([`SliceDelta::within`]), checked before the record is
-    /// applied; either mismatch is a typed [`XMapError::Corrupt`] (a record's at the
-    /// record's offset): nothing is installed and the node stays as it was (dead, after
-    /// a kill), its live siblings serving. Otherwise the node resumes serving with slices
-    /// bit-identical to the live replicas'.
+    /// Recovers a node from the coordinator: every shard it hosts gets the current
+    /// epoch's slice and recommender — a live sibling's, shared, or, when the shard has
+    /// no live host, one fresh cut. The node then serves the coordinator's bits, however
+    /// many ingests it was dead across; no file is read, so no `persist` is needed.
     pub fn recover_node(&mut self, node: usize) -> Result<()> {
         if node >= self.nodes.len() {
             return Err(XMapError::Data(format!("no such node: {node}")));
         }
-        let dir = self.store_dir.clone().ok_or_else(|| {
-            XMapError::Data("no durable store attached; call persist() first".to_string())
-        })?;
         let (epoch_no, epoch) = self.model.snapshot();
-        let node_dir = dir.join(format!("node{node}"));
         let mut rebuilt = ShardNode::new();
         for shard in 0..self.map.n_shards() as u32 {
-            if !self.map.hosts(shard, self.nodes.len()).contains(&node) {
+            let mut hosts = self.map.host_seq(shard, self.nodes.len());
+            if !hosts.clone().any(|h| h == node) {
                 continue;
             }
-            let snap_path = node_dir.join(format!("shard{shard}.snap"));
-            let journal_path = node_dir.join(format!("shard{shard}.journal"));
-            let state: SliceState = Snapshot::load(&snap_path)?;
-            let (mut journal, records) = Journal::open::<SliceDelta>(&journal_path)?;
-            let (mut slice, mut at) = (state.slice, state.epoch);
-            let cut = ShardSlice::cut(&epoch, &self.map, shard);
-            for rec in &records {
-                if rec.epoch <= at {
-                    continue; // already folded into the snapshot
+            let sibling = hosts.find_map(|h| {
+                let live = h != node && self.nodes[h].alive;
+                live.then(|| self.nodes[h].shards.get(&shard)).flatten()
+            });
+            let (slice, serve) = match sibling {
+                Some(ns) => (Arc::clone(&ns.slice), Arc::clone(&ns.serve)),
+                None => {
+                    let slice = Arc::new(ShardSlice::cut(&epoch, &self.map, shard));
+                    let serve = slice.recommender(&epoch)?;
+                    (slice, serve)
                 }
-                if !rec.value.within(&cut) {
-                    let detail = format!("node {node} shard {shard}: record outside the cut");
-                    return Err(XMapError::Corrupt {
-                        offset: rec.offset,
-                        detail,
-                    });
-                }
-                slice = Arc::new(slice.apply(&rec.value));
-                at = rec.epoch;
-            }
-            if at < epoch_no {
-                // The journal never saw the ingests that happened while the node
-                // was dead (they are only journaled on live replicas) — catch up
-                // by re-replicating from the coordinator and making it durable.
-                slice = Arc::new(cut);
-                let (epoch, slice) = (epoch_no, Arc::clone(&slice));
-                Snapshot::write(&snap_path, &SliceState { epoch, slice })?;
-                journal.reset(epoch_no)?;
-            } else if *slice != cut {
-                let detail = format!("node {node} shard {shard}: replay is not the epoch-{at} cut");
-                return Err(XMapError::corrupt(detail));
-            }
-            let serve = slice.recommender(&epoch)?;
-            rebuilt.install(epoch_no, slice, serve).journal = Some(journal);
+            };
+            rebuilt.install(epoch_no, slice, serve);
         }
         self.nodes[node] = rebuilt;
         Ok(())
@@ -958,7 +719,6 @@ impl ShardedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xmap_store::{decode_exact, encode_to_vec};
 
     #[test]
     fn uniform_map_covers_the_catalogue_with_contiguous_ranges() {
@@ -1032,213 +792,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn slice_codec_roundtrips() {
-        let slice = sample_slice();
-        let state = SliceState {
-            epoch: 3,
-            slice: Arc::new(slice.clone()),
-        };
-        let bytes = encode_to_vec(&state);
-        let back: SliceState = decode_exact(&bytes, 0).unwrap();
-        assert_eq!(back.epoch, 3);
-        assert_eq!(*back.slice, slice);
-    }
-
-    #[test]
-    fn diff_apply_roundtrips_row_changes() {
-        let old = sample_slice();
-        let mut new = old.clone();
-        // change a pool row, add one, empty one, change the replacement table
-        let rows = Arc::make_mut(new.pools.as_mut().unwrap());
-        rows[4][0].similarity = 0.9;
-        rows[5] = vec![neighbor(6, 0.125)];
-        rows[6].clear();
-        new.replacement_pairs = vec![(ItemId(4), ItemId(8))];
-        let delta = old.diff(&new);
-        assert_eq!(
-            delta.pool_rows,
-            vec![
-                (ItemId(4), vec![neighbor(5, 0.9)]),
-                (ItemId(5), vec![neighbor(6, 0.125)]),
-                (ItemId(6), Vec::new()),
-            ]
-        );
-        assert_eq!(old.apply(&delta), new);
-
-        // identity diff carries no row changes and applies to itself
-        let idd = old.diff(&old);
-        assert!(idd.replacement_pairs.is_none() && idd.pool_rows.is_empty());
-        assert_eq!(old.apply(&idd), old);
-
-        // journal payload codec roundtrip
-        let bytes = encode_to_vec(&delta);
-        let back: SliceDelta = decode_exact(&bytes, 0).unwrap();
-        assert_eq!(back, delta);
-    }
-
-    /// A pool table padded over `start..end`: rows before `start` empty, the others
-    /// empty or 1–2 entries from a three-value alphabet (so equal rows recur).
-    fn random_pools(rng: &mut proptest::TestRng, start: u32, end: u32) -> Vec<Vec<ItemNeighbor>> {
-        let mut pools = vec![Vec::new(); end as usize];
-        for row in &mut pools[start as usize..] {
-            let len = rng.next_u64() % 3;
-            *row = (0..len)
-                .map(|_| neighbor(9, (rng.next_u64() % 3) as f64))
-                .collect();
-        }
-        pools
-    }
-
-    proptest::proptest! {
-        /// On random padded tables whose rows change, appear and empty while `end`
-        /// grows as the last shard's does, `diff` records exactly the items whose rows
-        /// differ — ascending, each with its new row, an emptied one as `[]` — and
-        /// `apply` of that record reproduces the new slice.
-        #[test]
-        fn diff_records_exactly_the_changed_rows_and_apply_inverts_it(
-            seed in proptest::prelude::any::<u64>(),
-            grow in 0u32..4,
-        ) {
-            let mut rng = proptest::TestRng::from_name(&seed.to_string());
-            let (start, end) = (3, 11);
-            let old_pools = random_pools(&mut rng, start, end);
-            let mut new_pools = random_pools(&mut rng, start, end + grow);
-            for (id, row) in old_pools.iter().enumerate() {
-                if rng.next_u64().is_multiple_of(2) {
-                    new_pools[id].clone_from(row); // an unchanged row
-                }
-            }
-            let slice = |pools: &Vec<Vec<ItemNeighbor>>| ShardSlice {
-                start,
-                end: pools.len() as u32,
-                pools: Some(Arc::new(pools.clone())),
-                ..sample_slice()
-            };
-            let (old, new) = (slice(&old_pools), slice(&new_pools));
-            let delta = old.diff(&new);
-            let empty = Vec::new();
-            let changed: Vec<(ItemId, Vec<ItemNeighbor>)> = new_pools
-                .iter()
-                .enumerate()
-                .filter(|&(id, row)| old_pools.get(id).unwrap_or(&empty) != row)
-                .map(|(id, row)| (ItemId(id as u32), row.clone()))
-                .collect();
-            proptest::prop_assert_eq!(&delta.pool_rows, &changed);
-            proptest::prop_assert_eq!(old.apply(&delta), new);
-        }
-    }
-
-    /// Every host of a shard holds the same `.snap` and `.journal` bytes after a
-    /// persist and two ingests — the bytes a per-host `Snapshot::write` of the
-    /// served slice writes — and still after a node recovered from its own files
-    /// (an equal but separate slice) journals a third; the routed probe answers
-    /// keep the coordinator's bits throughout.
-    #[test]
-    fn every_host_of_a_shard_writes_the_same_snapshot_and_journal_bytes() {
-        use crate::{XMapConfig, XMapMode};
-        use xmap_cf::DomainId;
-        use xmap_dataset::synthetic::{CrossDomainConfig, CrossDomainDataset};
-
-        let ds = CrossDomainDataset::generate(CrossDomainConfig::small());
-        let config = XMapConfig {
-            mode: XMapMode::XMapItemBased,
-            k: 8,
-            ..Default::default()
-        };
-        let model = XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, config).unwrap();
-        let mut sharded = ShardedModel::with_hot_replication(model, 4, 3).unwrap();
-        let dir = std::env::temp_dir().join(format!("xmap_shard_bytes_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let epoch_no = sharded.persist(&dir).unwrap();
-        let file = |node: usize, shard: u32, ext: &str| {
-            std::fs::read(dir.join(format!("node{node}/shard{shard}.{ext}"))).unwrap()
-        };
-        let hosts = |sharded: &ShardedModel, shard: u32| sharded.map.hosts(shard, 4);
-        let n_shards = sharded.map.n_shards() as u32;
-        assert!((0..n_shards).any(|shard| hosts(&sharded, shard).len() == 3));
-        for shard in 0..n_shards {
-            for host in hosts(&sharded, shard) {
-                let slice = Arc::clone(&sharded.nodes[host].shards[&shard].state.slice);
-                let fresh = dir.join(format!("fresh{host}_{shard}.snap"));
-                Snapshot::write(
-                    &fresh,
-                    &SliceState {
-                        epoch: epoch_no,
-                        slice,
-                    },
-                )
-                .unwrap();
-                assert_eq!(file(host, shard, "snap"), std::fs::read(&fresh).unwrap());
-            }
-        }
-
-        let probes = |sharded: &ShardedModel| -> Vec<Vec<(ItemId, u64)>> {
-            ds.overlap_users[..4]
-                .iter()
-                .map(|&user| {
-                    let recs = sharded.recommend(user, 5).unwrap();
-                    recs.into_iter().map(|(i, s)| (i, s.to_bits())).collect()
-                })
-                .collect()
-        };
-        let assert_hosts_agree = |sharded: &ShardedModel, when: &str| {
-            for shard in 0..n_shards {
-                let hosts = hosts(sharded, shard);
-                for ext in ["snap", "journal"] {
-                    let first = file(hosts[0], shard, ext);
-                    for &host in &hosts[1..] {
-                        assert!(
-                            file(host, shard, ext) == first,
-                            "{when}: node{host}/shard{shard}.{ext} differs from node{}'s",
-                            hosts[0]
-                        );
-                    }
-                }
-            }
-        };
-        for (n, user) in ds.overlap_users[..3].iter().enumerate() {
-            let mut delta = RatingDelta::new();
-            delta.push_timed(
-                user.0,
-                ds.target_items()[n].0,
-                5.0 - n as f64,
-                77 + n as u32,
-            );
-            sharded.ingest(&delta).unwrap();
-            if n == 1 {
-                assert_hosts_agree(&sharded, "after two ingests");
-                let before = probes(&sharded);
-                sharded.kill_node(1).unwrap();
-                sharded.recover_node(1).unwrap();
-                assert_eq!(probes(&sharded), before, "probe bits moved across recovery");
-            }
-        }
-        assert_hosts_agree(&sharded, "after an ingest on the recovered node");
-        let coordinator: Vec<Vec<(ItemId, u64)>> = ds.overlap_users[..4]
-            .iter()
-            .map(|&user| {
-                let recs = sharded.model.recommend(user, 5);
-                recs.into_iter().map(|(i, s)| (i, s.to_bits())).collect()
-            })
-            .collect();
-        assert_eq!(probes(&sharded), coordinator);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
+    /// The hosts of a shard share one slice and one recommender, which reads that
+    /// slice's pool table — at the cut, after an ingest, and after a node recovers: a
+    /// recovered node shares its live siblings' `Arc`s, and a node recovered while its
+    /// shards had no live host gets one fresh cut each — the coordinator's — which the
+    /// next node to recover shares in turn. No `persist` precedes any recovery.
     #[test]
     fn the_hosts_of_a_shard_share_one_recommender_and_a_recovered_node_serves_its_bits() {
-        use crate::{XMapConfig, XMapMode};
-        use xmap_cf::DomainId;
-        use xmap_dataset::synthetic::{CrossDomainConfig, CrossDomainDataset};
-
-        let ds = CrossDomainDataset::generate(CrossDomainConfig::small());
-        let config = XMapConfig {
-            mode: XMapMode::XMapItemBased,
-            k: 8,
-            ..Default::default()
-        };
-        let model = XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, config).unwrap();
+        let (ds, model) = private_item_based();
         let mut sharded = ShardedModel::with_hot_replication(model, 2, 2).unwrap();
         let replicated: Vec<u32> = (0..sharded.map.n_shards() as u32)
             .filter(|&shard| sharded.map.hosts(shard, 2).len() == 2)
@@ -1248,73 +809,59 @@ mod tests {
             for shard in &replicated {
                 let [a, b] = [0, 1].map(|node| &sharded.nodes[node].shards[shard]);
                 assert!(
-                    Arc::ptr_eq(&a.serve, &b.serve) && Arc::ptr_eq(&a.state.slice, &b.state.slice),
+                    Arc::ptr_eq(&a.serve, &b.serve) && Arc::ptr_eq(&a.slice, &b.slice),
                     "{when}: the hosts of shard {shard} hold separate copies"
                 );
             }
         };
-        // Every hosted recommender reads its slice's pool table, not a copy of it.
+        // Every hosted recommender reads its slice's pool table, not a copy of it, and
+        // every slice is the coordinator's cut of its epoch.
         let assert_one_table = |sharded: &ShardedModel, when: &str| {
+            let (epoch_no, epoch) = sharded.model.snapshot();
             for (node, hosted) in sharded.nodes.iter().enumerate() {
-                for (shard, ns) in &hosted.shards {
+                for (&shard, ns) in &hosted.shards {
                     let served = recommend::tests::pool_table(&ns.serve).unwrap();
                     assert!(
-                        Arc::ptr_eq(served, ns.state.slice.pools.as_ref().unwrap()),
+                        Arc::ptr_eq(served, ns.slice.pools.as_ref().unwrap()),
                         "{when}: node {node} shard {shard} serves a copy of its pools"
                     );
+                    assert_eq!(ns.epoch, epoch_no, "{when}: node {node} shard {shard}");
+                    let cut = ShardSlice::cut(&epoch, &sharded.map, shard);
+                    assert!(*ns.slice == cut, "{when}: node {node} shard {shard}");
                 }
             }
         };
         assert_shared(&sharded, "after with_hot_replication");
         assert_one_table(&sharded, "at the cut");
 
-        let dir = std::env::temp_dir().join(format!("xmap_shard_sharing_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        sharded.persist(&dir).unwrap();
         let mut delta = RatingDelta::new();
         delta.push_timed(ds.overlap_users[0].0, ds.target_items()[0].0, 5.0, 77);
         sharded.ingest(&delta).unwrap();
         assert_shared(&sharded, "after ingest");
         assert_one_table(&sharded, "after ingest");
 
-        // A node recovered from its own files rebuilds its recommenders — and they
-        // answer with the bits of the ones its siblings share.
         sharded.kill_node(1).unwrap();
         sharded.recover_node(1).unwrap();
-        assert_one_table(&sharded, "after journal replay");
-        let profiles: Vec<Profile> = ds.overlap_users[..4]
-            .iter()
-            .map(|&user| sharded.alterego(user).unwrap().profile)
-            .collect();
-        for shard in &replicated {
-            let [live, recovered] = [0, 1].map(|node| &sharded.nodes[node].shards[shard]);
-            assert!(!Arc::ptr_eq(&live.serve, &recovered.serve));
-            let (start, end) = recovered.state.slice.item_range();
-            let items: Vec<ItemId> = (start..end).map(ItemId).collect();
-            for profile in &profiles {
-                let answers = [live, recovered].map(|replica| {
-                    recommend::with_thread_scratch(|scratch| {
-                        let plan = replica.serve.plan(profile, scratch);
-                        let scored = replica.serve.score(profile, &plan, &items, scratch);
-                        let bits: Vec<u64> = scored.iter().map(|&(s, _)| s.to_bits()).collect();
-                        (bits, replica.serve.candidates(profile, &plan, start..end))
-                    })
-                });
-                assert_eq!(
-                    answers[0], answers[1],
-                    "shard {shard} diverged after recovery"
-                );
-            }
-        }
+        assert_shared(&sharded, "after recovery beside a live sibling");
+        assert_one_table(&sharded, "after recovery beside a live sibling");
 
-        // A node dead across an ingest recovers by re-replication.
+        // Both nodes dead across an ingest: the first to recover cuts each shard once,
+        // and the second shares those cuts.
+        sharded.kill_node(0).unwrap();
         sharded.kill_node(1).unwrap();
         let mut delta = RatingDelta::new();
         delta.push_timed(ds.overlap_users[1].0, ds.target_items()[1].0, 4.0, 78);
         sharded.ingest(&delta).unwrap();
         sharded.recover_node(1).unwrap();
-        assert_one_table(&sharded, "after re-replication");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_one_table(&sharded, "after a recovery with no live sibling");
+        sharded.recover_node(0).unwrap();
+        assert_shared(&sharded, "after both nodes recovered");
+        assert_one_table(&sharded, "after both nodes recovered");
+        assert_eq!(
+            probe_bits(&sharded, &ds),
+            coordinator_bits(&sharded, &ds),
+            "the recovered nodes' answers"
+        );
     }
 
     /// An X-Map-ib model fitted on the small synthetic trace, with the trace.
@@ -1341,6 +888,16 @@ mod tests {
         ds.overlap_users[..4].iter().map(probe).collect()
     }
 
+    /// The coordinator's top-5 bits for the users [`probe_bits`] reads.
+    fn coordinator_bits(
+        sharded: &ShardedModel,
+        ds: &xmap_dataset::synthetic::CrossDomainDataset,
+    ) -> Vec<Vec<(ItemId, u64)>> {
+        let bits = |recs: Vec<(ItemId, f64)>| recs.into_iter().map(|(i, s)| (i, s.to_bits()));
+        let probe = |&user| bits(sharded.model.recommend(user, 5)).collect();
+        ds.overlap_users[..4].iter().map(probe).collect()
+    }
+
     /// The per-shard redraw shards served before they copied the coordinator's
     /// release, kept as the oracle of the copy: `recommend::build` over the slice's
     /// own pool table.
@@ -1357,7 +914,7 @@ mod tests {
     /// per-shard redraw draws — at 1, 2, 4 and 8 nodes, with and without hot
     /// replication: at the cut, after an item-declaring ingest (which changes most rows
     /// through `n_items`), after a node dead across that ingest recovers by
-    /// re-replication, and after a node recovers by journal replay.
+    /// a re-cut, and after a node recovers beside live siblings.
     #[test]
     fn every_shard_serves_the_release_rows_a_per_shard_redraw_draws() {
         let bits = |table: &[Vec<ItemNeighbor>]| -> Vec<Vec<(ItemId, u64)>> {
@@ -1374,7 +931,7 @@ mod tests {
             for (node, hosted) in sharded.nodes.iter().enumerate() {
                 for (shard, ns) in &hosted.shards {
                     let served = recommend::tests::released_table(&ns.serve).unwrap();
-                    let redrawn = redrawn_release(&ns.state.slice, &epoch).unwrap();
+                    let redrawn = redrawn_release(&ns.slice, &epoch).unwrap();
                     let served = bits(served);
                     assert!(
                         served == bits(&redrawn),
@@ -1393,12 +950,6 @@ mod tests {
                     true => ShardedModel::with_hot_replication(model, n_nodes, 3).unwrap(),
                 };
                 let case = format!("{n_nodes} nodes, hot replication {hot}");
-                let dir = std::env::temp_dir().join(format!(
-                    "xmap_shard_release_{}_{n_nodes}_{hot}",
-                    std::process::id()
-                ));
-                let _ = std::fs::remove_dir_all(&dir);
-                sharded.persist(&dir).unwrap();
                 assert_copies(&sharded, &format!("{case}, at the cut"));
 
                 let last = n_nodes - 1;
@@ -1428,128 +979,16 @@ mod tests {
                     assert_copies(&sharded, &format!("{case}, after an item-declaring ingest"));
                 }
                 sharded.recover_node(last).unwrap();
-                assert_copies(&sharded, &format!("{case}, after re-replication"));
+                assert_copies(&sharded, &format!("{case}, after a re-cut"));
 
                 let mut delta = RatingDelta::new();
                 delta.push_timed(ds.overlap_users[1].0, ds.target_items()[1].0, 2.0, 94);
                 sharded.ingest(&delta).unwrap();
                 sharded.kill_node(0).unwrap();
                 sharded.recover_node(0).unwrap();
-                assert_copies(&sharded, &format!("{case}, after journal replay"));
-                let _ = std::fs::remove_dir_all(&dir);
+                assert_copies(&sharded, &format!("{case}, after recovery beside siblings"));
             }
         }
-    }
-
-    /// A shard snapshot whose slice is not the coordinator's cut — one pool
-    /// similarity nudged by one ulp and written with a valid checksum — is refused on
-    /// recovery as `Corrupt`: nothing is installed, the node stays dead, and its live
-    /// sibling answers the routed probes with unchanged bits. The true cut, written
-    /// back, recovers.
-    #[test]
-    fn recovery_refuses_a_slice_that_is_not_the_coordinators_cut() {
-        let (ds, model) = private_item_based();
-        let n_items = model.matrix().n_items();
-        let mut map = ShardMap::uniform(n_items as u32, 2).unwrap();
-        map.replicate_hot(&vec![1; n_items], n_items, 2); // every shard on both nodes
-        let mut sharded = ShardedModel::build(model, map, 2).unwrap();
-        let dir = std::env::temp_dir().join(format!("xmap_shard_nudged_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        sharded.persist(&dir).unwrap();
-        let before = probe_bits(&sharded, &ds);
-
-        sharded.kill_node(1).unwrap();
-        let snap = dir.join("node1/shard0.snap");
-        let state: SliceState = Snapshot::load(&snap).unwrap();
-        let mut nudged = (*state.slice).clone();
-        let pools = Arc::make_mut(nudged.pools.as_mut().unwrap());
-        let entry = pools.iter_mut().flatten().next().unwrap();
-        entry.similarity = f64::from_bits(entry.similarity.to_bits() ^ 1);
-        let write = |slice: ShardSlice| {
-            let state = SliceState {
-                epoch: state.epoch,
-                slice: Arc::new(slice),
-            };
-            Snapshot::write(&snap, &state).unwrap();
-        };
-        write(nudged);
-        match sharded.recover_node(1) {
-            Err(XMapError::Corrupt { detail, .. }) => {
-                assert!(detail.contains("shard 0"), "{detail}")
-            }
-            other => panic!("a nudged slice recovered: {other:?}"),
-        }
-        assert!(!sharded.node_is_alive(1) && sharded.nodes[1].shards.is_empty());
-        assert_eq!(
-            probe_bits(&sharded, &ds),
-            before,
-            "the live replica's answers moved"
-        );
-
-        write((*state.slice).clone());
-        sharded.recover_node(1).unwrap();
-        assert!(sharded.node_is_alive(1));
-        sharded.kill_node(0).unwrap();
-        assert_eq!(
-            probe_bits(&sharded, &ds),
-            before,
-            "the recovered node's answers"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A shard journal record reaching outside the coordinator's cut — an `end` far
-    /// past the catalogue, or an upsert outside its own range — appended with a valid
-    /// checksum is refused on recovery as `Corrupt` at the record's offset, before it
-    /// is applied: nothing is installed, the node stays dead, and its live sibling
-    /// answers the routed probes with unchanged bits. A clean journal recovers.
-    #[test]
-    fn recovery_refuses_a_journal_record_outside_the_coordinators_cut() {
-        let (ds, model) = private_item_based();
-        let n_items = model.matrix().n_items();
-        let mut map = ShardMap::uniform(n_items as u32, 2).unwrap();
-        map.replicate_hot(&vec![1; n_items], n_items, 2); // every shard on both nodes
-        let mut sharded = ShardedModel::build(model, map, 2).unwrap();
-        let dir = std::env::temp_dir().join(format!("xmap_shard_stray_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let epoch_no = sharded.persist(&dir).unwrap();
-        let before = probe_bits(&sharded, &ds);
-
-        sharded.kill_node(1).unwrap();
-        let (start, end) = sharded.slice(0, 0).unwrap().1.item_range();
-        let record = |end: u32, pool_rows| SliceDelta {
-            start,
-            end,
-            pool_rows,
-            replacement_pairs: None,
-        };
-        let huge_end = record(u32::MAX, Vec::new());
-        let stray_id = record(end, vec![(ItemId(end), vec![neighbor(start, 0.5)])]);
-        let journal = dir.join("node1/shard0.journal");
-        for hostile in [huge_end, stray_id] {
-            let mut appended = Journal::create(&journal, epoch_no).unwrap();
-            let offset = appended.append(epoch_no + 1, &hostile).unwrap();
-            match sharded.recover_node(1) {
-                Err(XMapError::Corrupt { offset: at, detail }) => {
-                    assert_eq!(at, offset, "{detail}");
-                    assert!(detail.contains("shard 0"), "{detail}");
-                }
-                other => panic!("{hostile:?} recovered: {other:?}"),
-            }
-            assert!(!sharded.node_is_alive(1) && sharded.nodes[1].shards.is_empty());
-            let moved = "the live replica's answers moved";
-            assert_eq!(probe_bits(&sharded, &ds), before, "{moved}");
-        }
-
-        Journal::create(&journal, epoch_no).unwrap();
-        sharded.recover_node(1).unwrap();
-        sharded.kill_node(0).unwrap();
-        assert_eq!(
-            probe_bits(&sharded, &ds),
-            before,
-            "the recovered node's answers"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

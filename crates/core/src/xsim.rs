@@ -30,7 +30,6 @@
 //!   items — no path materialisation and no per-hop edge re-resolution.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use xmap_cf::{DomainId, ItemId};
 use xmap_engine::StageContext;
 use xmap_graph::{HopTable, LayerPartition, MetaPathConfig, SimilarityGraph};
@@ -62,11 +61,12 @@ impl XSimEntry {
 
 /// The cross-domain X-Sim table: for every source item, its reachable target items.
 ///
+/// Rows are indexed by item id, and the table ends at its last non-empty row, so
 /// `PartialEq` compares every row exactly — it is what the delta-fit equivalence gate
 /// holds a delta's table against a refit's.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct XSimTable {
-    entries: HashMap<ItemId, Vec<XSimEntry>>,
+    rows: Vec<Vec<XSimEntry>>,
     source_domain: Option<DomainId>,
 }
 
@@ -161,8 +161,8 @@ impl XSimTable {
     /// pool task that reuses a `FrontierScratch` across its items and records the work
     /// estimate `Σ (1 + degree + candidates)` on the running stage's ledger, so the
     /// cluster simulator replays exactly this step's task bag. The table is
-    /// **bit-identical** to the per-pair reference at any worker count, and never
-    /// stores an empty row.
+    /// **bit-identical** to the per-pair reference at any worker count, and ends at its
+    /// last connected item.
     pub(crate) fn build(
         graph: &SimilarityGraph,
         partition: &LayerPartition,
@@ -202,10 +202,25 @@ impl XSimTable {
                 (out, cost)
             },
         );
-        XSimTable {
-            entries: per_partition.into_iter().flatten().collect(),
+        Self::from_rows(per_partition.into_iter().flatten(), source_domain)
+    }
+
+    /// The table of the non-empty `(item, row)` pairs, each item once.
+    fn from_rows(
+        rows: impl Iterator<Item = (ItemId, Vec<XSimEntry>)>,
+        source_domain: DomainId,
+    ) -> Self {
+        let mut table = XSimTable {
+            rows: Vec::new(),
             source_domain: Some(source_domain),
+        };
+        for (item, row) in rows.filter(|(_, row)| !row.is_empty()) {
+            if table.rows.len() <= item.index() {
+                table.rows.resize(item.index() + 1, Vec::new());
+            }
+            table.rows[item.index()] = row;
         }
+        table
     }
 
     /// One source item of the batched path: frontier expansion into `scratch`, then
@@ -265,7 +280,7 @@ impl XSimTable {
     /// The heterogeneous candidates of a source item, best first. Empty if the item has
     /// no cross-domain connectivity at all.
     pub fn candidates(&self, item: ItemId) -> &[XSimEntry] {
-        self.entries.get(&item).map(|v| v.as_slice()).unwrap_or(&[])
+        self.rows.get(item.index()).map_or(&[], Vec::as_slice)
     }
 
     /// The best heterogeneous match of a source item (highest certainty-weighted X-Sim).
@@ -275,71 +290,21 @@ impl XSimTable {
 
     /// Number of source items with at least one heterogeneous candidate.
     pub fn n_connected_items(&self) -> usize {
-        self.entries.len()
+        self.rows.iter().filter(|row| !row.is_empty()).count()
     }
 
     /// Total number of heterogeneous `(source item, target item)` pairs with an X-Sim
     /// value — the "meta-path-based" bar of Figure 1(b).
     pub fn n_heterogeneous_pairs(&self) -> usize {
-        // lint: iter-order — integer sum over row lengths is order-insensitive.
-        self.entries.values().map(|v| v.len()).sum()
+        self.rows.iter().map(Vec::len).sum()
     }
 
-    /// Iterates over all `(source item, candidates)` pairs in ascending source-item
-    /// order, so downstream consumers see a deterministic sequence.
+    /// Iterates over all `(source item, candidates)` pairs with a candidate, in
+    /// ascending source-item order.
     pub fn iter(&self) -> impl Iterator<Item = (ItemId, &[XSimEntry])> + '_ {
-        let mut keys: Vec<ItemId> = self.entries.keys().copied().collect();
-        keys.sort_unstable();
-        keys.into_iter()
-            .map(move |k| (k, self.entries[&k].as_slice()))
-    }
-}
-
-impl xmap_store::Codec for XSimEntry {
-    fn enc(&self, e: &mut xmap_store::Encoder) {
-        self.item.enc(e);
-        e.put_f64(self.similarity);
-        e.put_f64(self.certainty);
-        e.put_usize(self.n_paths);
-    }
-
-    fn dec(d: &mut xmap_store::Decoder<'_>) -> std::result::Result<Self, xmap_store::StoreError> {
-        Ok(XSimEntry {
-            item: ItemId::dec(d)?,
-            similarity: d.take_f64()?,
-            certainty: d.take_f64()?,
-            n_paths: d.take_usize()?,
-        })
-    }
-}
-
-/// On-disk codec for the table. The hash map is encoded in **ascending source-item
-/// order** so equal tables always produce identical bytes (canonical encoding —
-/// the map's iteration order must not leak into checksums or snapshot diffs).
-impl xmap_store::Codec for XSimTable {
-    fn enc(&self, e: &mut xmap_store::Encoder) {
-        let mut keys: Vec<ItemId> = self.entries.keys().copied().collect();
-        keys.sort_unstable();
-        e.put_usize(keys.len());
-        for key in keys {
-            key.enc(e);
-            self.entries[&key].enc(e);
-        }
-        self.source_domain.enc(e);
-    }
-
-    fn dec(d: &mut xmap_store::Decoder<'_>) -> std::result::Result<Self, xmap_store::StoreError> {
-        let len = d.take_len(4, "xsim table")?;
-        let mut entries = HashMap::with_capacity(len);
-        for _ in 0..len {
-            let key = ItemId::dec(d)?;
-            let row: Vec<XSimEntry> = Vec::dec(d)?;
-            entries.insert(key, row);
-        }
-        Ok(XSimTable {
-            entries,
-            source_domain: Option::dec(d)?,
-        })
+        let rows = self.rows.iter().enumerate();
+        let rows = rows.filter(|(_, row)| !row.is_empty());
+        rows.map(|(ix, row)| (ItemId(ix as u32), row.as_slice()))
     }
 }
 
@@ -525,13 +490,7 @@ mod tests {
                     )
                 });
 
-            XSimTable {
-                entries: per_item
-                    .into_iter()
-                    .filter(|(_, v)| !v.is_empty())
-                    .collect(),
-                source_domain: Some(source_domain),
-            }
+            Self::from_rows(per_item.into_iter(), source_domain)
         }
 
         fn entries_for_item(

@@ -3,8 +3,9 @@
 //! The contract under test: sharded serve / ingest is **bit-identical** to the
 //! single-node model at 1, 2 and 8 nodes in all four modes; hot-shard
 //! replication changes only *where* reads land, never what they answer; and a
-//! node killed mid-stream recovers from its per-shard snapshot + journal (or by
-//! re-replication when its journal missed ingests) to the very same bits.
+//! node killed mid-stream recovers by re-cutting from the coordinator — sharing its
+//! live siblings' slices — to the very same bits, whether or not anything was
+//! persisted and however many ingests it missed.
 
 use xmap_cf::knn::Profile;
 use xmap_cf::{DomainId, ItemId, RatingMatrixBuilder, Timestep, UserId};
@@ -438,10 +439,10 @@ fn temp_store(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Kill a node after an ingest it journaled: surviving replicas keep serving
-/// the hot shard bit-identically (failover = promotion is implicit in read
-/// routing), and recovery replays the journal — no re-replication — back to
-/// slices equal to the live replicas', with full serving restored.
+/// Kill a node after an ingest it saw: surviving replicas keep serving the hot
+/// shard bit-identically (failover = promotion is implicit in read routing), and
+/// recovery gives it back the live replicas' slices — the same `Arc`s — with full
+/// serving restored.
 #[test]
 fn killed_node_fails_over_and_recovers_from_its_journal() {
     let ds = dataset();
@@ -496,13 +497,13 @@ fn killed_node_fails_over_and_recovers_from_its_journal() {
             continue;
         }
         let (epoch, recovered) = sharded.slice(victim, s).expect("recovered shard");
-        assert_eq!(epoch, 2, "journal replay must reach the coordinator epoch");
+        assert_eq!(epoch, 2, "recovery must reach the coordinator epoch");
         for &other in hosts.iter().filter(|&&h| h != victim) {
             let (oe, live) = sharded.slice(other, s).unwrap();
             assert_eq!(oe, 2);
-            assert_eq!(
-                *recovered, *live,
-                "shard {s}: journal-replayed slice diverged from the live replica"
+            assert!(
+                std::sync::Arc::ptr_eq(&recovered, &live),
+                "shard {s}: the recovered slice is not the live replica's"
             );
         }
     }
@@ -547,59 +548,67 @@ fn sharding_ingest_and_recovery_spend_no_epsilon() {
     }
 }
 
-/// Kill a node *before* an ingest: its journal never sees the new epoch, so
-/// recovery must detect the stale journal and re-replicate the shard from the
-/// coordinator — ending at the same bits as the live replicas all the same. In
-/// NX-Map-ub and in X-Map-ib, where the re-cut shard from the newer epoch (whose
-/// delta declares an item, so `n_items` moves every released list) pairs its pool
-/// rows with the coordinator's release rows.
+/// Kill a node *before* three ingests — one declaring an item — with nothing
+/// persisted: it never sees the new epochs, and recovery gives it back each shard it
+/// hosts at the coordinator's epoch — the live sibling's `Arc` where the other node
+/// hosts the shard too, a fresh cut where it alone does — in every mode. The routed
+/// reads, which the shards only the recovered node hosts must answer there, carry the
+/// bits of a single-node model fed the same deltas, and its accountant.
 #[test]
 fn node_dead_across_an_ingest_recovers_by_rereplication() {
-    for mode in [XMapMode::NxMapUserBased, XMapMode::XMapItemBased] {
-        let ds = dataset();
-        let delta = probe_delta(&ds);
+    let ds = dataset();
+    let mut second = RatingDelta::new();
+    second.push_timed(ds.overlap_users[1].0, ds.source_items()[1].0, 2.0, 94);
+    let mut third = RatingDelta::new();
+    third
+        .push_timed(ds.overlap_users[2].0, ds.target_items()[2].0, 1.0, 95)
+        .push_timed(ds.overlap_users[3].0, ds.matrix.n_items() as u32, 4.0, 96);
+    let deltas = [probe_delta(&ds), second, third];
+    for mode in ALL_MODES {
         let reference = fit(&ds, mode);
-        reference.apply_delta(&delta).unwrap();
-
         let mut sharded = ShardedModel::with_hot_replication(fit(&ds, mode), 2, 2).unwrap();
-        let dir = temp_store(&format!("rereplication-{mode:?}"));
-        sharded.persist(&dir).unwrap();
-        sharded.kill_node(1).unwrap();
-        sharded.ingest(&delta).unwrap(); // dead node skipped: journal goes stale
-        sharded.recover_node(1).unwrap();
-
         let map = sharded.shard_map().clone();
-        for s in 0..map.n_shards() as u32 {
-            let hosts = map.hosts(s, 2);
-            if !hosts.contains(&1) {
-                continue;
-            }
+        sharded.kill_node(1).unwrap();
+        for delta in &deltas {
+            reference.apply_delta(delta).unwrap();
+            sharded.ingest(delta).unwrap();
+        }
+        sharded.recover_node(1).unwrap();
+        let hosted = (0..map.n_shards() as u32).filter(|&s| map.hosts(s, 2).contains(&1));
+        let (mut shared, mut alone) = (0, 0);
+        for s in hosted {
             let (epoch, recovered) = sharded.slice(1, s).expect("recovered shard");
-            assert_eq!(epoch, 2, "re-replication must adopt the coordinator epoch");
-            for &other in hosts.iter().filter(|&&h| h != 1) {
-                let (_, live) = sharded.slice(other, s).unwrap();
-                assert_eq!(
-                    *recovered, *live,
-                    "{mode:?} shard {s}: re-replicated slice diverged from the live replica"
-                );
+            assert_eq!(epoch, 4, "{mode:?} shard {s}");
+            match sharded.slice(0, s) {
+                Some((_, live)) => {
+                    shared += 1;
+                    assert!(
+                        std::sync::Arc::ptr_eq(&recovered, &live),
+                        "{mode:?} shard {s}: the recovered slice is not the live sibling's"
+                    );
+                }
+                None => alone += 1,
             }
         }
-        let new_user = UserId(ds.matrix.n_users() as u32);
+        assert!(
+            shared > 0 && alone > 0,
+            "{mode:?}: {shared} shared, {alone} alone"
+        );
         let new_item = ItemId(ds.matrix.n_items() as u32);
-        for &u in &[ds.overlap_users[0], ds.overlap_users[1], new_user] {
+        let new_user = UserId(ds.matrix.n_users() as u32);
+        for &u in &[ds.overlap_users[0], ds.overlap_users[3], new_user] {
             assert_eq!(
                 sharded.predict(u, new_item).unwrap().to_bits(),
                 reference.predict(u, new_item).to_bits(),
-                "{mode:?}: post-rereplication prediction for {u}"
+                "{mode:?}: prediction for {u} by the recovered node"
             );
             assert_same_recs(
                 &sharded.recommend(u, 5).unwrap(),
                 &reference.recommend(u, 5),
-                &format!("{mode:?}: post-rereplication top-5 for {u}"),
+                &format!("{mode:?}: top-5 for {u} by the recovered node"),
             );
         }
-        assert_same_ledger(&sharded, &reference, &format!("{mode:?}: re-replication"));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_same_ledger(&sharded, &reference, &format!("{mode:?}: recovery"));
     }
 }
 

@@ -784,56 +784,6 @@ impl SimilarityGraph {
     }
 }
 
-/// On-disk codec for [`GraphConfig`], field order.
-impl xmap_store::Codec for GraphConfig {
-    fn enc(&self, e: &mut xmap_store::Encoder) {
-        self.metric.enc(e);
-        self.top_k.enc(e);
-        e.put_f64(self.min_similarity);
-    }
-
-    fn dec(d: &mut xmap_store::Decoder<'_>) -> std::result::Result<Self, xmap_store::StoreError> {
-        Ok(GraphConfig {
-            metric: xmap_cf::SimilarityMetric::dec(d)?,
-            top_k: Option::dec(d)?,
-            min_similarity: d.take_f64()?,
-        })
-    }
-}
-
-/// On-disk codec for the whole CSR arena, scored-pair delta cache included — the
-/// cache is part of the bit-identity contract (a recovered model must delta-fit
-/// exactly like the in-memory one, and pruning decisions rank over the cache).
-/// Lives here because the arena fields are private to this module; decode
-/// reconstructs the struct verbatim.
-impl xmap_store::Codec for SimilarityGraph {
-    fn enc(&self, e: &mut xmap_store::Encoder) {
-        self.offsets.enc(e);
-        self.neighbors.enc(e);
-        self.edge_ix.enc(e);
-        self.sim_rank.enc(e);
-        self.edge_stats.enc(e);
-        self.scored_keys.enc(e);
-        self.scored_stats.enc(e);
-        self.item_domain.enc(e);
-        self.config.enc(e);
-    }
-
-    fn dec(d: &mut xmap_store::Decoder<'_>) -> std::result::Result<Self, xmap_store::StoreError> {
-        Ok(SimilarityGraph {
-            offsets: Vec::dec(d)?,
-            neighbors: Vec::dec(d)?,
-            edge_ix: Vec::dec(d)?,
-            sim_rank: Vec::dec(d)?,
-            edge_stats: Vec::dec(d)?,
-            scored_keys: Vec::dec(d)?,
-            scored_stats: Vec::dec(d)?,
-            item_domain: Vec::dec(d)?,
-            config: GraphConfig::dec(d)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -146,43 +146,6 @@ impl PrivacyBudget {
     }
 }
 
-impl xmap_store::Codec for Expenditure {
-    fn enc(&self, e: &mut xmap_store::Encoder) {
-        e.put_str(&self.mechanism);
-        e.put_f64(self.epsilon);
-    }
-
-    fn dec(d: &mut xmap_store::Decoder<'_>) -> std::result::Result<Self, xmap_store::StoreError> {
-        Ok(Expenditure {
-            mechanism: d.take_str()?,
-            epsilon: d.take_f64()?,
-        })
-    }
-}
-
-/// On-disk codec for the accountant: the total and the full ledger, so a recovered
-/// model reports exactly the expenditures of the model that was persisted. Decode
-/// rebuilds the struct directly (it does **not** replay `spend`, which would
-/// re-enforce the budget against itself) but still refuses a non-finite or
-/// non-positive total, preserving the `new()` invariant.
-impl xmap_store::Codec for PrivacyBudget {
-    fn enc(&self, e: &mut xmap_store::Encoder) {
-        e.put_f64(self.total);
-        self.ledger.enc(e);
-    }
-
-    fn dec(d: &mut xmap_store::Decoder<'_>) -> std::result::Result<Self, xmap_store::StoreError> {
-        let total = d.take_f64()?;
-        if !total.is_finite() || total <= 0.0 {
-            return Err(d.corrupt(format!("privacy budget total {total} is not positive")));
-        }
-        Ok(PrivacyBudget {
-            total,
-            ledger: Vec::dec(d)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! offset 0   magic      "XMAPJRNL"              (8 bytes)
-//! offset 8   version    u16 = FORMAT_VERSION    (2 bytes)
+//! offset 8   version    u16 = JOURNAL_VERSION   (2 bytes)
 //! offset 10  base_epoch u64                     (8 bytes)
 //! offset 18  header_crc u32 over bytes [0, 18)  (4 bytes)
 //! offset 22  records…
@@ -28,7 +28,7 @@
 //!   whole record;
 //! * **corruption** — a *complete* record whose CRC does not match, a non-contiguous
 //!   epoch stamp, or a damaged header: reported as [`StoreError::Corrupt`] at the
-//!   offending byte offset, never silently skipped.
+//!   damaged record's offset (or the header field's), never silently skipped.
 //!
 //! Every [`Journal::append`] fsyncs before returning, so an acknowledged record
 //! survives a crash (write-ahead discipline: the caller appends *before* publishing
@@ -36,7 +36,7 @@
 
 use crate::codec::{decode_exact, Codec, Encoder};
 use crate::crc::crc32;
-use crate::{StoreError, FORMAT_VERSION};
+use crate::{StoreError, JOURNAL_VERSION};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -63,9 +63,9 @@ pub struct JournalRecord<T> {
     pub value: T,
 }
 
-/// A [`StoreError::Corrupt`] whose detail names the offending file. Per-shard
-/// stores open many journals; a bare offset cannot say *which* file is damaged,
-/// so every corruption this module reports is attributed to its path.
+/// A [`StoreError::Corrupt`] whose detail names the offending file: a bare offset
+/// cannot say *which* file is damaged, so every corruption this module reports is
+/// attributed to its path.
 fn corrupt_in(path: &Path, offset: u64, detail: impl std::fmt::Display) -> StoreError {
     StoreError::corrupt(offset, format!("{}: {detail}", path.display()))
 }
@@ -77,14 +77,6 @@ fn attribute(path: &Path, err: StoreError) -> StoreError {
         StoreError::Corrupt { offset, detail } => corrupt_in(path, offset, detail),
         other => other,
     }
-}
-
-/// One encoded, checksummed record frame ([`Journal::frame`]), ready to append to
-/// any journal whose next epoch is its stamp.
-#[derive(Clone, Debug)]
-pub struct RecordFrame {
-    epoch: u64,
-    bytes: Vec<u8>,
 }
 
 /// An open append-only journal (see the module docs for framing and semantics).
@@ -111,7 +103,7 @@ impl Journal {
             .map_err(|e| StoreError::io(path, "create journal file", e))?;
         let mut header = Vec::with_capacity(HEADER_LEN as usize);
         header.extend_from_slice(&JOURNAL_MAGIC);
-        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        header.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
         header.extend_from_slice(&base_epoch.to_le_bytes());
         let crc = crc32(&header);
         header.extend_from_slice(&crc.to_le_bytes());
@@ -152,13 +144,13 @@ impl Journal {
             return Err(corrupt_in(path, 0, "bad journal magic"));
         }
         let version = u16::from_le_bytes([bytes[8], bytes[9]]);
-        if version != FORMAT_VERSION {
+        if version != JOURNAL_VERSION {
             return Err(corrupt_in(
                 path,
                 8,
                 format!(
                     "unsupported journal format version {version} (this build reads \
-                     version {FORMAT_VERSION})"
+                     version {JOURNAL_VERSION})"
                 ),
             ));
         }
@@ -220,7 +212,7 @@ impl Journal {
             if epoch != last_epoch + 1 {
                 return Err(corrupt_in(
                     path,
-                    pos as u64 + 4,
+                    pos as u64,
                     format!(
                         "journal epoch stamp {epoch} is not contiguous (previous was \
                          {last_epoch})"
@@ -265,43 +257,12 @@ impl Journal {
     }
 
     /// Appends one record stamped `epoch` (which must be `last_epoch() + 1`) and
-    /// fsyncs it, returning the absolute byte offset of the record frame. On any
-    /// error nothing is acknowledged — the caller must not publish the epoch.
+    /// fsyncs it, returning the absolute byte offset of the record frame. The payload
+    /// is encoded straight into the frame, its length field back-patched. A stamp
+    /// other than `last_epoch() + 1`, or a payload the `u32` length field cannot state,
+    /// is refused before anything is written. On any error nothing is acknowledged —
+    /// the caller must not publish the epoch.
     pub fn append<T: Codec>(&mut self, epoch: u64, value: &T) -> Result<u64, StoreError> {
-        self.append_framed(&Self::frame(epoch, value))
-    }
-
-    /// The record frame of `value` stamped `epoch`: length, epoch, payload and
-    /// CRC. The payload is encoded straight into the frame; its length field is
-    /// back-patched. Replicas of one record append the same frame.
-    pub fn frame<T: Codec>(epoch: u64, value: &T) -> RecordFrame {
-        let mut e = Encoder::new();
-        e.put_u32(0); // payload length, patched once the payload is in
-        e.put_u64(epoch);
-        value.enc(&mut e);
-        let mut bytes = e.into_bytes();
-        // A payload past the u32 length field wraps here; `append_framed`
-        // refuses such a frame before writing it.
-        let payload_len = (bytes.len() - FRAME_PREFIX as usize) as u32;
-        bytes[..4].copy_from_slice(&payload_len.to_le_bytes());
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        RecordFrame { epoch, bytes }
-    }
-
-    /// [`Journal::append`] of a [`Journal::frame`]: refuses a stamp other than
-    /// `last_epoch() + 1` or a payload its `u32` length field cannot state, then
-    /// writes the frame and fsyncs.
-    pub fn append_framed(&mut self, frame: &RecordFrame) -> Result<u64, StoreError> {
-        let epoch = frame.epoch;
-        let payload_len = frame.bytes.len() as u64 - FRAME_PREFIX - FRAME_SUFFIX;
-        if payload_len > u64::from(u32::MAX) {
-            return Err(corrupt_in(
-                &self.path,
-                self.end,
-                format!("refusing a {payload_len}-byte record: the frame states at most 4 GiB"),
-            ));
-        }
         if epoch != self.last_epoch + 1 {
             return Err(corrupt_in(
                 &self.path,
@@ -312,17 +273,33 @@ impl Journal {
                 ),
             ));
         }
+        let mut e = Encoder::new();
+        e.put_u32(0); // payload length, patched once the payload is in
+        e.put_u64(epoch);
+        value.enc(&mut e);
+        let mut frame = e.into_bytes();
+        let payload_len = frame.len() as u64 - FRAME_PREFIX;
+        if payload_len > u64::from(u32::MAX) {
+            return Err(corrupt_in(
+                &self.path,
+                self.end,
+                format!("refusing a {payload_len}-byte record: the frame states at most 4 GiB"),
+            ));
+        }
+        frame[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        let crc = crc32(&frame);
+        frame.extend_from_slice(&crc.to_le_bytes());
         self.file
             .seek(SeekFrom::Start(self.end))
             .map_err(|e| StoreError::io(&self.path, "seek to journal end", e))?;
         self.file
-            .write_all(&frame.bytes)
+            .write_all(&frame)
             .map_err(|e| StoreError::io(&self.path, "append journal record", e))?;
         self.file
             .sync_all()
             .map_err(|e| StoreError::io(&self.path, "fsync journal record", e))?;
         let offset = self.end;
-        self.end += frame.bytes.len() as u64;
+        self.end += frame.len() as u64;
         self.last_epoch = epoch;
         Ok(offset)
     }
@@ -335,7 +312,7 @@ impl Journal {
             .map_err(|e| StoreError::io(&self.path, "truncate journal for compaction", e))?;
         let mut header = Vec::with_capacity(HEADER_LEN as usize);
         header.extend_from_slice(&JOURNAL_MAGIC);
-        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        header.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
         header.extend_from_slice(&base_epoch.to_le_bytes());
         let crc = crc32(&header);
         header.extend_from_slice(&crc.to_le_bytes());
@@ -368,11 +345,6 @@ impl Journal {
     /// Total valid bytes: header plus every acknowledged record frame.
     pub fn len_bytes(&self) -> u64 {
         self.end
-    }
-
-    /// The journal's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -463,23 +435,23 @@ mod tests {
         let bytes = fs::read(&path).unwrap();
         let mut expected = bytes[..HEADER_LEN as usize].to_vec();
         for (i, rec) in records.iter().enumerate() {
-            let frame = framed_by_copy(2 + i as u64, rec);
-            assert_eq!(Journal::frame(2 + i as u64, rec).bytes, frame);
-            expected.extend_from_slice(&frame);
+            expected.extend_from_slice(&framed_by_copy(2 + i as u64, rec));
         }
         assert_eq!(bytes, expected);
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// One record appended at its epoch to two journals writes the same bytes to both,
+    /// and appending it again at the same stamp is refused.
     #[test]
     fn one_frame_appends_to_every_journal_at_its_epoch() {
         let dir = temp_dir("shared-frame");
         let [a, b] = ["a.journal", "b.journal"].map(|name| dir.join(name));
-        let frame = Journal::frame(4, &(vec![7u32], String::from("shared")));
+        let record = (vec![7u32], String::from("shared"));
         for path in [&a, &b] {
             let mut journal = Journal::create(path, 3).unwrap();
-            journal.append_framed(&frame).unwrap();
-            let err = journal.append_framed(&frame).unwrap_err();
+            journal.append(4, &record).unwrap();
+            let err = journal.append(4, &record).unwrap_err();
             assert!(
                 matches!(err, StoreError::Corrupt { .. }),
                 "a replayed stamp"

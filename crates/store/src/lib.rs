@@ -6,9 +6,9 @@
 //! journal ([`Journal`]) with per-record CRCs and monotone epoch stamps.
 //!
 //! The crate is a dependency-free leaf: it defines the *format* and the file
-//! plumbing, while every fitted piece (rating matrix, graph arena, X-Sim table,
-//! replacement table, kNN pools, privacy ledger) implements [`Codec`] next to its
-//! own definition so private fields stay private.
+//! plumbing, while every persisted value — the rating matrix, the model
+//! configuration and the journalled rating deltas, the state nothing can derive —
+//! implements [`Codec`] next to its own definition so private fields stay private.
 //!
 //! ## Durability contract
 //!
@@ -20,8 +20,9 @@
 //!   with the byte offset of the damage.
 //! * Every decode path is bounds-checked: corrupt bytes produce
 //!   [`StoreError::Corrupt`], never a panic.
-//! * The on-disk format version is explicit ([`FORMAT_VERSION`]); files written by a
-//!   newer format are refused rather than misread.
+//! * The on-disk format versions are explicit ([`FORMAT_VERSION`] for snapshots,
+//!   [`JOURNAL_VERSION`] for journals); a file stamped with any other version is
+//!   refused rather than misread.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -34,16 +35,22 @@ mod snapshot;
 
 pub use codec::{decode_exact, encode_to_vec, Codec, Decoder, Encoder};
 pub use crc::{crc32, Crc32};
-pub use journal::{Journal, JournalRecord, RecordFrame, JOURNAL_MAGIC};
+pub use journal::{Journal, JournalRecord, JOURNAL_MAGIC};
 pub use snapshot::{Snapshot, SNAPSHOT_MAGIC};
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// The on-disk format version this build reads and writes. Files stamped with a
-/// *newer* version are refused ([`StoreError::Corrupt`] naming the version) instead
-/// of being decoded with the wrong layout.
-pub const FORMAT_VERSION: u16 = 1;
+/// The snapshot format version this build reads and writes. A snapshot stamped with
+/// any other version is refused ([`StoreError::Corrupt`] naming the version) instead
+/// of being decoded with the wrong layout. Version 2 holds the configuration and the
+/// rating matrix only; version 1 also held every derived table.
+pub const FORMAT_VERSION: u16 = 2;
+
+/// The journal format version this build reads and writes, refused like
+/// [`FORMAT_VERSION`] when it differs. Journal records are `RatingDelta`s in both
+/// snapshot versions, so it did not move with the snapshot's.
+pub const JOURNAL_VERSION: u16 = 1;
 
 /// Errors of the persistence layer.
 #[derive(Debug)]

@@ -14,7 +14,7 @@
 //! and then renamed over the live name (the parent directory is fsynced too), so a
 //! reader never observes a half-written snapshot. Any truncation or byte flip —
 //! anywhere in the file, footer included — fails the load with
-//! [`StoreError::Corrupt`]; a version stamp newer than [`FORMAT_VERSION`] is refused
+//! [`StoreError::Corrupt`]; a version stamp other than [`FORMAT_VERSION`] is refused
 //! rather than misread.
 
 use crate::codec::{Codec, Decoder, Encoder};
@@ -34,16 +34,10 @@ const HEADER_LEN: usize = 8 + 2 + 8;
 pub struct Snapshot;
 
 impl Snapshot {
-    /// Serializes `value` and atomically replaces whatever is at `path`:
-    /// [`Snapshot::write_framed`] of [`Snapshot::frame`].
+    /// Serializes `value` and atomically replaces whatever is at `path`. The payload
+    /// is encoded straight behind the header, its length field back-patched, and the
+    /// file goes to a sibling temp file → fsync → rename → fsync of the directory.
     pub fn write<T: Codec>(path: &Path, value: &T) -> Result<(), StoreError> {
-        Self::write_framed(path, &Self::frame(value))
-    }
-
-    /// The whole snapshot file of `value`: header, payload and CRC footer. The
-    /// payload is encoded straight into the framed buffer; its length field is
-    /// back-patched. Replicas of one value write these same bytes.
-    pub fn frame<T: Codec>(value: &T) -> Vec<u8> {
         let mut e = Encoder::new();
         e.put_raw(&SNAPSHOT_MAGIC);
         e.put_u16(FORMAT_VERSION);
@@ -54,12 +48,7 @@ impl Snapshot {
         body[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
         let crc = crc32(&body);
         body.extend_from_slice(&crc.to_le_bytes());
-        body
-    }
 
-    /// Atomically replaces whatever is at `path` with `body`, a file
-    /// [`Snapshot::frame`] built (write-temp → fsync → rename → fsync dir).
-    pub fn write_framed(path: &Path, body: &[u8]) -> Result<(), StoreError> {
         let tmp = tmp_path(path);
         {
             let mut file = OpenOptions::new()
@@ -68,7 +57,7 @@ impl Snapshot {
                 .truncate(true)
                 .open(&tmp)
                 .map_err(|e| StoreError::io(&tmp, "create snapshot temp file", e))?;
-            file.write_all(body)
+            file.write_all(&body)
                 .map_err(|e| StoreError::io(&tmp, "write snapshot bytes", e))?;
             file.sync_all()
                 .map_err(|e| StoreError::io(&tmp, "fsync snapshot temp file", e))?;

@@ -8,9 +8,9 @@
 //!
 //! This is the on-disk counterpart of the incremental-equivalence gate
 //! (`tests/incremental_equivalence.rs`): `apply_delta` is bit-identical to a full
-//! refit, recovery replays the journal through `apply_delta`, so recovery is
-//! bit-identical to the live model by composition — this file checks the composition
-//! end to end, through real files.
+//! refit, recovery folds the journal into the snapshot's matrix and fits it once, so
+//! recovery is bit-identical to the live model by composition — this file checks the
+//! composition end to end, through real files.
 
 mod common;
 
@@ -57,6 +57,16 @@ fn first_delta(ds: &CrossDomainDataset) -> RatingDelta {
     delta
 }
 
+/// Ratings of source-domain items only: the target-domain recommender is shared.
+fn source_only_delta(ds: &CrossDomainDataset) -> RatingDelta {
+    let mut delta = RatingDelta::new();
+    delta
+        .push_timed(ds.overlap_users[3].0, ds.source_items()[2].0, 2.0, 250)
+        .push_timed(ds.source_only_users[0].0, ds.source_items()[3].0, 5.0, 251);
+    delta
+}
+
+/// Repeats the first delta's cell of `overlap_users[0]`.
 fn second_delta(ds: &CrossDomainDataset) -> RatingDelta {
     let mut delta = RatingDelta::new();
     delta
@@ -117,6 +127,26 @@ fn recovery_is_bit_identical_in_all_four_modes_at_1_2_and_8_workers() {
                 "{mode:?}/{workers}w: journal offsets must grow"
             );
 
+            let r3 = model.apply_delta(&source_only_delta(&ds)).unwrap();
+            assert_eq!(r3.epoch, 4, "{mode:?}/{workers}w");
+
+            // A copy of the files, opened and compacted, reopens at the same bits.
+            let copy = scratch_dir(&format!("gate_{mode:?}_{workers}_compacted"));
+            for file in [
+                xmap_suite::core::SNAPSHOT_FILE,
+                xmap_suite::core::JOURNAL_FILE,
+            ] {
+                std::fs::copy(dir.join(file), copy.join(file)).unwrap();
+            }
+            assert_eq!(XMapModel::open(&copy).unwrap().compact().unwrap(), 4);
+            let compacted = XMapModel::open(&copy).unwrap();
+            assert_eq!(
+                released_bits(&compacted, &probe_users, &probe_items),
+                released_bits(&model, &probe_users, &probe_items),
+                "{mode:?}/{workers}w: released bits diverged after compaction"
+            );
+            let _ = std::fs::remove_dir_all(&copy);
+
             let recovered = XMapModel::open(&dir).unwrap();
             // epoch, matrix, graph arena, X-Sim table and the released surface
             assert_eq!(
@@ -125,13 +155,13 @@ fn recovery_is_bit_identical_in_all_four_modes_at_1_2_and_8_workers() {
                 "{mode:?}/{workers}w: released bits diverged after recovery"
             );
 
-            // The recovered model keeps journaling: its next delta lands at epoch 4
+            // The recovered model keeps journaling: its next delta lands at epoch 5
             // on both sides and the bits stay equal.
             let d2 = second_delta(&ds);
             let live = model.apply_delta(&d2).unwrap();
             let rec = recovered.apply_delta(&d2).unwrap();
-            assert_eq!(live.epoch, 4);
-            assert_eq!(rec.epoch, 4);
+            assert_eq!(live.epoch, 5);
+            assert_eq!(rec.epoch, 5);
             assert!(rec.journal_offset.is_some(), "{mode:?}/{workers}w");
             assert_eq!(
                 released_bits(&recovered, &probe_users, &probe_items),
