@@ -13,14 +13,14 @@ set -euo pipefail
 
 # crate, line ceiling, `pub` ceiling
 ceilings="
-cf 1817 132
-graph 707 63
+cf 1812 132
+graph 634 59
 engine 2028 135
 privacy 285 32
 store 769 59
 dataset 742 41
 eval 422 41
-core 2441 143
+core 2364 142
 bench 2114 76
 check 2240 29
 "

@@ -11,8 +11,8 @@
 //! it fits the model at 1, 2 and 8 workers, asserts the engine-parallel `EvalStage`
 //! output is bit-identical to the serial `evaluate_predictions` reference at every
 //! worker count (outputs *and* task-cost ledgers — including the fit stages'
-//! `baseliner` / `extender` / `generator` / `recommender` bags and the incremental
-//! fit's `delta` bag, captured by applying a pinned one-rating delta), runs the
+//! `baseliner` / `extender` / `generator` / `recommender` bags and the delta's
+//! `delta` bag, captured by applying a pinned one-rating delta), runs the
 //! sharded-routing gate (the same model routed across simulated nodes with hot-shard
 //! replication must serve and ingest the exact single-node bits, and its
 //! `route` / `shard_serve` / `shard_ingest` ledgers are pinned too), executes the
@@ -169,7 +169,7 @@ fn run_determinism_gate(runner: &SweepRunner) -> (EvalReport, FitLedgers, u64) {
         assert!(!costs.is_empty(), "evaluation records task costs");
         // After everything is evaluated, apply the pinned smoke delta (the first test
         // triple fed back as a fresh rating) and capture the `delta` ledger: the
-        // incremental fit's task bag is gated against the baseline — and against the
+        // delta's task bag is gated against the baseline — and against the
         // other worker counts — exactly like the fit stages'.
         let mut delta = xmap_core::RatingDelta::new();
         let probe = &batch.test[0];
@@ -182,7 +182,7 @@ fn run_determinism_gate(runner: &SweepRunner) -> (EvalReport, FitLedgers, u64) {
         let delta_report = model.apply_delta(&delta).expect("the smoke delta applies");
         assert!(
             delta_report.n_rescored_pairs > 0,
-            "{workers} workers: the smoke delta must re-score at least one pair"
+            "{workers} workers: the smoke delta must score the graph's pairs"
         );
         assert_eq!(
             (delta_report.epoch, model.epoch()),
@@ -545,7 +545,7 @@ fn diff_against_baseline(current: &Json, baseline: &Json) -> Vec<String> {
         );
     }
 
-    // The fit task-cost ledgers (plus the incremental fit's `delta` bag): a drifting
+    // The fit task-cost ledgers (plus the delta's `delta` bag): a drifting
     // task count or total cost means the fit's partitioning or cost model changed —
     // regenerate the baseline deliberately.
     for stage in FIT_STAGE_NAMES.into_iter().chain([DELTA_STAGE_NAME]) {

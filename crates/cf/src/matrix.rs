@@ -493,8 +493,8 @@ impl RatingMatrix {
     }
 
     /// Applies a batch of new/updated ratings (plus item-domain declarations for new
-    /// items) through an incremental merge — the builder path of the delta-fit
-    /// subsystem.
+    /// items) through an incremental merge — the fold every ingest and recovery runs
+    /// ahead of its build.
     ///
     /// The result is **bit-identical** to pushing `self.iter()` followed by `delta`
     /// (in order) through a [`RatingMatrixBuilder`] carrying this matrix's scale,

@@ -253,14 +253,13 @@ struct Term {
 
 /// Which partners an [`ItemRowKernel::row`] keeps.
 #[derive(Clone, Copy, Debug)]
-pub enum Partners<'m> {
+pub enum Partners {
     /// Every item co-rated with the row's item.
     All,
-    /// The items above the row's item, and those below it that the mask marks by
-    /// item index. `None` marks none, so every rater's profile is walked from the
-    /// row's item onwards only: a caller that keeps each pair from its lower item
+    /// The items above the row's item only, so every rater's profile is walked from
+    /// the row's item onwards: a caller that keeps each pair from its lower item
     /// scores it once.
-    Above(Option<&'m [bool]>),
+    Above,
 }
 
 /// Scores an item against everything it is co-rated with in one gather — the
@@ -359,7 +358,7 @@ impl<'a> ItemRowKernel<'a> {
         &self,
         item: ItemId,
         scratch: &'s mut RowScratch,
-        partners: Partners<'_>,
+        partners: Partners,
     ) -> (&'s [(ItemId, SimilarityStats)], f64) {
         let RowScratch {
             sums,
@@ -405,13 +404,8 @@ impl<'a> ItemRowKernel<'a> {
                 }
             };
             above.iter().for_each(&mut add);
-            match partners {
-                Partners::All => below.iter().for_each(add),
-                Partners::Above(Some(keep)) => below
-                    .iter()
-                    .filter(|t| keep.get(t.item.index()) == Some(&true))
-                    .for_each(add),
-                Partners::Above(None) => {}
+            if let Partners::All = partners {
+                below.iter().for_each(add);
             }
         }
         touched.sort_unstable();
@@ -692,30 +686,23 @@ mod tests {
         }
     }
 
-    /// A restricted row is the full row filtered to the same partners — those above
-    /// the item, and below it the ones the mask of `seed` marks (none without one) —
+    /// A restricted row is the full row filtered to the partners above the item,
     /// record for record and bit for bit, at the full row's cost, for all three metrics.
-    fn assert_restricted_rows_filter_the_full_row(m: &RatingMatrix, seed: u64) {
-        let mask: Vec<bool> = (0..m.n_items() as u64)
-            .map(|i| (i ^ seed).is_multiple_of(3))
-            .collect();
+    fn assert_restricted_rows_filter_the_full_row(m: &RatingMatrix) {
         let (mut full_scratch, mut scratch) = (RowScratch::default(), RowScratch::default());
         for metric in METRICS {
             let kernel = ItemRowKernel::new(m, metric);
             for item in (0..m.n_items() as u32 + 1).map(ItemId) {
                 let (full, full_cost) = kernel.row(item, &mut full_scratch, Partners::All);
-                for keep in [None, Some(mask.as_slice())] {
-                    let kept = |j: ItemId| j > item || keep.is_some_and(|k| k[j.index()]);
-                    let expect: Vec<_> = full
-                        .iter()
-                        .filter(|(j, _)| kept(*j))
-                        .map(|&(j, s)| (j, bits(s)))
-                        .collect();
-                    let (row, cost) = kernel.row(item, &mut scratch, Partners::Above(keep));
-                    let got: Vec<_> = row.iter().map(|&(j, s)| (j, bits(s))).collect();
-                    assert_eq!(got, expect, "{metric:?}: row {item}");
-                    assert_eq!(cost, full_cost);
-                }
+                let expect: Vec<_> = full
+                    .iter()
+                    .filter(|&&(j, _)| j > item)
+                    .map(|&(j, s)| (j, bits(s)))
+                    .collect();
+                let (row, cost) = kernel.row(item, &mut scratch, Partners::Above);
+                let got: Vec<_> = row.iter().map(|&(j, s)| (j, bits(s))).collect();
+                assert_eq!(got, expect, "{metric:?}: row {item}");
+                assert_eq!(cost, full_cost);
             }
         }
     }
@@ -758,9 +745,7 @@ mod tests {
         for metric in METRICS {
             assert_rows_equal_the_merge(&m, metric, &mut scratch);
         }
-        for seed in 0..3 {
-            assert_restricted_rows_filter_the_full_row(&m, seed);
-        }
+        assert_restricted_rows_filter_the_full_row(&m);
     }
 
     #[test]
@@ -807,8 +792,7 @@ mod tests {
             }
         }
 
-        /// A restricted row is the full row filtered to the same partners — those
-        /// above the item, and below it the ones the mask marks (none without one) —
+        /// A restricted row is the full row filtered to the partners above the item,
         /// record for record and bit for bit, at the full row's cost, for all three
         /// metrics.
         #[test]
@@ -819,7 +803,7 @@ mod tests {
         ) {
             let mut rng = TestRng::from_name(&seed.to_string());
             let m = skewed_matrix(&mut rng, n_users, n_items);
-            assert_restricted_rows_filter_the_full_row(&m, seed);
+            assert_restricted_rows_filter_the_full_row(&m);
         }
 
         /// Similarities are symmetric and bounded for every metric on random matrices.

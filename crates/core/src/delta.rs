@@ -1,43 +1,24 @@
-//! Incremental model maintenance (delta fit) on the Dataflow engine, with
-//! build-aside-then-publish epoch semantics.
+//! Ingest: a batch of ratings is folded into the matrix and the model is rebuilt,
+//! with build-aside-then-publish epoch semantics.
 //!
-//! A deployed X-Map model keeps absorbing new ratings. [`XMapModel::apply_delta`]
-//! absorbs a batch by running the model's one build (`pipeline::build_epoch`, the
-//! build a fit runs over *everything*) over the served epoch, and the resulting model
-//! is **bit-identical to a full refit on the updated matrix** (enforced by
-//! `tests/incremental_equivalence.rs` in all four modes at 1/2/8 workers). Two layers
-//! absorb the delta incrementally, under the recompute-not-accumulate rule (see
-//! DESIGN.md):
-//!
-//! 1. the [`RatingMatrix`] absorbs the delta through the incremental builder path
-//!    (`RatingMatrix::apply_delta` — row merges and copied averages, no re-sort);
-//! 2. the similarity graph re-*scores* exactly the affected co-rated pairs — every pair
-//!    touching a *dirty* item, one a delta user rated (adjusted cosine reads all
-//!    raters' user averages) — and merges them with the cached statistics of every
-//!    other pair (`SimilarityGraph::apply_updates`).
-//!
-//! Every later piece — the X-Sim table, the replacement table, the recommender and its
-//! kNN pools — is either **shared** with the base epoch, when its input is unchanged,
-//! or rebuilt whole, exactly as a fit builds it.
+//! [`XMapModel::apply_delta`] runs recovery's code on one batch: [`fold`] it into the
+//! served epoch's [`RatingMatrix`] (`RatingMatrix::apply_delta`: row merges and copied
+//! averages, no re-sort), run the model's one build (`pipeline::build_epoch`) over the
+//! result, journal the batch, publish the epoch. Nothing is maintained incrementally —
+//! as in the paper, the tables are one batch computation over the ratings — so the
+//! published model is a full refit on the updated matrix, bit for bit
+//! (`tests/incremental_equivalence.rs`, all four modes at 1/2/8 workers).
 //!
 //! ## Build aside, swap, drain, retire
 //!
-//! `apply_delta` is `&self`: it never mutates the served model in place. It takes an
-//! epoch snapshot as its base, the build constructs every updated piece *aside* and
-//! assembles the next [`crate::ModelEpoch`] — pieces the delta did not touch are **shared**
-//! with the base epoch through their `Arc`s (the graph arena, X-Sim and replacement
-//! tables when no pair was re-scored, the recommender when the target-domain training
-//! matrix is unchanged) — and the epoch is published with one pointer swap on the
-//! model's `EpochHandle`. Readers serving from the previous epoch finish undisturbed;
-//! the old epoch is retired once its last snapshot drops. Writers serialize on the
-//! model's ingest lock.
-//!
-//! The build's four steps run as one `"delta"` stage on the model's own dataflow, so
-//! the per-partition data-derived costs land in the `"delta"` entry of
-//! [`XMapModel::ledger`] that `figures -- replay` replays on the cluster simulator —
-//! identical at any worker count (`tests/incremental_equivalence.rs`).
+//! `apply_delta` is `&self`: it builds the next [`crate::ModelEpoch`] aside, as one
+//! `"delta"` stage on the model's own dataflow — whose task bag, in the
+//! [`XMapModel::ledger`], is a refit's four bags concatenated — and publishes it with
+//! one pointer swap on the model's `EpochHandle`. Readers serving from the previous
+//! epoch finish undisturbed; the old epoch is retired once its last snapshot drops.
+//! Writers serialize on the model's ingest lock.
 
-use crate::pipeline::{build_epoch, DeltaBase, Ledgers, XMapModel};
+use crate::pipeline::{build_epoch, Ledgers, XMapModel};
 use crate::{Result, XMapError};
 use std::sync::Arc;
 use xmap_cf::{DomainId, ItemId, Rating, RatingMatrix, Timestep, UserId};
@@ -75,7 +56,7 @@ impl RatingDelta {
 
     /// Declares the domain of a (typically new) item. Redeclaring an existing item with
     /// its current domain is a no-op; declaring a *different* domain is rejected by
-    /// [`XMapModel::apply_delta`] — domain migration is not an incremental operation.
+    /// [`XMapModel::apply_delta`] — domain migration needs a fit of its own.
     pub fn declare_item(&mut self, item: ItemId, domain: DomainId) -> &mut Self {
         self.item_domains.push((item, domain));
         self
@@ -100,14 +81,6 @@ impl RatingDelta {
     pub fn is_empty(&self) -> bool {
         self.ratings.is_empty()
     }
-
-    /// The distinct users touched by the delta, sorted ascending.
-    pub fn affected_users(&self) -> Vec<UserId> {
-        let mut users: Vec<UserId> = self.ratings.iter().map(|r| r.user).collect();
-        users.sort_unstable();
-        users.dedup();
-        users
-    }
 }
 
 /// On-disk codec for a delta — the journal's record payload: the rating events and
@@ -127,29 +100,20 @@ impl xmap_store::Codec for RatingDelta {
     }
 }
 
-/// What a delta fit recomputed — the shape of the incremental work, for reporting and
-/// for the cost-scaling contract in `tests/incremental_equivalence.rs`.
+/// What a delta's build computed: the counts of a fit on the updated matrix.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaReport {
     /// The epoch this delta published (monotonic; the fit itself is epoch 1).
     pub epoch: u64,
     /// Rating events applied.
     pub n_delta_ratings: usize,
-    /// Distinct users touched by the delta.
-    pub n_affected_users: usize,
-    /// Items whose similarity statistics could have moved (the delta users' profiles).
-    pub n_dirty_items: usize,
-    /// Co-rated pairs re-scored for the similarity graph.
+    /// Co-rated pairs scored for the similarity graph: every pair of the updated
+    /// matrix.
     pub n_rescored_pairs: usize,
-    /// X-Sim source rows computed: every source-domain item of the updated matrix, or
-    /// 0 when the table was shared with the base epoch.
+    /// X-Sim source rows computed: every source-domain item of the updated matrix.
     pub n_xsim_rows: usize,
-    /// Replacement draws run: every row of the new X-Sim table, or 0 when the
-    /// replacement table was shared with the base epoch.
-    pub n_replacement_draws: usize,
-    /// Item-kNN pools fitted: every item of the updated matrix, or 0 when the
-    /// recommender was shared with the base epoch (and always 0 for the user-based
-    /// modes).
+    /// Item-kNN pools fitted: every item of the updated matrix (always 0 for the
+    /// user-based modes).
     pub n_pool_refits: usize,
     /// Byte offset of this delta's record in the attached journal, or `None` when
     /// the model has no store attached. Written *before* the epoch was published
@@ -157,13 +121,13 @@ pub struct DeltaReport {
     pub journal_offset: Option<u64>,
 }
 
-/// The validation prelude of [`XMapModel::apply_delta`], ahead of the build, the
-/// journal append and the publish. Domain migration is not an incremental operation,
-/// and ids must stay dense: the matrix's growth rule
-/// ([`RatingMatrix::check_delta_growth`]) is refused here as `XMapError::Data`, before
-/// the journal append — an id past it would size the matrix, the graph arena and every
-/// dense buffer by the id instead of by the data.
-pub(crate) fn check_delta(delta: &RatingDelta, full: &RatingMatrix) -> Result<()> {
+/// `full` with `delta` folded in: the write step that [`XMapModel::apply_delta`] and
+/// recovery share, ahead of the build. A domain redeclaration of an existing item and
+/// an id past the matrix's growth rule ([`RatingMatrix::check_delta_growth`]) are
+/// refused as `XMapError::Data` — such an id would size the matrix, the graph arena
+/// and every dense buffer by the id instead of by the data — and non-finite ratings
+/// propagate from the matrix layer.
+pub(crate) fn fold(delta: &RatingDelta, full: &RatingMatrix) -> Result<RatingMatrix> {
     for &(item, domain) in delta.item_domains() {
         if item.index() < full.n_items() && full.item_domain(item) != domain {
             return Err(XMapError::Data(format!(
@@ -174,18 +138,17 @@ pub(crate) fn check_delta(delta: &RatingDelta, full: &RatingMatrix) -> Result<()
         }
     }
     full.check_delta_growth(delta.ratings(), delta.item_domains())
-        .map_err(|e| XMapError::Data(e.to_string()))
+        .map_err(|e| XMapError::Data(e.to_string()))?;
+    Ok(full.apply_delta(delta.ratings(), delta.item_domains())?)
 }
 
 impl XMapModel {
-    /// Absorbs a batch of new/updated ratings into the fitted model **incrementally**
-    /// and **without blocking readers**: only the pairs the delta affects are re-scored
-    /// (see the module docs for the layers), the next [`crate::ModelEpoch`] is built aside —
-    /// sharing every untouched piece with the base epoch — and published with a single
-    /// pointer swap. The resulting model — graph bits, replacement table, kNN pools,
-    /// predictions, privacy ledger — is **bit-identical to a full
-    /// [`crate::XMapModel::fit`] on the updated matrix**. The published epoch is
-    /// stamped into [`DeltaReport::epoch`].
+    /// Absorbs a batch of new/updated ratings into the fitted model **without blocking
+    /// readers**: the batch is folded into the matrix, the next [`crate::ModelEpoch`] is
+    /// built aside over it and published with a single pointer swap. The resulting
+    /// model — graph bits, replacement table, kNN pools, predictions, privacy ledger —
+    /// is **bit-identical to a full [`crate::XMapModel::fit`] on the updated matrix**.
+    /// The published epoch is stamped into [`DeltaReport::epoch`].
     ///
     /// Readers that snapshotted the previous epoch keep serving it undisturbed; the old
     /// epoch is retired once its last snapshot drops. Concurrent `apply_delta` calls
@@ -193,9 +156,9 @@ impl XMapModel {
     ///
     /// The build runs as one `"delta"` stage on the model's own dataflow; its
     /// per-partition data-derived task costs (the [ledger](XMapModel::ledger)'s `delta`
-    /// entry) are identical at any worker count. For the private modes the delta re-releases every
-    /// artifact, so a **fresh** privacy accountant is charged exactly like a refit
-    /// (ε for PRS, ε′ for PNSA + PNCF) and replaces the previous ledger.
+    /// entry) are identical at any worker count. For the private modes the delta
+    /// re-releases every artifact, so a **fresh** privacy accountant is charged exactly
+    /// like a refit (ε for PRS, ε′ for PNSA + PNCF) and replaces the previous ledger.
     ///
     /// Errors leave the model untouched (no epoch is published, nothing is journalled):
     /// domain redeclarations of existing items and ids past what the delta's own size
@@ -208,24 +171,14 @@ impl XMapModel {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let (_, base) = self.handle.load();
-        check_delta(delta, &base.full)?;
-        let updated = Arc::new(
-            base.full
-                .apply_delta(delta.ratings(), delta.item_domains())?,
-        );
-
+        let updated = Arc::new(fold(delta, &base.full)?);
         let (next, mut report) = self.flow.run(
             &fn_stage(DELTA_STAGE_NAME, |(), cx: &mut StageContext<'_>| {
-                let from = DeltaBase {
-                    epoch: &base,
-                    delta,
-                };
                 build_epoch(
                     base.config,
                     base.source_domain,
                     base.target_domain,
                     &updated,
-                    Some(&from),
                     Ledgers::Running(cx),
                     || Arc::clone(&updated),
                 )
@@ -311,12 +264,8 @@ mod tests {
             config(XMapMode::NxMapItemBased),
         )
         .unwrap();
-        let (_, base) = model.snapshot();
         let report = model.apply_delta(&RatingDelta::new()).unwrap();
         assert_eq!(report.n_delta_ratings, 0);
-        assert_eq!(report.n_rescored_pairs, 0);
-        assert_eq!(report.n_xsim_rows, 0);
-        assert_eq!(report.n_pool_refits, 0);
         assert_eq!(report.epoch, 2, "the delta must publish the next epoch");
         let refit = XMapModel::fit(
             &ds.matrix,
@@ -327,22 +276,6 @@ mod tests {
         .unwrap();
         assert_matches_refit(&model, &refit, &ds);
         assert!(model.flow.stage_costs(DELTA_STAGE_NAME).is_some());
-        // An untouched delta shares every piece with the base epoch — pointers, not
-        // copies.
-        let (_, next) = model.snapshot();
-        assert!(
-            Arc::ptr_eq(&base.graph, &next.graph),
-            "graph must be shared"
-        );
-        assert!(Arc::ptr_eq(&base.xsim, &next.xsim), "xsim must be shared");
-        assert!(
-            Arc::ptr_eq(&base.replacements, &next.replacements),
-            "replacements must be shared"
-        );
-        assert!(
-            Arc::ptr_eq(&base.recommender, &next.recommender),
-            "recommender must be shared"
-        );
     }
 
     #[test]
@@ -368,7 +301,6 @@ mod tests {
             .push_timed(ds.overlap_users[0].0, new_item, 5.0, 53);
         let report = model.apply_delta(&delta).unwrap();
         assert_eq!(report.n_delta_ratings, 4);
-        assert_eq!(report.n_affected_users, 2);
         assert!(report.n_rescored_pairs > 0);
         assert_eq!(report.epoch, model.epoch());
         let updated = ds
@@ -456,45 +388,6 @@ mod tests {
         // The pre-delta snapshot still answers from its own epoch, bit for bit —
         // publication never mutates a live snapshot.
         assert_eq!(epoch_one.recommend(user, 3), before);
-    }
-
-    #[test]
-    fn source_only_delta_shares_the_recommender_but_rebuilds_the_graph() {
-        let ds = dataset();
-        let model = XMapModel::fit(
-            &ds.matrix,
-            DomainId::SOURCE,
-            DomainId::TARGET,
-            config(XMapMode::NxMapItemBased),
-        )
-        .unwrap();
-        let (_, base) = model.snapshot();
-        let user = ds.overlap_users[0];
-        let source_item = ds.source_items()[0];
-        let mut delta = RatingDelta::new();
-        delta.push_timed(user.0, source_item.0, 2.0, 80);
-        let report = model.apply_delta(&delta).unwrap();
-        assert!(report.n_rescored_pairs > 0, "source pairs must re-score");
-        assert_eq!(report.n_pool_refits, 0, "no target pool may be touched");
-        let (_, next) = model.snapshot();
-        assert!(
-            Arc::ptr_eq(&base.recommender, &next.recommender),
-            "a source-only delta leaves the target recommender shared"
-        );
-        assert!(
-            !Arc::ptr_eq(&base.graph, &next.graph),
-            "the graph must be rebuilt"
-        );
-        // ... and sharing is still bit-identical to a refit.
-        let updated = ds.matrix.apply_delta(delta.ratings(), &[]).unwrap();
-        let refit = XMapModel::fit(
-            &updated,
-            DomainId::SOURCE,
-            DomainId::TARGET,
-            config(XMapMode::NxMapItemBased),
-        )
-        .unwrap();
-        assert_matches_refit(&model, &refit, &ds);
     }
 
     #[test]
@@ -625,18 +518,17 @@ mod tests {
     }
 
     #[test]
-    fn private_delta_sharing_the_recommender_still_debits_the_full_ledger() {
+    fn a_source_only_private_delta_debits_the_full_ledger() {
         let ds = dataset();
         let cfg = config(XMapMode::XMapItemBased);
         let model = XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, cfg).unwrap();
         let (_, base) = model.snapshot();
-        // Source-only delta: the recommender is shared, but the re-release must charge
-        // the fresh accountant exactly like a refit.
+        // A delta that leaves the target domain alone still re-releases every artifact,
+        // so it charges a fresh accountant exactly like a refit.
         let mut delta = RatingDelta::new();
         delta.push_timed(ds.overlap_users[0].0, ds.source_items()[0].0, 4.0, 60);
         model.apply_delta(&delta).unwrap();
         let (_, next) = model.snapshot();
-        assert!(Arc::ptr_eq(&base.recommender, &next.recommender));
         assert!(
             !Arc::ptr_eq(base.budget.as_ref().unwrap(), next.budget.as_ref().unwrap()),
             "the accountant itself is fresh per epoch"
@@ -714,7 +606,6 @@ mod tests {
         d.declare_item(ItemId(9), DomainId::TARGET);
         assert_eq!(d.len(), 3);
         assert!(!d.is_empty());
-        assert_eq!(d.affected_users(), vec![UserId(1), UserId(3)]);
         assert_eq!(d.ratings().len(), 3);
         assert_eq!(d.item_domains(), &[(ItemId(9), DomainId::TARGET)]);
     }

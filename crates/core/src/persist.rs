@@ -20,14 +20,14 @@
 //!   A crash between the two steps leaves stale records the next recovery skips
 //!   (their epoch stamps are ≤ the snapshot epoch), never a lost delta.
 //!
-//! Nothing derived is durable: the graph and its scored-pair cache, X-Sim, the
-//! replacements, the kNN pools, X-Map-ib's release and the privacy ledger are all
-//! rebuilt by the recovery's fit. A delta equals a refit on its matrix (the
-//! incremental-equivalence gate), so that fit is the model that wrote the files —
-//! when the running binary computes the floats the writing one did. A recovered model
-//! is always the running binary's fit of the journalled matrix.
+//! Nothing derived is durable: the graph, X-Sim, the replacements, the kNN pools,
+//! X-Map-ib's release and the privacy ledger are all rebuilt by the recovery's fit.
+//! A delta is the same fold and the same fit (the incremental-equivalence gate), so
+//! that fit is the model that wrote the files — when the running binary computes the
+//! floats the writing one did. A recovered model is always the running binary's fit
+//! of the journalled matrix.
 
-use crate::delta::{check_delta, RatingDelta};
+use crate::delta::{fold, RatingDelta};
 use crate::pipeline::{build_epoch, Ledgers, XMapModel};
 use crate::{Result, XMapError};
 use std::path::{Path, PathBuf};
@@ -193,8 +193,7 @@ impl XMapModel {
         }
         let (mut full, mut current) = (matrix, snapshot_epoch);
         for record in records.iter().filter(|r| r.epoch > snapshot_epoch) {
-            let delta = &record.value;
-            check_delta(delta, &full)?;
+            let folded = fold(&record.value, &full)?;
             if record.epoch != current + 1 {
                 return Err(XMapError::Corrupt {
                     offset: record.offset,
@@ -204,21 +203,13 @@ impl XMapModel {
                     ),
                 });
             }
-            full = Arc::new(full.apply_delta(delta.ratings(), delta.item_domains())?);
+            full = Arc::new(folded);
             current = record.epoch;
         }
         let flow = || Dataflow::new(config.workers, config.partitions);
         let fit = flow();
         let copy = || Arc::clone(&full);
-        let (epoch, _) = build_epoch(
-            config,
-            source,
-            target,
-            &full,
-            None,
-            Ledgers::Named(&fit),
-            copy,
-        )?;
+        let (epoch, _) = build_epoch(config, source, target, &full, Ledgers::Named(&fit), copy)?;
         let model = XMapModel::from_epoch(epoch, current, flow());
         // A stale journal (every record folded into the snapshot) ends behind the
         // model; rebase it so the next write-ahead append is contiguous. This only
@@ -395,9 +386,8 @@ mod tests {
         table.as_deref().map(|rows| rows.iter().map(row).collect())
     }
 
-    /// Every piece of two epochs, compared exactly: the matrix, the graph with its
-    /// scored-pair cache, X-Sim, the replacements, the kNN pools, X-Map-ib's release and
-    /// the privacy ledger's entries.
+    /// Every piece of two epochs, compared exactly: the matrix, the graph, X-Sim, the
+    /// replacements, the kNN pools, X-Map-ib's release and the privacy ledger's entries.
     fn assert_same_epoch(got: &ModelEpoch, want: &ModelEpoch, what: &str) {
         assert_eq!(got.full, want.full, "{what}: matrix");
         assert_eq!(got.graph, want.graph, "{what}: graph");

@@ -1,48 +1,35 @@
 //! The end-to-end X-Map pipeline (Figure 4): baseliner → extender → generator →
 //! recommender.
 //!
-//! The four components are the four steps of **one** build (`build_epoch`), executed
-//! on the `xmap-engine` [`Dataflow`] runner, which owns partitioning, pool execution and
-//! per-stage accounting (see `DESIGN.md`). [`XMapModel::fit`] is the build with no base
-//! epoch — every item dirty, every piece built whole — and `XMapModel::apply_delta`
-//! (`crate::delta`) is the same build over the served epoch. Only the baseliner
-//! narrows: it re-scores the pairs of the delta's dirty items over the base graph's
-//! scored-pair cache. Every later step either shares the base's piece, when its input
-//! is unchanged, or builds it whole exactly as a fit does. A fit records each step
-//! under its own ledger name ([`FIT_STAGE_NAMES`]), a delta all of them under `delta`.
+//! The four components are the four steps of **one** build (`build_epoch`), run on
+//! the `xmap-engine` [`Dataflow`] runner, which owns partitioning, pool execution and
+//! per-stage accounting (see `DESIGN.md`). [`XMapModel::fit`], `XMapModel::apply_delta`
+//! (`crate::delta`) and recovery (`crate::persist`) all run it whole over their matrix.
+//! A fit records each step under its own ledger name ([`FIT_STAGE_NAMES`]), a delta
+//! all four under `delta`.
 //!
-//! Every step runs partition-parallel with a bit-identity contract (see the build
-//! section of `DESIGN.md`): the released model and the recorded per-partition task
-//! costs are identical at any worker count. The two steps that score item pairs — the
-//! baseliner (`gather_pairs`) and the item-kNN pool fit (`fit_item_pools`) —
-//! partition *items* and score each item's row in one
-//! `xmap_cf::similarity::ItemRowKernel` gather (the baseliner's restricted to the
-//! partners it keeps); the per-pair profile merge survives only as the oracle of the
-//! serial references.
-//!
-//! Every stage's wall-clock duration and task bag is one entry of
-//! [`XMapModel::ledger`] — the scalability experiment (Figure 11) replays those task
-//! costs on the cluster simulator; measured fit times are the benchmark's
-//! (`benchmark/`, `fit_s` and `core.pipeline.*.fit_ms`).
+//! Every step runs partition-parallel with a bit-identity contract: the released
+//! model and the recorded per-partition task costs are identical at any worker count.
+//! The two steps that score item pairs — the baseliner (`gather_pairs`) and the
+//! item-kNN pool fit (`fit_item_pools`) — partition *items* and score each item's row
+//! in one `xmap_cf::similarity::ItemRowKernel` gather; the per-pair profile merge
+//! survives only as the oracle of the serial references. The scalability experiment
+//! (Figure 11) replays the [`XMapModel::ledger`]'s task costs on the cluster
+//! simulator; measured fit times are the benchmark's (`benchmark/`).
 //!
 //! ## Serve-while-updating: epoch-published snapshots
 //!
 //! The released artifacts of a build live in an immutable [`ModelEpoch`] behind an
 //! atomically swappable [`EpochHandle`]. Readers ([`XMapModel::recommend`],
 //! [`XMapModel::serve_profiles`], …) take a wait-free reference-counted snapshot and
-//! answer entirely from it; a delta builds the next epoch *aside* — sharing every
-//! unchanged piece with the previous epoch through its per-piece `Arc`s — and publishes
-//! it with a single pointer swap. A reader therefore always sees one self-consistent
-//! model version, never a half-updated one, and ingestion never blocks serving. See the
-//! epoch-publication section of `DESIGN.md`.
-//!
-//! The read side is [`ModelEpoch`] and nothing else: `alterego` → the recommender's
-//! `predict_for_profile` / `recommend_for_profile`. [`XMapModel`] stores nothing its
-//! epoch stores and delegates every read to a snapshot in one line; a served batch
+//! answer entirely from it; a delta builds the next epoch *aside* and publishes it with
+//! a single pointer swap. A reader therefore always sees one self-consistent model
+//! version, and ingestion never blocks serving. [`XMapModel`] stores nothing its epoch
+//! stores and delegates every read to a snapshot in one line; a served batch
 //! (`serve_on`) is the same per-profile read run as one `recommend` stage.
 
 use crate::config::XMapConfig;
-use crate::delta::{DeltaReport, RatingDelta};
+use crate::delta::DeltaReport;
 use crate::generator::{self, AlterEgo, ReplacementTable};
 use crate::recommend::{self, NeighborTable, ProfileRecommender, SharedRecommender};
 use crate::xsim::XSimTable;
@@ -67,22 +54,20 @@ pub const FIT_STAGE_NAMES: [&str; 4] = ["baseliner", "extender", "generator", "r
 
 /// One immutable, self-consistent version of a fitted X-Map model.
 ///
-/// Every released artifact of the fit — the aggregated matrix, the baseline graph, the
-/// X-Sim table, the replacement table, the recommender, its raw kNN pools and
-/// X-Map-ib's release, the privacy accountant — is held behind its own `Arc` so that a
-/// delta fit can build the *next* epoch by sharing every piece it did not touch
-/// (structural sharing: unchanged arenas are pointed at, not copied). Readers obtain an
-/// epoch via [`XMapModel::snapshot`] and answer queries entirely from it; an epoch never
-/// mutates after publication, so a snapshot is always self-consistent regardless of
-/// concurrent ingestion.
+/// Every released artifact of the build — the aggregated matrix, the baseline graph,
+/// the X-Sim table, the replacement table, the recommender, its raw kNN pools and
+/// X-Map-ib's release, the privacy accountant — is held behind its own `Arc`, so the
+/// recommender and the model's accessors hold a piece without copying it. Readers
+/// obtain an epoch via [`XMapModel::snapshot`] and answer queries entirely from it; an
+/// epoch never mutates after publication, so a snapshot is always self-consistent
+/// regardless of concurrent ingestion.
 pub struct ModelEpoch {
     pub(crate) config: XMapConfig,
     pub(crate) source_domain: DomainId,
     pub(crate) target_domain: DomainId,
     pub(crate) full: Arc<RatingMatrix>,
-    /// The baseline similarity graph of the fit — retained (its scored-pair cache is
-    /// what a delta's baseliner merges over, and the artifact the equivalence gate
-    /// compares).
+    /// The baseline similarity graph: the X-Sim table's input, kept as the artifact
+    /// the equivalence gates compare.
     pub(crate) graph: Arc<SimilarityGraph>,
     pub(crate) replacements: Arc<ReplacementTable>,
     pub(crate) xsim: Arc<XSimTable>,
@@ -377,35 +362,27 @@ pub(crate) fn serve_on(
     flow.run(&fn_stage(RECOMMEND_STAGE_NAME, serve), ())
 }
 
-/// The partition-parallel pair scoring of the baseliner step: each of the `dirty`
-/// items' [`ItemRowKernel::row`] rows, as `(canonical key, stats)` pairs. Every
-/// unordered pair with a dirty endpoint comes back exactly once, scored once: from its
-/// lower item when that is dirty, else from its higher one. In a fit every item is
-/// dirty, so a row walks each rater's profile from the item onwards only. Each
-/// partition hands back one flat run in no particular key order — never a `Vec` per
-/// row — and records the full rows' size (`1 + Σ |profile(u)|` per row) as its cost;
-/// [`SimilarityGraph::apply_updates`] orders the runs.
+/// The partition-parallel pair scoring of the baseliner step: every item's
+/// [`ItemRowKernel::row`] above it, as `(canonical key, stats)` pairs, so each
+/// unordered pair comes back exactly once, scored from its lower item. Each partition
+/// hands back one flat run — never a `Vec` per row — and records the full rows' size
+/// (`1 + Σ |profile(u)|` per row) as its cost; [`SimilarityGraph::from_runs`] orders
+/// the runs.
 fn gather_pairs(
     matrix: &RatingMatrix,
     metric: SimilarityMetric,
-    dirty: Vec<ItemId>,
     cx: &mut StageContext<'_>,
 ) -> Vec<Vec<(u64, SimilarityStats)>> {
-    let mut clean = vec![true; matrix.n_items()];
-    for &item in &dirty {
-        clean[item.index()] = false;
-    }
-    let keep_below = (dirty.len() < matrix.n_items()).then_some(clean.as_slice());
     let kernel = ItemRowKernel::new(matrix, metric);
     cx.map_partitions(
-        dirty,
+        matrix.items().collect(),
         |&item| item,
         |_ix, part| {
             let mut scratch = RowScratch::default();
             let mut run: Vec<(u64, SimilarityStats)> = Vec::new();
             let mut cost = 0.0f64;
             for &item in part {
-                let (row, size) = kernel.row(item, &mut scratch, Partners::Above(keep_below));
+                let (row, size) = kernel.row(item, &mut scratch, Partners::Above);
                 cost += size;
                 run.extend(
                     row.iter()
@@ -441,14 +418,6 @@ fn fit_item_pools(
     })
 }
 
-/// What a delta's build starts from. A fit starts from nothing (`None`): every item is
-/// dirty and the scored-pair cache is the empty graph's.
-pub(crate) struct DeltaBase<'a> {
-    /// The epoch the delta was applied to.
-    pub(crate) epoch: &'a ModelEpoch,
-    pub(crate) delta: &'a RatingDelta,
-}
-
 /// Where the steps of a build record their data-derived task costs.
 pub(crate) enum Ledgers<'a, 'cx> {
     /// A fit: each step runs as a named stage of its own on the dataflow.
@@ -471,26 +440,20 @@ impl Ledgers<'_, '_> {
     }
 }
 
-/// The one build: the four steps of Figure 4 over `updated`, then the epoch assembly.
-/// The baseliner re-scores the dirty items' pairs — every item without a `base`, the
-/// delta users' profiles with one — over the base graph's scored-pair cache. Each
-/// later step shares the base's piece when its input is unchanged (the graph for the
-/// X-Sim table and the replacements, the target-domain matrix for the recommender and
-/// its pools) and otherwise builds the piece whole, as a fit does. The result is
-/// bit-identical to the serial references on `updated` whichever way it was reached
-/// (see `DESIGN.md`).
+/// The one build: the four steps of Figure 4 over `matrix`, then the epoch assembly.
+/// A fit, a delta and a recovery all run it whole, and its result is bit-identical to
+/// the serial reference of every step on `matrix` (see `DESIGN.md`).
 ///
 /// Privacy: a fresh accountant per build, sized to exactly ε (PRS) + ε′ (PNSA + PNCF)
-/// by sequential composition — a delta re-releases every artifact, shared or not — and
-/// every mechanism debits it before releasing anything; an exhausted budget fails the
-/// build. `full` supplies the epoch's matrix and is called after the last step, so a
-/// fit's copy of the caller's matrix never stacks on the steps' peak memory.
+/// by sequential composition, and every mechanism debits it before releasing
+/// anything; an exhausted budget fails the build. `full` supplies the epoch's matrix
+/// and is called after the last step, so a fit's copy of the caller's matrix never
+/// stacks on the steps' peak memory.
 pub(crate) fn build_epoch(
     config: XMapConfig,
     source: DomainId,
     target: DomainId,
-    updated: &RatingMatrix,
-    base: Option<&DeltaBase<'_>>,
+    matrix: &RatingMatrix,
     mut ledgers: Ledgers<'_, '_>,
     full: impl FnOnce() -> Arc<RatingMatrix>,
 ) -> Result<(ModelEpoch, DeltaReport)> {
@@ -499,65 +462,39 @@ pub(crate) fn build_epoch(
         .is_private()
         .then(|| PrivacyBudget::new(config.privacy.total()));
     let mut report = DeltaReport::default();
-    // The scored-pair cache the baseliner merges over: the base graph's, or the empty
-    // graph's in a fit.
-    let empty;
-    let old_graph: &SimilarityGraph = match base {
-        Some(b) => &b.epoch.graph,
-        None => {
-            empty = SimilarityGraph::empty(GraphConfig {
-                metric: config.metric,
-                top_k: Some(config.k),
-                min_similarity: 0.0,
-            });
-            &empty
-        }
-    };
 
-    // --- 1. Baseliner, the one narrowed step: gather the dirty items' rows and merge
-    // them over the cache. Nothing re-scored and no item added: the base arena
-    // *is* the refit's, so it is shared instead of copied. ---
+    // --- 1. Baseliner: every item's row above it, then the graph's assembly. ---
     let graph = ledgers.step(FIT_STAGE_NAMES[0], |cx| {
-        let dirty: Vec<ItemId> = match base {
-            None => updated.items().collect(),
-            Some(b) => {
-                let users = b.delta.affected_users();
-                report.n_affected_users = users.len();
-                SimilarityGraph::dirty_items(updated, &users)
-            }
-        };
-        report.n_dirty_items = dirty.len();
-        let runs = gather_pairs(updated, config.metric, dirty, cx);
+        let runs = gather_pairs(matrix, config.metric, cx);
         report.n_rescored_pairs = runs.iter().map(Vec::len).sum();
-        let unchanged = |b: &&DeltaBase<'_>| {
-            report.n_rescored_pairs == 0 && updated.n_items() == b.epoch.graph.n_items()
+        let graph_config = GraphConfig {
+            metric: config.metric,
+            top_k: Some(config.k),
+            min_similarity: 0.0,
         };
-        if let Some(b) = base.filter(unchanged) {
-            return Arc::clone(&b.epoch.graph);
-        }
-        Arc::new(old_graph.apply_updates(updated, runs, cx.pool()))
+        Arc::new(SimilarityGraph::from_runs(
+            matrix,
+            graph_config,
+            runs,
+            cx.pool(),
+        ))
     });
-    // A shared graph leaves the X-Sim table and the replacements the refit's too.
-    let unmoved = base.filter(|b| Arc::ptr_eq(&graph, &b.epoch.graph));
 
     // --- 2. Extender: every source row by frontier expansion. ---
-    let xsim = ledgers.step(FIT_STAGE_NAMES[1], |cx| match unmoved {
-        Some(b) => Arc::clone(&b.epoch.xsim),
-        None => {
-            report.n_xsim_rows = updated
-                .items()
-                .filter(|&i| updated.item_domain(i) == source)
-                .count();
-            // Bridges and layers: cheap linear passes over the new arena.
-            let (_, partition) = LayerPartition::from_graph(&graph);
-            Arc::new(XSimTable::build(
-                &graph,
-                &partition,
-                source,
-                config.metapath,
-                cx,
-            ))
-        }
+    let xsim = ledgers.step(FIT_STAGE_NAMES[1], |cx| {
+        report.n_xsim_rows = matrix
+            .items()
+            .filter(|&i| matrix.item_domain(i) == source)
+            .count();
+        // Bridges and layers: cheap linear passes over the arena.
+        let (_, partition) = LayerPartition::from_graph(&graph);
+        Arc::new(XSimTable::build(
+            &graph,
+            &partition,
+            source,
+            config.metapath,
+            cx,
+        ))
     });
 
     // --- 3. Generator: PRS (one exponential-mechanism draw per item, reused for every
@@ -567,40 +504,18 @@ pub(crate) fn build_epoch(
         if let Some(budget) = &mut budget {
             budget.spend("PRS", config.privacy.epsilon)?;
         }
-        Ok(match unmoved {
-            Some(b) => Arc::clone(&b.epoch.replacements),
-            None => {
-                report.n_replacement_draws = xsim.n_connected_items();
-                Arc::new(ReplacementTable::build(&xsim, &config, cx))
-            }
-        })
+        Ok(Arc::new(ReplacementTable::build(&xsim, &config, cx)))
     })?;
 
-    // --- 4. Recommender: when the delta leaves the target-domain training matrix
-    // untouched (no target rating events, no new users or items) the recommender and
-    // its pools and release are bit-equal to a refit's and are shared. Otherwise the
-    // item-kNN pools (item-based modes) are fitted for every target-matrix item and
-    // every mode rebuilds through `recommend::build`, which draws X-Map-ib's release.
-    // Either way ε′ (PNSA + PNCF) is debited first: an exhausted budget fails the step
-    // without paying for the pool fit. ---
+    // --- 4. Recommender: ε′ (PNSA + PNCF) is debited before the pool fit, so an
+    // exhausted budget fails the step without paying for it; then the item-kNN pools
+    // (item-based modes) are fitted for every target-matrix item and every mode builds
+    // through `recommend::build`, which draws X-Map-ib's release. ---
     let (recommender, pools, release) = ledgers.step(FIT_STAGE_NAMES[3], |cx| -> Result<_> {
-        let untouched = |b: &&DeltaBase<'_>| {
-            updated.n_users() == b.epoch.full.n_users()
-                && updated.n_items() == b.epoch.full.n_items()
-                && b.delta
-                    .ratings()
-                    .iter()
-                    .all(|r| updated.item_domain(r.item) != target)
-        };
-        if let Some(b) = base.filter(untouched) {
-            recommend::debit_stage_budget(&config, budget.as_mut())?;
-            let (pools, release) = (b.epoch.item_pools.clone(), b.epoch.item_release.clone());
-            return Ok((Arc::clone(&b.epoch.recommender), pools, release));
-        }
         let no_ratings = || XMapError::Data("target domain has no ratings".to_string());
         let target_matrix = Arc::new(
-            updated
-                .filter(|r| updated.item_domain(r.item) == target)
+            matrix
+                .filter(|r| matrix.item_domain(r.item) == target)
                 .map_err(|_| no_ratings())?,
         );
         if target_matrix.n_ratings() == 0 {
@@ -660,7 +575,7 @@ impl XMapModel {
         let flow = Dataflow::new(config.workers, config.partitions);
         let ledgers = Ledgers::Named(&flow);
         let copy = || Arc::new(matrix.clone());
-        let (epoch, _) = build_epoch(config, source, target, matrix, None, ledgers, copy)?;
+        let (epoch, _) = build_epoch(config, source, target, matrix, ledgers, copy)?;
         Ok(XMapModel::from_epoch(epoch, 1, flow))
     }
 }
@@ -797,7 +712,6 @@ mod tests {
         let reference = SimilarityGraph::build_serial(&ds.matrix, graph_config);
         let mut reference_costs: Option<Vec<f64>> = None;
         for workers in [1usize, 2, 8] {
-            // The baseliner step with "everything" as its dirty set: a fit.
             let config = XMapConfig {
                 k: 8,
                 workers,
@@ -825,52 +739,8 @@ mod tests {
         }
     }
 
-    /// A delta whose dirty items have clean partners below them — the pairs a dirty
-    /// item's row keeps below it, which reach the graph in no key order — rebuilds
-    /// the graph of `build_serial` on the updated matrix, with the same pair count and
-    /// task costs at 1, 2 and 8 workers.
-    #[test]
-    fn delta_gather_with_clean_partners_below_is_bit_identical_at_1_2_and_8_workers() {
-        let ds = CrossDomainDataset::generate(CrossDomainConfig::small());
-        // One user rates the catalogue's last three items; the items rated beside them
-        // by others stay clean.
-        let (user, n_items) = (ds.overlap_users[0], ds.matrix.n_items() as u32);
-        let mut delta = RatingDelta::new();
-        for (ix, item) in (n_items - 3..n_items).enumerate() {
-            delta.push_timed(user.0, item, 1.0 + ix as f64, 900 + ix as u32);
-        }
-        let mut expected: Option<(usize, Vec<f64>)> = None;
-        for workers in [1usize, 2, 8] {
-            let config = XMapConfig {
-                k: 8,
-                workers,
-                partitions: 16,
-                ..Default::default()
-            };
-            let model =
-                XMapModel::fit(&ds.matrix, DomainId::SOURCE, DomainId::TARGET, config).unwrap();
-            let report = model.apply_delta(&delta).unwrap();
-            let updated = model.matrix();
-            let dirty = SimilarityGraph::dirty_items(&updated, &[user]);
-            let kernel = ItemRowKernel::new(&updated, config.metric);
-            let mut scratch = RowScratch::default();
-            let below = dirty.iter().any(|&item| {
-                let row = kernel.row(item, &mut scratch, Partners::All).0;
-                row.iter()
-                    .any(|&(j, _)| j < item && dirty.binary_search(&j).is_err())
-            });
-            assert!(below, "no dirty item has a clean partner below it");
-            let graph_config = model.graph().config();
-            let reference = SimilarityGraph::build_serial(&updated, graph_config);
-            assert_eq!(*model.graph(), reference, "{workers} workers diverged");
-            let costs = model.flow.stage_costs(crate::DELTA_STAGE_NAME).unwrap();
-            let seen = (report.n_rescored_pairs, costs);
-            assert_eq!(expected.get_or_insert_with(|| seen.clone()), &seen);
-        }
-    }
-
-    /// A fit — every item dirty, every later piece built whole — against the serial
-    /// reference of each step, piece by piece, in all four modes.
+    /// A fit against the serial reference of each step, piece by piece, in all four
+    /// modes.
     #[test]
     fn a_fitted_epoch_equals_the_serial_reference_of_every_step_in_all_four_modes() {
         use xmap_engine::WorkerPool;

@@ -6,16 +6,14 @@
 //! (similarity, co-rater count, weighted significance, union size) so that X-Sim's path
 //! similarity and path certainty can be computed without going back to the rating matrix.
 //!
-//! ## Scoring: rows in production, pairs in the reference
+//! ## Scoring
 //!
-//! [`SimilarityGraph::build`] (and the engine-parallel graph step of `xmap-core`, fit
-//! and delta alike) score each pair once, from its lower item's
-//! [`ItemRowKernel::row`] gather, and hand the pairs over in any order; the key
-//! order is this module's alone ([`SimilarityGraph::apply_updates`]).
-//! [`SimilarityGraph::build_serial`] and the test-only `apply_updates_serial` stay on
-//! the definition — enumerate the co-rated pair keys, one [`item_similarity_stats`]
-//! merge per key — and are the oracle every bit-identity gate compares against; all
-//! feed the one `from_scored_pairs` back half.
+//! [`SimilarityGraph::build`] and `xmap-core`'s partition-parallel baseliner (through
+//! [`SimilarityGraph::from_runs`]) score each pair once, from its lower item's
+//! [`ItemRowKernel::row`]. [`SimilarityGraph::build_serial`] scores the co-rated pair
+//! keys with one [`item_similarity_stats`] merge each: it is the oracle every
+//! bit-identity gate compares against. All three feed the one `from_scored_pairs`
+//! back half: weak-edge filter, union top-k pruning, arena assembly.
 //!
 //! ## Storage layout
 //!
@@ -23,36 +21,26 @@
 //!
 //! * `offsets[i]..offsets[i + 1]` delimits item `i`'s adjacency slots,
 //! * `neighbors` holds the neighbour ids of every item, **sorted ascending** per item so
-//!   that [`SimilarityGraph::edge_between`] is an `O(log d)` binary search instead of a
-//!   linear scan,
+//!   that [`SimilarityGraph::edge_between`] is an `O(log d)` binary search,
 //! * `edge_ix` maps each adjacency slot to a record in `edge_stats`, the pool that stores
-//!   every **undirected edge exactly once** in canonical `(min, max)` orientation — both
-//!   endpoints' slots share the record, so a symmetric lookup never needs the historical
-//!   `edge_between(a, b).or_else(edge_between(b, a))` double probe,
+//!   every **undirected edge exactly once** in canonical `(min, max)` orientation, shared
+//!   by both endpoints' slots,
 //! * `sim_rank` stores, per item, the local slot order by **descending similarity**, which
 //!   is what meta-path enumeration's per-layer top-k pruning walks.
 //!
 //! Pruning keeps an undirected edge when it ranks within the `top_k` strongest edges of
 //! *either* endpoint (union semantics), an item's edges ranked by similarity descending
-//! and, among equals, by ascending position in the key-sorted pair list — one
-//! selection per item over its incident pairs (`union_top_k`). This is a deliberate
-//! change from the historical per-item lists, which traversed only edges surviving the
-//! *from* side's pruning and consulted the reverse orientation solely when scoring
-//! already-enumerated paths: with
-//! undirected storage the traversable and scorable edge sets are necessarily the same,
-//! and the union is the choice consistent with the old scoring fallback. Consequently
-//! item degrees are no longer bounded by `top_k` (a hub every neighbour ranks highly
-//! keeps all those edges) and graphs are somewhat denser than the seed's, which shifts
-//! absolute pair counts in the figures while preserving their shape. The graph is never
-//! stored as a dense m × m matrix, which would be intractable at the paper's scale
-//! (§3.1 discusses exactly this O(m²) blow-up).
+//! and, among equals, by ascending position in the key-sorted pair list (`union_top_k`).
+//! Item degrees are therefore not bounded by `top_k`: a hub every neighbour ranks highly
+//! keeps all those edges. The graph is never stored as a dense m × m matrix, which
+//! would be intractable at the paper's scale (§3.1 discusses this O(m²) blow-up).
 
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use xmap_cf::similarity::{
     item_similarity_stats, ItemRowKernel, Partners, RowScratch, SimilarityStats,
 };
-use xmap_cf::{CandidateScratch, DomainId, ItemId, RatingMatrix, SimilarityMetric, UserId};
+use xmap_cf::{CandidateScratch, DomainId, ItemId, RatingMatrix, SimilarityMetric};
 use xmap_engine::WorkerPool;
 
 /// Configuration for building the baseline similarity graph.
@@ -172,16 +160,6 @@ pub struct SimilarityGraph {
     sim_rank: Vec<u32>,
     /// One record per undirected edge, canonical `(min, max)` orientation.
     edge_stats: Vec<SimilarityStats>,
-    /// The **delta-fit cache**: every filter-surviving scored pair (ascending canonical
-    /// keys), *before* top-k pruning. Pruning is a global property of this set — a
-    /// delta that weakens one edge can pull a previously pruned pair back into an
-    /// endpoint's top-k — so an exact incremental rebuild must rank over all scored
-    /// pairs, not just the stored arena. The weak-edge *filter*, by contrast, is
-    /// per-pair, so pairs it dropped stay dropped while their inputs are unchanged and
-    /// need no cache.
-    scored_keys: Vec<u64>,
-    /// Statistics of `scored_keys` (parallel array).
-    scored_stats: Vec<SimilarityStats>,
     item_domain: Vec<DomainId>,
     config: GraphConfig,
 }
@@ -260,9 +238,9 @@ fn union_top_k(
     keep
 }
 
-/// The runs' pairs in ascending key order: counted and scattered by lower item, each
-/// run dropped once scattered, then a bucket sorted by its higher item only if it
-/// arrived out of order (a delta's clean partners below a dirty item).
+/// The runs' pairs bucketed by lower item in one counting pass, each run dropped once
+/// scattered: ascending key order when each lower item's pairs arrive in ascending
+/// order, whichever runs and positions they come in.
 fn bucket_pairs(
     n_items: usize,
     runs: Vec<Vec<(u64, SimilarityStats)>>,
@@ -283,18 +261,6 @@ fn bucket_pairs(
             let slot = &mut cursor[lo(key)];
             (keys[*slot], stats[*slot]) = (key, pair);
             *slot += 1;
-        }
-    }
-    let mut bucket: Vec<(u64, SimilarityStats)> = Vec::new();
-    for w in starts.windows(2) {
-        let (keys, stats) = (&mut keys[w[0]..w[1]], &mut stats[w[0]..w[1]]);
-        if !keys.is_sorted() {
-            bucket.clear();
-            bucket.extend(keys.iter().copied().zip(stats.iter().copied()));
-            bucket.sort_unstable_by_key(|&(key, _)| key);
-            for (ix, &(key, pair)) in bucket.iter().enumerate() {
-                (keys[ix], stats[ix]) = (key, pair);
-            }
         }
     }
     (keys, stats)
@@ -343,10 +309,10 @@ impl SimilarityGraph {
     }
 
     /// All co-rated unordered item pairs of the matrix as sorted, deduplicated
-    /// canonical keys — the candidate set every graph build scores: each item's
-    /// [`CandidateScratch::candidate_set`] above it, in ascending item order, so peak
-    /// memory is the output's, not the raw `Σ_u d_u²` pair emissions.
-    pub fn co_rated_pair_keys(matrix: &RatingMatrix) -> Vec<u64> {
+    /// canonical keys — the candidate set [`SimilarityGraph::build_serial`] scores: each
+    /// item's [`CandidateScratch::candidate_set`] above it, in ascending item order, so
+    /// peak memory is the output's, not the raw `Σ_u d_u²` pair emissions.
+    fn co_rated_pair_keys(matrix: &RatingMatrix) -> Vec<u64> {
         let mut scratch = CandidateScratch::default();
         let mut keys = Vec::new();
         for lo in matrix.items() {
@@ -359,163 +325,29 @@ impl SimilarityGraph {
         keys
     }
 
-    /// The items whose pairwise similarity statistics may differ after the profiles of
-    /// `affected_users` changed: every item in an affected user's (updated) profile,
-    /// sorted and deduplicated.
-    ///
-    /// This is the exact dependency footprint of [`item_similarity_stats`] under a
-    /// rating delta that only *adds or updates* ratings: a pair's statistics read the
-    /// two item profiles, the two item averages and the user average of **every rater
-    /// of either item** (the adjusted-cosine denominators of Equation 6 run over all
-    /// raters, not just co-raters). All three inputs change only through an affected
-    /// user's profile, and every item an affected user touches — including the items
-    /// they rated before the delta, whose columns gain nothing but whose raters'
-    /// averages move — is in that user's updated profile.
-    pub fn dirty_items(matrix: &RatingMatrix, affected_users: &[UserId]) -> Vec<ItemId> {
-        let mut items: Vec<ItemId> = affected_users
-            .iter()
-            .flat_map(|&u| matrix.user_profile(u).iter().map(|e| e.item))
-            .collect();
-        items.sort_unstable();
-        items.dedup();
-        items
-    }
-
-    /// Every co-rated unordered pair of `matrix` with at least one endpoint in
-    /// `dirty` — the exact set of pair keys a delta fit must re-score (sorted,
-    /// deduplicated canonical keys, like [`SimilarityGraph::co_rated_pair_keys`]).
-    ///
-    /// Pairs with *no* dirty endpoint keep their statistics bit for bit: both profiles,
-    /// both item averages and all their raters' user averages are untouched by the
-    /// delta (see [`SimilarityGraph::dirty_items`]). Enumeration collects each dirty
-    /// item's candidate set, so the cost is proportional to the delta's two-hop
-    /// co-rating neighbourhood, not to the trace.
-    pub fn affected_pair_keys(matrix: &RatingMatrix, dirty: &[ItemId]) -> Vec<u64> {
-        let mut scratch = CandidateScratch::default();
-        let mut keys = Vec::new();
-        for &it in dirty {
-            let set = scratch.candidate_set(matrix, it);
-            keys.extend(set.into_iter().map(|j| Self::pair_key(it, j)));
-        }
-        keys.sort_unstable();
-        keys.dedup();
-        keys
-    }
-
-    /// The graph of no items under `config`: what a first build's
-    /// [`SimilarityGraph::apply_updates`] starts from — every pair is then "affected".
-    pub fn empty(config: GraphConfig) -> Self {
-        SimilarityGraph {
-            offsets: vec![0],
-            neighbors: Vec::new(),
-            edge_ix: Vec::new(),
-            sim_rank: Vec::new(),
-            edge_stats: Vec::new(),
-            scored_keys: Vec::new(),
-            scored_stats: Vec::new(),
-            item_domain: Vec::new(),
-            config,
-        }
-    }
-
-    /// Rebuilds the graph after a rating delta: the `runs` hold the **freshly
-    /// recomputed** statistics of the affected pairs on the updated matrix, keyed by
-    /// canonical pair key, in any order and split across any number of runs (a
-    /// partition-parallel gather hands over one run per partition). They replace or
-    /// extend this graph's scored-pair cache; every other scored pair keeps its cached
-    /// statistics. The pairs are put in key order here — bucketed by lower item, see
-    /// `bucket_pairs` — and the merged key/stat sequence then runs through the shared
-    /// `from_scored_pairs` back half (filter → union top-k pruning → arena assembly),
-    /// whose per-item work runs over item ranges on `pool`.
-    ///
-    /// The merge runs over the **pre-pruning** scored-pair cache, not the stored
-    /// arena: top-k pruning is a global ranking over all scored pairs, so a delta that
-    /// *weakens* an edge can promote a previously pruned, unaffected pair back into an
-    /// endpoint's top-k — only the cache still knows that pair's statistics.
-    ///
-    /// **Recompute, never accumulate:** affected pairs are re-scored from scratch on
-    /// the updated matrix — no float deltas are added to cached similarities — so when
-    /// the runs cover every pair whose inputs changed (see
-    /// [`SimilarityGraph::affected_pair_keys`]), the result is **bit-identical to a
-    /// full [`SimilarityGraph::build`] on the updated matrix**, at any worker count.
-    /// Pruning and pool ordering are global properties of the surviving pair set,
-    /// which is why the assembly is a linear merge over all pairs (cheap copies) while
-    /// the similarity *scoring* — the dominant cost — is confined to the affected keys.
+    /// The graph of `matrix` from a partition-parallel gather's scored pairs: `runs`
+    /// hold every co-rated pair exactly once as `(canonical key, stats)`, each lower
+    /// item's pairs in ascending key order, the items and the runs in any order. The
+    /// pairs are bucketed into key order (`bucket_pairs`) and handed to the shared
+    /// `from_scored_pairs` back half, whose per-item work runs over item ranges on
+    /// `pool`. The graph is the one [`SimilarityGraph::build_serial`] assembles from
+    /// the same pairs, at any worker count and any split of the runs.
     ///
     /// # Panics
-    /// Panics if a pair key appears twice, or names an item outside `updated`.
-    pub fn apply_updates(
-        &self,
-        updated: &RatingMatrix,
+    /// Panics if a pair key appears twice, a lower item's pairs arrive out of order, or
+    /// a key names an item outside `matrix`.
+    pub fn from_runs(
+        matrix: &RatingMatrix,
+        config: GraphConfig,
         runs: Vec<Vec<(u64, SimilarityStats)>>,
         pool: &WorkerPool,
-    ) -> SimilarityGraph {
-        let (affected_keys, fresh_stats) = bucket_pairs(updated.n_items(), runs);
+    ) -> Self {
+        let (keys, stats) = bucket_pairs(matrix.n_items(), runs);
         assert!(
-            affected_keys.windows(2).all(|w| w[0] < w[1]),
-            "every affected pair must be scored exactly once"
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "every pair must be scored exactly once, in ascending order per lower item"
         );
-        // Nothing cached (a first build over `SimilarityGraph::empty`): the fresh pairs
-        // are the whole sequence already, so hand them over instead of copying them.
-        if self.scored_keys.is_empty() {
-            return Self::from_scored_pairs(updated, self.config, affected_keys, fresh_stats, pool);
-        }
-
-        let mut keys: Vec<u64> = Vec::with_capacity(self.scored_keys.len() + affected_keys.len());
-        let mut stats: Vec<SimilarityStats> = Vec::with_capacity(keys.capacity());
-        let mut fresh = affected_keys.into_iter().zip(fresh_stats).peekable();
-        for (&key, &cached) in self.scored_keys.iter().zip(&self.scored_stats) {
-            let mut replaced = false;
-            while let Some((k, s)) = fresh.next_if(|&(k, _)| k <= key) {
-                replaced |= k == key;
-                keys.push(k);
-                stats.push(s);
-            }
-            if !replaced {
-                keys.push(key);
-                stats.push(cached);
-            }
-        }
-        for (k, s) in fresh {
-            keys.push(k);
-            stats.push(s);
-        }
-
-        Self::from_scored_pairs(updated, self.config, keys, stats, pool)
-    }
-
-    /// Number of entries in the scored-pair cache (filter-surviving pairs before
-    /// pruning) — the memory the delta-fit path pays for exact incremental pruning.
-    #[cfg(test)]
-    pub fn n_scored_pairs(&self) -> usize {
-        self.scored_keys.len()
-    }
-
-    /// Single-threaded delta rebuild: derives the dirty items and affected pair keys
-    /// from `affected_users`, re-scores the affected keys on the updated matrix and
-    /// merges them through [`SimilarityGraph::apply_updates`]. This is the reference
-    /// the engine-parallel delta stage must match bit for bit at any worker count —
-    /// and, by the recompute-exactly rule, it equals a full
-    /// [`SimilarityGraph::build`] on the updated matrix (property-tested below).
-    #[cfg(test)]
-    pub fn apply_updates_serial(
-        &self,
-        updated: &RatingMatrix,
-        affected_users: &[UserId],
-    ) -> SimilarityGraph {
-        let dirty = Self::dirty_items(updated, affected_users);
-        let keys = Self::affected_pair_keys(updated, &dirty);
-        let pairs: Vec<(u64, SimilarityStats)> = keys
-            .iter()
-            .map(|&key| {
-                let (lo, hi) = Self::pair_of_key(key);
-                (
-                    key,
-                    item_similarity_stats(updated, lo, hi, self.config.metric),
-                )
-            })
-            .collect();
-        self.apply_updates(updated, vec![pairs], &WorkerPool::new(1))
+        Self::from_scored_pairs(matrix, config, keys, stats, pool)
     }
 
     /// Assembles the CSR arena from every candidate pair key and its similarity
@@ -524,9 +356,7 @@ impl SimilarityGraph {
     ///
     /// This is the shared back half of every build path: the weak-edge filter, the
     /// union top-k pruning and the arena assembly, the per-item parts of the last two
-    /// on `pool`. `xmap-core` gathers rows partition-parallel and feeds the pairs here
-    /// through [`SimilarityGraph::apply_updates`], which is what makes its graphs
-    /// bit-identical to [`SimilarityGraph::build_serial`].
+    /// on `pool`.
     ///
     /// # Panics
     /// Panics if `keys` and `stats` have different lengths.
@@ -545,7 +375,7 @@ impl SimilarityGraph {
     fn assemble(
         matrix: &RatingMatrix,
         config: GraphConfig,
-        (keys, stats): (Vec<u64>, Vec<SimilarityStats>),
+        (mut keys, mut stats): (Vec<u64>, Vec<SimilarityStats>),
         pool: &WorkerPool,
         prune: Prune,
     ) -> Self {
@@ -556,31 +386,30 @@ impl SimilarityGraph {
         );
         let n_items = matrix.n_items();
 
-        // --- 2. Weak-edge filter over the scored pairs, in place: the survivors are
-        // the delta-fit cache (see the field docs) — captured before pruning, in
-        // ascending key order, in the vectors the caller handed over. ---
+        // --- 2. Weak-edge filter over the scored pairs, in place, in the vectors the
+        // caller handed over. ---
         let passes = |s: &SimilarityStats| {
             // lint: float-eq — exact zero is the "no co-rater" sentinel from the stats.
             s.similarity != 0.0 && s.similarity.abs() >= config.min_similarity
         };
-        let (mut scored_keys, mut scored_stats) = (keys, stats);
-        let mut survives = scored_stats.iter().map(passes);
+        let mut survives = stats.iter().map(passes);
         // lint: panic — the two lengths were asserted equal above
-        scored_keys.retain(|_| survives.next().expect("one record per key"));
-        scored_stats.retain(passes);
+        keys.retain(|_| survives.next().expect("one record per key"));
+        stats.retain(passes);
 
         // --- 3. Union top-k pruning: keep a pair ranked top-k by either endpoint. ---
-        let keep = config
-            .top_k
-            .map(|k| prune(pool, n_items, &scored_keys, &scored_stats, k));
+        let keep = config.top_k.map(|k| prune(pool, n_items, &keys, &stats, k));
         let mut edges: Vec<(ItemId, ItemId)> = Vec::new();
         let mut edge_stats: Vec<SimilarityStats> = Vec::new();
-        for (ix, (&key, &stats)) in scored_keys.iter().zip(&scored_stats).enumerate() {
+        for (ix, (&key, &stats)) in keys.iter().zip(&stats).enumerate() {
             if keep.as_ref().is_none_or(|keep| keep[ix]) {
                 edges.push(Self::pair_of_key(key));
                 edge_stats.push(stats);
             }
         }
+        // The scored pairs are dead once the edges are picked: free them before the
+        // arena is laid out.
+        drop((keys, stats, keep));
 
         // --- 4. CSR assembly: degrees → offsets → slot fill → per-item ordering. ---
         let mut degree = vec![0u32; n_items];
@@ -651,8 +480,6 @@ impl SimilarityGraph {
             edge_ix,
             sim_rank,
             edge_stats,
-            scored_keys,
-            scored_stats,
             item_domain,
             config,
         }
@@ -689,7 +516,7 @@ impl SimilarityGraph {
         let mut keys: Vec<u64> = Vec::new();
         let mut stats: Vec<SimilarityStats> = Vec::new();
         for lo in matrix.items() {
-            for &(hi, pair) in kernel.row(lo, &mut scratch, Partners::Above(None)).0 {
+            for &(hi, pair) in kernel.row(lo, &mut scratch, Partners::Above).0 {
                 keys.push(Self::pair_key(lo, hi));
                 stats.push(pair);
             }
@@ -1031,166 +858,54 @@ mod tests {
         assert_eq!(SimilarityGraph::co_rated_pair_keys(&m), naive);
     }
 
+    /// Each item's row above it, the rows dealt over 1, 2 and 8 runs (plus an empty
+    /// one) in descending item order and the runs reversed, assembles on as many
+    /// workers the graph of `build` and `build_serial`, with and without pruning.
     #[test]
-    fn dirty_items_are_the_affected_users_profiles() {
-        let m = fixture();
-        let dirty = SimilarityGraph::dirty_items(&m, &[UserId(2)]);
-        assert_eq!(dirty, vec![ItemId(1), ItemId(3), ItemId(4)]);
-        assert!(SimilarityGraph::dirty_items(&m, &[]).is_empty());
-        // unknown users have empty profiles
-        assert!(SimilarityGraph::dirty_items(&m, &[UserId(99)]).is_empty());
-    }
-
-    #[test]
-    fn affected_pair_keys_cover_every_pair_touching_a_dirty_item() {
-        let m = fixture();
-        let dirty = vec![ItemId(1)];
-        let keys = SimilarityGraph::affected_pair_keys(&m, &dirty);
-        let all = SimilarityGraph::co_rated_pair_keys(&m);
-        // exactly the co-rated pairs with item 1 as an endpoint
-        let expect: Vec<u64> = all
-            .iter()
-            .copied()
-            .filter(|&k| {
-                let (lo, hi) = SimilarityGraph::pair_of_key(k);
-                lo == ItemId(1) || hi == ItemId(1)
-            })
-            .collect();
-        assert_eq!(keys, expect);
-        assert!(!keys.is_empty());
-    }
-
-    #[test]
-    fn apply_updates_with_no_affected_keys_reproduces_the_graph() {
-        let m = fixture();
-        for top_k in [None, Some(2)] {
-            let config = GraphConfig {
-                top_k,
-                ..Default::default()
-            };
-            let g = SimilarityGraph::build(&m, config);
-            assert_eq!(g.apply_updates(&m, Vec::new(), &WorkerPool::new(1)), g);
-            assert_eq!(g.apply_updates_serial(&m, &[]), g);
-        }
-    }
-
-    #[test]
-    fn apply_updates_on_an_empty_cache_equals_from_scored_pairs() {
-        let m = fixture();
-        for top_k in [None, Some(2)] {
-            let config = GraphConfig {
-                top_k,
-                ..Default::default()
-            };
-            let keys = SimilarityGraph::co_rated_pair_keys(&m);
-            let stats: Vec<SimilarityStats> = keys
-                .iter()
-                .map(|&key| {
-                    let (lo, hi) = SimilarityGraph::pair_of_key(key);
-                    item_similarity_stats(&m, lo, hi, config.metric)
-                })
-                .collect();
-            // `PartialEq` covers the arena and the scored-pair cache alike.
-            let one = WorkerPool::new(1);
-            let direct =
-                SimilarityGraph::from_scored_pairs(&m, config, keys.clone(), stats.clone(), &one);
-            assert_eq!(direct, SimilarityGraph::build_serial(&m, config));
-            // Runs in any order and split any way: the graph puts the keys in order.
-            let mut pairs: Vec<(u64, SimilarityStats)> = keys.into_iter().zip(stats).collect();
-            pairs.reverse();
-            let runs = vec![pairs[..2].to_vec(), Vec::new(), pairs[2..].to_vec()];
-            let empty = SimilarityGraph::empty(config);
-            assert_eq!((empty.n_items(), empty.n_scored_pairs()), (0, 0));
-            assert_eq!(empty.apply_updates(&m, runs.clone(), &one), direct);
-            // Items but no scored pair: the same pass-through, decided by the cache.
-            let isolated =
-                SimilarityGraph::from_scored_pairs(&m, config, Vec::new(), Vec::new(), &one);
-            assert_eq!(isolated.n_items(), m.n_items());
-            assert_eq!(
-                isolated.apply_updates(&m, runs, &WorkerPool::new(2)),
-                direct
-            );
-        }
-    }
-
-    #[test]
-    fn apply_updates_serial_equals_full_build_after_a_delta() {
-        let m = fixture();
-        let config = GraphConfig {
-            top_k: Some(3),
-            ..Default::default()
-        };
-        let g = SimilarityGraph::build(&m, config);
-        // user 0 updates a rating and rates a brand-new item; user 4 is brand new
-        let delta = vec![
-            xmap_cf::Rating::at(UserId(0), ItemId(1), 1.0, xmap_cf::Timestep(7)),
-            xmap_cf::Rating::at(UserId(0), ItemId(5), 5.0, xmap_cf::Timestep(8)),
-            xmap_cf::Rating::at(UserId(4), ItemId(0), 2.0, xmap_cf::Timestep(1)),
-            xmap_cf::Rating::at(UserId(4), ItemId(5), 4.0, xmap_cf::Timestep(2)),
-        ];
-        let updated = m
-            .apply_delta(&delta, &[(ItemId(5), DomainId::TARGET)])
-            .unwrap();
-        let incremental = g.apply_updates_serial(&updated, &[UserId(0), UserId(4)]);
-        let full = SimilarityGraph::build(&updated, config);
-        assert_eq!(incremental, full);
-        assert!(incremental
-            .edge_between(ItemId(0), ItemId(5))
-            .is_some_and(|e| e.stats.co_raters >= 2));
-    }
-
-    #[test]
-    fn weakened_edges_resurrect_previously_pruned_pairs_exactly() {
-        // Regression: top-k pruning ranks over *all* scored pairs, so a delta that
-        // weakens an edge can promote a previously pruned, unaffected pair back into
-        // an endpoint's top-k. The merge must therefore run over the pre-pruning
-        // scored-pair cache — merging over the stored arena loses those pairs and
-        // diverges from the full rebuild.
+    fn from_runs_equals_build_for_any_run_split() {
         let mut b = RatingMatrixBuilder::new();
-        for u in 0..16u32 {
-            for x in 0..8u32 {
-                let i = (u * 3 + x * 7) % 12;
-                b.push_parts(u, i, ((u * 2 + x * 3) % 5 + 1) as f64)
+        for u in 0..24u32 {
+            for x in 0..6u32 {
+                b.push_parts(u, (u * 5 + x * 7) % 40, ((u + x) % 5 + 1) as f64)
                     .unwrap();
             }
         }
         let m = b.build().unwrap();
-        let config = GraphConfig {
-            top_k: Some(1),
-            ..Default::default()
-        };
-        let g = SimilarityGraph::build(&m, config);
-        assert!(
-            g.n_scored_pairs() > g.n_undirected_edges(),
-            "pruning must actually drop pairs for this regression to bite"
-        );
-        // user 0 flips every one of their ratings to the opposite end of the scale,
-        // weakening (and sign-flipping) many similarities at once
-        let delta: Vec<xmap_cf::Rating> = m
-            .user_profile(UserId(0))
-            .iter()
-            .enumerate()
-            .map(|(ix, e)| {
-                xmap_cf::Rating::at(
-                    UserId(0),
-                    e.item,
-                    6.0 - e.value,
-                    xmap_cf::Timestep(100 + ix as u32),
-                )
-            })
-            .collect();
-        let updated = m.apply_delta(&delta, &[]).unwrap();
-        let incremental = g.apply_updates_serial(&updated, &[UserId(0)]);
-        let full = SimilarityGraph::build(&updated, config);
-        assert_eq!(incremental, full);
-        assert_ne!(g, full, "the delta must actually move the arena");
+        for top_k in [None, Some(3)] {
+            let config = GraphConfig {
+                top_k,
+                ..Default::default()
+            };
+            let kernel = ItemRowKernel::new(&m, config.metric);
+            let mut scratch = RowScratch::default();
+            let rows: Vec<Vec<(u64, SimilarityStats)>> = m
+                .items()
+                .map(|lo| {
+                    let row = kernel.row(lo, &mut scratch, Partners::Above).0;
+                    let pairs = row
+                        .iter()
+                        .map(|&(hi, s)| (SimilarityGraph::pair_key(lo, hi), s));
+                    pairs.collect()
+                })
+                .collect();
+            let reference = SimilarityGraph::build(&m, config);
+            assert_eq!(reference, SimilarityGraph::build_serial(&m, config));
+            for n in [1, 2, 8] {
+                let mut runs = vec![Vec::new(); n + 1];
+                for (ix, row) in rows.iter().enumerate().rev() {
+                    runs[ix % n].extend_from_slice(row);
+                }
+                runs.reverse();
+                let graph = SimilarityGraph::from_runs(&m, config, runs, &WorkerPool::new(n));
+                assert_eq!(graph, reference, "{n} runs and workers");
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "scored exactly once")]
-    fn apply_updates_rejects_a_pair_scored_twice() {
+    fn from_runs_rejects_a_pair_scored_twice() {
         let m = fixture();
-        let g = SimilarityGraph::build(&m, GraphConfig::default());
         // The same pair from both endpoints, in two runs.
         let runs = vec![
             vec![(
@@ -1202,57 +917,7 @@ mod tests {
                 SimilarityStats::NONE,
             )],
         ];
-        let _ = g.apply_updates(&m, runs, &WorkerPool::new(1));
-    }
-
-    /// A delta's runs: each dirty item's row above it plus its clean partners below
-    /// it — the only pairs that reach a bucket out of order — taken in descending item
-    /// order, dealt over 1, 2 and 8 runs and assembled on as many workers, give the
-    /// graph of `apply_updates_serial`.
-    #[test]
-    fn delta_runs_with_clean_partners_below_equal_apply_updates_serial() {
-        let mut b = RatingMatrixBuilder::new();
-        for u in 0..24u32 {
-            for x in 0..6u32 {
-                b.push_parts(u, (u * 5 + x * 7) % 40, ((u + x) % 5 + 1) as f64)
-                    .unwrap();
-            }
-        }
-        let m = b.build().unwrap();
-        let config = GraphConfig {
-            top_k: Some(3),
-            ..Default::default()
-        };
-        let g = SimilarityGraph::build(&m, config);
-        let delta: Vec<xmap_cf::Rating> = (37..40u32)
-            .map(|i| {
-                xmap_cf::Rating::at(UserId(0), ItemId(i), (i - 35) as f64, xmap_cf::Timestep(i))
-            })
-            .collect();
-        let updated = m.apply_delta(&delta, &[]).unwrap();
-        let dirty = SimilarityGraph::dirty_items(&updated, &[UserId(0)]);
-        let mut clean = vec![true; updated.n_items()];
-        dirty.iter().for_each(|d| clean[d.index()] = false);
-        let kernel = ItemRowKernel::new(&updated, config.metric);
-        let mut scratch = RowScratch::default();
-        let (mut pairs, mut below) = (Vec::new(), 0);
-        for &item in dirty.iter().rev() {
-            let (row, _) = kernel.row(item, &mut scratch, Partners::Above(Some(&clean)));
-            for &(other, stats) in row {
-                below += usize::from(other < item);
-                pairs.push((SimilarityGraph::pair_key(item, other), stats));
-            }
-        }
-        assert!(below > 1, "too few clean partners below a dirty item");
-        let reference = g.apply_updates_serial(&updated, &[UserId(0)]);
-        for n in [1, 2, 8] {
-            let mut runs = vec![Vec::new(); n];
-            for (ix, &pair) in pairs.iter().enumerate() {
-                runs[ix % n].push(pair);
-            }
-            let incremental = g.apply_updates(&updated, runs, &WorkerPool::new(n));
-            assert_eq!(incremental, reference, "{n} runs and workers");
-        }
+        let _ = SimilarityGraph::from_runs(&m, GraphConfig::default(), runs, &WorkerPool::new(1));
     }
 
     /// Ties at the k-th place on items that open and close a parallel range: the
@@ -1401,7 +1066,6 @@ mod tests {
         assert_eq!(heaps, sorted);
         assert!(heaps.edge_between(ItemId(4), ItemId(8)).is_none());
         assert_eq!(heaps.degree(ItemId(4)), 3);
-        assert_eq!(heaps.n_scored_pairs(), pairs.len(), "pruned, not forgotten");
     }
 
     proptest! {
@@ -1495,55 +1159,8 @@ mod tests {
             }
         }
 
-        /// The delta-fit contract: `apply_updates_serial` on the updated matrix is
-        /// bit-identical to a full `build` of the updated matrix, with and without
-        /// pruning — i.e. the affected-key set derived from the delta users is a
-        /// sufficient recompute set, and no cached statistic that should have moved
-        /// survives the merge.
-        #[test]
-        fn apply_updates_serial_is_bit_identical_to_full_build(
-            base in proptest::collection::vec((0u32..10, 0u32..14, 1u32..=5), 1..150),
-            delta in proptest::collection::vec((0u32..14, 0u32..18, 1u32..=5), 1..30),
-            k in 1usize..6,
-        ) {
-            let m = random_matrix(&base, 2);
-            // ids folded inside the delta's growth bound (`check_delta_growth`)
-            let users = (m.n_users() + delta.len()) as u32;
-            let items = (m.n_items() + delta.len()) as u32;
-            let delta_ratings: Vec<xmap_cf::Rating> = delta
-                .iter()
-                .enumerate()
-                .map(|(ix, &(u, i, v))| {
-                    xmap_cf::Rating::at(
-                        UserId(u % users),
-                        ItemId(i % items),
-                        v as f64,
-                        xmap_cf::Timestep(10 + ix as u32),
-                    )
-                })
-                .collect();
-            let new_domains: Vec<(ItemId, DomainId)> = delta_ratings
-                .iter()
-                .map(|r| r.item)
-                .filter(|i| i.index() >= m.n_items())
-                .map(|i| (i, DomainId((i.0 % 2) as u16)))
-                .collect();
-            let updated = m.apply_delta(&delta_ratings, &new_domains).unwrap();
-            let mut affected: Vec<UserId> = delta_ratings.iter().map(|r| r.user).collect();
-            affected.sort_unstable();
-            affected.dedup();
-            for top_k in [None, Some(k)] {
-                let config = GraphConfig { top_k, ..Default::default() };
-                let g = SimilarityGraph::build(&m, config);
-                let incremental = g.apply_updates_serial(&updated, &affected);
-                let full = SimilarityGraph::build(&updated, config);
-                prop_assert_eq!(incremental, full, "delta rebuild diverged (top_k {:?})", top_k);
-            }
-        }
-
-        /// The row-gathering `build` ≡ the per-pair `build_serial`, on the whole arena
-        /// (`PartialEq` covers the scored-pair cache too), for every metric, with and
-        /// without `top_k` / `min_similarity`.
+        /// The row-gathering `build` ≡ the per-pair `build_serial`, on the whole arena,
+        /// for every metric, with and without `top_k` / `min_similarity`.
         #[test]
         fn build_is_bit_identical_to_build_serial(
             ratings in proptest::collection::vec((0u32..14, 0u32..18, 1u32..=5), 1..220),
@@ -1569,7 +1186,7 @@ mod tests {
         }
 
         /// The bounded-heap pruning ≡ the sort-everything oracle on the whole graph
-        /// (`PartialEq` covers the arena, `sim_rank` and the scored-pair cache), over
+        /// (`PartialEq` covers the arena and `sim_rank`), over
         /// pair sets whose similarities are drawn from four values — ties everywhere,
         /// negatives included — with and without a filter that drops some.
         #[test]

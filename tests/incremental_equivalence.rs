@@ -1,22 +1,16 @@
-//! The incremental-equivalence gate: `XMapModel::apply_delta` must release exactly the
-//! model a full `XMapModel::fit` on the updated matrix releases — **bit-identical**
-//! graph arena, X-Sim table, replacement table, kNN pools, probe predictions,
-//! recommendations and privacy ledger — in all four modes, at 1, 2 and 8 workers.
-//!
-//! The delta stage's own task bag (the `"delta"` ledger) is additionally asserted
-//! identical across worker counts: its costs are data-derived, so the worker count
-//! must never leak into the recorded incremental work.
-//!
-//! This is the end-to-end counterpart of the layer-local contracts:
-//! `RatingMatrix::apply_delta` vs the full rebuild (xmap-cf property test),
-//! `SimilarityGraph::apply_updates_serial` vs `build` (xmap-graph property test), and
-//! the delta edge-case tests in `xmap_core::delta`.
+//! The incremental-equivalence gate: `XMapModel::apply_delta` — a fold of the delta
+//! into the matrix and one build over it — must release exactly the model a full
+//! `XMapModel::fit` on the updated matrix releases, **bit-identical** in every artifact
+//! `common::released_bits` reads, in all four modes at 1, 2 and 8 workers; and its
+//! `"delta"` ledger must be the refit's four task bags concatenated. The layer-local
+//! contracts are `RatingMatrix::apply_delta` ≡ the full rebuild (an xmap-cf property
+//! test) and the delta edge cases in `xmap_core::delta`.
 
 mod common;
 
 use common::released_bits;
 use xmap_suite::core::{ShardedModel, DELTA_STAGE_NAME, FIT_STAGE_NAMES};
-use xmap_suite::graph::SimilarityGraph;
+use xmap_suite::graph::{GraphConfig, SimilarityGraph};
 use xmap_suite::prelude::*;
 
 const GATE_WORKERS: [usize; 3] = [1, 2, 8];
@@ -138,9 +132,8 @@ fn delta_fit_equals_full_refit_in_all_four_modes_at_1_2_and_8_workers() {
 
 #[test]
 fn sequential_deltas_compose_to_the_same_model_as_one_refit() {
-    // Two consecutive incremental batches must land on the same bits as a single
-    // refit on the final matrix — state carried between deltas (the scored-pair
-    // cache, the pieces shared with the base epoch) must not go stale.
+    // Two consecutive batches must land on the same bits as a single refit on the
+    // final matrix: the second folds into the matrix the first published.
     let ds = dataset();
     let model = XMapModel::fit(
         &ds.matrix,
@@ -361,107 +354,117 @@ fn seeded_delta_walks_equal_a_refit_after_every_delta() {
     }
 }
 
-/// The sparse trace of the cost contract below (few ratings per user over a wide
-/// catalogue, like the paper's).
-fn sparse_config() -> CrossDomainConfig {
-    CrossDomainConfig {
-        n_source_items: 80,
-        n_target_items: 80,
-        n_source_only_users: 60,
-        n_target_only_users: 60,
-        n_overlap_users: 40,
-        ratings_per_user: 6,
-        latent_dim: 2,
-        noise: 0.3,
-        seed: 7,
-        popularity_skew: 0.0,
-    }
-}
-
-/// `size` round-robin ratings over existing overlap users and target items.
-fn round_robin_delta(ds: &CrossDomainDataset, size: usize) -> RatingDelta {
-    let items = ds.target_items();
-    let mut delta = RatingDelta::new();
-    for ix in 0..size {
-        let u = ds.overlap_users[ix % ds.overlap_users.len()];
-        let i = items[(ix * 7) % items.len()];
-        delta.push_timed(u.0, i.0, ((ix % 5) + 1) as f64, 1000 + ix as u32);
-    }
-    delta
-}
-
-/// The baseliner's two counters by their definitions, from materialised pair keys: the
-/// dirty items and the affected co-rated pair keys of the aggregated matrix.
-fn counts_by_definition(updated: &RatingMatrix, delta: &RatingDelta) -> (usize, usize) {
-    let dirty = SimilarityGraph::dirty_items(updated, &delta.affected_users());
-    let keys = SimilarityGraph::affected_pair_keys(updated, &dirty);
-    (dirty.len(), keys.len())
-}
-
-/// The delta stage gathers rows without ever building a pair key; what it *reports*
-/// must still be the key-based definitions, to the digit — on the gate delta (new user,
-/// new item), a follow-up delta on the grown model, a source-only delta, and the sparse
-/// trace's 1/8/32-rating deltas. Every one re-scores pairs, so the three later steps
-/// report their whole sets: every source item, every X-Sim row and — unless the delta
-/// left the target domain alone and the recommender was shared — every item.
+/// A delta's ledger is the refit's: the `"delta"` entry holds exactly the refit's
+/// four stage bags, concatenated in [`FIT_STAGE_NAMES`] order, in all four modes at 1,
+/// 2 and 8 workers — a delta does a fit's work, and records it the same way.
 #[test]
-fn delta_report_counts_equal_their_pair_key_definitions() {
-    let check = |model: &XMapModel, delta: &RatingDelta, touches_target: bool, what: &str| {
-        let report = model.apply_delta(delta).unwrap();
-        let updated = model.matrix();
-        let (n_dirty, n_pairs) = counts_by_definition(&updated, delta);
-        assert_eq!(report.n_dirty_items, n_dirty, "{what}: dirty items");
-        assert_eq!(report.n_rescored_pairs, n_pairs, "{what}: rescored pairs");
-        assert!(n_pairs > 0, "{what}: the delta is trivial");
-        assert_eq!(
-            report.n_xsim_rows,
-            updated.items_in_domain(DomainId::SOURCE).len(),
-            "{what}: X-Sim rows"
-        );
-        assert_eq!(
-            report.n_replacement_draws,
-            model.xsim().n_connected_items(),
-            "{what}: replacement draws"
-        );
-        let item_based = model.config().mode == XMapMode::NxMapItemBased;
-        assert_eq!(
-            report.n_pool_refits,
-            if item_based && touches_target {
-                updated.n_items()
-            } else {
-                0
-            },
-            "{what}: pool refits"
-        );
-    };
-    for mode in [XMapMode::NxMapItemBased, XMapMode::NxMapUserBased] {
-        let ds = dataset();
-        let fit = |matrix: &RatingMatrix| {
-            XMapModel::fit(matrix, DomainId::SOURCE, DomainId::TARGET, config(mode, 2)).unwrap()
-        };
-        let model = fit(&ds.matrix);
-        check(&model, &gate_delta(&ds), true, "gate delta");
-        let mut second = RatingDelta::new();
-        second
-            .push_timed(ds.overlap_users[2].0, ds.target_items()[1].0, 4.0, 300)
-            .push_timed(ds.overlap_users[0].0, ds.target_items()[0].0, 5.0, 301);
-        check(&model, &second, true, "second delta");
-        // A source-only delta shares the recommender (`delta::tests` holds the
-        // `Arc::ptr_eq` beside this count), so it fits no pool.
-        let mut source_only = RatingDelta::new();
-        source_only.push_timed(ds.overlap_users[3].0, ds.source_items()[2].0, 2.0, 302);
-        check(&model, &source_only, false, "source-only delta");
-
-        let sparse = CrossDomainDataset::generate(sparse_config());
-        for size in [1usize, 8, 32] {
-            let delta = round_robin_delta(&sparse, size);
-            check(
-                &fit(&sparse.matrix),
-                &delta,
-                true,
-                &format!("sparse/{size}"),
+fn a_deltas_ledger_is_a_refits_four_bags_concatenated() {
+    let ds = dataset();
+    let delta = gate_delta(&ds);
+    let updated = ds
+        .matrix
+        .apply_delta(delta.ratings(), delta.item_domains())
+        .unwrap();
+    for mode in [
+        XMapMode::NxMapItemBased,
+        XMapMode::NxMapUserBased,
+        XMapMode::XMapItemBased,
+        XMapMode::XMapUserBased,
+    ] {
+        for workers in GATE_WORKERS {
+            let fit = |matrix: &RatingMatrix| {
+                let config = config(mode, workers);
+                XMapModel::fit(matrix, DomainId::SOURCE, DomainId::TARGET, config).unwrap()
+            };
+            let model = fit(&ds.matrix);
+            model.apply_delta(&delta).unwrap();
+            let refit = fit(&updated);
+            let concatenated: Vec<f64> = FIT_STAGE_NAMES
+                .iter()
+                .flat_map(|&stage| stage_costs(&refit, stage))
+                .collect();
+            assert!(
+                !concatenated.is_empty(),
+                "{mode:?}: the refit records its bags"
+            );
+            let bits = |costs: &[f64]| costs.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&stage_costs(&model, DELTA_STAGE_NAME)),
+                bits(&concatenated),
+                "{mode:?}/{workers}w: the delta ledger is not the refit's"
             );
         }
+    }
+}
+
+/// Top-k pruning ranks over every scored pair, so a delta that weakens edges can pull
+/// a previously pruned pair, whose own inputs did not move, back into an endpoint's
+/// top-k. With `k = 1` on a dense trace, one user flipping every rating must leave
+/// each mode's model bit-identical to a refit, the graph included.
+#[test]
+fn weakened_edges_resurrect_previously_pruned_pairs_exactly() {
+    let mut b = RatingMatrixBuilder::new();
+    for u in 0..16u32 {
+        for x in 0..8u32 {
+            let i = (u * 3 + x * 7) % 12;
+            b.push_parts(u, i, ((u * 2 + x * 3) % 5 + 1) as f64)
+                .unwrap();
+        }
+    }
+    for i in 0..12u32 {
+        let domain = if i < 6 {
+            DomainId::SOURCE
+        } else {
+            DomainId::TARGET
+        };
+        b.set_item_domain(ItemId(i), domain);
+    }
+    let m = b.build().unwrap();
+    // User 0 flips every one of their ratings to the opposite end of the scale,
+    // weakening (and sign-flipping) many similarities at once.
+    let mut delta = RatingDelta::new();
+    for (ix, e) in m.user_profile(UserId(0)).iter().enumerate() {
+        delta.push_timed(0, e.item.0, 6.0 - e.value, 100 + ix as u32);
+    }
+    let updated = m.apply_delta(delta.ratings(), &[]).unwrap();
+    let users: Vec<UserId> = m.users().collect();
+    let items = updated.items_in_domain(DomainId::TARGET);
+    for mode in [
+        XMapMode::NxMapItemBased,
+        XMapMode::NxMapUserBased,
+        XMapMode::XMapItemBased,
+        XMapMode::XMapUserBased,
+    ] {
+        let config = XMapConfig {
+            k: 1,
+            ..config(mode, 2)
+        };
+        let fit = |matrix: &RatingMatrix| {
+            XMapModel::fit(matrix, DomainId::SOURCE, DomainId::TARGET, config).unwrap()
+        };
+        let model = fit(&m);
+        let unpruned = GraphConfig {
+            top_k: None,
+            ..model.graph().config()
+        };
+        assert!(
+            SimilarityGraph::build(&m, unpruned).n_undirected_edges()
+                > model.graph().n_undirected_edges(),
+            "{mode:?}: pruning must actually drop pairs for this case to bite"
+        );
+        let before = model.graph();
+        model.apply_delta(&delta).unwrap();
+        let refit = fit(&updated);
+        assert_eq!(
+            released_bits(&model, &users, &items),
+            released_bits(&refit, &users, &items),
+            "{mode:?}"
+        );
+        assert_ne!(
+            *before,
+            *model.graph(),
+            "{mode:?}: the delta must move the arena"
+        );
     }
 }
 
@@ -568,66 +571,4 @@ fn a_warmed_user_based_scratch_follows_a_matrix_that_grows_between_two_reads() {
         sharded.ingest(&delta).unwrap();
         assert_eq!(read_routed(&sharded), expected, "{mode:?}: routed read");
     }
-}
-
-/// The data-derived cost contract of the delta path, on a deliberately **sparse**
-/// trace (few ratings per user over a wide catalogue, like the paper's — on a tiny
-/// dense trace every delta's co-rating neighbourhood is the whole graph): the `"delta"`
-/// ledger's total never shrinks as the delta grows, stays strictly below the refit's
-/// combined fit bag, and a fixed 8-rating delta claims a smaller share of the refit on
-/// a trace with three times the users.
-#[test]
-fn delta_cost_tracks_the_delta_not_the_trace() {
-    let sparse = sparse_config();
-    let fit = |matrix: &RatingMatrix| {
-        let config = config(XMapMode::NxMapItemBased, 1);
-        XMapModel::fit(matrix, DomainId::SOURCE, DomainId::TARGET, config).unwrap()
-    };
-    // (delta cost, refit cost) of `size` round-robin ratings over existing overlap
-    // users and target items.
-    let costs = |ds: &CrossDomainDataset, size: usize| -> (f64, f64) {
-        let delta = round_robin_delta(ds, size);
-        let model = fit(&ds.matrix);
-        model.apply_delta(&delta).unwrap();
-        let delta_cost: f64 = stage_costs(&model, DELTA_STAGE_NAME).iter().sum();
-        let updated = ds
-            .matrix
-            .apply_delta(delta.ratings(), delta.item_domains())
-            .unwrap();
-        let refit = fit(&updated);
-        let refit_bag = FIT_STAGE_NAMES
-            .iter()
-            .flat_map(|&stage| stage_costs(&refit, stage));
-        (delta_cost, refit_bag.sum())
-    };
-
-    let ds = CrossDomainDataset::generate(sparse);
-    let sizes = [1usize, 8, 32];
-    let by_size = sizes.map(|size| costs(&ds, size));
-    for (ix, &(delta_cost, refit_cost)) in by_size.iter().enumerate() {
-        assert!(
-            ix == 0 || delta_cost >= by_size[ix - 1].0,
-            "delta cost shrank as the delta grew to {} ratings: {by_size:?}",
-            sizes[ix]
-        );
-        assert!(
-            delta_cost < refit_cost,
-            "{} ratings: incremental work {delta_cost} not below the refit bag {refit_cost}",
-            sizes[ix]
-        );
-    }
-
-    let tripled = CrossDomainDataset::generate(CrossDomainConfig {
-        n_source_only_users: sparse.n_source_only_users * 3,
-        n_target_only_users: sparse.n_target_only_users * 3,
-        n_overlap_users: sparse.n_overlap_users * 3,
-        ..sparse
-    });
-    let (small_delta, small_refit) = by_size[1];
-    let (big_delta, big_refit) = costs(&tripled, 8);
-    assert!(
-        big_delta / big_refit < small_delta / small_refit,
-        "the 8-rating delta's share of the refit must shrink on the 3x trace: \
-         {big_delta}/{big_refit} vs {small_delta}/{small_refit}"
-    );
 }
